@@ -43,7 +43,12 @@ func ComputeFigure2(in *Input) []Figure2Bubble {
 			Coord: loc.Coord, Peers: n,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peers > out[j].Peers })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Peers != out[j].Peers {
+			return out[i].Peers > out[j].Peers
+		}
+		return out[i].Location < out[j].Location // ties must not follow map order
+	})
 	return out
 }
 

@@ -44,8 +44,11 @@ func (a *Atlas) buildAdjacency(r *rand.Rand) {
 			link(x, inc)
 		}
 	}
-	// Continental incumbent meshes.
-	for _, list := range incumbents {
+	// Continental incumbent meshes, in stable continent order: ranging over
+	// the map would draw from r in a different order every process, and the
+	// atlas must be a pure function of its seed.
+	for _, cont := range Continents {
+		list := incumbents[cont]
 		for i, x := range list {
 			for _, y := range list[i+1:] {
 				if r.Float64() < 0.35 {
