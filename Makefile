@@ -77,8 +77,8 @@ drain:
 	$(GO) test -race -run 'Drain' -v .
 
 # Streaming-delivery end-to-end: a live cluster streams objects at a
-# feasible bitrate (zero deadline misses, metrics flow through logpipe with
-# offline/streaming-summarizer parity) and at an infeasible bitrate under
+# feasible bitrate (zero deadline misses, metrics flow through logpipe into
+# the offline summary and the live analytics) and at an infeasible bitrate under
 # injected edge/CN faults (nonzero rebuffers, urgent-window edge rescues,
 # download still completes verified).
 streaming:

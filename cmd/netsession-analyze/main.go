@@ -61,10 +61,10 @@ func main() {
 }
 
 // runOnce is the one-shot offline pass. Both input layouts stream: a jsonl
-// export scans record by record into a sharded accumulator, a segment store
-// goes through the parallel decode-and-fold pass — either way memory scales
-// with distinct GUIDs/URLs/ASes, never with record count, so a paper-scale
-// store analyzes on one box.
+// export scans record by record into a tally, a segment store goes through
+// the parallel decode-and-fold pass — either way memory scales with distinct
+// GUIDs/URLs/ASes, never with record bytes, so a paper-scale store analyzes
+// on one box.
 func runOnce(dir string, workers int, figures bool) {
 	start := time.Now()
 	var (
@@ -75,16 +75,16 @@ func runOnce(dir string, workers int, figures bool) {
 	if f, err := os.Open(jsonlPath); err == nil {
 		defer f.Close()
 		source = jsonlPath
-		acc := analysis.NewShardedOfflineAccumulator(4*workers, figures)
+		sum.Tally = analysis.NewTally()
 		br := bufio.NewReaderSize(f, 1<<20)
 		if err := analysis.ScanDownloadsJSONL(br, func(d *analysis.OfflineDownload) error {
-			acc.Add(d)
-			sum.Records++
+			sum.Tally.Add(d)
 			return nil
 		}); err != nil {
 			log.Fatalf("%s: %v", jsonlPath, err)
 		}
-		sum.Summary, sum.Figures = acc.Summary(), acc.Figures()
+		sum.Summary = sum.Tally.Summary()
+		sum.Records = sum.Summary.Downloads
 	} else {
 		segDir, ok := findSegmentDir(dir)
 		if !ok {
@@ -104,8 +104,8 @@ func runOnce(dir string, workers int, figures bool) {
 	log.Printf("streamed %d download records from %s in %.2fs (%.0f records/sec)",
 		sum.Records, source, elapsed.Seconds(), float64(sum.Records)/elapsed.Seconds())
 	fmt.Print(sum.Summary.Render())
-	if figures && sum.Figures != nil {
-		fmt.Print(sum.Figures.Render())
+	if figures {
+		fmt.Print(sum.Tally.RenderFigures())
 	}
 }
 

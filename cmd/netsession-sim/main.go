@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -26,7 +25,6 @@ import (
 	"netsession"
 	"netsession/internal/accounting"
 	"netsession/internal/analysis"
-	"netsession/internal/geo"
 	"netsession/internal/logpipe"
 	"netsession/internal/telemetry"
 )
@@ -171,28 +169,12 @@ func main() {
 	log.Printf("wrote logs to %s", *outDir)
 }
 
-// scenarioLookup annotates logged IPs with the generating scape, the way the
-// control plane annotates live reports before spilling them — country, AS,
-// and the network region the per-region analytics aggregate by.
-func scenarioLookup(res *netsession.ScenarioResult) analysis.GeoLookup {
-	return func(ip netip.Addr) analysis.GeoTag {
-		if rec, ok := res.Scape.Lookup(ip); ok {
-			return analysis.GeoTag{
-				Country: string(rec.Country),
-				ASN:     uint32(rec.ASN),
-				Region:  geo.RegionOf(rec).String(),
-			}
-		}
-		return analysis.GeoTag{}
-	}
-}
-
 // writeDownloads exports analysis.OfflineDownload records: each carries its
 // own geolocation so the log set is self-contained (netsession-analyze
 // reads it without the generating atlas).
 func writeDownloads(path string, res *netsession.ScenarioResult) error {
 	l := res.Log
-	lookup := scenarioLookup(res)
+	lookup := analysis.ScapeLookup(res.Scape)
 	return writeJSONL(path, len(l.Downloads), func(enc *json.Encoder, i int) error {
 		return enc.Encode(analysis.OfflineFromRecord(&l.Downloads[i], lookup))
 	})
@@ -209,7 +191,7 @@ func writeSegments(dir string, res *netsession.ScenarioResult) error {
 		return err
 	}
 	l := res.Log
-	lookup := scenarioLookup(res)
+	lookup := analysis.ScapeLookup(res.Scape)
 	for i := range l.Downloads {
 		if err := w.Append(analysis.OfflineFromRecord(&l.Downloads[i], lookup)); err != nil {
 			return err

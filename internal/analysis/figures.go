@@ -63,27 +63,7 @@ type Figure3a struct {
 }
 
 // ComputeFigure3a builds the size CDFs from the download log.
-func ComputeFigure3a(in *Input) Figure3a {
-	var infra, all, p2p []float64
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		gb := float64(d.Size) / 1e9
-		all = append(all, gb)
-		if d.P2PEnabled {
-			p2p = append(p2p, gb)
-		} else {
-			infra = append(infra, gb)
-		}
-	}
-	xs := LogSpace(0.01, 10, 25)
-	p2pCDF := NewCDF(p2p)
-	return Figure3a{
-		InfraOnly:                NewCDF(infra).Points(xs),
-		All:                      NewCDF(all).Points(xs),
-		PeerAssisted:             p2pCDF.Points(xs),
-		PctPeerAssistedOver500MB: 100 * (1 - p2pCDF.FractionBelow(0.5)),
-	}
-}
+func ComputeFigure3a(in *Input) Figure3a { return TallyInput(in).Figure3a() }
 
 // Figure3b is content popularity: downloads per object, by rank.
 type Figure3b struct {
@@ -93,18 +73,7 @@ type Figure3b struct {
 
 // ComputeFigure3b ranks objects by download count (paper Figure 3b shows
 // the "nearly ubiquitous power law").
-func ComputeFigure3b(in *Input) Figure3b {
-	per := make(map[string]int)
-	for i := range in.Log.Downloads {
-		per[in.Log.Downloads[i].URLHash]++
-	}
-	counts := make([]int, 0, len(per))
-	for _, c := range per {
-		counts = append(counts, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	return Figure3b{Counts: counts}
-}
+func ComputeFigure3b(in *Input) Figure3b { return TallyInput(in).Figure3b() }
 
 // PowerLawSlope fits log(count) ~ alpha*log(rank) over the head of the
 // distribution and returns -alpha (≈ the Zipf exponent).
@@ -362,35 +331,7 @@ type Figure7 struct {
 
 // ComputeFigure7 measures how often downloads are aborted/paused and never
 // resumed, by size.
-func ComputeFigure7(in *Input) Figure7 {
-	var aborted, total [numSizeClasses][3]int
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		sc := classifySize(d.Size)
-		cols := []int{2}
-		if d.P2PEnabled {
-			cols = append(cols, 1)
-		} else {
-			cols = append(cols, 0)
-		}
-		for _, c := range cols {
-			total[sc][c]++
-			if d.Outcome == protocol.OutcomeAborted {
-				aborted[sc][c]++
-			}
-		}
-	}
-	var out Figure7
-	for sc := 0; sc < int(numSizeClasses); sc++ {
-		for c := 0; c < 3; c++ {
-			out.N[sc][c] = total[sc][c]
-			if total[sc][c] > 0 {
-				out.PauseRatePct[sc][c] = 100 * float64(aborted[sc][c]) / float64(total[sc][c])
-			}
-		}
-	}
-	return out
-}
+func ComputeFigure7(in *Input) Figure7 { return TallyInput(in).Figure7() }
 
 // CountryClass classifies a country by how much of one provider's bytes the
 // peers served relative to the infrastructure (paper Figure 8).

@@ -3,7 +3,6 @@ package analysis
 import (
 	"netsession/internal/geo"
 	"netsession/internal/id"
-	"netsession/internal/protocol"
 )
 
 // Headlines collects the scalar results quoted in the paper's running text.
@@ -41,6 +40,12 @@ type Headlines struct {
 
 // ComputeHeadlines derives the scalar summary from the logs.
 func ComputeHeadlines(in *Input, traceDays int) Headlines {
+	return headlines(in, TallyInput(in), traceDays)
+}
+
+// headlines joins the download tally with the catalog, AS-traffic and
+// mobility passes.
+func headlines(in *Input, t *Tally, traceDays int) Headlines {
 	var h Headlines
 
 	// Catalog policy share.
@@ -50,69 +55,16 @@ func ComputeHeadlines(in *Input, traceDays int) Headlines {
 			p2pFiles++
 		}
 	}
-	if n := len(in.Catalog.Files); n > 0 {
-		h.PctFilesP2PEnabled = 100 * float64(p2pFiles) / float64(n)
-	}
+	h.PctFilesP2PEnabled = pct(int64(p2pFiles), int64(len(in.Catalog.Files)))
 
-	var bytesP2PFiles, bytesAll float64
-	var effSum float64
-	var effN int
-	var peerBytes, p2pTotalBytes float64
-	var nInfra, nP2P, doneInfra, doneP2P, sysInfra, sysP2P, abInfra, abP2P int
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		total := float64(d.TotalBytes())
-		bytesAll += total
-		if d.P2PEnabled {
-			bytesP2PFiles += total
-			nP2P++
-			peerBytes += float64(d.BytesPeers)
-			p2pTotalBytes += total
-			if total > 0 {
-				effSum += 100 * d.PeerEfficiency()
-				effN++
-			}
-			switch d.Outcome {
-			case protocol.OutcomeCompleted:
-				doneP2P++
-			case protocol.OutcomeFailedSystem:
-				sysP2P++
-			case protocol.OutcomeAborted:
-				abP2P++
-			}
-		} else {
-			nInfra++
-			switch d.Outcome {
-			case protocol.OutcomeCompleted:
-				doneInfra++
-			case protocol.OutcomeFailedSystem:
-				sysInfra++
-			case protocol.OutcomeAborted:
-				abInfra++
-			}
-		}
-	}
-	if bytesAll > 0 {
-		h.PctBytesP2PFiles = 100 * bytesP2PFiles / bytesAll
-	}
-	if effN > 0 {
-		h.MeanPeerEfficiencyPct = effSum / float64(effN)
-	}
-	if p2pTotalBytes > 0 {
-		h.AggregatePeerEfficiencyPct = 100 * peerBytes / p2pTotalBytes
-	}
-	pct := func(a, b int) float64 {
-		if b == 0 {
-			return 0
-		}
-		return 100 * float64(a) / float64(b)
-	}
-	h.CompletionInfraPct = pct(doneInfra, nInfra)
-	h.CompletionP2PPct = pct(doneP2P, nP2P)
-	h.FailSystemInfraPct = pct(sysInfra, nInfra)
-	h.FailSystemP2PPct = pct(sysP2P, nP2P)
-	h.AbortInfraPct = pct(abInfra, nInfra)
-	h.AbortP2PPct = pct(abP2P, nP2P)
+	sum := t.Summary()
+	h.PctBytesP2PFiles = sum.PctBytesP2PFiles
+	h.MeanPeerEfficiencyPct = sum.MeanPeerEfficiencyPct
+	h.AggregatePeerEfficiencyPct = sum.AggregatePeerEfficiencyPct
+	h.CompletionInfraPct, h.CompletionP2PPct = sum.CompletionInfraPct, sum.CompletionP2PPct
+	h.AbortInfraPct, h.AbortP2PPct = sum.AbortInfraPct, sum.AbortP2PPct
+	h.FailSystemInfraPct = pct(t.failedSys[classInfra], t.n[classInfra])
+	h.FailSystemP2PPct = pct(t.failedSys[classP2P], t.n[classP2P])
 
 	h.IntraASPct = 100 * ComputeASTraffic(in).IntraASFraction()
 

@@ -6,15 +6,15 @@ import (
 	"math/bits"
 )
 
-// HLL is a HyperLogLog cardinality sketch. The streaming summarizer uses it
-// to track the active-GUID and distinct-URL populations in fixed memory:
-// the paper's data set has 26M GUIDs, so an exact set is precisely the kind
-// of state a bounded-memory live pass cannot afford. With 2^14 registers the
+// HLL is a HyperLogLog cardinality sketch. The sketched Tally uses it to
+// track the active-GUID and distinct-URL populations in fixed memory: the
+// paper's data set has 26M GUIDs, so an exact set is precisely the kind of
+// state a bounded-memory live pass cannot afford. With 2^14 registers the
 // standard error is 1.04/sqrt(16384) ~ 0.81%, leaving real headroom inside
-// the 2% budget the streaming-vs-offline equivalence contract allows.
+// the 2% budget the tests hold the sketch to against the exact sets.
 //
 // The zero value is not usable; call NewHLL. Methods are not safe for
-// concurrent use — each summarizer shard owns its own sketch and merges at
+// concurrent use — each tally shard owns its own sketch and merges at
 // snapshot time.
 type HLL struct {
 	registers []uint8
@@ -23,6 +23,9 @@ type HLL struct {
 const (
 	hllP = 14        // register-index bits
 	hllM = 1 << hllP // number of registers
+	// hllMaxRank is the largest value Add can store: the 64-hllP stream bits
+	// all zero ranks one past the stream length.
+	hllMaxRank = 64 - hllP + 1
 )
 
 // NewHLL creates an empty sketch.
@@ -85,13 +88,21 @@ func (h *HLL) Bytes() []byte {
 }
 
 // HLLFromBytes restores a sketch serialized with Bytes. A nil or empty input
-// yields an empty sketch; any other length is an error.
+// yields an empty sketch; any other length is an error, and so is a register
+// no Add could have written — the bytes arrive in scraped documents, and a
+// register of 64 or more would drive Estimate's 1/2^r term to +Inf and
+// collapse the whole estimate.
 func HLLFromBytes(b []byte) (*HLL, error) {
 	if len(b) == 0 {
 		return NewHLL(), nil
 	}
 	if len(b) != hllM {
 		return nil, fmt.Errorf("analysis: HLL sketch has %d registers, want %d", len(b), hllM)
+	}
+	for i, r := range b {
+		if r > hllMaxRank {
+			return nil, fmt.Errorf("analysis: HLL register %d holds %d, above the maximum rank %d", i, r, hllMaxRank)
+		}
 	}
 	return &HLL{registers: append([]byte(nil), b...)}, nil
 }

@@ -70,6 +70,16 @@ func TestHLLSerializationRoundTrip(t *testing.T) {
 	if _, err := HLLFromBytes(make([]byte, 7)); err == nil {
 		t.Error("HLLFromBytes accepted a bad register count")
 	}
+	// The largest rank Add can write is accepted, anything above is not.
+	regs := h.Bytes()
+	regs[5] = hllMaxRank
+	if _, err := HLLFromBytes(regs); err != nil {
+		t.Errorf("maximum rank rejected: %v", err)
+	}
+	regs[5] = 64
+	if _, err := HLLFromBytes(regs); err == nil {
+		t.Error("HLLFromBytes accepted a register of 64 (Estimate would divide by 2^64 = 0)")
+	}
 	empty, err := HLLFromBytes(nil)
 	if err != nil || empty.Estimate() != 0 {
 		t.Errorf("nil bytes: sketch=%v err=%v, want empty sketch", empty, err)

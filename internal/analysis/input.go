@@ -36,3 +36,15 @@ func (in *Input) reportRegion(ip netip.Addr) (geo.ReportRegion, bool) {
 	loc := in.Atlas.Location(rec.Location)
 	return geo.ReportRegionOf(loc), true
 }
+
+// TallyInput folds the in-memory download log into an exact tally: each
+// record is annotated and converted exactly as the log exporters do, so the
+// batch report and the offline analyzer read one definition.
+func TallyInput(in *Input) *Tally {
+	t, lookup := NewTally(), ScapeLookup(in.Scape)
+	for i := range in.Log.Downloads {
+		d := OfflineFromRecord(&in.Log.Downloads[i], lookup)
+		t.Add(&d)
+	}
+	return t
+}

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"strings"
 
 	"netsession/internal/accounting"
+	"netsession/internal/geo"
 )
 
 // The offline path analyzes exported JSON-lines logs without the generating
@@ -78,6 +78,20 @@ type GeoTag struct {
 // GeoLookup annotates an IP; it may return a zero tag for unknown addresses.
 type GeoLookup func(ip netip.Addr) GeoTag
 
+// ScapeLookup annotates IPs from an EdgeScape: country, AS, and the control
+// plane's network region. The control plane, the simulator's exporter and
+// the batch report all tag records through it, so the three log sources
+// carry the same annotation.
+func ScapeLookup(scape *geo.EdgeScape) GeoLookup {
+	return func(ip netip.Addr) GeoTag {
+		rec, ok := scape.Lookup(ip)
+		if !ok {
+			return GeoTag{}
+		}
+		return GeoTag{Country: string(rec.Country), ASN: uint32(rec.ASN), Region: geo.RegionOf(rec).String()}
+	}
+}
+
 // OfflineFromRecord converts one accepted accounting record into the
 // self-contained offline schema, annotating geography through lookup (nil
 // lookup leaves Country/ASN/Region zero). The simulator's log exporter and
@@ -105,16 +119,8 @@ func OfflineFromRecord(d *accounting.DownloadRecord, lookup GeoLookup) OfflineDo
 		})
 	}
 	if d.Stream != nil {
-		out.Stream = &OfflineStream{
-			BitrateBps:      d.Stream.BitrateBps,
-			StartupDelayMs:  d.Stream.StartupDelayMs,
-			RebufferCount:   d.Stream.RebufferCount,
-			RebufferMs:      d.Stream.RebufferMs,
-			DeadlineMisses:  d.Stream.DeadlineMisses,
-			PiecesPlayed:    d.Stream.PiecesPlayed,
-			PiecesTotal:     d.Stream.PiecesTotal,
-			EdgeRescueBytes: d.Stream.EdgeRescueBytes,
-		}
+		st := OfflineStream(*d.Stream) // same fields; only the JSON tags differ
+		out.Stream = &st
 	}
 	return out
 }
@@ -190,269 +196,13 @@ type OfflineSummary struct {
 	StreamEdgeRescueBytes int64
 }
 
-// OfflineAccumulator computes an OfflineSummary one record at a time, so the
-// analyzer can stream a rotated segment store without materializing the whole
-// download set (the ROADMAP's billion-entry target). The arithmetic is
-// record-ordered exactly like the original batch pass, so a streamed summary
-// is bit-identical to SummarizeOffline over the same records in the same
-// order. State grows with the number of *distinct* GUIDs/URLs/ASes and with
-// one float per completed download (the speed medians) — a large constant
-// factor below holding the decoded records themselves; the fully
-// bounded-memory pass is StreamingSummarizer.
-type OfflineAccumulator struct {
-	downloads int
-	guids     map[string]bool
-	urls      map[string]bool
-	countries map[string]bool
-	ases      map[uint32]bool
-
-	nInfra, nP2P, doneInfra, doneP2P, abInfra, abP2P int
-	bytesAll, bytesP2P, peerBytes, p2pTotal          float64
-	effSum                                           float64
-	effN                                             int
-	speedEdge, speedP2P                              []float64
-	intra, totalP2P                                  int64
-	perASUp                                          map[uint32]int64
-	perURL                                           map[string]int
-
-	// Streaming tallies: plain integer sums, so the streaming summarizer
-	// reproduces them exactly (the PR-6 equivalence contract).
-	streams           int
-	streamStartupSum  int64
-	streamRebufCnt    int64
-	streamRebufMs     int64
-	streamMisses      int64
-	streamPlayed      int64
-	streamRescueBytes int64
-}
-
-// NewOfflineAccumulator creates an empty accumulator.
-func NewOfflineAccumulator() *OfflineAccumulator {
-	return &OfflineAccumulator{
-		guids:     map[string]bool{},
-		urls:      map[string]bool{},
-		countries: map[string]bool{},
-		ases:      map[uint32]bool{},
-		perASUp:   map[uint32]int64{},
-		perURL:    map[string]int{},
-	}
-}
-
-// Add folds one download record into the summary state.
-func (a *OfflineAccumulator) Add(d *OfflineDownload) {
-	a.downloads++
-	a.guids[d.GUID] = true
-	a.urls[d.URLHash] = true
-	a.countries[d.Country] = true
-	a.ases[d.ASN] = true
-	a.perURL[d.URLHash]++
-	total := d.BytesInfra + d.BytesPeers
-	a.bytesAll += float64(total)
-	if d.P2PEnabled {
-		a.nP2P++
-		a.bytesP2P += float64(total)
-		a.peerBytes += float64(d.BytesPeers)
-		a.p2pTotal += float64(total)
-		if total > 0 {
-			a.effSum += 100 * float64(d.BytesPeers) / float64(total)
-			a.effN++
-		}
-	} else {
-		a.nInfra++
-	}
-	switch d.Outcome {
-	case "completed":
-		if d.P2PEnabled {
-			a.doneP2P++
-		} else {
-			a.doneInfra++
-		}
-		if dur := d.EndMs - d.StartMs; dur > 0 && total > 0 {
-			mbps := float64(total) * 8 / float64(dur) / 1000
-			if d.BytesPeers == 0 {
-				a.speedEdge = append(a.speedEdge, mbps)
-			} else if float64(d.BytesPeers) >= 0.5*float64(total) {
-				a.speedP2P = append(a.speedP2P, mbps)
-			}
-		}
-	case "aborted":
-		if d.P2PEnabled {
-			a.abP2P++
-		} else {
-			a.abInfra++
-		}
-	}
-	for _, pc := range d.FromPeers {
-		a.totalP2P += pc.Bytes
-		if pc.ASN == d.ASN {
-			a.intra += pc.Bytes
-		} else {
-			a.perASUp[pc.ASN] += pc.Bytes
-		}
-	}
-	if st := d.Stream; st != nil {
-		a.streams++
-		a.streamStartupSum += st.StartupDelayMs
-		a.streamRebufCnt += st.RebufferCount
-		a.streamRebufMs += st.RebufferMs
-		a.streamMisses += st.DeadlineMisses
-		a.streamPlayed += st.PiecesPlayed
-		a.streamRescueBytes += st.EdgeRescueBytes
-	}
-}
-
-// Records returns how many downloads have been added.
-func (a *OfflineAccumulator) Records() int { return a.downloads }
-
-// Merge folds another accumulator's state into this one, as if its records
-// had been added here. Count-, set- and sort-derived quantities (distinct
-// counts, medians, heavy-uploader cut, Zipf fit) are exact — they depend
-// only on the combined multiset — while float sums may differ from a
-// single-accumulator pass in the last bits, since addition order changes.
-// This is what lets a sharded parallel pass over a segment store reduce to
-// one summary.
-func (a *OfflineAccumulator) Merge(o *OfflineAccumulator) {
-	a.downloads += o.downloads
-	for k := range o.guids {
-		a.guids[k] = true
-	}
-	for k := range o.urls {
-		a.urls[k] = true
-	}
-	for k := range o.countries {
-		a.countries[k] = true
-	}
-	for k := range o.ases {
-		a.ases[k] = true
-	}
-	a.nInfra += o.nInfra
-	a.nP2P += o.nP2P
-	a.doneInfra += o.doneInfra
-	a.doneP2P += o.doneP2P
-	a.abInfra += o.abInfra
-	a.abP2P += o.abP2P
-	a.bytesAll += o.bytesAll
-	a.bytesP2P += o.bytesP2P
-	a.peerBytes += o.peerBytes
-	a.p2pTotal += o.p2pTotal
-	a.effSum += o.effSum
-	a.effN += o.effN
-	a.speedEdge = append(a.speedEdge, o.speedEdge...)
-	a.speedP2P = append(a.speedP2P, o.speedP2P...)
-	a.intra += o.intra
-	a.totalP2P += o.totalP2P
-	for asn, b := range o.perASUp {
-		a.perASUp[asn] += b
-	}
-	for u, c := range o.perURL {
-		a.perURL[u] += c
-	}
-	a.streams += o.streams
-	a.streamStartupSum += o.streamStartupSum
-	a.streamRebufCnt += o.streamRebufCnt
-	a.streamRebufMs += o.streamRebufMs
-	a.streamMisses += o.streamMisses
-	a.streamPlayed += o.streamPlayed
-	a.streamRescueBytes += o.streamRescueBytes
-}
-
-// Summary derives the summary from the accumulated state. It may be called
-// repeatedly; Add may continue afterwards.
-func (a *OfflineAccumulator) Summary() OfflineSummary {
-	var s OfflineSummary
-	s.Downloads = a.downloads
-	s.DistinctGUIDs = len(a.guids)
-	s.DistinctURLs = len(a.urls)
-	s.Countries = len(a.countries)
-	s.ASes = len(a.ases)
-	pct := func(n, d int) float64 {
-		if d == 0 {
-			return 0
-		}
-		return 100 * float64(n) / float64(d)
-	}
-	s.CompletionInfraPct = pct(a.doneInfra, a.nInfra)
-	s.CompletionP2PPct = pct(a.doneP2P, a.nP2P)
-	s.AbortInfraPct = pct(a.abInfra, a.nInfra)
-	s.AbortP2PPct = pct(a.abP2P, a.nP2P)
-	if a.bytesAll > 0 {
-		s.PctBytesP2PFiles = 100 * a.bytesP2P / a.bytesAll
-	}
-	if a.effN > 0 {
-		s.MeanPeerEfficiencyPct = a.effSum / float64(a.effN)
-	}
-	if a.p2pTotal > 0 {
-		s.AggregatePeerEfficiencyPct = 100 * a.peerBytes / a.p2pTotal
-	}
-	s.MedianSpeedEdgeMbps = Percentile(a.speedEdge, 50)
-	s.MedianSpeedP2PMbps = Percentile(a.speedP2P, 50)
-	if t := a.intra + sumVals(a.perASUp); t > 0 {
-		s.IntraASPct = 100 * float64(a.intra) / float64(t)
-	}
-	s.HeavyASes, s.HeavySharePct = heavyUploaders(a.perASUp)
-	// Popularity head + slope.
-	counts := make([]int, 0, len(a.perURL))
-	for _, c := range a.perURL {
-		counts = append(counts, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	if len(counts) > 0 {
-		s.TopObjectCount = counts[0]
-	}
-	s.ZipfExponent = Figure3b{Counts: counts}.PowerLawSlope()
-	s.StreamingDownloads = a.streams
-	if a.streams > 0 {
-		s.StreamStartupMeanMs = float64(a.streamStartupSum) / float64(a.streams)
-	}
-	s.StreamRebufferEvents = a.streamRebufCnt
-	s.StreamRebufferMs = a.streamRebufMs
-	if a.streamPlayed > 0 {
-		s.StreamDeadlineMissPct = 100 * float64(a.streamMisses) / float64(a.streamPlayed)
-	}
-	s.StreamEdgeRescueBytes = a.streamRescueBytes
-	return s
-}
-
-// heavyUploaders counts the ASes covering 90% of inter-AS upload bytes and
-// the share they carry; shared by the offline and streaming summaries so the
-// equivalence contract holds by construction.
-func heavyUploaders(perASUp map[uint32]int64) (heavy int, sharePct float64) {
-	var ups []int64
-	var upTotal int64
-	for _, b := range perASUp {
-		ups = append(ups, b)
-		upTotal += b
-	}
-	sort.Slice(ups, func(i, j int) bool { return ups[i] > ups[j] })
-	var cum int64
-	for _, b := range ups {
-		if upTotal > 0 && float64(cum) >= 0.9*float64(upTotal) {
-			break
-		}
-		heavy++
-		cum += b
-	}
-	if upTotal > 0 {
-		sharePct = 100 * float64(cum) / float64(upTotal)
-	}
-	return heavy, sharePct
-}
-
 // SummarizeOffline computes the summary of a fully materialized log set.
 func SummarizeOffline(dls []OfflineDownload) OfflineSummary {
-	acc := NewOfflineAccumulator()
+	t := NewTally()
 	for i := range dls {
-		acc.Add(&dls[i])
+		t.Add(&dls[i])
 	}
-	return acc.Summary()
-}
-
-func sumVals(m map[uint32]int64) int64 {
-	var t int64
-	for _, v := range m {
-		t += v
-	}
-	return t
+	return t.Summary()
 }
 
 // Render prints the summary as text.

@@ -71,7 +71,10 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	f3a := ComputeFigure3a(in)
+	// One fold over the download log serves Figures 3a, 3b, 7 and the
+	// download part of the headlines.
+	dl := TallyInput(in)
+	f3a := dl.Figure3a()
 	w("## Figure 3a — Request CDF by object size (GB)")
 	w("%10s %12s %12s %12s", "size(GB)", "infra-only", "all", "peer-assist")
 	for i := range f3a.All {
@@ -81,7 +84,7 @@ func Report(in *Input, traceDays int) string {
 	w("peer-assisted requests >500MB: %.1f%% (paper: 82%%)", f3a.PctPeerAssistedOver500MB)
 	w("")
 
-	f3b := ComputeFigure3b(in)
+	f3b := dl.Figure3b()
 	w("## Figure 3b — Content popularity (downloads vs rank)")
 	for _, rank := range []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000} {
 		if rank <= len(f3b.Counts) {
@@ -145,7 +148,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	f7 := ComputeFigure7(in)
+	f7 := dl.Figure7()
 	w("## Figure 7 — Pause rate by file size")
 	w("%-12s %12s %12s %12s", "size", "infra-only", "peer-assist", "all")
 	for sc := SizeUnder10MB; sc < numSizeClasses; sc++ {
@@ -204,7 +207,7 @@ func Report(in *Input, traceDays int) string {
 		w("")
 	}
 
-	h := ComputeHeadlines(in, traceDays)
+	h := headlines(in, dl, traceDays)
 	w("## Headlines")
 	w("p2p-enabled files: %.1f%% of catalog carrying %.1f%% of bytes (paper: 1.7%% / 57.4%%)",
 		h.PctFilesP2PEnabled, h.PctBytesP2PFiles)

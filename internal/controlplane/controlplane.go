@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"netsession/internal/accounting"
+	"netsession/internal/analysis"
 	"netsession/internal/cluster"
 	"netsession/internal/edge"
 	"netsession/internal/faults"
@@ -180,6 +181,9 @@ type ControlPlane struct {
 	metrics   *cpMetrics
 	ingest    *logpipe.Ingest
 	analytics *cpAnalytics
+	// geoLookup annotates logged IPs the way the paper's offline data set
+	// is annotated with EdgeScape fields (§4.1), plus the network region.
+	geoLookup analysis.GeoLookup
 
 	dns [geo.NumRegions]*DN
 
@@ -227,6 +231,7 @@ func New(cfg Config) (*ControlPlane, error) {
 		sessions: make(map[id.GUID]*session),
 	}
 	cp.analytics = newCPAnalytics(cp.metrics.reg)
+	cp.geoLookup = analysis.ScapeLookup(cfg.Scape)
 	cp.cfg.Collector.Configure(accounting.Limits{
 		MaxDownloads:     cfg.MaxLogRecords,
 		MaxLogins:        cfg.MaxLogRecords,

@@ -7,7 +7,6 @@ import (
 	"netsession/internal/accounting"
 	"netsession/internal/analysis"
 	"netsession/internal/content"
-	"netsession/internal/geo"
 	"netsession/internal/id"
 	"netsession/internal/logpipe"
 	"netsession/internal/protocol"
@@ -37,20 +36,6 @@ func (cp *ControlPlane) recordDownload(rec accounting.DownloadRecord) error {
 		}
 	}
 	return nil
-}
-
-// geoLookup annotates a logged IP the way the paper's offline data set is
-// annotated with EdgeScape fields (§4.1), plus the control plane's network
-// region so per-region analytics survive without the atlas.
-func (cp *ControlPlane) geoLookup(ip netip.Addr) analysis.GeoTag {
-	if rec, ok := cp.cfg.Scape.Lookup(ip); ok {
-		return analysis.GeoTag{
-			Country: string(rec.Country),
-			ASN:     uint32(rec.ASN),
-			Region:  geo.RegionOf(rec).String(),
-		}
-	}
-	return analysis.GeoTag{}
 }
 
 // ingestEntry is the logpipe ingest handler: one uploaded log entry becomes

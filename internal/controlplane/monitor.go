@@ -431,8 +431,9 @@ func (m *Monitor) FleetAnalytics() (analysis.StreamingSummary, bool) {
 	var fleet analysis.StreamingSummary
 	for _, name := range names {
 		sum := m.scrapedAnalytics[name]
-		// A malformed sketch from one CP must not take down the fleet view;
-		// its scalar tallies merged already, the sketch is skipped.
+		// A malformed sketch from one CP must not take down the fleet view:
+		// Merge skips that sketch, merges everything else and recomputes the
+		// derived metrics, so the error carries nothing to act on here.
 		_ = fleet.Merge(&sum)
 	}
 	return fleet, true

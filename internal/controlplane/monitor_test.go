@@ -176,33 +176,82 @@ func TestMonitorStaleEviction(t *testing.T) {
 	}
 }
 
+// cpDocument is the analytics document of a CP that saw one EU-West
+// download of 100 infra bytes and the given peer bytes per GUID.
+func cpDocument(guids []string, peers int64) analysis.StreamingSummary {
+	s := analysis.NewStreamingSummarizer(1)
+	for _, g := range guids {
+		s.Observe(&analysis.OfflineDownload{
+			GUID: g, URLHash: "u1", Region: "EU-West",
+			BytesInfra: 100, BytesPeers: peers, Outcome: "completed",
+		})
+	}
+	return s.Snapshot()
+}
+
+// serveAnalytics starts a CP-like scrape target serving doc.
+func serveAnalytics(t *testing.T, doc analysis.StreamingSummary) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	telemetry.Mount(mux, telemetry.NewRegistry())
+	mux.HandleFunc("GET /v1/analytics", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(doc)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestMonitorFleetAnalyticsBadSketch: one CP serving a malformed GUID sketch
+// costs the fleet view that CP's GUID population and nothing else — its
+// tallies still merge and the derived metrics are recomputed, even when the
+// bad document merges last.
+func TestMonitorFleetAnalyticsBadSketch(t *testing.T) {
+	m := startMonitor(t)
+	good := cpDocument([]string{"g1", "g2"}, 300)
+	bad := cpDocument([]string{"g3"}, 100)
+	bad.GUIDSketch = []byte{1, 2, 3}
+	m.SetScrapeTargets(map[string]string{
+		"cp1": serveAnalytics(t, good).URL,
+		"cp2": serveAnalytics(t, bad).URL, // lexically last
+	})
+	m.ScrapeOnce()
+
+	fleet, ok := m.FleetAnalytics()
+	if !ok {
+		t.Fatal("no fleet analytics after scraping two CPs")
+	}
+	if fleet.Downloads != good.Downloads+bad.Downloads {
+		t.Errorf("fleet downloads %d, want %d", fleet.Downloads, good.Downloads+bad.Downloads)
+	}
+	if fleet.BytesPeers != 700 || fleet.BytesAll != 1000 {
+		t.Fatalf("fleet bytes (peers %d, all %d), want (700, 1000)", fleet.BytesPeers, fleet.BytesAll)
+	}
+	if want := 100 * float64(fleet.BytesPeers) / float64(fleet.BytesAll); fleet.OffloadPct != want {
+		t.Errorf("fleet OffloadPct %v not recomputed from merged bytes (want %v)", fleet.OffloadPct, want)
+	}
+	if fleet.CompletionP2PPct != 0 || fleet.CompletionInfraPct != 100 || fleet.Countries != 1 {
+		t.Errorf("derived metrics stale: completion %v/%v, countries %d",
+			fleet.CompletionInfraPct, fleet.CompletionP2PPct, fleet.Countries)
+	}
+	// The good CP's GUIDs and both CPs' URL sketches still count.
+	if est := int(fleet.ActiveGUIDs + 0.5); est != 2 {
+		t.Errorf("fleet ActiveGUIDs %.2f, want ~2 (bad sketch skipped, good one kept)", fleet.ActiveGUIDs)
+	}
+	if est := int(fleet.DistinctURLs + 0.5); est != 1 {
+		t.Errorf("fleet DistinctURLs %.2f, want ~1", fleet.DistinctURLs)
+	}
+}
+
 // TestMonitorFleetAnalytics: analytics documents scraped from several CPs
 // merge into one fleet view — tallies sum, GUID sketches union — and targets
 // without the endpoint are skipped silently.
 func TestMonitorFleetAnalytics(t *testing.T) {
 	m := startMonitor(t)
 
-	mkCP := func(guids []string, peers int64) *httptest.Server {
-		s := analysis.NewStreamingSummarizer(1)
-		for _, g := range guids {
-			s.Observe(&analysis.OfflineDownload{
-				GUID: g, URLHash: "u1", Region: "EU-West",
-				BytesInfra: 100, BytesPeers: peers, Outcome: "completed",
-			})
-		}
-		mux := http.NewServeMux()
-		reg := telemetry.NewRegistry()
-		telemetry.Mount(mux, reg)
-		mux.HandleFunc("GET /v1/analytics", func(w http.ResponseWriter, _ *http.Request) {
-			json.NewEncoder(w).Encode(s.Snapshot())
-		})
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		return srv
-	}
 	// "g2" reports through both CPs; the fleet must count it once.
-	cp1 := mkCP([]string{"g1", "g2"}, 300)
-	cp2 := mkCP([]string{"g2", "g3"}, 100)
+	cp1 := serveAnalytics(t, cpDocument([]string{"g1", "g2"}, 300))
+	cp2 := serveAnalytics(t, cpDocument([]string{"g2", "g3"}, 100))
 	// An edge-like target: telemetry only, no analytics endpoint.
 	edgeMux := http.NewServeMux()
 	telemetry.Mount(edgeMux, telemetry.NewRegistry())

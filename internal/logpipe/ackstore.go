@@ -16,8 +16,8 @@ import (
 )
 
 // AckTable is the batch-acknowledgement window an Ingest endpoint consults
-// and feeds. DedupIndex (in-memory) and AckStore (durable, replicated by
-// anti-entropy) both implement it.
+// and feeds. AckStore implements it: memory-only for a single-node endpoint,
+// durable and replicated by anti-entropy in a multi-node control plane.
 type AckTable interface {
 	// Seen reports whether a batch key is inside the window.
 	Seen(key string) bool

@@ -61,11 +61,20 @@ func TestAckStoreWindowEvicts(t *testing.T) {
 			t.Fatalf("recent key k/%d evicted", i)
 		}
 	}
-	// Duplicates and empties do not advance the sequence.
+	// Duplicates and empties do not advance the sequence. An empty key would
+	// be indistinguishable from an empty eviction slot — once marked it could
+	// never be evicted — so it is ignored and the window keeps rolling.
 	a.Mark("k/4")
 	a.Mark("")
 	if a.Seq() != 5 {
 		t.Fatalf("seq = %d, want 5", a.Seq())
+	}
+	if a.Seen("") {
+		t.Fatal("empty key marked; it could never be evicted")
+	}
+	a.Mark("k/5")
+	if a.Seen("k/2") || !a.Seen("k/3") || !a.Seen("k/5") {
+		t.Fatal("window eviction broken after empty-key Mark")
 	}
 }
 
@@ -200,17 +209,39 @@ func TestIngestPeerSeenClosesReplayGap(t *testing.T) {
 	}
 }
 
-func TestDedupIndexIgnoresEmptyKey(t *testing.T) {
-	d := NewDedupIndex(2)
-	d.Mark("")
-	if d.Seen("") {
-		t.Fatal("empty key marked; it could never be evicted")
+// TestIngestSharedAckStoreAcrossNodes models a control-plane failover: two
+// ingest endpoints (two CP nodes) share one ack table, so a batch
+// acknowledged by node A and retried against node B still ingests once.
+// (Real deployments use per-node AckStores reconciled by anti-entropy; the
+// shared table here isolates the ingest-side semantics.)
+func TestIngestSharedAckStoreAcrossNodes(t *testing.T) {
+	shared, err := OpenAckStore(AckConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The eviction slot the empty key would have poisoned still works.
-	d.Mark("a")
-	d.Mark("b")
-	d.Mark("c")
-	if d.Seen("a") || !d.Seen("b") || !d.Seen("c") {
-		t.Fatal("window eviction broken after empty-key Mark")
+	chA, chB := &countingHandler{}, &countingHandler{}
+	regB := telemetry.NewRegistry()
+	nodeA := NewIngest(IngestConfig{Handle: chA.handle, Acks: shared})
+	nodeB := NewIngest(IngestConfig{Handle: chB.handle, Acks: shared, Telemetry: regB})
+	guid := id.NewGUID().String()
+	body := gzBatch(t, entryLines(t, testEntry(0), testEntry(1)))
+
+	if w, resp := postBatch(t, nodeA.Handler(), guid, 3, body); w.Code != http.StatusOK || resp.Accepted != 2 {
+		t.Fatalf("node A: code=%d resp=%+v", w.Code, resp)
+	}
+	// Node A dies before the uploader's cursor write; the retry lands on B.
+	w, resp := postBatch(t, nodeB.Handler(), guid, 3, body)
+	if w.Code != http.StatusOK || !resp.Duplicate {
+		t.Fatalf("node B resend: code=%d resp=%+v, want duplicate ack", w.Code, resp)
+	}
+	if chA.count() != 2 || chB.count() != 0 {
+		t.Fatalf("cross-node retry double-counted: A=%d B=%d", chA.count(), chB.count())
+	}
+	if got := regB.Snapshot().Counters["logpipe_ingest_deduped_total"]; got != 1 {
+		t.Fatalf("node B deduped counter = %d, want 1", got)
+	}
+	// A genuinely new batch still flows through node B.
+	if _, resp := postBatch(t, nodeB.Handler(), guid, 4, body); resp.Duplicate || resp.Accepted != 2 {
+		t.Fatalf("fresh batch on node B: %+v", resp)
 	}
 }

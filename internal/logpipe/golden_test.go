@@ -7,8 +7,8 @@ import (
 )
 
 // TestGoldenStoreSummary pins the one-shot analyzer output (summary plus
-// figure passes) over the varied store; generated from the pre-collapse
-// OfflineAccumulator/OfflineFigures pair.
+// figure passes) over the varied store. The golden was generated from the
+// pre-collapse OfflineAccumulator/OfflineFigures pair.
 func TestGoldenStoreSummary(t *testing.T) {
 	dir := t.TempDir()
 	writeVariedStore(t, dir, 30, 300)
@@ -17,6 +17,6 @@ func TestGoldenStoreSummary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		golden.Check(t, "store_summary.golden", []byte(got.Summary.Render()+got.Figures.Render()))
+		golden.Check(t, "store_summary.golden", []byte(got.Summary.Render()+got.Tally.RenderFigures()))
 	}
 }

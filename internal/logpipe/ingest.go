@@ -116,7 +116,8 @@ func NewIngest(cfg IngestConfig) *Ingest {
 		acks: cfg.Acks,
 	}
 	if in.acks == nil {
-		in.acks = NewDedupIndex(cfg.DedupWindow)
+		// A store without a Dir is memory-only and cannot fail to open.
+		in.acks, _ = OpenAckStore(AckConfig{Window: cfg.DedupWindow})
 	}
 	if cfg.PeerSeen != nil {
 		fn := cfg.PeerSeen

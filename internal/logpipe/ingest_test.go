@@ -154,40 +154,6 @@ func TestIngestDedupWindowEvicts(t *testing.T) {
 	}
 }
 
-// TestIngestSharedDedupAcrossNodes models a control-plane failover: two
-// ingest endpoints (two CP nodes) share one ack table, so a batch
-// acknowledged by node A and retried against node B still ingests once.
-// (Real deployments use per-node AckStores reconciled by anti-entropy; the
-// shared table here isolates the ingest-side semantics.)
-func TestIngestSharedDedupAcrossNodes(t *testing.T) {
-	shared := NewDedupIndex(0)
-	chA, chB := &countingHandler{}, &countingHandler{}
-	regB := telemetry.NewRegistry()
-	nodeA := NewIngest(IngestConfig{Handle: chA.handle, Acks: shared})
-	nodeB := NewIngest(IngestConfig{Handle: chB.handle, Acks: shared, Telemetry: regB})
-	guid := id.NewGUID().String()
-	body := gzBatch(t, entryLines(t, testEntry(0), testEntry(1)))
-
-	if w, resp := postBatch(t, nodeA.Handler(), guid, 3, body); w.Code != http.StatusOK || resp.Accepted != 2 {
-		t.Fatalf("node A: code=%d resp=%+v", w.Code, resp)
-	}
-	// Node A dies before the uploader's cursor write; the retry lands on B.
-	w, resp := postBatch(t, nodeB.Handler(), guid, 3, body)
-	if w.Code != http.StatusOK || !resp.Duplicate {
-		t.Fatalf("node B resend: code=%d resp=%+v, want duplicate ack", w.Code, resp)
-	}
-	if chA.count() != 2 || chB.count() != 0 {
-		t.Fatalf("cross-node retry double-counted: A=%d B=%d", chA.count(), chB.count())
-	}
-	if got := regB.Snapshot().Counters["logpipe_ingest_deduped_total"]; got != 1 {
-		t.Fatalf("node B deduped counter = %d, want 1", got)
-	}
-	// A genuinely new batch still flows through node B.
-	if _, resp := postBatch(t, nodeB.Handler(), guid, 4, body); resp.Duplicate || resp.Accepted != 2 {
-		t.Fatalf("fresh batch on node B: %+v", resp)
-	}
-}
-
 func TestIngestBadRequests(t *testing.T) {
 	in := NewIngest(IngestConfig{})
 	body := gzBatch(t, entryLines(t, testEntry(0)))

@@ -3,7 +3,6 @@ package logpipe
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,35 +77,11 @@ func writeVariedStore(tb testing.TB, dir string, segments, recsPerSeg int) int {
 	return n
 }
 
-// equalSummaries compares two OfflineSummary values field by field:
-// integer-typed fields must match exactly, float fields to relative 1e-9 —
-// the sharded pass changes float accumulation order, nothing else.
-func equalSummaries(t *testing.T, got, want analysis.OfflineSummary) {
-	t.Helper()
-	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
-	for i := 0; i < gv.NumField(); i++ {
-		name := gv.Type().Field(i).Name
-		switch gv.Field(i).Kind() {
-		case reflect.Int, reflect.Int64:
-			if gv.Field(i).Int() != wv.Field(i).Int() {
-				t.Errorf("%s: got %d, want %d", name, gv.Field(i).Int(), wv.Field(i).Int())
-			}
-		case reflect.Float64:
-			g, w := gv.Field(i).Float(), wv.Field(i).Float()
-			if diff := math.Abs(g - w); diff > 1e-9*math.Max(1, math.Abs(w)) {
-				t.Errorf("%s: got %v, want %v (diff %g)", name, g, w, diff)
-			}
-		default:
-			t.Fatalf("%s: unhandled kind %s", name, gv.Field(i).Kind())
-		}
-	}
-}
-
-// TestSummarizeStoreMatchesOffline is the tentpole equivalence contract:
-// the one-pass parallel streaming analysis of a segment store must
-// reproduce the batch SummarizeOffline over the same records, and the
-// streaming figure passes must reproduce the batch CDF/tally figures
-// bit-for-bit.
+// TestSummarizeStoreMatchesOffline checks the one-pass parallel analysis of a
+// segment store against references computed independently of the tally: the
+// sort-based CDFs over the fully materialized value sets (which the bucketed
+// Figure 3a must reproduce bit for bit) and plain recounts of the records.
+// The rendered summary itself is pinned by TestGoldenStoreSummary.
 func TestSummarizeStoreMatchesOffline(t *testing.T) {
 	dir := t.TempDir()
 	total := writeVariedStore(t, dir, 30, 300)
@@ -118,11 +93,10 @@ func TestSummarizeStoreMatchesOffline(t *testing.T) {
 	if len(dls) != total {
 		t.Fatalf("batch read %d records, want %d", len(dls), total)
 	}
-	want := analysis.SummarizeOffline(dls)
 
-	// Batch figure references, computed the pre-streaming way: sort-based
-	// CDFs over the fully materialized value sets.
 	var infra, all, p2p []float64
+	perURL := map[string]int{}
+	guids := map[string]bool{}
 	for i := range dls {
 		gb := float64(dls[i].Size) / 1e9
 		all = append(all, gb)
@@ -130,6 +104,14 @@ func TestSummarizeStoreMatchesOffline(t *testing.T) {
 			p2p = append(p2p, gb)
 		} else {
 			infra = append(infra, gb)
+		}
+		perURL[dls[i].URLHash]++
+		guids[dls[i].GUID] = true
+	}
+	topURL := 0
+	for _, c := range perURL {
+		if c > topURL {
+			topURL = c
 		}
 	}
 	xs := analysis.LogSpace(0.01, 10, 25)
@@ -146,40 +128,38 @@ func TestSummarizeStoreMatchesOffline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got.Records != total {
-			t.Fatalf("workers=%d: %d records, want %d", workers, got.Records, total)
+		if got.Records != total || got.Summary.Downloads != total {
+			t.Fatalf("workers=%d: %d records, %d summarized, want %d",
+				workers, got.Records, got.Summary.Downloads, total)
 		}
-		equalSummaries(t, got.Summary, want)
-		if got.Figures == nil {
-			t.Fatal("SummarizeStore returned no figures")
+		if got.Summary.DistinctGUIDs != len(guids) || got.Summary.DistinctURLs != len(perURL) ||
+			got.Summary.TopObjectCount != topURL {
+			t.Errorf("workers=%d: %d GUIDs, %d URLs, top object %d; want %d, %d, %d", workers,
+				got.Summary.DistinctGUIDs, got.Summary.DistinctURLs, got.Summary.TopObjectCount,
+				len(guids), len(perURL), topURL)
 		}
-		if f3a := got.Figures.Figure3a(); !reflect.DeepEqual(f3a, wantF3a) {
-			t.Errorf("workers=%d: streaming Figure3a differs from the batch CDF pass:\n%+v\nvs\n%+v",
+		if f3a := got.Tally.Figure3a(); !reflect.DeepEqual(f3a, wantF3a) {
+			t.Errorf("workers=%d: bucketed Figure3a differs from the sort-based CDF pass:\n%+v\nvs\n%+v",
 				workers, f3a, wantF3a)
 		}
-		if f3b := got.Figures.Figure3b(); f3b.Counts[0] != want.TopObjectCount ||
-			len(f3b.Counts) != want.DistinctURLs {
+		if f3b := got.Tally.Figure3b(); f3b.Counts[0] != topURL || len(f3b.Counts) != len(perURL) {
 			t.Errorf("workers=%d: Figure3b head %d over %d objects, want %d over %d",
-				workers, f3b.Counts[0], len(f3b.Counts), want.TopObjectCount, want.DistinctURLs)
+				workers, f3b.Counts[0], len(f3b.Counts), topURL, len(perURL))
 		}
-		rows := got.Figures.RegionOffload()
 		var rowDls int64
-		for _, row := range rows {
+		for _, row := range got.Tally.RegionOffload() {
 			rowDls += row.Downloads
 		}
 		if int(rowDls) != total {
 			t.Errorf("workers=%d: region table covers %d downloads, want %d", workers, rowDls, total)
 		}
-		if got.Figures.Render() == "" {
-			t.Error("empty figures rendering")
-		}
 	}
 }
 
-// TestOfflineFiguresFigure7Tallies pins the Figure 7 streaming tallies
-// against hand-computed expectations on a tiny input.
+// TestOfflineFiguresFigure7Tallies pins the Figure 7 tallies against
+// hand-computed expectations on a tiny input.
 func TestOfflineFiguresFigure7Tallies(t *testing.T) {
-	f := analysis.NewOfflineFigures()
+	f := analysis.NewTally()
 	add := func(size int64, p2p bool, outcome string) {
 		f.Add(&analysis.OfflineDownload{Size: size, P2PEnabled: p2p, Outcome: outcome})
 	}
@@ -315,9 +295,9 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 		seen int
 		peak uint64
 	)
-	acc := analysis.NewShardedOfflineAccumulator(8, true)
+	acc := analysis.NewShardedTally(8)
 	got, err := ForEachDownloadParallel(dir, 4, func(d *analysis.OfflineDownload) error {
-		acc.Add(d)
+		acc.Observe(d)
 		mu.Lock()
 		seen++
 		sample := seen%sampleEvery == 0
@@ -339,7 +319,7 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 	if got != total {
 		t.Fatalf("streamed %d records, want %d", got, total)
 	}
-	sum := acc.Summary()
+	sum := acc.Merged().Summary()
 	if sum.Downloads != total || sum.DistinctGUIDs != total {
 		t.Fatalf("summary covers %d downloads / %d GUIDs, want %d of each", sum.Downloads, sum.DistinctGUIDs, total)
 	}

@@ -305,10 +305,10 @@ func ForEachDownload(dir string, workers int, fn func(*analysis.OfflineDownload)
 
 // ForEachDownloadParallel streams every download record in a sealed segment
 // directory through fn, calling it concurrently from workers goroutines —
-// fn must be safe for concurrent use (e.g. a ShardedOfflineAccumulator or a
-// StreamingSummarizer). Unlike ForEachDownload there is no ordered hand-off
-// back to a single consumer, so decode AND aggregation parallelize; within
-// one segment records are still delivered in order. On error the pipeline
+// fn must be safe for concurrent use (e.g. an analysis.ShardedTally). Unlike
+// ForEachDownload there is no ordered hand-off back to a single consumer, so
+// decode AND aggregation parallelize; within one segment records are still
+// delivered in order. On error the pipeline
 // cancels and the lowest-segment-indexed error observed is returned; the
 // returned count is the number of records delivered before cancellation.
 func ForEachDownloadParallel(dir string, workers int, fn func(*analysis.OfflineDownload) error) (int, error) {
@@ -379,34 +379,34 @@ func ForEachDownloadParallel(dir string, workers int, fn func(*analysis.OfflineD
 }
 
 // StoreSummary is the result of one parallel streaming pass over a segment
-// store: the offline summary, the figure passes, and the record count.
+// store: the merged tally (figure passes, region table), the offline summary
+// derived from it, and the record count.
 type StoreSummary struct {
 	Summary analysis.OfflineSummary
-	Figures *analysis.OfflineFigures
+	Tally   *analysis.Tally
 	Records int
 }
 
 // SummarizeStore runs the full offline analysis over a sealed segment store
 // in one parallel streaming pass: workers goroutines decode segments and
-// fold records into a GUID-sharded accumulator, so a store of any size
-// analyzes in memory proportional to its distinct GUIDs/URLs/ASes — never
-// to its record count. The summary matches SummarizeOffline over the same
-// records (count-, set- and sort-derived fields exactly; float sums to
-// accumulation-order rounding), and the figures match the batch passes
-// exactly.
+// fold records into a GUID-sharded exact tally, so a store of any size
+// analyzes in memory proportional to its distinct GUIDs/URLs/ASes and
+// completed downloads — never to its record bytes. The result is the
+// sequential fold of the same records (see analysis.Tally.Merge).
 func SummarizeStore(dir string, workers int) (StoreSummary, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	acc := analysis.NewShardedOfflineAccumulator(4*workers, true)
+	acc := analysis.NewShardedTally(4 * workers)
 	n, err := ForEachDownloadParallel(dir, workers, func(d *analysis.OfflineDownload) error {
-		acc.Add(d)
+		acc.Observe(d)
 		return nil
 	})
 	if err != nil {
 		return StoreSummary{}, err
 	}
-	return StoreSummary{Summary: acc.Summary(), Figures: acc.Figures(), Records: n}, nil
+	t := acc.Merged()
+	return StoreSummary{Summary: t.Summary(), Tally: t, Records: n}, nil
 }
 
 // decodeSegment reads and unmarshals one segment under the shared damage

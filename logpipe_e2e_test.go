@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/netip"
 	"os"
@@ -595,12 +594,10 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 		t.Fatalf("sim summary lost the geo annotation: %+v", simSum)
 	}
 
-	// Streaming equivalence over both segment stores: a tailer feeding the
-	// streaming summarizer must reproduce the offline summary — exactly for
-	// count- and byte-derived metrics, within the sketch budget for the
-	// distinct-GUID population.
-	requireStreamingParity(t, "live", cfg.LogDir, liveSum)
-	requireStreamingParity(t, "sim", simDir, simSum)
+	// Both stores read the same through the tailer as through the batch
+	// reader.
+	requireTailParity(t, "live", cfg.LogDir, liveSum)
+	requireTailParity(t, "sim", simDir, simSum)
 
 	// The control plane serves the same live analytics on GET /v1/analytics.
 	aresp, err := http.Get(c.ControlPlaneURL() + "/v1/analytics")
@@ -639,63 +636,20 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 	}
 }
 
-// requireStreamingParity tails a segment store into a StreamingSummarizer and
-// checks the equivalence contract against the offline summary of the same
-// store.
-func requireStreamingParity(t *testing.T, name, dir string, off analysis.OfflineSummary) {
+// requireTailParity checks the live half of the pipeline against the batch
+// half: a tailer over the store must deliver exactly the records the batch
+// reader does, so both summarize to the same rendering through the one tally.
+func requireTailParity(t *testing.T, name, dir string, off analysis.OfflineSummary) {
 	t.Helper()
 	tl, err := logpipe.OpenTailer(logpipe.TailerConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := analysis.NewStreamingSummarizer(4)
 	recs, err := tl.Poll()
 	if err != nil {
 		t.Fatalf("%s: tail: %v", name, err)
 	}
-	for i := range recs {
-		s.Observe(&recs[i])
-	}
-	st := s.Snapshot()
-	if int64(off.Downloads) != st.Downloads {
-		t.Fatalf("%s: streaming saw %d downloads, offline %d", name, st.Downloads, off.Downloads)
-	}
-	if off.Countries != st.Countries || off.ASes != st.ASes {
-		t.Errorf("%s: geo dims streaming (%d, %d) != offline (%d, %d)",
-			name, st.Countries, st.ASes, off.Countries, off.ASes)
-	}
-	// Streaming-delivery tallies are integer sums in both pipelines, so they
-	// must agree exactly — this is the sim/live indistinguishability half of
-	// the streaming parity contract.
-	for _, m := range []struct {
-		label    string
-		off, str int64
-	}{
-		{"StreamDownloads", int64(off.StreamingDownloads), st.StreamDownloads},
-		{"StreamRebufferEvents", off.StreamRebufferEvents, st.StreamRebufferEvents},
-		{"StreamRebufferMs", off.StreamRebufferMs, st.StreamRebufferMs},
-		{"StreamEdgeRescueBytes", off.StreamEdgeRescueBytes, st.StreamEdgeRescueBytes},
-	} {
-		if m.off != m.str {
-			t.Errorf("%s: %s streaming %d != offline %d", name, m.label, m.str, m.off)
-		}
-	}
-	for _, m := range []struct {
-		label    string
-		off, str float64
-	}{
-		{"PctBytesP2PFiles", off.PctBytesP2PFiles, st.PctBytesP2PFiles},
-		{"AggregatePeerEfficiencyPct", off.AggregatePeerEfficiencyPct, st.AggregatePeerEfficiencyPct},
-		{"IntraASPct", off.IntraASPct, st.IntraASPct},
-		{"CompletionP2PPct", off.CompletionP2PPct, st.CompletionP2PPct},
-		{"StreamStartupMeanMs", off.StreamStartupMeanMs, st.StreamStartupMeanMs},
-		{"StreamDeadlineMissPct", off.StreamDeadlineMissPct, st.StreamDeadlineMissPct},
-	} {
-		if diff := math.Abs(m.off - m.str); diff > 1e-9*math.Max(1, math.Abs(m.off)) {
-			t.Errorf("%s: %s streaming %v != offline %v", name, m.label, m.str, m.off)
-		}
-	}
-	if n := float64(off.DistinctGUIDs); n > 0 && math.Abs(st.ActiveGUIDs-n)/n > 0.02 {
-		t.Errorf("%s: ActiveGUIDs estimate %.1f, offline exact %d (>2%%)", name, st.ActiveGUIDs, off.DistinctGUIDs)
+	if got, want := analysis.SummarizeOffline(recs).Render(), off.Render(); got != want {
+		t.Errorf("%s: tailed records summarize differently from the batch read:\n%s\nvs\n%s", name, got, want)
 	}
 }

@@ -147,7 +147,7 @@ func TestMegaSimXXLEndToEnd(t *testing.T) {
 	if sum.Summary.Downloads != downloads {
 		t.Fatalf("summary counted %d downloads, want %d", sum.Summary.Downloads, downloads)
 	}
-	if sum.Figures == nil || sum.Figures.Render() == "" {
+	if sum.Tally.RenderFigures() == "" {
 		t.Fatal("streaming figure pass produced no output")
 	}
 

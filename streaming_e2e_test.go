@@ -34,7 +34,7 @@ func streamStart(t *testing.T, p *Peer, oid ObjectID, cfg streaming.Config) *Dow
 // several objects at a bitrate the loopback edge can trivially sustain, so
 // every session must start playback and miss zero deadlines; the playback
 // metrics must then flow intact through the log pipeline into the offline
-// summary, the streaming summarizer (parity), and the control plane's live
+// summary (batch-read and tailed alike) and the control plane's live
 // analytics and /metrics surfaces.
 func TestStreamingE2EDelivery(t *testing.T) {
 	cfg := DefaultClusterConfig()
@@ -96,8 +96,8 @@ func TestStreamingE2EDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Offline summary sees the streams; the streaming summarizer must agree
-	// on every stream aggregate (the parity contract).
+	// The offline summary sees the streams, through the batch reader and the
+	// tailer alike.
 	recs, err := logpipe.ReadDownloads(cfg.LogDir)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestStreamingE2EDelivery(t *testing.T) {
 	if sum.StreamRebufferEvents != 0 || sum.StreamDeadlineMissPct != 0 {
 		t.Fatalf("offline summary shows stalls at a feasible bitrate: %+v", sum)
 	}
-	requireStreamingParity(t, "streaming", cfg.LogDir, sum)
+	requireTailParity(t, "streaming", cfg.LogDir, sum)
 
 	// Control plane surfaces: live analytics document and /metrics series.
 	aresp, err := http.Get(c.ControlPlaneURL() + "/v1/analytics")
