@@ -125,16 +125,6 @@ func OfflineFromRecord(d *accounting.DownloadRecord, lookup GeoLookup) OfflineDo
 	return out
 }
 
-// ReadDownloadsJSONL parses an exported downloads file.
-func ReadDownloadsJSONL(r io.Reader) ([]OfflineDownload, error) {
-	var out []OfflineDownload
-	err := ScanDownloadsJSONL(r, func(d *OfflineDownload) error {
-		out = append(out, *d)
-		return nil
-	})
-	return out, err
-}
-
 // ScanDownloadsJSONL streams an exported downloads file through fn one
 // record at a time — the jsonl equivalent of the segment store's streaming
 // readers, so a multi-gigabyte export analyzes without materializing.

@@ -27,7 +27,7 @@ func offlineFixture() []OfflineDownload {
 	}
 }
 
-func TestReadDownloadsJSONL(t *testing.T) {
+func TestScanDownloadsJSONL(t *testing.T) {
 	var sb strings.Builder
 	enc := json.NewEncoder(&sb)
 	for _, d := range offlineFixture() {
@@ -35,8 +35,12 @@ func TestReadDownloadsJSONL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ReadDownloadsJSONL(strings.NewReader(sb.String()))
-	if err != nil {
+	var got []OfflineDownload
+	collect := func(d *OfflineDownload) error {
+		got = append(got, *d)
+		return nil
+	}
+	if err := ScanDownloadsJSONL(strings.NewReader(sb.String()), collect); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 {
@@ -45,7 +49,7 @@ func TestReadDownloadsJSONL(t *testing.T) {
 	if got[0].FromPeers[1].Country != "DE" {
 		t.Error("nested contribution lost")
 	}
-	if _, err := ReadDownloadsJSONL(strings.NewReader("{bad json\n")); err == nil {
+	if err := ScanDownloadsJSONL(strings.NewReader("{bad json\n"), collect); err == nil {
 		t.Error("malformed line accepted")
 	}
 }

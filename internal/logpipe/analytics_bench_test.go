@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -75,7 +76,7 @@ func BenchmarkStreamingSummarize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sum := analysis.NewStreamingSummarizer(8)
-		got, err := ForEachDownload(dir, runtime.NumCPU(), func(d *analysis.OfflineDownload) error {
+		got, err := ForEachDownloadParallel(dir, runtime.NumCPU(), func(d *analysis.OfflineDownload) error {
 			sum.Observe(d)
 			return nil
 		})
@@ -139,9 +140,12 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	const sampleEvery = 20_000
 	var peak uint64
 	sum := analysis.NewStreamingSummarizer(4)
+	var mu sync.Mutex // the callback runs on every worker
 	seen := 0
-	got, err := ForEachDownload(dir, 4, func(d *analysis.OfflineDownload) error {
+	got, err := ForEachDownloadParallel(dir, 4, func(d *analysis.OfflineDownload) error {
 		sum.Observe(d)
+		mu.Lock()
+		defer mu.Unlock()
 		if seen++; seen%sampleEvery == 0 {
 			runtime.GC()
 			runtime.ReadMemStats(&ms)

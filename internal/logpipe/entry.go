@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"netsession/internal/content"
-	"netsession/internal/id"
 )
 
 // Entry is the wire schema of one client log record inside an uploaded
@@ -78,9 +77,4 @@ func (e *Entry) ObjectID() (content.ObjectID, error) {
 // short content.ObjectID.String form is for logs and is not reversible).
 func EncodeObjectID(oid content.ObjectID) string {
 	return hex.EncodeToString(oid[:])
-}
-
-// PeerGUID parses the entry's reporting GUID.
-func (e *Entry) PeerGUID() (id.GUID, error) {
-	return id.ParseGUID(e.GUID)
 }

@@ -236,12 +236,13 @@ func TestForEachDownloadParallelMatches(t *testing.T) {
 	dir := t.TempDir()
 	total := writeBenchStore(t, dir, 20, 50) // distinct GUIDs
 
-	want := make([]string, 0, total)
-	if _, err := ForEachDownload(dir, 1, func(d *analysis.OfflineDownload) error {
-		want = append(want, d.GUID)
-		return nil
-	}); err != nil {
+	recs, err := ReadDownloads(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]string, 0, total)
+	for _, d := range recs {
+		want = append(want, d.GUID)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		var mu sync.Mutex
@@ -264,7 +265,7 @@ func TestForEachDownloadParallelMatches(t *testing.T) {
 	}
 
 	sentinel := fmt.Errorf("parallel consumer failure")
-	_, err := ForEachDownloadParallel(dir, 4, func(d *analysis.OfflineDownload) error {
+	_, err = ForEachDownloadParallel(dir, 4, func(d *analysis.OfflineDownload) error {
 		if d.GUID == "guid-0000500" {
 			return sentinel
 		}

@@ -16,7 +16,9 @@ import (
 // append, so a record handed to the pipeline is durable the moment Append
 // returns — the property that lets a Kill()-ed peer resume uploading without
 // loss. Sealing renames the open file to its final name; the rename plus
-// directory fsync makes rotation itself crash-safe. Callers serialize access.
+// directory fsync makes rotation itself crash-safe. A bulk writer skips the
+// open file: nothing is on disk until seal writes the sealed segment once.
+// Callers serialize access.
 type segWriter struct {
 	dir        string
 	seq        uint64 // sequence of the open segment
@@ -24,38 +26,56 @@ type segWriter struct {
 	pendingLen int64 // uncompressed bytes pending
 	maxRecords int
 	maxBytes   int64
+	bulk       bool
 }
 
 func (w *segWriter) openPath() string { return filepath.Join(w.dir, openSegmentName(w.seq)) }
 
-// append adds one encoded line and rewrites the open segment durably. It
-// reports whether the segment reached its rotation threshold.
+// write stores the pending lines as one segment file at path, durably.
+func (w *segWriter) write(path string) error {
+	data, err := MarshalSegment(w.lines)
+	if err != nil {
+		return err
+	}
+	if err := fsutil.WriteFileAtomic(path, data, 0o644); err != nil {
+		return fmt.Errorf("logpipe: write segment %s: %w", path, err)
+	}
+	return nil
+}
+
+// append adds one encoded line and, unless bulk, rewrites the open segment
+// durably. It reports whether the segment reached its rotation threshold.
 func (w *segWriter) append(line []byte) (full bool, err error) {
 	w.lines = append(w.lines, line)
 	w.pendingLen += int64(len(line)) + 1
-	data, err := MarshalSegment(w.lines)
-	if err != nil {
-		return false, err
-	}
-	if err := fsutil.WriteFileAtomic(w.openPath(), data, 0o644); err != nil {
-		return false, err
+	if !w.bulk {
+		if err := w.write(w.openPath()); err != nil {
+			return false, err
+		}
 	}
 	return len(w.lines) >= w.maxRecords || w.pendingLen >= w.maxBytes, nil
 }
 
-// seal renames the open segment to its final name and starts the next one.
-// Sealing an empty writer is a no-op.
+// seal gives the pending records their final segment name — a rename of the
+// open file, or for a bulk writer the one write — and starts the next
+// segment. Sealing an empty writer is a no-op.
 func (w *segWriter) seal() (sealed string, records int, err error) {
 	if len(w.lines) == 0 {
 		return "", 0, nil
 	}
 	records = len(w.lines)
 	sealed = filepath.Join(w.dir, segmentName(w.seq))
-	if err := os.Rename(w.openPath(), sealed); err != nil {
-		return "", 0, fmt.Errorf("logpipe: seal segment: %w", err)
-	}
-	if err := fsutil.SyncDir(w.dir); err != nil {
-		return "", 0, err
+	if w.bulk {
+		if err := w.write(sealed); err != nil {
+			return "", 0, err
+		}
+	} else {
+		if err := os.Rename(w.openPath(), sealed); err != nil {
+			return "", 0, fmt.Errorf("logpipe: seal segment: %w", err)
+		}
+		if err := fsutil.SyncDir(w.dir); err != nil {
+			return "", 0, err
+		}
 	}
 	w.seq++
 	w.lines = nil

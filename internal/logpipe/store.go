@@ -3,6 +3,7 @@ package logpipe
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -160,18 +161,75 @@ func (s *Store) Close() error {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.cfg.Dir }
 
+// BulkWriter materializes a sealed segment store in one pass: records are
+// buffered and each full segment is compressed and written exactly once. The
+// rotating Store recompresses its open segment on every append — the right
+// durability trade for the control plane's trickle, but quadratic gzip work
+// when exporting millions of simulated records at once. The output is the
+// Store's layout: the same sealed names, the same readers.
+type BulkWriter struct {
+	w      segWriter
+	closed bool
+}
+
+// NewBulkWriter creates a writer over dir (created if missing). perSeg
+// values below 1 select 10000 records per segment.
+func NewBulkWriter(dir string, perSeg int) (*BulkWriter, error) {
+	if perSeg < 1 {
+		perSeg = 10_000
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("logpipe: bulk writer dir: %w", err)
+	}
+	return &BulkWriter{w: segWriter{dir: dir, maxRecords: perSeg, maxBytes: math.MaxInt64, bulk: true}}, nil
+}
+
+// Append encodes one record into the current segment, sealing it when full.
+func (b *BulkWriter) Append(rec any) error {
+	if b.closed {
+		return fmt.Errorf("logpipe: bulk writer closed")
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("logpipe: bulk encode: %w", err)
+	}
+	full, err := b.w.append(line)
+	if err == nil && full {
+		_, _, err = b.w.seal()
+	}
+	return err
+}
+
+// Close seals the final partial segment. The writer is unusable afterwards.
+func (b *BulkWriter) Close() error {
+	if b.closed {
+		return nil
+	}
+	b.closed = true
+	_, _, err := b.w.seal()
+	return err
+}
+
 // ReadDownloads loads every download record from a segment directory —
 // sealed segments plus any open tail — into the offline analysis schema. A
 // torn or partially-written final segment contributes its complete records
 // and is otherwise skipped (the crash left it mid-write); damage anywhere
 // else is corruption and returns an error.
 func ReadDownloads(dir string) ([]analysis.OfflineDownload, error) {
-	var out []analysis.OfflineDownload
-	if _, err := ForEachDownload(dir, 1, func(d *analysis.OfflineDownload) error {
-		out = append(out, *d)
-		return nil
-	}); err != nil {
+	segs, err := ListSegments(dir)
+	if err != nil {
 		return nil, err
+	}
+	if len(segs) == 0 {
+		return nil, fmt.Errorf("logpipe: no segments in %s", dir)
+	}
+	var out []analysis.OfflineDownload
+	for i, sf := range segs {
+		recs, err := decodeSegment(dir, sf, i == len(segs)-1)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, recs...)
 	}
 	return out, nil
 }

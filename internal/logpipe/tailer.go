@@ -201,115 +201,16 @@ func (t *Tailer) Follow(ctx context.Context, interval time.Duration, fn func([]a
 	}
 }
 
-// ForEachDownload streams every download record in a sealed segment directory
-// through fn in segment order, decoding segments on workers parallel
-// goroutines while preserving delivery order. It applies the same damage
-// policy as ReadDownloads — torn final segment tolerated, damage elsewhere is
-// an error — but never materializes more than a few segments of records at
-// once, so an arbitrarily large store is read in bounded memory. fn is called
-// sequentially; returning an error stops the stream.
-func ForEachDownload(dir string, workers int, fn func(*analysis.OfflineDownload) error) (int, error) {
-	segs, err := ListSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	if len(segs) == 0 {
-		return 0, fmt.Errorf("logpipe: no segments in %s", dir)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-
-	type decoded struct {
-		recs []analysis.OfflineDownload
-		err  error
-	}
-	results := make([]chan decoded, len(segs))
-	for i := range results {
-		results[i] = make(chan decoded, 1)
-	}
-	// Admission window: a worker may only start segment i once the consumer
-	// is within `workers` segments of it, bounding buffered decode output.
-	admit := make(chan struct{}, workers)
-	for i := 0; i < workers; i++ {
-		admit <- struct{}{}
-	}
-	// stop cancels the pipeline at the first error: the feeder stops handing
-	// out segments and closes next, so in-flight decodes are the only work
-	// that still completes. Without this, an error on segment 3 of a
-	// million-segment store would decode the other 999,997 for nothing.
-	stop := make(chan struct{})
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				recs, derr := decodeSegment(dir, segs[i], i == len(segs)-1)
-				// Buffered and written at most once per segment: never blocks.
-				results[i] <- decoded{recs, derr}
-			}
-		}()
-	}
-	go func() {
-		defer close(next)
-		for i := range segs {
-			select {
-			case <-admit:
-			case <-stop:
-				return
-			}
-			select {
-			case next <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	// The consumer delivers results strictly in segment order, so the error
-	// it surfaces is deterministic — the lowest-indexed decode failure, or
-	// fn's error at a fixed record — regardless of worker count or timing.
-	n := 0
-	var ferr error
-	for i := range segs {
-		d := <-results[i]
-		admit <- struct{}{}
-		if d.err != nil {
-			ferr = d.err
-			break
-		}
-		for j := range d.recs {
-			if err := fn(&d.recs[j]); err != nil {
-				ferr = err
-				break
-			}
-			n++
-		}
-		if ferr != nil {
-			break
-		}
-	}
-	if ferr != nil {
-		// Nothing can wedge: result channels are buffered and written at
-		// most once, and the feeder bails out of its admit wait on stop.
-		close(stop)
-	}
-	wg.Wait()
-	return n, ferr
-}
-
 // ForEachDownloadParallel streams every download record in a sealed segment
 // directory through fn, calling it concurrently from workers goroutines —
-// fn must be safe for concurrent use (e.g. an analysis.ShardedTally). Unlike
-// ForEachDownload there is no ordered hand-off back to a single consumer, so
-// decode AND aggregation parallelize; within one segment records are still
-// delivered in order. On error the pipeline
-// cancels and the lowest-segment-indexed error observed is returned; the
+// fn must be safe for concurrent use (e.g. an analysis.ShardedTally). Decode
+// and aggregation both parallelize and at most workers segments of records
+// are in memory at once, so an arbitrarily large store is read in bounded
+// memory; within one segment records are delivered in order. It applies the
+// same damage policy as ReadDownloads — torn final segment tolerated, damage
+// elsewhere is an error. On error the pipeline cancels and the
+// lowest-segment-indexed error is returned (segments are handed out in
+// order, so every segment before a failing one has been decoded); the
 // returned count is the number of records delivered before cancellation.
 func ForEachDownloadParallel(dir string, workers int, fn func(*analysis.OfflineDownload) error) (int, error) {
 	segs, err := ListSegments(dir)

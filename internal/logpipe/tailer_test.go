@@ -1,12 +1,13 @@
 package logpipe
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"netsession/internal/analysis"
@@ -248,25 +249,13 @@ func TestTailerEmptyAndMissingDir(t *testing.T) {
 	}
 }
 
-// TestForEachDownloadMatchesReadDownloads: the streaming reader and the batch
-// loader must agree exactly, at any worker count, including over a store with
-// a torn final segment.
-func TestForEachDownloadMatchesReadDownloads(t *testing.T) {
+// TestReadersShareDamagePolicy: the parallel streaming reader and the batch
+// loader must deliver the same records at any worker count over a store with
+// a torn final segment, and both must refuse a torn middle segment.
+func TestReadersShareDamagePolicy(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := st.Append(tailRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	segs := sealedTestStore(t, dir, 200, 16)
 	// Tear the final segment; both readers tolerate that.
-	segs, _ := ListSegments(dir)
 	lastPath := segs[len(segs)-1].Path
 	raw, err := os.ReadFile(lastPath)
 	if err != nil {
@@ -279,15 +268,26 @@ func TestForEachDownloadMatchesReadDownloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(want) < 192 || !reflect.DeepEqual(want[0], tailRec(0)) || !reflect.DeepEqual(want[191], tailRec(191)) {
+		t.Fatalf("batch reader returned %d records, want the 192 sealed ones in order", len(want))
+	}
+	byGUID := func(recs []analysis.OfflineDownload) {
+		sort.Slice(recs, func(i, j int) bool { return recs[i].GUID < recs[j].GUID })
+	}
+	byGUID(want)
 	for _, workers := range []int{1, 4, 32} {
+		var mu sync.Mutex
 		var got []analysis.OfflineDownload
-		n, err := ForEachDownload(dir, workers, func(d *analysis.OfflineDownload) error {
+		n, err := ForEachDownloadParallel(dir, workers, func(d *analysis.OfflineDownload) error {
+			mu.Lock()
 			got = append(got, *d)
+			mu.Unlock()
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		byGUID(got)
 		if n != len(want) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: streamed %d records != batch %d", workers, n, len(want))
 		}
@@ -303,8 +303,8 @@ func TestForEachDownloadMatchesReadDownloads(t *testing.T) {
 	if _, err := ReadDownloads(dir); err == nil {
 		t.Fatal("ReadDownloads accepted a torn middle segment")
 	}
-	if _, err := ForEachDownload(dir, 4, func(*analysis.OfflineDownload) error { return nil }); err == nil {
-		t.Fatal("ForEachDownload accepted a torn middle segment")
+	if _, err := ForEachDownloadParallel(dir, 4, func(*analysis.OfflineDownload) error { return nil }); err == nil {
+		t.Fatal("ForEachDownloadParallel accepted a torn middle segment")
 	}
 }
 
@@ -331,42 +331,10 @@ func sealedTestStore(t *testing.T, dir string, total, perSeg int) []SegmentFile 
 	return segs
 }
 
-// TestForEachDownloadCallbackError: a callback error mid-stream must cancel
-// the pipeline — the call returns promptly with exactly that error and with
-// the count of records delivered before it — deterministically, at every
-// worker count and on every run. Run under -race this also proves the
-// cancellation path has no worker/feeder races.
-func TestForEachDownloadCallbackError(t *testing.T) {
-	dir := t.TempDir()
-	sealedTestStore(t, dir, 200, 5) // 40 segments
-	sentinel := errors.New("synthetic mid-stream failure")
-	const failAt = 57 // record index inside segment 11
-	for _, workers := range []int{1, 4, 16} {
-		for run := 0; run < 3; run++ {
-			calls := 0
-			n, err := ForEachDownload(dir, workers, func(d *analysis.OfflineDownload) error {
-				if d.GUID == tailRec(failAt).GUID {
-					return sentinel
-				}
-				calls++
-				return nil
-			})
-			if !errors.Is(err, sentinel) {
-				t.Fatalf("workers=%d run=%d: err=%v, want the callback's sentinel", workers, run, err)
-			}
-			if n != failAt || calls != failAt {
-				t.Fatalf("workers=%d run=%d: delivered n=%d calls=%d, want exactly %d before the error",
-					workers, run, n, calls, failAt)
-			}
-		}
-	}
-}
-
-// TestForEachDownloadFirstErrorDeterministic: with damage in several
-// non-final segments, the error surfaced must always be the lowest-indexed
-// one — the ordered consumer makes the result independent of worker count
-// and decode timing.
-func TestForEachDownloadFirstErrorDeterministic(t *testing.T) {
+// TestFirstErrorDeterministic: with damage in several non-final segments,
+// the error surfaced must always be the lowest-indexed one, independent of
+// worker count and decode timing.
+func TestFirstErrorDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	segs := sealedTestStore(t, dir, 200, 5)
 	tear := func(i int) {
@@ -380,14 +348,14 @@ func TestForEachDownloadFirstErrorDeterministic(t *testing.T) {
 	}
 	tear(23)
 	tear(7)
+	if _, err := ReadDownloads(dir); err == nil || !strings.Contains(err.Error(), segs[7].Path) {
+		t.Fatalf("ReadDownloads: err=%v, want the segment-7 tear (first in order)", err)
+	}
 	for _, workers := range []int{1, 4, 32} {
 		for run := 0; run < 3; run++ {
-			n, err := ForEachDownload(dir, workers, func(*analysis.OfflineDownload) error { return nil })
+			_, err := ForEachDownloadParallel(dir, workers, func(*analysis.OfflineDownload) error { return nil })
 			if err == nil || !strings.Contains(err.Error(), segs[7].Path) {
 				t.Fatalf("workers=%d run=%d: err=%v, want the segment-7 tear (first in order)", workers, run, err)
-			}
-			if n != 7*5 {
-				t.Fatalf("workers=%d run=%d: delivered %d records, want the 35 before the tear", workers, run, n)
 			}
 		}
 	}

@@ -72,7 +72,7 @@ type Config struct {
 	RequeryInterval time.Duration
 	// StallWindow is how long a download tolerates zero peer piece progress
 	// before declaring the swarm dead and degrading to edge-only (§3.3
-	// fallback). Zero selects 15s; negative disables the watchdog.
+	// fallback). Zero selects 15s; negative disables the check.
 	StallWindow time.Duration
 	// CorruptPieceLimit is how many corrupt pieces (across all peers) a
 	// download tolerates before degrading to edge-only. Zero selects 25.
@@ -406,10 +406,7 @@ func (c *Client) Close() {
 		return
 	}
 	c.closed = true
-	dls := make([]*Download, 0, len(c.downloads))
-	for _, d := range c.downloads {
-		dls = append(dls, d)
-	}
+	dls := c.downloadsLocked()
 	c.mu.Unlock()
 	close(c.evictStop)
 	for _, d := range dls {
@@ -434,10 +431,7 @@ func (c *Client) Kill() {
 		return
 	}
 	c.closed = true
-	dls := make([]*Download, 0, len(c.downloads))
-	for _, d := range c.downloads {
-		dls = append(dls, d)
-	}
+	dls := c.downloadsLocked()
 	c.mu.Unlock()
 	close(c.evictStop)
 	for _, d := range dls {
@@ -520,6 +514,15 @@ func (c *Client) peerBlacklisted(g id.GUID) bool {
 		return false
 	}
 	return true
+}
+
+// downloadsLocked snapshots the running downloads; the caller holds c.mu.
+func (c *Client) downloadsLocked() []*Download {
+	dls := make([]*Download, 0, len(c.downloads))
+	for _, d := range c.downloads {
+		dls = append(dls, d)
+	}
+	return dls
 }
 
 // activeDownload returns the running download of an object, if any.

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"netsession/internal/content"
 	"netsession/internal/id"
 	"netsession/internal/protocol"
 	"netsession/internal/retry"
@@ -30,7 +29,6 @@ type controlConn struct {
 	// is tried first on reconnect (the peer sticks to its CN until the CN
 	// fails, §3.4) and may be a redirect target outside the configured list.
 	lastGoodAddr string
-	waiters      map[content.ObjectID][]chan *protocol.QueryResult
 	// retryAfter is the server-directed minimum reconnect delay from a
 	// rejected login ("reconnections can be rate-limited", §3.8).
 	retryAfter time.Duration
@@ -40,11 +38,7 @@ type controlConn struct {
 }
 
 func newControlConn(c *Client) *controlConn {
-	return &controlConn{
-		c:       c,
-		waiters: make(map[content.ObjectID][]chan *protocol.QueryResult),
-		stopCh:  make(chan struct{}),
-	}
+	return &controlConn{c: c, stopCh: make(chan struct{})}
 }
 
 // start dials the control plane once synchronously (so callers get a fast
@@ -231,7 +225,7 @@ func (cc *controlConn) run(conn net.Conn) {
 		retryAfter := cc.retryAfter
 		cc.retryAfter = 0
 		cc.mu.Unlock()
-		cc.failWaiters()
+		cc.c.failQueries()
 		if stopped {
 			return
 		}
@@ -312,7 +306,9 @@ func (cc *controlConn) readLoop(conn net.Conn) {
 		case *protocol.ConfigUpdate:
 			cc.c.applyConfig(m)
 		case *protocol.QueryResult:
-			cc.deliverQueryResult(m)
+			if d := cc.c.activeDownload(m.Object); d != nil {
+				d.onQueryResult(m)
+			}
 		case *protocol.ConnectTo:
 			cc.c.handleConnectTo(m)
 		case *protocol.ReAdd:
@@ -341,71 +337,14 @@ func (cc *controlConn) send(m protocol.Message) {
 	}
 }
 
-// query asks the control plane for peers holding an object and waits for
-// the result.
-func (cc *controlConn) query(oid content.ObjectID, token []byte, maxPeers int, timeout time.Duration) (*protocol.QueryResult, error) {
-	ch := make(chan *protocol.QueryResult, 1)
-	cc.mu.Lock()
-	cc.waiters[oid] = append(cc.waiters[oid], ch)
-	cc.mu.Unlock()
-	cc.send(&protocol.Query{Object: oid, Token: token, MaxPeers: uint16(maxPeers)})
-	select {
-	case r := <-ch:
-		if r == nil {
-			return nil, errors.New("peer: control connection lost during query")
-		}
-		if r.Err != "" {
-			return nil, fmt.Errorf("peer: query rejected: %s", r.Err)
-		}
-		return r, nil
-	case <-time.After(timeout):
-		cc.dropWaiter(oid, ch)
-		return nil, errors.New("peer: query timed out")
-	case <-cc.stopCh:
-		return nil, errors.New("peer: client closed")
-	}
-}
-
-func (cc *controlConn) deliverQueryResult(m *protocol.QueryResult) {
-	cc.mu.Lock()
-	chans := cc.waiters[m.Object]
-	if len(chans) > 0 {
-		cc.waiters[m.Object] = chans[1:]
-		if len(cc.waiters[m.Object]) == 0 {
-			delete(cc.waiters, m.Object)
-		}
-	}
-	cc.mu.Unlock()
-	if len(chans) > 0 {
-		chans[0] <- m
-	}
-}
-
-func (cc *controlConn) dropWaiter(oid content.ObjectID, ch chan *protocol.QueryResult) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	list := cc.waiters[oid]
-	for i, x := range list {
-		if x == ch {
-			cc.waiters[oid] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(cc.waiters[oid]) == 0 {
-		delete(cc.waiters, oid)
-	}
-}
-
-// failWaiters releases pending queries when the session drops.
-func (cc *controlConn) failWaiters() {
-	cc.mu.Lock()
-	all := cc.waiters
-	cc.waiters = make(map[content.ObjectID][]chan *protocol.QueryResult)
-	cc.mu.Unlock()
-	for _, chans := range all {
-		for _, ch := range chans {
-			ch <- nil
-		}
+// failQueries tells every running download that the control session dropped,
+// so a peer query it was waiting on will not be answered.
+func (c *Client) failQueries() {
+	c.mu.Lock()
+	dls := c.downloadsLocked()
+	c.mu.Unlock()
+	for _, d := range dls {
+		d.onQueryResult(nil)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"netsession/internal/content"
 	"netsession/internal/id"
-	"netsession/internal/logpipe"
 	"netsession/internal/protocol"
 	"netsession/internal/retry"
 	"netsession/internal/streaming"
@@ -24,30 +23,6 @@ const (
 	statePaused
 	stateDone
 )
-
-// Result summarizes a finished download; its fields mirror the CN log
-// record (§4.1).
-type Result struct {
-	Object        content.ObjectID
-	Outcome       protocol.Outcome
-	BytesInfra    int64
-	BytesPeers    int64
-	FromPeers     map[id.GUID]int64
-	PeersReturned int
-	Duration      time.Duration
-	// Stream holds the playback outcome for deadline-driven downloads,
-	// nil for bulk transfers.
-	Stream *streaming.Metrics
-}
-
-// PeerEfficiency returns the fraction of bytes that came from peers.
-func (r *Result) PeerEfficiency() float64 {
-	t := r.BytesInfra + r.BytesPeers
-	if t == 0 {
-		return 0
-	}
-	return float64(r.BytesPeers) / float64(t)
-}
 
 // DownloadOpts tunes one transfer.
 type DownloadOpts struct {
@@ -70,10 +45,26 @@ type DownloadOpts struct {
 	resumeP2POff bool
 }
 
+const (
+	// edgeDupAfter is how long the edge fetcher sits idle behind in-flight
+	// swarm requests before it may duplicate one of them.
+	edgeDupAfter = 600 * time.Millisecond
+	// queryTimeout is how long a peer query may stay unanswered before the
+	// download stops waiting for it.
+	queryTimeout = 5 * time.Second
+)
+
 // Download is one Download-Manager transfer (§3.3): it downloads from the
 // edge servers over HTTP while, in parallel, querying the control plane for
 // peers and swarming with them. The edge connection guarantees progress
 // independent of the peers.
+//
+// Everything below mu is one state machine. Events — a verified piece, a
+// connection up or lost, a query result, a control-plane candidate, Pause
+// and Resume — mutate it and poke wake. The driver goroutine turns the
+// state into membership decisions with step; the edge fetcher and the
+// per-connection readers pick pieces from it with takeEdgePiece and
+// kickScheduler.
 type Download struct {
 	c        *Client
 	oid      content.ObjectID
@@ -82,47 +73,68 @@ type Download struct {
 	p2p      bool
 	opts     DownloadOpts
 	start    time.Time
-	rng      *rand.Rand // guarded by mu
+	now      func() time.Time // the clock; tests drive step with a fake one
+	rng      *rand.Rand       // guarded by mu
 	trace    *telemetry.Trace
 	sched    PieceScheduler
 	// play is the playback session for streaming downloads, nil for bulk.
 	// It is deliberately independent of swarm state: degradation to
 	// edge-only must not stop the playback clock, so rebuffers under
-	// degraded delivery are still observed and reported.
+	// degraded delivery are still observed and reported. The session stamps
+	// stalls retroactively, so nothing has to tick it: whoever reads the
+	// playback window advances the clock first.
 	play *streaming.Session
 
-	mu            sync.Mutex
-	have          *content.Bitfield
-	inflight      map[int]int
-	pendingReq    map[*swarmConn]int
-	pendingAt     map[*swarmConn]time.Time
-	conns         map[*swarmConn]bool
+	mu sync.Mutex
+	// have is the verified bitfield; inflight counts, per piece, the
+	// requests outstanding for it: one per connection whose request is
+	// pending (swarmConn.req) plus one while the edge fetches it.
+	have     *content.Bitfield
+	inflight map[int]int
+	conns    map[*swarmConn]bool
+	// candidates wait for a free connection slot; dialed marks peers already
+	// connected or being dialed; dialing counts dials still in their
+	// handshake, which hold a slot before they show up in conns.
 	candidates    []protocol.PeerInfo
 	dialed        map[id.GUID]bool
+	dialing       int
 	bytesInfra    int64
 	bytesPeers    int64
 	fromPeers     map[id.GUID]int64
 	peersReturned int
-	queried       bool
-	corrupt       int
-	// avail counts how many connected uploaders hold each piece, feeding
-	// the window scheduler's rarest-first tail.
-	avail []int
+	// lastQuery is when the control plane was last asked for peers; querying
+	// is set until that query is answered, fails or times out.
+	lastQuery time.Time
+	querying  bool
+	queried   bool
+	corrupt   int
 	// edgeUrgent marks pieces the edge fetched while they sat in the
 	// urgent playback window: edge-rescue bytes in the stream metrics.
 	edgeUrgent map[int]bool
-	state      downloadState
-	outcome    protocol.Outcome
-	pauseCh    chan struct{} // closed while running; replaced when paused
-	// p2pOff is set when the download degrades to edge-only: the stall
-	// watchdog declared the swarm dead, or corruption crossed the limit.
+	// edgeIdleSince is when the edge fetcher found every missing piece
+	// already requested from the swarm and parked; zero while it has work.
+	edgeIdleSince time.Time
+	state         downloadState
+	outcome       protocol.Outcome
+	// p2pOff is set when the download degrades to edge-only: the swarm
+	// stalled for a whole StallWindow, or corruption crossed the limit.
 	p2pOff bool
-	// lastPeerPiece is when a peer last delivered a verified piece; the
-	// stall watchdog measures swarm liveness against it.
+	// lastPeerPiece is when a peer last delivered a verified piece; swarm
+	// liveness is measured against it.
 	lastPeerPiece time.Time
 
+	wake     chan struct{} // pokes the driver; capacity 1, sends never block
+	edgeWake chan struct{} // unparks the edge fetcher; capacity 1
 	doneCh   chan struct{}
 	reported bool
+}
+
+// poke leaves a wake-up in a capacity-1 channel unless one is already there.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // Download starts downloading an object. It returns immediately with a
@@ -154,50 +166,20 @@ func (c *Client) DownloadWith(oid content.ObjectID, opts DownloadOpts) (*Downloa
 	if err != nil {
 		return nil, fmt.Errorf("peer: manifest: %w", err)
 	}
-	d := &Download{
-		c:          c,
-		oid:        oid,
-		manifest:   m,
-		token:      auth.Token,
-		p2p:        auth.P2P,
-		opts:       opts,
-		start:      time.Now(),
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
-		trace:      trace,
-		sched:      schedulerFor(opts),
-		inflight:   make(map[int]int),
-		pendingReq: make(map[*swarmConn]int),
-		pendingAt:  make(map[*swarmConn]time.Time),
-		conns:      make(map[*swarmConn]bool),
-		dialed:     make(map[id.GUID]bool),
-		fromPeers:  make(map[id.GUID]int64),
-		pauseCh:    closedChan(),
-		doneCh:     make(chan struct{}),
+	d, err := newDownload(c, m, auth.Token, auth.P2P, opts, trace, time.Now)
+	if err != nil {
+		return nil, err
 	}
 	// Resume support: start from whatever the store already holds.
 	if bf := c.store.Have(oid); bf != nil {
 		d.have = bf
-	} else {
-		d.have = content.NewBitfield(m.Object.NumPieces())
 	}
-	if opts.resumeP2POff {
-		d.p2pOff = true
-	}
-	d.avail = make([]int, d.have.Len())
-	if opts.Streaming != nil && opts.Streaming.BitrateBps > 0 {
-		obj := m.Object
-		sess, err := streaming.NewSession(*opts.Streaming, obj.NumPieces(),
-			obj.PieceSize, obj.Size, d.start.UnixMilli())
-		if err != nil {
-			return nil, fmt.Errorf("peer: streaming: %w", err)
-		}
-		d.play = sess
-		d.edgeUrgent = make(map[int]bool)
+	if d.play != nil {
 		// Pieces already on disk (resume) count for the playback clock.
 		n := d.have.Len()
 		for i := 0; i < n; i++ {
 			if d.have.Has(i) {
-				sess.OnPiece(i, d.start.UnixMilli())
+				d.play.OnPiece(i, d.start.UnixMilli())
 			}
 		}
 		c.metrics.streamSessions.Inc()
@@ -216,36 +198,51 @@ func (c *Client) DownloadWith(oid content.ObjectID, opts DownloadOpts) (*Downloa
 		go d.finish(protocol.OutcomeCompleted)
 	} else {
 		c.saveCheckpoint(d)
-		go d.edgeLoop()
-		if d.play != nil {
-			go d.playbackLoop()
-		}
+		go d.edgeFetcher()
 		if d.p2p && !d.p2pOff {
-			d.lastPeerPiece = time.Now()
-			go d.peerLoop()
-			if c.cfg.StallWindow > 0 {
-				go d.watchdog()
-			}
+			go d.drive()
 		}
 	}
 	return d, nil
 }
 
-// playbackLoop ticks the playback clock so stalls are observed as they
-// happen, not only when the next piece arrives. It runs for the life of
-// the download regardless of swarm health — a degraded, edge-only
-// transfer still has a viewer watching it.
-func (d *Download) playbackLoop() {
-	t := time.NewTicker(20 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.doneCh:
-			return
-		case now := <-t.C:
-			d.play.Advance(now.UnixMilli())
-		}
+// newDownload builds the state machine for one transfer; it starts nothing.
+func newDownload(c *Client, m *content.Manifest, token []byte, p2p bool, opts DownloadOpts,
+	trace *telemetry.Trace, now func() time.Time) (*Download, error) {
+	start := now()
+	d := &Download{
+		c:             c,
+		oid:           m.Object.ID,
+		manifest:      m,
+		token:         token,
+		p2p:           p2p,
+		opts:          opts,
+		start:         start,
+		now:           now,
+		rng:           rand.New(rand.NewSource(start.UnixNano())),
+		trace:         trace,
+		sched:         schedulerFor(opts),
+		have:          content.NewBitfield(m.Object.NumPieces()),
+		inflight:      make(map[int]int),
+		conns:         make(map[*swarmConn]bool),
+		dialed:        make(map[id.GUID]bool),
+		fromPeers:     make(map[id.GUID]int64),
+		p2pOff:        opts.resumeP2POff,
+		lastPeerPiece: start,
+		wake:          make(chan struct{}, 1),
+		edgeWake:      make(chan struct{}, 1),
+		doneCh:        make(chan struct{}),
 	}
+	if sc := opts.Streaming; sc != nil && sc.BitrateBps > 0 {
+		obj := m.Object
+		sess, err := streaming.NewSession(*sc, obj.NumPieces(), obj.PieceSize, obj.Size, start.UnixMilli())
+		if err != nil {
+			return nil, fmt.Errorf("peer: streaming: %w", err)
+		}
+		d.play = sess
+		d.edgeUrgent = make(map[int]bool)
+	}
+	return d, nil
 }
 
 // StreamMetrics snapshots the playback outcome of a streaming download;
@@ -254,14 +251,8 @@ func (d *Download) StreamMetrics() *streaming.Metrics {
 	if d.play == nil {
 		return nil
 	}
-	m := d.play.Metrics(time.Now().UnixMilli())
+	m := d.play.Metrics(d.now().UnixMilli())
 	return &m
-}
-
-func closedChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
 }
 
 // Object returns the object being downloaded.
@@ -282,53 +273,36 @@ func (d *Download) Wait(ctx context.Context) (*Result, error) {
 	return d.result(), nil
 }
 
-func (d *Download) result() *Result {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	fp := make(map[id.GUID]int64, len(d.fromPeers))
-	for g, b := range d.fromPeers {
-		fp[g] = b
-	}
-	r := &Result{
-		Object:        d.oid,
-		Outcome:       d.outcome,
-		BytesInfra:    d.bytesInfra,
-		BytesPeers:    d.bytesPeers,
-		FromPeers:     fp,
-		PeersReturned: d.peersReturned,
-		Duration:      time.Since(d.start),
-	}
-	if d.play != nil {
-		m := d.play.Metrics(time.Now().UnixMilli())
-		r.Stream = &m
-	}
-	return r
-}
-
 // Pause suspends the download; in-flight pieces complete, then activity
-// stops. Users "can pause and resume downloads" (§3.3).
+// stops. Users "can pause and resume downloads" (§3.3). Paused is a state
+// every decision checks: step arms nothing, the edge fetcher parks, and
+// connections that finish their request are not given another.
 func (d *Download) Pause() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != stateRunning {
-		return
+	if d.state == stateRunning {
+		d.state = statePaused
 	}
-	d.state = statePaused
-	d.pauseCh = make(chan struct{})
 }
 
 // Resume continues a paused download.
 func (d *Download) Resume() {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.state != statePaused {
+		d.mu.Unlock()
 		return
 	}
 	d.state = stateRunning
 	// The swarm was idle on purpose while paused; give it a fresh stall
 	// window instead of degrading immediately.
-	d.lastPeerPiece = time.Now()
-	close(d.pauseCh)
+	d.lastPeerPiece = d.now()
+	conns := d.connsLocked()
+	d.mu.Unlock()
+	poke(d.wake)
+	poke(d.edgeWake)
+	for _, sc := range conns {
+		d.kickScheduler(sc)
+	}
 }
 
 // Degraded reports whether the download disabled p2p and fell back to
@@ -350,47 +324,273 @@ func (d *Download) Progress() (havePieces, totalPieces int) {
 	return d.have.Count(), d.have.Len()
 }
 
-// running reports whether work should proceed, blocking while paused.
-func (d *Download) running() bool {
-	d.mu.Lock()
-	state := d.state
-	pause := d.pauseCh
-	d.mu.Unlock()
-	switch state {
-	case stateDone:
-		return false
-	case statePaused:
-		select {
-		case <-pause:
-			return d.running()
-		case <-d.doneCh:
-			return false
+// connsLocked snapshots the attached connections so the caller can write to
+// them after releasing mu.
+func (d *Download) connsLocked() []*swarmConn {
+	conns := make([]*swarmConn, 0, len(d.conns))
+	for sc := range d.conns {
+		conns = append(conns, sc)
+	}
+	return conns
+}
+
+// releaseLocked drops one outstanding request for piece i. A piece nobody
+// is fetching any more is work for an edge fetcher parked behind the swarm.
+func (d *Download) releaseLocked(i int) {
+	if d.inflight[i] > 1 {
+		d.inflight[i]--
+		return
+	}
+	delete(d.inflight, i)
+	if !d.edgeIdleSince.IsZero() {
+		poke(d.edgeWake)
+	}
+}
+
+// dropRequestLocked forgets the connection's outstanding request, if any.
+func (d *Download) dropRequestLocked(sc *swarmConn) {
+	if sc.reqAt.IsZero() {
+		return
+	}
+	sc.reqAt = time.Time{}
+	d.releaseLocked(sc.req)
+}
+
+// actions is step's verdict: the effects the driver performs outside mu,
+// and the next instant at which the answer can change without an event.
+type actions struct {
+	dial    []protocol.PeerInfo // connect to these, one free slot each
+	query   bool                // ask the control plane for more peers
+	degrade bool                // the swarm stalled: fall back to edge-only
+	edgeDup bool                // the edge may now duplicate an in-flight piece
+	next    time.Time           // zero: nothing is timed, wait for a poke
+}
+
+func (a *actions) wakeAt(t time.Time) {
+	if a.next.IsZero() || t.Before(a.next) {
+		a.next = t
+	}
+}
+
+// step is the download's membership policy (§3.7) as one decision over the
+// state under mu, which the caller holds: it issues "additional queries ...
+// until a sufficient number of peer connections succeed", hands every free
+// connection slot a candidate, declares a swarm dead that delivered no
+// verified piece for a whole StallWindow (it is being strung along by
+// stalled, slow or lying peers; the edge finishes the job, §3.3), and lets
+// an edge fetcher that has idled behind in-flight swarm requests for
+// edgeDupAfter duplicate one. It claims what it hands out (slots, the query)
+// so that a second call at the same instant returns nothing.
+func (d *Download) step(now time.Time) actions {
+	var a actions
+	if d.state != stateRunning {
+		return a
+	}
+	if !d.edgeIdleSince.IsZero() {
+		if due := d.edgeIdleSince.Add(edgeDupAfter); now.Before(due) {
+			a.wakeAt(due)
+		} else {
+			a.edgeDup = true
 		}
 	}
+	if !d.p2p || d.p2pOff || d.have.Complete() {
+		return a
+	}
+	if window := d.c.cfg.StallWindow; window > 0 {
+		due := d.lastPeerPiece.Add(window)
+		if now.After(due) {
+			a.degrade = true
+			return a
+		}
+		a.wakeAt(due)
+	}
+	free := d.c.cfg.MaxPeerConnsPerDownload - len(d.conns) - d.dialing
+	for free > 0 && len(d.candidates) > 0 {
+		p := d.candidates[0]
+		d.candidates = d.candidates[1:]
+		if d.dialed[p.GUID] || d.c.peerBlacklisted(p.GUID) {
+			continue
+		}
+		d.dialed[p.GUID] = true
+		d.dialing++
+		free--
+		a.dial = append(a.dial, p)
+	}
+	if d.querying {
+		if due := d.lastQuery.Add(queryTimeout); now.Before(due) {
+			a.wakeAt(due)
+			return a
+		}
+		d.querying = false
+	}
+	if free > 0 && len(d.candidates) == 0 && len(a.dial) == 0 {
+		due := d.lastQuery.Add(d.c.cfg.RequeryInterval)
+		if d.lastQuery.IsZero() || now.After(due) {
+			a.query = true
+			d.querying = true
+			d.lastQuery = now
+			due = now.Add(queryTimeout)
+		}
+		a.wakeAt(due)
+	}
+	return a
+}
+
+// drive is the download's one timed goroutine: it sleeps until an event
+// pokes it or the instant step named arrives, asks step what to do, and does
+// it outside mu.
+func (d *Download) drive() {
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for {
+		select {
+		case <-d.doneCh:
+			return
+		case <-d.wake:
+		case <-timer.C:
+		}
+		now := d.now()
+		d.mu.Lock()
+		a := d.step(now)
+		d.mu.Unlock()
+		for _, p := range a.dial {
+			go d.connect(p)
+		}
+		if a.query {
+			d.c.control.send(&protocol.Query{Object: d.oid, Token: d.token, MaxPeers: 40})
+		}
+		if a.degrade {
+			d.disableP2P("stall")
+		}
+		if a.edgeDup {
+			poke(d.edgeWake)
+		}
+		// A fire that races this Stop only causes one more step, and step is
+		// a function of the state and the time, not of why it was called.
+		timer.Stop()
+		if !a.next.IsZero() {
+			timer.Reset(a.next.Sub(now))
+		}
+	}
+}
+
+// onQueryResult takes the control plane's answer to the pending peer query;
+// nil means the control session dropped before it answered.
+func (d *Download) onQueryResult(qr *protocol.QueryResult) {
+	d.mu.Lock()
+	answered := d.querying
+	d.querying = false
+	if qr != nil && qr.Err == "" {
+		if answered {
+			el := d.now().Sub(d.lastQuery)
+			d.c.metrics.peerLookupMs.Observe(float64(el) / float64(time.Millisecond))
+			d.trace.Observe(telemetry.StagePeerLookup, el)
+		}
+		if !d.queried {
+			d.queried = true
+			d.peersReturned = len(qr.Peers)
+		}
+		for _, p := range qr.Peers {
+			d.enqueueLocked(p)
+		}
+	}
+	d.mu.Unlock()
+	if qr != nil && qr.Err != "" {
+		d.c.logf("peer query rejected: %s", qr.Err)
+	}
+	poke(d.wake)
+}
+
+// addCandidate feeds a control-plane-suggested peer into the dial queue.
+func (d *Download) addCandidate(p protocol.PeerInfo) {
+	d.mu.Lock()
+	d.enqueueLocked(p)
+	d.mu.Unlock()
+	poke(d.wake)
+}
+
+func (d *Download) enqueueLocked(p protocol.PeerInfo) {
+	if !d.p2pOff && !d.dialed[p.GUID] && p.GUID != d.c.cfg.GUID {
+		d.candidates = append(d.candidates, p)
+	}
+}
+
+// connect dials one candidate and, when the handshake succeeds, serves the
+// connection until it closes: one goroutine per swarm connection, from dial
+// to close.
+func (d *Download) connect(p protocol.PeerInfo) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	d.c.metrics.swarmDials.Inc()
+	dialStart := time.Now()
+	sc, err := d.c.dialSwarm(ctx, d, p)
+	cancel()
+	d.mu.Lock()
+	d.dialing--
+	if err != nil {
+		// Un-mark the peer so that once its blacklist entry decays a later
+		// query may retry it (§3.7: keep trying "until a sufficient number
+		// of peer connections succeed").
+		delete(d.dialed, p.GUID)
+	}
+	d.mu.Unlock()
+	poke(d.wake)
+	if err != nil {
+		d.c.metrics.swarmDialErrors.Inc()
+		d.c.logf("swarm dial %s: %v", p.Addr, err)
+		d.c.blacklistPeer(p.GUID)
+		return
+	}
+	d.trace.Observe(telemetry.StageSwarmConnect, time.Since(dialStart))
+	sc.loop()
+}
+
+// attachConn adds an established swarm connection to the download; it
+// reports false when the download no longer takes peers (degraded to
+// edge-only or done), in which case the caller must close the connection.
+func (d *Download) attachConn(sc *swarmConn) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.p2pOff || d.state == stateDone {
+		return false
+	}
+	d.conns[sc] = true
 	return true
 }
 
+func (d *Download) removeConn(sc *swarmConn) {
+	d.mu.Lock()
+	d.dropRequestLocked(sc)
+	delete(d.conns, sc)
+	d.mu.Unlock()
+	poke(d.wake) // a connection slot is free
+}
+
 // takeEdgePiece picks the next piece for the edge connection: the first
-// missing piece nobody is fetching. When only in-flight pieces remain and
-// the swarm has stalled, the edge duplicates an in-flight piece — the
-// backstop that makes progress independent of peers ("if a peer is 'unlucky'
-// and picks peers that are slow or unreliable, the infrastructure can cover
-// the difference", §3.3).
-func (d *Download) takeEdgePiece(allowDup bool) int {
-	// For streaming downloads the edge serves the urgent playback window
-	// first: it is the rescue path for pieces no peer can deliver by
-	// their deadline. Window bounds are read before taking d.mu (session
-	// has its own lock).
-	winLo, winHi := -1, -1
-	if d.play != nil {
-		winLo, winHi = d.play.Window()
-	}
+// missing piece nobody is fetching, -1 when there is none right now. When
+// only in-flight pieces remain and the edge has idled behind them for
+// edgeDupAfter, it duplicates an in-flight piece — the backstop that makes
+// progress independent of peers ("if a peer is 'unlucky' and picks peers
+// that are slow or unreliable, the infrastructure can cover the
+// difference", §3.3).
+func (d *Download) takeEdgePiece() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := d.have.Len()
+	if d.state != stateRunning {
+		return -1
+	}
+	now := d.now()
+	// For streaming downloads the edge serves the urgent playback window
+	// first: it is the rescue path for pieces no peer can deliver by
+	// their deadline.
+	winLo, winHi := -1, -1
+	if d.play != nil {
+		d.play.Advance(now.UnixMilli())
+		winLo, winHi = d.play.Window()
+	}
 	take := func(i int) int {
 		d.inflight[i]++
-		if d.play != nil && i >= winLo && i < winHi {
+		d.edgeIdleSince = time.Time{}
+		if i >= winLo && i < winHi {
 			d.edgeUrgent[i] = true
 		}
 		return i
@@ -401,6 +601,7 @@ func (d *Download) takeEdgePiece(allowDup bool) int {
 		}
 	}
 	fallback := -1
+	n := d.have.Len()
 	for i := 0; i < n; i++ {
 		if d.have.Has(i) {
 			continue
@@ -412,53 +613,39 @@ func (d *Download) takeEdgePiece(allowDup bool) int {
 			fallback = i
 		}
 	}
-	if allowDup && fallback >= 0 {
-		return take(fallback)
+	if fallback < 0 {
+		return -1
 	}
-	return -1
+	if d.edgeIdleSince.IsZero() {
+		d.edgeIdleSince = now
+		poke(d.wake) // the driver times the wait
+	}
+	if now.Sub(d.edgeIdleSince) < edgeDupAfter {
+		return -1
+	}
+	return take(fallback)
 }
 
-func (d *Download) releaseInflight(i int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.inflight[i] > 1 {
-		d.inflight[i]--
-	} else {
-		delete(d.inflight, i)
-	}
-}
-
-// edgeLoop downloads pieces over HTTP until the object completes or the
-// download ends.
-func (d *Download) edgeLoop() {
-	stall := 0
+// edgeFetcher downloads pieces over HTTP until the download ends. With
+// nothing to fetch — paused, or every missing piece requested from the
+// swarm — it parks until an event that can change that unparks it.
+func (d *Download) edgeFetcher() {
 	bo := &retry.Backoff{Base: 200 * time.Millisecond, Max: 5 * time.Second}
-	for d.running() {
-		idx := d.takeEdgePiece(stall > 5)
+	for {
+		idx := d.takeEdgePiece()
 		if idx < 0 {
-			d.mu.Lock()
-			complete := d.have.Complete()
-			d.mu.Unlock()
-			if complete {
-				return
-			}
-			stall++
 			select {
 			case <-d.doneCh:
 				return
-			case <-time.After(100 * time.Millisecond):
+			case <-d.edgeWake:
 			}
 			continue
 		}
-		stall = 0
 		fetchStart := time.Now()
 		data, err := d.c.edge.FetchPiece(d.manifest, d.token, idx)
-		d.releaseInflight(idx)
-		if err == nil {
-			el := time.Since(fetchStart)
-			d.c.metrics.edgeFetchMs.Observe(float64(el) / float64(time.Millisecond))
-			d.trace.Observe(telemetry.StageEdgeFetch, el)
-		}
+		d.mu.Lock()
+		d.releaseLocked(idx)
+		d.mu.Unlock()
 		if err != nil {
 			d.c.logf("edge fetch piece %d: %v", idx, err)
 			d.c.metrics.retriesEdge.Inc()
@@ -469,199 +656,31 @@ func (d *Download) edgeLoop() {
 			}
 			continue
 		}
+		el := time.Since(fetchStart)
+		d.c.metrics.edgeFetchMs.Observe(float64(el) / float64(time.Millisecond))
+		d.trace.Observe(telemetry.StageEdgeFetch, el)
 		bo.Reset()
 		d.storeVerified(idx, data, id.GUID{}, true)
 	}
 }
 
-// peerLoop manages swarm membership: it queries the control plane for
-// candidates and dials them, issuing "additional queries ... until a
-// sufficient number of peer connections succeed" (§3.7).
-func (d *Download) peerLoop() {
-	lastQuery := time.Time{}
-	for d.running() {
-		d.mu.Lock()
-		complete := d.have.Complete()
-		off := d.p2pOff
-		nConns := len(d.conns)
-		var cand protocol.PeerInfo
-		haveCand := false
-		if len(d.candidates) > 0 {
-			cand = d.candidates[0]
-			d.candidates = d.candidates[1:]
-			haveCand = true
-		}
-		needQuery := !haveCand && nConns < d.c.cfg.MaxPeerConnsPerDownload &&
-			time.Since(lastQuery) > d.c.cfg.RequeryInterval
-		d.mu.Unlock()
-		if complete || off {
-			return
-		}
-		switch {
-		case haveCand:
-			d.dialCandidate(cand)
-		case needQuery:
-			lastQuery = time.Now()
-			qr, err := d.c.control.query(d.oid, d.token, 40, 5*time.Second)
-			if err != nil {
-				d.c.logf("peer query: %v", err)
-				break
-			}
-			el := time.Since(lastQuery)
-			d.c.metrics.peerLookupMs.Observe(float64(el) / float64(time.Millisecond))
-			d.trace.Observe(telemetry.StagePeerLookup, el)
-			d.mu.Lock()
-			if !d.queried {
-				d.queried = true
-				d.peersReturned = len(qr.Peers)
-			}
-			for _, p := range qr.Peers {
-				if !d.dialed[p.GUID] && p.GUID != d.c.cfg.GUID &&
-					!d.c.peerBlacklisted(p.GUID) {
-					d.candidates = append(d.candidates, p)
-				}
-			}
-			d.mu.Unlock()
-		}
-		select {
-		case <-d.doneCh:
-			return
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-}
-
-func (d *Download) dialCandidate(p protocol.PeerInfo) {
-	if d.c.peerBlacklisted(p.GUID) {
-		return
-	}
-	d.mu.Lock()
-	if d.dialed[p.GUID] || len(d.conns) >= d.c.cfg.MaxPeerConnsPerDownload {
-		d.mu.Unlock()
-		return
-	}
-	d.dialed[p.GUID] = true
-	d.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	d.c.metrics.swarmDials.Inc()
-	dialStart := time.Now()
-	if _, err := d.c.dialSwarm(ctx, d, p); err != nil {
-		d.c.metrics.swarmDialErrors.Inc()
-		d.c.logf("swarm dial %s: %v", p.Addr, err)
-		// Quarantine the peer, but un-mark it as dialed so that once the
-		// blacklist entry decays a later query may retry it (§3.7: keep
-		// trying "until a sufficient number of peer connections succeed").
-		d.c.blacklistPeer(p.GUID)
-		d.mu.Lock()
-		delete(d.dialed, p.GUID)
-		d.mu.Unlock()
-		return
-	}
-	d.trace.Observe(telemetry.StageSwarmConnect, time.Since(dialStart))
-}
-
-// addCandidate feeds a control-plane-suggested peer into the dial queue.
-func (d *Download) addCandidate(p protocol.PeerInfo) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.p2pOff {
-		return
-	}
-	if !d.dialed[p.GUID] && p.GUID != d.c.cfg.GUID {
-		d.candidates = append(d.candidates, p)
-	}
-}
-
-// attachConn adds an established swarm connection to the download; it
-// reports false when the download no longer takes peers (degraded to
-// edge-only or done), in which case the caller must close the connection.
-func (d *Download) attachConn(sc *swarmConn) bool {
-	d.mu.Lock()
-	if d.p2pOff || d.state == stateDone {
-		d.mu.Unlock()
-		return false
-	}
-	d.conns[sc] = true
-	d.pendingReq[sc] = -1
-	d.mu.Unlock()
-	return true
-}
-
-func (d *Download) removeConn(sc *swarmConn) {
-	bf := sc.remoteBitfield()
-	d.mu.Lock()
-	if idx, ok := d.pendingReq[sc]; ok && idx >= 0 {
-		if d.inflight[idx] > 1 {
-			d.inflight[idx]--
-		} else {
-			delete(d.inflight, idx)
-		}
-	}
-	if d.conns[sc] && bf != nil {
-		n := len(d.avail)
-		for i := 0; i < n; i++ {
-			if bf.Has(i) && d.avail[i] > 0 {
-				d.avail[i]--
-			}
-		}
-	}
-	delete(d.pendingReq, sc)
-	delete(d.pendingAt, sc)
-	delete(d.conns, sc)
-	d.mu.Unlock()
-}
-
-// noteRemoteBitfield and noteRemoteHave maintain per-piece availability
-// counts over currently-attached uploaders — the signal behind the window
-// scheduler's rarest-first tail. The counts are a best-effort heuristic
-// (a racing disconnect can skew one by a unit, hence the clamps), which
-// is all rarest-first needs.
-func (d *Download) noteRemoteBitfield(sc *swarmConn, old, bf *content.Bitfield) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.conns[sc] {
-		return
-	}
-	n := len(d.avail)
-	for i := 0; i < n; i++ {
-		if old != nil && old.Has(i) && d.avail[i] > 0 {
-			d.avail[i]--
-		}
-		if bf.Has(i) {
-			d.avail[i]++
-		}
-	}
-}
-
-func (d *Download) noteRemoteHave(sc *swarmConn, idx int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.conns[sc] || idx < 0 || idx >= len(d.avail) {
-		return
-	}
-	d.avail[idx]++
-}
-
-// kickScheduler issues the next piece request on a connection that has no
-// outstanding request. One outstanding request per connection keeps the
-// implementation simple while still filling multi-peer pipelines.
-func (d *Download) kickScheduler(sc *swarmConn) {
-	if !d.running() {
-		return
-	}
+// nextRequest claims the next piece to request on a connection that has no
+// outstanding request, -1 when there is none. One outstanding request per
+// connection keeps the implementation simple while still filling multi-peer
+// pipelines.
+func (d *Download) nextRequest(sc *swarmConn) int {
 	remote := sc.remoteBitfield()
 	if remote == nil {
-		return
+		return -1
 	}
 	d.mu.Lock()
-	if d.state != stateRunning || d.p2pOff || !d.conns[sc] {
-		d.mu.Unlock()
-		return
+	defer d.mu.Unlock()
+	if d.state != stateRunning || d.p2pOff || !d.conns[sc] || !sc.reqAt.IsZero() {
+		return -1
 	}
-	if idx, ok := d.pendingReq[sc]; ok && idx >= 0 {
-		d.mu.Unlock()
-		return // request already outstanding
+	now := d.now()
+	if d.play != nil {
+		d.play.Advance(now.UnixMilli())
 	}
 	// The scheduler sees a point-in-time view; the closures read maps
 	// guarded by d.mu, which is held for the whole decision.
@@ -669,33 +688,50 @@ func (d *Download) kickScheduler(sc *swarmConn) {
 		Have:     d.have,
 		Remote:   remote,
 		InFlight: func(i int) bool { return d.inflight[i] > 0 },
-		Avail:    func(i int) int { return d.avail[i] },
+		Avail:    d.holdersLocked,
 		Rand:     d.rng,
 		Session:  d.play,
 	})
 	if pick < 0 {
 		// End-game: few pieces left, all in flight; duplicate one that the
 		// remote has so a slow source cannot stall completion.
-		missing := d.have.Missing(8)
-		for _, i := range missing {
+		for _, i := range d.have.Missing(8) {
 			if remote.Has(i) {
 				pick = i
 				break
 			}
 		}
 		if pick < 0 {
-			d.mu.Unlock()
-			return
+			return -1
 		}
 	}
 	d.inflight[pick]++
-	d.pendingReq[sc] = pick
-	d.pendingAt[sc] = time.Now()
-	d.mu.Unlock()
+	sc.req, sc.reqAt = pick, now
+	return pick
+}
+
+// holdersLocked counts the connected uploaders that announced piece i: the
+// signal behind the window scheduler's rarest-first tail.
+func (d *Download) holdersLocked(i int) int {
+	n := 0
+	for sc := range d.conns {
+		if sc.remoteHasPiece(i) {
+			n++
+		}
+	}
+	return n
+}
+
+// kickScheduler issues the next piece request on a connection; the
+// connection's reader calls it whenever the answer may have changed.
+func (d *Download) kickScheduler(sc *swarmConn) {
+	pick := d.nextRequest(sc)
+	if pick < 0 {
+		return
+	}
 	if err := sc.send(&protocol.Request{Index: uint32(pick)}); err != nil {
-		d.releaseInflight(pick)
 		d.mu.Lock()
-		d.pendingReq[sc] = -1
+		d.dropRequestLocked(sc)
 		d.mu.Unlock()
 	}
 }
@@ -703,19 +739,11 @@ func (d *Download) kickScheduler(sc *swarmConn) {
 // onPiece handles a piece arriving from a swarm connection.
 func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 	d.mu.Lock()
-	if cur, ok := d.pendingReq[sc]; ok && cur == idx {
-		d.pendingReq[sc] = -1
-		if at, ok := d.pendingAt[sc]; ok {
-			el := time.Since(at)
-			delete(d.pendingAt, sc)
-			d.c.metrics.peerPieceMs.Observe(float64(el) / float64(time.Millisecond))
-			d.trace.Observe(telemetry.StagePieceTransfer, el)
-		}
-		if d.inflight[idx] > 1 {
-			d.inflight[idx]--
-		} else {
-			delete(d.inflight, idx)
-		}
+	if !sc.reqAt.IsZero() && sc.req == idx {
+		el := d.now().Sub(sc.reqAt)
+		d.c.metrics.peerPieceMs.Observe(float64(el) / float64(time.Millisecond))
+		d.trace.Observe(telemetry.StagePieceTransfer, el)
+		d.dropRequestLocked(sc)
 	}
 	d.mu.Unlock()
 	if err := d.manifest.Verify(idx, data); err != nil {
@@ -756,37 +784,8 @@ func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 	d.kickScheduler(sc)
 }
 
-// watchdog watches for a dead swarm: a download that is running with p2p
-// enabled but has received no verified peer piece for a full StallWindow is
-// being strung along by stalled, slow or lying peers; it degrades to
-// edge-only so the edge backstop finishes the job (§3.3).
-func (d *Download) watchdog() {
-	window := d.c.cfg.StallWindow
-	t := time.NewTicker(window / 4)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.doneCh:
-			return
-		case <-t.C:
-		}
-		d.mu.Lock()
-		stalled := d.state == stateRunning && !d.p2pOff &&
-			time.Since(d.lastPeerPiece) > window
-		off := d.p2pOff
-		d.mu.Unlock()
-		if off {
-			return
-		}
-		if stalled {
-			d.disableP2P("stall")
-			return
-		}
-	}
-}
-
 // disableP2P degrades the download to edge-only: no new peers are dialed or
-// accepted, existing swarm connections close, and the edge loop finishes
+// accepted, existing swarm connections close, and the edge fetcher finishes
 // the object alone. This is the bottom rung of the degradation ladder — the
 // paper's guarantee that peer trouble costs efficiency, never the download.
 func (d *Download) disableP2P(reason string) {
@@ -797,10 +796,7 @@ func (d *Download) disableP2P(reason string) {
 	}
 	d.p2pOff = true
 	d.candidates = nil
-	conns := make([]*swarmConn, 0, len(d.conns))
-	for sc := range d.conns {
-		conns = append(conns, sc)
-	}
+	conns := d.connsLocked()
 	d.mu.Unlock()
 	for _, sc := range conns {
 		sc.send(&protocol.Goodbye{Reason: "p2p disabled: " + reason})
@@ -824,14 +820,10 @@ func (d *Download) disableP2P(reason string) {
 // to the swarm, and completes the download when it was the last piece.
 func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool) {
 	d.mu.Lock()
-	if d.state == stateDone {
-		d.mu.Unlock()
-		return
-	}
-	dup := d.have.Has(idx)
+	skip := d.state == stateDone || d.have.Has(idx) // end-game duplicate: drop silently
 	d.mu.Unlock()
-	if dup {
-		return // end-game duplicate; drop silently
+	if skip {
+		return
 	}
 	if err := d.c.store.Put(d.manifest, idx, data); err != nil {
 		// The piece verified but storage failed: a user-side problem
@@ -845,6 +837,7 @@ func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool)
 		d.mu.Unlock()
 		return
 	}
+	now := d.now()
 	d.have.Set(idx)
 	rescue := false
 	if infra {
@@ -856,15 +849,12 @@ func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool)
 	} else {
 		d.bytesPeers += int64(len(data))
 		d.fromPeers[from] += int64(len(data))
-		d.lastPeerPiece = time.Now()
+		d.lastPeerPiece = now
 	}
 	haveCount := d.have.Count()
 	total := d.have.Len()
 	complete := d.have.Complete()
-	conns := make([]*swarmConn, 0, len(d.conns))
-	for sc := range d.conns {
-		conns = append(conns, sc)
-	}
+	conns := d.connsLocked()
 	d.mu.Unlock()
 	if infra {
 		d.c.metrics.piecesEdge.Inc()
@@ -874,7 +864,7 @@ func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool)
 		d.c.metrics.bytesDownPeers.Add(int64(len(data)))
 	}
 	if d.play != nil {
-		d.play.OnPiece(idx, time.Now().UnixMilli())
+		d.play.OnPiece(idx, now.UnixMilli())
 		if rescue {
 			d.play.AddEdgeRescue(int64(len(data)))
 			d.c.metrics.streamEdgeRescueBytes.Add(int64(len(data)))
@@ -906,42 +896,46 @@ func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool)
 	}
 }
 
-// finish moves the download to a terminal state exactly once, reports the
-// usage record, registers the completed object for upload, and cleans up.
-func (d *Download) finish(outcome protocol.Outcome) {
+// terminate moves the download to its terminal state and tears down its
+// swarm; it reports false when the download was already there. crashed
+// models a process death: connections drop without a Goodbye and no usage
+// record will be sent.
+func (d *Download) terminate(outcome protocol.Outcome, crashed bool) bool {
 	d.mu.Lock()
 	if d.state == stateDone {
 		d.mu.Unlock()
-		return
-	}
-	if d.state == statePaused {
-		close(d.pauseCh)
+		return false
 	}
 	d.state = stateDone
 	d.outcome = outcome
-	conns := make([]*swarmConn, 0, len(d.conns))
-	for sc := range d.conns {
-		conns = append(conns, sc)
-	}
+	d.reported = crashed
+	conns := d.connsLocked()
 	d.mu.Unlock()
-
 	for _, sc := range conns {
-		sc.send(&protocol.Goodbye{Reason: "download finished"})
+		if !crashed {
+			sc.send(&protocol.Goodbye{Reason: "download finished"})
+		}
 		sc.close()
 	}
-	if outcome == protocol.OutcomeFailedSystem {
-		d.c.reportProblem("download-failed-system", d.oid.String())
-	}
-
 	d.c.mu.Lock()
 	if d.c.downloads[d.oid] == d {
 		delete(d.c.downloads, d.oid)
 	}
 	d.c.mu.Unlock()
+	return true
+}
 
+// finish moves the download to a terminal state exactly once, reports the
+// usage record, registers the completed object for upload, and cleans up.
+func (d *Download) finish(outcome protocol.Outcome) {
+	if !d.terminate(outcome, false) {
+		return
+	}
+	if outcome == protocol.OutcomeFailedSystem {
+		d.c.reportProblem("download-failed-system", d.oid.String())
+	}
 	d.c.metrics.downloadOutcome(outcome.String()).Inc()
-	if d.play != nil {
-		m := d.play.Metrics(time.Now().UnixMilli())
+	if m := d.StreamMetrics(); m != nil {
 		d.c.metrics.streamStartupMs.Observe(float64(m.StartupDelayMs))
 		d.c.metrics.streamRebuffers.Add(m.RebufferCount)
 		d.c.metrics.streamRebufferMs.Add(m.RebufferMs)
@@ -978,118 +972,7 @@ func (d *Download) finish(outcome protocol.Outcome) {
 // checkpoint stays on disk so a restart resumes the transfer. Only the
 // in-process crash tests use it.
 func (d *Download) kill() {
-	d.mu.Lock()
-	if d.state == stateDone {
-		d.mu.Unlock()
-		return
+	if d.terminate(protocol.OutcomeAborted, true) {
+		close(d.doneCh)
 	}
-	if d.state == statePaused {
-		close(d.pauseCh)
-	}
-	d.state = stateDone
-	d.outcome = protocol.OutcomeAborted
-	d.reported = true // a dead process reports nothing
-	conns := make([]*swarmConn, 0, len(d.conns))
-	for sc := range d.conns {
-		conns = append(conns, sc)
-	}
-	d.mu.Unlock()
-	for _, sc := range conns {
-		sc.close()
-	}
-	d.c.mu.Lock()
-	if d.c.downloads[d.oid] == d {
-		delete(d.c.downloads, d.oid)
-	}
-	d.c.mu.Unlock()
-	close(d.doneCh)
-}
-
-// report uploads the usage statistics record for billing (§3.4).
-func (d *Download) report() {
-	d.mu.Lock()
-	if d.reported {
-		d.mu.Unlock()
-		return
-	}
-	d.reported = true
-	rep := &protocol.StatsReport{
-		Object:        d.oid,
-		URLHash:       d.manifest.Object.URL,
-		CP:            uint32(d.manifest.Object.CP),
-		Size:          uint64(d.manifest.Object.Size),
-		StartUnixMs:   d.start.UnixMilli(),
-		EndUnixMs:     time.Now().UnixMilli(),
-		BytesInfra:    uint64(d.bytesInfra),
-		BytesPeers:    uint64(d.bytesPeers),
-		Outcome:       d.outcome,
-		PeersReturned: uint16(d.peersReturned),
-		Token:         d.token,
-	}
-	for g, b := range d.fromPeers {
-		rep.FromPeers = append(rep.FromPeers, protocol.PeerBytes{GUID: g, Bytes: uint64(b)})
-	}
-	if d.play != nil {
-		m := d.play.Metrics(time.Now().UnixMilli())
-		rep.Stream = &protocol.StreamStats{
-			BitrateBps:      uint64(m.BitrateBps),
-			StartupDelayMs:  uint64(m.StartupDelayMs),
-			RebufferCount:   uint32(m.RebufferCount),
-			RebufferMs:      uint64(m.RebufferMs),
-			DeadlineMisses:  uint32(m.DeadlineMisses),
-			PiecesPlayed:    uint32(m.PiecesPlayed),
-			PiecesTotal:     uint32(m.PiecesTotal),
-			EdgeRescueBytes: uint64(m.EdgeRescueBytes),
-		}
-	}
-	d.mu.Unlock()
-	// With the log pipeline on, the record goes to the durable spool and the
-	// uploader ships it in a batch; otherwise it rides the control connection
-	// in-band. Never both — the collector must see each download once.
-	if d.c.spool != nil {
-		if err := d.c.spool.Append(entryFromStats(d.c, rep)); err != nil {
-			d.c.logf("log spool append failed, falling back to in-band report: %v", err)
-			d.c.control.send(rep)
-		}
-		return
-	}
-	d.c.control.send(rep)
-}
-
-// entryFromStats renders a stats report in the log pipeline's wire schema.
-func entryFromStats(c *Client, rep *protocol.StatsReport) *logpipe.Entry {
-	e := &logpipe.Entry{
-		Kind:          logpipe.EntryKindDownload,
-		GUID:          c.cfg.GUID.String(),
-		IP:            c.cfg.DeclaredIP,
-		Object:        logpipe.EncodeObjectID(rep.Object),
-		URLHash:       rep.URLHash,
-		CP:            rep.CP,
-		Size:          int64(rep.Size),
-		StartMs:       rep.StartUnixMs,
-		EndMs:         rep.EndUnixMs,
-		BytesInfra:    int64(rep.BytesInfra),
-		BytesPeers:    int64(rep.BytesPeers),
-		Outcome:       uint8(rep.Outcome),
-		PeersReturned: int(rep.PeersReturned),
-		Token:         rep.Token,
-	}
-	for _, pb := range rep.FromPeers {
-		e.FromPeers = append(e.FromPeers, logpipe.EntryContribution{
-			GUID: pb.GUID.String(), Bytes: int64(pb.Bytes),
-		})
-	}
-	if rep.Stream != nil {
-		e.Stream = &logpipe.EntryStream{
-			BitrateBps:      int64(rep.Stream.BitrateBps),
-			StartupDelayMs:  int64(rep.Stream.StartupDelayMs),
-			RebufferCount:   int64(rep.Stream.RebufferCount),
-			RebufferMs:      int64(rep.Stream.RebufferMs),
-			DeadlineMisses:  int64(rep.Stream.DeadlineMisses),
-			PiecesPlayed:    int64(rep.Stream.PiecesPlayed),
-			PiecesTotal:     int64(rep.Stream.PiecesTotal),
-			EdgeRescueBytes: int64(rep.Stream.EdgeRescueBytes),
-		}
-	}
-	return e
 }

@@ -26,6 +26,11 @@ type swarmConn struct {
 
 	// download is non-nil when the local side is downloading this object.
 	download *Download
+	// req is the piece requested on this connection and reqAt when; a zero
+	// reqAt means no request is outstanding. Both are guarded by
+	// download.mu: they are part of the download's in-flight bookkeeping.
+	req   int
+	reqAt time.Time
 	// uploadSlot is true when this connection holds an upload-manager slot.
 	uploadSlot bool
 
@@ -154,7 +159,8 @@ func (c *Client) handleInbound(conn net.Conn) {
 	sc.loop()
 }
 
-// dialSwarm establishes an outbound swarm connection for a download.
+// dialSwarm establishes an outbound swarm connection for a download; the
+// caller runs the connection's loop.
 func (c *Client) dialSwarm(ctx context.Context, d *Download, remote protocol.PeerInfo) (*swarmConn, error) {
 	dialer := &nat.Dialer{Local: c.cfg.NAT, Timeout: 5 * time.Second}
 	conn, err := dialer.Dial(ctx, remote)
@@ -187,7 +193,6 @@ func (c *Client) dialSwarm(ctx context.Context, d *Download, remote protocol.Pee
 		conn.Close()
 		return nil, errHandshakeRejected
 	}
-	go sc.loop()
 	return sc, nil
 }
 
@@ -214,24 +219,18 @@ func (sc *swarmConn) loop() {
 				return // malformed bitfield: drop the peer
 			}
 			sc.mu.Lock()
-			old := sc.remoteHave
 			sc.remoteHave = bf
 			sc.mu.Unlock()
 			if sc.download != nil {
-				sc.download.noteRemoteBitfield(sc, old, bf)
 				sc.download.kickScheduler(sc)
 			}
 		case *protocol.Have:
 			sc.mu.Lock()
-			fresh := sc.remoteHave != nil && !sc.remoteHave.Has(int(m.Index))
 			if sc.remoteHave != nil {
 				sc.remoteHave.Set(int(m.Index))
 			}
 			sc.mu.Unlock()
 			if sc.download != nil {
-				if fresh {
-					sc.download.noteRemoteHave(sc, int(m.Index))
-				}
 				sc.download.kickScheduler(sc)
 			}
 		case *protocol.Request:
