@@ -27,17 +27,20 @@ fmt:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Quick allocation/throughput canary on the two hot paths (engine event loop,
-# whole-sim small scale, DN selection); part of `make check` so a hot-path
-# regression fails the pre-commit gate, not just the nightly bench. Besides
-# the human-readable text, the run is converted to machine-readable timing
-# JSON ($(BENCH_SMOKE_JSON)) so CI can archive it as a workflow artifact and
-# trend the numbers across commits.
+# Quick allocation/throughput canary on the hot paths (engine event loop,
+# whole-sim small scale, DN selection, and the piece data path: codec round
+# trip at 64 and 256 KiB, verified store put, synthetic body); part of `make
+# check` so a hot-path regression fails the pre-commit gate, not just the
+# nightly bench. Besides the human-readable text, the run is converted to
+# machine-readable timing JSON ($(BENCH_SMOKE_JSON)) so CI can archive it as
+# a workflow artifact and trend the numbers across commits.
 BENCH_SMOKE_JSON ?= bench-smoke.json
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$' \
-		-benchtime 2x -benchmem ./internal/sim ./internal/selection > bench-smoke.txt \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$' \
+		-benchtime 2x -benchmem ./internal/sim ./internal/selection && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
+		-benchtime 200ms -benchmem ./internal/protocol ./internal/content; } > bench-smoke.txt \
 		|| { cat bench-smoke.txt; exit 1; }
 	@cat bench-smoke.txt
 	$(GO) run ./tools/benchjson -in bench-smoke.txt -out $(BENCH_SMOKE_JSON)

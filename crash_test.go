@@ -173,6 +173,10 @@ func TestCrashPeerKillAndResume(t *testing.T) {
 func TestCrashDNRebuildConverges(t *testing.T) {
 	cfg := DefaultClusterConfig()
 	cfg.DNRebuildWindow = 500 * time.Millisecond
+	// A WAN-like edge: on bare loopback the leech can fetch all 25 pieces
+	// before its peer query is even answered, and then there is nothing
+	// left to show that Select serves peers again.
+	cfg.EdgeFaults = FaultProfile{LatencyMin: 2 * time.Millisecond, LatencyMax: 2 * time.Millisecond}
 	c, err := StartCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -253,14 +257,16 @@ func TestCrashDNRebuildConverges(t *testing.T) {
 	}
 
 	// Select serves the rebuilt directory without any control-plane restart:
-	// a fresh leech's first query returns candidates and the download
-	// completes.
+	// a fresh leech's query finds the holders and the download completes.
+	// The holders may dial back (ConnectTo) and deliver the whole object
+	// before the leech reads its QueryResult, so peer bytes count as proof
+	// too.
 	leech := spawn()
 	res, err := chaosStart(t, leech, obj.ID).Wait(ctx)
 	if err != nil || res.Outcome != protocol.OutcomeCompleted {
 		t.Fatalf("post-rebuild download: res=%+v err=%v", res, err)
 	}
-	if res.PeersReturned == 0 {
-		t.Error("post-rebuild query returned no candidates; Select still edge-only")
+	if res.PeersReturned == 0 && res.BytesPeers == 0 {
+		t.Errorf("post-rebuild query returned no candidates; Select still edge-only: %+v", res)
 	}
 }

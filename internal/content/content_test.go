@@ -2,6 +2,7 @@ package content
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 	"testing/quick"
@@ -80,8 +81,8 @@ func TestManifestVerify(t *testing.T) {
 		t.Fatalf("valid piece rejected: %v", err)
 	}
 	buf[10] ^= 0xff
-	if err := m.Verify(0, buf); err == nil {
-		t.Fatal("corrupted piece accepted")
+	if err := m.Verify(0, buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupted piece: Verify returned %v, want ErrCorrupt", err)
 	}
 	if err := m.Verify(0, buf[:10]); err == nil {
 		t.Fatal("short piece accepted")
@@ -230,10 +231,13 @@ func testStore(t *testing.T, s Store) {
 			t.Fatalf("stored piece %d corrupt: %v", i, err)
 		}
 	}
-	// Corrupt pieces are rejected.
+	// Corrupt pieces are rejected with ErrCorrupt, even over a stored copy.
 	bad := make([]byte, obj.PieceLength(0))
-	if err := s.Put(m, 0, bad); err == nil {
-		t.Fatal("corrupt piece stored")
+	if err := s.Put(m, 0, bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt piece: Put returned %v, want ErrCorrupt", err)
+	}
+	if got, _ := s.Get(obj.ID, 0); m.Verify(0, got) != nil {
+		t.Fatal("a refused piece replaced the stored one")
 	}
 	if got := len(s.Objects()); got != 1 {
 		t.Fatalf("Objects()=%d want 1", got)
@@ -257,18 +261,30 @@ func TestFileStore(t *testing.T) {
 	testStore(t, fs)
 }
 
-func TestMemStoreGetReturnsCopy(t *testing.T) {
+// TestMemStorePutTakesOwnership pins the buffer contract: Put keeps the
+// verified slice itself (no copy in), Get hands that same slice to every
+// reader (no copy out), and a duplicate Put leaves the first buffer in place.
+func TestMemStorePutTakesOwnership(t *testing.T) {
 	s := NewMemStore()
-	obj, m := testObject(t, 4096)
+	obj, m := testObject(t, 8192)
 	buf := make([]byte, 4096)
 	SyntheticBody(obj.ID, 0, buf)
 	if err := s.Put(m, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := s.Get(obj.ID, 0)
-	got[0] ^= 0xff
 	again, _ := s.Get(obj.ID, 0)
-	if again[0] == got[0] {
-		t.Error("Get must return a defensive copy")
+	if &got[0] != &buf[0] || &again[0] != &buf[0] {
+		t.Error("Get must return the buffer Put was given, by reference")
+	}
+	dup := append([]byte(nil), buf...)
+	if err := s.Put(m, 0, dup); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Get(obj.ID, 0); &got[0] != &buf[0] {
+		t.Error("a duplicate Put replaced the stored buffer")
+	}
+	if s.Have(obj.ID).Count() != 1 {
+		t.Error("duplicate Put changed the bitfield")
 	}
 }

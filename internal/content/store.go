@@ -9,11 +9,19 @@ import (
 
 // Store holds verified pieces of objects on a peer or an edge server.
 // Implementations must be safe for concurrent use.
+//
+// Put is the one place a received piece is verified, and a piece buffer is
+// immutable from the moment it is handed to Put: the store may keep the
+// very slice and give it to every reader.
 type Store interface {
-	// Put stores a piece after verifying it against the manifest. It is an
-	// error to store an unverifiable piece.
+	// Put verifies a piece against the manifest and stores it; a piece that
+	// fails verification is refused with an error wrapping ErrCorrupt. A
+	// piece already stored is verified and then dropped. Put takes
+	// ownership of data: the caller must not write to it afterwards.
 	Put(m *Manifest, index int, data []byte) error
-	// Get returns a copy of a stored piece, or ok=false if absent.
+	// Get returns a stored piece, or ok=false if absent. The slice is
+	// read-only: it may be the store's own buffer, shared with every other
+	// reader.
 	Get(id ObjectID, index int) (data []byte, ok bool)
 	// Have returns the bitfield of stored pieces for an object (a clone;
 	// callers may mutate it). Objects never stored yield an empty bitfield
@@ -46,7 +54,7 @@ func NewMemStore() *MemStore {
 	return &MemStore{objs: make(map[ObjectID]*memObject)}
 }
 
-// Put implements Store.
+// Put implements Store. The verified slice itself is stored, not a copy.
 func (s *MemStore) Put(m *Manifest, index int, data []byte) error {
 	if err := m.Verify(index, data); err != nil {
 		return err
@@ -62,14 +70,14 @@ func (s *MemStore) Put(m *Manifest, index int, data []byte) error {
 		}
 		s.objs[m.Object.ID] = o
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	o.pieces[index] = cp
-	o.have.Set(index)
+	if !o.have.Has(index) {
+		o.pieces[index] = data
+		o.have.Set(index)
+	}
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. It returns the stored slice by reference.
 func (s *MemStore) Get(id ObjectID, index int) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -78,12 +86,7 @@ func (s *MemStore) Get(id ObjectID, index int) ([]byte, bool) {
 		return nil, false
 	}
 	p, ok := o.pieces[index]
-	if !ok {
-		return nil, false
-	}
-	cp := make([]byte, len(p))
-	copy(cp, p)
-	return cp, true
+	return p, ok
 }
 
 // Have implements Store.

@@ -99,7 +99,9 @@ func (c *Client) FetchManifest(oid content.ObjectID) (*content.Manifest, error) 
 }
 
 // FetchRange downloads [start, start+length) of the object body, passing
-// the token so the edge ledger attributes the bytes.
+// the token so the edge ledger attributes the bytes. The body is read into
+// one buffer of exactly length bytes, which the caller owns; a response
+// that does not declare that length is refused before its body is read.
 func (c *Client) FetchRange(oid content.ObjectID, token []byte, start, length int64) ([]byte, error) {
 	url := fmt.Sprintf("%s/v1/objects/%s/data?token=%s", c.BaseURL, OIDString(oid), EncodeToken(token))
 	req, err := http.NewRequest(http.MethodGet, url, nil)
@@ -115,30 +117,24 @@ func (c *Client) FetchRange(oid content.ObjectID, token []byte, start, length in
 	if resp.StatusCode != http.StatusPartialContent && resp.StatusCode != http.StatusOK {
 		return nil, httpError("fetch range", resp)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, length+1))
-	if err != nil {
-		return nil, fmt.Errorf("edge: fetch range body: %w", err)
+	if resp.ContentLength != length {
+		return nil, fmt.Errorf("edge: fetch range: response declares %d bytes, want %d", resp.ContentLength, length)
 	}
-	if int64(len(data)) != length {
-		return nil, fmt.Errorf("edge: fetched %d bytes, want %d", len(data), length)
+	data := make([]byte, length)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, fmt.Errorf("edge: fetch range body: %w", err)
 	}
 	return data, nil
 }
 
-// FetchPiece downloads one piece.
+// FetchPiece downloads one piece. It does not verify it: the caller hands
+// the buffer to content.Store.Put, the one place a piece is verified.
 func (c *Client) FetchPiece(m *content.Manifest, token []byte, index int) ([]byte, error) {
 	length := int64(m.Object.PieceLength(index))
 	if length == 0 {
 		return nil, fmt.Errorf("edge: piece %d out of range", index)
 	}
-	data, err := c.FetchRange(m.Object.ID, token, m.Object.PieceOffset(index), length)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Verify(index, data); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return c.FetchRange(m.Object.ID, token, m.Object.PieceOffset(index), length)
 }
 
 // Verify asks the edge tier whether it authorized (guid, object) and how

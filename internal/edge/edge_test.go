@@ -1,7 +1,9 @@
 package edge
 
 import (
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -111,8 +113,8 @@ func TestAuthorizeAndFetch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("piece %d: %v", i, err)
 		}
-		if len(data) != obj.PieceLength(i) {
-			t.Fatalf("piece %d has %d bytes", i, len(data))
+		if err := m.Verify(i, data); err != nil {
+			t.Fatalf("piece %d: %v", i, err)
 		}
 	}
 	if got := srv.Ledger().Served(g, obj.ID); got != obj.Size {
@@ -181,6 +183,72 @@ func TestRangeRequests(t *testing.T) {
 	}
 	if len(got) != 10 {
 		t.Fatalf("tail range returned %d bytes", len(got))
+	}
+}
+
+// TestDataResponseHeaders: ranged and full data responses declare their
+// type and exact length before the status line goes out, so neither is sent
+// chunked, and FetchRange refuses a response whose declared length is not
+// the one it asked for before reading its body.
+func TestDataResponseHeaders(t *testing.T) {
+	obj := testObj(t, 50_000, false)
+	srv, cli := startServer(t, obj)
+	url := "http://" + srv.Addr() + "/v1/objects/" + OIDString(obj.ID) + "/data"
+	for _, c := range []struct {
+		rng    string
+		status int
+		length int64
+	}{
+		{"bytes=100-8291", http.StatusPartialContent, 8192},
+		{"bytes=49990-", http.StatusPartialContent, 10},
+		{"", http.StatusOK, obj.Size},
+	} {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.rng != "" {
+			req.Header.Set("Range", c.rng)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case resp.StatusCode != c.status:
+			t.Errorf("range %q: HTTP %d, want %d", c.rng, resp.StatusCode, c.status)
+		case resp.ContentLength != c.length || int64(len(body)) != c.length:
+			t.Errorf("range %q: ContentLength=%d body=%d, want %d", c.rng, resp.ContentLength, len(body), c.length)
+		case len(resp.TransferEncoding) != 0:
+			t.Errorf("range %q: sent with Transfer-Encoding %v", c.rng, resp.TransferEncoding)
+		case resp.Header.Get("Content-Type") != "application/octet-stream":
+			t.Errorf("range %q: Content-Type %q", c.rng, resp.Header.Get("Content-Type"))
+		}
+	}
+
+	// The edge clamps a range past the end; the short answer is refused.
+	auth, err := cli.Authorize(id.NewGUID(), obj.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.FetchRange(obj.ID, auth.Token, obj.Size-10, 20); err == nil || !strings.Contains(err.Error(), "declares 10 bytes") {
+		t.Errorf("clamped range: err=%v, want a declared-length refusal", err)
+	}
+	// A server that lies about the length is refused before its body is read.
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "5")
+		w.WriteHeader(http.StatusPartialContent)
+		w.Write([]byte("hello"))
+	}))
+	defer liar.Close()
+	lc := &Client{BaseURL: liar.URL}
+	if _, err := lc.FetchRange(obj.ID, auth.Token, 0, 100); err == nil {
+		t.Error("response declaring 5 of 100 bytes accepted")
 	}
 }
 

@@ -273,23 +273,26 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 	}
 	size := m.Object.Size
 	start, length := int64(0), size
+	status := http.StatusOK
+	h := w.Header()
 	if rng := r.Header.Get("Range"); rng != "" {
 		start, length, err = parseRange(rng, size)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
 			return
 		}
-		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
-		w.WriteHeader(http.StatusPartialContent)
+		h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
+		status = http.StatusPartialContent
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	buf := make([]byte, 64<<10)
+	// Headers take effect only before WriteHeader; a known Content-Length
+	// also keeps the body from going out chunked.
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.FormatInt(length, 10))
+	w.WriteHeader(status)
+	buf := make([]byte, min(length, 64<<10))
 	var sent int64
 	for sent < length {
-		n := int64(len(buf))
-		if length-sent < n {
-			n = length - sent
-		}
+		n := min(length-sent, int64(len(buf)))
 		content.SyntheticBody(oid, start+sent, buf[:n])
 		wn, err := w.Write(buf[:n])
 		sent += int64(wn)

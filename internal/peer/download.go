@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -317,6 +318,13 @@ func (d *Download) Degraded() bool {
 // never resumed.
 func (d *Download) Abort() { d.finish(protocol.OutcomeAborted) }
 
+// ended reports whether the download reached its terminal state.
+func (d *Download) ended() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.state == stateDone
+}
+
 // Progress returns verified and total piece counts.
 func (d *Download) Progress() (havePieces, totalPieces int) {
 	d.mu.Lock()
@@ -535,6 +543,11 @@ func (d *Download) connect(p protocol.PeerInfo) {
 	d.mu.Unlock()
 	poke(d.wake)
 	if err != nil {
+		if d.ended() {
+			// The download ended during the handshake (attachConn refused
+			// the connection): not the remote's fault, nothing to blame.
+			return
+		}
 		d.c.metrics.swarmDialErrors.Inc()
 		d.c.logf("swarm dial %s: %v", p.Addr, err)
 		d.c.blacklistPeer(p.GUID)
@@ -642,11 +655,18 @@ func (d *Download) edgeFetcher() {
 			continue
 		}
 		fetchStart := time.Now()
-		data, err := d.c.edge.FetchPiece(d.manifest, d.token, idx)
+		var stored bool
+		err := d.c.edge.FetchPiece(d.manifest, d.token, idx, func(data []byte) (err error) {
+			stored, err = d.put(idx, data)
+			return err
+		})
 		d.mu.Lock()
 		d.releaseLocked(idx)
 		d.mu.Unlock()
 		if err != nil {
+			if d.ended() {
+				return // the download ended under the fetch: the failure is moot
+			}
 			d.c.logf("edge fetch piece %d: %v", idx, err)
 			d.c.metrics.retriesEdge.Inc()
 			select {
@@ -660,7 +680,9 @@ func (d *Download) edgeFetcher() {
 		d.c.metrics.edgeFetchMs.Observe(float64(el) / float64(time.Millisecond))
 		d.trace.Observe(telemetry.StageEdgeFetch, el)
 		bo.Reset()
-		d.storeVerified(idx, data, id.GUID{}, true)
+		if stored {
+			d.accept(idx, id.GUID{}, true)
+		}
 	}
 }
 
@@ -746,7 +768,8 @@ func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 		d.dropRequestLocked(sc)
 	}
 	d.mu.Unlock()
-	if err := d.manifest.Verify(idx, data); err != nil {
+	stored, err := d.put(idx, data)
+	if err != nil {
 		// "If a peer cannot validate a file piece, it discards the piece
 		// and does not upload it to other peers" (§3.5).
 		d.mu.Lock()
@@ -780,7 +803,9 @@ func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 		d.kickScheduler(sc)
 		return
 	}
-	d.storeVerified(idx, data, sc.remote, false)
+	if stored {
+		d.accept(idx, sc.remote, false)
+	}
 	d.kickScheduler(sc)
 }
 
@@ -816,22 +841,30 @@ func (d *Download) disableP2P(reason string) {
 		fmt.Sprintf("object %v reason %s", d.oid, reason))
 }
 
-// storeVerified persists a verified piece, updates accounting, announces it
-// to the swarm, and completes the download when it was the last piece.
-func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool) {
-	d.mu.Lock()
-	skip := d.state == stateDone || d.have.Has(idx) // end-game duplicate: drop silently
-	d.mu.Unlock()
-	if skip {
-		return
+// put hands a received piece to the store, whose Put verifies it — the one
+// SHA-256 a received piece gets, end-game duplicates included — and takes
+// ownership of data. It reports whether the piece was stored; an error wraps
+// content.ErrCorrupt and blames the source. A storage failure is not the
+// source's fault: it is a user-side problem (e.g. the disk is full), a
+// "failed (other)" outcome in §5.2.
+func (d *Download) put(idx int, data []byte) (bool, error) {
+	if d.ended() {
+		return false, nil
 	}
-	if err := d.c.store.Put(d.manifest, idx, data); err != nil {
-		// The piece verified but storage failed: a user-side problem
-		// (e.g. the disk is full), a "failed (other)" outcome in §5.2.
-		d.c.logf("store piece %d: %v", idx, err)
-		d.finish(protocol.OutcomeFailedOther)
-		return
+	err := d.c.store.Put(d.manifest, idx, data)
+	if err == nil || errors.Is(err, content.ErrCorrupt) {
+		return err == nil, err
 	}
+	d.c.logf("store piece %d: %v", idx, err)
+	d.finish(protocol.OutcomeFailedOther)
+	return false, nil
+}
+
+// accept books a piece put just stored: accounting, the announcement to the
+// swarm, and completion when it was the last piece. An end-game duplicate
+// is already booked and changes nothing.
+func (d *Download) accept(idx int, from id.GUID, infra bool) {
+	n := int64(d.manifest.Object.PieceLength(idx))
 	d.mu.Lock()
 	if d.have.Has(idx) {
 		d.mu.Unlock()
@@ -841,14 +874,14 @@ func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool)
 	d.have.Set(idx)
 	rescue := false
 	if infra {
-		d.bytesInfra += int64(len(data))
+		d.bytesInfra += n
 		if d.edgeUrgent[idx] {
 			delete(d.edgeUrgent, idx)
 			rescue = true
 		}
 	} else {
-		d.bytesPeers += int64(len(data))
-		d.fromPeers[from] += int64(len(data))
+		d.bytesPeers += n
+		d.fromPeers[from] += n
 		d.lastPeerPiece = now
 	}
 	haveCount := d.have.Count()
@@ -858,16 +891,16 @@ func (d *Download) storeVerified(idx int, data []byte, from id.GUID, infra bool)
 	d.mu.Unlock()
 	if infra {
 		d.c.metrics.piecesEdge.Inc()
-		d.c.metrics.bytesDownEdge.Add(int64(len(data)))
+		d.c.metrics.bytesDownEdge.Add(n)
 	} else {
 		d.c.metrics.piecesPeers.Inc()
-		d.c.metrics.bytesDownPeers.Add(int64(len(data)))
+		d.c.metrics.bytesDownPeers.Add(n)
 	}
 	if d.play != nil {
 		d.play.OnPiece(idx, now.UnixMilli())
 		if rescue {
-			d.play.AddEdgeRescue(int64(len(data)))
-			d.c.metrics.streamEdgeRescueBytes.Add(int64(len(data)))
+			d.play.AddEdgeRescue(n)
+			d.c.metrics.streamEdgeRescueBytes.Add(n)
 		}
 	}
 	// The piece is durable; make the progress record durable too, so a crash

@@ -126,16 +126,16 @@ func (p *edgePool) FetchManifest(oid content.ObjectID) (*content.Manifest, error
 	return out, err
 }
 
-// FetchPiece downloads and verifies one piece with failover.
-func (p *edgePool) FetchPiece(m *content.Manifest, token []byte, index int) ([]byte, error) {
-	var out []byte
-	err := p.do(func(c *edge.Client) error {
+// FetchPiece downloads one piece with failover and hands it to put, which
+// verifies and stores it. A piece put refuses is that server's failure like
+// any other bad response: it feeds the server's breaker and the next server
+// is tried.
+func (p *edgePool) FetchPiece(m *content.Manifest, token []byte, index int, put func([]byte) error) error {
+	return p.do(func(c *edge.Client) error {
 		data, err := c.FetchPiece(m, token, index)
 		if err != nil {
 			return err
 		}
-		out = data
-		return nil
+		return put(data)
 	})
-	return out, err
 }

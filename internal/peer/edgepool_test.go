@@ -64,7 +64,8 @@ func TestEdgePoolFailoverAndStickiness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.FetchPiece(m, auth.Token, 0); err != nil {
+	store := content.NewMemStore()
+	if err := pool.FetchPiece(m, auth.Token, 0, func(data []byte) error { return store.Put(m, 0, data) }); err != nil {
 		t.Fatal(err)
 	}
 

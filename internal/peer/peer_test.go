@@ -9,6 +9,7 @@ import (
 	"netsession/internal/content"
 	"netsession/internal/controlplane"
 	"netsession/internal/edge"
+	"netsession/internal/faults"
 	"netsession/internal/geo"
 	"netsession/internal/protocol"
 )
@@ -30,6 +31,21 @@ type deployment struct {
 
 func newDeployment(t *testing.T, numCNs int, objs ...*content.Object) *deployment {
 	t.Helper()
+	return startDeployment(t, numCNs, 0, objs)
+}
+
+// newWANDeployment is a one-CN deployment whose edge answers every request
+// 2 ms late, standing in for the WAN round trip that makes a nearby peer
+// the better source. Tests that assert peers carried bytes use it: on bare
+// loopback a small object can come entirely from the edge before the first
+// peer query is answered.
+func newWANDeployment(t *testing.T, objs ...*content.Object) *deployment {
+	t.Helper()
+	return startDeployment(t, 1, 2*time.Millisecond, objs)
+}
+
+func startDeployment(t *testing.T, numCNs int, edgeLatency time.Duration, objs []*content.Object) *deployment {
+	t.Helper()
 	acfg := geo.DefaultAtlasConfig()
 	acfg.TailCountries = 2
 	atlas := geo.GenerateAtlas(acfg)
@@ -44,6 +60,9 @@ func newDeployment(t *testing.T, numCNs int, objs ...*content.Object) *deploymen
 		}
 	}
 	es := edge.NewServer(cat, minter, ledger, edge.DefaultClientConfig())
+	if edgeLatency > 0 {
+		es.UseFaults(faults.New(faults.Config{LatencyMin: edgeLatency, LatencyMax: edgeLatency}, es.Metrics()))
+	}
 	if err := es.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +217,7 @@ func TestEdgeOnlyDownload(t *testing.T) {
 
 func TestPeerAssistedDownload(t *testing.T) {
 	obj := e2eObject(t, 512_000, true)
-	d := newDeployment(t, 1, obj)
+	d := newWANDeployment(t, obj)
 	d.seed("US", obj)
 
 	c := d.spawnPeer("US", true, protocol.NATNone)
@@ -255,7 +274,7 @@ func TestPeerAssistedDownload(t *testing.T) {
 
 func TestSwarmScalesToManySeeds(t *testing.T) {
 	obj := e2eObject(t, 400_000, true)
-	d := newDeployment(t, 1, obj)
+	d := newWANDeployment(t, obj)
 	d.seed("US", obj)
 	d.seed("US", obj)
 	d.waitCopies("US", obj.ID, 2)

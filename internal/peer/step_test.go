@@ -129,10 +129,13 @@ func (r *stepRig) piece(i int) []byte {
 
 // edgeDeliver completes an edge fetch the way edgeFetcher does.
 func (r *stepRig) edgeDeliver(i int) {
+	stored, _ := r.d.put(i, r.piece(i))
 	r.d.mu.Lock()
 	r.d.releaseLocked(i)
 	r.d.mu.Unlock()
-	r.d.storeVerified(i, r.piece(i), id.GUID{}, true)
+	if stored {
+		r.d.accept(i, id.GUID{}, true)
+	}
 }
 
 func (r *stepRig) done() bool {

@@ -2,28 +2,32 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"netsession/internal/content"
 	"netsession/internal/id"
 )
 
-// BenchmarkPieceRoundTrip measures framing cost for a 64 KiB piece — the
-// hot path of every swarm transfer.
+// BenchmarkPieceRoundTrip measures framing cost for a 64 KiB and a 256 KiB
+// piece — the hot path of every swarm transfer.
 func BenchmarkPieceRoundTrip(b *testing.B) {
-	data := make([]byte, 64<<10)
-	msg := &Piece{Index: 42, Data: data}
-	var buf bytes.Buffer
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := WriteMessage(&buf, msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ReadMessage(&buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []int{64 << 10, 256 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			msg := &Piece{Index: 42, Data: make([]byte, size)}
+			var buf bytes.Buffer
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := WriteMessage(&buf, msg); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ReadMessage(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,6 +13,9 @@ import (
 // enforced at the framing layer.
 type encoder struct {
 	buf []byte
+	// tail is the message's last field, a byte string WriteMessage sends
+	// from the caller's slice instead of copying it into buf.
+	tail []byte
 }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -32,6 +35,13 @@ func (e *encoder) boolean(v bool) {
 func (e *encoder) bytes(v []byte) {
 	e.u32(uint32(len(v)))
 	e.buf = append(e.buf, v...)
+}
+
+// ref encodes a length-prefixed byte string by reference. It must be the
+// message's last field: only its length goes into buf.
+func (e *encoder) ref(v []byte) {
+	e.u32(uint32(len(v)))
+	e.tail = v
 }
 
 func (e *encoder) str(v string) { e.bytes([]byte(v)) }
@@ -101,6 +111,19 @@ func (d *decoder) i64() int64 { return int64(d.u64()) }
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 
 func (d *decoder) bytes() []byte {
+	b := d.ref()
+	if d.err != nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// ref decodes a length-prefixed byte string without copying it: the result
+// aliases the payload, which ReadMessage allocates for one message alone.
+// Its capacity is capped, so an append cannot spill into the payload.
+func (d *decoder) ref() []byte {
 	n := d.u32()
 	if d.err != nil {
 		return nil
@@ -110,9 +133,7 @@ func (d *decoder) bytes() []byte {
 		return nil
 	}
 	b := d.take(int(n))
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b[:n:n]
 }
 
 func (d *decoder) str() string { return string(d.bytes()) }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 )
 
 // Framing constants.
@@ -92,19 +93,30 @@ type Message interface {
 	decodeFrom(d *decoder)
 }
 
-// WriteMessage frames and writes one message.
+// WriteMessage frames and writes one message. A by-reference tail (a
+// Piece's Data) is never copied: header and body go out as net.Buffers, one
+// writev on a TCP connection, and the CRC runs over both parts in turn.
 func WriteMessage(w io.Writer, m Message) error {
-	var e encoder
+	e := encoder{buf: make([]byte, headerLen, headerLen+64)}
 	m.encodeTo(&e)
-	payload := e.buf
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("protocol: %v payload %d exceeds max %d", m.Type(), len(payload), MaxPayload)
+	n := len(e.buf) - headerLen + len(e.tail)
+	if n > MaxPayload {
+		return fmt.Errorf("protocol: %v payload %d exceeds max %d", m.Type(), n, MaxPayload)
 	}
-	hdr := make([]byte, headerLen, headerLen+len(payload))
+	hdr := e.buf[:headerLen]
 	hdr[0], hdr[1], hdr[2], hdr[3] = magic0, magic1, Version, byte(m.Type())
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(append(hdr, payload...))
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
+	crc := crc32.Update(crc32.ChecksumIEEE(e.buf[headerLen:]), crc32.IEEETable, e.tail)
+	binary.BigEndian.PutUint32(hdr[8:12], crc)
+	if len(e.tail) == 0 {
+		_, err := w.Write(e.buf)
+		return err
+	}
+	bufs := net.Buffers{e.buf, e.tail}
+	wrote, err := bufs.WriteTo(w)
+	if err == nil && wrote != int64(headerLen+n) {
+		err = io.ErrShortWrite // net.Buffers does not check a lying Writer
+	}
 	return err
 }
 

@@ -30,6 +30,15 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{'N', 'S', 1, 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	// A Piece whose Data spans several 256-byte blocks, written by
+	// reference: the decoder's aliasing path with a non-trivial body.
+	var piece bytes.Buffer
+	data := make([]byte, 700)
+	content.SyntheticBody(content.NewObjectID(1, "u", 1), 300, data)
+	if err := WriteMessage(&piece, &Piece{Index: 1 << 20, Data: data}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(piece.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMessage(bytes.NewReader(data))

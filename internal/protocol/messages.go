@@ -568,7 +568,9 @@ func (*Request) Type() MsgType           { return TRequest }
 func (m *Request) encodeTo(e *encoder)   { e.u32(m.Index) }
 func (m *Request) decodeFrom(d *decoder) { m.Index = d.u32() }
 
-// Piece delivers piece data.
+// Piece delivers piece data. Data travels by reference both ways: it is
+// written straight from the sender's slice, and a decoded Data aliases the
+// frame payload ReadMessage allocated for this message.
 type Piece struct {
 	Index uint32
 	Data  []byte
@@ -578,12 +580,12 @@ func (*Piece) Type() MsgType { return TPiece }
 
 func (m *Piece) encodeTo(e *encoder) {
 	e.u32(m.Index)
-	e.bytes(m.Data)
+	e.ref(m.Data)
 }
 
 func (m *Piece) decodeFrom(d *decoder) {
 	m.Index = d.u32()
-	m.Data = d.bytes()
+	m.Data = d.ref()
 }
 
 // Cancel withdraws an outstanding Request.

@@ -264,6 +264,14 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
+// Failures returns the consecutive failures counted since the last success
+// or trip.
+func (b *Breaker) Failures() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.failures
+}
+
 // Trips returns how many times the breaker has opened.
 func (b *Breaker) Trips() int64 {
 	b.mu.Lock()

@@ -12,7 +12,11 @@ import (
 // example does: start a cluster, publish an object, seed it, and download
 // it peer-assisted on a second peer.
 func TestClusterEndToEnd(t *testing.T) {
-	c, err := StartCluster(DefaultClusterConfig())
+	cfg := DefaultClusterConfig()
+	// A WAN-like edge: on bare loopback the leech can take all 25 pieces
+	// from the edge before its peer query is answered.
+	cfg.EdgeFaults = FaultProfile{LatencyMin: 2 * time.Millisecond, LatencyMax: 2 * time.Millisecond}
+	c, err := StartCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
