@@ -211,30 +211,47 @@ func (c *Collector) Configure(limits Limits, reg *telemetry.Registry) {
 }
 
 // AddDownload records a download report, returning an error if it was
-// rejected by verification.
+// rejected: for a negative size or count, with or without a verifier, or by
+// verification.
 func (c *Collector) AddDownload(rec DownloadRecord) error {
-	if c.verifier != nil {
-		if err := c.verifier.CheckDownload(&rec); err != nil {
-			c.mu.Lock()
-			c.rejected++
-			m := c.metrics
-			c.mu.Unlock()
-			if m != nil {
-				switch {
-				case errors.Is(err, ErrUnauthorized):
-					m.rejUnauthorized.Inc()
-				case errors.Is(err, ErrOverclaim):
-					m.rejOverclaim.Inc()
-				default:
-					m.rejOther.Inc()
-				}
+	err := checkNonNegative(&rec)
+	if err == nil && c.verifier != nil {
+		err = c.verifier.CheckDownload(&rec)
+	}
+	if err != nil {
+		c.mu.Lock()
+		c.rejected++
+		m := c.metrics
+		c.mu.Unlock()
+		if m != nil {
+			switch {
+			case errors.Is(err, ErrUnauthorized):
+				m.rejUnauthorized.Inc()
+			case errors.Is(err, ErrOverclaim):
+				m.rejOverclaim.Inc()
+			default:
+				m.rejOther.Inc()
 			}
-			return err
 		}
+		return err
 	}
 	c.mu.Lock()
 	c.finishPush(c.downloads.push(rec), c.metrics.downloadsCounter())
 	c.mu.Unlock()
+	return nil
+}
+
+// checkNonNegative refuses a record whose sizes or counts are negative: it
+// would subtract from billing and analytics, and the verifier's overclaim
+// bound only looks upward.
+func checkNonNegative(rec *DownloadRecord) error {
+	bad := rec.Size < 0 || rec.BytesInfra < 0 || rec.BytesPeers < 0 || rec.PeersReturned < 0
+	for _, pc := range rec.FromPeers {
+		bad = bad || pc.Bytes < 0
+	}
+	if bad {
+		return fmt.Errorf("accounting: peer %s reports negative sizes for %v", rec.GUID.Short(), rec.Object)
+	}
 	return nil
 }
 

@@ -130,6 +130,43 @@ func TestCollectorRejectReasonCounters(t *testing.T) {
 	}
 }
 
+// TestCollectorRejectsNegativeCounts: a negative size or byte count would
+// subtract from billing and analytics. The collector refuses it even with no
+// verifier (the control plane's default), and an accepting verifier cannot
+// let it through either.
+func TestCollectorRejectsNegativeCounts(t *testing.T) {
+	bad := []DownloadRecord{
+		{Size: -1},
+		{Size: 100, BytesInfra: -1 << 40},
+		{Size: 100, BytesPeers: -5},
+		{Size: 100, PeersReturned: -1},
+		{Size: 100, FromPeers: []PeerContribution{{Bytes: 10}, {Bytes: -10}}},
+	}
+	for _, v := range []Verifier{nil, reasonVerifier{}} {
+		reg := telemetry.NewRegistry()
+		c := NewCollector(v)
+		c.Configure(Limits{}, reg)
+		for i, rec := range bad {
+			if err := c.AddDownload(rec); err == nil {
+				t.Fatalf("verifier %T: negative record %d accepted: %+v", v, i, rec)
+			}
+		}
+		if err := c.AddDownload(DownloadRecord{Size: 100, BytesInfra: 60, BytesPeers: 40,
+			FromPeers: []PeerContribution{{Bytes: 40}}}); err != nil {
+			t.Fatalf("verifier %T: valid record rejected: %v", v, err)
+		}
+		if got := c.Rejected(); got != len(bad) {
+			t.Fatalf("verifier %T: Rejected() = %d, want %d", v, got, len(bad))
+		}
+		if got := reg.Snapshot().Counters[`accounting_rejected_total{reason="other"}`]; got != int64(len(bad)) {
+			t.Fatalf("verifier %T: other-reason rejects = %d, want %d", v, got, len(bad))
+		}
+		if got := len(c.Snapshot().Downloads); got != 1 {
+			t.Fatalf("verifier %T: log holds %d downloads, want 1", v, got)
+		}
+	}
+}
+
 // TestCollectorEagerSeries: every kind and reject reason must exist at zero
 // before any report arrives, so dashboards and the satellite assertions on
 // /metrics never miss a series.

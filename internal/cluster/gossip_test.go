@@ -138,15 +138,20 @@ func TestMembershipGarbageStatusDoc(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	// Probe rounds run synchronously with a generous timeout: on a loaded box
+	// a 5 ms timeout would fail the probe itself and demote the node for the
+	// wrong reason.
+	const failAfter = 2
 	m := New(Config{
-		Self:          Node{ID: "cp-0"},
-		Seeds:         []Node{{ID: "cp-1", StatusURL: srv.URL}},
-		ProbeInterval: 5 * time.Millisecond,
-		FailAfter:     2,
+		Self:         Node{ID: "cp-0"},
+		Seeds:        []Node{{ID: "cp-1", StatusURL: srv.URL}},
+		ProbeTimeout: 30 * time.Second,
+		FailAfter:    failAfter,
 	})
-	m.Start()
 	defer m.Stop()
-	time.Sleep(50 * time.Millisecond)
+	for i := 0; i <= failAfter; i++ {
+		m.probeAll()
+	}
 	if m.AliveCount() != 2 {
 		t.Fatal("garbage status doc demoted a live node; 200 alone should prove liveness")
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 // cpAnalytics is the control plane's live paper-metrics pipeline: every
-// accepted download record — whether it arrived on the in-band StatsReport
-// path or through a logpipe batch — is folded into a sharded streaming
-// summarizer, and the headline quantities are mirrored onto Prometheus
-// series. The full document is served on GET /v1/analytics for the monitor's
-// fleet view and the report dashboard.
+// accepted download record — whether its entry arrived in-band on the
+// control connection or through a logpipe batch — is folded into a sharded
+// streaming summarizer, and the headline quantities are mirrored onto
+// Prometheus series. The full document is served on GET /v1/analytics for
+// the monitor's fleet view and the report dashboard.
 type cpAnalytics struct {
 	summarizer *analysis.ShardedTally
 

@@ -14,6 +14,7 @@ import (
 	"netsession/internal/content"
 	"netsession/internal/geo"
 	"netsession/internal/id"
+	"netsession/internal/logpipe"
 	"netsession/internal/protocol"
 	"netsession/internal/selection"
 )
@@ -220,8 +221,14 @@ func (cn *CN) handle(s *session, msg protocol.Message) {
 				HaveCount: e.HaveCount, Complete: e.Complete,
 			})
 		}
-	case *protocol.StatsReport:
-		cn.handleStats(s, m)
+	case *protocol.UsageLog:
+		// The record is booked to this session's GUID, never to the GUID the
+		// entry names: a peer reports only its own downloads. An undecodable
+		// entry is dropped; verification failures are dropped here too, and
+		// the collector counts them.
+		if e, err := logpipe.DecodeEntry(m.Entry); err == nil {
+			_ = cn.cp.ingestEntry(s.guid, e)
+		}
 	case *protocol.Ping:
 		s.send(&protocol.Pong{Nonce: m.Nonce})
 	default:
@@ -292,50 +299,6 @@ func (cn *CN) handleRegister(s *session, m *protocol.Register) {
 		Complete:     m.Complete,
 		RegisteredMs: cn.cp.now(),
 	}, cn.cp.now())
-}
-
-func (cn *CN) handleStats(s *session, m *protocol.StatsReport) {
-	cn.cp.metrics.statsReports.Inc()
-	rec := accounting.DownloadRecord{
-		GUID:          s.guid,
-		IP:            s.rec.IP,
-		Object:        m.Object,
-		URLHash:       m.URLHash,
-		CP:            content.CPCode(m.CP),
-		Size:          int64(m.Size),
-		StartMs:       m.StartUnixMs,
-		EndMs:         m.EndUnixMs,
-		BytesInfra:    int64(m.BytesInfra),
-		BytesPeers:    int64(m.BytesPeers),
-		Outcome:       m.Outcome,
-		PeersReturned: int(m.PeersReturned),
-	}
-	for _, pb := range m.FromPeers {
-		pc := accounting.PeerContribution{GUID: pb.GUID, Bytes: int64(pb.Bytes)}
-		if up := cn.cp.lookupSession(pb.GUID); up != nil {
-			pc.IP = up.rec.IP
-		}
-		rec.FromPeers = append(rec.FromPeers, pc)
-	}
-	if st := m.Stream; st != nil {
-		rec.Stream = &accounting.StreamStats{
-			BitrateBps:      int64(st.BitrateBps),
-			StartupDelayMs:  int64(st.StartupDelayMs),
-			RebufferCount:   int64(st.RebufferCount),
-			RebufferMs:      int64(st.RebufferMs),
-			DeadlineMisses:  int64(st.DeadlineMisses),
-			PiecesPlayed:    int64(st.PiecesPlayed),
-			PiecesTotal:     int64(st.PiecesTotal),
-			EdgeRescueBytes: int64(st.EdgeRescueBytes),
-		}
-	}
-	// Attribute p2p enablement from the token when possible.
-	if claims, err := cn.cp.cfg.Minter.Verify(m.Token, 0); err == nil && claims.Object == m.Object {
-		rec.P2PEnabled = claims.P2P
-	}
-	// Verification failures are dropped silently here; the collector
-	// counts them and operators watch the monitor.
-	_ = cn.cp.recordDownload(rec)
 }
 
 func (s *session) send(m protocol.Message) {

@@ -1,10 +1,12 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"netsession/internal/edge"
 	"netsession/internal/geo"
 	"netsession/internal/id"
+	"netsession/internal/logpipe"
 	"netsession/internal/protocol"
 )
 
@@ -378,6 +381,21 @@ func TestSessionReplacedOnReconnect(t *testing.T) {
 	}
 }
 
+// sendUsage sends a usage entry in-band, as a peer without a log spool does.
+func (p *rawPeer) sendUsage(e *logpipe.Entry) {
+	p.t.Helper()
+	raw, err := logpipe.EncodeEntry(e)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.send(&protocol.UsageLog{Entry: raw})
+}
+
+func usageEntry(oid content.ObjectID, size, infra int64, token []byte) *logpipe.Entry {
+	return &logpipe.Entry{Kind: logpipe.EntryKindDownload, Object: logpipe.EncodeObjectID(oid),
+		CP: 7, Size: size, BytesInfra: infra, Token: token}
+}
+
 func TestStatsVerificationFiltersForgedReports(t *testing.T) {
 	ledger := edge.NewLedger()
 	var collector *accounting.Collector
@@ -388,32 +406,114 @@ func TestStatsVerificationFiltersForgedReports(t *testing.T) {
 	oid := content.NewObjectID(7, "file", 1)
 	p := h.dialPeer("US", true)
 	expect[*protocol.LoginAck](p)
+	other := h.dialPeer("DE", true)
+	expect[*protocol.LoginAck](other)
+	waitFor(t, "both sessions", func() bool { return h.cp.Connected(p.guid) && h.cp.Connected(other.guid) })
+	downloads := func() []accounting.DownloadRecord { return collector.Snapshot().Downloads }
 
 	// Forged: never authorized by the edge.
-	p.send(&protocol.StatsReport{Object: oid, CP: 7, Size: 100, BytesInfra: 100})
+	p.sendUsage(usageEntry(oid, 100, 100, nil))
 	waitFor(t, "rejected report", func() bool { return collector.Rejected() == 1 })
 
 	// Legitimate: authorized, and claimed infra bytes within what the edge
 	// served.
 	ledger.RecordAuthorization(p.guid, oid)
 	ledger.RecordServed(p.guid, oid, 1000)
-	p.send(&protocol.StatsReport{Object: oid, CP: 7, Size: 1000, BytesInfra: 900,
-		Token: h.token(p.guid, oid, true)})
-	waitFor(t, "accepted report", func() bool {
-		return len(collector.Snapshot().Downloads) == 1
-	})
-	rec := collector.Snapshot().Downloads[0]
+	token := h.token(p.guid, oid, true)
+	p.sendUsage(usageEntry(oid, 1000, 900, token))
+	waitFor(t, "accepted report", func() bool { return len(downloads()) == 1 })
+	rec := downloads()[0]
 	if !rec.P2PEnabled {
 		t.Error("p2p flag not recovered from token")
 	}
-	if rec.IP != p.rec.IP {
-		t.Error("download record not attributed to declared IP")
+	if rec.GUID != p.guid || rec.IP != p.rec.IP {
+		t.Errorf("record booked to %s at %v, want the session's %s at %v", rec.GUID.Short(), rec.IP, p.guid.Short(), p.rec.IP)
+	}
+
+	// Impersonation: an entry naming another live peer's GUID and IP is
+	// booked to the session that sent it.
+	spoof := usageEntry(oid, 1000, 800, token)
+	spoof.GUID, spoof.IP = other.guid.String(), other.rec.IP.String()
+	p.sendUsage(spoof)
+	waitFor(t, "spoofed report", func() bool { return len(downloads()) == 2 })
+	if rec := downloads()[1]; rec.GUID != p.guid || rec.IP != p.rec.IP {
+		t.Errorf("spoofed record booked to %s at %v, want the session's %s at %v", rec.GUID.Short(), rec.IP, p.guid.Short(), p.rec.IP)
+	}
+
+	// A streaming record survives the in-band path field for field, and its
+	// contributor is attributed to the contributor's live session.
+	stream := usageEntry(oid, 1000, 400, token)
+	stream.BytesPeers = 600
+	stream.FromPeers = []logpipe.EntryContribution{{GUID: other.guid.String(), Bytes: 600}}
+	stream.Stream = &logpipe.EntryStream{BitrateBps: 3_000_000, StartupDelayMs: 420, RebufferCount: 2,
+		RebufferMs: 900, DeadlineMisses: 3, PiecesPlayed: 40, PiecesTotal: 48, EdgeRescueBytes: 1 << 20}
+	p.sendUsage(stream)
+	waitFor(t, "stream report", func() bool { return len(downloads()) == 3 })
+	rec = downloads()[2]
+	wantStream := accounting.StreamStats{BitrateBps: 3_000_000, StartupDelayMs: 420, RebufferCount: 2,
+		RebufferMs: 900, DeadlineMisses: 3, PiecesPlayed: 40, PiecesTotal: 48, EdgeRescueBytes: 1 << 20}
+	if rec.Stream == nil || *rec.Stream != wantStream {
+		t.Errorf("stream sub-record %+v, want %+v", rec.Stream, wantStream)
+	}
+	wantFrom := []accounting.PeerContribution{{GUID: other.guid, IP: other.rec.IP, Bytes: 600}}
+	if !reflect.DeepEqual(rec.FromPeers, wantFrom) || rec.BytesPeers != 600 {
+		t.Errorf("contributors %+v (%d peer bytes), want %+v", rec.FromPeers, rec.BytesPeers, wantFrom)
 	}
 
 	// Inflated: claims more infra bytes than the edge served.
-	p.send(&protocol.StatsReport{Object: oid, CP: 7, Size: 1e9,
-		BytesInfra: 1 << 40, Token: h.token(p.guid, oid, true)})
+	p.sendUsage(usageEntry(oid, 1e9, 1<<40, token))
 	waitFor(t, "second rejection", func() bool { return collector.Rejected() == 2 })
+	if got := h.cp.Metrics().Snapshot().Counters["cp_stats_reports_total"]; got != 5 {
+		t.Errorf("cp_stats_reports_total = %d, want one per report (5)", got)
+	}
+}
+
+// TestNegativeUsageRejectedOnBothTransports: a record with negative bytes
+// must never be booked, whether it arrives in-band or in an uploaded batch,
+// and even on a control plane without an edge verifier (netsession-cp's
+// default).
+func TestNegativeUsageRejectedOnBothTransports(t *testing.T) {
+	h := newHarness(t, nil)
+	oid := content.NewObjectID(7, "file", 1)
+	p := h.dialPeer("US", true)
+	expect[*protocol.LoginAck](p)
+	collector := h.cp.Collector()
+
+	p.sendUsage(usageEntry(oid, 1000, -1<<40, nil))
+	waitFor(t, "in-band rejection", func() bool { return collector.Rejected() == 1 })
+
+	neg := usageEntry(oid, 1000, 0, nil)
+	neg.BytesPeers = 500
+	neg.FromPeers = []logpipe.EntryContribution{{GUID: id.NewGUID().String(), Bytes: -500}}
+	line, err := logpipe.EncodeEntry(neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := logpipe.MarshalSegment([][]byte{line})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, logpipe.BatchPath, bytes.NewReader(body))
+	req.Header.Set(logpipe.HeaderGUID, p.guid.String())
+	req.Header.Set(logpipe.HeaderSeq, "1")
+	w := httptest.NewRecorder()
+	h.cp.LogIngest().Handler().ServeHTTP(w, req)
+	var resp logpipe.BatchResponse
+	if err := json.NewDecoder(w.Body).Decode(&resp); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("ingest answered %d (%v)", w.Code, err)
+	}
+	if resp.Accepted != 0 || resp.Rejected != 1 {
+		t.Errorf("ingest accepted %d, rejected %d; want the record rejected", resp.Accepted, resp.Rejected)
+	}
+	if got := collector.Rejected(); got != 2 {
+		t.Errorf("Rejected() = %d, want 2", got)
+	}
+	if got := len(collector.Snapshot().Downloads); got != 0 {
+		t.Errorf("%d negative records booked", got)
+	}
+	if got := h.cp.Metrics().Snapshot().Counters[`accounting_rejected_total{reason="other"}`]; got != 2 {
+		t.Errorf(`accounting_rejected_total{reason="other"} = %d, want 2`, got)
+	}
 }
 
 func TestMonitorIngestAndHTTP(t *testing.T) {

@@ -12,11 +12,12 @@ import (
 	"netsession/internal/protocol"
 )
 
-// The log sink is where both report paths converge: the legacy in-band
-// StatsReport on the control connection and the batched logpipe upload both
-// become accounting.DownloadRecords here, flow through the same verifier, and
-// — when a segment store is configured — are spilled durably in the offline
-// analysis schema. One code path, two transports.
+// The log sink is where both report transports converge. A usage record is
+// one logpipe.Entry whether it rode a batch to POST /v1/logs/batch or a
+// protocol.UsageLog on the control connection; ingestEntry turns it into an
+// accounting.DownloadRecord, the collector's verifier checks it, and — when a
+// segment store is configured — it is spilled durably in the offline
+// analysis schema. One schema, one converter, two transports.
 
 // recordDownload verifies and books one download record. Verification
 // failures are returned (and counted by the collector); store spill errors
@@ -38,10 +39,12 @@ func (cp *ControlPlane) recordDownload(rec accounting.DownloadRecord) error {
 	return nil
 }
 
-// ingestEntry is the logpipe ingest handler: one uploaded log entry becomes
-// a download record attributed to the uploading GUID. A returned error
-// rejects just that record; the batch is still acknowledged.
+// ingestEntry books one usage entry from either transport as a download
+// record attributed to guid: the batch's uploader, or the control session
+// the entry arrived on. Entry.GUID is never trusted. A returned error
+// rejects just that record; an uploaded batch is still acknowledged.
 func (cp *ControlPlane) ingestEntry(guid id.GUID, e *logpipe.Entry) error {
+	cp.metrics.statsReports.Inc()
 	if e.Kind != logpipe.EntryKindDownload {
 		return fmt.Errorf("controlplane: unknown log entry kind %q", e.Kind)
 	}
@@ -92,13 +95,11 @@ func (cp *ControlPlane) ingestEntry(guid id.GUID, e *logpipe.Entry) error {
 			EdgeRescueBytes: st.EdgeRescueBytes,
 		}
 	}
-	// Attribute p2p enablement from the edge-issued token, exactly as the
-	// in-band StatsReport path does.
+	// Attribute p2p enablement from the edge-issued token.
 	if cp.cfg.Minter != nil && len(e.Token) > 0 {
 		if claims, verr := cp.cfg.Minter.Verify(e.Token, 0); verr == nil && claims.Object == obj {
 			rec.P2PEnabled = claims.P2P
 		}
 	}
-	cp.metrics.statsReports.Inc()
 	return cp.recordDownload(rec)
 }

@@ -2,17 +2,20 @@ package logpipe
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"netsession/internal/content"
 )
 
-// Entry is the wire schema of one client log record inside an uploaded
-// batch: the per-download usage report of §4.1 as the peer knows it, before
-// the control plane attributes geography. Objects travel as the full 64-hex
+// Entry is the one wire schema of a client usage record: the per-download
+// report of §4.1 as the peer knows it, before the control plane attributes
+// geography. It travels on two transports, as a line of an uploaded batch
+// and in-band as the body of a control-connection protocol.UsageLog, in the
+// same encoding (EncodeEntry/DecodeEntry). Objects travel as the full 64-hex
 // content ID so the CP can re-verify the report against the edge ledger, and
 // the edge-issued authorization token rides along for the accounting checks
-// of §3.5 (exactly as it does on the control-connection StatsReport path).
+// of §3.5.
 type Entry struct {
 	Kind    string `json:"kind"` // "download" is the only kind today
 	GUID    string `json:"guid"`
@@ -61,6 +64,29 @@ type EntryStream struct {
 
 // EntryKindDownload is the Entry.Kind of a per-download usage report.
 const EntryKindDownload = "download"
+
+// EncodeEntry renders an entry as one JSON line (without the newline): a
+// spool segment line and a UsageLog body are these bytes.
+func EncodeEntry(e *Entry) ([]byte, error) {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return nil, fmt.Errorf("logpipe: encode entry: %w", err)
+	}
+	return line, nil
+}
+
+// DecodeEntry parses one encoded entry. Lines beyond maxLineBytes are
+// refused before parsing, whichever transport delivered them.
+func DecodeEntry(line []byte) (*Entry, error) {
+	if len(line) > maxLineBytes {
+		return nil, fmt.Errorf("logpipe: entry of %d bytes exceeds %d", len(line), maxLineBytes)
+	}
+	var e Entry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return nil, fmt.Errorf("logpipe: decode entry: %w", err)
+	}
+	return &e, nil
+}
 
 // ObjectID parses the entry's full-length content ID.
 func (e *Entry) ObjectID() (content.ObjectID, error) {

@@ -291,14 +291,14 @@ func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err 
 		if len(line) == 0 {
 			continue
 		}
-		var e Entry
-		if uerr := json.Unmarshal(line, &e); uerr != nil {
+		e, derr := DecodeEntry(line)
+		if derr != nil {
 			rejected++
 			in.inc(in.rejBadEntry)
 			continue
 		}
 		if in.cfg.Handle != nil {
-			if herr := in.cfg.Handle(guid, &e); herr != nil {
+			if herr := in.cfg.Handle(guid, e); herr != nil {
 				rejected++
 				in.inc(in.rejBadEntry)
 				continue

@@ -18,11 +18,11 @@ import (
 )
 
 // entryLines encodes entries as the NDJSON lines a spool batch carries.
-func entryLines(t *testing.T, entries ...Entry) [][]byte {
+func entryLines(t *testing.T, entries ...*Entry) [][]byte {
 	t.Helper()
 	lines := make([][]byte, len(entries))
-	for i := range entries {
-		b, err := json.Marshal(&entries[i])
+	for i, e := range entries {
+		b, err := EncodeEntry(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +79,8 @@ func (c *countingHandler) count() int {
 	return len(c.entries)
 }
 
-func testEntry(i int) Entry {
-	return Entry{
+func testEntry(i int) *Entry {
+	return &Entry{
 		Kind: EntryKindDownload, GUID: fmt.Sprintf("entry-guid-%d", i),
 		Object: strings.Repeat("ab", 32), URLHash: "u", CP: 3001,
 		Size: 1 << 20, BytesInfra: 100, BytesPeers: 200,

@@ -204,13 +204,13 @@ func OpenSpool(cfg SpoolConfig) (*Spool, error) {
 	return s, nil
 }
 
-// Append durably adds one record (marshaled as JSON) to the spool. When the
-// open segment reaches its batch threshold it is sealed and becomes
+// Append durably adds one entry to the spool as an EncodeEntry line. When
+// the open segment reaches its batch threshold it is sealed and becomes
 // uploadable.
-func (s *Spool) Append(rec any) error {
-	line, err := json.Marshal(rec)
+func (s *Spool) Append(e *Entry) error {
+	line, err := EncodeEntry(e)
 	if err != nil {
-		return fmt.Errorf("logpipe: marshal record: %w", err)
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

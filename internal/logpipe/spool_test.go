@@ -2,7 +2,6 @@ package logpipe
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,9 +11,9 @@ import (
 	"netsession/internal/telemetry"
 )
 
-type spoolRec struct {
-	N    int    `json:"n"`
-	Note string `json:"note,omitempty"`
+// spoolRec is a numbered test entry: n rides in Size, the note in URLHash.
+func spoolRec(n int, note string) *Entry {
+	return &Entry{Kind: EntryKindDownload, Size: int64(n), URLHash: note}
 }
 
 func openTestSpool(t *testing.T, dir string, cfg SpoolConfig) *Spool {
@@ -27,17 +26,20 @@ func openTestSpool(t *testing.T, dir string, cfg SpoolConfig) *Spool {
 	return s
 }
 
-func batchRecs(t *testing.T, b Batch) []spoolRec {
+// batchNs decodes a batch and returns its entries' numbers in order.
+func batchNs(t *testing.T, b Batch) []int {
 	t.Helper()
 	lines, err := ReadSegment(bytes.NewReader(b.Data))
 	if err != nil {
 		t.Fatalf("decode batch %d: %v", b.Seq, err)
 	}
-	out := make([]spoolRec, len(lines))
+	out := make([]int, len(lines))
 	for i, l := range lines {
-		if err := json.Unmarshal(l, &out[i]); err != nil {
+		e, err := DecodeEntry(l)
+		if err != nil {
 			t.Fatalf("batch %d line %d: %v", b.Seq, i, err)
 		}
+		out[i] = int(e.Size)
 	}
 	return out
 }
@@ -46,7 +48,7 @@ func TestSpoolAppendFlushUpload(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestSpool(t, dir, SpoolConfig{})
 	for i := 0; i < 5; i++ {
-		if err := s.Append(spoolRec{N: i}); err != nil {
+		if err := s.Append(spoolRec(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,9 +72,9 @@ func TestSpoolAppendFlushUpload(t *testing.T) {
 	if b.Records != 5 {
 		t.Fatalf("batch has %d records, want 5", b.Records)
 	}
-	for i, r := range batchRecs(t, b) {
-		if r.N != i {
-			t.Fatalf("record %d has n=%d", i, r.N)
+	for i, n := range batchNs(t, b) {
+		if n != i {
+			t.Fatalf("record %d has n=%d", i, n)
 		}
 	}
 	if err := s.MarkUploaded(b.Seq); err != nil {
@@ -89,7 +91,7 @@ func TestSpoolAppendFlushUpload(t *testing.T) {
 func TestSpoolBatchThresholdSeals(t *testing.T) {
 	s := openTestSpool(t, t.TempDir(), SpoolConfig{MaxBatchRecords: 3})
 	for i := 0; i < 7; i++ {
-		if err := s.Append(spoolRec{N: i}); err != nil {
+		if err := s.Append(spoolRec(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +107,7 @@ func TestSpoolCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestSpool(t, dir, SpoolConfig{})
 	for i := 0; i < 4; i++ {
-		if err := s.Append(spoolRec{N: i, Note: "pre-crash"}); err != nil {
+		if err := s.Append(spoolRec(i, "pre-crash")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +122,7 @@ func TestSpoolCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered batch has %d records, want 4", b.Records)
 	}
 	// New appends must land in a later segment, never rewrite a sealed one.
-	if err := s2.Append(spoolRec{N: 99, Note: "post-crash"}); err != nil {
+	if err := s2.Append(spoolRec(99, "post-crash")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Flush(); err != nil {
@@ -138,7 +140,7 @@ func TestSpoolCrashRecovery(t *testing.T) {
 func TestSpoolCursorCrashWindow(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestSpool(t, dir, SpoolConfig{})
-	if err := s.Append(spoolRec{N: 1}); err != nil {
+	if err := s.Append(spoolRec(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -164,7 +166,7 @@ func TestSpoolCursorCrashWindow(t *testing.T) {
 		t.Fatal("acknowledged segment not deleted on reopen")
 	}
 	// The next sequence must not reuse the acknowledged one.
-	if err := s2.Append(spoolRec{N: 2}); err != nil {
+	if err := s2.Append(spoolRec(2, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Flush(); err != nil {
@@ -185,7 +187,7 @@ func TestSpoolCursorCrashWindow(t *testing.T) {
 func TestSpoolCorruptCursorResends(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestSpool(t, dir, SpoolConfig{})
-	if err := s.Append(spoolRec{N: 1}); err != nil {
+	if err := s.Append(spoolRec(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -212,7 +214,7 @@ func TestSpoolRetention(t *testing.T) {
 	})
 	pad := strings.Repeat("x", 200)
 	for i := 0; i < 10; i++ {
-		if err := s.Append(spoolRec{N: i, Note: pad}); err != nil {
+		if err := s.Append(spoolRec(i, pad)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,9 +226,9 @@ func TestSpoolRetention(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
 	}
-	recs := batchRecs(t, b)
-	if recs[len(recs)-1].N != 9 {
-		t.Fatalf("newest record is n=%d, want 9 (retention must drop oldest-first)", recs[len(recs)-1].N)
+	ns := batchNs(t, b)
+	if ns[len(ns)-1] != 9 {
+		t.Fatalf("newest record is n=%d, want 9 (retention must drop oldest-first)", ns[len(ns)-1])
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["logpipe_spool_dropped_records_total"]; got != 8 {
@@ -242,7 +244,7 @@ func TestSpoolRetention(t *testing.T) {
 func TestSpoolUnreadableSegmentSkipped(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestSpool(t, dir, SpoolConfig{})
-	if err := s.Append(spoolRec{N: 1}); err != nil {
+	if err := s.Append(spoolRec(1, "")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -273,7 +275,7 @@ func TestSpoolManySegmentsOrdered(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestSpool(t, dir, SpoolConfig{MaxBatchRecords: 1})
 	for i := 0; i < 20; i++ {
-		if err := s.Append(spoolRec{N: i}); err != nil {
+		if err := s.Append(spoolRec(i, "")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,8 +284,8 @@ func TestSpoolManySegmentsOrdered(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("batch %d: ok=%v err=%v", i, ok, err)
 		}
-		if recs := batchRecs(t, b); len(recs) != 1 || recs[0].N != i {
-			t.Fatalf("batch %d carries %+v, want record n=%d", i, recs, i)
+		if ns := batchNs(t, b); len(ns) != 1 || ns[0] != i {
+			t.Fatalf("batch %d carries %v, want record n=%d", i, ns, i)
 		}
 		if err := s.MarkUploaded(b.Seq); err != nil {
 			t.Fatal(err)
@@ -306,7 +308,7 @@ func TestSpoolManySegmentsOrdered(t *testing.T) {
 func TestSpoolAppendDurability(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestSpool(t, dir, SpoolConfig{})
-	if err := s.Append(spoolRec{N: 7}); err != nil {
+	if err := s.Append(spoolRec(7, "")); err != nil {
 		t.Fatal(err)
 	}
 	// The record must be on disk the moment Append returns, without Flush.
@@ -318,9 +320,8 @@ func TestSpoolAppendDurability(t *testing.T) {
 	if err != nil || len(lines) != 1 {
 		t.Fatalf("open segment holds %d lines (err=%v), want 1", len(lines), err)
 	}
-	var r spoolRec
-	if err := json.Unmarshal(lines[0], &r); err != nil || r.N != 7 {
-		t.Fatalf("durable record = %+v err=%v", r, err)
+	if e, err := DecodeEntry(lines[0]); err != nil || e.Size != 7 {
+		t.Fatalf("durable record = %+v err=%v", e, err)
 	}
 }
 
@@ -328,7 +329,7 @@ func TestSpoolRecordsKeepInsertionOrderAcrossSeal(t *testing.T) {
 	s := openTestSpool(t, t.TempDir(), SpoolConfig{MaxBatchRecords: 4})
 	var want []int
 	for i := 0; i < 10; i++ {
-		if err := s.Append(spoolRec{N: i}); err != nil {
+		if err := s.Append(spoolRec(i, "")); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, i)
@@ -345,8 +346,8 @@ func TestSpoolRecordsKeepInsertionOrderAcrossSeal(t *testing.T) {
 		if !ok {
 			break
 		}
-		for _, r := range batchRecs(t, b) {
-			got = append(got, r.N)
+		for _, n := range batchNs(t, b) {
+			got = append(got, n)
 		}
 		if err := s.MarkUploaded(b.Seq); err != nil {
 			t.Fatal(err)

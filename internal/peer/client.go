@@ -83,13 +83,14 @@ type Config struct {
 	// Telemetry is the metrics registry; nil creates a private one
 	// (retrievable via Client.Metrics).
 	Telemetry *telemetry.Registry
-	// LogUploadURL, when set, switches usage reporting from the in-band
-	// StatsReport to the batched log pipeline (§3.4 "uploads logs to the
-	// infrastructure"): per-download records go to a durable spool under
-	// StateDir/logspool and an uploader ships sealed batches to this control
-	// plane operator URL (POST /v1/logs/batch). Comma-separate several URLs
-	// to let the uploader fail over across control-plane nodes; batch IDs
-	// keep cross-node retries exactly-once. Requires StateDir.
+	// LogUploadURL, when set, moves usage reporting from the control
+	// connection to the batched log pipeline (§3.4 "uploads logs to the
+	// infrastructure"); it picks the transport, not the schema, which is one
+	// logpipe.Entry either way. Per-download entries go to a durable spool
+	// under StateDir/logspool and an uploader ships sealed batches to this
+	// control plane operator URL (POST /v1/logs/batch). Comma-separate
+	// several URLs to let the uploader fail over across control-plane nodes;
+	// batch IDs keep cross-node retries exactly-once. Requires StateDir.
 	LogUploadURL string
 	// LogUploadInterval paces the background uploader; zero selects 2s,
 	// negative disables the loop (drain explicitly with FlushLogs).
@@ -115,7 +116,7 @@ type Client struct {
 	uploads *uploadManager
 
 	// spool/logUploader are the client-log pipeline (nil when LogUploadURL
-	// is unset; the client then reports stats in-band on the control conn).
+	// is unset; the client then sends each entry in-band as a UsageLog).
 	spool       *logpipe.Spool
 	logUploader *logpipe.Uploader
 

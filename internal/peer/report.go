@@ -53,10 +53,11 @@ func (d *Download) result() *Result {
 	}
 }
 
-// report uploads the usage statistics record for billing (§3.4). With the
-// log pipeline on, the record goes to the durable spool and the uploader
-// ships it in a batch; otherwise it rides the control connection in-band.
-// Never both — the collector must see each download once.
+// report uploads the usage record for billing (§3.4). With the log pipeline
+// on, the entry goes to the durable spool and the uploader ships it in a
+// batch; without it, or when the spool refuses it, the same entry rides the
+// control connection as a UsageLog. Never both — the collector must see
+// each download once.
 func (d *Download) report() {
 	d.mu.Lock()
 	if d.reported {
@@ -64,60 +65,21 @@ func (d *Download) report() {
 		return
 	}
 	d.reported = true
-	endMs := d.now().UnixMilli()
-	stream := d.StreamMetrics()
-	var entry *logpipe.Entry
-	var rep *protocol.StatsReport
-	if d.c.spool != nil {
-		entry = d.logEntry(endMs, stream)
-	} else {
-		rep = d.statsReport(endMs, stream)
-	}
+	entry := d.logEntry(d.now().UnixMilli(), d.StreamMetrics())
 	d.mu.Unlock()
-	if entry != nil {
+	if d.c.spool != nil {
 		err := d.c.spool.Append(entry)
 		if err == nil {
 			return
 		}
 		d.c.logf("log spool append failed, falling back to in-band report: %v", err)
-		d.mu.Lock()
-		rep = d.statsReport(endMs, stream)
-		d.mu.Unlock()
 	}
-	d.c.control.send(rep)
-}
-
-// statsReport renders the usage record as the in-band control message.
-func (d *Download) statsReport(endMs int64, m *streaming.Metrics) *protocol.StatsReport {
-	rep := &protocol.StatsReport{
-		Object:        d.oid,
-		URLHash:       d.manifest.Object.URL,
-		CP:            uint32(d.manifest.Object.CP),
-		Size:          uint64(d.manifest.Object.Size),
-		StartUnixMs:   d.start.UnixMilli(),
-		EndUnixMs:     endMs,
-		BytesInfra:    uint64(d.bytesInfra),
-		BytesPeers:    uint64(d.bytesPeers),
-		Outcome:       d.outcome,
-		PeersReturned: uint16(d.peersReturned),
-		Token:         d.token,
+	raw, err := logpipe.EncodeEntry(entry)
+	if err != nil {
+		d.c.logf("usage record not sent: %v", err)
+		return
 	}
-	for g, b := range d.fromPeers {
-		rep.FromPeers = append(rep.FromPeers, protocol.PeerBytes{GUID: g, Bytes: uint64(b)})
-	}
-	if m != nil {
-		rep.Stream = &protocol.StreamStats{
-			BitrateBps:      uint64(m.BitrateBps),
-			StartupDelayMs:  uint64(m.StartupDelayMs),
-			RebufferCount:   uint32(m.RebufferCount),
-			RebufferMs:      uint64(m.RebufferMs),
-			DeadlineMisses:  uint32(m.DeadlineMisses),
-			PiecesPlayed:    uint32(m.PiecesPlayed),
-			PiecesTotal:     uint32(m.PiecesTotal),
-			EdgeRescueBytes: uint64(m.EdgeRescueBytes),
-		}
-	}
-	return rep
+	d.c.control.send(&protocol.UsageLog{Entry: raw})
 }
 
 // logEntry renders the usage record in the log pipeline's wire schema.

@@ -22,7 +22,6 @@ func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *encoder) u16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v) }
 func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
 
 func (e *encoder) boolean(v bool) {
 	if v {
@@ -105,8 +104,6 @@ func (d *decoder) u64() uint64 {
 	}
 	return binary.BigEndian.Uint64(b)
 }
-
-func (d *decoder) i64() int64 { return int64(d.u64()) }
 
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 

@@ -49,7 +49,7 @@ const (
 	TUnregister
 	TReAdd
 	TReAddReply
-	TStatsReport
+	TUsageLog
 	TConfigUpdate
 	TPing
 	TPong
@@ -71,7 +71,7 @@ var typeNames = map[MsgType]string{
 	TLogin: "LOGIN", TLoginAck: "LOGIN-ACK", TQuery: "QUERY",
 	TQueryResult: "QUERY-RESULT", TConnectTo: "CONNECT-TO",
 	TRegister: "REGISTER", TUnregister: "UNREGISTER", TReAdd: "RE-ADD",
-	TReAddReply: "RE-ADD-REPLY", TStatsReport: "STATS", TConfigUpdate: "CONFIG",
+	TReAddReply: "RE-ADD-REPLY", TUsageLog: "USAGE-LOG", TConfigUpdate: "CONFIG",
 	TPing: "PING", TPong: "PONG", THandshake: "HANDSHAKE",
 	THandshakeAck: "HANDSHAKE-ACK", TBitfield: "BITFIELD", THave: "HAVE",
 	TRequest: "REQUEST", TPiece: "PIECE", TCancel: "CANCEL", TGoodbye: "GOODBYE",
@@ -179,8 +179,8 @@ func newMessage(t MsgType) (Message, error) {
 		return &ReAdd{}, nil
 	case TReAddReply:
 		return &ReAddReply{}, nil
-	case TStatsReport:
-		return &StatsReport{}, nil
+	case TUsageLog:
+		return &UsageLog{}, nil
 	case TConfigUpdate:
 		return &ConfigUpdate{}, nil
 	case TPing:

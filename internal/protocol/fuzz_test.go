@@ -17,7 +17,7 @@ func FuzzReadMessage(f *testing.F) {
 		&Login{GUID: id.GUID{1}, SoftwareVersion: "s", SwarmAddr: "a:1"},
 		&Query{Object: content.NewObjectID(1, "u", 1), Token: []byte("t"), MaxPeers: 40},
 		&QueryResult{Peers: []PeerInfo{{Addr: "x:1"}}},
-		&StatsReport{URLHash: "h", FromPeers: []PeerBytes{{Bytes: 1}}},
+		&UsageLog{Entry: []byte(`{"kind":"download","fromPeers":[{"bytes":1}]}`)},
 		&Piece{Index: 3, Data: []byte("data")},
 		&ReAddReply{Entries: []ReAddEntry{{NumPieces: 2}}},
 	}

@@ -330,121 +330,18 @@ func (o Outcome) String() string {
 	return "unknown"
 }
 
-// PeerBytes attributes bytes received from one serving peer, so that
-// accounting can build the AS-level traffic matrix of §6.1.
-type PeerBytes struct {
-	GUID  id.GUID
-	Bytes uint64
+// UsageLog is the per-download usage record a peer sends its CN when a
+// download reaches a terminal state and the record cannot go through the
+// batched log pipeline (§3.4, §4.1). Entry holds the record in the log
+// pipeline's own encoding, the same bytes the spool writes; this package
+// does not look inside it.
+type UsageLog struct {
+	Entry []byte
 }
 
-// StatsReport is the per-download usage report a peer uploads to its CN when
-// a download reaches a terminal state. The CN records "the GUID of the peer,
-// the name and size of the file, the CP code, the time the download started
-// and ended, and the number of bytes downloaded from the infrastructure and
-// from peers" (§4.1).
-type StatsReport struct {
-	Object        content.ObjectID
-	URLHash       string
-	CP            uint32
-	Size          uint64
-	StartUnixMs   int64
-	EndUnixMs     int64
-	BytesInfra    uint64
-	BytesPeers    uint64
-	Outcome       Outcome
-	PeersReturned uint16 // peers initially returned by the control plane (Figure 6)
-	FromPeers     []PeerBytes
-	// Token proves the edge servers authorized this download; the control
-	// plane uses edge data "to prevent accounting attacks, where
-	// compromised or faulty peers incorrectly report downloads" (§3.5).
-	Token []byte
-	// Stream carries the playback outcome for deadline-driven streaming
-	// downloads ("NetSession also supports video streaming", §3.4); nil
-	// for bulk transfers. On the wire it is an optional trailing block
-	// gated by a presence flag, so bulk reports cost one extra byte.
-	Stream *StreamStats
-}
-
-// StreamStats is the streaming sub-record of a StatsReport.
-type StreamStats struct {
-	BitrateBps      uint64
-	StartupDelayMs  uint64
-	RebufferCount   uint32
-	RebufferMs      uint64
-	DeadlineMisses  uint32
-	PiecesPlayed    uint32
-	PiecesTotal     uint32
-	EdgeRescueBytes uint64
-}
-
-func (*StatsReport) Type() MsgType { return TStatsReport }
-
-func (m *StatsReport) encodeTo(e *encoder) {
-	e.objectID(m.Object)
-	e.str(m.URLHash)
-	e.u32(m.CP)
-	e.u64(m.Size)
-	e.i64(m.StartUnixMs)
-	e.i64(m.EndUnixMs)
-	e.u64(m.BytesInfra)
-	e.u64(m.BytesPeers)
-	e.u8(uint8(m.Outcome))
-	e.u16(m.PeersReturned)
-	e.u16(uint16(len(m.FromPeers)))
-	for _, pb := range m.FromPeers {
-		e.guid(pb.GUID)
-		e.u64(pb.Bytes)
-	}
-	e.bytes(m.Token)
-	if m.Stream == nil {
-		e.u8(0)
-	} else {
-		e.u8(1)
-		e.u64(m.Stream.BitrateBps)
-		e.u64(m.Stream.StartupDelayMs)
-		e.u32(m.Stream.RebufferCount)
-		e.u64(m.Stream.RebufferMs)
-		e.u32(m.Stream.DeadlineMisses)
-		e.u32(m.Stream.PiecesPlayed)
-		e.u32(m.Stream.PiecesTotal)
-		e.u64(m.Stream.EdgeRescueBytes)
-	}
-}
-
-func (m *StatsReport) decodeFrom(d *decoder) {
-	m.Object = d.objectID()
-	m.URLHash = d.str()
-	m.CP = d.u32()
-	m.Size = d.u64()
-	m.StartUnixMs = d.i64()
-	m.EndUnixMs = d.i64()
-	m.BytesInfra = d.u64()
-	m.BytesPeers = d.u64()
-	m.Outcome = Outcome(d.u8())
-	m.PeersReturned = d.u16()
-	n := int(d.u16())
-	for i := 0; i < n && d.err == nil; i++ {
-		var pb PeerBytes
-		pb.GUID = d.guid()
-		pb.Bytes = d.u64()
-		m.FromPeers = append(m.FromPeers, pb)
-	}
-	m.Token = d.bytes()
-	if d.u8() == 1 {
-		s := &StreamStats{}
-		s.BitrateBps = d.u64()
-		s.StartupDelayMs = d.u64()
-		s.RebufferCount = d.u32()
-		s.RebufferMs = d.u64()
-		s.DeadlineMisses = d.u32()
-		s.PiecesPlayed = d.u32()
-		s.PiecesTotal = d.u32()
-		s.EdgeRescueBytes = d.u64()
-		if d.err == nil {
-			m.Stream = s
-		}
-	}
-}
+func (*UsageLog) Type() MsgType           { return TUsageLog }
+func (m *UsageLog) encodeTo(e *encoder)   { e.bytes(m.Entry) }
+func (m *UsageLog) decodeFrom(d *decoder) { m.Entry = d.bytes() }
 
 // ConfigUpdate pushes globally configurable client policy to peers over the
 // control connection ("peers use the connection to learn about configuration
