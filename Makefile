@@ -1,10 +1,13 @@
-# Developer entry points. `make check` is the full pre-commit gate.
+# Developer entry points. `make check` is the full pre-commit gate. Its race
+# target runs every test once under -race, the e2e gates below included;
+# chaos, crash, failover, drain and streaming stay as targets for running
+# one gate verbosely.
 
 GO ?= go
 
 .PHONY: check build test vet fmt race bench bench-smoke bench-analytics bench-streaming chaos crash failover drain streaming clean-state
 
-check: fmt vet build race chaos crash failover drain streaming bench-smoke bench-analytics bench-streaming
+check: fmt vet build race bench-smoke bench-analytics bench-streaming
 
 build:
 	$(GO) build ./...

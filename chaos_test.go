@@ -126,7 +126,7 @@ func registerChaosPeer(t *testing.T, c *Cluster, g id.GUID, swarmAddr string, oi
 	}
 	region := geo.RegionOf(rec)
 	if !chaosEventually(5*time.Second, func() bool {
-		return c.nodes[0].cp.DN(region).Copies(oid) >= wantCopies
+		return c.nodes[0].ControlPlane().DN(region).Copies(oid) >= wantCopies
 	}) {
 		t.Fatalf("directory never reached %d copies of %v", wantCopies, oid)
 	}
@@ -248,7 +248,7 @@ func TestChaosDownloadsSurvive(t *testing.T) {
 
 	// Phase 3: kill a CN mid-download; every client reconnects to the
 	// surviving one (§3.8) while the transfer keeps going.
-	c.nodes[0].cns[0].Close()
+	c.nodes[0].CNs()[0].Close()
 	res2, err := dl.Wait(ctx)
 	if err != nil || res2.Outcome != protocol.OutcomeCompleted {
 		t.Fatalf("degraded download must still complete: res=%+v err=%v", res2, err)

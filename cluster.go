@@ -1,10 +1,8 @@
 package netsession
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"net/netip"
 	"path/filepath"
 	"sync"
@@ -31,15 +29,16 @@ type ClusterConfig struct {
 	// NumCNs is how many connection nodes to start per control-plane node
 	// (default 1).
 	NumCNs int
-	// CPNodes is how many control-plane nodes to run (default 1). With more
-	// than one, a cluster membership layer consistent-hashes each geographic
-	// region to one node: logins for a region another node owns are
-	// redirected, DNs are region-partitioned, and log ingest dedups batches
-	// across nodes so uploader failover stays exactly-once (§3.8).
+	// CPNodes is how many control-plane nodes to run (default 1). Every node
+	// is a cluster member, and each one after the first joins the nodes
+	// before it the way an operator boots netsession-cp nodes. The membership
+	// consistent-hashes each geographic region to one node: logins for a
+	// region another node owns are redirected, DNs are region-partitioned,
+	// and log ingest dedups batches across nodes so uploader failover stays
+	// exactly-once (§3.8).
 	CPNodes int
 	// CPProbeInterval is how often control-plane nodes probe each other's
-	// status endpoints for liveness; zero selects 1s. Only used when
-	// CPNodes > 1.
+	// status endpoints for liveness; zero selects 1s.
 	CPProbeInterval time.Duration
 	// CPFailAfter is how many consecutive probe failures mark a node dead
 	// (triggering region handoff); zero selects 3.
@@ -70,8 +69,10 @@ type ClusterConfig struct {
 	CNFaults faults.Config
 	// LogDir, when set, opens a durable segment store there: every accepted
 	// download record is spilled to rotated gzip NDJSON segments that
-	// netsession-analyze reads (the month of logs of §4.1). With CPNodes > 1
-	// each node writes under its own LogDir/<node-id> subdirectory.
+	// netsession-analyze reads (the month of logs of §4.1), and the node's
+	// batch-ack store lives under LogDir/acks. With CPNodes > 1, and for
+	// nodes added by AddCPNode, each node uses its own LogDir/<node-id>
+	// subdirectory instead.
 	LogDir string
 	// MaxLogRecords bounds the collector's in-memory log per record kind;
 	// zero selects the accounting defaults, negative is unbounded.
@@ -96,21 +97,13 @@ func DefaultClusterConfig() ClusterConfig {
 	}
 }
 
-// cpNode is one control-plane node of the deployment: its own collector,
-// CNs, operator HTTP surface, membership observer, durable ack store, and
-// janitor. Nodes share the edge tier, the token key, and the world atlas —
-// nothing else; cross-node exactly-once rides the anti-entropy ack sync.
+// cpNode is one control-plane node of the deployment, assembled exactly as
+// netsession-cp assembles it. Nodes share the edge tier, the token key, and
+// the world atlas — nothing else; cross-node exactly-once rides the
+// anti-entropy ack sync. gone marks a node killed or drained.
 type cpNode struct {
-	id      string
-	cp      *controlplane.ControlPlane
-	status  *controlplane.StatusServer
-	cns     []*controlplane.CN
-	member  *cluster.Membership
-	acks    *logpipe.AckStore
-	syncer  *logpipe.AckSyncer
-	stopJan func()
-	killed  bool
-	drained bool
+	*controlplane.Node
+	gone bool
 }
 
 // Cluster is a running in-process deployment.
@@ -189,33 +182,19 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		minter: minter, verifier: verifier, rebuildMs: rebuildMs,
 		rng: rand.New(rand.NewSource(99)),
 	}
+	// Each node joins every node started before it (ID and status URL, as
+	// with netsession-cp -join id=URL). StartNode returns after its first
+	// probe round, by which time the earlier nodes have learned the new one
+	// from its probe headers, so every node agrees on the ring — and the
+	// regions are partitioned — before any peer connects.
+	var seeds []cluster.Node
 	for i := 0; i < cfg.CPNodes; i++ {
-		node, err := c.startNode(fmt.Sprintf("cp-%d", i), false)
-		if err != nil {
+		if _, err := c.startNode(seeds, false); err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.nodes = append(c.nodes, node)
-	}
-	// With several nodes, wire the membership layer: every node probes every
-	// other node's status endpoint and applies its own ring view. All CN and
-	// status addresses are known by now, so the seed list is complete and
-	// the very first view (fired synchronously by Start) partitions the
-	// regions before any peer connects.
-	if cfg.CPNodes > 1 {
-		descs := make([]cluster.Node, len(c.nodes))
-		for i, n := range c.nodes {
-			descs[i] = n.desc()
-		}
-		for i, n := range c.nodes {
-			seeds := make([]cluster.Node, 0, len(descs)-1)
-			for j, d := range descs {
-				if j != i {
-					seeds = append(seeds, d)
-				}
-			}
-			c.wireMembership(n, descs[i], seeds, false)
-		}
+		n := c.nodes[i]
+		seeds = append(seeds, cluster.Node{ID: n.ID(), StatusURL: n.StatusURL()})
 	}
 	// The monitor aggregates the fleet's telemetry: "download and upload
 	// performance is constantly monitored" (§3.8). Every node is a scrape
@@ -225,7 +204,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		targets["cp"] = c.ControlPlaneURL()
 	} else {
 		for _, n := range c.nodes {
-			targets[n.id] = "http://" + n.status.Addr()
+			targets[n.ID()] = n.StatusURL()
 		}
 	}
 	mon.SetScrapeTargets(targets)
@@ -233,51 +212,30 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// startNode builds one control-plane node: registry, fault injector,
-// durable stores, CNs, status server, janitor. Membership is wired
-// separately once the seed list is known. joining marks a node added to a
-// running cluster (AddCPNode): it gets multi-node treatment regardless of
-// the boot-time CPNodes and applies its first ring view as a real takeover.
-func (c *Cluster) startNode(nodeID string, joining bool) (*cpNode, error) {
+// startNode assembles control-plane node cp-<index> with the given seeds
+// and appends it, returning its index. joining marks a node added to a
+// running cluster (AddCPNode): it gets its own LogDir subdirectory whatever
+// the boot-time CPNodes, and applies its first ring view as a real takeover.
+func (c *Cluster) startNode(seeds []cluster.Node, joining bool) (int, error) {
 	cfg := c.cfg
-	multi := cfg.CPNodes > 1 || joining
-	// Each node has its own registry (metric series would collide) and
-	// its own fault injector, segment store, ack store, and collector.
-	cpReg := telemetry.NewRegistry()
-	cnInj := faults.New(cfg.CNFaults, cpReg)
-	var logStore *logpipe.Store
-	var err error
-	if cfg.LogDir != "" {
-		dir := cfg.LogDir
-		if multi {
-			dir = filepath.Join(cfg.LogDir, nodeID)
-		}
-		logStore, err = logpipe.OpenStore(logpipe.StoreConfig{
-			Dir: dir, Telemetry: cpReg,
-		})
-		if err != nil {
-			return nil, err
-		}
+	c.mu.Lock()
+	nodeID := fmt.Sprintf("cp-%d", len(c.nodes))
+	c.mu.Unlock()
+	logDir := cfg.LogDir
+	if logDir != "" && (cfg.CPNodes > 1 || joining) {
+		logDir = filepath.Join(logDir, nodeID)
 	}
-	node := &cpNode{id: nodeID}
-	if multi {
-		// The node's durable acknowledgement table. With a LogDir it
-		// survives the process (real crash recovery); without one it is
-		// memory-only but still per-node — never a shared pointer.
-		ackDir := ""
-		if cfg.LogDir != "" {
-			ackDir = filepath.Join(cfg.LogDir, nodeID, "acks")
-		}
-		node.acks, err = logpipe.OpenAckStore(logpipe.AckConfig{Dir: ackDir})
-		if err != nil {
-			return nil, err
-		}
-		node.syncer = logpipe.NewAckSyncer(logpipe.AckSyncerConfig{
-			Store: node.acks, Telemetry: cpReg,
-		})
-	}
-	cp, err := controlplane.New(controlplane.Config{
+	// Each node has its own registry (metric series would collide) and its
+	// own fault injectors and collector.
+	reg := telemetry.NewRegistry()
+	n, err := controlplane.StartNode(controlplane.Config{
 		NodeID:            nodeID,
+		CNs:               cfg.NumCNs,
+		LogDir:            logDir,
+		Seeds:             seeds,
+		ProbeInterval:     cfg.CPProbeInterval,
+		FailAfter:         cfg.CPFailAfter,
+		JoinExisting:      joining,
 		Scape:             c.scape,
 		Minter:            c.minter,
 		Collector:         accounting.NewCollector(c.verifier),
@@ -285,78 +243,18 @@ func (c *Cluster) startNode(nodeID string, joining bool) (*cpNode, error) {
 		ClientConfig:      cfg.ClientConfig,
 		MaxSessionsPerCN:  cfg.MaxSessionsPerCN,
 		DNRebuildWindowMs: c.rebuildMs,
-		Telemetry:         cpReg,
-		ConnWrap:          cnInj.WrapConn,
-		LogStore:          logStore,
+		Telemetry:         reg,
+		ConnWrap:          faults.New(cfg.CNFaults, reg).WrapConn,
 		MaxLogRecords:     cfg.MaxLogRecords,
-		IngestFaults:      faults.New(cfg.IngestFaults, cpReg),
-		LogAcks:           node.acks,
-		JoinExisting:      joining,
+		IngestFaults:      faults.New(cfg.IngestFaults, reg),
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	node.cp = cp
-	for j := 0; j < cfg.NumCNs; j++ {
-		cn, err := cp.StartCN("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		node.cns = append(node.cns, cn)
-	}
-	node.status, err = cp.StartStatusServer("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	node.stopJan = cp.StartJanitor(time.Minute, int64(cfg.Policy.SoftStateTTLMs))
-	return node, nil
-}
-
-// desc returns the node's cluster descriptor (status URL + CN addresses).
-func (n *cpNode) desc() cluster.Node {
-	d := cluster.Node{ID: n.id, StatusURL: "http://" + n.status.Addr()}
-	for _, cn := range n.cns {
-		d.CNAddrs = append(d.CNAddrs, cn.Addr())
-	}
-	return d
-}
-
-// wireMembership attaches a membership instance to a node: ring views feed
-// the control plane and the ack syncer's peer set, advertised ack sequences
-// trigger anti-entropy pulls, and the ingest endpoint gains the synchronous
-// cross-node seen check for replays that beat replication.
-func (c *Cluster) wireMembership(n *cpNode, self cluster.Node, seeds []cluster.Node, joinMode bool) {
-	cp, syncer, selfID := n.cp, n.syncer, self.ID
-	n.member = cluster.New(cluster.Config{
-		Self:          self,
-		Seeds:         seeds,
-		ProbeInterval: c.cfg.CPProbeInterval,
-		FailAfter:     c.cfg.CPFailAfter,
-		JoinMode:      joinMode,
-		Telemetry:     cp.Metrics(),
-		OnChange: func(v cluster.View) {
-			if syncer != nil {
-				peers := make(map[string]string, len(v.Nodes))
-				for _, m := range v.Nodes {
-					if m.ID != selfID {
-						peers[m.ID] = m.StatusURL
-					}
-				}
-				syncer.SetPeers(peers)
-			}
-			cp.ApplyRingView(v)
-		},
-		OnAckSeq: func(m cluster.Node, seq uint64) {
-			if syncer != nil {
-				syncer.ObserveAckSeq(m.ID, m.StatusURL, seq)
-			}
-		},
-	})
-	cp.SetMembership(n.member)
-	if syncer != nil {
-		cp.LogIngest().SetPeerSeen(syncer.SeenAnywhere)
-	}
-	n.member.Start()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nodes = append(c.nodes, &cpNode{Node: n})
+	return len(c.nodes) - 1, nil
 }
 
 // AddCPNode starts a new control-plane node that knows nothing about the
@@ -366,57 +264,19 @@ func (c *Cluster) wireMembership(n *cpNode, self cluster.Node, seeds []cluster.N
 // probe identity headers, and applies its first ring view as a real
 // takeover once discovery has run. Returns the new node's index.
 func (c *Cluster) AddCPNode(seedStatusURL string) (int, error) {
-	c.mu.Lock()
-	nodeID := fmt.Sprintf("cp-%d", len(c.nodes))
-	c.mu.Unlock()
-	node, err := c.startNode(nodeID, true)
-	if err != nil {
-		return 0, err
-	}
-	c.wireMembership(node, node.desc(),
-		[]cluster.Node{{StatusURL: seedStatusURL}}, true)
-	c.mu.Lock()
-	c.nodes = append(c.nodes, node)
-	idx := len(c.nodes) - 1
-	c.mu.Unlock()
-	return idx, nil
+	return c.startNode([]cluster.Node{{StatusURL: seedStatusURL}}, true)
 }
 
-// DrainCPNode gracefully removes node i: POST /v1/drain hands its regions'
-// directory snapshots to the new owners (no rebuild window on takeover),
-// flushes its ack window to survivors, and announces the departure; then
-// the node's local machinery stops. Returns the drain summary.
+// DrainCPNode gracefully removes node i: it stops probing, hands its
+// regions' directory snapshots to the new owners (no rebuild window on
+// takeover), flushes its ack window to survivors, announces the departure,
+// and closes. Returns the drain summary.
 func (c *Cluster) DrainCPNode(i int) (controlplane.DrainSummary, error) {
-	c.mu.Lock()
-	n := c.nodes[i]
-	already := n.killed || n.drained
-	if !already {
-		n.drained = true
+	n, ok := c.take(i)
+	if !ok {
+		return controlplane.DrainSummary{}, fmt.Errorf("netsession: node %d already gone", i)
 	}
-	c.mu.Unlock()
-	var sum controlplane.DrainSummary
-	if already {
-		return sum, fmt.Errorf("netsession: node %d already gone", i)
-	}
-	resp, err := http.Post("http://"+n.status.Addr()+controlplane.DrainPath, "application/json", nil)
-	if err != nil {
-		return sum, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
-		return sum, err
-	}
-	if n.member != nil {
-		n.member.Stop()
-	}
-	if n.stopJan != nil {
-		n.stopJan()
-	}
-	n.status.Close()
-	if n.acks != nil {
-		n.acks.Close()
-	}
-	return sum, nil
+	return n.Drain()
 }
 
 // Close shuts everything down.
@@ -428,21 +288,7 @@ func (c *Cluster) Close() {
 	nodes := append([]*cpNode(nil), c.nodes...)
 	c.mu.Unlock()
 	for _, n := range nodes {
-		if n.member != nil {
-			n.member.Stop()
-		}
-		if n.stopJan != nil {
-			n.stopJan()
-		}
-		if n.status != nil {
-			n.status.Close()
-		}
-		if n.cp != nil {
-			n.cp.Close()
-		}
-		if n.acks != nil {
-			n.acks.Close()
-		}
+		n.Close()
 	}
 	if c.edgeSrv != nil {
 		c.edgeSrv.Close()
@@ -462,22 +308,22 @@ func (c *Cluster) Close() {
 // they would a real crash. In-memory accounting on the killed node is lost
 // (the durable segment store under LogDir is not).
 func (c *Cluster) KillCPNode(i int) {
+	if n, ok := c.take(i); ok {
+		n.Kill()
+	}
+}
+
+// take marks node i gone (killed or drained), reporting false when it
+// already was.
+func (c *Cluster) take(i int) (*cpNode, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := c.nodes[i]
-	if n.killed || n.drained {
-		c.mu.Unlock()
-		return
+	if n.gone {
+		return nil, false
 	}
-	n.killed = true
-	c.mu.Unlock()
-	if n.member != nil {
-		n.member.Stop()
-	}
-	if n.stopJan != nil {
-		n.stopJan()
-	}
-	n.status.Kill()
-	n.cp.Close()
+	n.gone = true
+	return n, true
 }
 
 // liveNodes returns the nodes not yet killed or drained.
@@ -486,7 +332,7 @@ func (c *Cluster) liveNodes() []*cpNode {
 	defer c.mu.Unlock()
 	var out []*cpNode
 	for _, n := range c.nodes {
-		if !n.killed && !n.drained {
+		if !n.gone {
 			out = append(out, n)
 		}
 	}
@@ -504,7 +350,7 @@ func (c *Cluster) ControlAddrs() []string {
 	defer c.mu.Unlock()
 	var out []string
 	for _, n := range c.nodes {
-		for _, cn := range n.cns {
+		for _, cn := range n.CNs() {
 			out = append(out, cn.Addr())
 		}
 	}
@@ -516,7 +362,7 @@ func (c *Cluster) MonitorAddr() string { return c.monitor.Addr() }
 
 // ControlPlaneURL returns the first node's operator HTTP surface
 // (GET /v1/status, /metrics, /v1/telemetry).
-func (c *Cluster) ControlPlaneURL() string { return "http://" + c.nodes[0].status.Addr() }
+func (c *Cluster) ControlPlaneURL() string { return c.nodes[0].StatusURL() }
 
 // ControlPlaneURLs returns every node's operator HTTP surface, killed nodes
 // included (log uploaders rotate past dead ones).
@@ -525,20 +371,20 @@ func (c *Cluster) ControlPlaneURLs() []string {
 	defer c.mu.Unlock()
 	out := make([]string, len(c.nodes))
 	for i, n := range c.nodes {
-		out[i] = "http://" + n.status.Addr()
+		out[i] = n.StatusURL()
 	}
 	return out
 }
 
 // ControlPlane exposes the first control-plane node (metrics, status, DN
 // failover).
-func (c *Cluster) ControlPlane() *controlplane.ControlPlane { return c.nodes[0].cp }
+func (c *Cluster) ControlPlane() *controlplane.ControlPlane { return c.nodes[0].ControlPlane() }
 
 // ControlPlaneNode exposes node i of the control plane.
 func (c *Cluster) ControlPlaneNode(i int) *controlplane.ControlPlane {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.nodes[i].cp
+	return c.nodes[i].ControlPlane()
 }
 
 // NumCPNodes returns how many control-plane nodes were started.
@@ -588,7 +434,7 @@ func (c *Cluster) AllocateIdentity(country string) (string, error) {
 func (c *Cluster) AccountingLog() *Log {
 	out := &accounting.Log{}
 	for _, n := range c.liveNodes() {
-		s := n.cp.Collector().Snapshot()
+		s := n.ControlPlane().Collector().Snapshot()
 		out.Downloads = append(out.Downloads, s.Downloads...)
 		out.Logins = append(out.Logins, s.Logins...)
 		out.Registrations = append(out.Registrations, s.Registrations...)
@@ -598,18 +444,18 @@ func (c *Cluster) AccountingLog() *Log {
 
 // LogStore returns the first node's durable log segment store, or nil when
 // LogDir was not configured.
-func (c *Cluster) LogStore() *logpipe.Store { return c.nodes[0].cp.LogStore() }
+func (c *Cluster) LogStore() *logpipe.Store { return c.nodes[0].ControlPlane().LogStore() }
 
 // LogIngest returns the first node's log ingest endpoint; chaos tests use
 // it to flip fault injection on the live POST /v1/logs/batch handler.
-func (c *Cluster) LogIngest() *logpipe.Ingest { return c.nodes[0].cp.LogIngest() }
+func (c *Cluster) LogIngest() *logpipe.Ingest { return c.nodes[0].ControlPlane().LogIngest() }
 
 // RejectedReports returns how many client usage reports failed edge
 // verification (suspected accounting attacks), summed across live nodes.
 func (c *Cluster) RejectedReports() int {
 	total := 0
 	for _, n := range c.liveNodes() {
-		total += n.cp.Collector().Rejected()
+		total += n.ControlPlane().Collector().Rejected()
 	}
 	return total
 }

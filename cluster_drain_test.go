@@ -118,7 +118,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 			if i == gone {
 				continue
 			}
-			if n.cp.OwnsRegion(r) {
+			if n.ControlPlane().OwnsRegion(r) {
 				return i
 			}
 		}
@@ -130,7 +130,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 			if i == gone {
 				continue
 			}
-			if n.cp.Metrics().Snapshot().Gauges["cp_ring_nodes"] != float64(size) {
+			if n.ControlPlane().Metrics().Snapshot().Gauges["cp_ring_nodes"] != float64(size) {
 				return false
 			}
 		}
@@ -151,7 +151,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 		r := regionOf(ip)
 		owner := ownerOf(r)
 		if !chaosEventually(10*time.Second, func() bool {
-			return c.nodes[owner].cp.DN(r).Copies(obj.ID) >= 1
+			return c.nodes[owner].ControlPlane().DN(r).Copies(obj.ID) >= 1
 		}) {
 			t.Fatalf("seed registration for region %v never reached node %d", r, owner)
 		}
@@ -187,7 +187,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 		}
 		owned := 0
 		for r := 0; r < geo.NumRegions; r++ {
-			if c.nodes[idx].cp.OwnsRegion(geo.NetworkRegion(r)) {
+			if c.nodes[idx].ControlPlane().OwnsRegion(geo.NetworkRegion(r)) {
 				owned++
 			}
 		}
@@ -195,11 +195,11 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 			t.Fatal("joined node owns no regions on the converged ring")
 		}
 		t.Logf("node %d joined from one seed URL, owns %d regions", idx, owned)
-		joinSnap := c.nodes[idx].cp.Metrics().Snapshot()
+		joinSnap := c.nodes[idx].ControlPlane().Metrics().Snapshot()
 		if got := joinSnap.Counters["cluster_members_learned_total"]; got < 2 {
 			t.Errorf("joined node cluster_members_learned_total = %d, want >= 2 (seed exchange)", got)
 		}
-		if got := c.nodes[0].cp.Metrics().Snapshot().Counters["cluster_members_learned_total"]; got < 1 {
+		if got := c.nodes[0].ControlPlane().Metrics().Snapshot().Counters["cluster_members_learned_total"]; got < 1 {
 			t.Errorf("seed node cluster_members_learned_total = %d, want >= 1 (probe identity)", got)
 		}
 
@@ -212,7 +212,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 		victim := ownerOf(usRegion)
 		preAnnounce := make([]map[string]int64, len(c.nodes))
 		for i, n := range c.nodes {
-			preAnnounce[i] = n.cp.Metrics().Snapshot().Counters
+			preAnnounce[i] = n.ControlPlane().Metrics().Snapshot().Counters
 		}
 		sum, err := c.DrainCPNode(victim)
 		if err != nil {
@@ -230,7 +230,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 		if sum.EntriesTransferred == 0 {
 			t.Error("drain transferred no directory entries; the US region had holders")
 		}
-		vSnap := c.nodes[victim].cp.Metrics().Snapshot()
+		vSnap := c.nodes[victim].ControlPlane().Metrics().Snapshot()
 		if got := vSnap.Counters["cp_drain_regions_total"]; got < 1 {
 			t.Errorf("cp_drain_regions_total = %d, want >= 1", got)
 		}
@@ -243,7 +243,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 		// The transferred snapshot is live on the new owner immediately — no
 		// RE-ADD round needed to see the US holders again.
 		newOwner := ownerOf(usRegion)
-		if c.nodes[newOwner].cp.DN(usRegion).Copies(obj.ID) < 1 {
+		if c.nodes[newOwner].ControlPlane().DN(usRegion).Copies(obj.ID) < 1 {
 			t.Errorf("node %d took over region %v with an empty directory; the handoff snapshot was lost",
 				newOwner, usRegion)
 		}
@@ -257,7 +257,7 @@ func runDrainScenario(t *testing.T, drain bool) drainOutcome {
 			if i == victim {
 				continue
 			}
-			snap := n.cp.Metrics().Snapshot()
+			snap := n.ControlPlane().Metrics().Snapshot()
 			for _, reg := range sum.Regions {
 				key := announceKey(reg.Region)
 				if delta := snap.Counters[key] - preAnnounce[i][key]; delta != 0 {
@@ -385,7 +385,7 @@ func TestClusterDrainStampede(t *testing.T) {
 			if gone[i] {
 				continue
 			}
-			if n.cp.OwnsRegion(r) {
+			if n.ControlPlane().OwnsRegion(r) {
 				return i
 			}
 		}
@@ -397,7 +397,7 @@ func TestClusterDrainStampede(t *testing.T) {
 			if gone[i] {
 				continue
 			}
-			if n.cp.Metrics().Snapshot().Gauges["cp_ring_nodes"] != float64(size) {
+			if n.ControlPlane().Metrics().Snapshot().Gauges["cp_ring_nodes"] != float64(size) {
 				return false
 			}
 		}
@@ -409,7 +409,7 @@ func TestClusterDrainStampede(t *testing.T) {
 			if gone[i] {
 				continue
 			}
-			total += n.cp.Metrics().Snapshot().Counters[key]
+			total += n.ControlPlane().Metrics().Snapshot().Counters[key]
 		}
 		return total
 	}
@@ -419,7 +419,7 @@ func TestClusterDrainStampede(t *testing.T) {
 			if gone[i] {
 				continue
 			}
-			for key, v := range n.cp.Metrics().Snapshot().Counters {
+			for key, v := range n.ControlPlane().Metrics().Snapshot().Counters {
 				if strings.HasPrefix(key, "dn_rebuild_announces_total{") {
 					total += v
 				}
@@ -471,14 +471,14 @@ func TestClusterDrainStampede(t *testing.T) {
 	preDrain := make([]map[string]int64, len(c.nodes))
 	for i, n := range c.nodes {
 		if !gone[i] {
-			preDrain[i] = n.cp.Metrics().Snapshot().Counters
+			preDrain[i] = n.ControlPlane().Metrics().Snapshot().Counters
 		}
 	}
 	drainVictim := ownerOf(usRegion)
 	var preDrainRedirects int64
 	for i, n := range c.nodes {
 		if !gone[i] && i != drainVictim {
-			preDrainRedirects += n.cp.Metrics().Snapshot().Counters["cp_logins_redirected_total"]
+			preDrainRedirects += n.ControlPlane().Metrics().Snapshot().Counters["cp_logins_redirected_total"]
 		}
 	}
 	sum, err := c.DrainCPNode(drainVictim)
@@ -497,7 +497,7 @@ func TestClusterDrainStampede(t *testing.T) {
 		if gone[i] {
 			continue
 		}
-		snap := n.cp.Metrics().Snapshot()
+		snap := n.ControlPlane().Metrics().Snapshot()
 		for _, reg := range sum.Regions {
 			key := announceKey(reg.Region)
 			drainAnnounces += snap.Counters[key] - preDrain[i][key]

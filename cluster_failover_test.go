@@ -113,7 +113,7 @@ func runFailoverScenario(t *testing.T, cpNodes int, kill bool) failoverOutcome {
 			if i == victim {
 				continue
 			}
-			if n.cp.OwnsRegion(r) {
+			if n.ControlPlane().OwnsRegion(r) {
 				return i
 			}
 		}
@@ -137,7 +137,7 @@ func runFailoverScenario(t *testing.T, cpNodes int, kill bool) failoverOutcome {
 		r := regionOf(ip)
 		owner := ownerOf(r)
 		if !chaosEventually(10*time.Second, func() bool {
-			return c.nodes[owner].cp.DN(r).Copies(obj.ID) >= 1
+			return c.nodes[owner].ControlPlane().DN(r).Copies(obj.ID) >= 1
 		}) {
 			t.Fatalf("seed registration for region %v never reached node %d", r, owner)
 		}
@@ -171,7 +171,7 @@ func runFailoverScenario(t *testing.T, cpNodes int, kill bool) failoverOutcome {
 				if i == victim {
 					continue
 				}
-				if n.cp.Metrics().Snapshot().Gauges["cp_ring_nodes"] != float64(cpNodes-1) {
+				if n.ControlPlane().Metrics().Snapshot().Gauges["cp_ring_nodes"] != float64(cpNodes-1) {
 					return false
 				}
 			}
@@ -220,7 +220,7 @@ func runFailoverScenario(t *testing.T, cpNodes int, kill bool) failoverOutcome {
 			if i == victim {
 				continue
 			}
-			snap := n.cp.Metrics().Snapshot()
+			snap := n.ControlPlane().Metrics().Snapshot()
 			readds += snap.Counters["cp_readds_total"]
 			for key, v := range snap.Counters {
 				if strings.HasPrefix(key, "cp_region_handoffs_total{") {

@@ -1,7 +1,8 @@
-// Command netsession-cp runs the NetSession control plane: one database
-// node per network region, the requested number of connection nodes, and a
-// monitoring node. Peers connect to any CN address; the edge tier must be
-// started with the same -key so authorization tokens verify.
+// Command netsession-cp runs one NetSession control-plane node: one
+// database node per network region, the requested number of connection
+// nodes, the operator HTTP surface, and a monitoring node. Peers connect to
+// any CN address; the edge tier must be started with the same -key so
+// authorization tokens verify.
 //
 // The synthetic identity plan is deterministic: this process and every peer
 // process generate the same atlas and allocate the same -population
@@ -12,14 +13,21 @@
 // Usage:
 //
 //	netsession-cp [-cns N] [-key STRING] [-population N] [-identity-seed N]
-//	              [-max-sessions N] [-status ADDR] [-scrape name=URL,...]
-//	              [-debug-addr ADDR] [-node-id ID -join ID=URL,...]
+//	              [-max-sessions N] [-status ADDR] [-log-dir DIR]
+//	              [-scrape name=URL,...] [-debug-addr ADDR]
+//	              [-node-id ID] [-join URL|ID=URL,...] [-join-existing]
 //
-// With -node-id and -join, this process becomes one node of a multi-node
-// control plane: the nodes probe each other's status endpoints for liveness
-// and consistent-hash the network regions across whoever is alive. Logins
-// for a region another node owns are redirected there; when a node dies, its
-// regions are taken over through the DN soft-state rebuild window.
+// Every node is a cluster member, assembled by controlplane.StartNode
+// exactly as the in-process cluster assembles its nodes. A node started
+// without -join is a ring of one that later nodes join with -join pointing
+// at its status URL; the nodes probe each other's status endpoints for
+// liveness and consistent-hash the network regions across whoever is alive.
+// Logins for a region another node owns are redirected there; when a node
+// dies, its regions are taken over through the DN soft-state rebuild
+// window. -node-id defaults to the bound status address. With -log-dir the
+// node's log segments and batch-ack store survive restarts. SIGTERM (or
+// POST /v1/drain) hands the node's regions and acks to the survivors before
+// it exits; SIGINT just stops.
 package main
 
 import (
@@ -27,17 +35,14 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"netsession/internal/accounting"
 	"netsession/internal/cluster"
 	"netsession/internal/controlplane"
 	"netsession/internal/edge"
 	"netsession/internal/geo"
-	"netsession/internal/logpipe"
 	"netsession/internal/selection"
 	"netsession/internal/telemetry"
 )
@@ -52,9 +57,9 @@ func main() {
 	identitySeed := flag.Int64("identity-seed", 7, "seed of the identity plan")
 	maxSessions := flag.Int("max-sessions", 0, "shed logins beyond this per CN (0 = unlimited)")
 	statusAddr := flag.String("status", "127.0.0.1:0", "operator HTTP address (/v1/status, /metrics, /v1/telemetry, POST /v1/logs/batch)")
-	logDir := flag.String("log-dir", "", "durable log store directory: accepted download records are spilled to rotated gzip NDJSON segments that netsession-analyze reads")
+	logDir := flag.String("log-dir", "", "durable state directory: accepted download records are spilled to rotated gzip NDJSON segments that netsession-analyze reads, and batch acks persist under acks/")
 	maxLogRecords := flag.Int("max-log-records", 0, "in-memory accounting log cap per record kind (0 = default, negative = unbounded)")
-	nodeID := flag.String("node-id", "", "this node's cluster identity; required with -join")
+	nodeID := flag.String("node-id", "", "this node's cluster identity (default: the bound status address)")
 	join := flag.String("join", "", "comma-separated seed list of other control-plane nodes: id=statusURL entries, or bare status URLs (seed exchange discovers the rest), e.g. http://10.0.0.2:7000")
 	joinExisting := flag.Bool("join-existing", false, "treat the first ring view as a real takeover (set when joining a cluster that already serves peers)")
 	probeEvery := flag.Duration("probe-interval", time.Second, "cluster liveness probe interval")
@@ -69,119 +74,37 @@ func main() {
 		log.Fatalf("identity plan: %v", err)
 	}
 
-	var logStore *logpipe.Store
-	if *logDir != "" {
-		var err error
-		logStore, err = logpipe.OpenStore(logpipe.StoreConfig{Dir: *logDir})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("durable log store in %s", *logDir)
-	}
-
-	if *join != "" && *nodeID == "" {
-		log.Fatal("-join requires -node-id")
-	}
-
-	// The node's durable batch-acknowledgement store: with -log-dir it
-	// survives restarts (a batch acked before a crash is still deduplicated
-	// after); cluster peers reconcile it by anti-entropy.
-	var ackStore *logpipe.AckStore
-	if *join != "" {
-		ackDir := ""
-		if *logDir != "" {
-			ackDir = filepath.Join(*logDir, "acks")
-		}
-		var err error
-		ackStore, err = logpipe.OpenAckStore(logpipe.AckConfig{Dir: ackDir})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ackStore.Close()
-	}
-
-	cp, err := controlplane.New(controlplane.Config{
+	node, err := controlplane.StartNode(controlplane.Config{
 		NodeID:           *nodeID,
+		CNs:              *numCNs,
+		StatusAddr:       *statusAddr,
+		LogDir:           *logDir,
+		Seeds:            parseSeeds(*join),
+		ProbeInterval:    *probeEvery,
+		JoinExisting:     *joinExisting,
+		Logf:             log.Printf,
 		Scape:            scape,
 		Minter:           edge.NewTokenMinter([]byte(*key)),
-		Collector:        accounting.NewCollector(nil),
 		Policy:           selection.DefaultPolicy(),
 		ClientConfig:     edge.DefaultClientConfig(),
 		MaxSessionsPerCN: *maxSessions,
-		LogStore:         logStore,
 		MaxLogRecords:    *maxLogRecords,
-		LogAcks:          ackStore,
-		JoinExisting:     *joinExisting,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cp.Close()
-	if logStore != nil {
-		defer logStore.Close()
-	}
-
-	var cnAddrs []string
-	for i := 0; i < *numCNs; i++ {
-		cn, err := cp.StartCN("127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
+	defer func() {
+		if err := node.Close(); err != nil {
+			log.Printf("close: %v", err)
 		}
-		cnAddrs = append(cnAddrs, cn.Addr())
+	}()
+	cp := node.ControlPlane()
+	for i, cn := range node.CNs() {
 		log.Printf("CN %d listening on %s", i, cn.Addr())
 	}
-	status, err := cp.StartStatusServer(*statusAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer status.Close()
-	log.Printf("status on http://%s (GET /v1/status, /metrics, /v1/telemetry)", status.Addr())
-
-	// Join the control-plane cluster: probe the seed nodes and route regions
-	// over the alive set. Peers whose region another node owns are
-	// redirected on login; seed CN addresses are learned from each node's
-	// own status document. A seed may be a bare status URL — one live
-	// address is enough, seed exchange discovers the rest of the cluster.
-	if *join != "" {
-		var seeds []cluster.Node
-		for _, s := range strings.Split(*join, ",") {
-			entry := strings.TrimSpace(s)
-			if id, url, ok := strings.Cut(entry, "="); ok && !strings.Contains(id, "://") {
-				seeds = append(seeds, cluster.Node{ID: id, StatusURL: url})
-			} else {
-				seeds = append(seeds, cluster.Node{StatusURL: entry})
-			}
-		}
-		syncer := logpipe.NewAckSyncer(logpipe.AckSyncerConfig{
-			Store: ackStore, Telemetry: cp.Metrics(), Logf: log.Printf,
-		})
-		self := cluster.Node{ID: *nodeID, StatusURL: "http://" + status.Addr(), CNAddrs: cnAddrs}
-		member := cluster.New(cluster.Config{
-			Self:          self,
-			Seeds:         seeds,
-			ProbeInterval: *probeEvery,
-			JoinMode:      *joinExisting,
-			Telemetry:     cp.Metrics(),
-			OnChange: func(v cluster.View) {
-				peers := make(map[string]string, len(v.Nodes))
-				for _, n := range v.Nodes {
-					if n.ID != self.ID {
-						peers[n.ID] = n.StatusURL
-					}
-				}
-				syncer.SetPeers(peers)
-				cp.ApplyRingView(v)
-			},
-			OnAckSeq: func(n cluster.Node, seq uint64) {
-				syncer.ObserveAckSeq(n.ID, n.StatusURL, seq)
-			},
-			Logf: log.Printf,
-		})
-		cp.SetMembership(member)
-		cp.LogIngest().SetPeerSeen(syncer.SeenAnywhere)
-		member.Start()
-		defer member.Stop()
-		log.Printf("cluster node %s joined with %d seeds", *nodeID, len(seeds))
+	log.Printf("node %s, status on %s (GET /v1/status, /metrics, /v1/telemetry)", node.ID(), node.StatusURL())
+	if *logDir != "" {
+		log.Printf("durable log store and ack store in %s", *logDir)
 	}
 
 	mon := controlplane.NewMonitor(0)
@@ -200,7 +123,7 @@ func main() {
 		log.Printf("debug server on http://%s (GET /debug/pprof/, /metrics)", dbg.Addr())
 	}
 
-	targets := map[string]string{"cp": "http://" + status.Addr()}
+	targets := map[string]string{"cp": node.StatusURL()}
 	for _, t := range strings.Split(*scrape, ",") {
 		if name, url, ok := strings.Cut(strings.TrimSpace(t), "="); ok {
 			targets[name] = url
@@ -225,15 +148,30 @@ func main() {
 	select {
 	case s := <-sig:
 		if s == syscall.SIGTERM {
-			sum, err := cp.Drain()
-			if err != nil {
-				log.Printf("drain: %v", err)
-			} else {
-				log.Printf("drained: %d regions, %d entries, %d acks flushed to %d survivors",
-					len(sum.Regions), sum.EntriesTransferred, sum.AcksFlushed, sum.Survivors)
-			}
+			// Drain's error is Close's, which the deferred Close reports.
+			sum, _ := node.Drain()
+			log.Printf("drained: %d regions, %d entries, %d acks flushed to %d survivors",
+				len(sum.Regions), sum.EntriesTransferred, sum.AcksFlushed, sum.Survivors)
 		}
 	case <-drained:
 	}
 	log.Printf("shutting down; %d sessions were connected", cp.SessionCount())
+}
+
+// parseSeeds splits the -join list: id=statusURL entries, or bare status
+// URLs that the first successful probe identifies.
+func parseSeeds(join string) []cluster.Node {
+	var seeds []cluster.Node
+	for _, s := range strings.Split(join, ",") {
+		entry := strings.TrimSpace(s)
+		if entry == "" {
+			continue
+		}
+		if id, url, ok := strings.Cut(entry, "="); ok && !strings.Contains(id, "://") {
+			seeds = append(seeds, cluster.Node{ID: id, StatusURL: url})
+		} else {
+			seeds = append(seeds, cluster.Node{StatusURL: entry})
+		}
+	}
+	return seeds
 }

@@ -125,6 +125,15 @@ func TestCrashPeerKillAndResume(t *testing.T) {
 			reborn.Metrics().Snapshot().Counters)
 	}
 
+	// Completion retires the checkpoint. The store reports the last piece
+	// before the download books it, so the counters below are read only
+	// once completion has run.
+	if !chaosEventually(10*time.Second, func() bool {
+		_, err := os.Stat(checkpointFile(stateDir, obj.ID))
+		return os.IsNotExist(err)
+	}) {
+		t.Error("checkpoint not retired after completion")
+	}
 	snap := reborn.Metrics().Snapshot()
 	if got := snap.Counters["peer_resume_total"]; got != 1 {
 		t.Errorf("peer_resume_total = %d, want 1", got)
@@ -150,14 +159,8 @@ func TestCrashPeerKillAndResume(t *testing.T) {
 		t.Errorf("store_recovery_corrupt_total = %d after a clean kill, want 0", got)
 	}
 
-	// Completion retires the checkpoint and the content is hash-verified on
-	// read (DiskStore.Get re-verifies; a corrupt piece would come back !ok).
-	if !chaosEventually(10*time.Second, func() bool {
-		_, err := os.Stat(checkpointFile(stateDir, obj.ID))
-		return os.IsNotExist(err)
-	}) {
-		t.Error("checkpoint not retired after completion")
-	}
+	// The content is hash-verified on read (DiskStore.Get re-verifies; a
+	// corrupt piece would come back !ok).
 	for i := 0; i < obj.NumPieces(); i++ {
 		if _, ok := reborn.Store().Get(obj.ID, i); !ok {
 			t.Fatalf("piece %d unreadable/corrupt after resumed completion", i)
@@ -228,28 +231,28 @@ func TestCrashDNRebuildConverges(t *testing.T) {
 		}
 	}
 	if !chaosEventually(10*time.Second, func() bool {
-		return c.nodes[0].cp.DN(region).Copies(obj.ID) == holders
+		return c.nodes[0].ControlPlane().DN(region).Copies(obj.ID) == holders
 	}) {
-		t.Fatalf("directory holds %d copies, want %d", c.nodes[0].cp.DN(region).Copies(obj.ID), holders)
+		t.Fatalf("directory holds %d copies, want %d", c.nodes[0].ControlPlane().DN(region).Copies(obj.ID), holders)
 	}
 
 	// Kill the DN. Its database empties; the rebuild window opens; every
 	// connected peer in the region is asked to RE-ADD.
-	c.nodes[0].cp.FailDN(region)
+	c.nodes[0].ControlPlane().FailDN(region)
 	if !chaosEventually(10*time.Second, func() bool {
-		return c.nodes[0].cp.DN(region).Copies(obj.ID) == holders
+		return c.nodes[0].ControlPlane().DN(region).Copies(obj.ID) == holders
 	}) {
 		t.Fatalf("directory converged to %d copies after DN kill, want pre-kill %d",
-			c.nodes[0].cp.DN(region).Copies(obj.ID), holders)
+			c.nodes[0].ControlPlane().DN(region).Copies(obj.ID), holders)
 	}
 
 	annKey := `dn_rebuild_announces_total{region="` + region.String() + `"}`
-	snap := c.nodes[0].cp.Metrics().Snapshot()
+	snap := c.nodes[0].ControlPlane().Metrics().Snapshot()
 	if snap.Counters[annKey] == 0 {
 		t.Errorf("%s = 0, want rebuild announcements counted", annKey)
 	}
 	if !chaosEventually(10*time.Second, func() bool {
-		s := c.nodes[0].cp.Metrics().Snapshot()
+		s := c.nodes[0].ControlPlane().Metrics().Snapshot()
 		return s.Histograms["dn_rebuild_ms"].Count > 0 &&
 			s.Gauges[`dn_rebuilding{region="`+region.String()+`"}`] == 0
 	}) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -38,13 +39,15 @@ type WireMember struct {
 	CNAddrs   []string `json:"cnAddrs,omitempty"`
 }
 
-// Probe identity headers: every probe announces who is asking and where its
-// own status surface lives, so the probed node learns new members from the
+// Probe identity headers: every probe announces who is asking, where its
+// own status surface lives and where its CNs listen (comma-separated), so
+// the probed node learns new members — redirect targets included — from the
 // request itself (a joining node becomes known cluster-wide within one
 // probe round even though probes are plain GETs).
 const (
 	HeaderProbeID  = "X-Netsession-Node-Id"
 	HeaderProbeURL = "X-Netsession-Status-Url"
+	HeaderProbeCNs = "X-Netsession-Cn-Addrs"
 )
 
 // View is one consistent observation of the cluster: the alive members and
@@ -201,7 +204,10 @@ func New(cfg Config) *Membership {
 }
 
 // Start fires the initial OnChange (with every identified seed
-// optimistically alive; suppressed in JoinMode) and begins the probe loop.
+// optimistically alive; suppressed in JoinMode), runs one probe round, and
+// begins the probe loop. The first round runs before Start returns: every
+// seed that is up has learned this node from the probe's identity headers
+// by then, rather than one ProbeInterval later.
 func (m *Membership) Start() {
 	m.mu.Lock()
 	if m.started {
@@ -213,6 +219,7 @@ func (m *Membership) Start() {
 	if m.cfg.OnChange != nil && !m.cfg.JoinMode {
 		m.cfg.OnChange(m.View())
 	}
+	m.probeRound()
 	m.wg.Add(1)
 	go m.loop()
 }
@@ -363,14 +370,20 @@ func (m *Membership) loop() {
 			return
 		case <-t.C:
 		}
-		changed, acks := m.probeAll()
-		if changed && m.cfg.OnChange != nil {
-			m.cfg.OnChange(m.View())
-		}
-		if m.cfg.OnAckSeq != nil {
-			for _, a := range acks {
-				m.cfg.OnAckSeq(a.node, a.seq)
-			}
+		m.probeRound()
+	}
+}
+
+// probeRound probes every member once and publishes the outcome: a changed
+// view to OnChange, every advertised ack sequence to OnAckSeq.
+func (m *Membership) probeRound() {
+	changed, acks := m.probeAll()
+	if changed && m.cfg.OnChange != nil {
+		m.cfg.OnChange(m.View())
+	}
+	if m.cfg.OnAckSeq != nil {
+		for _, a := range acks {
+			m.cfg.OnAckSeq(a.node, a.seq)
 		}
 	}
 }
@@ -525,6 +538,7 @@ func (m *Membership) probe(n Node) (statusDoc, error) {
 	// push half of seed exchange.
 	req.Header.Set(HeaderProbeID, m.cfg.Self.ID)
 	req.Header.Set(HeaderProbeURL, m.cfg.Self.StatusURL)
+	req.Header.Set(HeaderProbeCNs, strings.Join(m.cfg.Self.CNAddrs, ","))
 	resp, err := m.client.Do(req)
 	if err != nil {
 		return doc, err

@@ -253,14 +253,6 @@ func testStore(t *testing.T, s Store) {
 
 func TestMemStore(t *testing.T) { testStore(t, NewMemStore()) }
 
-func TestFileStore(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStore(t, fs)
-}
-
 // TestMemStorePutTakesOwnership pins the buffer contract: Put keeps the
 // verified slice itself (no copy in), Get hands that same slice to every
 // reader (no copy out), and a duplicate Put leaves the first buffer in place.

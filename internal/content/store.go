@@ -1,11 +1,6 @@
 package content
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-)
+import "sync"
 
 // Store holds verified pieces of objects on a peer or an edge server.
 // Implementations must be safe for concurrent use.
@@ -119,129 +114,6 @@ func (s *MemStore) Drop(id ObjectID) {
 func (s *MemStore) Objects() []ObjectID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]ObjectID, 0, len(s.objs))
-	for id := range s.objs {
-		out = append(out, id)
-	}
-	return out
-}
-
-// FileStore is a disk-backed Store; each object version is one sparse file
-// plus a sidecar bitfield, mirroring how the Download Manager keeps partial
-// downloads resumable across restarts ("users can ... continue downloads
-// that were aborted earlier", §3.3).
-type FileStore struct {
-	dir string
-
-	mu   sync.Mutex
-	objs map[ObjectID]*fileObject
-}
-
-type fileObject struct {
-	obj  Object
-	have *Bitfield
-	path string
-}
-
-// NewFileStore creates a store rooted at dir, creating it if needed.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("content: filestore: %w", err)
-	}
-	return &FileStore{dir: dir, objs: make(map[ObjectID]*fileObject)}, nil
-}
-
-func (s *FileStore) object(m *Manifest) *fileObject {
-	o := s.objs[m.Object.ID]
-	if o == nil {
-		o = &fileObject{
-			obj:  m.Object,
-			have: NewBitfield(m.Object.NumPieces()),
-			path: filepath.Join(s.dir, m.Object.ID.String()+".part"),
-		}
-		s.objs[m.Object.ID] = o
-	}
-	return o
-}
-
-// Put implements Store.
-func (s *FileStore) Put(m *Manifest, index int, data []byte) error {
-	if err := m.Verify(index, data); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.object(m)
-	f, err := os.OpenFile(o.path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("content: filestore put: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(data, m.Object.PieceOffset(index)); err != nil {
-		return fmt.Errorf("content: filestore write: %w", err)
-	}
-	o.have.Set(index)
-	return nil
-}
-
-// Get implements Store.
-func (s *FileStore) Get(id ObjectID, index int) ([]byte, bool) {
-	s.mu.Lock()
-	o := s.objs[id]
-	if o == nil || !o.have.Has(index) {
-		s.mu.Unlock()
-		return nil, false
-	}
-	length := o.obj.PieceLength(index)
-	off := o.obj.PieceOffset(index)
-	path := o.path
-	s.mu.Unlock()
-
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	buf := make([]byte, length)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, false
-	}
-	return buf, true
-}
-
-// Have implements Store.
-func (s *FileStore) Have(id ObjectID) *Bitfield {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.objs[id]
-	if o == nil {
-		return nil
-	}
-	return o.have.Clone()
-}
-
-// Complete implements Store.
-func (s *FileStore) Complete(id ObjectID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.objs[id]
-	return o != nil && o.have.Complete()
-}
-
-// Drop implements Store.
-func (s *FileStore) Drop(id ObjectID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if o := s.objs[id]; o != nil {
-		os.Remove(o.path)
-		delete(s.objs, id)
-	}
-}
-
-// Objects implements Store.
-func (s *FileStore) Objects() []ObjectID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]ObjectID, 0, len(s.objs))
 	for id := range s.objs {
 		out = append(out, id)

@@ -50,12 +50,16 @@ type session struct {
 	wmu sync.Mutex
 }
 
-func startCN(cp *ControlPlane, addr string) (*CN, error) {
+// startCN starts a connection node of cp listening on addr.
+func (cp *ControlPlane) startCN(addr string) (*CN, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("controlplane: CN listen: %w", err)
 	}
 	cn := &CN{cp: cp, ln: ln, sessions: make(map[*session]bool)}
+	cp.mu.Lock()
+	cp.cns = append(cp.cns, cn)
+	cp.mu.Unlock()
 	go cn.acceptLoop()
 	return cn, nil
 }

@@ -7,7 +7,6 @@
 package controlplane
 
 import (
-	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -26,12 +25,38 @@ import (
 	"netsession/internal/telemetry"
 )
 
-// Config assembles a control plane.
+// Config assembles a control-plane node (StartNode).
 type Config struct {
-	// NodeID names this node in a multi-node cluster; ApplyRingView compares
-	// ring owners against it. Empty is fine for single-node deployments,
-	// which own every region forever.
+	// NodeID is this node's cluster identity; ApplyRingView compares ring
+	// owners against it. Empty selects the bound status address, which is
+	// unique and, for a fixed StatusAddr, stable across restarts.
 	NodeID string
+	// CNs is how many connection nodes to start on loopback; zero selects 1.
+	CNs int
+	// StatusAddr is the operator HTTP address (status, metrics, log ingest,
+	// drain and the cluster endpoints); empty selects 127.0.0.1:0.
+	StatusAddr string
+	// LogDir, when set, holds the node's durable state: every accepted
+	// download record is spilled to rotated segments directly in LogDir — the
+	// durable month of logs the paper's analyses read (§4.1), with the
+	// in-memory collector keeping only a recent window — and the batch-ack
+	// store lives under LogDir/acks, so a batch acked before a restart is
+	// still deduplicated after it. Without LogDir the ack store is
+	// memory-only.
+	LogDir string
+	// Seeds are other cluster members to join: entries with an ID start out
+	// alive, address-only entries are identified by their first probe (seed
+	// exchange discovers the rest). No seeds make a ring of one that other
+	// nodes can join.
+	Seeds []cluster.Node
+	// ProbeInterval is how often members probe each other's status surface;
+	// zero selects 1s.
+	ProbeInterval time.Duration
+	// FailAfter is how many consecutive probe failures mark a member dead
+	// (triggering region handoff); zero selects 3.
+	FailAfter int
+	// Logf receives membership and ack-sync logging; nil discards.
+	Logf func(format string, args ...any)
 	// Scape resolves declared peer IPs to (location, AS) for region routing
 	// and selection locality.
 	Scape *geo.EdgeScape
@@ -58,11 +83,6 @@ type Config struct {
 	// Telemetry is the metrics registry; nil creates a private one. It is
 	// served on the status server's GET /metrics and GET /v1/telemetry.
 	Telemetry *telemetry.Registry
-	// LogStore, when set, receives every accepted download record as
-	// append-only rotated segments — the durable month of logs the paper's
-	// analyses read (§4.1). The in-memory collector then only holds a recent
-	// window.
-	LogStore *logpipe.Store
 	// MaxLogRecords caps how many records of each kind the collector keeps
 	// in memory; zero selects the accounting defaults, negative is unbounded.
 	MaxLogRecords int
@@ -70,18 +90,12 @@ type Config struct {
 	// the log ingest endpoint; it can also be swapped at runtime through
 	// LogIngest().SetFaults.
 	IngestFaults *faults.Injector
-	// LogAcks, when set, is this node's durable batch-acknowledgement store,
-	// consulted and fed by the log ingest endpoint and served to peers on
-	// the status server's ack endpoints for anti-entropy reconciliation — so
-	// a batch acked by one node and retried against another after a failover
-	// still counts exactly once, across real process boundaries. Nil gives
-	// the node a private in-memory window.
-	LogAcks *logpipe.AckStore
 	// JoinExisting marks a node joining an already-running cluster: the
 	// first ring view it applies treats its assigned regions as real
 	// takeovers (rebuild window and all) instead of a silent boot
 	// assignment, because peers in those regions are already attached to
-	// other nodes and must be rebalanced over.
+	// other nodes and must be rebalanced over. The membership then defers its
+	// first view until discovery has found another member.
 	JoinExisting bool
 	// ConnWrap, when set, wraps every accepted CN connection — the hook
 	// fault-injection harnesses use to make control sessions drop or lag
@@ -203,22 +217,23 @@ type ControlPlane struct {
 	// skips the rebuild entirely (the directory is already populated).
 	transferMs [geo.NumRegions]int64
 
-	// memberMu guards member, the cluster membership this node participates
-	// in (nil when single-node). The status handler and the drain path read
-	// it; the cluster wiring sets it once the membership exists.
-	memberMu sync.Mutex
-	member   *cluster.Membership
+	// The node's durable state and cluster membership, set once by StartNode
+	// before the status surface serves: the segment store (nil without a log
+	// dir), the batch-ack store the ingest endpoint and the anti-entropy
+	// endpoints share, and the membership the status handler gossips and the
+	// drain path leaves.
+	store  *logpipe.Store
+	acks   *logpipe.AckStore
+	member *cluster.Membership
 
 	drainMu   sync.Mutex
 	drained   bool
 	drainHook func(DrainSummary)
 }
 
-// New creates a control plane with one DN per region and no CNs yet.
-func New(cfg Config) (*ControlPlane, error) {
-	if cfg.Scape == nil {
-		return nil, fmt.Errorf("controlplane: Config.Scape is required")
-	}
+// newControlPlane creates a control plane with one DN per region and no CNs
+// yet; peerSeen is the ingest endpoint's cross-node dedup check.
+func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore, peerSeen func(key string) bool) *ControlPlane {
 	if cfg.Collector == nil {
 		cfg.Collector = accounting.NewCollector(nil)
 	}
@@ -229,6 +244,8 @@ func New(cfg Config) (*ControlPlane, error) {
 		cfg:      cfg,
 		metrics:  newCPMetrics(cfg.Telemetry),
 		sessions: make(map[id.GUID]*session),
+		store:    store,
+		acks:     acks,
 	}
 	cp.analytics = newCPAnalytics(cp.metrics.reg)
 	cp.geoLookup = analysis.ScapeLookup(cfg.Scape)
@@ -237,16 +254,12 @@ func New(cfg Config) (*ControlPlane, error) {
 		MaxLogins:        cfg.MaxLogRecords,
 		MaxRegistrations: cfg.MaxLogRecords,
 	}, cp.metrics.reg)
-	ingestCfg := logpipe.IngestConfig{
+	cp.ingest = logpipe.NewIngest(logpipe.IngestConfig{
 		Handle:    cp.ingestEntry,
+		Acks:      acks,
+		PeerSeen:  peerSeen,
 		Telemetry: cp.metrics.reg,
-	}
-	// Assign only when non-nil: a typed-nil *AckStore in the interface field
-	// would defeat NewIngest's private-window fallback.
-	if cfg.LogAcks != nil {
-		ingestCfg.Acks = cfg.LogAcks
-	}
-	cp.ingest = logpipe.NewIngest(ingestCfg)
+	})
 	for r := 0; r < geo.NumRegions; r++ {
 		cp.owned[r] = true
 	}
@@ -263,7 +276,7 @@ func New(cfg Config) (*ControlPlane, error) {
 		}
 		cp.dns[r] = dn
 	}
-	return cp, nil
+	return cp
 }
 
 // Metrics exposes the control plane's telemetry registry.
@@ -279,38 +292,8 @@ func (cp *ControlPlane) Collector() *accounting.Collector { return cp.cfg.Collec
 // POST /v1/logs/batch); chaos tests flip faults on it at runtime.
 func (cp *ControlPlane) LogIngest() *logpipe.Ingest { return cp.ingest }
 
-// LogStore returns the durable segment store, or nil when not configured.
-func (cp *ControlPlane) LogStore() *logpipe.Store { return cp.cfg.LogStore }
-
-// LogAcks returns the node's durable ack store, or nil when not configured.
-func (cp *ControlPlane) LogAcks() *logpipe.AckStore { return cp.cfg.LogAcks }
-
-// SetMembership attaches the cluster membership this node participates in.
-// The status handler uses it to gossip the alive view (and learn probers);
-// the drain path uses it to find survivors and announce its departure.
-func (cp *ControlPlane) SetMembership(m *cluster.Membership) {
-	cp.memberMu.Lock()
-	cp.member = m
-	cp.memberMu.Unlock()
-}
-
-func (cp *ControlPlane) membership() *cluster.Membership {
-	cp.memberMu.Lock()
-	defer cp.memberMu.Unlock()
-	return cp.member
-}
-
-// StartCN starts a connection node listening on addr and returns it.
-func (cp *ControlPlane) StartCN(addr string) (*CN, error) {
-	cn, err := startCN(cp, addr)
-	if err != nil {
-		return nil, err
-	}
-	cp.mu.Lock()
-	cp.cns = append(cp.cns, cn)
-	cp.mu.Unlock()
-	return cn, nil
-}
+// LogStore returns the durable segment store, or nil without a log dir.
+func (cp *ControlPlane) LogStore() *logpipe.Store { return cp.store }
 
 // Close shuts down all CNs.
 func (cp *ControlPlane) Close() {
@@ -322,11 +305,15 @@ func (cp *ControlPlane) Close() {
 	}
 }
 
-// StartJanitor begins periodic soft-state expiry across all DNs: entries
+// startJanitor begins periodic soft-state expiry across all DNs: entries
 // older than ttlMs are purged every interval. Returns a stop function.
 // Expiry is safe because the directory's contents are reconstructible from
-// the peers themselves (§3.8).
-func (cp *ControlPlane) StartJanitor(interval time.Duration, ttlMs int64) (stop func()) {
+// the peers themselves (§3.8). A ttlMs of zero disables the freshness check
+// (selection.Policy.SoftStateTTLMs), and with it the janitor.
+func (cp *ControlPlane) startJanitor(interval time.Duration, ttlMs int64) (stop func()) {
+	if ttlMs <= 0 {
+		return func() {}
+	}
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {

@@ -19,12 +19,13 @@ import (
 	"netsession/internal/protocol"
 )
 
-// harness wires a control plane with one CN over a small atlas.
+// harness starts a control-plane node with one CN over a small atlas.
 type harness struct {
 	t      *testing.T
 	atlas  *geo.Atlas
 	scape  *geo.EdgeScape
 	minter *edge.TokenMinter
+	node   *Node
 	cp     *ControlPlane
 	cn     *CN
 }
@@ -45,16 +46,13 @@ func newHarness(t *testing.T, mutate func(*Config)) *harness {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	cp, err := New(cfg)
+	n, err := StartNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn, err := cp.StartCN("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cp.Close)
-	return &harness{t: t, atlas: atlas, scape: scape, minter: minter, cp: cp, cn: cn}
+	t.Cleanup(func() { n.Close() })
+	return &harness{t: t, atlas: atlas, scape: scape, minter: minter,
+		node: n, cp: n.ControlPlane(), cn: n.CNs()[0]}
 }
 
 // rawPeer is a minimal protocol-level client for driving the CN directly.

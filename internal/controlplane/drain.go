@@ -77,20 +77,21 @@ type leaveRequest struct {
 	NodeID string `json:"nodeId"`
 }
 
-// Drain removes this node from the cluster gracefully: every owned region's
-// directory snapshot is pushed to its new owner (so the takeover skips the
-// RE-ADD rebuild window entirely), the ack window is flushed to survivors
-// and checkpointed, the departure is announced (survivors drop us from the
-// ring immediately instead of waiting out FailAfter probes), and finally the
-// node's own CNs close, sending its peers through their reconnect path onto
-// the new owners. Push failures degrade gracefully: a region whose handoff
-// could not be delivered just takes the crash path (rebuild window) on its
-// new owner. Safe to call once; later calls return the zero summary.
-func (cp *ControlPlane) Drain() (DrainSummary, error) {
+// drain removes this node from the cluster gracefully, in a fixed order:
+// probing stops, every owned region's directory snapshot is pushed to its
+// new owner (so the takeover skips the RE-ADD rebuild window entirely), the
+// ack window is flushed to survivors, the departure is announced (survivors
+// drop us from the ring immediately instead of waiting out FailAfter
+// probes), and finally the node's own CNs close, sending its peers through
+// their reconnect path onto the new owners. Push failures degrade
+// gracefully: a region whose handoff could not be delivered just takes the
+// crash path (rebuild window) on its new owner. Safe to call once; later
+// calls return the zero summary. Node.Close releases the rest.
+func (cp *ControlPlane) drain() DrainSummary {
 	cp.drainMu.Lock()
 	if cp.drained {
 		cp.drainMu.Unlock()
-		return DrainSummary{NodeID: cp.cfg.NodeID}, nil
+		return DrainSummary{NodeID: cp.cfg.NodeID}
 	}
 	cp.drained = true
 	cp.drainMu.Unlock()
@@ -98,11 +99,11 @@ func (cp *ControlPlane) Drain() (DrainSummary, error) {
 	sum := DrainSummary{NodeID: cp.cfg.NodeID}
 	client := &http.Client{Timeout: 5 * time.Second}
 
-	member := cp.membership()
-	var survivors []cluster.Node
-	if member != nil {
-		survivors = member.Others()
-	}
+	// Stop probing first. A probe of ours reaching a survivor after the leave
+	// would be taken for a deliberate rejoin: it clears the tombstone, the
+	// survivor re-adds us as alive and releases the regions we handed it.
+	cp.member.Stop()
+	survivors := cp.member.Others()
 	sum.Survivors = len(survivors)
 
 	if len(survivors) > 0 {
@@ -143,19 +144,17 @@ func (cp *ControlPlane) Drain() (DrainSummary, error) {
 
 		// Flush the ack window so batches we acked stay deduplicated after we
 		// are gone, even on nodes anti-entropy had not reached yet.
-		if acks := cp.cfg.LogAcks; acks != nil {
-			keys := acks.Window()
-			sum.AcksFlushed = len(keys)
-			if len(keys) > 0 {
-				body, _ := json.Marshal(struct {
-					Keys []string `json:"keys"`
-				}{Keys: keys})
-				for _, n := range survivors {
-					resp, err := client.Post(n.StatusURL+logpipe.AcksPath,
-						"application/json", bytes.NewReader(body))
-					if err == nil {
-						resp.Body.Close()
-					}
+		keys := cp.acks.Window()
+		sum.AcksFlushed = len(keys)
+		if len(keys) > 0 {
+			body, _ := json.Marshal(struct {
+				Keys []string `json:"keys"`
+			}{Keys: keys})
+			for _, n := range survivors {
+				resp, err := client.Post(n.StatusURL+logpipe.AcksPath,
+					"application/json", bytes.NewReader(body))
+				if err == nil {
+					resp.Body.Close()
 				}
 			}
 		}
@@ -172,14 +171,10 @@ func (cp *ControlPlane) Drain() (DrainSummary, error) {
 		}
 	}
 
-	if acks := cp.cfg.LogAcks; acks != nil {
-		acks.Checkpoint()
-	}
-
 	// Drop our peers last: they reconnect, and by now the login redirects
 	// point at the new owners.
 	cp.Close()
-	return sum, nil
+	return sum
 }
 
 func (cp *ControlPlane) pushHandoff(client *http.Client, target cluster.Node,
@@ -226,15 +221,11 @@ func (cp *ControlPlane) SetOnDrained(fn func(DrainSummary)) {
 	cp.drainMu.Unlock()
 }
 
-// DrainHandler serves POST DrainPath: runs the drain and replies with the
+// drainHandler serves POST DrainPath: runs the drain and replies with the
 // summary.
-func (cp *ControlPlane) DrainHandler() http.Handler {
+func (cp *ControlPlane) drainHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sum, err := cp.Drain()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		sum := cp.drain()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(sum)
 		cp.drainMu.Lock()
@@ -330,9 +321,7 @@ func (cp *ControlPlane) serveLeave(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing nodeId", http.StatusBadRequest)
 		return
 	}
-	if m := cp.membership(); m != nil {
-		m.MarkLeft(req.NodeID)
-	}
+	cp.member.MarkLeft(req.NodeID)
 	w.WriteHeader(http.StatusOK)
 }
 

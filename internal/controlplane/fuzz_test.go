@@ -23,16 +23,13 @@ func FuzzUsageEntry(f *testing.F) {
 	minter := edge.NewTokenMinter([]byte("cp-fuzz-key"))
 	ledger := edge.NewLedger()
 	collector := accounting.NewCollector(&accounting.LedgerVerifier{Edge: ledger})
-	cp, err := New(Config{
+	cp := newControlPlane(Config{
 		Scape:     geo.NewEdgeScape(geo.GenerateAtlas(acfg)),
 		Minter:    minter,
 		Collector: collector,
 		// The newest accepted record is the only one each iteration reads.
 		MaxLogRecords: 1,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
+	}, nil, nil, nil)
 	reporter, other := id.GUID{1}, id.GUID{2}
 	oid := content.NewObjectID(7, "file", 1)
 	ledger.RecordAuthorization(reporter, oid)

@@ -23,7 +23,7 @@ func TestJanitorExpiresSoftState(t *testing.T) {
 	region := geo.RegionOf(p.rec)
 	waitFor(t, "registration", func() bool { return h.cp.DN(region).Copies(oid) == 1 })
 
-	stop := h.cp.StartJanitor(20*time.Millisecond, 1000)
+	stop := h.cp.startJanitor(20*time.Millisecond, 1000)
 	defer stop()
 
 	// Within TTL the entry stays: watch several janitor ticks and fail the

@@ -31,7 +31,7 @@ func (cp *ControlPlane) recordDownload(rec accounting.DownloadRecord) error {
 	// half of the same pipeline.
 	off := analysis.OfflineFromRecord(&rec, cp.geoLookup)
 	cp.analytics.observe(&off)
-	if st := cp.cfg.LogStore; st != nil {
+	if st := cp.store; st != nil {
 		if err := st.Append(off); err != nil {
 			return fmt.Errorf("controlplane: spill download record: %w", err)
 		}

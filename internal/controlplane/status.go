@@ -3,9 +3,9 @@ package controlplane
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"time"
 
 	"netsession/internal/cluster"
@@ -60,16 +60,12 @@ func (cp *ControlPlane) Status() Status {
 	log := cp.Collector().Snapshot()
 	st.AcceptedDownloads = len(log.Downloads)
 	st.RejectedReports = cp.Collector().Rejected()
-	if m := cp.membership(); m != nil {
-		for _, n := range m.Members() {
-			st.Members = append(st.Members, cluster.WireMember{
-				ID: n.ID, StatusURL: n.StatusURL, CNAddrs: n.CNAddrs,
-			})
-		}
+	for _, n := range cp.member.Members() {
+		st.Members = append(st.Members, cluster.WireMember{
+			ID: n.ID, StatusURL: n.StatusURL, CNAddrs: n.CNAddrs,
+		})
 	}
-	if acks := cp.cfg.LogAcks; acks != nil {
-		st.AckSeq = acks.Seq()
-	}
+	st.AckSeq = cp.acks.Seq()
 	return st
 }
 
@@ -80,60 +76,53 @@ func (cp *ControlPlane) Status() Status {
 func (cp *ControlPlane) StatusHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if proberID := r.Header.Get(cluster.HeaderProbeID); proberID != "" {
-			if m := cp.membership(); m != nil {
-				m.ObserveProber(cluster.Node{
-					ID:        proberID,
-					StatusURL: r.Header.Get(cluster.HeaderProbeURL),
-				})
+			prober := cluster.Node{ID: proberID, StatusURL: r.Header.Get(cluster.HeaderProbeURL)}
+			if cns := r.Header.Get(cluster.HeaderProbeCNs); cns != "" {
+				prober.CNAddrs = strings.Split(cns, ",")
 			}
+			cp.member.ObserveProber(prober)
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(cp.Status())
 	})
 }
 
-// StatusServer is the control plane's operator HTTP surface: the status
+// statusServer is the control plane's operator HTTP surface: the status
 // snapshot plus the standard telemetry endpoints (GET /metrics in Prometheus
 // text format, GET /v1/telemetry as JSON). The CNs themselves speak only the
 // binary control protocol, so this is where the control plane's metrics are
 // scraped from.
-type StatusServer struct {
+type statusServer struct {
 	httpSrv *http.Server
 	ln      net.Listener
 }
 
-// StartStatusServer serves the operator surface on addr.
-func (cp *ControlPlane) StartStatusServer(addr string) (*StatusServer, error) {
+// serveStatus serves the operator surface on ln.
+func (cp *ControlPlane) serveStatus(ln net.Listener) *statusServer {
 	mux := http.NewServeMux()
 	mux.Handle("GET /v1/status", cp.StatusHandler())
 	mux.Handle("GET /v1/analytics", cp.AnalyticsHandler())
 	mux.Handle("POST "+logpipe.BatchPath, cp.ingest.Handler())
-	mux.Handle("POST "+DrainPath, cp.DrainHandler())
+	mux.Handle("POST "+DrainPath, cp.drainHandler())
 	mux.Handle("POST "+HandoffPath, http.HandlerFunc(cp.serveHandoff))
 	mux.Handle("POST "+LeavePath, http.HandlerFunc(cp.serveLeave))
-	if acks := cp.cfg.LogAcks; acks != nil {
-		mux.Handle("GET "+logpipe.AcksPath, http.HandlerFunc(acks.ServeSince))
-		mux.Handle("GET "+logpipe.AcksSeenPath, http.HandlerFunc(acks.ServeSeen))
-		mux.Handle("POST "+logpipe.AcksPath, http.HandlerFunc(acks.ServeMerge))
-	}
+	mux.Handle("GET "+logpipe.AcksPath, http.HandlerFunc(cp.acks.ServeSince))
+	mux.Handle("GET "+logpipe.AcksSeenPath, http.HandlerFunc(cp.acks.ServeSeen))
+	mux.Handle("POST "+logpipe.AcksPath, http.HandlerFunc(cp.acks.ServeMerge))
 	telemetry.Mount(mux, cp.metrics.reg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("controlplane: status listen: %w", err)
-	}
-	s := &StatusServer{
+	s := &statusServer{
 		httpSrv: &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second},
 		ln:      ln,
 	}
 	go s.httpSrv.Serve(ln)
-	return s, nil
+	return s
 }
 
 // Addr returns the bound address.
-func (s *StatusServer) Addr() string { return s.ln.Addr().String() }
+func (s *statusServer) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the status server down.
-func (s *StatusServer) Close() error {
+func (s *statusServer) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return s.httpSrv.Shutdown(ctx)
@@ -143,4 +132,4 @@ func (s *StatusServer) Close() error {
 // SIGKILL analogue for a control-plane node. In-flight requests are cut off
 // mid-response; nothing is flushed or drained. Failover tests use this so
 // the surviving nodes see a node vanish, not say goodbye.
-func (s *StatusServer) Kill() { s.httpSrv.Close() }
+func (s *statusServer) Kill() { s.httpSrv.Close() }

@@ -5,25 +5,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"netsession/internal/fsutil"
 )
-
-// AckTable is the batch-acknowledgement window an Ingest endpoint consults
-// and feeds. AckStore implements it: memory-only for a single-node endpoint,
-// durable and replicated by anti-entropy in a multi-node control plane.
-type AckTable interface {
-	// Seen reports whether a batch key is inside the window.
-	Seen(key string) bool
-	// Mark adds a batch key to the window.
-	Mark(key string)
-}
 
 // AckConfig configures a durable acknowledgement store.
 type AckConfig struct {
@@ -124,12 +116,19 @@ func (a *AckStore) load() error {
 	raw, err := os.ReadFile(filepath.Join(a.dir, ackCheckpointFile))
 	if err == nil {
 		var ckpt ackCheckpoint
-		if jerr := json.Unmarshal(raw, &ckpt); jerr == nil {
-			base := ckpt.Seq - uint64(len(ckpt.Keys))
+		// A seq beyond MaxInt64 is no count of marks a store could reach; the
+		// checkpoint is corrupt and ignored, like one that fails to parse.
+		if jerr := json.Unmarshal(raw, &ckpt); jerr == nil && ckpt.Seq <= math.MaxInt64 {
+			// A seq smaller than the key list would underflow the base and
+			// leave keys Seen but outside Since/Window (a drain would flush
+			// none of them); clamp it so every replayed key is numbered.
+			a.seq = max(ckpt.Seq, uint64(len(ckpt.Keys)))
+			base := a.seq - uint64(len(ckpt.Keys))
 			for i, key := range ckpt.Keys {
-				a.insert(key, base+uint64(i)+1)
+				if _, dup := a.seen[key]; !dup {
+					a.insert(key, base+uint64(i)+1)
+				}
 			}
-			a.seq = ckpt.Seq
 		}
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("ack checkpoint: %w", err)
@@ -146,7 +145,9 @@ func (a *AckStore) load() error {
 	sc.Buffer(make([]byte, 4096), 1<<20)
 	for sc.Scan() {
 		key := strings.TrimSpace(sc.Text())
-		if key == "" {
+		// Keys are ASCII batch IDs or came from JSON; invalid UTF-8 is disk
+		// damage the JSON checkpoint could not hold byte-for-byte.
+		if key == "" || !utf8.ValidString(key) {
 			continue
 		}
 		if _, dup := a.seen[key]; dup {
@@ -282,14 +283,6 @@ func (a *AckStore) Since(after uint64) (keys []string, seq uint64) {
 func (a *AckStore) Window() []string {
 	keys, _ := a.Since(0)
 	return keys
-}
-
-// Checkpoint forces an atomic rewrite of the on-disk checkpoint and
-// truncates the journal. A draining node calls this before exiting.
-func (a *AckStore) Checkpoint() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.checkpointLocked()
 }
 
 func (a *AckStore) checkpointLocked() error {

@@ -6,10 +6,69 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"netsession/internal/analysis"
 )
+
+// FuzzAckStoreLoad writes arbitrary bytes as a node's acks.json checkpoint
+// and acks.log journal and boots an ack store on them, as every control
+// plane node with a log dir does. The invariants: opening never panics;
+// the sequence is never below the retained key count; every key Seen
+// reports is in Window() (what a drain flushes and anti-entropy serves);
+// and a close-and-reopen preserves the sequence and the window.
+func FuzzAckStoreLoad(f *testing.F) {
+	f.Add([]byte(`{"seq":5,"keys":["g/3","g/4","g/5"]}`), []byte("g/6\ng/7\n"), uint8(0))
+	f.Add([]byte(`{"seq":1,"keys":["a","b","c"]}`), []byte{}, uint8(0))
+	f.Add([]byte(`{"seq":9,"keys":["a","a","b"]}`), []byte("b\nc\nto"), uint8(2))
+	f.Add([]byte(`{"seq":18446744073709551615,"keys":["a"]}`), []byte("b\n"), uint8(0))
+	f.Add([]byte("not json"), []byte("\n\n  x  \n"), uint8(1))
+
+	f.Fuzz(func(t *testing.T, ckpt, journal []byte, window uint8) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ackCheckpointFile), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ackJournalFile), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := AckConfig{Dir: dir, Window: int(window)}
+		a, err := OpenAckStore(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		seq, win := a.Seq(), a.Window()
+		if seq < uint64(len(win)) {
+			t.Fatalf("Seq() = %d below the %d retained keys", seq, len(win))
+		}
+		var candidates []string
+		var parsed ackCheckpoint
+		if json.Unmarshal(ckpt, &parsed) == nil {
+			candidates = parsed.Keys
+		}
+		for _, line := range strings.Split(string(journal), "\n") {
+			candidates = append(candidates, strings.TrimSpace(line))
+		}
+		for _, k := range candidates {
+			if a.Seen(k) && !slices.Contains(win, k) {
+				t.Fatalf("key %q is Seen but missing from Window() %q", k, win)
+			}
+		}
+		if err := a.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		b, err := OpenAckStore(cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer b.Close()
+		if b.Seq() != seq || !slices.Equal(b.Window(), win) {
+			t.Fatalf("reopen changed the store: seq %d -> %d, window %q -> %q", seq, b.Seq(), win, b.Window())
+		}
+	})
+}
 
 // fuzzSeedSegments returns the shared corpus of interesting segment byte
 // streams: valid, torn at several depths, and outright garbage.

@@ -40,16 +40,13 @@ type IngestConfig struct {
 	// Oversized batches are refused with 413 — a gzip bomb must not expand
 	// in CN memory.
 	MaxDecodedBytes int64
-	// DedupWindow is how many recent batch IDs are remembered for
-	// exactly-once ingestion across uploader crashes; zero selects 4096.
-	// Ignored when Acks is set.
-	DedupWindow int
-	// Acks, when set, is the batch-acknowledgement table this endpoint
-	// consults and feeds — a node's durable AckStore in a multi-node control
-	// plane, replicated by anti-entropy, so a batch acked by one node and
-	// retried against another after failover still ingests exactly once.
-	// Nil gives the endpoint a private in-memory window.
-	Acks AckTable
+	// Acks is the batch-acknowledgement window this endpoint consults and
+	// feeds for exactly-once ingestion across uploader crashes — a control
+	// plane node's durable ack store, replicated by anti-entropy, so a batch
+	// acked by one node and retried against another after failover still
+	// ingests exactly once. Nil gives the endpoint a private in-memory store
+	// with the default window.
+	Acks *AckStore
 	// PeerSeen, when set, is consulted on a local dedup miss before the
 	// batch body is read: it asks the rest of the cluster whether any node
 	// already acked this key. It closes the replay-before-anti-entropy gap —
@@ -78,12 +75,6 @@ type Ingest struct {
 	// off mid-run to drive 503 storms and stalls through a live endpoint).
 	inj atomic.Pointer[faults.Injector]
 
-	acks AckTable
-
-	// peerSeen is runtime-settable: the cluster wiring installs the
-	// anti-entropy syncer's remote check after the node's HTTP surface is up.
-	peerSeen atomic.Pointer[func(key string) bool]
-
 	batches      *telemetry.Counter
 	records      *telemetry.Counter
 	deduped      *telemetry.Counter
@@ -101,8 +92,9 @@ func NewIngest(cfg IngestConfig) *Ingest {
 	if cfg.MaxDecodedBytes <= 0 {
 		cfg.MaxDecodedBytes = 8 << 20
 	}
-	if cfg.DedupWindow <= 0 {
-		cfg.DedupWindow = 4096
+	if cfg.Acks == nil {
+		// A store without a Dir is memory-only and cannot fail to open.
+		cfg.Acks, _ = OpenAckStore(AckConfig{})
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4
@@ -110,19 +102,7 @@ func NewIngest(cfg IngestConfig) *Ingest {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	in := &Ingest{
-		cfg:  cfg,
-		sem:  make(chan struct{}, cfg.MaxInflight),
-		acks: cfg.Acks,
-	}
-	if in.acks == nil {
-		// A store without a Dir is memory-only and cannot fail to open.
-		in.acks, _ = OpenAckStore(AckConfig{Window: cfg.DedupWindow})
-	}
-	if cfg.PeerSeen != nil {
-		fn := cfg.PeerSeen
-		in.peerSeen.Store(&fn)
-	}
+	in := &Ingest{cfg: cfg, sem: make(chan struct{}, cfg.MaxInflight)}
 	if reg := cfg.Telemetry; reg != nil {
 		in.batches = reg.Counter("logpipe_ingest_batches_total",
 			"log batches accepted by the ingest endpoint", nil)
@@ -145,16 +125,6 @@ func NewIngest(cfg IngestConfig) *Ingest {
 // endpoint: injected errors answer 503, injected latency stalls the
 // response, injected rejects answer 429.
 func (in *Ingest) SetFaults(inj *faults.Injector) { in.inj.Store(inj) }
-
-// SetPeerSeen installs (or, with nil, removes) the remote dedup check on
-// the live endpoint; see IngestConfig.PeerSeen.
-func (in *Ingest) SetPeerSeen(fn func(key string) bool) {
-	if fn == nil {
-		in.peerSeen.Store(nil)
-		return
-	}
-	in.peerSeen.Store(&fn)
-}
 
 // BatchResponse is the ingest endpoint's JSON reply.
 type BatchResponse struct {
@@ -210,7 +180,8 @@ func (in *Ingest) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := guid.String() + "/" + strconv.FormatUint(seq, 10)
-	if in.acks.Seen(key) {
+	acks := in.cfg.Acks
+	if acks.Seen(key) {
 		// The uploader crashed between our ack and its cursor write; its
 		// resend is byte-identical, so acknowledging without re-ingesting
 		// preserves exactly-once accounting.
@@ -218,12 +189,12 @@ func (in *Ingest) serve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, BatchResponse{Duplicate: true})
 		return
 	}
-	if fn := in.peerSeen.Load(); fn != nil && (*fn)(key) {
+	if seen := in.cfg.PeerSeen; seen != nil && seen(key) {
 		// Another node acked this batch and anti-entropy hasn't copied the
 		// ack here yet — the uploader failed over faster than replication.
 		// Mark locally so the next resend short-circuits without the
 		// round-trip.
-		in.acks.Mark(key)
+		acks.Mark(key)
 		in.inc(in.deduped)
 		writeJSON(w, BatchResponse{Duplicate: true})
 		return
@@ -247,7 +218,7 @@ func (in *Ingest) serve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	in.acks.Mark(key)
+	acks.Mark(key)
 	in.inc(in.batches)
 	if in.records != nil {
 		in.records.Add(int64(accepted))

@@ -137,7 +137,11 @@ func TestIngestDedupByBatchID(t *testing.T) {
 
 func TestIngestDedupWindowEvicts(t *testing.T) {
 	ch := &countingHandler{}
-	in := NewIngest(IngestConfig{Handle: ch.handle, DedupWindow: 2})
+	acks, err := OpenAckStore(AckConfig{Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := NewIngest(IngestConfig{Handle: ch.handle, Acks: acks})
 	guid := id.NewGUID().String()
 	body := gzBatch(t, entryLines(t, testEntry(0)))
 	for seq := uint64(0); seq < 3; seq++ {

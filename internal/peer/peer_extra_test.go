@@ -338,7 +338,7 @@ func TestSelfUpgrade(t *testing.T) {
 
 	cc := edge.DefaultClientConfig()
 	cc.TargetVersion = "ns-9.9"
-	cp, err := controlplane.New(controlplane.Config{
+	node, err := controlplane.StartNode(controlplane.Config{
 		Scape: scape, Minter: minter,
 		Collector:    accounting.NewCollector(nil),
 		ClientConfig: cc,
@@ -346,11 +346,8 @@ func TestSelfUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp.Close()
-	cn, err := cp.StartCN("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer node.Close()
+	cp, cn := node.ControlPlane(), node.CNs()[0]
 
 	c, _ := atlas.Country("US")
 	ip, err := scape.AllocateIP(c.ASNs[0], c.Locations[0])

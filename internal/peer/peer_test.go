@@ -68,7 +68,8 @@ func startDeployment(t *testing.T, numCNs int, edgeLatency time.Duration, objs [
 	}
 	t.Cleanup(func() { es.Close() })
 
-	cp, err := controlplane.New(controlplane.Config{
+	node, err := controlplane.StartNode(controlplane.Config{
+		CNs:       numCNs,
 		Scape:     scape,
 		Minter:    minter,
 		Collector: accounting.NewCollector(&accounting.LedgerVerifier{Edge: ledger}),
@@ -76,17 +77,9 @@ func startDeployment(t *testing.T, numCNs int, edgeLatency time.Duration, objs [
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &deployment{t: t, atlas: atlas, scape: scape, edgeSrv: es,
-		cat: cat, minter: minter, ledger: ledger, cp: cp}
-	for i := 0; i < numCNs; i++ {
-		cn, err := cp.StartCN("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.cns = append(d.cns, cn)
-	}
-	t.Cleanup(cp.Close)
-	return d
+	t.Cleanup(func() { node.Close() })
+	return &deployment{t: t, atlas: atlas, scape: scape, edgeSrv: es,
+		cat: cat, minter: minter, ledger: ledger, cp: node.ControlPlane(), cns: node.CNs()}
 }
 
 func (d *deployment) cnAddrs() []string {

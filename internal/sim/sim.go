@@ -12,7 +12,6 @@ import (
 	"netsession/internal/content"
 	"netsession/internal/geo"
 	"netsession/internal/protocol"
-	"netsession/internal/selection"
 	"netsession/internal/telemetry"
 	"netsession/internal/trace"
 )
@@ -26,7 +25,6 @@ type Sim struct {
 	scape *geo.EdgeScape
 	pop   *trace.Population
 	cat   *trace.Catalog
-	reqs  []trace.Request
 
 	// Object interning: catalog objects are identified by a 32-byte hash,
 	// but per-peer state at million-peer scale cannot afford map keys of
@@ -150,15 +148,11 @@ func (p *simPeer) removeDownloading(d *dl) {
 // Result is the output of a run: the same log schema the live control plane
 // produces, plus the generation artifacts analyses need.
 type Result struct {
-	Log      *accounting.Log
-	Pop      *trace.Population
-	Catalog  *trace.Catalog
-	Requests []trace.Request
-	Atlas    *geo.Atlas
-	Scape    *geo.EdgeScape
-	// Dirs is the final directory state per region (useful for inspection;
-	// most analyses use the cumulative registration log instead).
-	Dirs [geo.NumRegions]*selection.Directory
+	Log     *accounting.Log
+	Pop     *trace.Population
+	Catalog *trace.Catalog
+	Atlas   *geo.Atlas
+	Scape   *geo.EdgeScape
 	// Events is how many simulator events executed across all shards.
 	Events int
 	// Telemetry is the final metrics snapshot of the run.
@@ -219,7 +213,7 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 	wl.Seed = cfg.Seed + 3
 	wl.TotalDownloads = cfg.TotalDownloads
 	wl.Days = cfg.Days
-	s.reqs, err = trace.GenerateWorkload(s.pop, s.cat, wl)
+	reqs, err := trace.GenerateWorkload(s.pop, s.cat, wl)
 	if err != nil {
 		return nil, fmt.Errorf("sim: workload: %w", err)
 	}
@@ -264,8 +258,8 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 
 	// Partition the time-sorted request stream; per-shard order is the
 	// global order restricted to the region.
-	for i := range s.reqs {
-		req := s.reqs[i]
+	for i := range reqs {
+		req := reqs[i]
 		p := s.peers[req.PeerIndex]
 		if p == nil {
 			continue // requester homed in an unsampled region
@@ -293,15 +287,11 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 	log := s.mergeLogs()
 	log.Logins = logins
 
-	res := &Result{
-		Log: log, Pop: s.pop, Catalog: s.cat, Requests: s.reqs,
+	return &Result{
+		Log: log, Pop: s.pop, Catalog: s.cat,
 		Atlas: s.atlas, Scape: s.scape, Events: events,
 		Telemetry: s.metrics.reg.Snapshot(),
-	}
-	for r, sh := range s.shards {
-		res.Dirs[r] = sh.dir
-	}
-	return res, nil
+	}, nil
 }
 
 // workerCount resolves cfg.Workers: non-positive means one worker per

@@ -175,7 +175,7 @@ func TestCrashLogpipeExactlyOnce(t *testing.T) {
 	if got := len(c.AccountingLog().Downloads); got != 1 {
 		t.Fatalf("CP holds %d downloads after the resend, want still exactly 1 (no double count)", got)
 	}
-	cpSnap := c.nodes[0].cp.Metrics().Snapshot()
+	cpSnap := c.nodes[0].ControlPlane().Metrics().Snapshot()
 	if got := cpSnap.Counters["logpipe_ingest_deduped_total"]; got < 1 {
 		t.Errorf("logpipe_ingest_deduped_total = %d, want the resend counted as a dedup", got)
 	}
@@ -340,10 +340,10 @@ func TestCrashLogpipeAckAntiEntropyFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodeB := c.nodes[1]
-	if !chaosEventually(10*time.Second, func() bool { return nodeB.acks.Seq() >= 1 }) {
+	if !chaosEventually(10*time.Second, func() bool { return nodeB.ControlPlane().Status().AckSeq >= 1 }) {
 		t.Fatal("node B never pulled node A's ack by anti-entropy")
 	}
-	if got := nodeB.cp.Metrics().Snapshot().Counters["logpipe_ack_sync_pulls_total"]; got < 1 {
+	if got := nodeB.ControlPlane().Metrics().Snapshot().Counters["logpipe_ack_sync_pulls_total"]; got < 1 {
 		t.Fatalf("node B logpipe_ack_sync_pulls_total = %d, want >= 1", got)
 	}
 
@@ -351,7 +351,7 @@ func TestCrashLogpipeAckAntiEntropyFailover(t *testing.T) {
 	// Wait for node B to demote it so logins stop redirecting at a corpse.
 	victim.Kill()
 	c.KillCPNode(0)
-	if !chaosEventually(10*time.Second, func() bool { return nodeB.member.AliveCount() == 1 }) {
+	if !chaosEventually(10*time.Second, func() bool { return len(nodeB.ControlPlane().Status().Members) == 1 }) {
 		t.Fatal("node B never noticed node A's death")
 	}
 	replaceDir(t, snapDir, spoolDir)
@@ -362,7 +362,7 @@ func TestCrashLogpipeAckAntiEntropyFailover(t *testing.T) {
 	if err := reborn.FlushLogs(ctx); err != nil {
 		t.Fatal(err)
 	}
-	bSnap := nodeB.cp.Metrics().Snapshot()
+	bSnap := nodeB.ControlPlane().Metrics().Snapshot()
 	if got := bSnap.Counters["logpipe_ingest_deduped_total"]; got < 1 {
 		t.Errorf("node B logpipe_ingest_deduped_total = %d, want >= 1", got)
 	}
@@ -438,7 +438,7 @@ func TestChaosLogpipeIngestStorm(t *testing.T) {
 	if got := len(c.AccountingLog().Downloads); got != 1 {
 		t.Fatalf("CP holds %d downloads after recovery, want exactly 1", got)
 	}
-	if got := c.nodes[0].cp.Metrics().Snapshot().Counters["logpipe_ingest_records_total"]; got != 1 {
+	if got := c.nodes[0].ControlPlane().Metrics().Snapshot().Counters["logpipe_ingest_records_total"]; got != 1 {
 		t.Errorf("logpipe_ingest_records_total = %d, want 1", got)
 	}
 }
@@ -505,7 +505,7 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 	}
 
 	// Totals agree with the CP's own metrics.
-	cpSnap := c.nodes[0].cp.Metrics().Snapshot()
+	cpSnap := c.nodes[0].ControlPlane().Metrics().Snapshot()
 	for _, key := range []string{
 		"logpipe_ingest_records_total",
 		"logpipe_store_records_total",
