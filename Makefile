@@ -1,13 +1,16 @@
 # Developer entry points. `make check` is the full pre-commit gate. Its race
 # target runs every test once under -race, the e2e gates below included;
 # chaos, crash, failover, drain and streaming stay as targets for running
-# one gate verbosely.
+# one gate verbosely. The bench-* targets print hot-path timings for a human
+# to read; the numbers that are tracked come from `benchmark/run.sh`, and the
+# bounds worth enforcing (Select40 and WindowScheduler allocations, the
+# streaming analyzer's heap) are tests.
 
 GO ?= go
 
 .PHONY: check build test vet fmt race bench bench-smoke bench-analytics bench-streaming chaos crash failover drain streaming clean-state
 
-check: fmt vet build race bench-smoke bench-analytics bench-streaming
+check: fmt vet build race
 
 build:
 	$(GO) build ./...
@@ -30,28 +33,18 @@ fmt:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# Quick allocation/throughput canary on the hot paths (engine event loop,
-# whole-sim small scale, DN selection, and the piece data path: codec round
-# trip at 64 and 256 KiB, verified store put, synthetic body); part of `make
-# check` so a hot-path regression fails the pre-commit gate, not just the
-# nightly bench. Besides the human-readable text, the run is converted to
-# machine-readable timing JSON ($(BENCH_SMOKE_JSON)) so CI can archive it as
-# a workflow artifact and trend the numbers across commits.
-BENCH_SMOKE_JSON ?= bench-smoke.json
-
+# Hot-path timings: engine event loop, whole-sim small scale, DN selection,
+# and the piece data path (codec round trip at 64 and 256 KiB, verified store
+# put, synthetic body).
 bench-smoke:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$' \
-		-benchtime 2x -benchmem ./internal/sim ./internal/selection && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
-		-benchtime 200ms -benchmem ./internal/protocol ./internal/content; } > bench-smoke.txt \
-		|| { cat bench-smoke.txt; exit 1; }
-	@cat bench-smoke.txt
-	$(GO) run ./tools/benchjson -in bench-smoke.txt -out $(BENCH_SMOKE_JSON)
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$' \
+		-benchtime 2x -benchmem ./internal/sim ./internal/selection
+	$(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
+		-benchtime 200ms -benchmem ./internal/protocol ./internal/content
 
-# Streaming-analytics canary: a full streaming pass over a sealed 128k-record
-# segment store must hold bounded live heap (records must not be retained)
-# and keep its decode throughput. Numbers are recorded in
-# BENCH_analytics.json; a regression fails the pre-commit gate.
+# Streaming-analytics timing: a full streaming pass over a sealed 128k-record
+# segment store, with the bounded-heap test alongside (BENCH_analytics.json
+# holds an earlier run).
 bench-analytics:
 	$(GO) test -run 'TestStreamingBoundedMemory$$' -bench 'BenchmarkStreamingSummarize$$' \
 		-benchtime 3x -benchmem -v ./internal/logpipe
@@ -90,18 +83,11 @@ drain:
 streaming:
 	$(GO) test -race -run 'StreamingE2E' -v .
 
-# Deadline-scheduler canary: the playback-window piece picker on a 1000-piece
-# window must stay allocation-lean. The run's numbers go to an ignored file
-# (CI archives it); the tracked BENCH_streaming.json is the recorded reference
-# and is not rewritten by the gate.
-BENCH_STREAMING_JSON ?= bench-streaming.json
-
+# Deadline-scheduler timing: the playback-window piece picker on a 1000-piece
+# object (BENCH_streaming.json holds an earlier run).
 bench-streaming:
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowScheduler$$' \
-		-benchtime 100x -benchmem ./internal/streaming > bench-streaming.txt \
-		|| { cat bench-streaming.txt; exit 1; }
-	@cat bench-streaming.txt
-	$(GO) run ./tools/benchjson -in bench-streaming.txt -out $(BENCH_STREAMING_JSON)
+		-benchtime 100x -benchmem ./internal/streaming
 
 # Remove state directories left behind by interrupted live runs (the README
 # examples put netsession-peer -state-dir under ./state/).

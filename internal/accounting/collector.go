@@ -65,41 +65,10 @@ func (v *LedgerVerifier) CheckDownload(rec *DownloadRecord) error {
 	return nil
 }
 
-// Limits bounds the collector's in-memory log. A zero field selects that
-// kind's default cap; a negative field makes it unbounded (the simulator
-// snapshots complete logs and opts out explicitly).
-type Limits struct {
-	MaxDownloads     int
-	MaxLogins        int
-	MaxRegistrations int
-}
-
-// Default in-memory caps: with the durable segment store holding the full
-// history, the collector only needs a recent window for /v1/status and tests.
-const (
-	DefaultMaxDownloads     = 65536
-	DefaultMaxLogins        = 65536
-	DefaultMaxRegistrations = 65536
-)
-
-func (l Limits) withDefaults() Limits {
-	if l.MaxDownloads == 0 {
-		l.MaxDownloads = DefaultMaxDownloads
-	}
-	if l.MaxLogins == 0 {
-		l.MaxLogins = DefaultMaxLogins
-	}
-	if l.MaxRegistrations == 0 {
-		l.MaxRegistrations = DefaultMaxRegistrations
-	}
-	return l
-}
-
-// Unbounded are the limits the simulator uses: its exported logs must be the
-// complete run, not a recent window.
-func Unbounded() Limits {
-	return Limits{MaxDownloads: -1, MaxLogins: -1, MaxRegistrations: -1}
-}
+// defaultMaxRecords is the in-memory cap per record kind: with the durable
+// segment store holding the full history, the collector only needs a recent
+// window for tests and the in-process cluster's accounting snapshot.
+const defaultMaxRecords = 65536
 
 // ring is a bounded FIFO over records: past its cap, each push evicts the
 // oldest entry so CN memory stays constant no matter how long the process
@@ -186,25 +155,28 @@ type Collector struct {
 	metrics       *collectorMetrics
 }
 
-// NewCollector creates a collector with default limits and no telemetry;
+// NewCollector creates a collector with the default cap and no telemetry;
 // verifier may be nil to accept all reports (the simulator trusts its own
-// synthetic reports). Use Configure to change limits or attach a registry.
+// synthetic reports). Use Configure to change the cap or attach a registry.
 func NewCollector(verifier Verifier) *Collector {
 	c := &Collector{verifier: verifier}
-	c.Configure(Limits{}, nil)
+	c.Configure(0, nil)
 	return c
 }
 
-// Configure sets the in-memory caps and (re)binds telemetry. It is meant for
-// setup time: records already held are kept but not re-trimmed until the next
-// push of their kind.
-func (c *Collector) Configure(limits Limits, reg *telemetry.Registry) {
-	limits = limits.withDefaults()
+// Configure sets the in-memory cap, the same for every record kind, and
+// (re)binds telemetry. Zero selects the default cap; a negative max keeps
+// every record. It is meant for setup time: records already held are kept but
+// not re-trimmed until the next push of their kind.
+func (c *Collector) Configure(max int, reg *telemetry.Registry) {
+	if max == 0 {
+		max = defaultMaxRecords
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.downloads.cap = limits.MaxDownloads
-	c.logins.cap = limits.MaxLogins
-	c.registrations.cap = limits.MaxRegistrations
+	c.downloads.cap = max
+	c.logins.cap = max
+	c.registrations.cap = max
 	if reg != nil {
 		c.metrics = newCollectorMetrics(reg)
 	}
@@ -316,6 +288,14 @@ func (c *Collector) Evicted() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.downloads.evicted + c.logins.evicted + c.registrations.evicted
+}
+
+// AcceptedDownloads returns how many download reports were accepted in
+// total: those still retained plus those the bounded log has evicted.
+func (c *Collector) AcceptedDownloads() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.downloads.len() + int(c.downloads.evicted)
 }
 
 // Snapshot returns a copy of the retained (in-memory window of the) accepted

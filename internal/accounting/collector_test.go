@@ -12,7 +12,7 @@ import (
 func TestCollectorBoundedDownloadLog(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewCollector(nil)
-	c.Configure(Limits{MaxDownloads: 4}, reg)
+	c.Configure(4, reg)
 	for i := 0; i < 10; i++ {
 		if err := c.AddDownload(DownloadRecord{StartMs: int64(i), Size: 100}); err != nil {
 			t.Fatal(err)
@@ -31,6 +31,9 @@ func TestCollectorBoundedDownloadLog(t *testing.T) {
 	if got := c.Evicted(); got != 6 {
 		t.Fatalf("Evicted() = %d, want 6", got)
 	}
+	if got := c.AcceptedDownloads(); got != 10 {
+		t.Fatalf("AcceptedDownloads() = %d, want 10 (retained + evicted)", got)
+	}
 	m := reg.Snapshot()
 	if got := m.Counters[`accounting_records_total{kind="download"}`]; got != 10 {
 		t.Fatalf("download records counter = %d, want 10 (accepted, even if later evicted)", got)
@@ -45,26 +48,28 @@ func TestCollectorBoundedDownloadLog(t *testing.T) {
 
 func TestCollectorBoundedLoginsAndRegistrations(t *testing.T) {
 	c := NewCollector(nil)
-	c.Configure(Limits{MaxLogins: 2, MaxRegistrations: 3}, nil)
+	c.Configure(3, nil)
 	for i := 0; i < 5; i++ {
 		c.AddLogin(LoginRecord{TimeMs: int64(i)})
+	}
+	for i := 0; i < 4; i++ {
 		c.AddRegistration(RegistrationRecord{TimeMs: int64(i)})
 	}
 	snap := c.Snapshot()
-	if len(snap.Logins) != 2 || snap.Logins[0].TimeMs != 3 {
-		t.Fatalf("logins window %+v, want the newest 2", snap.Logins)
+	if len(snap.Logins) != 3 || snap.Logins[0].TimeMs != 2 {
+		t.Fatalf("logins window %+v, want the newest 3", snap.Logins)
 	}
-	if len(snap.Registrations) != 3 || snap.Registrations[0].TimeMs != 2 {
+	if len(snap.Registrations) != 3 || snap.Registrations[0].TimeMs != 1 {
 		t.Fatalf("registrations window %+v, want the newest 3", snap.Registrations)
 	}
-	if got := c.Evicted(); got != 3+2 {
-		t.Fatalf("Evicted() = %d, want 5", got)
+	if got := c.Evicted(); got != 2+1 {
+		t.Fatalf("Evicted() = %d, want 3", got)
 	}
 }
 
 func TestCollectorUnboundedOptOut(t *testing.T) {
 	c := NewCollector(nil)
-	c.Configure(Unbounded(), nil)
+	c.Configure(-1, nil)
 	for i := 0; i < 100; i++ {
 		if err := c.AddDownload(DownloadRecord{StartMs: int64(i)}); err != nil {
 			t.Fatal(err)
@@ -97,7 +102,7 @@ func (reasonVerifier) CheckDownload(rec *DownloadRecord) error {
 func TestCollectorRejectReasonCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewCollector(reasonVerifier{})
-	c.Configure(Limits{}, reg)
+	c.Configure(0, reg)
 
 	if err := c.AddDownload(DownloadRecord{Size: 1}); !errors.Is(err, ErrUnauthorized) {
 		t.Fatalf("unauthorized report returned %v", err)
@@ -145,7 +150,7 @@ func TestCollectorRejectsNegativeCounts(t *testing.T) {
 	for _, v := range []Verifier{nil, reasonVerifier{}} {
 		reg := telemetry.NewRegistry()
 		c := NewCollector(v)
-		c.Configure(Limits{}, reg)
+		c.Configure(0, reg)
 		for i, rec := range bad {
 			if err := c.AddDownload(rec); err == nil {
 				t.Fatalf("verifier %T: negative record %d accepted: %+v", v, i, rec)
@@ -173,7 +178,7 @@ func TestCollectorRejectsNegativeCounts(t *testing.T) {
 func TestCollectorEagerSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewCollector(nil)
-	c.Configure(Limits{}, reg)
+	c.Configure(0, reg)
 	_ = c
 	m := reg.Snapshot()
 	for _, key := range []string{

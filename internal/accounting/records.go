@@ -53,17 +53,22 @@ type DownloadRecord struct {
 	Stream *StreamStats
 }
 
-// StreamStats is the streaming outcome attached to a DownloadRecord. All
-// fields are plain sums/tallies so fleet aggregates merge exactly.
+// StreamStats is the streaming outcome of one download: the startup delay,
+// rebuffer and deadline-miss tallies of the playback clock, and the
+// urgent-window bytes the edge had to rescue. It is the one stream
+// sub-record of every schema — the client's logpipe.Entry, this record, and
+// the offline analysis.OfflineDownload — so the JSON tags are the wire and
+// segment format. All fields are plain sums/tallies so fleet aggregates
+// merge exactly.
 type StreamStats struct {
-	BitrateBps      int64
-	StartupDelayMs  int64
-	RebufferCount   int64
-	RebufferMs      int64
-	DeadlineMisses  int64
-	PiecesPlayed    int64
-	PiecesTotal     int64
-	EdgeRescueBytes int64
+	BitrateBps      int64 `json:"bitrateBps"`
+	StartupDelayMs  int64 `json:"startupDelayMs"`
+	RebufferCount   int64 `json:"rebufferCount"`
+	RebufferMs      int64 `json:"rebufferMs"`
+	DeadlineMisses  int64 `json:"deadlineMisses"`
+	PiecesPlayed    int64 `json:"piecesPlayed"`
+	PiecesTotal     int64 `json:"piecesTotal"`
+	EdgeRescueBytes int64 `json:"edgeRescueBytes"`
 }
 
 // PeerContribution is one serving peer's share of a download.

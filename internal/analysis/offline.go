@@ -36,22 +36,11 @@ type OfflineDownload struct {
 	Outcome    string                `json:"outcome"`
 	Peers      int                   `json:"peersReturned"`
 	FromPeers  []OfflineContribution `json:"fromPeers,omitempty"`
-	Stream     *OfflineStream        `json:"stream,omitempty"`
-}
-
-// OfflineStream is the streaming sub-record of a deadline-driven download:
-// identical fields whether the record came from a live peer's report or
-// the simulator, so streamed and simulated logs are indistinguishable to
-// every analysis below.
-type OfflineStream struct {
-	BitrateBps      int64 `json:"bitrateBps"`
-	StartupDelayMs  int64 `json:"startupDelayMs"`
-	RebufferCount   int64 `json:"rebufferCount"`
-	RebufferMs      int64 `json:"rebufferMs"`
-	DeadlineMisses  int64 `json:"deadlineMisses"`
-	PiecesPlayed    int64 `json:"piecesPlayed"`
-	PiecesTotal     int64 `json:"piecesTotal"`
-	EdgeRescueBytes int64 `json:"edgeRescueBytes"`
+	// Stream is the streaming sub-record of a deadline-driven download, the
+	// same one whether the record came from a live peer's report or the
+	// simulator, so streamed and simulated logs are indistinguishable to
+	// every analysis below.
+	Stream *accounting.StreamStats `json:"stream,omitempty"`
 }
 
 // OfflineContribution attributes bytes to one serving peer.
@@ -119,7 +108,7 @@ func OfflineFromRecord(d *accounting.DownloadRecord, lookup GeoLookup) OfflineDo
 		})
 	}
 	if d.Stream != nil {
-		st := OfflineStream(*d.Stream) // same fields; only the JSON tags differ
+		st := *d.Stream
 		out.Stream = &st
 	}
 	return out

@@ -138,15 +138,15 @@ func TestMembershipGarbageStatusDoc(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	// Probe rounds run synchronously with a generous timeout: on a loaded box
-	// a 5 ms timeout would fail the probe itself and demote the node for the
-	// wrong reason.
+	// Probe rounds run synchronously with a generous timeout (the probe
+	// interval): on a loaded box a 5 ms timeout would fail the probe itself
+	// and demote the node for the wrong reason.
 	const failAfter = 2
 	m := New(Config{
-		Self:         Node{ID: "cp-0"},
-		Seeds:        []Node{{ID: "cp-1", StatusURL: srv.URL}},
-		ProbeTimeout: 30 * time.Second,
-		FailAfter:    failAfter,
+		Self:          Node{ID: "cp-0"},
+		Seeds:         []Node{{ID: "cp-1", StatusURL: srv.URL}},
+		ProbeInterval: 30 * time.Second,
+		FailAfter:     failAfter,
 	})
 	defer m.Stop()
 	for i := 0; i <= failAfter; i++ {

@@ -90,10 +90,9 @@ type Config struct {
 	// point the status document's nodeId identifies them — this is how a
 	// node joins a cluster knowing nothing but one live address.
 	Seeds []Node
-	// ProbeInterval is how often every seed is probed; zero selects 1s.
+	// ProbeInterval is how often every seed is probed, and the timeout of
+	// one probe request; zero selects 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe HTTP request; zero selects ProbeInterval.
-	ProbeTimeout time.Duration
 	// FailAfter is how many consecutive probe failures mark a node dead;
 	// zero selects 3. One lost packet must not trigger a region handoff —
 	// clearing a directory on a false positive costs a rebuild window.
@@ -165,9 +164,6 @@ func New(cfg Config) *Membership {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-	}
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 3
 	}
@@ -176,7 +172,7 @@ func New(cfg Config) *Membership {
 	}
 	m := &Membership{
 		cfg:     cfg,
-		client:  &http.Client{Timeout: cfg.ProbeTimeout},
+		client:  &http.Client{Timeout: cfg.ProbeInterval},
 		members: make(map[string]*memberState),
 		left:    make(map[string]bool),
 		stopCh:  make(chan struct{}),

@@ -77,14 +77,13 @@ type Config struct {
 	// selects 2000ms; negative disables the window (queries immediately see
 	// whatever partial directory has re-formed).
 	DNRebuildWindowMs int64
-	// NowMs supplies time; the simulator injects a virtual clock. Nil uses
-	// wall clock.
+	// NowMs supplies time; tests inject a fake clock. Nil uses wall clock.
 	NowMs func() int64
 	// Telemetry is the metrics registry; nil creates a private one. It is
 	// served on the status server's GET /metrics and GET /v1/telemetry.
 	Telemetry *telemetry.Registry
 	// MaxLogRecords caps how many records of each kind the collector keeps
-	// in memory; zero selects the accounting defaults, negative is unbounded.
+	// in memory; zero selects the accounting default, negative is unbounded.
 	MaxLogRecords int
 	// IngestFaults, when set, injects faults (503s, stalls, 429 storms) into
 	// the log ingest endpoint; it can also be swapped at runtime through
@@ -249,11 +248,7 @@ func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore, p
 	}
 	cp.analytics = newCPAnalytics(cp.metrics.reg)
 	cp.geoLookup = analysis.ScapeLookup(cfg.Scape)
-	cp.cfg.Collector.Configure(accounting.Limits{
-		MaxDownloads:     cfg.MaxLogRecords,
-		MaxLogins:        cfg.MaxLogRecords,
-		MaxRegistrations: cfg.MaxLogRecords,
-	}, cp.metrics.reg)
+	cp.cfg.Collector.Configure(cfg.MaxLogRecords, cp.metrics.reg)
 	cp.ingest = logpipe.NewIngest(logpipe.IngestConfig{
 		Handle:    cp.ingestEntry,
 		Acks:      acks,

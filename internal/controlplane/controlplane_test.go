@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -443,7 +444,7 @@ func TestStatsVerificationFiltersForgedReports(t *testing.T) {
 	stream := usageEntry(oid, 1000, 400, token)
 	stream.BytesPeers = 600
 	stream.FromPeers = []logpipe.EntryContribution{{GUID: other.guid.String(), Bytes: 600}}
-	stream.Stream = &logpipe.EntryStream{BitrateBps: 3_000_000, StartupDelayMs: 420, RebufferCount: 2,
+	stream.Stream = &accounting.StreamStats{BitrateBps: 3_000_000, StartupDelayMs: 420, RebufferCount: 2,
 		RebufferMs: 900, DeadlineMisses: 3, PiecesPlayed: 40, PiecesTotal: 48, EdgeRescueBytes: 1 << 20}
 	p.sendUsage(stream)
 	waitFor(t, "stream report", func() bool { return len(downloads()) == 3 })
@@ -566,6 +567,58 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if got.Sessions != 1 {
 		t.Errorf("HTTP status sessions=%d", got.Sessions)
+	}
+}
+
+// addDownloads books n accepted download records straight into the
+// collector.
+func (h *harness) addDownloads(n int) {
+	h.t.Helper()
+	for i := 0; i < n; i++ {
+		if err := h.cp.Collector().AddDownload(accounting.DownloadRecord{Size: 1}); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+}
+
+// TestStatusCountsEvictedDownloads: acceptedDownloads counts every accepted
+// record, not just the ones the collector's bounded window still holds.
+func TestStatusCountsEvictedDownloads(t *testing.T) {
+	const limit, extra = 4, 3
+	h := newHarness(t, func(c *Config) { c.MaxLogRecords = limit })
+	h.addDownloads(limit + extra)
+	if got := h.cp.Status().AcceptedDownloads; got != limit+extra {
+		t.Fatalf("acceptedDownloads = %d, want %d (%d retained + %d evicted)", got, limit+extra, limit, extra)
+	}
+}
+
+// TestStatusCostIndependentOfLog: every peer node's membership probe reads
+// /v1/status, so building it must not copy the accounting window — its cost
+// is the same at 10 records as at 10,000.
+func TestStatusCostIndependentOfLog(t *testing.T) {
+	h := newHarness(t, nil)
+	cost := func() (allocs float64, bytes uint64) {
+		allocs = testing.AllocsPerRun(100, func() { h.cp.Status() })
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			h.cp.Status()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	h.addDownloads(10)
+	smallAllocs, smallBytes := cost()
+	h.addDownloads(10_000 - 10)
+	bigAllocs, bigBytes := cost()
+	if bigAllocs != smallAllocs {
+		t.Errorf("Status allocates %v times at 10 records, %v at 10,000", smallAllocs, bigAllocs)
+	}
+	// Slack for whatever the node's own goroutines allocate meanwhile; one
+	// copied window of 10,000 records is over a megabyte.
+	if bigBytes > smallBytes+16<<10 {
+		t.Errorf("Status allocates %d bytes at 10 records, %d at 10,000", smallBytes, bigBytes)
 	}
 }
 

@@ -43,7 +43,7 @@ func FuzzUsageEntry(f *testing.F) {
 		FromPeers: []logpipe.EntryContribution{{GUID: other.String(), Bytes: 1 << 19}},
 	}
 	streamed := *valid
-	streamed.Stream = &logpipe.EntryStream{BitrateBps: 3_000_000, StartupDelayMs: 420,
+	streamed.Stream = &accounting.StreamStats{BitrateBps: 3_000_000, StartupDelayMs: 420,
 		RebufferCount: 2, RebufferMs: 900, DeadlineMisses: 3, PiecesPlayed: 40, PiecesTotal: 48}
 	negative := *valid
 	negative.BytesInfra = -1 << 40

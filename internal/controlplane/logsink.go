@@ -83,17 +83,9 @@ func (cp *ControlPlane) ingestEntry(guid id.GUID, e *logpipe.Entry) error {
 		}
 		rec.FromPeers = append(rec.FromPeers, contrib)
 	}
-	if st := e.Stream; st != nil {
-		rec.Stream = &accounting.StreamStats{
-			BitrateBps:      st.BitrateBps,
-			StartupDelayMs:  st.StartupDelayMs,
-			RebufferCount:   st.RebufferCount,
-			RebufferMs:      st.RebufferMs,
-			DeadlineMisses:  st.DeadlineMisses,
-			PiecesPlayed:    st.PiecesPlayed,
-			PiecesTotal:     st.PiecesTotal,
-			EdgeRescueBytes: st.EdgeRescueBytes,
-		}
+	if e.Stream != nil {
+		st := *e.Stream
+		rec.Stream = &st
 	}
 	// Attribute p2p enablement from the edge-issued token.
 	if cp.cfg.Minter != nil && len(e.Token) > 0 {

@@ -105,14 +105,14 @@ func StartNode(cfg Config) (*Node, error) {
 // a dir there is no segment store and the ack store is memory-only.
 func openLogDir(dir string, reg *telemetry.Registry) (*logpipe.Store, *logpipe.AckStore, error) {
 	if dir == "" {
-		acks, err := logpipe.OpenAckStore(logpipe.AckConfig{})
+		acks, err := logpipe.OpenAckStore("")
 		return nil, acks, err
 	}
 	store, err := logpipe.OpenStore(logpipe.StoreConfig{Dir: dir, Telemetry: reg})
 	if err != nil {
 		return nil, nil, err
 	}
-	acks, err := logpipe.OpenAckStore(logpipe.AckConfig{Dir: filepath.Join(dir, "acks")})
+	acks, err := logpipe.OpenAckStore(filepath.Join(dir, "acks"))
 	if err != nil {
 		store.Close()
 		return nil, nil, err

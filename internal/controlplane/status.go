@@ -57,8 +57,7 @@ func (cp *ControlPlane) Status() Status {
 			Objects: cp.dns[r].dir.Objects(),
 		})
 	}
-	log := cp.Collector().Snapshot()
-	st.AcceptedDownloads = len(log.Downloads)
+	st.AcceptedDownloads = cp.Collector().AcceptedDownloads()
 	st.RejectedReports = cp.Collector().Rejected()
 	for _, n := range cp.member.Members() {
 		st.Members = append(st.Members, cluster.WireMember{

@@ -89,15 +89,3 @@ func FairShareOffer(uplink float64, concurrentUploads int) float64 {
 	}
 	return uplink / float64(concurrentUploads)
 }
-
-// ExpectedEfficiency predicts steady-state peer efficiency for a download
-// served by n identical peers offering `offer` each against a backstop of
-// `edge`, downlink-capped — the back-of-envelope behind Figure 6's shape:
-// efficiency rises as n/(n+edge/offer) and saturates near 1.
-func ExpectedEfficiency(n int, offer, edge, downlink float64) float64 {
-	offers := make([]float64, n)
-	for i := range offers {
-		offers[i] = offer
-	}
-	return Allocate(edge, offers, downlink).Efficiency()
-}

@@ -98,27 +98,3 @@ func TestFairShareOffer(t *testing.T) {
 		t.Error("degenerate offers must be zero")
 	}
 }
-
-func TestExpectedEfficiencyMonotone(t *testing.T) {
-	// Figure 6's shape: efficiency rises with the number of serving peers
-	// and saturates.
-	prev := -1.0
-	for n := 0; n <= 40; n++ {
-		e := ExpectedEfficiency(n, 1.0, 3.0, 18.0)
-		if e < prev-1e-9 {
-			t.Fatalf("efficiency not monotone at n=%d: %v < %v", n, e, prev)
-		}
-		prev = e
-	}
-	if prev < 0.9 {
-		t.Errorf("efficiency at n=40 is %.3f, expected near saturation", prev)
-	}
-	if e0 := ExpectedEfficiency(0, 1, 3, 18); e0 != 0 {
-		t.Errorf("no peers should mean zero efficiency, got %v", e0)
-	}
-	// The paper's operating point: ≈25-30 peers at ≈1 Mbps versus a few
-	// Mbps of backstop lands near 80% (Figure 6).
-	if e := ExpectedEfficiency(27, 1, 3, 100); e < 0.75 || e > 0.95 {
-		t.Errorf("paper operating point gives %.3f, want ≈0.9", e)
-	}
-}

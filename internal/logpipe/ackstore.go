@@ -17,22 +17,17 @@ import (
 	"netsession/internal/fsutil"
 )
 
-// AckConfig configures a durable acknowledgement store.
-type AckConfig struct {
-	// Dir is where the store persists its window ("acks.json" checkpoint +
-	// "acks.log" append journal). Empty keeps the store memory-only — same
-	// semantics, nothing survives a restart.
-	Dir string
-	// Window is how many recent batch keys are remembered; zero selects
-	// 4096. The window also bounds what anti-entropy can transfer: a peer
-	// more than Window acks behind receives only the retained tail, which is
-	// fine — exactly-once only needs the recent keys an uploader could
-	// still be retrying.
-	Window int
-	// CheckpointEvery rewrites the checkpoint and truncates the journal
-	// after this many marks; zero selects 256.
-	CheckpointEvery int
-}
+const (
+	// ackWindow is how many recent batch keys an ack store remembers. The
+	// window also bounds what anti-entropy can transfer: a peer more than
+	// ackWindow acks behind receives only the retained tail, which is fine —
+	// exactly-once only needs the recent keys an uploader could still be
+	// retrying.
+	ackWindow = 4096
+	// ackCheckpointEvery is how many marks go to the journal before the
+	// checkpoint is rewritten and the journal truncated.
+	ackCheckpointEvery = 256
+)
 
 // ackRec is one retained acknowledgement: the key and its position in the
 // store's total order.
@@ -50,7 +45,6 @@ type ackRec struct {
 // for concurrent use.
 type AckStore struct {
 	dir        string
-	window     int
 	ckptEvery  int
 	mu         sync.Mutex
 	seen       map[string]uint64 // key -> seq
@@ -76,26 +70,27 @@ type ackCheckpoint struct {
 	Keys []string `json:"keys"`
 }
 
-// OpenAckStore opens (creating if needed) the ack store in cfg.Dir,
-// replaying the checkpoint and any journal tail written after it.
-func OpenAckStore(cfg AckConfig) (*AckStore, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = 4096
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 256
-	}
+// OpenAckStore opens (creating if needed) the ack store in dir, replaying
+// the checkpoint ("acks.json") and any journal tail ("acks.log") written
+// after it. An empty dir keeps the store memory-only — same semantics,
+// nothing survives a restart.
+func OpenAckStore(dir string) (*AckStore, error) {
+	return openAckStore(dir, ackWindow, ackCheckpointEvery)
+}
+
+// openAckStore is OpenAckStore with the window and checkpoint interval
+// given, which tests shrink.
+func openAckStore(dir string, window, ckptEvery int) (*AckStore, error) {
 	a := &AckStore{
-		dir:       cfg.Dir,
-		window:    cfg.Window,
-		ckptEvery: cfg.CheckpointEvery,
-		seen:      make(map[string]uint64, cfg.Window),
-		order:     make([]ackRec, cfg.Window),
+		dir:       dir,
+		ckptEvery: ckptEvery,
+		seen:      make(map[string]uint64, window),
+		order:     make([]ackRec, window),
 	}
-	if cfg.Dir == "" {
+	if dir == "" {
 		return a, nil
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ack store dir: %w", err)
 	}
 	if err := a.load(); err != nil {

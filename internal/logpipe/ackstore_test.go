@@ -12,7 +12,7 @@ import (
 
 func TestAckStoreDurableAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	a, err := OpenAckStore(AckConfig{Dir: dir, CheckpointEvery: 3})
+	a, err := openAckStore(dir, ackWindow, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAckStoreDurableAcrossReopen(t *testing.T) {
 		t.Fatalf("seq = %d, want 5", a.Seq())
 	}
 	// No Close: simulate a crash by just reopening the directory.
-	b, err := OpenAckStore(AckConfig{Dir: dir})
+	b, err := OpenAckStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAckStoreDurableAcrossReopen(t *testing.T) {
 }
 
 func TestAckStoreWindowEvicts(t *testing.T) {
-	a, err := OpenAckStore(AckConfig{Window: 3})
+	a, err := openAckStore("", 3, ackCheckpointEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAckStoreWindowEvicts(t *testing.T) {
 }
 
 func TestAckStoreSince(t *testing.T) {
-	a, err := OpenAckStore(AckConfig{Window: 10})
+	a, err := openAckStore("", 10, ackCheckpointEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAckStoreSince(t *testing.T) {
 		t.Fatalf("Since(up-to-date) = %v seq=%d, want empty", keys, seq)
 	}
 	// A caller behind the window gets the retained tail, best effort.
-	small, _ := OpenAckStore(AckConfig{Window: 2})
+	small, _ := openAckStore("", 2, ackCheckpointEvery)
 	for i := 1; i <= 5; i++ {
 		small.Mark(fmt.Sprintf("k/%d", i))
 	}
@@ -107,12 +107,12 @@ func TestAckStoreSince(t *testing.T) {
 // TestAckSyncerPullsMissing: when a peer's advertised sequence moves past
 // what we pulled, the syncer fetches the missing keys and counts the pull.
 func TestAckSyncerPullsMissing(t *testing.T) {
-	remote, _ := OpenAckStore(AckConfig{})
+	remote, _ := OpenAckStore("")
 	remote.MarkAll([]string{"g/1", "g/2", "g/3"})
 	srv := httptest.NewServer(http.HandlerFunc(remote.ServeSince))
 	defer srv.Close()
 
-	local, _ := OpenAckStore(AckConfig{})
+	local, _ := OpenAckStore("")
 	reg := telemetry.NewRegistry()
 	s := NewAckSyncer(AckSyncerConfig{Store: local, Telemetry: reg})
 
@@ -141,7 +141,7 @@ func TestAckSyncerPullsMissing(t *testing.T) {
 // TestAckSyncerSeenAnywhere: the synchronous remote check reads peers'
 // seen endpoints; dead peers read as "not seen".
 func TestAckSyncerSeenAnywhere(t *testing.T) {
-	remote, _ := OpenAckStore(AckConfig{})
+	remote, _ := OpenAckStore("")
 	remote.Mark("g/7")
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+AcksSeenPath, remote.ServeSeen)
@@ -215,7 +215,7 @@ func TestIngestPeerSeenClosesReplayGap(t *testing.T) {
 // (Real deployments use per-node AckStores reconciled by anti-entropy; the
 // shared table here isolates the ingest-side semantics.)
 func TestIngestSharedAckStoreAcrossNodes(t *testing.T) {
-	shared, err := OpenAckStore(AckConfig{})
+	shared, err := OpenAckStore("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,14 +20,15 @@ const (
 	AcksSeenPath = AcksPath + "/seen"
 )
 
+// ackSyncTimeout bounds each anti-entropy HTTP request. The SeenAnywhere
+// check sits on the ingest request path, so it must fail fast — a dead peer
+// answers "not seen" by timeout, and the batch ingests normally.
+const ackSyncTimeout = 500 * time.Millisecond
+
 // AckSyncerConfig configures an anti-entropy syncer.
 type AckSyncerConfig struct {
 	// Store is the local ack store pulled keys merge into.
 	Store *AckStore
-	// Timeout bounds each HTTP request; zero selects 500ms. The SeenAnywhere
-	// check sits on the ingest request path, so it must fail fast — a dead
-	// peer answers "not seen" by timeout, and the batch ingests normally.
-	Timeout time.Duration
 	// Telemetry registers logpipe_ack_sync_pulls_total eagerly; nil skips.
 	Telemetry *telemetry.Registry
 	// Logf receives debug logging; nil discards.
@@ -55,15 +56,12 @@ type AckSyncer struct {
 
 // NewAckSyncer creates a syncer over the given local store.
 func NewAckSyncer(cfg AckSyncerConfig) *AckSyncer {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 500 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &AckSyncer{
 		cfg:    cfg,
-		client: &http.Client{Timeout: cfg.Timeout},
+		client: &http.Client{Timeout: ackSyncTimeout},
 		peers:  make(map[string]string),
 		pulled: make(map[string]uint64),
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"netsession/internal/accounting"
 	"netsession/internal/content"
 )
 
@@ -39,27 +40,13 @@ type Entry struct {
 
 	// Stream is the playback sub-record of a deadline-driven streaming
 	// download; absent for bulk transfers.
-	Stream *EntryStream `json:"stream,omitempty"`
+	Stream *accounting.StreamStats `json:"stream,omitempty"`
 }
 
 // EntryContribution attributes bytes to one serving peer.
 type EntryContribution struct {
 	GUID  string `json:"guid"`
 	Bytes int64  `json:"bytes"`
-}
-
-// EntryStream carries the streaming outcome of one download: the startup
-// delay, rebuffer and deadline-miss tallies of the playback clock, and the
-// urgent-window bytes the edge had to rescue.
-type EntryStream struct {
-	BitrateBps      int64 `json:"bitrateBps"`
-	StartupDelayMs  int64 `json:"startupDelayMs"`
-	RebufferCount   int64 `json:"rebufferCount"`
-	RebufferMs      int64 `json:"rebufferMs"`
-	DeadlineMisses  int64 `json:"deadlineMisses"`
-	PiecesPlayed    int64 `json:"piecesPlayed"`
-	PiecesTotal     int64 `json:"piecesTotal"`
-	EdgeRescueBytes int64 `json:"edgeRescueBytes"`
 }
 
 // EntryKindDownload is the Entry.Kind of a per-download usage report.

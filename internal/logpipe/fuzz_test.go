@@ -34,8 +34,13 @@ func FuzzAckStoreLoad(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, ackJournalFile), journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cfg := AckConfig{Dir: dir, Window: int(window)}
-		a, err := OpenAckStore(cfg)
+		open := func() (*AckStore, error) {
+			if window == 0 {
+				return OpenAckStore(dir)
+			}
+			return openAckStore(dir, int(window), ackCheckpointEvery)
+		}
+		a, err := open()
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
@@ -59,7 +64,7 @@ func FuzzAckStoreLoad(f *testing.F) {
 		if err := a.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		b, err := OpenAckStore(cfg)
+		b, err := open()
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}

@@ -28,18 +28,26 @@ const (
 	HeaderSeq  = "X-Logpipe-Seq"
 )
 
+// Limits on what the ingest endpoint accepts from outside the process. A
+// batch body is capped at ingestMaxBatchBytes compressed and
+// ingestMaxDecodedBytes decompressed; oversized batches are refused with
+// 413, so a gzip bomb cannot expand in CN memory. At most ingestMaxInflight
+// batches are processed at once; beyond that the endpoint answers 429 with
+// a Retry-After of ingestRetryAfter seconds — explicit backpressure instead
+// of queue growth.
+const (
+	ingestMaxBatchBytes   = 1 << 20
+	ingestMaxDecodedBytes = 8 << 20
+	ingestMaxInflight     = 4
+	ingestRetryAfter      = "1"
+)
+
 // IngestConfig configures the control plane's log ingest endpoint.
 type IngestConfig struct {
 	// Handle processes one decoded entry from an accepted batch. A returned
 	// error rejects that record (counted, not retryable); the batch is still
 	// acknowledged — verification rejects must not wedge the uploader.
 	Handle func(guid id.GUID, e *Entry) error
-	// MaxBatchBytes caps the compressed batch body; zero selects 1 MiB.
-	MaxBatchBytes int64
-	// MaxDecodedBytes caps the decompressed batch; zero selects 8 MiB.
-	// Oversized batches are refused with 413 — a gzip bomb must not expand
-	// in CN memory.
-	MaxDecodedBytes int64
 	// Acks is the batch-acknowledgement window this endpoint consults and
 	// feeds for exactly-once ingestion across uploader crashes — a control
 	// plane node's durable ack store, replicated by anti-entropy, so a batch
@@ -53,12 +61,6 @@ type IngestConfig struct {
 	// the uploader retried against a different node faster than the ack
 	// could replicate. A hit marks the key locally and answers Duplicate.
 	PeerSeen func(key string) bool
-	// MaxInflight bounds concurrently processed batches; beyond it the
-	// endpoint answers 429 with Retry-After — explicit backpressure instead
-	// of queue growth. Zero selects 4.
-	MaxInflight int
-	// RetryAfter is the backpressure hint sent with 429s; zero selects 1s.
-	RetryAfter time.Duration
 	// Telemetry registers the ingest metrics eagerly; nil skips telemetry.
 	Telemetry *telemetry.Registry
 }
@@ -69,7 +71,11 @@ type IngestConfig struct {
 // handler. All methods are safe for concurrent use.
 type Ingest struct {
 	cfg IngestConfig
-	sem chan struct{}
+	// sem admits ingestMaxInflight batches; maxBatchBytes and maxDecodedBytes
+	// are the size caps. Tests shrink them; nothing else changes them.
+	sem             chan struct{}
+	maxBatchBytes   int64
+	maxDecodedBytes int64
 
 	// inj is the runtime-settable fault injector (chaos tests flip it on and
 	// off mid-run to drive 503 storms and stalls through a live endpoint).
@@ -86,23 +92,16 @@ type Ingest struct {
 
 // NewIngest creates an ingest endpoint.
 func NewIngest(cfg IngestConfig) *Ingest {
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 1 << 20
-	}
-	if cfg.MaxDecodedBytes <= 0 {
-		cfg.MaxDecodedBytes = 8 << 20
-	}
 	if cfg.Acks == nil {
-		// A store without a Dir is memory-only and cannot fail to open.
-		cfg.Acks, _ = OpenAckStore(AckConfig{})
+		// A store without a dir is memory-only and cannot fail to open.
+		cfg.Acks, _ = OpenAckStore("")
 	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 4
+	in := &Ingest{
+		cfg:             cfg,
+		sem:             make(chan struct{}, ingestMaxInflight),
+		maxBatchBytes:   ingestMaxBatchBytes,
+		maxDecodedBytes: ingestMaxDecodedBytes,
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	in := &Ingest{cfg: cfg, sem: make(chan struct{}, cfg.MaxInflight)}
 	if reg := cfg.Telemetry; reg != nil {
 		in.batches = reg.Counter("logpipe_ingest_batches_total",
 			"log batches accepted by the ingest endpoint", nil)
@@ -200,7 +199,7 @@ func (in *Ingest) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body := http.MaxBytesReader(w, r.Body, in.cfg.MaxBatchBytes)
+	body := http.MaxBytesReader(w, r.Body, in.maxBatchBytes)
 	raw, err := io.ReadAll(body)
 	if err != nil {
 		in.inc(in.rejTooLarge)
@@ -228,11 +227,7 @@ func (in *Ingest) serve(w http.ResponseWriter, r *http.Request) {
 
 func (in *Ingest) send429(w http.ResponseWriter) {
 	in.inc(in.backpressure)
-	secs := int(in.cfg.RetryAfter.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", ingestRetryAfter)
 	http.Error(w, "ingest backpressure; retry later", http.StatusTooManyRequests)
 }
 
@@ -250,12 +245,12 @@ func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err 
 		return 0, 0, fmt.Errorf("bad gzip batch: %w", err)
 	}
 	defer zr.Close()
-	limited := io.LimitReader(zr, in.cfg.MaxDecodedBytes+1)
+	limited := io.LimitReader(zr, in.maxDecodedBytes+1)
 	var decoded int64
 	sc := bufio.NewScanner(io.TeeReader(limited, countWriter{&decoded}))
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
 	for sc.Scan() {
-		if decoded > in.cfg.MaxDecodedBytes {
+		if decoded > in.maxDecodedBytes {
 			return 0, 0, &tooLargeError{"batch exceeds decoded size cap"}
 		}
 		line := sc.Bytes()
@@ -280,7 +275,7 @@ func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err 
 	if serr := sc.Err(); serr != nil {
 		return 0, 0, fmt.Errorf("bad batch stream: %w", serr)
 	}
-	if decoded > in.cfg.MaxDecodedBytes {
+	if decoded > in.maxDecodedBytes {
 		return 0, 0, &tooLargeError{"batch exceeds decoded size cap"}
 	}
 	return accepted, rejected, nil

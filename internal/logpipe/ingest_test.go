@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"netsession/internal/faults"
 	"netsession/internal/id"
@@ -137,7 +136,7 @@ func TestIngestDedupByBatchID(t *testing.T) {
 
 func TestIngestDedupWindowEvicts(t *testing.T) {
 	ch := &countingHandler{}
-	acks, err := OpenAckStore(AckConfig{Window: 2})
+	acks, err := openAckStore("", 2, ackCheckpointEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,8 @@ func TestIngestBadRequests(t *testing.T) {
 
 func TestIngestSizeCaps(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	in := NewIngest(IngestConfig{MaxBatchBytes: 64, Telemetry: reg})
+	in := NewIngest(IngestConfig{Telemetry: reg})
+	in.maxBatchBytes = 64
 	big := gzBatch(t, entryLines(t, testEntry(0), testEntry(1), testEntry(2), testEntry(3)))
 	if len(big) <= 64 {
 		t.Fatalf("test batch only %d bytes; need >64", len(big))
@@ -203,7 +203,8 @@ func TestIngestSizeCaps(t *testing.T) {
 
 	// A small compressed body hiding a large decompressed payload (the gzip
 	// bomb shape) trips the decoded cap instead.
-	in2 := NewIngest(IngestConfig{MaxDecodedBytes: 100, Telemetry: reg})
+	in2 := NewIngest(IngestConfig{Telemetry: reg})
+	in2.maxDecodedBytes = 100
 	bomb := gzBatch(t, [][]byte{[]byte(`{"kind":"` + strings.Repeat("a", 4096) + `"}`)})
 	if w, _ := postBatch(t, in2.Handler(), id.NewGUID().String(), 0, bomb); w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized decoded batch: status %d, want 413", w.Code)
@@ -251,15 +252,14 @@ func TestIngestBackpressure(t *testing.T) {
 	started := make(chan struct{})
 	reg := telemetry.NewRegistry()
 	in := NewIngest(IngestConfig{
-		MaxInflight: 1,
-		RetryAfter:  3 * time.Second,
-		Telemetry:   reg,
+		Telemetry: reg,
 		Handle: func(id.GUID, *Entry) error {
 			close(started)
 			<-release
 			return nil
 		},
 	})
+	in.sem = make(chan struct{}, 1) // one batch in flight is the limit
 	body := gzBatch(t, entryLines(t, testEntry(0)))
 	done := make(chan struct{})
 	go func() {
@@ -271,8 +271,8 @@ func TestIngestBackpressure(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("second inflight batch: status %d, want 429", w.Code)
 	}
-	if ra := w.Header().Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want the configured hint \"3\"", ra)
+	if ra := w.Header().Get("Retry-After"); ra != ingestRetryAfter {
+		t.Fatalf("Retry-After = %q, want the %ss hint", ra, ingestRetryAfter)
 	}
 	close(release)
 	<-done

@@ -94,20 +94,20 @@ type cursor struct {
 
 const cursorFile = "cursor.json"
 
+// The spool seals its open segment into an upload batch at
+// spoolBatchRecords records or spoolBatchBytes uncompressed bytes, and caps
+// sealed-but-unuploaded segments at spoolMaxBytes: beyond it the oldest are
+// dropped (counted, never silently).
+const (
+	spoolBatchRecords = 256
+	spoolBatchBytes   = 256 << 10
+	spoolMaxBytes     = 32 << 20
+)
+
 // SpoolConfig configures a peer-side log spool.
 type SpoolConfig struct {
 	// Dir holds the segments and the upload cursor.
 	Dir string
-	// MaxBatchRecords seals the open segment after this many records; zero
-	// selects 256.
-	MaxBatchRecords int
-	// MaxBatchBytes seals the open segment after this many uncompressed
-	// bytes; zero selects 256 KiB.
-	MaxBatchBytes int64
-	// MaxSpoolBytes caps the total size of sealed-but-unuploaded segments;
-	// beyond it the oldest segments are dropped (counted, never silently).
-	// Zero selects 32 MiB.
-	MaxSpoolBytes int64
 	// Telemetry registers the spool's metrics; nil skips telemetry.
 	Telemetry *telemetry.Registry
 }
@@ -116,6 +116,8 @@ type SpoolConfig struct {
 // concurrent use.
 type Spool struct {
 	cfg SpoolConfig
+	// maxBytes is the retention cap, spoolMaxBytes unless a test lowers it.
+	maxBytes int64
 
 	mu  sync.Mutex
 	w   segWriter
@@ -137,19 +139,10 @@ func OpenSpool(cfg SpoolConfig) (*Spool, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("logpipe: spool dir required")
 	}
-	if cfg.MaxBatchRecords <= 0 {
-		cfg.MaxBatchRecords = 256
-	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 256 << 10
-	}
-	if cfg.MaxSpoolBytes <= 0 {
-		cfg.MaxSpoolBytes = 32 << 20
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("logpipe: spool dir: %w", err)
 	}
-	s := &Spool{cfg: cfg}
+	s := &Spool{cfg: cfg, maxBytes: spoolMaxBytes}
 	if reg := cfg.Telemetry; reg != nil {
 		s.records = reg.Counter("logpipe_spool_records_total",
 			"download log records appended to the durable spool", nil)
@@ -198,7 +191,7 @@ func OpenSpool(cfg SpoolConfig) (*Spool, error) {
 	}
 	s.w = segWriter{
 		dir: cfg.Dir, seq: next,
-		maxRecords: cfg.MaxBatchRecords, maxBytes: cfg.MaxBatchBytes,
+		maxRecords: spoolBatchRecords, maxBytes: spoolBatchBytes,
 	}
 	s.updateGaugesLocked()
 	return s, nil
@@ -263,7 +256,7 @@ func (s *Spool) enforceRetentionLocked() error {
 	for _, sf := range segs {
 		total += sf.Size
 	}
-	for i := 0; total > s.cfg.MaxSpoolBytes && i < len(segs)-1; i++ {
+	for i := 0; total > s.maxBytes && i < len(segs)-1; i++ {
 		sf := segs[i]
 		n := countRecords(sf.Path)
 		if err := os.Remove(sf.Path); err != nil {

@@ -16,10 +16,9 @@ func spoolRec(n int, note string) *Entry {
 	return &Entry{Kind: EntryKindDownload, Size: int64(n), URLHash: note}
 }
 
-func openTestSpool(t *testing.T, dir string, cfg SpoolConfig) *Spool {
+func openTestSpool(t *testing.T, dir string, reg *telemetry.Registry) *Spool {
 	t.Helper()
-	cfg.Dir = dir
-	s, err := OpenSpool(cfg)
+	s, err := OpenSpool(SpoolConfig{Dir: dir, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func batchNs(t *testing.T, b Batch) []int {
 
 func TestSpoolAppendFlushUpload(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestSpool(t, dir, SpoolConfig{})
+	s := openTestSpool(t, dir, nil)
 	for i := 0; i < 5; i++ {
 		if err := s.Append(spoolRec(i, "")); err != nil {
 			t.Fatal(err)
@@ -89,7 +88,8 @@ func TestSpoolAppendFlushUpload(t *testing.T) {
 }
 
 func TestSpoolBatchThresholdSeals(t *testing.T) {
-	s := openTestSpool(t, t.TempDir(), SpoolConfig{MaxBatchRecords: 3})
+	s := openTestSpool(t, t.TempDir(), nil)
+	s.w.maxRecords = 3
 	for i := 0; i < 7; i++ {
 		if err := s.Append(spoolRec(i, "")); err != nil {
 			t.Fatal(err)
@@ -105,7 +105,7 @@ func TestSpoolBatchThresholdSeals(t *testing.T) {
 // the leftover open segment is sealed into an uploadable batch.
 func TestSpoolCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestSpool(t, dir, SpoolConfig{})
+	s := openTestSpool(t, dir, nil)
 	for i := 0; i < 4; i++ {
 		if err := s.Append(spoolRec(i, "pre-crash")); err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestSpoolCrashRecovery(t *testing.T) {
 	}
 	// No Flush, no close: the process dies here.
 
-	s2 := openTestSpool(t, dir, SpoolConfig{})
+	s2 := openTestSpool(t, dir, nil)
 	b, ok, err := s2.NextBatch()
 	if err != nil || !ok {
 		t.Fatalf("reopened spool NextBatch: ok=%v err=%v", ok, err)
@@ -139,7 +139,7 @@ func TestSpoolCrashRecovery(t *testing.T) {
 // acknowledged sequences.
 func TestSpoolCursorCrashWindow(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestSpool(t, dir, SpoolConfig{})
+	s := openTestSpool(t, dir, nil)
 	if err := s.Append(spoolRec(1, "")); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSpoolCursorCrashWindow(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(b.Seq)), b.Data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openTestSpool(t, dir, SpoolConfig{})
+	s2 := openTestSpool(t, dir, nil)
 	if _, ok, _ := s2.NextBatch(); ok {
 		t.Fatal("acknowledged segment offered for re-upload after reopen")
 	}
@@ -186,7 +186,7 @@ func TestSpoolCursorCrashWindow(t *testing.T) {
 // control plane's dedup window absorbs the resend).
 func TestSpoolCorruptCursorResends(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestSpool(t, dir, SpoolConfig{})
+	s := openTestSpool(t, dir, nil)
 	if err := s.Append(spoolRec(1, "")); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSpoolCorruptCursorResends(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, cursorFile), []byte("not json{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openTestSpool(t, dir, SpoolConfig{})
+	s2 := openTestSpool(t, dir, nil)
 	if _, ok, err := s2.NextBatch(); err != nil || !ok {
 		t.Fatalf("sealed segment not re-offered after cursor corruption: ok=%v err=%v", ok, err)
 	}
@@ -207,11 +207,9 @@ func TestSpoolCorruptCursorResends(t *testing.T) {
 // newest data survives.
 func TestSpoolRetention(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := openTestSpool(t, t.TempDir(), SpoolConfig{
-		MaxBatchRecords: 2,
-		MaxSpoolBytes:   1, // every seal overflows the cap
-		Telemetry:       reg,
-	})
+	s := openTestSpool(t, t.TempDir(), reg)
+	s.w.maxRecords = 2
+	s.maxBytes = 1 // every seal overflows the cap
 	pad := strings.Repeat("x", 200)
 	for i := 0; i < 10; i++ {
 		if err := s.Append(spoolRec(i, pad)); err != nil {
@@ -243,7 +241,7 @@ func TestSpoolRetention(t *testing.T) {
 // verifies the uploader path skips past it (counted) instead of wedging.
 func TestSpoolUnreadableSegmentSkipped(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestSpool(t, dir, SpoolConfig{})
+	s := openTestSpool(t, dir, nil)
 	if err := s.Append(spoolRec(1, "")); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +271,8 @@ func TestSpoolRequiresDir(t *testing.T) {
 
 func TestSpoolManySegmentsOrdered(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestSpool(t, dir, SpoolConfig{MaxBatchRecords: 1})
+	s := openTestSpool(t, dir, nil)
+	s.w.maxRecords = 1
 	for i := 0; i < 20; i++ {
 		if err := s.Append(spoolRec(i, "")); err != nil {
 			t.Fatal(err)
@@ -307,7 +306,7 @@ func TestSpoolManySegmentsOrdered(t *testing.T) {
 
 func TestSpoolAppendDurability(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestSpool(t, dir, SpoolConfig{})
+	s := openTestSpool(t, dir, nil)
 	if err := s.Append(spoolRec(7, "")); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +325,8 @@ func TestSpoolAppendDurability(t *testing.T) {
 }
 
 func TestSpoolRecordsKeepInsertionOrderAcrossSeal(t *testing.T) {
-	s := openTestSpool(t, t.TempDir(), SpoolConfig{MaxBatchRecords: 4})
+	s := openTestSpool(t, t.TempDir(), nil)
+	s.w.maxRecords = 4
 	var want []int
 	for i := 0; i < 10; i++ {
 		if err := s.Append(spoolRec(i, "")); err != nil {

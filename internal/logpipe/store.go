@@ -12,17 +12,18 @@ import (
 	"netsession/internal/telemetry"
 )
 
+// The store rotates its open segment at storeSegmentRecords records or
+// storeSegmentBytes uncompressed bytes; the record count is also the bound on
+// how many accepted records the CN holds in memory for the current segment.
+const (
+	storeSegmentRecords = 4096
+	storeSegmentBytes   = 4 << 20
+)
+
 // StoreConfig configures the control plane's on-disk log segment store.
 type StoreConfig struct {
 	// Dir holds the rotated segments.
 	Dir string
-	// MaxSegmentRecords rotates the open segment after this many records;
-	// zero selects 4096. This is also the bound on how many accepted records
-	// the CN holds in memory for the current segment.
-	MaxSegmentRecords int
-	// MaxSegmentBytes rotates after this many uncompressed bytes; zero
-	// selects 4 MiB.
-	MaxSegmentBytes int64
 	// Telemetry registers the store's metrics; nil skips telemetry.
 	Telemetry *telemetry.Registry
 }
@@ -49,12 +50,6 @@ type Store struct {
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("logpipe: store dir required")
-	}
-	if cfg.MaxSegmentRecords <= 0 {
-		cfg.MaxSegmentRecords = 4096
-	}
-	if cfg.MaxSegmentBytes <= 0 {
-		cfg.MaxSegmentBytes = 4 << 20
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("logpipe: store dir: %w", err)
@@ -85,7 +80,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	}
 	st.w = segWriter{
 		dir: cfg.Dir, seq: next,
-		maxRecords: cfg.MaxSegmentRecords, maxBytes: cfg.MaxSegmentBytes,
+		maxRecords: storeSegmentRecords, maxBytes: storeSegmentBytes,
 	}
 	return st, nil
 }
@@ -95,7 +90,7 @@ func segmentPathSealed(dir string, seq uint64) string {
 }
 
 // Append durably adds records to the current segment, rotating when it
-// reaches the configured thresholds.
+// reaches the segment thresholds.
 func (s *Store) Append(recs ...analysis.OfflineDownload) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

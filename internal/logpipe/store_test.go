@@ -21,12 +21,20 @@ func storeRec(i int) analysis.OfflineDownload {
 	}
 }
 
-func TestStoreRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 10})
+// openTestStore opens a store that rotates every perSeg records.
+func openTestStore(t *testing.T, dir string, perSeg int, reg *telemetry.Registry) *Store {
+	t.Helper()
+	st, err := OpenStore(StoreConfig{Dir: dir, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.w.maxRecords = perSeg
+	return st
+}
+
+func TestStoreRoundtrip(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir, 10, nil)
 	const n = 25
 	for i := 0; i < n; i++ {
 		if err := st.Append(storeRec(i)); err != nil {
@@ -74,10 +82,7 @@ func TestStoreAppendAfterCloseFails(t *testing.T) {
 // store seals the leftover and continues with fresh sequence numbers.
 func TestStoreCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, dir, 100, nil)
 	for i := 0; i < 3; i++ {
 		if err := st.Append(storeRec(i)); err != nil {
 			t.Fatal(err)
@@ -85,10 +90,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 	}
 	// No Close: the control plane process dies here.
 
-	st2, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := openTestStore(t, dir, 100, nil)
 	if err := st2.Append(storeRec(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +111,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 // corruption and fails the read.
 func TestReadDownloadsTornFinal(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, dir, 2, nil)
 	for i := 0; i < 6; i++ {
 		if err := st.Append(storeRec(i)); err != nil {
 			t.Fatal(err)
@@ -184,10 +183,7 @@ func TestHasSegments(t *testing.T) {
 
 func TestStoreTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	st, err := OpenStore(StoreConfig{Dir: t.TempDir(), MaxSegmentRecords: 2, Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, t.TempDir(), 2, reg)
 	for i := 0; i < 5; i++ {
 		if err := st.Append(storeRec(i)); err != nil {
 			t.Fatal(err)

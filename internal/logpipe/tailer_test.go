@@ -39,10 +39,7 @@ func pollAll(t *testing.T, tl *Tailer) []analysis.OfflineDownload {
 // once, in order, regardless of where the store is in its rotation cycle.
 func TestTailerFollowsRotation(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, dir, 5, nil)
 	tl, err := OpenTailer(TailerConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +78,7 @@ func TestTailerFollowsRotation(t *testing.T) {
 // resumes without loss or duplication once the segment is restored whole.
 func TestTailerTornFinalSegment(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, dir, 100, nil)
 	for i := 0; i < 8; i++ {
 		if err := st.Append(tailRec(i)); err != nil {
 			t.Fatal(err)
@@ -137,10 +131,7 @@ func TestTailerTornFinalSegment(t *testing.T) {
 // on rather than wedge.
 func TestTailerTornMiddleSegmentSkips(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, dir, 4, nil)
 	for i := 0; i < 12; i++ { // three sealed segments of 4
 		if err := st.Append(tailRec(i)); err != nil {
 			t.Fatal(err)
@@ -185,10 +176,7 @@ func TestTailerTornMiddleSegmentSkips(t *testing.T) {
 func TestTailerCursorResume(t *testing.T) {
 	dir := t.TempDir()
 	cursor := filepath.Join(t.TempDir(), "cursor.json")
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, dir, 5, nil)
 	for i := 0; i < 13; i++ {
 		if err := st.Append(tailRec(i)); err != nil {
 			t.Fatal(err)
@@ -312,10 +300,7 @@ func TestReadersShareDamagePolicy(t *testing.T) {
 // segments and returns the segment listing.
 func sealedTestStore(t *testing.T, dir string, total, perSeg int) []SegmentFile {
 	t.Helper()
-	st, err := OpenStore(StoreConfig{Dir: dir, MaxSegmentRecords: perSeg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t, dir, perSeg, nil)
 	for i := 0; i < total; i++ {
 		if err := st.Append(tailRec(i)); err != nil {
 			t.Fatal(err)

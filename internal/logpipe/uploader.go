@@ -14,19 +14,23 @@ import (
 	"netsession/internal/telemetry"
 )
 
+const (
+	// uploadTimeout bounds one batch POST.
+	uploadTimeout = 10 * time.Second
+	// maxRetryAfter caps how long a server-sent Retry-After is honored.
+	maxRetryAfter = 10 * time.Second
+)
+
 // UploaderConfig configures a spool uploader.
 type UploaderConfig struct {
 	// Spool is the durable segment source.
 	Spool *Spool
-	// URL is the control plane's operator HTTP base URL (the surface that
-	// serves /metrics); batches POST to URL+BatchPath. When URLs is also
-	// set, URL is ignored.
-	URL string
-	// URLs lists every control-plane node's operator base URL. The uploader
-	// sticks to one until it fails (transport error or 5xx), then rotates to
-	// the next — a dead CP node never wedges the pipeline, and the cluster's
-	// shared dedup window turns the cross-node retry into exactly-once
-	// ingestion. Empty falls back to the single URL.
+	// URLs lists every control-plane node's operator HTTP base URL (the
+	// surface that serves /metrics); batches POST to URL+BatchPath. The
+	// uploader sticks to one until it fails (transport error or 5xx), then
+	// rotates to the next — a dead CP node never wedges the pipeline, and the
+	// cluster's shared dedup window turns the cross-node retry into
+	// exactly-once ingestion.
 	URLs []string
 	// GUID identifies the uploading installation; together with each
 	// segment's sequence number it forms the idempotent batch ID.
@@ -35,14 +39,6 @@ type UploaderConfig struct {
 	// selects 2s. Negative disables the loop entirely — batches then move
 	// only on explicit Drain calls (tests and crash harnesses).
 	Interval time.Duration
-	// MaxRetryAfter caps how long a server-sent Retry-After is honored; zero
-	// selects 10s.
-	MaxRetryAfter time.Duration
-	// Client is the HTTP client; nil selects one with a 10s timeout.
-	Client *http.Client
-	// Breaker tunes the per-CP circuit breaker; the zero value selects the
-	// retry package defaults.
-	Breaker retry.BreakerConfig
 	// Telemetry registers the uploader's metrics; nil skips telemetry.
 	Telemetry *telemetry.Registry
 	// Logf receives debug logging; nil discards.
@@ -58,6 +54,7 @@ type UploaderConfig struct {
 // window turns into exactly-once ingestion.
 type Uploader struct {
 	cfg     UploaderConfig
+	client  *http.Client
 	breaker *retry.Breaker
 
 	// urlIdx is the index into cfg.URLs of the node currently uploaded to;
@@ -85,25 +82,20 @@ func StartUploader(cfg UploaderConfig) (*Uploader, error) {
 	if cfg.Spool == nil {
 		return nil, fmt.Errorf("logpipe: uploader needs a spool")
 	}
-	if len(cfg.URLs) == 0 && cfg.URL != "" {
-		cfg.URLs = []string{cfg.URL}
-	}
 	if len(cfg.URLs) == 0 {
 		return nil, fmt.Errorf("logpipe: uploader needs a control plane URL")
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	if cfg.MaxRetryAfter <= 0 {
-		cfg.MaxRetryAfter = 10 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	u := &Uploader{cfg: cfg, stopCh: make(chan struct{})}
+	u := &Uploader{
+		cfg:    cfg,
+		client: &http.Client{Timeout: uploadTimeout},
+		stopCh: make(chan struct{}),
+	}
 	if reg := cfg.Telemetry; reg != nil {
 		u.uploaded = reg.Counter("logpipe_batches_uploaded_total",
 			"log batches acknowledged by the control plane", nil)
@@ -121,27 +113,16 @@ func StartUploader(cfg UploaderConfig) (*Uploader, error) {
 			"time to drain the spool to the control plane in milliseconds",
 			telemetry.DurationBucketsMs, nil)
 	}
-	u.breaker = retry.NewBreaker(withTrip(cfg.Breaker, func() {
+	u.breaker = retry.NewBreaker(retry.BreakerConfig{OnTrip: func() {
 		if u.breakerOpen != nil {
 			u.breakerOpen.Inc()
 		}
-	}))
+	}})
 	if cfg.Interval > 0 {
 		u.wg.Add(1)
 		go u.loop()
 	}
 	return u, nil
-}
-
-func withTrip(cfg retry.BreakerConfig, onTrip func()) retry.BreakerConfig {
-	prev := cfg.OnTrip
-	cfg.OnTrip = func() {
-		if prev != nil {
-			prev()
-		}
-		onTrip()
-	}
-	return cfg
 }
 
 func (u *Uploader) loop() {
@@ -279,7 +260,7 @@ func (u *Uploader) uploadBatch(ctx context.Context, b Batch) (uploadResult, erro
 	req.Header.Set("Content-Encoding", "gzip")
 	req.Header.Set(HeaderGUID, u.cfg.GUID)
 	req.Header.Set(HeaderSeq, strconv.FormatUint(b.Seq, 10))
-	resp, err := u.cfg.Client.Do(req)
+	resp, err := u.client.Do(req)
 	if err != nil {
 		u.rotate()
 		return uploadResult{}, err
@@ -293,7 +274,7 @@ func (u *Uploader) uploadBatch(ctx context.Context, b Batch) (uploadResult, erro
 		// Backpressure is the server working as designed, not a failure; it
 		// must not trip the breaker.
 		u.breaker.Success()
-		return uploadResult{retryAfter: u.retryAfterOf(resp)}, nil
+		return uploadResult{retryAfter: retryAfterOf(resp)}, nil
 	case resp.StatusCode == http.StatusRequestEntityTooLarge:
 		u.breaker.Success()
 		return uploadResult{dropBatch: true}, nil
@@ -312,17 +293,14 @@ func (u *Uploader) rotate() {
 	}
 }
 
-func (u *Uploader) retryAfterOf(resp *http.Response) time.Duration {
+func retryAfterOf(resp *http.Response) time.Duration {
 	d := time.Second
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
 			d = time.Duration(secs) * time.Second
 		}
 	}
-	if d > u.cfg.MaxRetryAfter {
-		d = u.cfg.MaxRetryAfter
-	}
-	return d
+	return min(d, maxRetryAfter)
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

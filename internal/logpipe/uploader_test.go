@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"netsession/internal/id"
-	"netsession/internal/retry"
 	"netsession/internal/telemetry"
 )
 
@@ -41,9 +40,8 @@ func newTestPipe(t *testing.T, spoolDir string) *testPipe {
 		t.Fatal(err)
 	}
 	p.uploader, err = StartUploader(UploaderConfig{
-		Spool: p.spool, URL: p.server.URL, GUID: id.NewGUID().String(),
-		Interval: -1, MaxRetryAfter: 50 * time.Millisecond,
-		Telemetry: p.reg,
+		Spool: p.spool, URLs: []string{p.server.URL}, GUID: id.NewGUID().String(),
+		Interval: -1, Telemetry: p.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +125,7 @@ func TestUploaderCrashResendDeduped(t *testing.T) {
 		t.Fatal(err)
 	}
 	up2, err := StartUploader(UploaderConfig{
-		Spool: spool2, URL: p.server.URL, GUID: p.uploader.cfg.GUID,
+		Spool: spool2, URLs: []string{p.server.URL}, GUID: p.uploader.cfg.GUID,
 		Interval: -1,
 	})
 	if err != nil {
@@ -223,8 +221,8 @@ func TestUploaderHonorsBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	up, err := StartUploader(UploaderConfig{
-		Spool: spool, URL: srv.URL, GUID: id.NewGUID().String(),
-		Interval: -1, MaxRetryAfter: 50 * time.Millisecond, Telemetry: reg,
+		Spool: spool, URLs: []string{srv.URL}, GUID: id.NewGUID().String(),
+		Interval: -1, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,18 +254,20 @@ func TestUploaderHonorsBackpressure(t *testing.T) {
 func TestUploaderDropsRejectedBatch(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	handled := &countingHandler{}
-	ingest := NewIngest(IngestConfig{Handle: handled.handle, MaxBatchBytes: 32})
+	ingest := NewIngest(IngestConfig{Handle: handled.handle})
+	ingest.maxBatchBytes = 32
 	mux := http.NewServeMux()
 	mux.Handle("POST "+BatchPath, ingest.Handler())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	spool, err := OpenSpool(SpoolConfig{Dir: t.TempDir(), MaxBatchRecords: 4})
+	spool, err := OpenSpool(SpoolConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	spool.w.maxRecords = 4
 	up, err := StartUploader(UploaderConfig{
-		Spool: spool, URL: srv.URL, GUID: id.NewGUID().String(),
+		Spool: spool, URLs: []string{srv.URL}, GUID: id.NewGUID().String(),
 		Interval: -1, Telemetry: reg,
 	})
 	if err != nil {
@@ -321,7 +321,7 @@ func TestUploaderRetriesServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	up, err := StartUploader(UploaderConfig{
-		Spool: spool, URL: srv.URL, GUID: id.NewGUID().String(),
+		Spool: spool, URLs: []string{srv.URL}, GUID: id.NewGUID().String(),
 		Interval: -1, Telemetry: reg,
 	})
 	if err != nil {
@@ -370,9 +370,8 @@ func TestUploaderBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	up, err := StartUploader(UploaderConfig{
-		Spool: spool, URL: srv.URL, GUID: id.NewGUID().String(),
+		Spool: spool, URLs: []string{srv.URL}, GUID: id.NewGUID().String(),
 		Interval: -1, Telemetry: reg,
-		Breaker: retry.BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -50,48 +50,3 @@ func (d *Dialer) Dial(ctx context.Context, remote protocol.PeerInfo) (net.Conn, 
 	}
 	return conn, nil
 }
-
-// SimultaneousDial races an outbound dial against an inbound connection
-// delivered on accepted (fed by the peer's listener when the control plane
-// has instructed the remote side to connect to us). Whichever succeeds first
-// wins; the loser is closed. This mirrors the both-sides-initiate punch
-// choreography the control plane coordinates.
-func (d *Dialer) SimultaneousDial(ctx context.Context, remote protocol.PeerInfo, accepted <-chan net.Conn) (net.Conn, error) {
-	type result struct {
-		c   net.Conn
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		c, err := d.Dial(ctx, remote)
-		ch <- result{c, err}
-	}()
-	select {
-	case c := <-accepted:
-		// Inbound won; reap the outbound attempt in the background.
-		go func() {
-			if r := <-ch; r.c != nil {
-				r.c.Close()
-			}
-		}()
-		return c, nil
-	case r := <-ch:
-		if r.err != nil {
-			// Outbound failed; the inbound path may still deliver.
-			select {
-			case c := <-accepted:
-				return c, nil
-			case <-ctx.Done():
-				return nil, r.err
-			}
-		}
-		return r.c, nil
-	case <-ctx.Done():
-		go func() {
-			if r := <-ch; r.c != nil {
-				r.c.Close()
-			}
-		}()
-		return nil, ctx.Err()
-	}
-}

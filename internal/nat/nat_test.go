@@ -162,50 +162,3 @@ func TestDialerConnects(t *testing.T) {
 	}
 	c.Close()
 }
-
-func TestSimultaneousDialInboundWins(t *testing.T) {
-	// No listener for outbound dial; inbound connection arrives first.
-	d := &Dialer{Local: protocol.NATFullCone, Timeout: 500 * time.Millisecond}
-	accepted := make(chan net.Conn, 1)
-	a, b := net.Pipe()
-	defer b.Close()
-	accepted <- a
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	c, err := d.SimultaneousDial(ctx, protocol.PeerInfo{
-		NAT: protocol.NATFullCone, Addr: "127.0.0.1:1",
-	}, accepted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != a {
-		t.Error("inbound connection should have won")
-	}
-	c.Close()
-}
-
-func TestSimultaneousDialOutboundWins(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			defer c.Close()
-			buf := make([]byte, 1)
-			c.Read(buf)
-		}
-	}()
-	d := &Dialer{Local: protocol.NATFullCone, Timeout: 2 * time.Second}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	c, err := d.SimultaneousDial(ctx, protocol.PeerInfo{
-		NAT: protocol.NATFullCone, Addr: ln.Addr().String(),
-	}, make(chan net.Conn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-}

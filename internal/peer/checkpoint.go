@@ -17,17 +17,14 @@ import (
 // transfer. The Download Manager lets users "continue downloads that were
 // aborted earlier" (§3.3); together with the durable piece store this
 // extends that to crashes — a peer SIGKILLed mid-download restarts, loads
-// the checkpoint, verifies its pieces are still on disk, and fetches only
-// what is missing. The verified bitfield is stored for cross-checking, but
-// the piece store is the source of truth: a piece quarantined by the
-// store's recovery scan is refetched no matter what the checkpoint claims.
+// the checkpoint, and fetches only what is missing. The checkpoint records
+// which transfer to resume and how, not its progress: the durable piece
+// store is the one record of which pieces are verified, so a piece
+// quarantined by the store's recovery scan is refetched. The checkpoint is
+// written when the download starts and when it degrades, never per piece.
 type downloadCheckpoint struct {
 	// Object is the full hex secure content ID.
 	Object string `json:"object"`
-	// NumPieces is the object's piece count at checkpoint time.
-	NumPieces int `json:"numPieces"`
-	// Have is the hex-encoded verified bitfield (wire format).
-	Have string `json:"have"`
 	// P2POff records a degradation to edge-only; a resumed download must
 	// not re-enter a swarm the degradation ladder already condemned.
 	P2POff bool `json:"p2pOff"`
@@ -40,8 +37,6 @@ type downloadCheckpoint struct {
 	StreamBitrateBps    int64 `json:"streamBitrateBps,omitempty"`
 	StreamStartupPieces int   `json:"streamStartupPieces,omitempty"`
 	StreamWindowPieces  int   `json:"streamWindowPieces,omitempty"`
-	// UpdatedMs is when the checkpoint was last written.
-	UpdatedMs int64 `json:"updatedMs"`
 }
 
 const checkpointDirName = "downloads"
@@ -50,9 +45,9 @@ func (c *Client) checkpointPath(oid content.ObjectID) string {
 	return filepath.Join(c.ckptDir, hex.EncodeToString(oid[:])+".json")
 }
 
-// saveCheckpoint durably records a download's progress; a no-op without a
-// state directory. Called after every verified piece — one small fsync per
-// piece (1 MiB in production) is the price of never refetching it.
+// saveCheckpoint durably records how to resume a download; a no-op without a
+// state directory. Pieces need no record of their own: DiskStore.Put makes
+// each one durable before it counts as verified.
 func (c *Client) saveCheckpoint(d *Download) {
 	if c.ckptDir == "" {
 		return
@@ -60,11 +55,8 @@ func (c *Client) saveCheckpoint(d *Download) {
 	d.mu.Lock()
 	ck := downloadCheckpoint{
 		Object:     hex.EncodeToString(d.oid[:]),
-		NumPieces:  d.have.Len(),
-		Have:       hex.EncodeToString(d.have.MarshalBinary()),
 		P2POff:     d.p2pOff,
 		Sequential: d.opts.Sequential,
-		UpdatedMs:  time.Now().UnixMilli(),
 	}
 	if sc := d.opts.Streaming; sc != nil {
 		ck.StreamBitrateBps = sc.BitrateBps
@@ -197,7 +189,7 @@ func (c *Client) resumeOne(ck downloadCheckpoint) error {
 	c.resumed[oid] = true
 	c.metrics.resumeTotal.Inc()
 	c.metrics.piecesRecovered.Add(int64(recovered))
-	c.logf("resumed download %v: %d/%d pieces recovered from disk", oid, recovered, ck.NumPieces)
+	c.logf("resumed download %v: %d pieces recovered from disk", oid, recovered)
 	return nil
 }
 

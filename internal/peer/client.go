@@ -53,23 +53,14 @@ type Config struct {
 	// preference, secondary-GUID window) across restarts, like the real
 	// installed client. It overrides Config.GUID and Config.UploadsEnabled
 	// with the stored values. It also selects the crash-safe disk-backed
-	// piece store (StateDir/content) when Store is nil, and persists
-	// per-download checkpoints (StateDir/downloads) so transfers cut short
-	// by a crash resume from their verified bitfield instead of refetching.
+	// piece store (StateDir/content) instead of an in-memory one, and
+	// persists per-download checkpoints (StateDir/downloads) so transfers cut
+	// short by a crash resume from the verified pieces on disk instead of
+	// refetching them.
 	StateDir string
-	// Store holds verified pieces; nil selects a DiskStore under StateDir
-	// when one is configured, an in-memory store otherwise.
-	Store content.Store
 	// UploadsEnabled is the initial preference; content providers bundle
 	// the binary with this on or off (§5.1).
 	UploadsEnabled bool
-	// SoftwareVersion is reported on login.
-	SoftwareVersion string
-	// MaxPeerConnsPerDownload bounds the swarm fan-out of one download.
-	MaxPeerConnsPerDownload int
-	// RequeryInterval is how often an unsatisfied download re-queries the
-	// control plane for more peers; zero selects the 2s default.
-	RequeryInterval time.Duration
 	// StallWindow is how long a download tolerates zero peer piece progress
 	// before declaring the swarm dead and degrading to edge-only (§3.3
 	// fallback). Zero selects 15s; negative disables the check.
@@ -77,9 +68,6 @@ type Config struct {
 	// CorruptPieceLimit is how many corrupt pieces (across all peers) a
 	// download tolerates before degrading to edge-only. Zero selects 25.
 	CorruptPieceLimit int
-	// BlacklistFor is how long a peer stays blacklisted after a failed
-	// swarm dial before it may be retried. Zero selects 30s.
-	BlacklistFor time.Duration
 	// Telemetry is the metrics registry; nil creates a private one
 	// (retrievable via Client.Metrics).
 	Telemetry *telemetry.Registry
@@ -99,9 +87,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// softwareVersion is the client version a fresh process reports on login.
+const softwareVersion = "ns-3.1"
+
 // Client is one running NetSession Interface.
 type Client struct {
-	cfg     Config
+	cfg Config
+	// requery paces peer re-queries of unsatisfied downloads:
+	// requeryInterval, shortened only by tests.
+	requery time.Duration
 	store   content.Store
 	edge    *edgePool
 	metrics *clientMetrics
@@ -140,6 +134,9 @@ type Client struct {
 	downloads map[content.ObjectID]*Download
 	cachedAt  map[content.ObjectID]time.Time
 	closed    bool
+	// version is the installed client version; a centrally triggered
+	// self-upgrade changes it (§3.8).
+	version   string
 	clientCfg edge.ClientConfig
 	reflexive netip.AddrPort
 	evictStop chan struct{}
@@ -162,37 +159,24 @@ func New(cfg Config) (*Client, error) {
 		cfg.GUID = id.NewGUID()
 	}
 	metrics := newClientMetrics(cfg.Telemetry)
-	if cfg.Store == nil {
-		if cfg.StateDir != "" {
-			// Crash-safe default: verified pieces survive a process kill
-			// and are re-verified (with quarantine) on the way back up.
-			ds, err := content.OpenDiskStore(filepath.Join(cfg.StateDir, "content"),
-				content.DiskStoreOptions{Telemetry: metrics.reg})
-			if err != nil {
-				return nil, err
-			}
-			cfg.Store = ds
-		} else {
-			cfg.Store = content.NewMemStore()
+	var store content.Store
+	if cfg.StateDir == "" {
+		store = content.NewMemStore()
+	} else {
+		// Crash-safe: verified pieces survive a process kill and are
+		// re-verified (with quarantine) on the way back up.
+		ds, err := content.OpenDiskStore(filepath.Join(cfg.StateDir, "content"),
+			content.DiskStoreOptions{Telemetry: metrics.reg})
+		if err != nil {
+			return nil, err
 		}
-	}
-	if cfg.SoftwareVersion == "" {
-		cfg.SoftwareVersion = "ns-3.1"
-	}
-	if cfg.MaxPeerConnsPerDownload <= 0 {
-		cfg.MaxPeerConnsPerDownload = 8
-	}
-	if cfg.RequeryInterval <= 0 {
-		cfg.RequeryInterval = 2 * time.Second
+		store = ds
 	}
 	if cfg.StallWindow == 0 {
 		cfg.StallWindow = 15 * time.Second
 	}
 	if cfg.CorruptPieceLimit <= 0 {
 		cfg.CorruptPieceLimit = 25
-	}
-	if cfg.BlacklistFor <= 0 {
-		cfg.BlacklistFor = 30 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -206,7 +190,9 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:       cfg,
-		store:     cfg.Store,
+		version:   softwareVersion,
+		requery:   requeryInterval,
+		store:     store,
 		edge:      pool,
 		metrics:   metrics,
 		traces:    telemetry.NewTraceLog(0),
@@ -386,7 +372,7 @@ func (c *Client) GUID() id.GUID { return c.cfg.GUID }
 func (c *Client) SoftwareVersion() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg.SoftwareVersion
+	return c.version
 }
 
 // SwarmAddr returns the peer's swarm listener address.
@@ -492,11 +478,15 @@ func (c *Client) cachedManifest(oid content.ObjectID) *content.Manifest {
 	return c.manifests[oid]
 }
 
+// blacklistFor is how long a peer stays blacklisted after a failed swarm
+// dial before it may be retried.
+const blacklistFor = 30 * time.Second
+
 // blacklistPeer quarantines a peer after a failed swarm dial; the entry
-// decays after BlacklistFor so peers that come back from churn get retried.
+// decays after blacklistFor so peers that come back from churn get retried.
 func (c *Client) blacklistPeer(g id.GUID) {
 	c.blMu.Lock()
-	c.blacklist[g] = time.Now().Add(c.cfg.BlacklistFor)
+	c.blacklist[g] = time.Now().Add(blacklistFor)
 	c.blMu.Unlock()
 	c.metrics.swarmBlacklist.Inc()
 }

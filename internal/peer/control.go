@@ -359,7 +359,7 @@ func (c *Client) applyConfig(m *protocol.ConfigUpdate) {
 	c.clientCfg.UploadRateBps = int64(m.UploadRateBps)
 	c.clientCfg.CacheTTLSec = int(m.CacheTTLSec)
 	c.uploads.applyConfig(c.clientCfg)
-	needsUpgrade := m.TargetVersion != "" && m.TargetVersion != c.cfg.SoftwareVersion
+	needsUpgrade := m.TargetVersion != "" && m.TargetVersion != c.version
 	c.mu.Unlock()
 	if needsUpgrade {
 		go c.selfUpgrade(m.TargetVersion)
@@ -372,11 +372,11 @@ func (c *Client) applyConfig(m *protocol.ConfigUpdate) {
 // plane sees the upgraded version.
 func (c *Client) selfUpgrade(version string) {
 	c.mu.Lock()
-	if c.closed || c.cfg.SoftwareVersion == version {
+	if c.closed || c.version == version {
 		c.mu.Unlock()
 		return
 	}
-	c.cfg.SoftwareVersion = version
+	c.version = version
 	c.mu.Unlock()
 	c.logf("self-upgrading to %s", version)
 	c.secMu.Lock()

@@ -53,6 +53,11 @@ const (
 	// queryTimeout is how long a peer query may stay unanswered before the
 	// download stops waiting for it.
 	queryTimeout = 5 * time.Second
+	// requeryInterval is how often a download with free connection slots
+	// and no candidates asks the control plane for more peers.
+	requeryInterval = 2 * time.Second
+	// maxPeerConns bounds the swarm fan-out of one download.
+	maxPeerConns = 8
 )
 
 // Download is one Download-Manager transfer (§3.3): it downloads from the
@@ -412,7 +417,7 @@ func (d *Download) step(now time.Time) actions {
 		}
 		a.wakeAt(due)
 	}
-	free := d.c.cfg.MaxPeerConnsPerDownload - len(d.conns) - d.dialing
+	free := maxPeerConns - len(d.conns) - d.dialing
 	for free > 0 && len(d.candidates) > 0 {
 		p := d.candidates[0]
 		d.candidates = d.candidates[1:]
@@ -432,7 +437,7 @@ func (d *Download) step(now time.Time) actions {
 		d.querying = false
 	}
 	if free > 0 && len(d.candidates) == 0 && len(a.dial) == 0 {
-		due := d.lastQuery.Add(d.c.cfg.RequeryInterval)
+		due := d.lastQuery.Add(d.c.requery)
 		if d.lastQuery.IsZero() || now.After(due) {
 			a.query = true
 			d.querying = true
@@ -903,9 +908,6 @@ func (d *Download) accept(idx int, from id.GUID, infra bool) {
 			d.c.metrics.streamEdgeRescueBytes.Add(n)
 		}
 	}
-	// The piece is durable; make the progress record durable too, so a crash
-	// from here on costs at most the pieces still in flight.
-	d.c.saveCheckpoint(d)
 	for _, sc := range conns {
 		sc.send(&protocol.Have{Index: uint32(idx)})
 	}

@@ -26,15 +26,17 @@ func TestMutualMidSwarmExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl, err := New(Config{
-			DeclaredIP:      ip.String(),
-			ControlAddrs:    d.cnAddrs(),
-			EdgeURL:         "http://" + d.edgeSrv.Addr(),
-			UploadsEnabled:  true,
-			RequeryInterval: 100 * time.Millisecond,
+			DeclaredIP:     ip.String(),
+			ControlAddrs:   d.cnAddrs(),
+			EdgeURL:        "http://" + d.edgeSrv.Addr(),
+			UploadsEnabled: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Requery fast enough that the partial registrations are found while
+		// both downloads are still running.
+		cl.requery = 100 * time.Millisecond
 		t.Cleanup(cl.Close)
 		return cl
 	}

@@ -355,10 +355,9 @@ func TestSelfUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl, err := New(Config{
-		DeclaredIP:      ip.String(),
-		ControlAddrs:    []string{cn.Addr()},
-		EdgeURL:         "http://" + es.Addr(),
-		SoftwareVersion: "ns-1.0",
+		DeclaredIP:   ip.String(),
+		ControlAddrs: []string{cn.Addr()},
+		EdgeURL:      "http://" + es.Addr(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +371,7 @@ func TestSelfUpgrade(t *testing.T) {
 	versions := func() (sawOld, sawNew bool) {
 		for _, l := range cp.Collector().Snapshot().Logins {
 			switch l.SoftwareVersion {
-			case "ns-1.0":
+			case softwareVersion:
 				sawOld = true
 			case "ns-9.9":
 				sawNew = true

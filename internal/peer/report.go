@@ -3,6 +3,7 @@ package peer
 import (
 	"time"
 
+	"netsession/internal/accounting"
 	"netsession/internal/content"
 	"netsession/internal/id"
 	"netsession/internal/logpipe"
@@ -104,7 +105,7 @@ func (d *Download) logEntry(endMs int64, m *streaming.Metrics) *logpipe.Entry {
 		e.FromPeers = append(e.FromPeers, logpipe.EntryContribution{GUID: g.String(), Bytes: b})
 	}
 	if m != nil {
-		e.Stream = &logpipe.EntryStream{
+		e.Stream = &accounting.StreamStats{
 			BitrateBps:      m.BitrateBps,
 			StartupDelayMs:  m.StartupDelayMs,
 			RebufferCount:   m.RebufferCount,

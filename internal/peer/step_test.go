@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -64,14 +65,12 @@ func newStepRig(t *testing.T, pieces int, opts DownloadOpts) *stepRig {
 	}
 	c := &Client{
 		cfg: Config{
-			GUID:                    id.NewGUID(),
-			MaxPeerConnsPerDownload: 8,
-			RequeryInterval:         2 * time.Second,
-			StallWindow:             15 * time.Second,
-			CorruptPieceLimit:       25,
-			BlacklistFor:            30 * time.Second,
-			Logf:                    func(string, ...any) {},
+			GUID:              id.NewGUID(),
+			StallWindow:       15 * time.Second,
+			CorruptPieceLimit: 25,
+			Logf:              func(string, ...any) {},
 		},
+		requery:   requeryInterval,
 		store:     content.NewMemStore(),
 		metrics:   newClientMetrics(nil),
 		traces:    telemetry.NewTraceLog(0),
@@ -191,7 +190,7 @@ func TestStepRequeryWaitsForInterval(t *testing.T) {
 	r.d.onQueryResult(&protocol.QueryResult{Object: r.d.oid}) // nobody holds it yet
 	r.clock.advance(500 * time.Millisecond)
 	a = r.step()
-	if a.query || !a.next.Equal(asked.Add(r.c.cfg.RequeryInterval)) {
+	if a.query || !a.next.Equal(asked.Add(requeryInterval)) {
 		t.Fatalf("before the interval: query=%v next=%v, want wake at the requery instant", a.query, a.next.Sub(asked))
 	}
 	r.clock.t = a.next.Add(time.Nanosecond)
@@ -282,6 +281,38 @@ func TestEdgeDuplicatesInflightPieceAfterIdle(t *testing.T) {
 	}
 }
 
+// TestCheckpointNotRewrittenPerPiece: the checkpoint says which download to
+// resume and how; the piece store says which pieces are done. Verified
+// pieces therefore leave the file alone, and only a degradation rewrites it.
+func TestCheckpointNotRewrittenPerPiece(t *testing.T) {
+	r := newStepRig(t, 8, DownloadOpts{Sequential: true})
+	r.c.ckptDir = t.TempDir()
+	r.c.saveCheckpoint(r.d) // as DownloadWith does when the download starts
+	path := r.c.checkpointPath(r.d.oid)
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	started := stat()
+	for i := 0; i < 5; i++ {
+		if got := r.d.takeEdgePiece(); got != i {
+			t.Fatalf("edge took %d, want %d", got, i)
+		}
+		r.edgeDeliver(i)
+	}
+	if !os.SameFile(started, stat()) {
+		t.Fatal("verified pieces rewrote the checkpoint")
+	}
+	r.d.disableP2P("stall")
+	if os.SameFile(started, stat()) {
+		t.Fatal("degradation to edge-only was not checkpointed")
+	}
+}
+
 func TestStreamingWindowFollowsClockWithoutTicker(t *testing.T) {
 	// 512-byte pieces at 40,960 bit/s play for 100 ms each.
 	r := newStepRig(t, 10, DownloadOpts{Streaming: &streaming.Config{
@@ -345,7 +376,6 @@ func runSeededSchedule(t *testing.T, seed int64) {
 	r := newStepRig(t, 24, DownloadOpts{Sequential: seed%2 == 0})
 	r.rng = rand.New(rand.NewSource(seed))
 	r.c.cfg.StallWindow = time.Duration(2+seed%4*6) * time.Second // the short ones degrade
-	r.c.cfg.MaxPeerConnsPerDownload = 4
 	rng, d := r.rng, r.d
 	edge := -1 // the piece the edge fetcher is fetching
 	var conns []*swarmConn

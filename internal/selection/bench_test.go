@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"netsession/internal/content"
@@ -10,10 +11,9 @@ import (
 	"netsession/internal/protocol"
 )
 
-// BenchmarkSelect40 measures one full locality-aware selection against a
-// directory holding 10,000 registrations of one hot object — the DN's hot
-// path for popular content.
-func BenchmarkSelect40(b *testing.B) {
+// select40Fixture is a directory holding 10,000 registrations of one hot
+// object and a query against it — the DN's hot path for popular content.
+func select40Fixture(tb testing.TB) (*Directory, Policy, Query) {
 	acfg := geo.DefaultAtlasConfig()
 	acfg.TailCountries = 2
 	atlas := geo.GenerateAtlas(acfg)
@@ -25,7 +25,7 @@ func BenchmarkSelect40(b *testing.B) {
 	for i := 0; i < 10_000; i++ {
 		rec, err := scape.AllocateRandom(r)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		dir.Register(oid, Entry{
 			Info: protocol.PeerInfo{
@@ -37,7 +37,7 @@ func BenchmarkSelect40(b *testing.B) {
 	}
 	req, err := scape.AllocateRandom(r)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pol := DefaultPolicy()
 	pol.SoftStateTTLMs = 0
@@ -45,6 +45,12 @@ func BenchmarkSelect40(b *testing.B) {
 		Object: oid, Requester: req, RequesterGUID: id.RandGUID(r),
 		RequesterNAT: protocol.NATNone, Rand: r,
 	}
+	return dir, pol, q
+}
+
+// BenchmarkSelect40 measures one full locality-aware selection.
+func BenchmarkSelect40(b *testing.B) {
+	dir, pol, q := select40Fixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,4 +58,28 @@ func BenchmarkSelect40(b *testing.B) {
 			b.Fatal("empty selection")
 		}
 	}
+}
+
+// TestSelect40Allocs: a selection allocates only the result slice it
+// returns, however many registrations it scans.
+func TestSelect40Allocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	dir, pol, q := select40Fixture(t)
+	if allocs := testing.AllocsPerRun(100, func() { dir.Select(pol, q) }); allocs > 1 {
+		t.Fatalf("Select allocates %v times per call, want at most 1", allocs)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

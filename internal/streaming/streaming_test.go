@@ -200,33 +200,46 @@ func TestWindowSchedulerNothingEligible(t *testing.T) {
 	}
 }
 
-// BenchmarkWindowScheduler is the streaming hot-path canary recorded in
-// BENCH_streaming.json: one urgent-window decision over a 1000-piece
-// object with a half-full local bitfield.
-func BenchmarkWindowScheduler(b *testing.B) {
+// benchWindowView is the streaming hot path's fixture: one urgent-window
+// decision over a 1000-piece object with a half-full local bitfield.
+func benchWindowView(tb testing.TB) *PieceView {
 	const n = 1000
 	s, err := NewSession(Config{BitrateBps: 8 << 20, WindowPieces: 16}, n, 1<<20, n<<20, 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	have := content.NewBitfield(n)
 	for i := 0; i < n; i += 2 {
 		have.Set(i)
 	}
-	remote := fullBitfield(n)
-	v := &PieceView{
+	return &PieceView{
 		Have:     have,
-		Remote:   remote,
+		Remote:   fullBitfield(n),
 		InFlight: func(int) bool { return false },
 		Avail:    func(i int) int { return 1 + i%7 },
 		Rand:     rand.New(rand.NewSource(7)),
 		Session:  s,
 	}
+}
+
+// BenchmarkWindowScheduler times the decision recorded in
+// BENCH_streaming.json.
+func BenchmarkWindowScheduler(b *testing.B) {
+	v := benchWindowView(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if (WindowScheduler{}).NextPiece(v) < 0 {
 			b.Fatal("no pick")
 		}
+	}
+}
+
+// TestWindowSchedulerAllocFree: a piece decision runs on every request a
+// streaming download sends, so it allocates nothing.
+func TestWindowSchedulerAllocFree(t *testing.T) {
+	v := benchWindowView(t)
+	if allocs := testing.AllocsPerRun(100, func() { (WindowScheduler{}).NextPiece(v) }); allocs != 0 {
+		t.Fatalf("NextPiece allocates %v times per call, want 0", allocs)
 	}
 }
