@@ -1,9 +1,9 @@
 package netsession
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation. Each Benchmark* runs one analysis over a shared simulated
-// month (so `go test -bench=.` both times the analyses and prints the
-// series the paper reports), and the Ablation benches run counterfactual
+// evaluation. BenchmarkPaperFigures times the one walk that analyses a shared
+// simulated month and prints the series the paper reports from its views (so
+// `go test -bench=.` does both), and the Ablation benches run counterfactual
 // scenarios for the design choices DESIGN.md calls out.
 //
 // Scale note: the shared scenario is the fast test scale. The
@@ -18,7 +18,6 @@ import (
 
 	"netsession/internal/analysis"
 	"netsession/internal/geo"
-	"netsession/internal/protocol"
 	"netsession/internal/sim"
 )
 
@@ -65,119 +64,72 @@ func printOnce(name, text string) {
 	fmt.Printf("\n--- %s ---\n%s", name, text)
 }
 
-func BenchmarkTable1_OverallStats(b *testing.B) {
+// BenchmarkPaperFigures times the one walk that analyses the month, then
+// prints every table, figure and headline series from its views.
+func BenchmarkPaperFigures(b *testing.B) {
 	in := benchInput(b)
-	var t1 analysis.Table1
+	var m *analysis.Month
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t1 = analysis.ComputeTable1(in)
+		m = analysis.Analyze(in, benchDays)
 	}
 	b.StopTimer()
+
+	t1 := m.Table1()
 	printOnce("Table 1", fmt.Sprintf(
 		"log entries %d | GUIDs %d | URLs %d | IPs %d | downloads %d | locations %d | ASes %d | countries %d\n",
 		t1.LogEntries, t1.GUIDs, t1.DistinctURLs, t1.DistinctIPs,
 		t1.DownloadsInitiated, t1.DistinctLocations, t1.DistinctASes, t1.DistinctCountries))
-}
 
-func BenchmarkTable2_CustomerRegions(b *testing.B) {
-	in := benchInput(b)
-	var rows []analysis.Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = analysis.ComputeTable2(in)
-	}
-	b.StopTimer()
 	var out string
-	for _, r := range rows {
+	for _, r := range m.Table2() {
 		out += fmt.Sprintf("%-14s EU %.0f%% USe %.0f%% USw %.0f%% AsO %.0f%%\n",
 			r.Customer, r.Share[geo.RegionEurope], r.Share[geo.RegionUSEast],
 			r.Share[geo.RegionUSWest], r.Share[geo.RegionAsiaOther])
 	}
 	printOnce("Table 2", out)
-}
 
-func BenchmarkTable3_SettingChanges(b *testing.B) {
-	in := benchInput(b)
-	var t3 analysis.Table3
-	for i := 0; i < b.N; i++ {
-		t3 = analysis.ComputeTable3(in)
-	}
-	b.StopTimer()
+	t3 := m.Table3()
 	d, e := t3.Rows[false], t3.Rows[true]
 	printOnce("Table 3", fmt.Sprintf(
 		"disabled: n=%d keep %.2f%% (paper 99.96) | enabled: n=%d keep %.2f%% (paper 98.11)\n",
 		d.Nodes, d.PctZero, e.Nodes, e.PctZero))
-}
 
-func BenchmarkTable4_UploadEnabled(b *testing.B) {
-	in := benchInput(b)
-	var rows []analysis.Table4Row
-	for i := 0; i < b.N; i++ {
-		rows = analysis.ComputeTable4(in)
-	}
-	b.StopTimer()
-	var out string
-	for _, r := range rows {
+	out = ""
+	for _, r := range m.Table4() {
 		out += fmt.Sprintf("%-12s %.1f%%\n", r.Customer, r.PctEnabled)
 	}
 	printOnce("Table 4", out)
-}
 
-func BenchmarkFigure2_PeerLocations(b *testing.B) {
-	in := benchInput(b)
-	var bubbles []analysis.Figure2Bubble
-	for i := 0; i < b.N; i++ {
-		bubbles = analysis.ComputeFigure2(in)
-	}
-	b.StopTimer()
-	out := fmt.Sprintf("%d locations; top:", len(bubbles))
+	bubbles := m.Figure2()
+	out = fmt.Sprintf("%d locations; top:", len(bubbles))
 	for i := 0; i < 5 && i < len(bubbles); i++ {
 		out += fmt.Sprintf(" %s=%d", bubbles[i].City, bubbles[i].Peers)
 	}
 	printOnce("Figure 2", out+"\n")
-}
 
-func BenchmarkFigure3a_SizeCDF(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure3a
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure3a(in)
-	}
-	b.StopTimer()
-	b.ReportMetric(f.PctPeerAssistedOver500MB, "%p2p>500MB")
-	var out string
-	for i := 0; i < len(f.All); i += 4 {
+	f3a := m.Tally.Figure3a()
+	b.ReportMetric(f3a.PctPeerAssistedOver500MB, "%p2p>500MB")
+	out = ""
+	for i := 0; i < len(f3a.All); i += 4 {
 		out += fmt.Sprintf("%.2fGB: infra %.0f%% all %.0f%% p2p %.0f%%\n",
-			f.All[i].X, f.InfraOnly[i].Y, f.All[i].Y, f.PeerAssisted[i].Y)
+			f3a.All[i].X, f3a.InfraOnly[i].Y, f3a.All[i].Y, f3a.PeerAssisted[i].Y)
 	}
 	printOnce("Figure 3a", out)
-}
 
-func BenchmarkFigure3b_Popularity(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure3b
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure3b(in)
-	}
-	b.StopTimer()
-	b.ReportMetric(f.PowerLawSlope(), "zipf-exponent")
-	out := ""
+	f3b := m.Tally.Figure3b()
+	b.ReportMetric(f3b.PowerLawSlope(), "zipf-exponent")
+	out = ""
 	for _, rank := range []int{1, 10, 100, 1000} {
-		if rank <= len(f.Counts) {
-			out += fmt.Sprintf("rank %4d: %d downloads\n", rank, f.Counts[rank-1])
+		if rank <= len(f3b.Counts) {
+			out += fmt.Sprintf("rank %4d: %d downloads\n", rank, f3b.Counts[rank-1])
 		}
 	}
 	printOnce("Figure 3b", out)
-}
 
-func BenchmarkFigure3c_Diurnal(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure3c
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure3c(in, benchDays)
-	}
-	b.StopTimer()
+	f3c := m.Figure3c()
 	peak, trough := 0.0, -1.0
-	for _, v := range f.LocalHourOfDay {
+	for _, v := range f3c.LocalHourOfDay {
 		if v > peak {
 			peak = v
 		}
@@ -189,207 +141,97 @@ func BenchmarkFigure3c_Diurnal(b *testing.B) {
 		b.ReportMetric(peak/trough, "diurnal-peak/trough")
 	}
 	printOnce("Figure 3c", fmt.Sprintf("local-time peak/trough %.2f over %d hours\n",
-		peak/trough, len(f.GMT)))
-}
+		peak/trough, len(f3c.GMT)))
 
-func BenchmarkFigure4_SpeedCDF(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure4
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure4(in)
-	}
-	b.StopTimer()
+	f4 := m.Figure4()
 	printOnce("Figure 4", fmt.Sprintf(
 		"AS X (AS%d): edge median %.2f Mbps, >50%%p2p median %.2f Mbps\nAS Y (AS%d): edge median %.2f Mbps, >50%%p2p median %.2f Mbps\n",
-		f.ASX.ASN, f.ASX.MedianEdgeMbps, f.ASX.MedianP2PMbps,
-		f.ASY.ASN, f.ASY.MedianEdgeMbps, f.ASY.MedianP2PMbps))
-}
+		f4.ASX.ASN, f4.ASX.MedianEdgeMbps, f4.ASX.MedianP2PMbps,
+		f4.ASY.ASN, f4.ASY.MedianEdgeMbps, f4.ASY.MedianP2PMbps))
 
-func BenchmarkFigure5_CopiesVsEfficiency(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure5
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure5(in)
-	}
-	b.StopTimer()
-	var out string
-	for _, bkt := range f.Buckets {
+	out = ""
+	for _, bkt := range m.Figure5().Buckets {
 		out += fmt.Sprintf("copies ~%5.0f (n=%3d): eff %.1f%% [%.1f-%.1f]\n",
 			bkt.X, bkt.N, bkt.Mean, bkt.P20, bkt.P80)
 	}
 	printOnce("Figure 5", out)
-}
 
-func BenchmarkFigure6_PeersVsEfficiency(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure6
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure6(in)
-	}
-	b.StopTimer()
-	var out string
-	for _, bkt := range f.ByPeers {
+	out = ""
+	for _, bkt := range m.Figure6().ByPeers {
 		if int(bkt.X)%4 == 0 {
 			out += fmt.Sprintf("peers %2.0f (n=%4d): eff %.1f%%\n", bkt.X, bkt.N, bkt.Mean)
 		}
 	}
 	printOnce("Figure 6", out)
-}
 
-func BenchmarkFigure7_PauseRates(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure7
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure7(in)
-	}
-	b.StopTimer()
-	var out string
+	f7 := m.Tally.Figure7()
+	out = ""
 	for sc := analysis.SizeUnder10MB; sc <= analysis.SizeOver1GB; sc++ {
 		out += fmt.Sprintf("%-10s infra %.1f%% p2p %.1f%% all %.1f%%\n",
-			sc, f.PauseRatePct[sc][0], f.PauseRatePct[sc][1], f.PauseRatePct[sc][2])
+			sc, f7.PauseRatePct[sc][0], f7.PauseRatePct[sc][1], f7.PauseRatePct[sc][2])
 	}
 	printOnce("Figure 7", out)
-}
 
-func BenchmarkFigure8_CountryContribution(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure8
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure8(in, 104)
-	}
-	b.StopTimer()
+	f8 := m.Figure8(104)
 	printOnce("Figure 8", fmt.Sprintf(
 		"Customer D: infra-dominant %d | infra 50-100%% of peers %d | infra <50%% %d countries\n",
-		f.ClassN[analysis.InfraDominant], f.ClassN[analysis.PeersModerate],
-		f.ClassN[analysis.PeersDominant]))
-}
+		f8.ClassN[analysis.InfraDominant], f8.ClassN[analysis.PeersModerate],
+		f8.ClassN[analysis.PeersDominant]))
 
-func benchAST(b *testing.B) *analysis.ASTraffic {
-	b.Helper()
-	return analysis.ComputeASTraffic(benchInput(b))
-}
+	ast := m.ASTraffic()
+	f9a := ast.ComputeFigure9a()
+	printOnce("Figure 9a", fmt.Sprintf("%d ASes with p2p peers; CDF points %d\n", f9a.ASes, len(f9a.Points)))
 
-func BenchmarkFigure9a_InterASUploadCDF(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure9a
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeASTraffic(in).ComputeFigure9a()
-	}
-	b.StopTimer()
-	printOnce("Figure 9a", fmt.Sprintf("%d ASes with p2p peers; CDF points %d\n", f.ASes, len(f.Points)))
-}
-
-func BenchmarkFigure9b_UploadConcentration(b *testing.B) {
-	var f analysis.Figure9b
-	for i := 0; i < b.N; i++ {
-		f = benchAST(b).ComputeFigure9b()
-	}
-	b.StopTimer()
-	b.ReportMetric(f.LightSharePct, "%bytes-from-light-ASes")
+	f9b := ast.ComputeFigure9b()
+	b.ReportMetric(f9b.LightSharePct, "%bytes-from-light-ASes")
 	printOnce("Figure 9b", fmt.Sprintf(
 		"heavy uploaders: %d ASes carry %.0f%% of inter-AS bytes (paper: 2%% of ASes carry 90%%)\n",
-		f.HeavyASes, 100-f.LightSharePct))
-}
+		f9b.HeavyASes, 100-f9b.LightSharePct))
 
-func BenchmarkFigure9c_IPsPerAS(b *testing.B) {
-	var f analysis.Figure9c
-	for i := 0; i < b.N; i++ {
-		f = benchAST(b).ComputeFigure9c()
-	}
-	b.StopTimer()
+	f9c := ast.ComputeFigure9c()
 	printOnce("Figure 9c", fmt.Sprintf("median IPs/AS: light %.0f, heavy %.0f\n",
-		f.MedianLightIPs, f.MedianHeavyIPs))
-}
+		f9c.MedianLightIPs, f9c.MedianHeavyIPs))
 
-func BenchmarkFigure10_ASBalance(b *testing.B) {
-	var f analysis.Figure10
-	for i := 0; i < b.N; i++ {
-		f = benchAST(b).ComputeFigure10()
-	}
-	b.StopTimer()
-	b.ReportMetric(f.HeavyMedianRatio, "heavy-up/down-ratio")
+	f10 := ast.ComputeFigure10()
+	b.ReportMetric(f10.HeavyMedianRatio, "heavy-up/down-ratio")
 	printOnce("Figure 10", fmt.Sprintf(
 		"%d ASes; heavy uploaders' median up/down ratio %.2f (paper: ≈balanced)\n",
-		len(f.Points), f.HeavyMedianRatio))
-}
+		len(f10.Points), f10.HeavyMedianRatio))
 
-func BenchmarkFigure11_PairwiseBalance(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure11
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeASTraffic(in).ComputeFigure11(in.Atlas)
-	}
-	b.StopTimer()
+	f11 := ast.ComputeFigure11(in.Atlas)
 	printOnce("Figure 11", fmt.Sprintf(
 		"%d heavy pairs; median pairwise imbalance %.2f; %.0f%% of bytes on direct links (paper: 35%%)\n",
-		len(f.Pairs), f.MedianRatio, f.PctDirectBytes))
-}
+		len(f11.Pairs), f11.MedianRatio, f11.PctDirectBytes))
 
-func BenchmarkFigure12_GuidGraphs(b *testing.B) {
-	in := benchInput(b)
-	var f analysis.Figure12
-	for i := 0; i < b.N; i++ {
-		f = analysis.ComputeFigure12(in)
-	}
-	b.StopTimer()
-	b.ReportMetric(f.PctNonLinear, "%non-linear")
+	f12 := m.Figure12()
+	b.ReportMetric(f12.PctNonLinear, "%non-linear")
 	printOnce("Figure 12", fmt.Sprintf(
 		"%d graphs; non-linear %.2f%% (paper 0.6%%); short-branch %.0f%% two-long %.0f%% many %.0f%% irregular %.0f%%\n",
-		f.Graphs, f.PctNonLinear,
-		f.PctOfNonLinear[analysis.GraphShortBranch],
-		f.PctOfNonLinear[analysis.GraphTwoLong],
-		f.PctOfNonLinear[analysis.GraphManyBranches],
-		f.PctOfNonLinear[analysis.GraphIrregular]))
-}
+		f12.Graphs, f12.PctNonLinear,
+		f12.PctOfNonLinear[analysis.GraphShortBranch],
+		f12.PctOfNonLinear[analysis.GraphTwoLong],
+		f12.PctOfNonLinear[analysis.GraphManyBranches],
+		f12.PctOfNonLinear[analysis.GraphIrregular]))
 
-func BenchmarkHeadline_PeerEfficiency(b *testing.B) {
-	in := benchInput(b)
-	var h analysis.Headlines
-	for i := 0; i < b.N; i++ {
-		h = analysis.ComputeHeadlines(in, benchDays)
-	}
-	b.StopTimer()
+	h := m.Headlines()
 	b.ReportMetric(h.MeanPeerEfficiencyPct, "%mean-peer-eff")
 	b.ReportMetric(h.PctBytesP2PFiles, "%bytes-p2p-files")
 	printOnce("Headline §5.1", fmt.Sprintf(
 		"p2p files %.1f%% of catalog carry %.1f%% of bytes (paper 1.7/57.4); peer efficiency mean %.1f%% agg %.1f%% (paper 71.4)\n",
 		h.PctFilesP2PEnabled, h.PctBytesP2PFiles, h.MeanPeerEfficiencyPct, h.AggregatePeerEfficiencyPct))
-}
-
-func BenchmarkHeadline_Reliability(b *testing.B) {
-	in := benchInput(b)
-	var h analysis.Headlines
-	for i := 0; i < b.N; i++ {
-		h = analysis.ComputeHeadlines(in, benchDays)
-	}
-	b.StopTimer()
 	printOnce("Headline §5.2", fmt.Sprintf(
 		"completion %.1f%%/%.1f%% (paper 94/92); system failures %.2f%%/%.2f%% (0.1/0.2); aborts %.1f%%/%.1f%% (3/8)\n",
 		h.CompletionInfraPct, h.CompletionP2PPct,
 		h.FailSystemInfraPct, h.FailSystemP2PPct,
 		h.AbortInfraPct, h.AbortP2PPct))
-}
 
-func BenchmarkHeadline_ISPTraffic(b *testing.B) {
-	var intra float64
-	for i := 0; i < b.N; i++ {
-		intra = 100 * benchAST(b).IntraASFraction()
-	}
-	b.StopTimer()
-	b.ReportMetric(intra, "%intra-AS")
-	printOnce("Headline §6.1", fmt.Sprintf("intra-AS p2p traffic %.1f%% (paper 18%%)\n", intra))
-}
+	b.ReportMetric(h.IntraASPct, "%intra-AS")
+	printOnce("Headline §6.1", fmt.Sprintf("intra-AS p2p traffic %.1f%% (paper 18%%)\n", h.IntraASPct))
 
-func BenchmarkHeadline_Mobility(b *testing.B) {
-	in := benchInput(b)
-	var m analysis.Mobility
-	for i := 0; i < b.N; i++ {
-		m = analysis.ComputeMobility(in)
-	}
-	b.StopTimer()
+	mob := m.Mobility()
 	printOnce("Headline §6.2", fmt.Sprintf(
 		"GUIDs in 1/2/>2 ASes: %.1f/%.1f/%.1f%% (paper 80.6/13.4/6.0); within 10km %.1f%% (paper 77%%)\n",
-		m.Pct1AS, m.Pct2AS, m.PctMoreAS, m.PctWithin10Km))
+		mob.Pct1AS, mob.Pct2AS, mob.PctMoreAS, mob.PctWithin10Km))
 }
 
 // ---- Ablations: the design choices DESIGN.md calls out. Each variant is
@@ -425,26 +267,6 @@ func ablationInput(b *testing.B, key ablationKey, mutate func(*sim.ScenarioConfi
 	}
 	ablCache[key] = in
 	return in
-}
-
-// p2pCompletionRate measures completion among p2p-enabled downloads only —
-// the class both architectures can serve.
-func p2pCompletionRate(in *analysis.Input) float64 {
-	done, total := 0, 0
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		if !d.P2PEnabled {
-			continue
-		}
-		total++
-		if d.Outcome == protocol.OutcomeCompleted {
-			done++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(done) / float64(total)
 }
 
 // topUploaderShare returns the byte share of the busiest 1% of uploading
@@ -488,8 +310,8 @@ func BenchmarkAblation_SelectionPolicy(b *testing.B) {
 	})
 	var li, ri float64
 	for i := 0; i < b.N; i++ {
-		li = 100 * analysis.ComputeASTraffic(local).IntraASFraction()
-		ri = 100 * analysis.ComputeASTraffic(random).IntraASFraction()
+		li = analysis.Analyze(local, 10).Headlines().IntraASPct
+		ri = analysis.Analyze(random, 10).Headlines().IntraASPct
 	}
 	b.StopTimer()
 	b.ReportMetric(li, "%intra-AS-locality")
@@ -508,8 +330,10 @@ func BenchmarkAblation_Backstop(b *testing.B) {
 	})
 	var cw, cwo float64
 	for i := 0; i < b.N; i++ {
-		cw = p2pCompletionRate(with)
-		cwo = p2pCompletionRate(without)
+		// Completion among p2p-enabled downloads only: the class both
+		// architectures can serve.
+		cw = analysis.Analyze(with, 10).Headlines().CompletionP2PPct
+		cwo = analysis.Analyze(without, 10).Headlines().CompletionP2PPct
 	}
 	b.StopTimer()
 	b.ReportMetric(cw, "%completion-hybrid")
@@ -527,8 +351,7 @@ func BenchmarkAblation_UploadFraction(b *testing.B) {
 			frac := f
 			in := ablationInput(b, ablationKey(fmt.Sprintf("upfrac-%.2f", frac)),
 				func(c *sim.ScenarioConfig) { c.UploadEnabledOverride = frac })
-			h := analysis.ComputeHeadlines(in, 10)
-			effs = append(effs, h.AggregatePeerEfficiencyPct)
+			effs = append(effs, analysis.Analyze(in, 10).Headlines().AggregatePeerEfficiencyPct)
 		}
 	}
 	b.StopTimer()
@@ -569,8 +392,8 @@ func BenchmarkAblation_DNFailure(b *testing.B) {
 	})
 	var eh, ef float64
 	for i := 0; i < b.N; i++ {
-		eh = analysis.ComputeHeadlines(healthy, 10).AggregatePeerEfficiencyPct
-		ef = analysis.ComputeHeadlines(failed, 10).AggregatePeerEfficiencyPct
+		eh = analysis.Analyze(healthy, 10).Headlines().AggregatePeerEfficiencyPct
+		ef = analysis.Analyze(failed, 10).Headlines().AggregatePeerEfficiencyPct
 	}
 	b.StopTimer()
 	b.ReportMetric(eh, "%eff-healthy")

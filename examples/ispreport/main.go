@@ -39,7 +39,7 @@ func main() {
 			Log: res.Log, Pop: res.Pop, Catalog: res.Catalog,
 			Atlas: res.Atlas, Scape: res.Scape, ControlPlaneServers: geo.NumRegions,
 		}
-		t := analysis.ComputeASTraffic(in)
+		t := analysis.Analyze(in, cfg.Days).ASTraffic()
 		fmt.Printf("== %s (simulated in %s)\n", name, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("   p2p volume: %.2f GB across %d ASes\n",
 			float64(t.TotalP2PBytes)/1e9, t.ASesWithPeers)

@@ -5,18 +5,22 @@ import (
 	"sync"
 	"testing"
 
+	"netsession/internal/accounting"
 	"netsession/internal/geo"
+	"netsession/internal/protocol"
 	"netsession/internal/sim"
 )
 
 var (
-	simOnce sync.Once
-	simIn   *Input
-	simDays int
+	simOnce  sync.Once
+	simIn    *Input
+	simMonth *Month
+	simDays  int
 )
 
-// simInput runs the small scenario once and shares it across tests.
-func simInput(t *testing.T) *Input {
+// simInput runs the small scenario and analyses it once, shared across
+// tests.
+func simInput(t *testing.T) (*Input, *Month) {
 	t.Helper()
 	simOnce.Do(func() {
 		cfg := sim.SmallScenario()
@@ -30,16 +34,17 @@ func simInput(t *testing.T) *Input {
 			Atlas: res.Atlas, Scape: res.Scape,
 			ControlPlaneServers: geo.NumRegions,
 		}
+		simMonth = Analyze(simIn, simDays)
 	})
 	if simIn == nil {
 		t.Skip("sim input unavailable")
 	}
-	return simIn
+	return simIn, simMonth
 }
 
 func TestTable1(t *testing.T) {
-	in := simInput(t)
-	t1 := ComputeTable1(in)
+	in, m := simInput(t)
+	t1 := m.Table1()
 	if t1.GUIDs != len(in.Pop.Peers) {
 		t.Errorf("GUIDs=%d, want %d (every peer logs in)", t1.GUIDs, len(in.Pop.Peers))
 	}
@@ -58,8 +63,8 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	in := simInput(t)
-	rows := ComputeTable2(in)
+	_, m := simInput(t)
+	rows := m.Table2()
 	if len(rows) != 11 {
 		t.Fatalf("got %d rows, want 10 customers + all", len(rows))
 	}
@@ -90,8 +95,8 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestTable3Shapes(t *testing.T) {
-	in := simInput(t)
-	t3 := ComputeTable3(in)
+	_, m := simInput(t)
+	t3 := m.Table3()
 	dis, en := t3.Rows[false], t3.Rows[true]
 	if dis.Nodes == 0 || en.Nodes == 0 {
 		t.Fatal("empty cohorts")
@@ -114,8 +119,8 @@ func TestTable3Shapes(t *testing.T) {
 }
 
 func TestTable4Shapes(t *testing.T) {
-	in := simInput(t)
-	rows := ComputeTable4(in)
+	_, m := simInput(t)
+	rows := m.Table4()
 	got := make(map[string]float64)
 	for _, r := range rows {
 		got[r.Customer] = r.PctEnabled
@@ -133,8 +138,8 @@ func TestTable4Shapes(t *testing.T) {
 }
 
 func TestFigure2(t *testing.T) {
-	in := simInput(t)
-	bubbles := ComputeFigure2(in)
+	in, m := simInput(t)
+	bubbles := m.Figure2()
 	if len(bubbles) < 100 {
 		t.Fatalf("only %d locations", len(bubbles))
 	}
@@ -151,8 +156,8 @@ func TestFigure2(t *testing.T) {
 }
 
 func TestFigure3a(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure3a(in)
+	_, m := simInput(t)
+	f := m.Tally.Figure3a()
 	if f.PctPeerAssistedOver500MB < 70 {
 		t.Errorf("peer-assisted >500MB = %.1f%%, want ≈82%%", f.PctPeerAssistedOver500MB)
 	}
@@ -169,8 +174,8 @@ func TestFigure3a(t *testing.T) {
 }
 
 func TestFigure3b(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure3b(in)
+	_, m := simInput(t)
+	f := m.Tally.Figure3b()
 	if len(f.Counts) < 500 {
 		t.Fatalf("only %d distinct objects", len(f.Counts))
 	}
@@ -181,8 +186,8 @@ func TestFigure3b(t *testing.T) {
 }
 
 func TestFigure3c(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure3c(in, simDays)
+	_, m := simInput(t)
+	f := m.Figure3c()
 	var total float64
 	for _, v := range f.GMT {
 		total += v
@@ -205,8 +210,8 @@ func TestFigure3c(t *testing.T) {
 }
 
 func TestFigure4(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure4(in)
+	_, m := simInput(t)
+	f := m.Figure4()
 	for _, p := range []Figure4AS{f.ASX, f.ASY} {
 		if p.MedianEdgeMbps <= 0 {
 			t.Fatal("no edge-only speed samples in a top AS")
@@ -227,8 +232,8 @@ func TestFigure4(t *testing.T) {
 }
 
 func TestFigure5Rises(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure5(in)
+	_, m := simInput(t)
+	f := m.Figure5()
 	if len(f.Buckets) < 3 {
 		t.Fatalf("only %d buckets", len(f.Buckets))
 	}
@@ -240,8 +245,8 @@ func TestFigure5Rises(t *testing.T) {
 }
 
 func TestFigure6Rises(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure6(in)
+	_, m := simInput(t)
+	f := m.Figure6()
 	if len(f.ByPeers) < 4 {
 		t.Fatalf("only %d groups", len(f.ByPeers))
 	}
@@ -254,8 +259,8 @@ func TestFigure6Rises(t *testing.T) {
 }
 
 func TestFigure7LargerFilesPauseMore(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure7(in)
+	_, m := simInput(t)
+	f := m.Tally.Figure7()
 	allSmall := f.PauseRatePct[SizeUnder10MB][2]
 	allLarge := f.PauseRatePct[SizeOver1GB][2]
 	if f.N[SizeOver1GB][2] > 50 && allLarge <= allSmall {
@@ -264,8 +269,8 @@ func TestFigure7LargerFilesPauseMore(t *testing.T) {
 }
 
 func TestFigure8(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure8(in, 104) // Customer D, heavily p2p-enabled
+	_, m := simInput(t)
+	f := m.Figure8(104) // Customer D, heavily p2p-enabled
 	if len(f.Countries) < 10 {
 		t.Fatalf("only %d countries", len(f.Countries))
 	}
@@ -275,8 +280,8 @@ func TestFigure8(t *testing.T) {
 }
 
 func TestASTrafficShapes(t *testing.T) {
-	in := simInput(t)
-	ast := ComputeASTraffic(in)
+	in, m := simInput(t)
+	ast := m.ASTraffic()
 	if ast.TotalP2PBytes == 0 {
 		t.Fatal("no p2p traffic")
 	}
@@ -314,8 +319,8 @@ func TestASTrafficShapes(t *testing.T) {
 }
 
 func TestFigure12Shapes(t *testing.T) {
-	in := simInput(t)
-	f := ComputeFigure12(in)
+	_, m := simInput(t)
+	f := m.Figure12()
 	if f.Graphs < 1000 {
 		t.Fatalf("only %d graphs", f.Graphs)
 	}
@@ -329,8 +334,8 @@ func TestFigure12Shapes(t *testing.T) {
 }
 
 func TestHeadlines(t *testing.T) {
-	in := simInput(t)
-	h := ComputeHeadlines(in, simDays)
+	_, m := simInput(t)
+	h := m.Headlines()
 	if h.PctFilesP2PEnabled < 1 || h.PctFilesP2PEnabled > 3 {
 		t.Errorf("p2p file share %.2f%%, want ≈1.7%%", h.PctFilesP2PEnabled)
 	}
@@ -360,8 +365,8 @@ func TestHeadlines(t *testing.T) {
 }
 
 func TestReportRenders(t *testing.T) {
-	in := simInput(t)
-	rep := Report(in, simDays)
+	_, m := simInput(t)
+	rep := m.Report()
 	for _, want := range []string{
 		"Table 1", "Table 2", "Table 3", "Table 4",
 		"Figure 2", "Figure 3a", "Figure 3b", "Figure 3c", "Figure 4",
@@ -375,5 +380,36 @@ func TestReportRenders(t *testing.T) {
 	}
 	if len(rep) < 2000 {
 		t.Errorf("report suspiciously short: %d bytes", len(rep))
+	}
+}
+
+// TestFigure4SkipsZeroDuration: a completed download whose end is not after
+// its start has no speed, so Figure 4 takes no sample from it, as the speed
+// medians of the tally do not.
+func TestFigure4SkipsZeroDuration(t *testing.T) {
+	atlas := geo.GenerateAtlas(geo.AtlasConfig{CitiesPerCountry: 2, ASesPerCountry: 2, Seed: 1})
+	scape := geo.NewEdgeScape(atlas)
+	c := atlas.Countries[0]
+	ip, err := scape.AllocateIP(c.ASNs[0], c.Locations[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl := func(startMs, endMs int64) accounting.DownloadRecord {
+		return accounting.DownloadRecord{IP: ip, BytesInfra: 1_000_000,
+			StartMs: startMs, EndMs: endMs, Outcome: protocol.OutcomeCompleted}
+	}
+	in := &Input{Atlas: atlas, Scape: scape, Log: &accounting.Log{Downloads: []accounting.DownloadRecord{
+		dl(0, 1000), dl(2000, 3000), dl(5000, 5000),
+	}}}
+	f := Analyze(in, 1).Figure4()
+	if f.ASX.ASN != c.ASNs[0] {
+		t.Fatalf("AS X is AS%d, want AS%d", f.ASX.ASN, c.ASNs[0])
+	}
+	// 1 MB in one second is 8 Mbps; nothing is at or below 0.1 Mbps.
+	if got := f.ASX.EdgeOnly[0]; got.Y != 0 {
+		t.Errorf("edge-only CDF at %.1f Mbps is %.1f%%, want 0 (a zero-duration download was counted)", got.X, got.Y)
+	}
+	if f.ASX.MedianEdgeMbps != 8 {
+		t.Errorf("edge-only median %.2f Mbps, want 8", f.ASX.MedianEdgeMbps)
 	}
 }

@@ -23,90 +23,31 @@ type ASTraffic struct {
 	// IPs counts distinct peer IPs observed per AS (Figure 9c).
 	IPs map[geo.ASN]int
 	// Heavy marks the top uploading ASes jointly carrying ≈90% of inter-AS
-	// p2p bytes (the paper's "heavy uploaders": 2% of ASes).
+	// p2p bytes (the paper's "heavy uploaders": 2% of ASes), by heavyCut.
 	Heavy map[geo.ASN]bool
 	// ASesWithPeers is the number of ASes whose peers participated.
 	ASesWithPeers int
 }
 
-// ComputeASTraffic builds the matrix from the per-serving-peer byte
-// attributions in the download records.
-func ComputeASTraffic(in *Input) *ASTraffic {
-	t := &ASTraffic{
-		Up:   make(map[geo.ASN]int64),
-		Down: make(map[geo.ASN]int64),
-		Pair: make(map[geo.ASN]map[geo.ASN]int64),
-		IPs:  make(map[geo.ASN]int),
-	}
-	ipSeen := make(map[string]bool)
-	noteIP := func(rec geo.Record) {
-		key := rec.IP.String()
-		if !ipSeen[key] {
-			ipSeen[key] = true
-			t.IPs[rec.ASN]++
-		}
-	}
-	participated := make(map[geo.ASN]bool)
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		dst, ok := in.lookup(d.IP)
-		if !ok {
-			continue
-		}
-		if len(d.FromPeers) > 0 {
-			noteIP(dst)
-			participated[dst.ASN] = true
-		}
-		for _, pc := range d.FromPeers {
-			src, ok := in.lookup(pc.IP)
-			if !ok {
-				continue
-			}
-			noteIP(src)
-			participated[src.ASN] = true
-			t.TotalP2PBytes += pc.Bytes
-			if src.ASN == dst.ASN {
-				t.IntraASBytes += pc.Bytes
-				continue
-			}
-			t.Up[src.ASN] += pc.Bytes
-			t.Down[dst.ASN] += pc.Bytes
-			m := t.Pair[src.ASN]
-			if m == nil {
-				m = make(map[geo.ASN]int64)
-				t.Pair[src.ASN] = m
-			}
-			m[dst.ASN] += pc.Bytes
-		}
-	}
-	t.ASesWithPeers = len(participated)
-	t.markHeavy()
-	return t
-}
+// ASTraffic is the month's AS-level traffic analysis. Transfers whose
+// downloader or uploader IP EdgeScape cannot resolve are left out.
+func (m *Month) ASTraffic() *ASTraffic { return m.ast }
 
-// markHeavy labels the smallest set of top uploaders that covers 90% of
-// inter-AS p2p bytes.
-func (t *ASTraffic) markHeavy() {
-	t.Heavy = make(map[geo.ASN]bool)
-	type kv struct {
-		as    geo.ASN
-		bytes int64
+// add books one peer-to-peer transfer.
+func (t *ASTraffic) add(src, dst geo.ASN, bytes int64) {
+	t.TotalP2PBytes += bytes
+	if src == dst {
+		t.IntraASBytes += bytes
+		return
 	}
-	var order []kv
-	var total int64
-	for as, b := range t.Up {
-		order = append(order, kv{as, b})
-		total += b
+	t.Up[src] += bytes
+	t.Down[dst] += bytes
+	row := t.Pair[src]
+	if row == nil {
+		row = make(map[geo.ASN]int64)
+		t.Pair[src] = row
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].bytes > order[j].bytes })
-	var cum int64
-	for _, e := range order {
-		if total > 0 && float64(cum) >= 0.9*float64(total) {
-			break
-		}
-		t.Heavy[e.as] = true
-		cum += e.bytes
-	}
+	row[dst] += bytes
 }
 
 // IntraASFraction returns the share of p2p bytes that never crossed an AS
@@ -153,7 +94,6 @@ type Figure9b struct {
 
 // ComputeFigure9b builds the concentration curve.
 func (t *ASTraffic) ComputeFigure9b() Figure9b {
-	type kv struct{ b int64 }
 	var list []int64
 	var total int64
 	for _, b := range t.Up {

@@ -6,8 +6,6 @@ import (
 
 	"netsession/internal/content"
 	"netsession/internal/geo"
-	"netsession/internal/id"
-	"netsession/internal/protocol"
 )
 
 // Figure2Bubble is one bubble of the peer-location map (paper Figure 2).
@@ -19,25 +17,17 @@ type Figure2Bubble struct {
 	Peers    int
 }
 
-// ComputeFigure2 counts peers per first-connection location.
-func ComputeFigure2(in *Input) []Figure2Bubble {
-	first := make(map[id.GUID]geo.LocationID)
-	for i := range in.Log.Logins {
-		l := &in.Log.Logins[i]
-		if _, seen := first[l.GUID]; seen {
-			continue
-		}
-		if rec, ok := in.lookup(l.IP); ok {
-			first[l.GUID] = rec.Location
-		}
-	}
+// Figure2 counts installations per first located login.
+func (m *Month) Figure2() []Figure2Bubble {
 	counts := make(map[geo.LocationID]int)
-	for _, loc := range first {
-		counts[loc]++
+	for _, inst := range m.installs {
+		if inst.located {
+			counts[inst.firstLoc]++
+		}
 	}
 	out := make([]Figure2Bubble, 0, len(counts))
 	for locID, n := range counts {
-		loc := in.Atlas.Location(locID)
+		loc := m.in.Atlas.Location(locID)
 		out = append(out, Figure2Bubble{
 			Location: locID, City: loc.City, Country: loc.Country,
 			Coord: loc.Coord, Peers: n,
@@ -62,18 +52,11 @@ type Figure3a struct {
 	PctPeerAssistedOver500MB float64
 }
 
-// ComputeFigure3a builds the size CDFs from the download log.
-func ComputeFigure3a(in *Input) Figure3a { return TallyInput(in).Figure3a() }
-
 // Figure3b is content popularity: downloads per object, by rank.
 type Figure3b struct {
 	// Counts[i] is the number of downloads of the rank-(i+1) object.
 	Counts []int
 }
-
-// ComputeFigure3b ranks objects by download count (paper Figure 3b shows
-// the "nearly ubiquitous power law").
-func ComputeFigure3b(in *Input) Figure3b { return TallyInput(in).Figure3b() }
 
 // PowerLawSlope fits log(count) ~ alpha*log(rank) over the head of the
 // distribution and returns -alpha (≈ the Zipf exponent).
@@ -116,24 +99,8 @@ type Figure3c struct {
 	LocalHourOfDay [24]float64
 }
 
-// ComputeFigure3c aggregates served bytes over time.
-func ComputeFigure3c(in *Input, days int) Figure3c {
-	out := Figure3c{GMT: make([]float64, days*24)}
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		h := int(d.StartMs / 3_600_000)
-		if h < 0 || h >= len(out.GMT) {
-			continue
-		}
-		bytes := float64(d.TotalBytes())
-		out.GMT[h] += bytes
-		if rec, ok := in.lookup(d.IP); ok {
-			lh := ((h+rec.TZOffset)%24 + 24) % 24
-			out.LocalHourOfDay[lh] += bytes
-		}
-	}
-	return out
-}
+// Figure3c is the bytes served over the trace.
+func (m *Month) Figure3c() Figure3c { return m.f3c }
 
 // Figure4 compares download-speed CDFs in the two networks with the most
 // downloads: edge-only versus mostly-peer-assisted.
@@ -152,54 +119,29 @@ type Figure4AS struct {
 	MedianP2PMbps  float64
 }
 
-// ComputeFigure4 finds the two largest ASes by downloads and builds the
-// speed CDFs: "either a) all the bytes came from the edge servers, or b) at
-// least 50% of the bytes came from peers" (§5.2).
-func ComputeFigure4(in *Input) Figure4 {
-	perAS := make(map[geo.ASN]int)
-	for i := range in.Log.Downloads {
-		if rec, ok := in.lookup(in.Log.Downloads[i].IP); ok {
-			perAS[rec.ASN]++
+// Figure4 takes the two ASes with the most downloads and builds their speed
+// CDFs per §5.2 speed class: "either a) all the bytes came from the edge
+// servers, or b) at least 50% of the bytes came from peers".
+func (m *Month) Figure4() Figure4 {
+	order := make([]geo.ASN, 0, len(m.perAS))
+	for as := range m.perAS {
+		order = append(order, as)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if ni, nj := m.perAS[order[i]].n, m.perAS[order[j]].n; ni != nj {
+			return ni > nj
 		}
-	}
-	type kv struct {
-		as geo.ASN
-		n  int
-	}
-	var order []kv
-	for as, n := range perAS {
-		order = append(order, kv{as, n})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].n > order[j].n })
+		return order[i] < order[j]
+	})
 	var out Figure4
-	panels := []*Figure4AS{&out.ASX, &out.ASY}
-	for pi := range panels {
-		if pi >= len(order) {
-			break
-		}
-		panels[pi].ASN = order[pi].as
-	}
 	xs := LogSpace(0.1, 100, 25)
-	for _, panel := range panels {
-		var edge, p2p []float64
-		for i := range in.Log.Downloads {
-			d := &in.Log.Downloads[i]
-			if d.Outcome != protocol.OutcomeCompleted || d.TotalBytes() == 0 {
-				continue
-			}
-			rec, ok := in.lookup(d.IP)
-			if !ok || rec.ASN != panel.ASN {
-				continue
-			}
-			mbps := d.SpeedBps() / 1e6
-			switch {
-			case d.BytesPeers == 0:
-				edge = append(edge, mbps)
-			case float64(d.BytesPeers) >= 0.5*float64(d.TotalBytes()):
-				p2p = append(p2p, mbps)
-			}
+	for pi, panel := range []*Figure4AS{&out.ASX, &out.ASY} {
+		var speed [2][]float64
+		if pi < len(order) {
+			panel.ASN = order[pi]
+			speed = m.perAS[panel.ASN].speed
 		}
-		ec, pc := NewCDF(edge), NewCDF(p2p)
+		ec, pc := NewCDF(speed[classInfra]), NewCDF(speed[classP2P])
 		panel.EdgeOnly = ec.Points(xs)
 		panel.P2PHeavy = pc.Points(xs)
 		panel.MedianEdgeMbps = ec.Quantile(0.5)
@@ -213,32 +155,18 @@ type Figure5 struct {
 	Buckets []Bucket // X: copies, Mean/P20/P80: efficiency %
 }
 
-// ComputeFigure5 counts DN registrations per file and the per-file average
-// peer efficiency, bucketed by copy count.
-func ComputeFigure5(in *Input) Figure5 {
-	copies := make(map[content.ObjectID]int)
-	for i := range in.Log.Registrations {
-		copies[in.Log.Registrations[i].Object]++
-	}
-	effSum := make(map[content.ObjectID]float64)
-	effN := make(map[content.ObjectID]int)
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		if !d.P2PEnabled || d.TotalBytes() == 0 {
-			continue
-		}
-		effSum[d.Object] += 100 * d.PeerEfficiency()
-		effN[d.Object]++
-	}
+// Figure5 relates each object's DN registrations to the mean peer
+// efficiency of its peer-assisted downloads, bucketed by copy count.
+func (m *Month) Figure5() Figure5 {
 	var xs, ys []float64
 	maxCopies := 1.0
-	for obj, n := range effN {
-		c := float64(copies[obj])
-		if c < 1 {
+	for _, o := range m.objects {
+		c := float64(o.copies)
+		if o.effN == 0 || c < 1 {
 			continue
 		}
 		xs = append(xs, c)
-		ys = append(ys, effSum[obj]/float64(n))
+		ys = append(ys, o.effSum/float64(o.effN))
 		if c > maxCopies {
 			maxCopies = c
 		}
@@ -253,24 +181,16 @@ type Figure6 struct {
 	ByPeers []Bucket
 }
 
-// ComputeFigure6 groups downloads by PeersReturned.
-func ComputeFigure6(in *Input) Figure6 {
-	groups := make(map[int][]float64)
+// Figure6 groups peer-assisted downloads by the peers their first query
+// returned.
+func (m *Month) Figure6() Figure6 {
 	maxK := 0
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		if !d.P2PEnabled || d.TotalBytes() == 0 {
-			continue
-		}
-		k := d.PeersReturned
-		groups[k] = append(groups[k], 100*d.PeerEfficiency())
-		if k > maxK {
-			maxK = k
-		}
+	for k := range m.byPeers {
+		maxK = max(maxK, k)
 	}
 	var out []Bucket
 	for k := 0; k <= maxK; k++ {
-		g := groups[k]
+		g := m.byPeers[k]
 		if len(g) == 0 {
 			continue
 		}
@@ -329,10 +249,6 @@ type Figure7 struct {
 	N            [numSizeClasses][3]int
 }
 
-// ComputeFigure7 measures how often downloads are aborted/paused and never
-// resumed, by size.
-func ComputeFigure7(in *Input) Figure7 { return TallyInput(in).Figure7() }
-
 // CountryClass classifies a country by how much of one provider's bytes the
 // peers served relative to the infrastructure (paper Figure 8).
 type CountryClass int
@@ -376,35 +292,18 @@ type Figure8 struct {
 	ClassN    [3]int
 }
 
-// ComputeFigure8 aggregates completed downloads of one p2p-enabled provider
-// per country.
-func ComputeFigure8(in *Input, cp content.CPCode) Figure8 {
-	type agg struct{ infra, peers int64 }
-	per := make(map[geo.CountryCode]*agg)
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		if d.CP != cp || d.Outcome != protocol.OutcomeCompleted {
-			continue
-		}
-		rec, ok := in.lookup(d.IP)
-		if !ok {
-			continue
-		}
-		a := per[rec.Country]
-		if a == nil {
-			a = &agg{}
-			per[rec.Country] = a
-		}
-		a.infra += d.BytesInfra
-		a.peers += d.BytesPeers
-	}
+// Figure8 classifies each country by one provider's completed downloads.
+func (m *Month) Figure8(cp content.CPCode) Figure8 {
 	out := Figure8{CP: cp}
-	for country, a := range per {
-		c := Figure8Country{Country: country, BytesInfra: a.infra, BytesPeers: a.peers}
+	for k, b := range m.countryBytes {
+		if k.cp != cp {
+			continue
+		}
+		c := Figure8Country{Country: k.country, BytesInfra: b[0], BytesPeers: b[1]}
 		switch {
-		case a.peers == 0 || a.infra > a.peers:
+		case c.BytesPeers == 0 || c.BytesInfra > c.BytesPeers:
 			c.Class = InfraDominant
-		case float64(a.infra) >= 0.5*float64(a.peers):
+		case float64(c.BytesInfra) >= 0.5*float64(c.BytesPeers):
 			c.Class = PeersModerate
 		default:
 			c.Class = PeersDominant

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"netsession/internal/id"
 )
 
@@ -54,49 +56,50 @@ type Figure12 struct {
 	PctOfNonLinear [numGraphClasses]float64
 }
 
-// ComputeFigure12 reconstructs per-GUID secondary-GUID graphs from the
-// login records and classifies their shapes: "vertices represent secondary
-// GUIDs and edges connect GUIDs that follow each other in a login entry"
-// (§6.2).
-func ComputeFigure12(in *Input) Figure12 {
-	type graph struct {
-		children map[id.Secondary]map[id.Secondary]bool
-		verts    map[id.Secondary]bool
-	}
-	graphs := make(map[id.GUID]*graph)
-	for i := range in.Log.Logins {
-		l := &in.Log.Logins[i]
-		g := graphs[l.GUID]
-		if g == nil {
-			g = &graph{
-				children: make(map[id.Secondary]map[id.Secondary]bool),
-				verts:    make(map[id.Secondary]bool),
-			}
-			graphs[l.GUID] = g
+// secGraph is one installation's secondary-GUID graph: "vertices represent
+// secondary GUIDs and edges connect GUIDs that follow each other in a login
+// entry" (§6.2). It keeps each distinct vertex and each distinct (parent,
+// child) edge once, however many logins repeat them.
+type secGraph struct {
+	verts []id.Secondary
+	edges [][2]int32 // parent, child: indexes into verts
+}
+
+// add folds in one login's window, newest secondary first.
+func (g *secGraph) add(w *[id.HistoryLen]id.Secondary) {
+	for k := 0; k+1 < len(w); k++ {
+		child, parent := w[k], w[k+1]
+		if child.IsZero() || parent.IsZero() {
+			continue
 		}
-		w := l.Secondaries
-		for k := 0; k+1 < len(w); k++ {
-			child, parent := w[k], w[k+1]
-			if child.IsZero() || parent.IsZero() {
-				continue
-			}
-			g.verts[child] = true
-			g.verts[parent] = true
-			m := g.children[parent]
-			if m == nil {
-				m = make(map[id.Secondary]bool)
-				g.children[parent] = m
-			}
-			m[child] = true
+		e := [2]int32{g.vertex(parent), g.vertex(child)}
+		if !slices.Contains(g.edges, e) {
+			g.edges = append(g.edges, e)
 		}
 	}
+}
+
+// vertex returns s's index, adding it if new; consecutive logins repeat
+// recent secondaries, so the search starts at the end.
+func (g *secGraph) vertex(s id.Secondary) int32 {
+	for i := len(g.verts) - 1; i >= 0; i-- {
+		if g.verts[i] == s {
+			return int32(i)
+		}
+	}
+	g.verts = append(g.verts, s)
+	return int32(len(g.verts) - 1)
+}
+
+// Figure12 classifies every installation's graph of at least three vertices.
+func (m *Month) Figure12() Figure12 {
 	var out Figure12
-	for _, g := range graphs {
-		if len(g.verts) < 3 {
+	for _, inst := range m.installs {
+		if len(inst.graph.verts) < 3 {
 			continue
 		}
 		out.Graphs++
-		out.Count[classifyGraph(g.children, g.verts)]++
+		out.Count[inst.graph.classify()]++
 	}
 	nonLinear := out.Graphs - out.Count[GraphLinear]
 	if out.Graphs > 0 {
@@ -110,73 +113,75 @@ func ComputeFigure12(in *Input) Figure12 {
 	return out
 }
 
-// classifyGraph labels one secondary-GUID graph.
-func classifyGraph(children map[id.Secondary]map[id.Secondary]bool, verts map[id.Secondary]bool) GraphClass {
-	// Parent counts detect non-tree shapes.
-	parents := make(map[id.Secondary]int)
-	var branchPoints []id.Secondary
-	for p, cs := range children {
-		if len(cs) >= 2 {
-			branchPoints = append(branchPoints, p)
-		}
-		for c := range cs {
-			parents[c]++
-		}
+// classify labels the graph in time linear in its size. Only a forest is a
+// clean history: a vertex with two parents, or a loop back to an earlier
+// secondary, is irregular before any branch is measured.
+func (g *secGraph) classify() GraphClass {
+	n := len(g.verts)
+	up := make([]int32, n)   // parent; -1 at a root
+	down := make([]int32, n) // last child seen; the only one below a fork
+	kids := make([]int32, n)
+	for v := range up {
+		up[v], down[v] = -1, -1
 	}
-	for _, n := range parents {
-		if n > 1 {
+	for _, e := range g.edges {
+		p, c := e[0], e[1]
+		if up[c] >= 0 {
 			return GraphIrregular // a vertex with two histories: not a tree
 		}
+		up[c], down[p] = p, c
+		kids[p]++
 	}
-	switch len(branchPoints) {
-	case 0:
-		return GraphLinear
-	case 1:
-		bp := branchPoints[0]
-		var lengths []int
-		for c := range children[bp] {
-			lengths = append(lengths, chainLen(children, c))
+	// With one parent each, the graph is a forest unless walking up from
+	// some vertex runs into its own path. mark: 1 on the current path, 2
+	// known to reach a root; each vertex is marked at most twice.
+	mark := make([]uint8, n)
+	for v := range up {
+		u := int32(v)
+		for u >= 0 && mark[u] == 0 {
+			mark[u] = 1
+			u = up[u]
 		}
-		if len(lengths) > 2 {
-			return GraphManyBranches
+		if u >= 0 && mark[u] == 1 {
+			return GraphIrregular // a loop: not a tree
 		}
-		short := lengths[0]
-		if lengths[1] < short {
-			short = lengths[1]
+		for u = int32(v); u >= 0 && mark[u] == 1; u = up[u] {
+			mark[u] = 2
 		}
-		if short <= 1 {
-			return GraphShortBranch
-		}
-		return GraphTwoLong
-	default:
-		// Multiple independent fork points: a history no single clean
-		// explanation (update failure, restore, re-imaging) produces.
-		return GraphIrregular
 	}
-}
 
-// chainLen follows a branch downward; branches below (which cannot exist
-// when there is a single branch point) just take the longest path.
-func chainLen(children map[id.Secondary]map[id.Secondary]bool, v id.Secondary) int {
-	n := 1
-	for {
-		cs := children[v]
-		if len(cs) == 0 {
-			return n
+	fork := int32(-1)
+	for v, k := range kids {
+		if k < 2 {
+			continue
 		}
-		best := 0
-		var next id.Secondary
-		for c := range cs {
-			l := 1 // conservative: avoid deep recursion; single-point case has chains
-			if l > best {
-				best = l
-				next = c
-			}
+		if fork >= 0 {
+			// Multiple independent fork points: a history no single clean
+			// explanation (update failure, restore, re-imaging) produces.
+			return GraphIrregular
 		}
-		v = next
-		n++
-		if n > 1_000_000 {
-			return n // cycle guard; irregular graphs are caught earlier
-		}
+		fork = int32(v)
 	}
+	if fork < 0 {
+		return GraphLinear
+	}
+	var lengths []int
+	for _, e := range g.edges {
+		if e[0] != fork {
+			continue
+		}
+		// Below the one fork every vertex has at most one child.
+		l := 1
+		for v := down[e[1]]; v >= 0; v = down[v] {
+			l++
+		}
+		lengths = append(lengths, l)
+	}
+	if len(lengths) > 2 {
+		return GraphManyBranches
+	}
+	if min(lengths[0], lengths[1]) <= 1 {
+		return GraphShortBranch
+	}
+	return GraphTwoLong
 }

@@ -43,8 +43,7 @@ func windowOf(chain []id.Secondary, head int) [id.HistoryLen]id.Secondary {
 
 func classify(t *testing.T, logins []accounting.LoginRecord) GraphClass {
 	t.Helper()
-	in := &Input{Log: &accounting.Log{Logins: logins}}
-	f := ComputeFigure12(in)
+	f := Analyze(&Input{Log: &accounting.Log{Logins: logins}}, 0).Figure12()
 	if f.Graphs != 1 {
 		t.Fatalf("expected 1 graph, got %d", f.Graphs)
 	}
@@ -158,7 +157,21 @@ func TestTinyGraphsSkipped(t *testing.T) {
 	chain := mkSecs(r, 2)
 	w := [id.HistoryLen]id.Secondary{chain[1], chain[0]}
 	in := &Input{Log: &accounting.Log{Logins: loginsFromWindows(g, [][id.HistoryLen]id.Secondary{w})}}
-	if f := ComputeFigure12(in); f.Graphs != 0 {
+	if f := Analyze(in, 0).Figure12(); f.Graphs != 0 {
 		t.Errorf("graph with 2 vertices counted (got %d graphs)", f.Graphs)
+	}
+}
+
+// TestClassifyLoopBackToBranchPoint: a history that returns to its own fork
+// point (bp→c→d→bp next to bp→e→f) is not a tree, whatever its branches'
+// lengths.
+func TestClassifyLoopBackToBranchPoint(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	g := id.RandGUID(r)
+	s := mkSecs(r, 5)
+	bp, c, d, e, f := s[0], s[1], s[2], s[3], s[4]
+	windows := [][id.HistoryLen]id.Secondary{{d, c, bp}, {bp, d}, {f, e, bp}}
+	if got := classify(t, loginsFromWindows(g, windows)); got != GraphIrregular {
+		t.Errorf("loop back to the branch point classified as %v", got)
 	}
 }

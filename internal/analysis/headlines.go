@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"netsession/internal/geo"
-	"netsession/internal/id"
-)
+import "netsession/internal/geo"
 
 // Headlines collects the scalar results quoted in the paper's running text.
 type Headlines struct {
@@ -38,25 +35,20 @@ type Headlines struct {
 	NewConnectionsPerMinute float64
 }
 
-// ComputeHeadlines derives the scalar summary from the logs.
-func ComputeHeadlines(in *Input, traceDays int) Headlines {
-	return headlines(in, TallyInput(in), traceDays)
-}
-
-// headlines joins the download tally with the catalog, AS-traffic and
-// mobility passes.
-func headlines(in *Input, t *Tally, traceDays int) Headlines {
+// Headlines joins the catalog's policy share with the download tally, the
+// AS traffic and mobility views.
+func (m *Month) Headlines() Headlines {
 	var h Headlines
 
-	// Catalog policy share.
 	p2pFiles := 0
-	for _, f := range in.Catalog.Files {
+	for _, f := range m.in.Catalog.Files {
 		if f.Object.P2PEnabled {
 			p2pFiles++
 		}
 	}
-	h.PctFilesP2PEnabled = pct(int64(p2pFiles), int64(len(in.Catalog.Files)))
+	h.PctFilesP2PEnabled = pct(int64(p2pFiles), int64(len(m.in.Catalog.Files)))
 
+	t := m.Tally
 	sum := t.Summary()
 	h.PctBytesP2PFiles = sum.PctBytesP2PFiles
 	h.MeanPeerEfficiencyPct = sum.MeanPeerEfficiencyPct
@@ -66,13 +58,13 @@ func headlines(in *Input, t *Tally, traceDays int) Headlines {
 	h.FailSystemInfraPct = pct(t.failedSys[classInfra], t.n[classInfra])
 	h.FailSystemP2PPct = pct(t.failedSys[classP2P], t.n[classP2P])
 
-	h.IntraASPct = 100 * ComputeASTraffic(in).IntraASFraction()
+	h.IntraASPct = 100 * m.ast.IntraASFraction()
 
-	mob := ComputeMobility(in)
+	mob := m.Mobility()
 	h.Pct1AS, h.Pct2AS, h.PctMoreAS, h.PctWithin10Km =
 		mob.Pct1AS, mob.Pct2AS, mob.PctMoreAS, mob.PctWithin10Km
-	if traceDays > 0 {
-		h.NewConnectionsPerMinute = float64(len(in.Log.Logins)) / (float64(traceDays) * 24 * 60)
+	if m.traceDays > 0 {
+		h.NewConnectionsPerMinute = float64(len(m.in.Log.Logins)) / (float64(m.traceDays) * 24 * 60)
 	}
 	return h
 }
@@ -86,46 +78,17 @@ type Mobility struct {
 	PctWithin10Km float64
 }
 
-// ComputeMobility counts, per GUID, the distinct ASes seen across logins and
-// the maximum distance between any two login geolocations.
-func ComputeMobility(in *Input) Mobility {
-	type state struct {
-		ases   map[geo.ASN]bool
-		coords []geo.Coordinates
-	}
-	st := make(map[id.GUID]*state)
-	for i := range in.Log.Logins {
-		l := &in.Log.Logins[i]
-		rec, ok := in.lookup(l.IP)
-		if !ok {
+// Mobility counts, per located installation, the distinct ASes seen across
+// its logins and the largest distance between two login geolocations.
+func (m *Month) Mobility() Mobility {
+	var mob Mobility
+	var one, two, more, within int
+	for _, inst := range m.installs {
+		if !inst.located {
 			continue
 		}
-		s := st[l.GUID]
-		if s == nil {
-			s = &state{ases: make(map[geo.ASN]bool)}
-			st[l.GUID] = s
-		}
-		if !s.ases[rec.ASN] {
-			s.ases[rec.ASN] = true
-		}
-		// Track distinct coordinates only (windows are tiny: a peer visits
-		// a handful of vantage points).
-		seen := false
-		for _, c := range s.coords {
-			if c == rec.Coord {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			s.coords = append(s.coords, rec.Coord)
-		}
-	}
-	var m Mobility
-	var one, two, more, within int
-	for _, s := range st {
-		m.GUIDs++
-		switch len(s.ases) {
+		mob.GUIDs++
+		switch len(inst.ases) {
 		case 1:
 			one++
 		case 2:
@@ -134,9 +97,9 @@ func ComputeMobility(in *Input) Mobility {
 			more++
 		}
 		maxKm := 0.0
-		for i := range s.coords {
-			for j := i + 1; j < len(s.coords); j++ {
-				if d := geo.DistanceKm(s.coords[i], s.coords[j]); d > maxKm {
+		for i := range inst.coords {
+			for j := i + 1; j < len(inst.coords); j++ {
+				if d := geo.DistanceKm(inst.coords[i], inst.coords[j]); d > maxKm {
 					maxKm = d
 				}
 			}
@@ -145,11 +108,11 @@ func ComputeMobility(in *Input) Mobility {
 			within++
 		}
 	}
-	if m.GUIDs > 0 {
-		m.Pct1AS = 100 * float64(one) / float64(m.GUIDs)
-		m.Pct2AS = 100 * float64(two) / float64(m.GUIDs)
-		m.PctMoreAS = 100 * float64(more) / float64(m.GUIDs)
-		m.PctWithin10Km = 100 * float64(within) / float64(m.GUIDs)
+	if mob.GUIDs > 0 {
+		mob.Pct1AS = 100 * float64(one) / float64(mob.GUIDs)
+		mob.Pct2AS = 100 * float64(two) / float64(mob.GUIDs)
+		mob.PctMoreAS = 100 * float64(more) / float64(mob.GUIDs)
+		mob.PctWithin10Km = 100 * float64(within) / float64(mob.GUIDs)
 	}
-	return m
+	return mob
 }

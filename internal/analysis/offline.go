@@ -77,8 +77,13 @@ func ScapeLookup(scape *geo.EdgeScape) GeoLookup {
 		if !ok {
 			return GeoTag{}
 		}
-		return GeoTag{Country: string(rec.Country), ASN: uint32(rec.ASN), Region: geo.RegionOf(rec).String()}
+		return tagOf(rec)
 	}
+}
+
+// tagOf annotates a resolved IP.
+func tagOf(rec geo.Record) GeoTag {
+	return GeoTag{Country: string(rec.Country), ASN: uint32(rec.ASN), Region: geo.RegionOf(rec).String()}
 }
 
 // OfflineFromRecord converts one accepted accounting record into the

@@ -10,11 +10,11 @@ import (
 // Report renders every table and figure as text, in paper order. The
 // experiment harness writes this into EXPERIMENTS.md next to the paper's
 // own numbers.
-func Report(in *Input, traceDays int) string {
+func (m *Month) Report() string {
 	var b strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
 
-	t1 := ComputeTable1(in)
+	t1 := m.Table1()
 	w("## Table 1 — Overall statistics")
 	w("Log entries:          %d", t1.LogEntries)
 	w("Number of GUIDs:      %d", t1.GUIDs)
@@ -33,7 +33,7 @@ func Report(in *Input, traceDays int) string {
 		header += fmt.Sprintf("%15s", string(reg))
 	}
 	w("%s", header)
-	for _, row := range ComputeTable2(in) {
+	for _, row := range m.Table2() {
 		line := fmt.Sprintf("%-16s", row.Customer)
 		for _, reg := range geo.ReportRegions {
 			line += fmt.Sprintf("%14.1f%%", row.Share[reg])
@@ -42,7 +42,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	t3 := ComputeTable3(in)
+	t3 := m.Table3()
 	w("## Table 3 — Upload-setting changes")
 	w("%-18s %10s %8s %8s %8s", "Uploads initially", "Nodes", "0", "1", ">=2")
 	for _, init := range []bool{false, true} {
@@ -56,12 +56,12 @@ func Report(in *Input, traceDays int) string {
 	w("")
 
 	w("## Table 4 — Peers with uploads enabled per customer")
-	for _, row := range ComputeTable4(in) {
+	for _, row := range m.Table4() {
 		w("%-12s %6.1f%%  (%d peers)", row.Customer, row.PctEnabled, row.Peers)
 	}
 	w("")
 
-	f2 := ComputeFigure2(in)
+	f2 := m.Figure2()
 	w("## Figure 2 — Peer locations (top 10 bubbles of %d)", len(f2))
 	for i, bub := range f2 {
 		if i >= 10 {
@@ -71,10 +71,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	// One fold over the download log serves Figures 3a, 3b, 7 and the
-	// download part of the headlines.
-	dl := TallyInput(in)
-	f3a := dl.Figure3a()
+	f3a := m.Tally.Figure3a()
 	w("## Figure 3a — Request CDF by object size (GB)")
 	w("%10s %12s %12s %12s", "size(GB)", "infra-only", "all", "peer-assist")
 	for i := range f3a.All {
@@ -84,7 +81,7 @@ func Report(in *Input, traceDays int) string {
 	w("peer-assisted requests >500MB: %.1f%% (paper: 82%%)", f3a.PctPeerAssistedOver500MB)
 	w("")
 
-	f3b := dl.Figure3b()
+	f3b := m.Tally.Figure3b()
 	w("## Figure 3b — Content popularity (downloads vs rank)")
 	for _, rank := range []int{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000} {
 		if rank <= len(f3b.Counts) {
@@ -94,7 +91,7 @@ func Report(in *Input, traceDays int) string {
 	w("fitted power-law exponent: %.2f", f3b.PowerLawSlope())
 	w("")
 
-	f3c := ComputeFigure3c(in, traceDays)
+	f3c := m.Figure3c()
 	w("## Figure 3c — Bytes served over time (per-day totals, GB)")
 	for d := 0; d+24 <= len(f3c.GMT); d += 24 {
 		var day float64
@@ -119,7 +116,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	f4 := ComputeFigure4(in)
+	f4 := m.Figure4()
 	w("## Figure 4 — Download speed, edge-only vs >50%% p2p (two largest ASes)")
 	for _, panel := range []struct {
 		name string
@@ -130,7 +127,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	f5 := ComputeFigure5(in)
+	f5 := m.Figure5()
 	w("## Figure 5 — Registered copies vs peer efficiency")
 	w("%12s %6s %8s %8s %8s", "copies", "files", "mean", "p20", "p80")
 	for _, bkt := range f5.Buckets {
@@ -138,7 +135,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	f6 := ComputeFigure6(in)
+	f6 := m.Figure6()
 	w("## Figure 6 — Peers initially returned vs peer efficiency")
 	w("%6s %8s %8s", "peers", "dls", "mean eff")
 	for _, bkt := range f6.ByPeers {
@@ -148,7 +145,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	f7 := dl.Figure7()
+	f7 := m.Tally.Figure7()
 	w("## Figure 7 — Pause rate by file size")
 	w("%-12s %12s %12s %12s", "size", "infra-only", "peer-assist", "all")
 	for sc := SizeUnder10MB; sc < numSizeClasses; sc++ {
@@ -158,13 +155,13 @@ func Report(in *Input, traceDays int) string {
 	w("")
 
 	// Figure 8 uses the most p2p-heavy provider (Customer D).
-	f8 := ComputeFigure8(in, 104)
+	f8 := m.Figure8(104)
 	w("## Figure 8 — Peer contributions per country (Customer D)")
 	w("infra>peers: %d countries, infra 50-100%% of peers: %d, infra <50%% of peers: %d",
 		f8.ClassN[InfraDominant], f8.ClassN[PeersModerate], f8.ClassN[PeersDominant])
 	w("")
 
-	ast := ComputeASTraffic(in)
+	ast := m.ASTraffic()
 	w("## §6.1 / Figures 9-11 — AS-level traffic")
 	w("total p2p bytes: %.2f GB, intra-AS: %.1f%% (paper: 18%%)",
 		float64(ast.TotalP2PBytes)/1e9, 100*ast.IntraASFraction())
@@ -182,12 +179,12 @@ func Report(in *Input, traceDays int) string {
 	w("Figure 9c: median IPs per AS — light %.0f, heavy %.0f", f9c.MedianLightIPs, f9c.MedianHeavyIPs)
 	f10 := ast.ComputeFigure10()
 	w("Figure 10: heavy uploaders' median up/down ratio: %.2f (1.0 = balanced)", f10.HeavyMedianRatio)
-	f11 := ast.ComputeFigure11(in.Atlas)
+	f11 := ast.ComputeFigure11(m.in.Atlas)
 	w("Figure 11: %d heavy pairs, median pairwise imbalance %.2f, %.0f%% of heavy-pair bytes on direct links (paper: 35%%)",
 		len(f11.Pairs), f11.MedianRatio, f11.PctDirectBytes)
 	w("")
 
-	f12 := ComputeFigure12(in)
+	f12 := m.Figure12()
 	w("## Figure 12 — Secondary-GUID graphs")
 	w("graphs (>=3 vertices): %d, non-linear: %.2f%% (paper: 0.6%%)", f12.Graphs, f12.PctNonLinear)
 	for c := GraphShortBranch; c < numGraphClasses; c++ {
@@ -195,7 +192,7 @@ func Report(in *Input, traceDays int) string {
 	}
 	w("")
 
-	if sf := ComputeStreamingFigure(in); sf.Sessions > 0 {
+	if sf := m.Tally.StreamingFigure(); sf.Sessions > 0 {
 		w("## Streaming delivery — startup, rebuffers, deadlines")
 		w("sessions: %d", sf.Sessions)
 		w("startup delay: mean %.0fms, p50 %dms, p95 %dms",
@@ -207,7 +204,7 @@ func Report(in *Input, traceDays int) string {
 		w("")
 	}
 
-	h := headlines(in, dl, traceDays)
+	h := m.Headlines()
 	w("## Headlines")
 	w("p2p-enabled files: %.1f%% of catalog carrying %.1f%% of bytes (paper: 1.7%% / 57.4%%)",
 		h.PctFilesP2PEnabled, h.PctBytesP2PFiles)

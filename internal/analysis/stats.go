@@ -1,8 +1,9 @@
 // Package analysis computes every table and figure of the paper's
 // evaluation (Sections 4–6) from a NetSession log set — whether that log
-// came from the live control plane or from the simulator. Each Table*/
-// Figure* function returns a structured result; render.go turns results
-// into the text blocks EXPERIMENTS.md records.
+// came from the live control plane or from the simulator. Analyze walks a
+// month's logs once; each Table*/Figure* view of the result returns a
+// structured result, and Month.Report turns them into the text blocks
+// EXPERIMENTS.md records.
 package analysis
 
 import (

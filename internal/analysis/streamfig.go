@@ -21,39 +21,28 @@ type StreamingFigure struct {
 	EdgeRescueBytes int64
 }
 
-// ComputeStreamingFigure folds every streaming download in the log. Sessions
-// is zero when the scenario had no streams; callers gate rendering on that.
-func ComputeStreamingFigure(in *Input) StreamingFigure {
-	var f StreamingFigure
-	var startups []int64
-	var startupSum, misses, played int64
-	for i := range in.Log.Downloads {
-		st := in.Log.Downloads[i].Stream
-		if st == nil {
-			continue
-		}
-		f.Sessions++
-		startups = append(startups, st.StartupDelayMs)
-		startupSum += st.StartupDelayMs
-		if st.RebufferCount > 0 {
-			f.PctWithRebuffer++
-		}
-		f.RebufferEvents += st.RebufferCount
-		f.RebufferMs += st.RebufferMs
-		misses += st.DeadlineMisses
-		played += st.PiecesPlayed
-		f.EdgeRescueBytes += st.EdgeRescueBytes
+// StreamingFigure derives the figure from the stream sums and the exact-only
+// startup samples. Sessions is zero when the log had no streams; callers gate
+// rendering on that. A sketched tally has no samples, so its percentiles
+// read as zero.
+func (t *Tally) StreamingFigure() StreamingFigure {
+	s := t.stream
+	f := StreamingFigure{
+		Sessions:        int(s.n),
+		RebufferEvents:  s.rebuffers,
+		RebufferMs:      s.rebufferMs,
+		DeadlineMissPct: pct(s.misses, s.played),
+		EdgeRescueBytes: s.rescueBytes,
+		PctWithRebuffer: pct(t.stalled, s.n),
 	}
-	if f.Sessions == 0 {
-		return f
+	if s.n > 0 {
+		f.StartupMeanMs = float64(s.startupMs) / float64(s.n)
 	}
-	sort.Slice(startups, func(i, j int) bool { return startups[i] < startups[j] })
-	f.StartupMeanMs = float64(startupSum) / float64(f.Sessions)
-	f.StartupP50Ms = startups[len(startups)/2]
-	f.StartupP95Ms = startups[len(startups)*95/100]
-	f.PctWithRebuffer = 100 * f.PctWithRebuffer / float64(f.Sessions)
-	if played > 0 {
-		f.DeadlineMissPct = 100 * float64(misses) / float64(played)
+	if n := len(t.startups); n > 0 {
+		startups := append([]int64(nil), t.startups...)
+		sort.Slice(startups, func(i, j int) bool { return startups[i] < startups[j] })
+		f.StartupP50Ms = startups[n/2]
+		f.StartupP95Ms = startups[n*95/100]
 	}
 	return f
 }

@@ -1,12 +1,10 @@
 package analysis
 
 import (
-	"net/netip"
 	"sort"
 
 	"netsession/internal/content"
 	"netsession/internal/geo"
-	"netsession/internal/id"
 	"netsession/internal/trace"
 )
 
@@ -23,46 +21,26 @@ type Table1 struct {
 	DistinctCountries   int
 }
 
-// ComputeTable1 derives Table 1 from the logs.
-func ComputeTable1(in *Input) Table1 {
-	guids := make(map[id.GUID]bool)
-	ips := make(map[netip.Addr]bool)
-	urls := make(map[string]bool)
+// Table1 counts the data set: GUIDs and IPs over every log, locations, ASes
+// and countries over the IPs EdgeScape resolves.
+func (m *Month) Table1() Table1 {
 	locs := make(map[geo.LocationID]bool)
 	ases := make(map[geo.ASN]bool)
 	countries := make(map[geo.CountryCode]bool)
-	note := func(ip netip.Addr) {
-		if !ip.IsValid() {
-			return
-		}
-		ips[ip] = true
-		if rec, ok := in.lookup(ip); ok {
-			locs[rec.Location] = true
-			ases[rec.ASN] = true
-			countries[rec.Country] = true
-		}
-	}
-	for i := range in.Log.Logins {
-		l := &in.Log.Logins[i]
-		guids[l.GUID] = true
-		note(l.IP)
-	}
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		guids[d.GUID] = true
-		urls[d.URLHash] = true
-		note(d.IP)
-		for _, pc := range d.FromPeers {
-			note(pc.IP)
+	for _, p := range m.places {
+		if p.ok {
+			locs[p.rec.Location] = true
+			ases[p.rec.ASN] = true
+			countries[p.rec.Country] = true
 		}
 	}
 	return Table1{
-		LogEntries:          in.Log.Entries(),
-		GUIDs:               len(guids),
-		ControlPlaneServers: in.ControlPlaneServers,
-		DistinctURLs:        len(urls),
-		DistinctIPs:         len(ips),
-		DownloadsInitiated:  len(in.Log.Downloads),
+		LogEntries:          m.in.Log.Entries(),
+		GUIDs:               len(m.installs),
+		ControlPlaneServers: m.in.ControlPlaneServers,
+		DistinctURLs:        int(m.Tally.urls.Estimate()),
+		DistinctIPs:         len(m.places),
+		DownloadsInitiated:  len(m.in.Log.Downloads),
 		DistinctLocations:   len(locs),
 		DistinctASes:        len(ases),
 		DistinctCountries:   len(countries),
@@ -76,33 +54,23 @@ type Table2Row struct {
 	Total    int
 }
 
-// ComputeTable2 reproduces Table 2: the global distribution of downloads
-// for the ten largest content providers, plus the all-customers row.
-func ComputeTable2(in *Input) []Table2Row {
-	counts := make(map[content.CPCode]map[geo.ReportRegion]int)
+// Table2 reproduces Table 2: the global distribution of downloads for the
+// ten largest content providers, plus the all-customers row.
+func (m *Month) Table2() []Table2Row {
 	totals := make(map[content.CPCode]int)
 	allRegion := make(map[geo.ReportRegion]int)
 	allTotal := 0
-	for i := range in.Log.Downloads {
-		d := &in.Log.Downloads[i]
-		region, ok := in.reportRegion(d.IP)
-		if !ok {
-			continue
-		}
-		if counts[d.CP] == nil {
-			counts[d.CP] = make(map[geo.ReportRegion]int)
-		}
-		counts[d.CP][region]++
-		totals[d.CP]++
-		allRegion[region]++
-		allTotal++
+	for k, n := range m.regionDownloads {
+		totals[k.cp] += n
+		allRegion[k.region] += n
+		allTotal += n
 	}
 	var out []Table2Row
 	for _, cust := range trace.Customers {
 		row := Table2Row{Customer: cust.Name, Share: make(map[geo.ReportRegion]float64), Total: totals[cust.CP]}
 		for _, reg := range geo.ReportRegions {
 			if t := totals[cust.CP]; t > 0 {
-				row.Share[reg] = 100 * float64(counts[cust.CP][reg]) / float64(t)
+				row.Share[reg] = 100 * float64(m.regionDownloads[cpRegion{cust.CP, reg}]) / float64(t)
 			}
 		}
 		out = append(out, row)
@@ -132,41 +100,19 @@ type Table3Row struct {
 	PctTwoPlus float64
 }
 
-// ComputeTable3 counts setting changes between consecutive logins per GUID.
-func ComputeTable3(in *Input) Table3 {
-	type state struct {
-		first, last bool
-		changes     int
-		seen        bool
-	}
-	// Logins are time-sorted by construction; track per GUID.
-	st := make(map[id.GUID]*state)
-	for i := range in.Log.Logins {
-		l := &in.Log.Logins[i]
-		s := st[l.GUID]
-		if s == nil {
-			st[l.GUID] = &state{first: l.UploadsEnabled, last: l.UploadsEnabled, seen: true}
-			continue
-		}
-		if l.UploadsEnabled != s.last {
-			s.changes++
-			s.last = l.UploadsEnabled
-		}
-	}
+// Table3 counts each installation's setting changes between consecutive
+// logins.
+func (m *Month) Table3() Table3 {
 	counts := map[bool][3]int{}
 	nodes := map[bool]int{}
-	for _, s := range st {
-		c := counts[s.first]
-		switch {
-		case s.changes == 0:
-			c[0]++
-		case s.changes == 1:
-			c[1]++
-		default:
-			c[2]++
+	for _, inst := range m.installs {
+		if inst.logins == 0 {
+			continue
 		}
-		counts[s.first] = c
-		nodes[s.first]++
+		c := counts[inst.firstUp]
+		c[min(inst.changes, 2)]++
+		counts[inst.firstUp] = c
+		nodes[inst.firstUp]++
 	}
 	out := Table3{Rows: make(map[bool]Table3Row)}
 	for _, init := range []bool{false, true} {
@@ -190,22 +136,17 @@ type Table4Row struct {
 	Peers      int
 }
 
-// ComputeTable4 reproduces Table 4: the fraction of peers with content
-// uploads enabled, grouped by the provider whose bundle installed the
-// client.
-func ComputeTable4(in *Input) []Table4Row {
-	// Current setting per GUID: the last login wins.
-	last := make(map[id.GUID]bool)
-	for i := range in.Log.Logins {
-		l := &in.Log.Logins[i]
-		last[l.GUID] = l.UploadsEnabled
-	}
+// Table4 reproduces Table 4: the fraction of peers with content uploads
+// enabled, grouped by the provider whose bundle installed the client. A
+// peer's setting is its last login's, or its install default if it never
+// logged in.
+func (m *Month) Table4() []Table4Row {
 	enabled := make(map[content.CPCode]int)
 	total := make(map[content.CPCode]int)
-	for _, p := range in.Pop.Peers {
-		en, seen := last[p.GUID]
-		if !seen {
-			en = p.UploadsEnabledAtInstall
+	for _, p := range m.in.Pop.Peers {
+		en := p.UploadsEnabledAtInstall
+		if inst := m.installs[p.GUID]; inst != nil && inst.logins > 0 {
+			en = inst.lastUp
 		}
 		total[p.InstallCP]++
 		if en {

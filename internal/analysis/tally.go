@@ -10,20 +10,22 @@ import (
 
 // Tally is the one fold over download records. Every download-derived
 // quantity in the repo — the offline summary, the live /v1/analytics
-// document, Figures 3a/3b/7, the per-region table and the download part of
-// the headlines — is a view of this state, so the definitions cannot drift
-// apart.
+// document, Figures 3a/3b/7, the streaming figure, the per-region table and
+// the download part of the headlines — is a view of this state, so the
+// definitions cannot drift apart.
 //
 // All byte and count state is int64. What differs between the offline
 // analyzer and the control plane's live pass is fixed at construction:
 //
 //   - NewTally keeps exact GUID/URL sets plus the order-statistic samples
 //     (a count per URL for the popularity ranking, one float per completed
-//     download for the speed medians). State grows with the distinct
-//     GUIDs/URLs/ASes and the completed downloads, never with record bytes.
+//     download for the speed medians, one startup delay per stream) and the
+//     count of stalled streams. State grows with the distinct GUIDs/URLs/ASes
+//     and the completed downloads, never with record bytes.
 //   - The sketched tally behind NewStreamingSummarizer tracks GUIDs and URLs
-//     with HyperLogLog and keeps no samples, so its memory is bounded by the
-//     geography alone; medians, popularity head and Zipf fit read as empty.
+//     with HyperLogLog and keeps none of the exact-only state, so its memory
+//     is bounded by the geography alone; medians, startup percentiles,
+//     popularity head and Zipf fit read as empty.
 //
 // A Tally is not safe for concurrent use; ShardedTally is the concurrent
 // front.
@@ -57,8 +59,13 @@ type Tally struct {
 	matrix      map[string]map[string]int64 // uploader region -> downloader region -> bytes
 	guids, urls distinct
 
-	// One speed sample per completed download, exact tallies only.
-	speedEdge, speedP2P []float64
+	// Exact tallies only: one Mbps sample per completed download in a §5.2
+	// speed class, indexed classInfra (edge-only) / classP2P (>=50% peers);
+	// one startup delay per stream and the streams that stalled at least
+	// once, for the streaming figure.
+	speed    [2][]float64
+	startups []int64
+	stalled  int64
 }
 
 const (
@@ -251,26 +258,25 @@ func (t *Tally) Add(d *OfflineDownload) {
 	switch d.Outcome {
 	case "completed":
 		t.done[c]++
-		if dur := d.EndMs - d.StartMs; t.exact && dur > 0 && total > 0 {
-			// §5.2 speed classes: all bytes from the edge, or at least half
-			// from peers.
-			mbps := float64(total) * 8 / float64(dur) / 1000
-			if d.BytesPeers == 0 {
-				t.speedEdge = append(t.speedEdge, mbps)
-			} else if float64(d.BytesPeers) >= 0.5*float64(total) {
-				t.speedP2P = append(t.speedP2P, mbps)
-			}
-		}
 	case "aborted":
 		t.aborted[c]++
 		t.sizeClassAborted[sc][c]++
 	case "failed-system":
 		t.failedSys[c]++
 	}
+	if mbps, k, ok := speedClass(d); ok && t.exact {
+		t.speed[k] = append(t.speed[k], mbps)
+	}
 
 	if st := d.Stream; st != nil {
 		t.stream.add(streamSums{1, st.StartupDelayMs, st.RebufferCount, st.RebufferMs,
 			st.DeadlineMisses, st.PiecesPlayed, st.EdgeRescueBytes})
+		if t.exact {
+			t.startups = append(t.startups, st.StartupDelayMs)
+			if st.RebufferCount > 0 {
+				t.stalled++
+			}
+		}
 	}
 
 	to := regionName(d.Region)
@@ -295,6 +301,26 @@ func (t *Tally) Add(d *OfflineDownload) {
 		}
 		row[to] += pc.Bytes
 	}
+}
+
+// speedClass is the §5.2 speed rule of Figure 4 and the speed medians: a
+// completed download whose bytes all came from the edge (classInfra) or at
+// least half from peers (classP2P), at its average Mbps over its whole
+// length. Downloads in neither class, and those without bytes or duration,
+// give no sample.
+func speedClass(d *OfflineDownload) (mbps float64, class int, ok bool) {
+	total, dur := d.BytesInfra+d.BytesPeers, d.EndMs-d.StartMs
+	if d.Outcome != "completed" || total <= 0 || dur <= 0 {
+		return 0, 0, false
+	}
+	mbps = float64(total) * 8 * 1000 / float64(dur) / 1e6
+	switch {
+	case d.BytesPeers == 0:
+		return mbps, classInfra, true
+	case float64(d.BytesPeers) >= 0.5*float64(total):
+		return mbps, classP2P, true
+	}
+	return 0, 0, false
 }
 
 // Merge folds another tally's state into this one, as if its records had
@@ -356,8 +382,11 @@ func (t *Tally) Merge(o *Tally) {
 	}
 	t.guids.union(o.guids)
 	t.urls.union(o.urls)
-	t.speedEdge = append(t.speedEdge, o.speedEdge...)
-	t.speedP2P = append(t.speedP2P, o.speedP2P...)
+	for c := range t.speed {
+		t.speed[c] = append(t.speed[c], o.speed[c]...)
+	}
+	t.startups = append(t.startups, o.startups...)
+	t.stalled += o.stalled
 }
 
 func pct(n, d int64) float64 {
@@ -370,6 +399,7 @@ func pct(n, d int64) float64 {
 // Summary derives the offline summary. It may be called repeatedly; Add may
 // continue afterwards.
 func (t *Tally) Summary() OfflineSummary {
+	sf := t.StreamingFigure()
 	s := OfflineSummary{
 		Downloads:     int(t.downloads),
 		DistinctGUIDs: int(math.Round(t.guids.Estimate())),
@@ -384,50 +414,53 @@ func (t *Tally) Summary() OfflineSummary {
 
 		PctBytesP2PFiles:           pct(t.bytesP2PFiles, t.bytesInfra+t.bytesPeers),
 		AggregatePeerEfficiencyPct: pct(t.bytesPeersP2P, t.bytesP2PFiles),
-		MedianSpeedEdgeMbps:        Percentile(t.speedEdge, 50),
-		MedianSpeedP2PMbps:         Percentile(t.speedP2P, 50),
+		MedianSpeedEdgeMbps:        Percentile(t.speed[classInfra], 50),
+		MedianSpeedP2PMbps:         Percentile(t.speed[classP2P], 50),
 		IntraASPct:                 pct(t.intraAS, t.intraAS+t.interAS),
 
-		StreamingDownloads:    int(t.stream.n),
-		StreamRebufferEvents:  t.stream.rebuffers,
-		StreamRebufferMs:      t.stream.rebufferMs,
-		StreamDeadlineMissPct: pct(t.stream.misses, t.stream.played),
-		StreamEdgeRescueBytes: t.stream.rescueBytes,
+		StreamingDownloads:    sf.Sessions,
+		StreamStartupMeanMs:   sf.StartupMeanMs,
+		StreamRebufferEvents:  sf.RebufferEvents,
+		StreamRebufferMs:      sf.RebufferMs,
+		StreamDeadlineMissPct: sf.DeadlineMissPct,
+		StreamEdgeRescueBytes: sf.EdgeRescueBytes,
 	}
 	if t.effN > 0 {
 		s.MeanPeerEfficiencyPct = t.effSum / float64(t.effN)
 	}
-	s.HeavyASes, s.HeavySharePct = heavyUploaders(t.perASUp)
+	heavy, carried, total := heavyCut(t.perASUp)
+	s.HeavyASes, s.HeavySharePct = len(heavy), pct(carried, total)
 	f3b := t.Figure3b()
 	if len(f3b.Counts) > 0 {
 		s.TopObjectCount = f3b.Counts[0]
 	}
 	s.ZipfExponent = f3b.PowerLawSlope()
-	if t.stream.n > 0 {
-		s.StreamStartupMeanMs = float64(t.stream.startupMs) / float64(t.stream.n)
-	}
 	return s
 }
 
-// heavyUploaders counts the ASes covering 90% of inter-AS upload bytes and
-// the share they carry.
-func heavyUploaders(perASUp map[uint32]int64) (heavy int, sharePct float64) {
-	var ups []int64
-	var upTotal int64
-	for _, b := range perASUp {
-		ups = append(ups, b)
-		upTotal += b
+// heavyCut is the paper's heavy-uploader cut (§6.1): the smallest set of top
+// uploading ASes that covers 90% of inter-AS upload bytes, largest first and
+// ties by ascending ASN, with the bytes they carry out of the total.
+func heavyCut[AS ~uint32](up map[AS]int64) (heavy []AS, carried, total int64) {
+	order := make([]AS, 0, len(up))
+	for as, b := range up {
+		order = append(order, as)
+		total += b
 	}
-	sort.Slice(ups, func(i, j int) bool { return ups[i] > ups[j] })
-	var cum int64
-	for _, b := range ups {
-		if upTotal > 0 && float64(cum) >= 0.9*float64(upTotal) {
+	sort.Slice(order, func(i, j int) bool {
+		if bi, bj := up[order[i]], up[order[j]]; bi != bj {
+			return bi > bj
+		}
+		return order[i] < order[j]
+	})
+	for _, as := range order {
+		if total > 0 && float64(carried) >= 0.9*float64(total) {
 			break
 		}
-		heavy++
-		cum += b
+		heavy = append(heavy, as)
+		carried += up[as]
 	}
-	return heavy, pct(cum, upTotal)
+	return heavy, carried, total
 }
 
 // Figure3a derives the size-CDF figure from the edge buckets.

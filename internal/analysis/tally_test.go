@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"netsession/internal/geo"
 )
 
 // renderAll is every text view of a tally, for line-by-line comparison.
@@ -52,13 +54,12 @@ func TestTallyMergeIsSequentialFold(t *testing.T) {
 				// Everything but effSum must be identical state; samples are a
 				// multiset, so compare them sorted.
 				got.effSum = want.effSum
-				sort.Float64s(got.speedEdge)
-				sort.Float64s(got.speedP2P)
 				ref := *want
-				ref.speedEdge = append([]float64(nil), want.speedEdge...)
-				ref.speedP2P = append([]float64(nil), want.speedP2P...)
-				sort.Float64s(ref.speedEdge)
-				sort.Float64s(ref.speedP2P)
+				for c := range ref.speed {
+					ref.speed[c] = append([]float64(nil), want.speed[c]...)
+					sort.Float64s(ref.speed[c])
+					sort.Float64s(got.speed[c])
+				}
 				if !reflect.DeepEqual(got, &ref) {
 					t.Errorf("seed %d exact=%v parts=%d: merged state differs from the sequential fold",
 						seed, exact, parts)
@@ -80,6 +81,17 @@ func TestTallyMergeIsSequentialFold(t *testing.T) {
 			if math.Abs(c.est-float64(c.exact)) > 0.02*float64(c.exact) {
 				t.Errorf("seed %d: sketched %s %.1f, exact %d (>2%% off)", seed, c.name, c.est, c.exact)
 			}
+		}
+	}
+}
+
+// TestHeavyCutBreaksTiesByASN: two ASes tied at the 90% cut must not be
+// chosen by map order; Figures 9c, 10 and 11 read the set.
+func TestHeavyCutBreaksTiesByASN(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		heavy, carried, total := heavyCut(map[geo.ASN]int64{1: 80, 2: 10, 3: 10})
+		if !reflect.DeepEqual(heavy, []geo.ASN{1, 2}) || carried != 90 || total != 100 {
+			t.Fatalf("run %d: heavy %v carrying %d of %d, want [1 2] carrying 90 of 100", i, heavy, carried, total)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			Log: r.Log, Pop: r.Pop, Catalog: r.Catalog,
 			Atlas: r.Atlas, Scape: r.Scape,
 		}
-		return analysis.ComputeHeadlines(in, 5)
+		return analysis.Analyze(in, 5).Headlines()
 	}
 
 	ref := run(1)

@@ -150,10 +150,12 @@ func (e *Experiment) Result() *ScenarioResult { return e.res }
 // Input returns the analysis input for custom analyses.
 func (e *Experiment) Input() *analysis.Input { return e.in }
 
-// Report renders every table and figure as text, in paper order.
-func (e *Experiment) Report() string { return analysis.Report(e.in, e.cfg.Days) }
+// Report analyses the month and renders every table and figure as text, in
+// paper order.
+func (e *Experiment) Report() string { return analysis.Analyze(e.in, e.cfg.Days).Report() }
 
-// Headlines returns the scalar summary quoted in the paper's running text.
+// Headlines analyses the month and returns the scalar summary quoted in the
+// paper's running text.
 func (e *Experiment) Headlines() analysis.Headlines {
-	return analysis.ComputeHeadlines(e.in, e.cfg.Days)
+	return analysis.Analyze(e.in, e.cfg.Days).Headlines()
 }
