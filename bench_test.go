@@ -38,11 +38,7 @@ func benchInput(b *testing.B) *analysis.Input {
 			return
 		}
 		benchDays = cfg.Days
-		benchIn = &analysis.Input{
-			Log: res.Log, Pop: res.Pop, Catalog: res.Catalog,
-			Atlas: res.Atlas, Scape: res.Scape,
-			ControlPlaneServers: geo.NumRegions,
-		}
+		benchIn = res.Input()
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -241,15 +237,15 @@ type ablationKey string
 
 var (
 	ablMu    sync.Mutex
-	ablCache = map[ablationKey]*analysis.Input{}
+	ablCache = map[ablationKey]*sim.Result{}
 )
 
-func ablationInput(b *testing.B, key ablationKey, mutate func(*sim.ScenarioConfig)) *analysis.Input {
+func ablationRun(b *testing.B, key ablationKey, mutate func(*sim.ScenarioConfig)) *sim.Result {
 	b.Helper()
 	ablMu.Lock()
 	defer ablMu.Unlock()
-	if in, ok := ablCache[key]; ok {
-		return in
+	if res, ok := ablCache[key]; ok {
+		return res
 	}
 	cfg := sim.SmallScenario()
 	cfg.NumPeers = 2500
@@ -261,22 +257,23 @@ func ablationInput(b *testing.B, key ablationKey, mutate func(*sim.ScenarioConfi
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := &analysis.Input{
-		Log: res.Log, Pop: res.Pop, Catalog: res.Catalog,
-		Atlas: res.Atlas, Scape: res.Scape, ControlPlaneServers: geo.NumRegions,
-	}
-	ablCache[key] = in
-	return in
+	ablCache[key] = res
+	return res
+}
+
+// ablationHeadlines analyses an ablation month (SmallScenario's 10 days).
+func ablationHeadlines(res *sim.Result) analysis.Headlines {
+	return analysis.Analyze(res.Input(), 10).Headlines()
 }
 
 // topUploaderShare returns the byte share of the busiest 1% of uploading
 // peers — the workload-concentration measure the per-object upload cap is
 // meant to tame (§3.9).
-func topUploaderShare(in *analysis.Input) float64 {
+func topUploaderShare(res *sim.Result) float64 {
 	per := make(map[string]int64)
 	var total int64
-	for i := range in.Log.Downloads {
-		for _, pc := range in.Log.Downloads[i].FromPeers {
+	for i := range res.Log.Downloads {
+		for _, pc := range res.Log.Downloads[i].FromPeers {
 			per[pc.GUID.String()] += pc.Bytes
 			total += pc.Bytes
 		}
@@ -301,17 +298,17 @@ func topUploaderShare(in *analysis.Input) float64 {
 }
 
 func BenchmarkAblation_SelectionPolicy(b *testing.B) {
-	local := ablationInput(b, "sel-local", func(c *sim.ScenarioConfig) {
+	local := ablationRun(b, "sel-local", func(c *sim.ScenarioConfig) {
 		c.MaxServersPerDownload = 5
 	})
-	random := ablationInput(b, "sel-random", func(c *sim.ScenarioConfig) {
+	random := ablationRun(b, "sel-random", func(c *sim.ScenarioConfig) {
 		c.MaxServersPerDownload = 5
 		c.Policy.LocalityAware = false
 	})
 	var li, ri float64
 	for i := 0; i < b.N; i++ {
-		li = analysis.Analyze(local, 10).Headlines().IntraASPct
-		ri = analysis.Analyze(random, 10).Headlines().IntraASPct
+		li = ablationHeadlines(local).IntraASPct
+		ri = ablationHeadlines(random).IntraASPct
 	}
 	b.StopTimer()
 	b.ReportMetric(li, "%intra-AS-locality")
@@ -321,10 +318,10 @@ func BenchmarkAblation_SelectionPolicy(b *testing.B) {
 }
 
 func BenchmarkAblation_Backstop(b *testing.B) {
-	with := ablationInput(b, "backstop-on", nil)
+	with := ablationRun(b, "backstop-on", nil)
 	// The pure-p2p comparison needs initial seeders (a pure p2p CDN has
 	// them; the hybrid's origin is the edge).
-	without := ablationInput(b, "backstop-off", func(c *sim.ScenarioConfig) {
+	without := ablationRun(b, "backstop-off", func(c *sim.ScenarioConfig) {
 		c.BackstopEnabled = false
 		c.SeedCopiesPerObject = 5
 	})
@@ -332,8 +329,8 @@ func BenchmarkAblation_Backstop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Completion among p2p-enabled downloads only: the class both
 		// architectures can serve.
-		cw = analysis.Analyze(with, 10).Headlines().CompletionP2PPct
-		cwo = analysis.Analyze(without, 10).Headlines().CompletionP2PPct
+		cw = ablationHeadlines(with).CompletionP2PPct
+		cwo = ablationHeadlines(without).CompletionP2PPct
 	}
 	b.StopTimer()
 	b.ReportMetric(cw, "%completion-hybrid")
@@ -349,9 +346,9 @@ func BenchmarkAblation_UploadFraction(b *testing.B) {
 		effs = effs[:0]
 		for _, f := range fractions {
 			frac := f
-			in := ablationInput(b, ablationKey(fmt.Sprintf("upfrac-%.2f", frac)),
+			res := ablationRun(b, ablationKey(fmt.Sprintf("upfrac-%.2f", frac)),
 				func(c *sim.ScenarioConfig) { c.UploadEnabledOverride = frac })
-			effs = append(effs, analysis.Analyze(in, 10).Headlines().AggregatePeerEfficiencyPct)
+			effs = append(effs, ablationHeadlines(res).AggregatePeerEfficiencyPct)
 		}
 	}
 	b.StopTimer()
@@ -364,10 +361,10 @@ func BenchmarkAblation_UploadFraction(b *testing.B) {
 }
 
 func BenchmarkAblation_UploadCap(b *testing.B) {
-	capped := ablationInput(b, "cap-tight", func(c *sim.ScenarioConfig) {
+	capped := ablationRun(b, "cap-tight", func(c *sim.ScenarioConfig) {
 		c.PerObjectUploadCap = 3
 	})
-	uncapped := ablationInput(b, "cap-off", func(c *sim.ScenarioConfig) {
+	uncapped := ablationRun(b, "cap-off", func(c *sim.ScenarioConfig) {
 		c.PerObjectUploadCap = 0
 	})
 	var sc, su float64
@@ -386,14 +383,14 @@ func BenchmarkAblation_UploadCap(b *testing.B) {
 // every DN database mid-trace barely dents peer efficiency, because the
 // directory is soft state that the peers re-announce.
 func BenchmarkAblation_DNFailure(b *testing.B) {
-	healthy := ablationInput(b, "dn-healthy", nil)
-	failed := ablationInput(b, "dn-failed", func(c *sim.ScenarioConfig) {
+	healthy := ablationRun(b, "dn-healthy", nil)
+	failed := ablationRun(b, "dn-failed", func(c *sim.ScenarioConfig) {
 		c.DNFailureAtDay = 5
 	})
 	var eh, ef float64
 	for i := 0; i < b.N; i++ {
-		eh = analysis.Analyze(healthy, 10).Headlines().AggregatePeerEfficiencyPct
-		ef = analysis.Analyze(failed, 10).Headlines().AggregatePeerEfficiencyPct
+		eh = ablationHeadlines(healthy).AggregatePeerEfficiencyPct
+		ef = ablationHeadlines(failed).AggregatePeerEfficiencyPct
 	}
 	b.StopTimer()
 	b.ReportMetric(eh, "%eff-healthy")

@@ -12,7 +12,6 @@ import (
 
 	"netsession"
 	"netsession/internal/analysis"
-	"netsession/internal/geo"
 )
 
 func main() {
@@ -35,11 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		in := &analysis.Input{
-			Log: res.Log, Pop: res.Pop, Catalog: res.Catalog,
-			Atlas: res.Atlas, Scape: res.Scape, ControlPlaneServers: geo.NumRegions,
-		}
-		t := analysis.Analyze(in, cfg.Days).ASTraffic()
+		t := analysis.Analyze(res.Input(), cfg.Days).ASTraffic()
 		fmt.Printf("== %s (simulated in %s)\n", name, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("   p2p volume: %.2f GB across %d ASes\n",
 			float64(t.TotalP2PBytes)/1e9, t.ASesWithPeers)

@@ -90,9 +90,6 @@ func TestCollectorFiltersAndCounts(t *testing.T) {
 		t.Errorf("snapshot sizes wrong: %d/%d/%d",
 			len(log.Downloads), len(log.Logins), len(log.Registrations))
 	}
-	if log.Entries() != 3 {
-		t.Errorf("Entries=%d", log.Entries())
-	}
 	// Snapshot is a copy: appending to it must not affect the collector.
 	log.Downloads = append(log.Downloads, DownloadRecord{})
 	if len(c.Snapshot().Downloads) != 1 {

@@ -1,4 +1,4 @@
-package analysis
+package analysis_test
 
 import (
 	"strings"
@@ -6,21 +6,26 @@ import (
 	"testing"
 
 	"netsession/internal/accounting"
+	"netsession/internal/analysis"
 	"netsession/internal/geo"
 	"netsession/internal/protocol"
 	"netsession/internal/sim"
 )
 
+// The small-month tests live in an external test package: the simulator
+// imports analysis to describe its results (sim.Result.Input), so analysis's
+// own tests reach the simulator from outside.
 var (
 	simOnce  sync.Once
-	simIn    *Input
-	simMonth *Month
+	simRes   *sim.Result
+	simIn    *analysis.Input
+	simMonth *analysis.Month
 	simDays  int
 )
 
 // simInput runs the small scenario and analyses it once, shared across
 // tests.
-func simInput(t *testing.T) (*Input, *Month) {
+func simInput(t *testing.T) (*analysis.Input, *analysis.Month) {
 	t.Helper()
 	simOnce.Do(func() {
 		cfg := sim.SmallScenario()
@@ -28,13 +33,9 @@ func simInput(t *testing.T) (*Input, *Month) {
 		if err != nil {
 			t.Fatalf("sim: %v", err)
 		}
-		simDays = cfg.Days
-		simIn = &Input{
-			Log: res.Log, Pop: res.Pop, Catalog: res.Catalog,
-			Atlas: res.Atlas, Scape: res.Scape,
-			ControlPlaneServers: geo.NumRegions,
-		}
-		simMonth = Analyze(simIn, simDays)
+		simRes, simDays = res, cfg.Days
+		simIn = res.Input()
+		simMonth = analysis.Analyze(simIn, simDays)
 	})
 	if simIn == nil {
 		t.Skip("sim input unavailable")
@@ -68,7 +69,7 @@ func TestTable2Shapes(t *testing.T) {
 	if len(rows) != 11 {
 		t.Fatalf("got %d rows, want 10 customers + all", len(rows))
 	}
-	byName := make(map[string]Table2Row)
+	byName := make(map[string]analysis.Table2Row)
 	for _, r := range rows {
 		sum := 0.0
 		for _, v := range r.Share {
@@ -212,7 +213,7 @@ func TestFigure3c(t *testing.T) {
 func TestFigure4(t *testing.T) {
 	_, m := simInput(t)
 	f := m.Figure4()
-	for _, p := range []Figure4AS{f.ASX, f.ASY} {
+	for _, p := range []analysis.Figure4AS{f.ASX, f.ASY} {
 		if p.MedianEdgeMbps <= 0 {
 			t.Fatal("no edge-only speed samples in a top AS")
 		}
@@ -261,9 +262,9 @@ func TestFigure6Rises(t *testing.T) {
 func TestFigure7LargerFilesPauseMore(t *testing.T) {
 	_, m := simInput(t)
 	f := m.Tally.Figure7()
-	allSmall := f.PauseRatePct[SizeUnder10MB][2]
-	allLarge := f.PauseRatePct[SizeOver1GB][2]
-	if f.N[SizeOver1GB][2] > 50 && allLarge <= allSmall {
+	allSmall := f.PauseRatePct[analysis.SizeUnder10MB][2]
+	allLarge := f.PauseRatePct[analysis.SizeOver1GB][2]
+	if f.N[analysis.SizeOver1GB][2] > 50 && allLarge <= allSmall {
 		t.Errorf("large files pause less than small: %.1f%% vs %.1f%%", allLarge, allSmall)
 	}
 }
@@ -274,7 +275,7 @@ func TestFigure8(t *testing.T) {
 	if len(f.Countries) < 10 {
 		t.Fatalf("only %d countries", len(f.Countries))
 	}
-	if f.ClassN[InfraDominant]+f.ClassN[PeersModerate]+f.ClassN[PeersDominant] != len(f.Countries) {
+	if f.ClassN[analysis.InfraDominant]+f.ClassN[analysis.PeersModerate]+f.ClassN[analysis.PeersDominant] != len(f.Countries) {
 		t.Error("class counts do not partition countries")
 	}
 }
@@ -327,8 +328,8 @@ func TestFigure12Shapes(t *testing.T) {
 	if f.PctNonLinear < 0.1 || f.PctNonLinear > 2.5 {
 		t.Errorf("non-linear share %.2f%%, want ≈0.6%%", f.PctNonLinear)
 	}
-	nonLinear := f.Graphs - f.Count[GraphLinear]
-	if nonLinear > 3 && f.Count[GraphShortBranch] == 0 {
+	nonLinear := f.Graphs - f.Count[analysis.GraphLinear]
+	if nonLinear > 3 && f.Count[analysis.GraphShortBranch] == 0 {
 		t.Error("no short-branch graphs despite non-linear population")
 	}
 }
@@ -398,10 +399,10 @@ func TestFigure4SkipsZeroDuration(t *testing.T) {
 		return accounting.DownloadRecord{IP: ip, BytesInfra: 1_000_000,
 			StartMs: startMs, EndMs: endMs, Outcome: protocol.OutcomeCompleted}
 	}
-	in := &Input{Atlas: atlas, Scape: scape, Log: &accounting.Log{Downloads: []accounting.DownloadRecord{
+	in := &analysis.Input{Atlas: atlas, Scape: scape, Records: &accounting.Log{Downloads: []accounting.DownloadRecord{
 		dl(0, 1000), dl(2000, 3000), dl(5000, 5000),
 	}}}
-	f := Analyze(in, 1).Figure4()
+	f := analysis.Analyze(in, 1).Figure4()
 	if f.ASX.ASN != c.ASNs[0] {
 		t.Fatalf("AS X is AS%d, want AS%d", f.ASX.ASN, c.ASNs[0])
 	}

@@ -43,7 +43,7 @@ func windowOf(chain []id.Secondary, head int) [id.HistoryLen]id.Secondary {
 
 func classify(t *testing.T, logins []accounting.LoginRecord) GraphClass {
 	t.Helper()
-	f := Analyze(&Input{Log: &accounting.Log{Logins: logins}}, 0).Figure12()
+	f := Analyze(&Input{Records: &accounting.Log{Logins: logins}}, 0).Figure12()
 	if f.Graphs != 1 {
 		t.Fatalf("expected 1 graph, got %d", f.Graphs)
 	}
@@ -156,7 +156,7 @@ func TestTinyGraphsSkipped(t *testing.T) {
 	g := id.RandGUID(r)
 	chain := mkSecs(r, 2)
 	w := [id.HistoryLen]id.Secondary{chain[1], chain[0]}
-	in := &Input{Log: &accounting.Log{Logins: loginsFromWindows(g, [][id.HistoryLen]id.Secondary{w})}}
+	in := &Input{Records: &accounting.Log{Logins: loginsFromWindows(g, [][id.HistoryLen]id.Secondary{w})}}
 	if f := Analyze(in, 0).Figure12(); f.Graphs != 0 {
 		t.Errorf("graph with 2 vertices counted (got %d graphs)", f.Graphs)
 	}

@@ -64,7 +64,7 @@ func (m *Month) Headlines() Headlines {
 	h.Pct1AS, h.Pct2AS, h.PctMoreAS, h.PctWithin10Km =
 		mob.Pct1AS, mob.Pct2AS, mob.PctMoreAS, mob.PctWithin10Km
 	if m.traceDays > 0 {
-		h.NewConnectionsPerMinute = float64(len(m.in.Log.Logins)) / (float64(m.traceDays) * 24 * 60)
+		h.NewConnectionsPerMinute = float64(m.logins) / (float64(m.traceDays) * 24 * 60)
 	}
 	return h
 }

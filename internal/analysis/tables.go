@@ -35,12 +35,12 @@ func (m *Month) Table1() Table1 {
 		}
 	}
 	return Table1{
-		LogEntries:          m.in.Log.Entries(),
+		LogEntries:          m.logins + m.downloads + m.registrations,
 		GUIDs:               len(m.installs),
 		ControlPlaneServers: m.in.ControlPlaneServers,
 		DistinctURLs:        int(m.Tally.urls.Estimate()),
 		DistinctIPs:         len(m.places),
-		DownloadsInitiated:  len(m.in.Log.Downloads),
+		DownloadsInitiated:  m.downloads,
 		DistinctLocations:   len(locs),
 		DistinctASes:        len(ases),
 		DistinctCountries:   len(countries),

@@ -174,7 +174,7 @@ func TestCloneDetectionEndToEnd(t *testing.T) {
 	if len(log.Logins) < 10 {
 		t.Fatalf("only %d logins collected", len(log.Logins))
 	}
-	f12 := analysis.Analyze(&analysis.Input{Log: &accounting.Log{Logins: log.Logins}}, 0).Figure12()
+	f12 := analysis.Analyze(&analysis.Input{Records: &accounting.Log{Logins: log.Logins}}, 0).Figure12()
 	if f12.Graphs != 1 {
 		t.Fatalf("expected 1 graph (one primary GUID), got %d", f12.Graphs)
 	}
@@ -203,7 +203,7 @@ func TestLinearChainEndToEnd(t *testing.T) {
 		restartPeer(t, d, dir, ip.String())
 	}
 	log := d.cp.Collector().Snapshot()
-	f12 := analysis.Analyze(&analysis.Input{Log: &accounting.Log{Logins: log.Logins}}, 0).Figure12()
+	f12 := analysis.Analyze(&analysis.Input{Records: &accounting.Log{Logins: log.Logins}}, 0).Figure12()
 	if f12.Graphs != 1 || f12.Count[analysis.GraphLinear] != 1 {
 		t.Fatalf("healthy installation not linear: graphs=%d counts=%v", f12.Graphs, f12.Count)
 	}

@@ -17,11 +17,12 @@ import (
 
 // TestDeterminismAcrossWorkers is the sharding contract: one seed must
 // produce byte-identical logs — downloads including per-peer attributions,
-// registrations, logins — whether the region shards run sequentially
-// (Workers=1, the reference ordering) or on a parallel worker pool, and the
-// analyses over those logs must agree to the last bit. Shards share no
-// mutable state and the merge order is a pure function of the records, so
-// worker count and goroutine scheduling must be invisible in the output.
+// and registrations — whether the region shards run sequentially (Workers=1,
+// the reference ordering) or on a parallel worker pool, and the analyses
+// over those logs must agree to the last bit. Shards share no mutable state
+// and the merge order is a pure function of the records, so worker count
+// and goroutine scheduling must be invisible in the output. Logins are not
+// compared: they are generated from the population alone, never by a shard.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) *Result {
 		return runSmall(t, func(c *ScenarioConfig) {
@@ -30,11 +31,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		})
 	}
 	headlines := func(r *Result) analysis.Headlines {
-		in := &analysis.Input{
-			Log: r.Log, Pop: r.Pop, Catalog: r.Catalog,
-			Atlas: r.Atlas, Scape: r.Scape,
-		}
-		return analysis.Analyze(in, 5).Headlines()
+		return analysis.Analyze(r.Input(), 5).Headlines()
 	}
 
 	ref := run(1)
@@ -118,8 +115,8 @@ func TestDeterminismSampledM(t *testing.T) {
 		t.Skip("M-tier sampled determinism run takes ~a minute")
 	}
 	// Each run is reduced to its event count, download count and a streamed
-	// digest of the whole log, and released before the next one starts: two
-	// M results plus their serialised logs do not fit a 16 GB box.
+	// digest of the whole log, and released before the next one starts, so
+	// the process holds one M result at a time.
 	run := func(workers int) (events, downloads int, digest uint64) {
 		cfg := MScenario()
 		cfg.Workers = workers
@@ -143,7 +140,18 @@ func TestDeterminismSampledM(t *testing.T) {
 		t.Fatalf("workers=4 sampled M log (%d downloads, digest %016x) differs from the sequential reference (%d, %016x)",
 			downloads, digest, refDownloads, refDigest)
 	}
+	// The budget covers this test and every test of the package before it;
+	// -race multiplies memory, so it is only reported there.
+	rss := peakRSSMB(t)
+	t.Logf("peak RSS %d MB (budget %d MB)", rss, sampledMRSSMB)
+	if rss > sampledMRSSMB && !raceEnabled() {
+		t.Fatalf("peak RSS %d MB exceeds the %d MB budget", rss, sampledMRSSMB)
+	}
 }
+
+// sampledMRSSMB is the peak-RSS budget of TestDeterminismSampledM: a sampled
+// M run retains no logins, so the package's tests fit in 2 GB.
+const sampledMRSSMB = 2048
 
 // logDigest is the fnv64a of the log's records, JSON-encoded one at a time
 // so the serialised log never exists in memory.
@@ -158,9 +166,6 @@ func logDigest(t *testing.T, l *accounting.Log) uint64 {
 	}
 	for i := range l.Downloads {
 		encode(&l.Downloads[i])
-	}
-	for i := range l.Logins {
-		encode(&l.Logins[i])
 	}
 	for i := range l.Registrations {
 		encode(&l.Registrations[i])

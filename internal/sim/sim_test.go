@@ -2,8 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
+	"netsession/internal/accounting"
+	"netsession/internal/geo"
 	"netsession/internal/protocol"
 )
 
@@ -58,6 +61,66 @@ func TestEnginePastEventsRunNow(t *testing.T) {
 		}, 0)
 	}, 0)
 	e.Run(100)
+}
+
+// TestMergeLogsOrder pins the k-way merge on hand-built shard streams: ties
+// on the timestamp go to the lower region, ties within one region keep the
+// shard's order, and empty streams — an idle region, or every region a
+// RegionSample run leaves unsimulated — contribute nothing. The reference
+// is a stable sort of all records by (timestamp, region).
+func TestMergeLogsOrder(t *testing.T) {
+	stamps := map[int][]int64{
+		0:  {5, 5, 9},
+		2:  {0, 5, 5, 12},
+		3:  {}, // simulated, but logged nothing
+		7:  {5},
+		11: {1, 9, 9},
+	}
+	s := &Sim{shards: make([]*shard, geo.NumRegions)}
+	type ref struct {
+		at  int64
+		rec accounting.DownloadRecord
+	}
+	var want []ref
+	for r := range s.shards {
+		sh := &shard{region: geo.NetworkRegion(r)}
+		for i, at := range stamps[r] {
+			// The record names its origin; odd positions carry one
+			// attribution, to check the arena view travels with the record.
+			rec := accounting.DownloadRecord{StartMs: at, PeersReturned: 100*r + i}
+			sd := stampedDownload{at: at, rec: rec}
+			if i%2 == 1 {
+				pc := accounting.PeerContribution{Bytes: int64(100*r + i)}
+				sd.contribOff, sd.contribLen = uint32(len(sh.log.contribs)), 1
+				sh.log.contribs = append(sh.log.contribs, pc)
+				rec.FromPeers = []accounting.PeerContribution{pc}
+			}
+			sh.log.downloads = append(sh.log.downloads, sd)
+			sh.log.regs = append(sh.log.regs, stampedReg{at: at, rec: accounting.RegistrationRecord{TimeMs: int64(100*r + i)}})
+			want = append(want, ref{at, rec})
+		}
+		s.shards[r] = sh
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].rec.PeersReturned/100 < want[j].rec.PeersReturned/100
+	})
+
+	log := s.mergeLogs()
+	if len(log.Downloads) != len(want) || len(log.Registrations) != len(want) {
+		t.Fatalf("merged %d downloads and %d registrations, want %d of each",
+			len(log.Downloads), len(log.Registrations), len(want))
+	}
+	for i, w := range want {
+		if !reflect.DeepEqual(log.Downloads[i], w.rec) {
+			t.Fatalf("download %d is %+v, want %+v", i, log.Downloads[i], w.rec)
+		}
+		if got := log.Registrations[i].TimeMs; got != int64(w.rec.PeersReturned) {
+			t.Fatalf("registration %d is from %d, want %d", i, got, w.rec.PeersReturned)
+		}
+	}
 }
 
 func runSmall(t testing.TB, mutate func(*ScenarioConfig)) *Result {
@@ -121,8 +184,10 @@ func TestRunProducesConsistentLog(t *testing.T) {
 	if f := float64(outcomes[protocol.OutcomeFailedSystem]) / total; f > 0.01 {
 		t.Errorf("system failure rate %.4f, want ≈0.001-0.002", f)
 	}
-	if len(res.Log.Logins) == 0 || len(res.Log.Registrations) == 0 {
-		t.Error("log missing logins or registrations")
+	logins := 0
+	res.Logins(func(*accounting.LoginRecord) { logins++ })
+	if logins == 0 || len(res.Log.Registrations) == 0 {
+		t.Error("run has no logins or no registrations")
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"netsession/internal/accounting"
 	"netsession/internal/content"
 	"netsession/internal/geo"
+	"netsession/internal/id"
 )
 
 func testPopulation(t testing.TB, n int) *Population {
@@ -226,31 +228,38 @@ func TestWorkloadDiurnal(t *testing.T) {
 	}
 }
 
+// collectLogins gathers the login stream into a slice.
+func collectLogins(pop *Population, days int, seed int64) []accounting.LoginRecord {
+	var out []accounting.LoginRecord
+	Logins(pop, days, seed, func(l *accounting.LoginRecord) { out = append(out, *l) })
+	return out
+}
+
 func TestGenerateLogins(t *testing.T) {
 	pop := testPopulation(t, 2000)
-	logins := GenerateLogins(pop, 31, 5)
+	logins := collectLogins(pop, 31, 5)
 	if len(logins) == 0 {
 		t.Fatal("no logins")
 	}
-	perGUID := make(map[string]int)
-	for i, l := range logins {
-		if i > 0 && l.TimeMs < logins[i-1].TimeMs {
-			t.Fatal("logins not sorted")
+	last := make(map[id.GUID]int64)
+	for _, l := range logins {
+		if prev, ok := last[l.GUID]; ok && l.TimeMs < prev {
+			t.Fatalf("GUID %s: login at %d after one at %d", l.GUID, l.TimeMs, prev)
 		}
+		last[l.GUID] = l.TimeMs
 		if l.Secondaries[0].IsZero() {
 			t.Fatal("login without secondary GUIDs")
 		}
-		perGUID[l.GUID.String()]++
 	}
-	if len(perGUID) != len(pop.Peers) {
+	if len(last) != len(pop.Peers) {
 		t.Errorf("%d GUIDs logged in, want %d (every GUID at least once)",
-			len(perGUID), len(pop.Peers))
+			len(last), len(pop.Peers))
 	}
 }
 
 func TestLoginSettingChangesMatchSpec(t *testing.T) {
 	pop := testPopulation(t, 4000)
-	logins := GenerateLogins(pop, 31, 6)
+	logins := collectLogins(pop, 31, 6)
 	byGUID := make(map[string][]bool)
 	for _, l := range logins {
 		byGUID[l.GUID.String()] = append(byGUID[l.GUID.String()], l.UploadsEnabled)
@@ -278,7 +287,10 @@ func TestSecondaryChainLinear(t *testing.T) {
 	pop := testPopulation(t, 1)
 	p := pop.Peers[0]
 	p.Clone = CloneNone
-	logins := generatePeerLogins(rand.New(rand.NewSource(1)), p, 20)
+	var logins []accounting.LoginRecord
+	peerLogins(rand.New(rand.NewSource(1)), p, 20, func(l *accounting.LoginRecord) {
+		logins = append(logins, *l)
+	})
 	// Consecutive windows must overlap by HistoryLen-1 entries.
 	for i := 1; i < len(logins); i++ {
 		prev, cur := logins[i-1].Secondaries, logins[i].Secondaries

@@ -137,22 +137,22 @@ func GenerateWorkload(pop *Population, cat *Catalog, cfg WorkloadConfig) ([]Requ
 	return reqs, nil
 }
 
-// GenerateLogins produces the login records for the whole population over
-// the trace: connection times follow each peer's activity level and diurnal
-// cycle; the vantage point exercises the mobility model; the upload-enable
-// flag toggles per the Table 3 rates; and the secondary-GUID window evolves
-// per the peer's clone class, including rollbacks.
-func GenerateLogins(pop *Population, days int, seed int64) []accounting.LoginRecord {
+// Logins streams the login records of the whole population over the trace
+// to emit, one installation at a time in population order: connection times
+// follow each peer's activity level and diurnal cycle; the vantage point
+// exercises the mobility model; the upload-enable flag toggles per the
+// Table 3 rates; and the secondary-GUID window evolves per the peer's clone
+// class, including rollbacks. Each installation's records are time-ordered;
+// the stream as a whole is not. The records are a pure function of (pop,
+// days, seed), and emit must not keep the pointer past the call.
+func Logins(pop *Population, days int, seed int64, emit func(*accounting.LoginRecord)) {
 	r := rand.New(rand.NewSource(seed))
-	var out []accounting.LoginRecord
 	for _, p := range pop.Peers {
-		out = append(out, generatePeerLogins(r, p, days)...)
+		peerLogins(r, p, days, emit)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TimeMs < out[j].TimeMs })
-	return out
 }
 
-func generatePeerLogins(r *rand.Rand, p *PeerSpec, days int) []accounting.LoginRecord {
+func peerLogins(r *rand.Rand, p *PeerSpec, days int, emit func(*accounting.LoginRecord)) {
 	// Number of logins across the trace.
 	n := 0
 	for d := 0; d < days; d++ {
@@ -171,27 +171,28 @@ func generatePeerLogins(r *rand.Rand, p *PeerSpec, days int) []accounting.LoginR
 
 	sec := newSecondaryChain(r, p.Clone)
 	toggles := 0
-	recs := make([]accounting.LoginRecord, 0, n)
+	var rec accounting.LoginRecord
 	for i := 0; i < n; i++ {
 		if toggleAt[i] {
 			toggles++
 		}
+		// One login per distinct day, so the records are time-ordered.
 		day := int64(i) * int64(days) / int64(n)
 		// Place within the day at a diurnally plausible local hour.
 		localHour := math.Mod(p.sampleLocalHour(r), 24)
 		utcHour := math.Mod(localHour-float64(p.Home.TZOffset)+48, 24)
 		t := day*86_400_000 + int64(utcHour*3_600_000)
 		v := p.VantageAt(r)
-		recs = append(recs, accounting.LoginRecord{
+		rec = accounting.LoginRecord{
 			TimeMs:          t,
 			GUID:            p.GUID,
 			IP:              v.IP,
 			SoftwareVersion: "ns-3.1",
 			UploadsEnabled:  p.uploadsEnabledAfter(toggles),
 			Secondaries:     sec.login(r),
-		})
+		}
+		emit(&rec)
 	}
-	return recs
 }
 
 func (p *PeerSpec) sampleLocalHour(r *rand.Rand) float64 {

@@ -26,24 +26,21 @@ import (
 
 const megaSimGate = "NETSESSION_MEGASIM"
 
-// xxlPeakRSSMB mirrors the XXL tier budget in the sim benchmark ladder
-// (~15 GB measured, dominated by the retained login records): the month
-// must fit comfortably under 20 GiB.
+// xxlPeakRSSMB mirrors the XXL tier budget in the sim benchmark ladder. It
+// dates from when the result retained every login record (~15 GB measured);
+// logins are streamed now, and the XXL month has not been measured since.
 const xxlPeakRSSMB = 20 * 1024
 
-// logDigest hashes the full log set record by record, so the comparison
-// never materializes the multi-GB JSON encoding of an XXL month.
+// logDigest hashes the download and registration logs record by record, so
+// the comparison never materializes the multi-GB JSON encoding of an XXL
+// month. Logins are left out: they are generated from the population alone,
+// so no worker count can change them.
 func logDigest(t *testing.T, l *Log) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
 	for i := range l.Downloads {
 		if err := enc.Encode(&l.Downloads[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range l.Logins {
-		if err := enc.Encode(&l.Logins[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,8 +77,7 @@ func TestMegaSimXXLEndToEnd(t *testing.T) {
 	if downloads == 0 {
 		t.Fatal("XXL run produced no downloads")
 	}
-	t.Logf("workers=1: %d downloads / %d logins / %d registrations",
-		downloads, len(res.Log.Logins), len(res.Log.Registrations))
+	t.Logf("workers=1: %d downloads / %d registrations", downloads, len(res.Log.Registrations))
 	refDigest := logDigest(t, res.Log)
 
 	// Export the reference run's download log as a sealed segment store,

@@ -27,7 +27,6 @@ import (
 	"netsession/internal/analysis"
 	"netsession/internal/content"
 	"netsession/internal/faults"
-	"netsession/internal/geo"
 	"netsession/internal/id"
 	"netsession/internal/peer"
 	"netsession/internal/protocol"
@@ -133,15 +132,7 @@ func RunExperiment(cfg Scenario) (*Experiment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsession: experiment: %w", err)
 	}
-	return &Experiment{
-		cfg: cfg,
-		res: res,
-		in: &analysis.Input{
-			Log: res.Log, Pop: res.Pop, Catalog: res.Catalog,
-			Atlas: res.Atlas, Scape: res.Scape,
-			ControlPlaneServers: geo.NumRegions,
-		},
-	}, nil
+	return &Experiment{cfg: cfg, res: res, in: res.Input()}, nil
 }
 
 // Result returns the raw simulation result.
