@@ -25,7 +25,6 @@ import (
 // re-hashed against the stored manifest and anything corrupt or truncated is
 // quarantined rather than served or resumed from.
 type DiskStore struct {
-	root       string
 	objectsDir string
 	quarDir    string
 
@@ -95,7 +94,6 @@ func OpenDiskStore(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 		reg = telemetry.NewRegistry()
 	}
 	s := &DiskStore{
-		root:       dir,
 		objectsDir: filepath.Join(dir, "objects"),
 		quarDir:    filepath.Join(dir, "quarantine"),
 		corrupt: reg.Counter("store_recovery_corrupt_total",
@@ -112,9 +110,6 @@ func OpenDiskStore(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 	}
 	return s, nil
 }
-
-// Root returns the store's root directory.
-func (s *DiskStore) Root() string { return s.root }
 
 // Recovery returns the result of the startup recovery scan.
 func (s *DiskStore) Recovery() RecoveryStats {

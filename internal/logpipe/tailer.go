@@ -1,7 +1,6 @@
 package logpipe
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netsession/internal/analysis"
 	"netsession/internal/fsutil"
@@ -42,11 +40,13 @@ type TailerConfig struct {
 // offline pass reads a sealed store once, the tailer feeds a streaming
 // summarizer the same records as they land.
 //
-// Damage policy mirrors ReadDownloads: a torn or half-written *last* segment
-// only delays its tail (the records reappear on a later poll once the writer
-// completes or rotates it); a torn segment with sealed successors lost its
-// tail for good, so the tailer counts it and moves on rather than wedging the
-// live pipeline forever. Methods are not safe for concurrent use.
+// Damage policy: a torn or half-written *last* segment only delays its tail
+// (the records reappear on a later poll once the writer completes or rotates
+// it), as the batch readers tolerate a torn final segment. A damaged segment
+// with sealed successors lost its tail for good: where ReadDownloads and
+// ForEachDownloadParallel return an error, the tailer counts it
+// (TornSkipped) and moves on rather than wedging the live pipeline forever.
+// Methods are not safe for concurrent use.
 type Tailer struct {
 	cfg  TailerConfig
 	cur  TailCursor
@@ -175,30 +175,6 @@ func (t *Tailer) checkpoint() error {
 		return fmt.Errorf("logpipe: checkpoint tail cursor: %w", err)
 	}
 	return nil
-}
-
-// Follow polls until the context is cancelled, invoking fn with each poll's
-// new records (fn is skipped for empty polls). A poll error is passed to fn
-// with nil records; returning a non-nil error from fn stops the loop.
-func (t *Tailer) Follow(ctx context.Context, interval time.Duration, fn func([]analysis.OfflineDownload, error) error) error {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		recs, err := t.Poll()
-		if len(recs) > 0 || err != nil {
-			if ferr := fn(recs, err); ferr != nil {
-				return ferr
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
 }
 
 // ForEachDownloadParallel streams every download record in a sealed segment

@@ -83,10 +83,6 @@ func (b *Backoff) Next() time.Duration {
 // Reset restarts the schedule after a success.
 func (b *Backoff) Reset() { b.attempt = 0 }
 
-// Attempt returns how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // Do runs fn until it succeeds, the attempt budget is spent, or the context
 // ends, sleeping a jittered backoff between attempts. maxAttempts <= 0 means
 // retry until the context ends.

@@ -233,13 +233,6 @@ func (s *Session) AddEdgeRescue(n int64) {
 	s.mu.Unlock()
 }
 
-// PlayPos returns the next piece the player needs (== pieces fully played).
-func (s *Session) PlayPos() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.playPos
-}
-
 // InWindow reports whether piece idx is inside the urgent playback window
 // [playPos, playPos+WindowPieces). Before startup the window anchors at
 // piece 0 so the startup buffer itself is urgent.
