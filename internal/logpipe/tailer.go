@@ -122,7 +122,7 @@ func (t *Tailer) Poll() ([]analysis.OfflineDownload, error) {
 		consumed, decodeErr := start, error(nil)
 		for _, line := range lines[start:] {
 			var d analysis.OfflineDownload
-			if err := json.Unmarshal(line, &d); err != nil {
+			if err := analysis.DecodeDownload(line, &d); err != nil {
 				decodeErr = err
 				break
 			}
@@ -296,7 +296,7 @@ func decodeSegment(dir string, sf SegmentFile, last bool) ([]analysis.OfflineDow
 	recs := make([]analysis.OfflineDownload, 0, len(lines))
 	for j, line := range lines {
 		var d analysis.OfflineDownload
-		if err := json.Unmarshal(line, &d); err != nil {
+		if err := analysis.DecodeDownload(line, &d); err != nil {
 			if last {
 				// A torn final record reads as damage only to the tail.
 				break
