@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -51,6 +53,31 @@ func TestScanDownloadsJSONL(t *testing.T) {
 	}
 	if err := ScanDownloadsJSONL(strings.NewReader("{bad json\n"), collect); err == nil {
 		t.Error("malformed line accepted")
+	}
+}
+
+// TestScanDownloadsJSONLLineLimit: the jsonl reader takes records up to the
+// same MaxLineBytes the segment reader does, and an oversized record's error
+// names its line.
+func TestScanDownloadsJSONLLineLimit(t *testing.T) {
+	record := func(guidBytes int) string {
+		return `{"guid":"` + strings.Repeat("g", guidBytes) + `","outcome":"completed"}` + "\n"
+	}
+	small := record(8)
+	var got []int
+	collect := func(d *OfflineDownload) error {
+		got = append(got, len(d.GUID))
+		return nil
+	}
+	if err := ScanDownloadsJSONL(strings.NewReader(small+record(2<<20)+small), collect); err != nil {
+		t.Fatalf("2 MiB record refused: %v", err)
+	}
+	if len(got) != 3 || got[1] != 2<<20 {
+		t.Fatalf("read GUID lengths %v, want [8 %d 8]", got, 2<<20)
+	}
+	err := ScanDownloadsJSONL(strings.NewReader(small+small+record(MaxLineBytes)), collect)
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("oversized record: err %v, want bufio.ErrTooLong naming line 3", err)
 	}
 }
 

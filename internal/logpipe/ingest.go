@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netsession/internal/analysis"
 	"netsession/internal/faults"
 	"netsession/internal/id"
 	"netsession/internal/telemetry"
@@ -248,7 +249,7 @@ func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err 
 	limited := io.LimitReader(zr, in.maxDecodedBytes+1)
 	var decoded int64
 	sc := bufio.NewScanner(io.TeeReader(limited, countWriter{&decoded}))
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	sc.Buffer(make([]byte, 64<<10), analysis.MaxLineBytes)
 	for sc.Scan() {
 		if decoded > in.maxDecodedBytes {
 			return 0, 0, &tooLargeError{"batch exceeds decoded size cap"}

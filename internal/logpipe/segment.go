@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"netsession/internal/analysis"
 )
 
 // A segment is one gzip-compressed NDJSON file: newline-terminated JSON
@@ -131,10 +133,6 @@ func MarshalSegment(lines [][]byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// maxLineBytes bounds one NDJSON record; hostile or corrupt streams must not
-// make the reader allocate absurd buffers.
-const maxLineBytes = 4 << 20
-
 // ReadSegment decompresses a segment and returns its complete lines. A
 // stream that ends mid-record or mid-gzip-frame returns the lines recovered
 // so far together with ErrTorn; any other corruption is also reported as
@@ -156,7 +154,7 @@ func ReadSegment(r io.Reader) ([][]byte, error) {
 	for {
 		chunk, err := br.ReadSlice('\n')
 		partial = append(partial, chunk...)
-		if len(partial) > maxLineBytes {
+		if len(partial) > analysis.MaxLineBytes {
 			return out, ErrTorn
 		}
 		switch err {
