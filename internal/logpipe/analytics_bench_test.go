@@ -1,10 +1,7 @@
 package logpipe
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"syscall"
@@ -13,57 +10,51 @@ import (
 	"netsession/internal/analysis"
 )
 
-// writeBenchStore materializes a sealed segment store of synthetic download
-// records by writing segment files directly (MarshalSegment + one write per
-// segment). Store.Append would rewrite the open segment per record — O(n²)
-// gzip work — which is fine for the control plane's trickle but useless for
-// generating hundreds of thousands of records in a test.
+// writeBenchStore writes a sealed store of segments*recsPerSeg synthetic
+// download records through the bulk exporter, shaped like the benchmark's
+// analyze_offline records so per-record decode cost carries over: 32-hex
+// GUIDs (every downloader distinct), a dotted IP, a 64-hex object and two
+// contributing peers.
 func writeBenchStore(tb testing.TB, dir string, segments, recsPerSeg int) int {
 	tb.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	w, err := NewBulkWriter(dir, recsPerSeg)
+	if err != nil {
 		tb.Fatal(err)
 	}
 	regions := []string{"NA-East", "EU-West", "AS-NEA", "AS-China", "SA", "OC"}
-	n := 0
-	lines := make([][]byte, 0, recsPerSeg)
-	for s := 0; s < segments; s++ {
-		lines = lines[:0]
-		for r := 0; r < recsPerSeg; r++ {
-			d := analysis.OfflineDownload{
-				GUID:       fmt.Sprintf("guid-%07d", n),
-				URLHash:    fmt.Sprintf("url-%04d", n%512),
-				Country:    "US",
-				ASN:        uint32(7000 + n%48),
-				Region:     regions[n%len(regions)],
-				Size:       4 << 16,
-				P2PEnabled: true,
-				StartMs:    int64(n) * 1000,
-				EndMs:      int64(n)*1000 + 800,
-				BytesInfra: 1 << 16,
-				BytesPeers: 3 << 16,
-				Outcome:    "completed",
-				Peers:      2,
-				FromPeers: []analysis.OfflineContribution{
-					{GUID: "srv-a", Country: "US", ASN: uint32(7000 + n%48), Bytes: 2 << 16},
-					{GUID: "srv-b", Country: "US", ASN: uint32(7000 + (n+1)%48), Bytes: 1 << 16},
-				},
-			}
-			line, err := json.Marshal(&d)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			lines = append(lines, line)
-			n++
+	guid := func(i int) string { return fmt.Sprintf("%016x%016x", uint64(i)*0x9e3779b97f4a7c15, i) }
+	total := segments * recsPerSeg
+	for n := 0; n < total; n++ {
+		d := analysis.OfflineDownload{
+			GUID:       guid(n),
+			IP:         fmt.Sprintf("10.%d.%d.%d", n>>16&255, n>>8&255, n&255),
+			Country:    "US",
+			ASN:        uint32(7000 + n%48),
+			Region:     regions[n%len(regions)],
+			Object:     fmt.Sprintf("%064x", n%512),
+			URLHash:    fmt.Sprintf("url-%d", n%512),
+			CP:         7004,
+			Size:       4 << 16,
+			P2PEnabled: true,
+			StartMs:    int64(n) * 1000,
+			EndMs:      int64(n)*1000 + 800,
+			BytesInfra: 1 << 16,
+			BytesPeers: 3 << 16,
+			Outcome:    "completed",
+			Peers:      2,
+			FromPeers: []analysis.OfflineContribution{
+				{GUID: guid(total + n%997), Country: "US", ASN: uint32(7000 + n%48), Region: regions[(n+1)%len(regions)], Bytes: 2 << 16},
+				{GUID: guid(total + n%991), Country: "US", ASN: uint32(7000 + (n+1)%48), Region: regions[(n+2)%len(regions)], Bytes: 1 << 16},
+			},
 		}
-		blob, err := MarshalSegment(lines)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(uint64(s))), blob, 0o644); err != nil {
+		if err := w.Append(&d); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return n
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return total
 }
 
 // BenchmarkStreamingSummarize is the throughput canary for the live-analytics
