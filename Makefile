@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet fmt race bench bench-smoke bench-analytics bench-streaming chaos crash failover drain streaming clean-state
+.PHONY: check build test vet fmt race bench bench-smoke bench-analytics bench-streaming chaos crash failover drain streaming fuzz-smoke clean-state
 
 check: fmt vet build race
 
@@ -88,6 +88,18 @@ streaming:
 bench-streaming:
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowScheduler$$' \
 		-benchtime 100x -benchmem ./internal/streaming
+
+# Fuzz smoke: each decoder of untrusted bytes (segments, the tailer, the
+# analytics merge, the download decoder, the wire codec, the usage entry and
+# the ack-store replay) fuzzed for 30s; the first failure stops the run.
+fuzz-smoke:
+	$(GO) test -run FuzzReadSegment -fuzz FuzzReadSegment -fuzztime 30s ./internal/logpipe
+	$(GO) test -run FuzzTailSegments -fuzz FuzzTailSegments -fuzztime 30s ./internal/logpipe
+	$(GO) test -run FuzzStreamingSummaryMerge -fuzz FuzzStreamingSummaryMerge -fuzztime 30s ./internal/analysis
+	$(GO) test -run FuzzDecodeDownload -fuzz FuzzDecodeDownload -fuzztime 30s ./internal/analysis
+	$(GO) test -run FuzzReadMessage -fuzz FuzzReadMessage -fuzztime 30s ./internal/protocol
+	$(GO) test -run FuzzUsageEntry -fuzz FuzzUsageEntry -fuzztime 30s ./internal/controlplane
+	$(GO) test -run FuzzAckStoreLoad -fuzz FuzzAckStoreLoad -fuzztime 30s ./internal/logpipe
 
 # Remove state directories left behind by interrupted live runs (the README
 # examples put netsession-peer -state-dir under ./state/).

@@ -23,9 +23,6 @@ import (
 // tier, the control plane, and a synthetic world atlas that gives peers
 // geographic identities.
 type ClusterConfig struct {
-	// Key is the HMAC key shared between the edge tier and the control
-	// plane for authorization tokens; empty selects a fixed demo key.
-	Key []byte
 	// NumCNs is how many connection nodes to start per control-plane node
 	// (default 1).
 	NumCNs int
@@ -43,20 +40,14 @@ type ClusterConfig struct {
 	// CPFailAfter is how many consecutive probe failures mark a node dead
 	// (triggering region handoff); zero selects 3.
 	CPFailAfter int
-	// Atlas controls synthetic world generation.
-	Atlas geo.AtlasConfig
 	// ClientConfig is pushed to peers on login.
 	ClientConfig edge.ClientConfig
-	// Policy is the peer-selection policy (default: locality-aware).
-	Policy SelectionPolicy
 	// VerifyAccounting enables edge-ledger verification of client usage
 	// reports (on by default via DefaultClusterConfig).
 	VerifyAccounting bool
-	// MaxSessionsPerCN sheds logins beyond this; zero means unlimited.
-	MaxSessionsPerCN int
 	// DNRebuildWindow is how long a failed DN answers queries edge-only
 	// while peers RE-ADD their holdings; zero selects the control plane's
-	// 2s default, negative disables the window.
+	// 2s default.
 	DNRebuildWindow time.Duration
 	// EdgeFaults injects faults into the edge HTTP tier (latency, errors,
 	// severed connections, availability flapping) — the chaos knob that
@@ -74,25 +65,24 @@ type ClusterConfig struct {
 	// nodes added by AddCPNode, each node uses its own LogDir/<node-id>
 	// subdirectory instead.
 	LogDir string
-	// MaxLogRecords bounds the collector's in-memory log per record kind;
-	// zero selects the accounting defaults, negative is unbounded.
-	MaxLogRecords int
-	// IngestFaults injects faults (503s, stalls, 429 storms) into the log
-	// ingest endpoint. The zero value injects nothing; chaos tests can also
-	// swap injectors at runtime via LogIngest().SetFaults.
-	IngestFaults faults.Config
 }
+
+const (
+	// clusterKey is the HMAC key the edge tier and the control plane share
+	// for authorization tokens.
+	clusterKey = "netsession-demo-key"
+	// clusterTailCountries is how many tiny long-tail countries the
+	// in-process world adds to the 32 modelled ones (the default atlas
+	// adds 207).
+	clusterTailCountries = 10
+)
 
 // DefaultClusterConfig returns a single-CN deployment with accounting
 // verification enabled.
 func DefaultClusterConfig() ClusterConfig {
-	atlas := geo.DefaultAtlasConfig()
-	atlas.TailCountries = 10
 	return ClusterConfig{
 		NumCNs:           1,
-		Atlas:            atlas,
 		ClientConfig:     edge.DefaultClientConfig(),
-		Policy:           DefaultSelectionPolicy(),
 		VerifyAccounting: true,
 	}
 }
@@ -112,9 +102,8 @@ type Cluster struct {
 	atlas *geo.Atlas
 	scape *geo.EdgeScape
 
-	minter    *edge.TokenMinter
-	verifier  accounting.Verifier
-	rebuildMs int64
+	minter   *edge.TokenMinter
+	verifier accounting.Verifier
 
 	edgeSrv    *edge.Server
 	monitor    *controlplane.Monitor
@@ -129,24 +118,20 @@ type Cluster struct {
 // StartCluster launches the edge server, the monitoring node and the
 // control plane (one or more nodes) on loopback addresses.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
-	if len(cfg.Key) == 0 {
-		cfg.Key = []byte("netsession-demo-key")
-	}
 	if cfg.NumCNs <= 0 {
 		cfg.NumCNs = 1
 	}
 	if cfg.CPNodes <= 0 {
 		cfg.CPNodes = 1
 	}
-	if cfg.Policy.MaxPeers == 0 {
-		cfg.Policy = DefaultSelectionPolicy()
-	}
 	if cfg.ClientConfig.MaxUploadConns == 0 {
 		cfg.ClientConfig = edge.DefaultClientConfig()
 	}
-	atlas := geo.GenerateAtlas(cfg.Atlas)
+	atlasCfg := geo.DefaultAtlasConfig()
+	atlasCfg.TailCountries = clusterTailCountries
+	atlas := geo.GenerateAtlas(atlasCfg)
 	scape := geo.NewEdgeScape(atlas)
-	minter := edge.NewTokenMinter(cfg.Key)
+	minter := edge.NewTokenMinter([]byte(clusterKey))
 	ledger := edge.NewLedger()
 
 	es := edge.NewServer(edge.NewCatalog(), minter, ledger, cfg.ClientConfig)
@@ -156,7 +141,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err := es.Start("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
-	mon := controlplane.NewMonitor(0)
+	mon := controlplane.NewMonitor()
 	if err := mon.Start("127.0.0.1:0"); err != nil {
 		es.Close()
 		return nil, err
@@ -173,13 +158,9 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		// instance serves every node's collector.
 		verifier = &accounting.LedgerVerifier{Edge: ledger}
 	}
-	rebuildMs := cfg.DNRebuildWindow.Milliseconds()
-	if cfg.DNRebuildWindow < 0 {
-		rebuildMs = -1 // sub-millisecond negatives still mean "disabled"
-	}
 	c := &Cluster{
 		cfg: cfg, atlas: atlas, scape: scape, edgeSrv: es, monitor: mon, stun: stun,
-		minter: minter, verifier: verifier, rebuildMs: rebuildMs,
+		minter: minter, verifier: verifier,
 		rng: rand.New(rand.NewSource(99)),
 	}
 	// Each node joins every node started before it (ID and status URL, as
@@ -239,14 +220,10 @@ func (c *Cluster) startNode(seeds []cluster.Node, joining bool) (int, error) {
 		Scape:             c.scape,
 		Minter:            c.minter,
 		Collector:         accounting.NewCollector(c.verifier),
-		Policy:            cfg.Policy,
 		ClientConfig:      cfg.ClientConfig,
-		MaxSessionsPerCN:  cfg.MaxSessionsPerCN,
-		DNRebuildWindowMs: c.rebuildMs,
+		DNRebuildWindowMs: cfg.DNRebuildWindow.Milliseconds(),
 		Telemetry:         reg,
 		ConnWrap:          faults.New(cfg.CNFaults, reg).WrapConn,
-		MaxLogRecords:     cfg.MaxLogRecords,
-		IngestFaults:      faults.New(cfg.IngestFaults, reg),
 	})
 	if err != nil {
 		return 0, err

@@ -67,7 +67,7 @@ func TestClusterRestartDedupsAckedBatch(t *testing.T) {
 	guid := id.NewGUID()
 	line, err := logpipe.EncodeEntry(&logpipe.Entry{
 		Kind: logpipe.EntryKindDownload, GUID: guid.String(), IP: "10.0.0.1",
-		Object: logpipe.EncodeObjectID(obj.ID), CP: 7005, Size: obj.Size,
+		Object: obj.ID.Hex(), CP: 7005, Size: obj.Size,
 		StartMs: 1, EndMs: 2, BytesInfra: obj.Size,
 	})
 	if err != nil {

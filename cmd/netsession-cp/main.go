@@ -43,7 +43,6 @@ import (
 	"netsession/internal/controlplane"
 	"netsession/internal/edge"
 	"netsession/internal/geo"
-	"netsession/internal/selection"
 	"netsession/internal/telemetry"
 )
 
@@ -85,7 +84,6 @@ func main() {
 		Logf:             log.Printf,
 		Scape:            scape,
 		Minter:           edge.NewTokenMinter([]byte(*key)),
-		Policy:           selection.DefaultPolicy(),
 		ClientConfig:     edge.DefaultClientConfig(),
 		MaxSessionsPerCN: *maxSessions,
 		MaxLogRecords:    *maxLogRecords,
@@ -107,7 +105,7 @@ func main() {
 		log.Printf("durable log store and ack store in %s", *logDir)
 	}
 
-	mon := controlplane.NewMonitor(0)
+	mon := controlplane.NewMonitor()
 	if err := mon.Start("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}

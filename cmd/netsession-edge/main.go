@@ -57,7 +57,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("published %s (%s, %.0f MB, p2p=%v)",
-			edge.OIDString(obj.ID), obj.URL, float64(obj.Size)/1e6, obj.P2PEnabled)
+			obj.ID.Hex(), obj.URL, float64(obj.Size)/1e6, obj.P2PEnabled)
 	}
 	if catalog.Len() == 0 {
 		log.Print("warning: empty catalog; use -publish or -demo")

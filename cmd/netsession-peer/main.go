@@ -19,10 +19,8 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -136,7 +134,7 @@ func main() {
 	}
 
 	if *objectHex != "" {
-		oid, err := parseOID(*objectHex)
+		oid, err := content.ParseObjectID(*objectHex)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -191,17 +189,4 @@ func main() {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
 	}
-}
-
-func parseOID(s string) (content.ObjectID, error) {
-	var oid content.ObjectID
-	raw, err := hex.DecodeString(s)
-	if err != nil {
-		return oid, fmt.Errorf("invalid object id %q: %w", s, err)
-	}
-	if len(raw) != len(oid) {
-		return oid, fmt.Errorf("object id %q has %d bytes, want %d", s, len(raw), len(oid))
-	}
-	copy(oid[:], raw)
-	return oid, nil
 }

@@ -190,8 +190,12 @@ func writeDownloads(path string, res *netsession.ScenarioResult) error {
 // segment format (gzip-compressed NDJSON), so simulated and live-cluster
 // log sets are byte-compatible inputs to netsession-analyze. The bulk
 // writer compresses each segment once, so the XXL tier's millions of
-// records export in linear time.
+// records export in linear time. An earlier export in dir is replaced, as
+// os.Create replaces the JSONL files: the writer refuses to mix two stores.
 func writeSegments(dir string, res *netsession.ScenarioResult) error {
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
 	w, err := logpipe.NewBulkWriter(dir, 20_000)
 	if err != nil {
 		return err

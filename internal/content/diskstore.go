@@ -197,7 +197,7 @@ func loadDiskManifest(objDir, dirName string) (*Manifest, error) {
 	}
 	// The directory is named after the secure content ID; a manifest whose
 	// re-derived ID disagrees has been corrupted or moved.
-	if hex.EncodeToString(obj.ID[:]) != dirName {
+	if obj.ID.Hex() != dirName {
 		return nil, fmt.Errorf("content: manifest ID mismatch in %s", dirName)
 	}
 	if len(dm.Hashes) != obj.NumPieces() {
@@ -252,7 +252,7 @@ func (s *DiskStore) object(m *Manifest) (*diskObject, error) {
 	if o := s.objs[m.Object.ID]; o != nil {
 		return o, nil
 	}
-	name := hex.EncodeToString(m.Object.ID[:])
+	name := m.Object.ID.Hex()
 	objDir := filepath.Join(s.objectsDir, name)
 	if err := os.MkdirAll(objDir, 0o755); err != nil {
 		return nil, fmt.Errorf("content: diskstore object dir: %w", err)
@@ -330,7 +330,7 @@ func (s *DiskStore) Get(id ObjectID, index int) ([]byte, bool) {
 		s.mu.Lock()
 		if o2 := s.objs[id]; o2 == o && o.have.Has(index) {
 			o.have.Clear(index)
-			s.quarantinePiece(path, hex.EncodeToString(id[:]), index)
+			s.quarantinePiece(path, id.Hex(), index)
 			s.corrupt.Inc()
 		}
 		s.mu.Unlock()

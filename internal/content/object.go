@@ -34,6 +34,23 @@ type ObjectID [32]byte
 
 func (id ObjectID) String() string { return hex.EncodeToString(id[:8]) }
 
+// Hex renders the ID's one text form: all 64 hex digits, as it appears in
+// URLs, usage records, handoff snapshots and state files (String
+// abbreviates for logs and is not reversible).
+func (id ObjectID) Hex() string { return hex.EncodeToString(id[:]) }
+
+// ParseObjectID parses the text form Hex produces.
+func ParseObjectID(s string) (ObjectID, error) {
+	var id ObjectID
+	if len(s) != hex.EncodedLen(len(id)) {
+		return id, fmt.Errorf("content: invalid object id %q", s)
+	}
+	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
+		return ObjectID{}, fmt.Errorf("content: invalid object id %q", s)
+	}
+	return id, nil
+}
+
 // IsZero reports whether the ID is unset.
 func (id ObjectID) IsZero() bool { return id == ObjectID{} }
 

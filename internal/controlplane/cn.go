@@ -263,7 +263,7 @@ func (cn *CN) handleQuery(s *session, q *protocol.Query) {
 	}
 	selectStart := time.Now()
 	dir := dn.Directory()
-	peers := dir.Select(cn.cp.cfg.Policy, selection.Query{
+	peers := dir.Select(cn.cp.policy, selection.Query{
 		Object:        q.Object,
 		Requester:     s.rec,
 		RequesterGUID: s.guid,

@@ -16,7 +16,6 @@ import (
 	"netsession/internal/analysis"
 	"netsession/internal/cluster"
 	"netsession/internal/edge"
-	"netsession/internal/faults"
 	"netsession/internal/geo"
 	"netsession/internal/id"
 	"netsession/internal/logpipe"
@@ -65,8 +64,6 @@ type Config struct {
 	Minter *edge.TokenMinter
 	// Collector receives usage records.
 	Collector *accounting.Collector
-	// Policy is the peer-selection policy.
-	Policy selection.Policy
 	// ClientConfig is pushed to peers on login.
 	ClientConfig edge.ClientConfig
 	// MaxSessionsPerCN sheds logins beyond this with a retry-after, the
@@ -74,21 +71,14 @@ type Config struct {
 	MaxSessionsPerCN int
 	// DNRebuildWindowMs is how long a DN that lost its database answers
 	// queries edge-only while peers RE-ADD their holdings (§3.8). Zero
-	// selects 2000ms; negative disables the window (queries immediately see
-	// whatever partial directory has re-formed).
+	// selects 2000ms.
 	DNRebuildWindowMs int64
-	// NowMs supplies time; tests inject a fake clock. Nil uses wall clock.
-	NowMs func() int64
 	// Telemetry is the metrics registry; nil creates a private one. It is
 	// served on the status server's GET /metrics and GET /v1/telemetry.
 	Telemetry *telemetry.Registry
 	// MaxLogRecords caps how many records of each kind the collector keeps
 	// in memory; zero selects the accounting default, negative is unbounded.
 	MaxLogRecords int
-	// IngestFaults, when set, injects faults (503s, stalls, 429 storms) into
-	// the log ingest endpoint; it can also be swapped at runtime through
-	// LogIngest().SetFaults.
-	IngestFaults *faults.Injector
 	// JoinExisting marks a node joining an already-running cluster: the
 	// first ring view it applies treats its assigned regions as real
 	// takeovers (rebuild window and all) instead of a silent boot
@@ -100,6 +90,8 @@ type Config struct {
 	// fault-injection harnesses use to make control sessions drop or lag
 	// (chaos testing the §3.8 reconnect path). Nil leaves conns untouched.
 	ConnWrap func(net.Conn) net.Conn
+	// nowMs supplies time; tests inject a fake clock. Nil uses wall clock.
+	nowMs func() int64
 }
 
 // cpMetrics pre-resolves the control plane's metric handles; CN session
@@ -190,7 +182,9 @@ func newCPMetrics(reg *telemetry.Registry) *cpMetrics {
 // used to route connect-to instructions between peers on different CNs
 // ("The CN/DN system is interconnected across regions", §3.7).
 type ControlPlane struct {
-	cfg       Config
+	cfg Config
+	// policy is the peer-selection policy: selection.DefaultPolicy().
+	policy    selection.Policy
 	metrics   *cpMetrics
 	ingest    *logpipe.Ingest
 	analytics *cpAnalytics
@@ -236,11 +230,9 @@ func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore, p
 	if cfg.Collector == nil {
 		cfg.Collector = accounting.NewCollector(nil)
 	}
-	if cfg.Policy.MaxPeers == 0 {
-		cfg.Policy = selection.DefaultPolicy()
-	}
 	cp := &ControlPlane{
 		cfg:      cfg,
+		policy:   selection.DefaultPolicy(),
 		metrics:  newCPMetrics(cfg.Telemetry),
 		sessions: make(map[id.GUID]*session),
 		store:    store,
@@ -258,8 +250,7 @@ func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore, p
 	for r := 0; r < geo.NumRegions; r++ {
 		cp.owned[r] = true
 	}
-	cp.ingest.SetFaults(cfg.IngestFaults)
-	if cp.cfg.DNRebuildWindowMs == 0 {
+	if cp.cfg.DNRebuildWindowMs <= 0 {
 		cp.cfg.DNRebuildWindowMs = 2000
 	}
 	for r := 0; r < geo.NumRegions; r++ {
@@ -337,12 +328,10 @@ func (cp *ControlPlane) FailDN(r geo.NetworkRegion) {
 	dn := cp.dns[int(r)]
 	dn.dir.Clear()
 	window := cp.cfg.DNRebuildWindowMs
-	if window > 0 {
-		dn.StartRebuild(cp.now(), window)
-		cp.metrics.rebuilding[int(r)].Set(1)
-		time.AfterFunc(time.Duration(window)*time.Millisecond+50*time.Millisecond,
-			func() { dn.Rebuilding(cp.now()) })
-	}
+	dn.StartRebuild(cp.now(), window)
+	cp.metrics.rebuilding[int(r)].Set(1)
+	time.AfterFunc(time.Duration(window)*time.Millisecond+50*time.Millisecond,
+		func() { dn.Rebuilding(cp.now()) })
 	cp.mu.Lock()
 	var toAsk []*session
 	for _, s := range cp.sessions {
@@ -372,8 +361,8 @@ func (cp *ControlPlane) Connected(g id.GUID) bool {
 }
 
 func (cp *ControlPlane) now() int64 {
-	if cp.cfg.NowMs != nil {
-		return cp.cfg.NowMs()
+	if cp.cfg.nowMs != nil {
+		return cp.cfg.nowMs()
 	}
 	return wallNowMs()
 }

@@ -391,7 +391,7 @@ func (p *rawPeer) sendUsage(e *logpipe.Entry) {
 }
 
 func usageEntry(oid content.ObjectID, size, infra int64, token []byte) *logpipe.Entry {
-	return &logpipe.Entry{Kind: logpipe.EntryKindDownload, Object: logpipe.EncodeObjectID(oid),
+	return &logpipe.Entry{Kind: logpipe.EntryKindDownload, Object: oid.Hex(),
 		CP: 7, Size: size, BytesInfra: infra, Token: token}
 }
 
@@ -516,7 +516,8 @@ func TestNegativeUsageRejectedOnBothTransports(t *testing.T) {
 }
 
 func TestMonitorIngestAndHTTP(t *testing.T) {
-	m := NewMonitor(4)
+	m := NewMonitor()
+	m.maxRing = 4
 	if err := m.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +624,7 @@ func TestStatusCostIndependentOfLog(t *testing.T) {
 }
 
 func TestMonitorAlerts(t *testing.T) {
-	m := NewMonitor(16)
+	m := NewMonitor()
 	m.SetAlertThreshold("crash", 3)
 	for i := 0; i < 5; i++ {
 		m.Ingest(Report{Kind: "crash"})

@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -182,7 +181,7 @@ func (cp *ControlPlane) pushHandoff(client *http.Client, target cluster.Node,
 	req := handoffRequest{From: cp.cfg.NodeID, Region: region.String()}
 	for _, xe := range export {
 		he := handoffEntry{
-			Object:       logpipe.EncodeObjectID(xe.Object),
+			Object:       xe.Object.Hex(),
 			GUID:         xe.Entry.Info.GUID.String(),
 			Addr:         xe.Entry.Info.Addr,
 			NAT:          uint8(xe.Entry.Info.NAT),
@@ -279,11 +278,11 @@ type importedEntry struct {
 
 func (cp *ControlPlane) importEntry(he *handoffEntry) (importedEntry, error) {
 	var out importedEntry
-	raw, err := hex.DecodeString(he.Object)
-	if err != nil || len(raw) != len(out.obj) {
-		return out, fmt.Errorf("bad object id %q", he.Object)
+	obj, err := content.ParseObjectID(he.Object)
+	if err != nil {
+		return out, err
 	}
-	copy(out.obj[:], raw)
+	out.obj = obj
 	g, err := id.ParseGUID(he.GUID)
 	if err != nil {
 		return out, err

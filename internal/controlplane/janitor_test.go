@@ -14,7 +14,7 @@ func TestJanitorExpiresSoftState(t *testing.T) {
 	// Inject a controllable clock.
 	var nowMs atomic.Int64
 	h := newHarness(t, func(c *Config) {
-		c.NowMs = func() int64 { return nowMs.Load() }
+		c.nowMs = func() int64 { return nowMs.Load() }
 	})
 	oid := content.NewObjectID(9, "stale", 1)
 	p := h.dialPeer("US", true)

@@ -45,7 +45,7 @@ func TestSpilledRecordsDecodeFast(t *testing.T) {
 
 	bulk := &logpipe.Entry{
 		Kind: logpipe.EntryKindDownload, GUID: reporter.String(), IP: home.IP.String(),
-		Object: logpipe.EncodeObjectID(oid), URLHash: "u", CP: 7, Size: 1 << 20,
+		Object: oid.Hex(), URLHash: "u", CP: 7, Size: 1 << 20,
 		StartMs: 1, EndMs: 2, BytesInfra: 1 << 19, BytesPeers: 1 << 19, PeersReturned: 3,
 		Token:     minter.Mint(edge.Claims{GUID: reporter, Object: oid, ExpiresMs: 1 << 62, P2P: true}),
 		FromPeers: []logpipe.EntryContribution{{GUID: other.String(), Bytes: 1 << 19}},

@@ -26,7 +26,7 @@ type Monitor struct {
 	mu         sync.Mutex
 	counts     map[string]int
 	recent     []Report
-	maxRing    int
+	maxRing    int // monitorRing; tests shrink it
 	thresholds map[string]int
 	alerts     []Alert
 
@@ -48,8 +48,8 @@ type Monitor struct {
 	// disappearing from the fleet view.
 	scrapeErrs      map[string]string
 	scrapeErrAt     map[string]time.Time
-	scrapeTimeout   time.Duration
-	staleAfter      time.Duration
+	scrapeTimeout   time.Duration // scrapeTimeoutDefault; tests shorten it
+	staleAfter      time.Duration // evict after this long unscraped; 0: never, until StartScraping
 	scrapeStop      func()
 	scrapeEvictions *telemetry.Counter
 
@@ -77,16 +77,20 @@ type Report struct {
 // documents and anything larger is hostile or broken.
 const maxReportBody = 16 << 10
 
-// NewMonitor creates a monitoring node keeping up to ringSize recent
+const (
+	// monitorRing is how many recent reports the monitor keeps.
+	monitorRing = 1024
+	// scrapeTimeoutDefault bounds one target's telemetry scrape.
+	scrapeTimeoutDefault = 5 * time.Second
+)
+
+// NewMonitor creates a monitoring node keeping the monitorRing most recent
 // reports.
-func NewMonitor(ringSize int) *Monitor {
-	if ringSize <= 0 {
-		ringSize = 1024
-	}
+func NewMonitor() *Monitor {
 	reg := telemetry.NewRegistry()
 	m := &Monitor{
 		counts:        make(map[string]int),
-		maxRing:       ringSize,
+		maxRing:       monitorRing,
 		thresholds:    make(map[string]int),
 		reg:           reg,
 		reportsByKind: make(map[string]*telemetry.Counter),
@@ -103,7 +107,7 @@ func NewMonitor(ringSize int) *Monitor {
 		scrapedAt:        make(map[string]time.Time),
 		scrapeErrs:       make(map[string]string),
 		scrapeErrAt:      make(map[string]time.Time),
-		scrapeTimeout:    5 * time.Second,
+		scrapeTimeout:    scrapeTimeoutDefault,
 		scrapeEvictions: reg.Counter("monitor_scrape_evictions_total",
 			"components evicted from the fleet aggregate after going stale", nil),
 	}
@@ -237,24 +241,6 @@ func (m *Monitor) SetScrapeTargets(targets map[string]string) {
 	m.scrapeTargets = make(map[string]string, len(targets))
 	for k, v := range targets {
 		m.scrapeTargets[k] = strings.TrimSuffix(v, "/")
-	}
-}
-
-// SetScrapePolicy configures the per-target scrape timeout and how long a
-// component's last good scrape stays in the fleet aggregate. A target whose
-// last success is at least staleAfter old is evicted, so a dead CP or edge
-// stops polluting Aggregate and FleetAnalytics instead of contributing its
-// final numbers forever. Zero keeps the current value (timeout defaults to
-// 5s; staleAfter defaults to the scrape interval when StartScraping runs,
-// and to "never" for purely manual ScrapeOnce use).
-func (m *Monitor) SetScrapePolicy(timeout, staleAfter time.Duration) {
-	m.scrapeMu.Lock()
-	defer m.scrapeMu.Unlock()
-	if timeout > 0 {
-		m.scrapeTimeout = timeout
-	}
-	if staleAfter > 0 {
-		m.staleAfter = staleAfter
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 func startMonitor(t *testing.T) *Monitor {
 	t.Helper()
-	m := NewMonitor(16)
+	m := NewMonitor()
 	if err := m.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestMonitorScrapeTimeout(t *testing.T) {
 	t.Cleanup(fast.Close)
 
 	m.SetScrapeTargets(map[string]string{"slow": slow.URL, "fast": fast.URL})
-	m.SetScrapePolicy(50*time.Millisecond, 0)
+	m.scrapeTimeout = 50 * time.Millisecond
 	start := time.Now()
 	m.ScrapeOnce()
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -146,7 +146,7 @@ func TestMonitorStaleEviction(t *testing.T) {
 	srv := httptest.NewServer(mux)
 
 	m.SetScrapeTargets(map[string]string{"dying": srv.URL})
-	m.SetScrapePolicy(time.Second, 50*time.Millisecond)
+	m.scrapeTimeout, m.staleAfter = time.Second, 50*time.Millisecond
 	m.ScrapeOnce()
 	if got := m.Aggregate().Counters["dying_total"]; got != 9 {
 		t.Fatalf("initial scrape missing: %d", got)
@@ -314,7 +314,7 @@ func TestMonitorHealthShowsDeadTarget(t *testing.T) {
 	dead := httptest.NewServer(mux2)
 
 	m.SetScrapeTargets(map[string]string{"alive": alive.URL, "dead": dead.URL})
-	m.SetScrapePolicy(time.Second, 50*time.Millisecond)
+	m.scrapeTimeout, m.staleAfter = time.Second, 50*time.Millisecond
 	m.ScrapeOnce() // both healthy
 	dead.Close()   // then one dies
 	m.ScrapeOnce() // records the scrape error

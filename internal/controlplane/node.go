@@ -96,7 +96,7 @@ func StartNode(cfg Config) (*Node, error) {
 	})
 	n.status = cp.serveStatus(ln)
 	cp.member.Start()
-	n.stopJan = cp.startJanitor(time.Minute, cp.cfg.Policy.SoftStateTTLMs)
+	n.stopJan = cp.startJanitor(time.Minute, cp.policy.SoftStateTTLMs)
 	return n, nil
 }
 

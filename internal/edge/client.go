@@ -40,7 +40,7 @@ type Authorization struct {
 
 // Authorize obtains a download authorization for (guid, object).
 func (c *Client) Authorize(g id.GUID, oid content.ObjectID) (*Authorization, error) {
-	body, _ := json.Marshal(authorizeRequest{GUID: g.String(), Object: OIDString(oid)})
+	body, _ := json.Marshal(authorizeRequest{GUID: g.String(), Object: oid.Hex()})
 	resp, err := c.http().Post(c.BaseURL+"/v1/authorize", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("edge: authorize: %w", err)
@@ -66,7 +66,7 @@ func (c *Client) Authorize(g id.GUID, oid content.ObjectID) (*Authorization, err
 
 // FetchManifest downloads and validates the piece-hash manifest.
 func (c *Client) FetchManifest(oid content.ObjectID) (*content.Manifest, error) {
-	resp, err := c.http().Get(c.BaseURL + "/v1/objects/" + OIDString(oid) + "/manifest")
+	resp, err := c.http().Get(c.BaseURL + "/v1/objects/" + oid.Hex() + "/manifest")
 	if err != nil {
 		return nil, fmt.Errorf("edge: manifest: %w", err)
 	}
@@ -103,7 +103,7 @@ func (c *Client) FetchManifest(oid content.ObjectID) (*content.Manifest, error) 
 // one buffer of exactly length bytes, which the caller owns; a response
 // that does not declare that length is refused before its body is read.
 func (c *Client) FetchRange(oid content.ObjectID, token []byte, start, length int64) ([]byte, error) {
-	url := fmt.Sprintf("%s/v1/objects/%s/data?token=%s", c.BaseURL, OIDString(oid), EncodeToken(token))
+	url := fmt.Sprintf("%s/v1/objects/%s/data?token=%s", c.BaseURL, oid.Hex(), EncodeToken(token))
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
@@ -140,7 +140,7 @@ func (c *Client) FetchPiece(m *content.Manifest, token []byte, index int) ([]byt
 // Verify asks the edge tier whether it authorized (guid, object) and how
 // many bytes it served — the control plane's accounting cross-check.
 func (c *Client) Verify(g id.GUID, oid content.ObjectID) (authorized bool, servedBytes int64, err error) {
-	url := fmt.Sprintf("%s/v1/verify?guid=%s&object=%s", c.BaseURL, g.String(), OIDString(oid))
+	url := fmt.Sprintf("%s/v1/verify?guid=%s&object=%s", c.BaseURL, g.String(), oid.Hex())
 	resp, err := c.http().Get(url)
 	if err != nil {
 		return false, 0, fmt.Errorf("edge: verify: %w", err)

@@ -193,7 +193,7 @@ func TestRangeRequests(t *testing.T) {
 func TestDataResponseHeaders(t *testing.T) {
 	obj := testObj(t, 50_000, false)
 	srv, cli := startServer(t, obj)
-	url := "http://" + srv.Addr() + "/v1/objects/" + OIDString(obj.ID) + "/data"
+	url := "http://" + srv.Addr() + "/v1/objects/" + obj.ID.Hex() + "/data"
 	for _, c := range []struct {
 		rng    string
 		status int

@@ -172,20 +172,6 @@ func (s *Server) Ledger() *Ledger { return s.ledger }
 // Catalog exposes the published catalog.
 func (s *Server) Catalog() *Catalog { return s.catalog }
 
-func parseOID(s string) (content.ObjectID, error) {
-	var oid content.ObjectID
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(oid) {
-		return oid, fmt.Errorf("edge: invalid object id %q", s)
-	}
-	copy(oid[:], b)
-	return oid, nil
-}
-
-// OIDString renders an ObjectID for URLs (full hex, unlike ObjectID.String
-// which abbreviates for logs).
-func OIDString(oid content.ObjectID) string { return hex.EncodeToString(oid[:]) }
-
 // manifestJSON is the manifest wire form.
 type manifestJSON struct {
 	Object   objectJSON `json:"object"`
@@ -204,13 +190,13 @@ type objectJSON struct {
 
 func toObjectJSON(o *content.Object) objectJSON {
 	return objectJSON{
-		ID: OIDString(o.ID), CP: uint32(o.CP), URL: o.URL, Version: o.Version,
+		ID: o.ID.Hex(), CP: uint32(o.CP), URL: o.URL, Version: o.Version,
 		Size: o.Size, PieceSize: o.PieceSize, P2PEnabled: o.P2PEnabled,
 	}
 }
 
 func fromObjectJSON(j objectJSON) (*content.Object, error) {
-	oid, err := parseOID(j.ID)
+	oid, err := content.ParseObjectID(j.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +207,7 @@ func fromObjectJSON(j objectJSON) (*content.Object, error) {
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	oid, err := parseOID(r.PathValue("oid"))
+	oid, err := content.ParseObjectID(r.PathValue("oid"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -243,7 +229,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 // (§3.4). A valid token query parameter attributes the served bytes in the
 // ledger.
 func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
-	oid, err := parseOID(r.PathValue("oid"))
+	oid, err := content.ParseObjectID(r.PathValue("oid"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -360,7 +346,7 @@ func (s *Server) handleAuthorize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	oid, err := parseOID(req.Object)
+	oid, err := content.ParseObjectID(req.Object)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -401,7 +387,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	oid, err := parseOID(r.URL.Query().Get("object"))
+	oid, err := content.ParseObjectID(r.URL.Query().Get("object"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

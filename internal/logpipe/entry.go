@@ -1,7 +1,6 @@
 package logpipe
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -77,18 +76,7 @@ func DecodeEntry(line []byte) (*Entry, error) {
 }
 
 // ObjectID parses the entry's full-length content ID.
-func (e *Entry) ObjectID() (content.ObjectID, error) {
-	var oid content.ObjectID
-	raw, err := hex.DecodeString(e.Object)
-	if err != nil || len(raw) != len(oid) {
-		return oid, fmt.Errorf("logpipe: invalid object id %q", e.Object)
-	}
-	copy(oid[:], raw)
-	return oid, nil
-}
+func (e *Entry) ObjectID() (content.ObjectID, error) { return content.ParseObjectID(e.Object) }
 
-// EncodeObjectID renders a content ID in the entry's full-length form (the
-// short content.ObjectID.String form is for logs and is not reversible).
-func EncodeObjectID(oid content.ObjectID) string {
-	return hex.EncodeToString(oid[:])
-}
+// EncodeObjectID renders a content ID in the entry's full-length form.
+func EncodeObjectID(oid content.ObjectID) string { return oid.Hex() }

@@ -288,6 +288,39 @@ func TestBulkWriterRoundtrip(t *testing.T) {
 	}
 }
 
+// TestBulkWriterRefusesExistingStore: a second, smaller export into the
+// same directory must not overwrite the first one's leading segments and
+// leave its tail behind; the writer refuses, and the first store still
+// reads back whole.
+func TestBulkWriterRefusesExistingStore(t *testing.T) {
+	dir := t.TempDir()
+	export := func(n int) error {
+		w, err := NewBulkWriter(dir, 7)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := w.Append(tailRec(i)); err != nil {
+				return err
+			}
+		}
+		return w.Close()
+	}
+	if err := export(23); err != nil {
+		t.Fatal(err)
+	}
+	if err := export(5); err == nil {
+		t.Fatal("second export into a store directory succeeded")
+	}
+	got, err := ReadDownloads(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 23 {
+		t.Fatalf("store reads %d records after the refused export, want 23", len(got))
+	}
+}
+
 // TestForEachDownloadParallelMatches: the concurrent-callback variant must
 // deliver exactly the store's record multiset (per-segment order preserved,
 // global interleaving free) and propagate callback errors.

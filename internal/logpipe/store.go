@@ -167,14 +167,17 @@ type BulkWriter struct {
 	closed bool
 }
 
-// NewBulkWriter creates a writer over dir (created if missing). perSeg
-// values below 1 select 10000 records per segment.
+// NewBulkWriter creates a writer of perSeg records per segment over dir
+// (created if missing). It refuses a directory that already holds segments:
+// numbering starts at zero, so a second export would overwrite the first
+// one's leading segments and leave its later ones in place, one store
+// holding two months.
 func NewBulkWriter(dir string, perSeg int) (*BulkWriter, error) {
-	if perSeg < 1 {
-		perSeg = 10_000
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("logpipe: bulk writer dir: %w", err)
+	}
+	if HasSegments(dir) {
+		return nil, fmt.Errorf("logpipe: bulk writer: %s already holds segments", dir)
 	}
 	return &BulkWriter{w: segWriter{dir: dir, maxRecords: perSeg, maxBytes: math.MaxInt64, bulk: true}}, nil
 }

@@ -1,7 +1,6 @@
 package peer
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -28,8 +27,6 @@ type downloadCheckpoint struct {
 	// P2POff records a degradation to edge-only; a resumed download must
 	// not re-enter a swarm the degradation ladder already condemned.
 	P2POff bool `json:"p2pOff"`
-	// Sequential preserves the in-order delivery mode across the restart.
-	Sequential bool `json:"sequential"`
 	// Streaming preserves the deadline-driven playback context: a resumed
 	// stream restarts its playback clock with the same bitrate and window
 	// so it keeps reporting startup/rebuffer metrics — even when the
@@ -42,7 +39,7 @@ type downloadCheckpoint struct {
 const checkpointDirName = "downloads"
 
 func (c *Client) checkpointPath(oid content.ObjectID) string {
-	return filepath.Join(c.ckptDir, hex.EncodeToString(oid[:])+".json")
+	return filepath.Join(c.ckptDir, oid.Hex()+".json")
 }
 
 // saveCheckpoint durably records how to resume a download; a no-op without a
@@ -54,9 +51,8 @@ func (c *Client) saveCheckpoint(d *Download) {
 	}
 	d.mu.Lock()
 	ck := downloadCheckpoint{
-		Object:     hex.EncodeToString(d.oid[:]),
-		P2POff:     d.p2pOff,
-		Sequential: d.opts.Sequential,
+		Object: d.oid.Hex(),
+		P2POff: d.p2pOff,
 	}
 	if sc := d.opts.Streaming; sc != nil {
 		ck.StreamBitrateBps = sc.BitrateBps
@@ -100,12 +96,8 @@ func (c *Client) loadCheckpoints() []downloadCheckpoint {
 		if err == nil {
 			err = json.Unmarshal(raw, &ck)
 		}
-		var oid content.ObjectID
 		if err == nil {
-			var b []byte
-			if b, err = hex.DecodeString(ck.Object); err == nil && len(b) != len(oid) {
-				err = os.ErrInvalid
-			}
+			_, err = content.ParseObjectID(ck.Object)
 		}
 		if err != nil {
 			os.Remove(path + ".corrupt")
@@ -120,9 +112,7 @@ func (c *Client) loadCheckpoints() []downloadCheckpoint {
 }
 
 func (ck *downloadCheckpoint) objectID() content.ObjectID {
-	var oid content.ObjectID
-	b, _ := hex.DecodeString(ck.Object)
-	copy(oid[:], b)
+	oid, _ := content.ParseObjectID(ck.Object)
 	return oid
 }
 
@@ -171,10 +161,7 @@ func (c *Client) resumeOne(ck downloadCheckpoint) error {
 	if bf := c.store.Have(oid); bf != nil {
 		recovered = bf.Count()
 	}
-	opts := DownloadOpts{
-		Sequential:   ck.Sequential,
-		resumeP2POff: ck.P2POff,
-	}
+	opts := DownloadOpts{resumeP2POff: ck.P2POff}
 	if ck.StreamBitrateBps > 0 {
 		opts.Streaming = &streaming.Config{
 			BitrateBps:    ck.StreamBitrateBps,

@@ -63,14 +63,11 @@ type Config struct {
 	UploadsEnabled bool
 	// StallWindow is how long a download tolerates zero peer piece progress
 	// before declaring the swarm dead and degrading to edge-only (§3.3
-	// fallback). Zero selects 15s; negative disables the check.
+	// fallback). Zero selects 15s.
 	StallWindow time.Duration
 	// CorruptPieceLimit is how many corrupt pieces (across all peers) a
 	// download tolerates before degrading to edge-only. Zero selects 25.
 	CorruptPieceLimit int
-	// Telemetry is the metrics registry; nil creates a private one
-	// (retrievable via Client.Metrics).
-	Telemetry *telemetry.Registry
 	// LogUploadURL, when set, moves usage reporting from the control
 	// connection to the batched log pipeline (§3.4 "uploads logs to the
 	// infrastructure"); it picks the transport, not the schema, which is one
@@ -158,7 +155,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.GUID.IsZero() {
 		cfg.GUID = id.NewGUID()
 	}
-	metrics := newClientMetrics(cfg.Telemetry)
+	metrics := newClientMetrics()
 	var store content.Store
 	if cfg.StateDir == "" {
 		store = content.NewMemStore()
@@ -172,7 +169,7 @@ func New(cfg Config) (*Client, error) {
 		}
 		store = ds
 	}
-	if cfg.StallWindow == 0 {
+	if cfg.StallWindow <= 0 {
 		cfg.StallWindow = 15 * time.Second
 	}
 	if cfg.CorruptPieceLimit <= 0 {

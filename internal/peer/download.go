@@ -27,10 +27,6 @@ const (
 
 // DownloadOpts tunes one transfer.
 type DownloadOpts struct {
-	// Sequential requests pieces in order. The default randomizes piece
-	// selection across the swarm, which diversifies which pieces each
-	// peer holds.
-	Sequential bool
 	// Streaming enables deadline-driven delivery (NetSession "also
 	// supports video streaming", §3.4): a playback clock derives
 	// per-piece deadlines from the bitrate, the playback-window
@@ -38,9 +34,9 @@ type DownloadOpts struct {
 	// rebuffers, deadline misses and edge rescues become first-class
 	// metrics on the result and the usage report. Nil means bulk.
 	Streaming *streaming.Config
-	// Scheduler overrides the piece-request policy; nil derives it from
-	// Streaming/Sequential (window, sequential or random).
-	Scheduler PieceScheduler
+	// sequential requests bulk pieces in order, so tests can predict
+	// which piece goes out next; the default randomizes.
+	sequential bool
 	// resumeP2POff restarts a checkpointed download already degraded to
 	// edge-only: the ladder's verdict on the swarm survives the crash.
 	resumeP2POff bool
@@ -82,7 +78,6 @@ type Download struct {
 	now      func() time.Time // the clock; tests drive step with a fake one
 	rng      *rand.Rand       // guarded by mu
 	trace    *telemetry.Trace
-	sched    PieceScheduler
 	// play is the playback session for streaming downloads, nil for bulk.
 	// It is deliberately independent of swarm state: degradation to
 	// edge-only must not stop the playback clock, so rebuffers under
@@ -227,7 +222,6 @@ func newDownload(c *Client, m *content.Manifest, token []byte, p2p bool, opts Do
 		now:           now,
 		rng:           rand.New(rand.NewSource(start.UnixNano())),
 		trace:         trace,
-		sched:         schedulerFor(opts),
 		have:          content.NewBitfield(m.Object.NumPieces()),
 		inflight:      make(map[int]int),
 		conns:         make(map[*swarmConn]bool),
@@ -409,14 +403,12 @@ func (d *Download) step(now time.Time) actions {
 	if !d.p2p || d.p2pOff || d.have.Complete() {
 		return a
 	}
-	if window := d.c.cfg.StallWindow; window > 0 {
-		due := d.lastPeerPiece.Add(window)
-		if now.After(due) {
-			a.degrade = true
-			return a
-		}
-		a.wakeAt(due)
+	due := d.lastPeerPiece.Add(d.c.cfg.StallWindow)
+	if now.After(due) {
+		a.degrade = true
+		return a
 	}
+	a.wakeAt(due)
 	free := maxPeerConns - len(d.conns) - d.dialing
 	for free > 0 && len(d.candidates) > 0 {
 		p := d.candidates[0]
@@ -709,9 +701,9 @@ func (d *Download) nextRequest(sc *swarmConn) int {
 	if d.play != nil {
 		d.play.Advance(now.UnixMilli())
 	}
-	// The scheduler sees a point-in-time view; the closures read maps
+	// The policy sees a point-in-time view; the closures read maps
 	// guarded by d.mu, which is held for the whole decision.
-	pick := d.sched.NextPiece(&streaming.PieceView{
+	pick := nextPiece(d.opts, &streaming.PieceView{
 		Have:     d.have,
 		Remote:   remote,
 		InFlight: func(i int) bool { return d.inflight[i] > 0 },

@@ -22,7 +22,7 @@ func startEdgeServer(t *testing.T, cat *edge.Catalog, addr string) *edge.Server 
 }
 
 func TestEdgePoolRequiresURL(t *testing.T) {
-	m := newClientMetrics(nil)
+	m := newClientMetrics()
 	if _, err := newEdgePool([]string{"", ""}, m); err == nil {
 		t.Fatal("empty pool accepted")
 	}
@@ -49,7 +49,7 @@ func TestEdgePoolFailoverAndStickiness(t *testing.T) {
 
 	// First URL is dead; the pool must fail over and then stick to the
 	// working server.
-	pool, err := newEdgePool([]string{"http://127.0.0.1:1", "http://" + good.Addr()}, newClientMetrics(nil))
+	pool, err := newEdgePool([]string{"http://127.0.0.1:1", "http://" + good.Addr()}, newClientMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestEdgePoolConcurrentFailover(t *testing.T) {
 	srvB := startEdgeServer(t, cat, "127.0.0.1:0")
 	defer srvB.Close()
 
-	metrics := newClientMetrics(nil)
+	metrics := newClientMetrics()
 	pool, err := newEdgePool([]string{"http://" + addrA, "http://" + srvB.Addr()}, metrics)
 	if err != nil {
 		t.Fatal(err)

@@ -135,7 +135,7 @@ func TestMaliciousUploaderDiscarded(t *testing.T) {
 	registerRaw(t, d, evil.guid, "US", evil.ln.Addr().String(), obj.ID)
 
 	// Monitoring node receives the corrupt-piece reports.
-	mon := controlplane.NewMonitor(0)
+	mon := controlplane.NewMonitor()
 	if err := mon.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestSequentialDownload(t *testing.T) {
 	obj := e2eObject(t, 500_000, false)
 	d := newDeployment(t, 1, obj)
 	c := d.spawnPeer("US", false, protocol.NATNone)
-	dl, err := c.DownloadWith(obj.ID, DownloadOpts{Sequential: true})
+	dl, err := c.DownloadWith(obj.ID, DownloadOpts{sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import "sync"
 type Preferences struct {
 	mu             sync.Mutex
 	uploadsEnabled bool
-	networkBusy    bool
 	changes        int
 	onChange       []func(enabled bool)
 }
@@ -52,25 +51,6 @@ func (p *Preferences) Changes() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.changes
-}
-
-// SetNetworkBusy marks the user's connection as busy with foreground
-// traffic; while set, the client pauses uploads ("peers monitor the
-// utilization of the local network connections and throttle or pause
-// uploads when the connections are used by other applications", §3.9).
-// Production clients drive this from passive utilization measurements; the
-// hook is exposed so integrations and tests can drive it directly.
-func (p *Preferences) SetNetworkBusy(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.networkBusy = v
-}
-
-// NetworkBusy reports the busy state.
-func (p *Preferences) NetworkBusy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.networkBusy
 }
 
 // Observe registers a callback invoked on every change.

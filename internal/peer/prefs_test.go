@@ -35,18 +35,3 @@ func TestPreferencesChangesAndObservers(t *testing.T) {
 		t.Fatalf("observer saw %v", notified)
 	}
 }
-
-func TestPreferencesNetworkBusy(t *testing.T) {
-	p := NewPreferences(true)
-	if p.NetworkBusy() {
-		t.Fatal("fresh prefs should not be busy")
-	}
-	p.SetNetworkBusy(true)
-	if !p.NetworkBusy() {
-		t.Fatal("busy not set")
-	}
-	p.SetNetworkBusy(false)
-	if p.NetworkBusy() {
-		t.Fatal("busy not cleared")
-	}
-}

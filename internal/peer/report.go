@@ -89,7 +89,7 @@ func (d *Download) logEntry(endMs int64, m *streaming.Metrics) *logpipe.Entry {
 		Kind:          logpipe.EntryKindDownload,
 		GUID:          d.c.cfg.GUID.String(),
 		IP:            d.c.cfg.DeclaredIP,
-		Object:        logpipe.EncodeObjectID(d.oid),
+		Object:        d.oid.Hex(),
 		URLHash:       d.manifest.Object.URL,
 		CP:            uint32(d.manifest.Object.CP),
 		Size:          d.manifest.Object.Size,

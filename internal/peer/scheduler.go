@@ -2,45 +2,24 @@ package peer
 
 import "netsession/internal/streaming"
 
-// PieceScheduler decides which piece to request next from one remote,
-// given a snapshot of local/remote bitfields and in-flight state. -1 means
-// nothing eligible (the engine then applies its end-game duplication).
-//
-// The historical binary choice — the Sequential flag — survives as two
-// trivial implementations below, byte-for-byte equivalent to the old
-// inline logic; streaming downloads install streaming.WindowScheduler,
-// which adds deadline urgency and rarest-first diversity.
-type PieceScheduler interface {
-	NextPiece(v *streaming.PieceView) int
-}
-
-// SequentialScheduler requests pieces strictly in order: the pre-refactor
-// Sequential mode.
-type SequentialScheduler struct{}
-
-// NextPiece picks the first wanted piece the remote offers.
-func (SequentialScheduler) NextPiece(v *streaming.PieceView) int {
-	n := v.Have.Len()
-	for i := 0; i < n; i++ {
-		if !v.Have.Has(i) && v.Remote.Has(i) && !v.InFlight(i) {
-			return i
-		}
+// nextPiece is the piece-request policy, one per mode: streams use
+// streaming.WindowScheduler (deadline urgency, then rarest-first); bulk
+// downloads draw uniformly from the first 32 eligible pieces with the
+// download's seeded RNG, so concurrent peers fetch disjoint pieces and can
+// trade them. The sequential test hook takes the first eligible piece
+// instead. -1 means nothing eligible (the caller then applies its end-game
+// duplication).
+func nextPiece(opts DownloadOpts, v *streaming.PieceView) int {
+	if opts.Streaming != nil {
+		return streaming.WindowScheduler{}.NextPiece(v)
 	}
-	return -1
-}
-
-// RandomScheduler is the pre-refactor default: randomize among the first
-// eligible pieces so concurrent peers fetch disjoint pieces and can trade
-// them.
-type RandomScheduler struct{}
-
-// NextPiece draws uniformly from the first 32 eligible pieces using the
-// download's seeded RNG, reproducing the historical request order exactly.
-func (RandomScheduler) NextPiece(v *streaming.PieceView) int {
 	n := v.Have.Len()
 	var cands []int
 	for i := 0; i < n && len(cands) < 32; i++ {
 		if !v.Have.Has(i) && v.Remote.Has(i) && !v.InFlight(i) {
+			if opts.sequential {
+				return i
+			}
 			cands = append(cands, i)
 		}
 	}
@@ -48,18 +27,4 @@ func (RandomScheduler) NextPiece(v *streaming.PieceView) int {
 		return -1
 	}
 	return cands[v.Rand.Intn(len(cands))]
-}
-
-// schedulerFor resolves the policy for a download's options.
-func schedulerFor(opts DownloadOpts) PieceScheduler {
-	switch {
-	case opts.Scheduler != nil:
-		return opts.Scheduler
-	case opts.Streaming != nil:
-		return streaming.WindowScheduler{}
-	case opts.Sequential:
-		return SequentialScheduler{}
-	default:
-		return RandomScheduler{}
-	}
 }

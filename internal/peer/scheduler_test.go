@@ -11,7 +11,7 @@ import (
 // oraclePick re-implements the pre-refactor inline piece choice from
 // kickScheduler, verbatim: sequential mode takes the first wanted piece the
 // remote offers; the default randomizes among the first 32 eligible using
-// the download's seeded RNG. The extracted schedulers must reproduce this
+// the download's seeded RNG. The bulk piece policy must reproduce this
 // request order byte for byte — the refactor is behaviour-preserving for
 // bulk downloads.
 func oraclePick(sequential bool, have, remote *content.Bitfield, inflight map[int]int, rng *rand.Rand) int {
@@ -36,7 +36,7 @@ func oraclePick(sequential bool, have, remote *content.Bitfield, inflight map[in
 	return cands[rng.Intn(len(cands))]
 }
 
-// TestSchedulerMatchesPreRefactorOrder drives the extracted scheduler and
+// TestSchedulerMatchesPreRefactorOrder drives the bulk piece policy and
 // the oracle through an entire simulated download — pick, mark in flight,
 // deliver — and asserts the exact same piece order from identical seeds.
 func TestSchedulerMatchesPreRefactorOrder(t *testing.T) {
@@ -64,14 +64,10 @@ func TestSchedulerMatchesPreRefactorOrder(t *testing.T) {
 				remote.Set(i)
 			}
 
-			var sched PieceScheduler = RandomScheduler{}
-			if tc.sequential {
-				sched = SequentialScheduler{}
-			}
-
+			opts := DownloadOpts{sequential: tc.sequential}
 			got := runSchedule(tc.pieces, tc.window, remote, rand.New(rand.NewSource(tc.seed)),
 				func(have *content.Bitfield, inflight map[int]int, rng *rand.Rand) int {
-					return sched.NextPiece(&streaming.PieceView{
+					return nextPiece(opts, &streaming.PieceView{
 						Have:     have,
 						Remote:   remote,
 						InFlight: func(i int) bool { return inflight[i] > 0 },
@@ -124,21 +120,30 @@ func runSchedule(pieces, window int, remote *content.Bitfield, rng *rand.Rand,
 	}
 }
 
-// TestSchedulerForResolution pins the option-to-policy mapping: an explicit
-// scheduler wins, a streaming config installs the window policy, the
-// Sequential flag keeps its historical meaning, and the default stays the
-// randomized picker.
-func TestSchedulerForResolution(t *testing.T) {
-	if _, ok := schedulerFor(DownloadOpts{Scheduler: SequentialScheduler{}}).(SequentialScheduler); !ok {
-		t.Fatalf("explicit scheduler not honored")
+// TestPiecePolicyByMode pins the mode-to-policy mapping: a streaming
+// config installs the window policy, the sequential hook keeps its in-order
+// meaning, and the default stays the randomized picker.
+func TestPiecePolicyByMode(t *testing.T) {
+	const pieces = 64
+	have, remote := content.NewBitfield(pieces), content.NewBitfield(pieces)
+	for i := 0; i < pieces; i++ {
+		if i%3 != 0 {
+			remote.Set(i)
+		}
 	}
-	if _, ok := schedulerFor(DownloadOpts{Streaming: &streaming.Config{BitrateBps: 1}}).(streaming.WindowScheduler); !ok {
-		t.Fatalf("streaming config did not select WindowScheduler")
+	view := func(seed int64) *streaming.PieceView {
+		return &streaming.PieceView{Have: have, Remote: remote,
+			InFlight: func(int) bool { return false }, Rand: rand.New(rand.NewSource(seed))}
 	}
-	if _, ok := schedulerFor(DownloadOpts{Sequential: true}).(SequentialScheduler); !ok {
-		t.Fatalf("Sequential flag did not select SequentialScheduler")
+	none := map[int]int{}
+	stream := DownloadOpts{Streaming: &streaming.Config{BitrateBps: 1}}
+	if got, want := nextPiece(stream, view(5)), (streaming.WindowScheduler{}).NextPiece(view(5)); got != want {
+		t.Fatalf("streaming config picked %d, WindowScheduler picks %d", got, want)
 	}
-	if _, ok := schedulerFor(DownloadOpts{}).(RandomScheduler); !ok {
-		t.Fatalf("default is not RandomScheduler")
+	if got, want := nextPiece(DownloadOpts{sequential: true}, view(5)), oraclePick(true, have, remote, none, nil); got != want {
+		t.Fatalf("sequential hook picked %d, want in-order %d", got, want)
+	}
+	if got, want := nextPiece(DownloadOpts{}, view(5)), oraclePick(false, have, remote, none, rand.New(rand.NewSource(5))); got != want {
+		t.Fatalf("default picked %d, randomized picker picks %d", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"netsession/internal/accounting"
 	"netsession/internal/analysis"
+	"netsession/internal/content"
 	"netsession/internal/id"
 )
 
@@ -58,6 +59,26 @@ func TestStateRecoversFromCorruption(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Error("corrupt state file not quarantined")
+	}
+}
+
+// TestCheckpointLoadsRetiredKeys: a download checkpoint written by an older
+// client still resumes. Keys no longer written (the in-order mode, the piece
+// counts) are ignored, and the object ID goes through the one text form.
+func TestCheckpointLoadsRetiredKeys(t *testing.T) {
+	dir := t.TempDir()
+	oid := content.NewObjectID(7, "retired/keys.bin", 1)
+	old := `{"object":"` + oid.Hex() + `","p2pOff":true,"sequential":true,"have":"AQ==","numPieces":4,"updatedMs":5}`
+	if err := os.WriteFile(filepath.Join(dir, oid.Hex()+".json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{ckptDir: dir}
+	cks := c.loadCheckpoints()
+	if len(cks) != 1 {
+		t.Fatalf("loaded %d checkpoints, want 1", len(cks))
+	}
+	if cks[0].objectID() != oid || !cks[0].P2POff {
+		t.Fatalf("checkpoint loaded as %+v", cks[0])
 	}
 }
 

@@ -72,7 +72,7 @@ func newStepRig(t *testing.T, pieces int, opts DownloadOpts) *stepRig {
 		},
 		requery:   requeryInterval,
 		store:     content.NewMemStore(),
-		metrics:   newClientMetrics(nil),
+		metrics:   newClientMetrics(),
 		traces:    telemetry.NewTraceLog(0),
 		prefs:     NewPreferences(false),
 		downloads: make(map[content.ObjectID]*Download),
@@ -237,7 +237,7 @@ func TestStepDegradesOnceAfterStallWindow(t *testing.T) {
 }
 
 func TestEdgeDuplicatesInflightPieceAfterIdle(t *testing.T) {
-	r := newStepRig(t, 2, DownloadOpts{Sequential: true})
+	r := newStepRig(t, 2, DownloadOpts{sequential: true})
 	r.d.lastQuery = r.clock.now()
 	if got := r.d.takeEdgePiece(); got != 0 {
 		t.Fatalf("edge took piece %d first", got)
@@ -285,7 +285,7 @@ func TestEdgeDuplicatesInflightPieceAfterIdle(t *testing.T) {
 // resume and how; the piece store says which pieces are done. Verified
 // pieces therefore leave the file alone, and only a degradation rewrites it.
 func TestCheckpointNotRewrittenPerPiece(t *testing.T) {
-	r := newStepRig(t, 8, DownloadOpts{Sequential: true})
+	r := newStepRig(t, 8, DownloadOpts{sequential: true})
 	r.c.ckptDir = t.TempDir()
 	r.c.saveCheckpoint(r.d) // as DownloadWith does when the download starts
 	path := r.c.checkpointPath(r.d.oid)
@@ -373,7 +373,7 @@ func TestStepSeededSchedules(t *testing.T) {
 }
 
 func runSeededSchedule(t *testing.T, seed int64) {
-	r := newStepRig(t, 24, DownloadOpts{Sequential: seed%2 == 0})
+	r := newStepRig(t, 24, DownloadOpts{sequential: seed%2 == 0})
 	r.rng = rand.New(rand.NewSource(seed))
 	r.c.cfg.StallWindow = time.Duration(2+seed%4*6) * time.Second // the short ones degrade
 	rng, d := r.rng, r.d

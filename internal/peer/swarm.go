@@ -264,22 +264,6 @@ func (sc *swarmConn) serveRequest(index int) bool {
 		sc.send(&protocol.Goodbye{Reason: "uploads disabled"})
 		return false
 	}
-	// Pause (not kill) uploads while the user's own traffic needs the
-	// link (§3.9); mutual mid-swarm exchange is exempt, since the user is
-	// actively downloading there anyway.
-	if sc.download == nil {
-		for sc.c.prefs.NetworkBusy() {
-			select {
-			case <-time.After(100 * time.Millisecond):
-			}
-			sc.mu.Lock()
-			closed := sc.closed
-			sc.mu.Unlock()
-			if closed {
-				return false
-			}
-		}
-	}
 	data, ok := sc.c.store.Get(sc.oid, index)
 	if !ok {
 		// Not having the piece is not a protocol violation; the remote's

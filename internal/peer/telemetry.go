@@ -75,10 +75,9 @@ type clientMetrics struct {
 	reportsByKind map[string]*telemetry.Counter
 }
 
-func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+// newClientMetrics registers the client's series in a private registry.
+func newClientMetrics() *clientMetrics {
+	reg := telemetry.NewRegistry()
 	m := &clientMetrics{
 		reg: reg,
 		piecesEdge: reg.Counter("peer_pieces_total",

@@ -18,61 +18,57 @@ import (
 
 // Defaults used when Backoff fields are zero.
 const (
-	DefaultBase   = 200 * time.Millisecond
-	DefaultMax    = 30 * time.Second
-	DefaultFactor = 2.0
-	DefaultJitter = 0.5
+	DefaultBase = 200 * time.Millisecond
+	DefaultMax  = 30 * time.Second
+)
+
+const (
+	// backoffFactor is the growth of the delay per attempt.
+	backoffFactor = 2.0
+	// backoffJitter is the fraction of each delay that is randomized.
+	backoffJitter = 0.5
 )
 
 // Backoff produces jittered exponential delays: attempt n waits roughly
-// Base·Factorⁿ, capped at Max, with each delay drawn uniformly from
-// [d·(1−Jitter), d·(1+Jitter)] so synchronized clients decorrelate — the
-// thundering-herd concern behind the control plane's rate-limited
-// reconnection (§3.8). Not safe for concurrent use; each retry loop owns
-// one.
+// Base·2ⁿ, capped at Max, with each delay drawn uniformly from
+// [d·0.5, d·1.5] so synchronized clients decorrelate — the thundering-herd
+// concern behind the control plane's rate-limited reconnection (§3.8). Not
+// safe for concurrent use; each retry loop owns one.
 type Backoff struct {
-	Base   time.Duration // first delay; zero selects DefaultBase
-	Max    time.Duration // cap on the un-jittered delay; zero selects DefaultMax
-	Factor float64       // growth per attempt; zero selects DefaultFactor
-	Jitter float64       // fraction of the delay randomized; zero selects DefaultJitter, negative disables
-	Rand   *rand.Rand    // randomness source; nil lazily seeds a private one
+	Base time.Duration // first delay; zero selects DefaultBase
+	Max  time.Duration // cap on the un-jittered delay; zero selects DefaultMax
 
 	attempt int
+	// rng draws the jitter; nil lazily seeds a private one. Tests seed it.
+	rng *rand.Rand
+	// exact turns the jitter off, for tests that assert exact delays.
+	exact bool
 }
 
 // Next returns the delay before the upcoming attempt and advances the
 // schedule.
 func (b *Backoff) Next() time.Duration {
-	base, max, factor, jitter := b.Base, b.Max, b.Factor, b.Jitter
+	base, max := b.Base, b.Max
 	if base <= 0 {
 		base = DefaultBase
 	}
 	if max <= 0 {
 		max = DefaultMax
 	}
-	if factor <= 0 {
-		factor = DefaultFactor
-	}
-	switch {
-	case jitter == 0:
-		jitter = DefaultJitter
-	case jitter < 0:
-		jitter = 0
-	}
 	d := float64(base)
 	for i := 0; i < b.attempt; i++ {
-		d *= factor
+		d *= backoffFactor
 		if d >= float64(max) {
 			d = float64(max)
 			break
 		}
 	}
 	b.attempt++
-	if jitter > 0 {
-		if b.Rand == nil {
-			b.Rand = rand.New(rand.NewSource(time.Now().UnixNano()))
+	if !b.exact {
+		if b.rng == nil {
+			b.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 		}
-		d *= 1 - jitter + 2*jitter*b.Rand.Float64()
+		d *= 1 - backoffJitter + 2*backoffJitter*b.rng.Float64()
 	}
 	if d < 1 {
 		d = 1

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	b := &Backoff{Base: 100 * time.Millisecond, Max: 800 * time.Millisecond, Factor: 2, Jitter: -1}
+	b := &Backoff{Base: 100 * time.Millisecond, Max: 800 * time.Millisecond, exact: true}
 	want := []time.Duration{100, 200, 400, 800, 800}
 	for i, w := range want {
 		got := b.Next()
@@ -24,8 +24,8 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	b := &Backoff{Base: 100 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5,
-		Rand: rand.New(rand.NewSource(1))}
+	b := &Backoff{Base: 100 * time.Millisecond, Max: time.Second,
+		rng: rand.New(rand.NewSource(1))}
 	for i := 0; i < 100; i++ {
 		b.Reset()
 		d := b.Next()
@@ -37,7 +37,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 
 func TestBackoffDeterministicWithSeed(t *testing.T) {
 	mk := func() []time.Duration {
-		b := &Backoff{Base: 10 * time.Millisecond, Rand: rand.New(rand.NewSource(42))}
+		b := &Backoff{Base: 10 * time.Millisecond, rng: rand.New(rand.NewSource(42))}
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = b.Next()
@@ -54,7 +54,7 @@ func TestBackoffDeterministicWithSeed(t *testing.T) {
 
 func TestDoBudget(t *testing.T) {
 	calls := 0
-	err := Do(context.Background(), &Backoff{Base: time.Microsecond, Jitter: -1}, 3, func() error {
+	err := Do(context.Background(), &Backoff{Base: time.Microsecond, exact: true}, 3, func() error {
 		calls++
 		return errors.New("boom")
 	})
@@ -62,7 +62,7 @@ func TestDoBudget(t *testing.T) {
 		t.Fatalf("want 3 failed attempts and error, got calls=%d err=%v", calls, err)
 	}
 	calls = 0
-	if err := Do(context.Background(), &Backoff{Base: time.Microsecond, Jitter: -1}, 3, func() error {
+	if err := Do(context.Background(), &Backoff{Base: time.Microsecond, exact: true}, 3, func() error {
 		calls++
 		if calls < 2 {
 			return errors.New("boom")
@@ -76,7 +76,7 @@ func TestDoBudget(t *testing.T) {
 func TestDoContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Do(ctx, &Backoff{Base: time.Hour, Jitter: -1}, 0, func() error { return errors.New("boom") })
+	err := Do(ctx, &Backoff{Base: time.Hour, exact: true}, 0, func() error { return errors.New("boom") })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -8,6 +8,50 @@ import (
 	"netsession/internal/trace"
 )
 
+// The download model's fixed numbers: one value in every scenario, so they
+// are constants here rather than ScenarioConfig fields. The workload model
+// is trace.DefaultWorkloadConfig, seeded and sized from the scenario.
+const (
+	// connFailureProb is the chance an instructed peer connection fails
+	// anyway (stale directory entry, host asleep); additional candidates
+	// are used in its place (§3.7).
+	connFailureProb float64 = 0.15
+
+	// edgePerConnMbps is the backstop rate of the single always-open edge
+	// connection while peers are serving a download (§3.3).
+	edgePerConnMbps float64 = 2.5
+	// edgeOnlyMbps is the aggregate edge throughput when no peers serve a
+	// download (p2p disabled, or none found): the DLM opens multiple edge
+	// connections and is limited only by the access link.
+	edgeOnlyMbps float64 = 12
+
+	// refreshIntervalHours is how often an online peer re-announces its
+	// cached objects, keeping its directory soft state fresh.
+	refreshIntervalHours float64 = 6
+	// cacheTTLHours is how long completed downloads stay registered.
+	cacheTTLHours float64 = 14 * 24
+	// maxUploadConnsPerPeer is the client's globally configured limit on
+	// simultaneous upload connections (§3.4).
+	maxUploadConnsPerPeer = 8
+
+	// Outcome model (§5.2): a small immediate-abort probability plus an
+	// abandonment clock make long downloads terminate more often
+	// (Figure 7); failures are rare and mostly user-side.
+	immediateAbortProb float64 = 0.02
+	abortRatePerHour   float64 = 0.08
+	failOtherProb      float64 = 0.028
+	failSystemInfra    float64 = 0.001
+	failSystemP2P      float64 = 0.002
+
+	// streamStartupPieces is the playback buffer a stream fills before it
+	// starts; stream metrics count pieces of the catalog's piece size.
+	streamStartupPieces = 2
+
+	// snapshotIntervalHours is how often (in virtual time) the telemetry
+	// gauges refresh and a snapshot line goes to Logf.
+	snapshotIntervalHours float64 = 24
+)
+
 // ScenarioConfig parameterizes one simulated deployment month.
 type ScenarioConfig struct {
 	Seed int64
@@ -25,27 +69,15 @@ type ScenarioConfig struct {
 	Days           int
 	TotalDownloads int
 
-	Atlas    geo.AtlasConfig
-	Catalog  trace.CatalogConfig
-	Workload trace.WorkloadConfig
+	Atlas   geo.AtlasConfig
+	Catalog trace.CatalogConfig
 
 	// Policy is the control plane's selection policy.
 	Policy selection.Policy
 	// MaxServersPerDownload caps concurrent serving peers per download
 	// (the client's swarm fan-out).
 	MaxServersPerDownload int
-	// ConnFailureProb is the chance an instructed peer connection fails
-	// anyway (stale directory entry, host asleep); additional candidates
-	// are used in its place (§3.7).
-	ConnFailureProb float64
 
-	// EdgePerConnMbps is the backstop rate of the single always-open edge
-	// connection while peers are serving a download (§3.3).
-	EdgePerConnMbps float64
-	// EdgeOnlyMbps is the aggregate edge throughput when no peers serve a
-	// download (p2p disabled, or none found): the DLM opens multiple edge
-	// connections and is limited only by the access link.
-	EdgeOnlyMbps float64
 	// BackstopEnabled disables the edge connection when false (the
 	// pure-p2p ablation).
 	BackstopEnabled bool
@@ -53,17 +85,9 @@ type ScenarioConfig struct {
 	// Session churn: exponential on/off times, in hours.
 	SessionOnHours  float64
 	SessionOffHours float64
-	// RefreshIntervalHours is how often an online peer re-announces its
-	// cached objects, keeping its directory soft state fresh.
-	RefreshIntervalHours float64
-	// CacheTTLHours is how long completed downloads stay registered.
-	CacheTTLHours float64
 	// PerObjectUploadCap caps serving sessions per (peer, object) (§3.9);
 	// zero disables the cap.
 	PerObjectUploadCap int
-	// MaxUploadConnsPerPeer is the client's globally configured limit on
-	// simultaneous upload connections (§3.4).
-	MaxUploadConnsPerPeer int
 	// DNFailureAtDay, when positive, wipes every region directory at the
 	// start of that day — the large-scale DN failure of §3.8. Soft state
 	// recovers via the peers' periodic re-announcements.
@@ -79,25 +103,14 @@ type ScenarioConfig struct {
 
 	// Streaming delivery (§3.4). When StreamBitrateBps and StreamFraction
 	// are both positive, that fraction of workload requests is consumed as
-	// a deadline-driven stream: playback starts once StreamStartupBytes
+	// a deadline-driven stream: playback starts once streamStartupPieces
 	// have arrived and then drains at the bitrate, and the flow's record
 	// carries a StreamStats sub-record (startup delay, rebuffers, deadline
 	// misses) exactly like a live streaming client's log entry. Draws come
 	// from a dedicated per-shard RNG stream, so the zero value (disabled)
 	// leaves base scenarios byte-identical.
-	StreamFraction     float64
-	StreamBitrateBps   int64
-	StreamStartupBytes int64 // zero: two pieces
-	StreamPieceBytes   int64 // zero: the catalog piece size
-
-	// Outcome model (§5.2): a small immediate-abort probability plus an
-	// abandonment clock make long downloads terminate more often
-	// (Figure 7); failures are rare and mostly user-side.
-	ImmediateAbortProb float64
-	AbortRatePerHour   float64
-	FailOtherProb      float64
-	FailSystemInfra    float64
-	FailSystemP2P      float64
+	StreamFraction   float64
+	StreamBitrateBps int64
 
 	// Faults configures the extra mid-download server-failure events of the
 	// chaos harness. It draws from its own seeded RNG, so the zero value
@@ -117,11 +130,8 @@ type ScenarioConfig struct {
 	// Telemetry is the metrics registry; nil creates a private one,
 	// returned in Result.Telemetry either way.
 	Telemetry *telemetry.Registry
-	// SnapshotIntervalHours is how often (in virtual time) the telemetry
-	// gauges refresh and a snapshot line goes to Logf; zero selects 24h.
-	SnapshotIntervalHours float64
-	// Logf receives the snapshot lines; nil discards them (the gauges still
-	// update).
+	// Logf receives a snapshot line every snapshotIntervalHours of virtual
+	// time; nil discards them (the gauges still update).
 	Logf func(format string, args ...any)
 }
 
@@ -131,7 +141,6 @@ type ScenarioConfig struct {
 func DefaultScenario() ScenarioConfig {
 	atlas := geo.DefaultAtlasConfig()
 	cat := trace.DefaultCatalogConfig()
-	wl := trace.DefaultWorkloadConfig()
 	// Directory entries are refreshed while peers stay online, so the
 	// selector's soft-state TTL only filters genuinely stale state.
 	policy := selection.DefaultPolicy()
@@ -142,31 +151,17 @@ func DefaultScenario() ScenarioConfig {
 		Days:           31,
 		TotalDownloads: 100_000,
 
-		Atlas:    atlas,
-		Catalog:  cat,
-		Workload: wl,
+		Atlas:   atlas,
+		Catalog: cat,
 
 		Policy:                policy,
 		MaxServersPerDownload: 40,
-		ConnFailureProb:       0.15,
-
-		EdgePerConnMbps: 2.5,
-		EdgeOnlyMbps:    12,
-		BackstopEnabled: true,
+		BackstopEnabled:       true,
 
 		SessionOnHours:        10,
 		SessionOffHours:       8,
-		RefreshIntervalHours:  6,
-		CacheTTLHours:         14 * 24,
 		PerObjectUploadCap:    50,
-		MaxUploadConnsPerPeer: 8,
 		UploadEnabledOverride: -1,
-
-		ImmediateAbortProb: 0.02,
-		AbortRatePerHour:   0.08,
-		FailOtherProb:      0.028,
-		FailSystemInfra:    0.001,
-		FailSystemP2P:      0.002,
 	}
 }
 
@@ -181,8 +176,6 @@ func StreamingScenario() ScenarioConfig {
 	cfg.SessionOffHours = 6
 	cfg.StreamFraction = 0.8
 	cfg.StreamBitrateBps = 3_000_000
-	cfg.StreamStartupBytes = 2 * int64(cfg.Catalog.PieceSize)
-	cfg.StreamPieceBytes = int64(cfg.Catalog.PieceSize)
 	return cfg
 }
 

@@ -85,9 +85,9 @@ func (sh *shard) rates(d *dl) (edge float64, per []float64, total float64) {
 		if len(d.servers) == 0 {
 			// No peers serving: the DLM behaves like a plain multi-
 			// connection download manager against the edge.
-			edge = mbpsToBytesPerMs(sh.cfg.EdgeOnlyMbps)
+			edge = mbpsToBytesPerMs(edgeOnlyMbps)
 		} else {
-			edge = mbpsToBytesPerMs(sh.cfg.EdgePerConnMbps)
+			edge = mbpsToBytesPerMs(edgePerConnMbps)
 		}
 	}
 	offers := sh.offers[:0]
@@ -281,15 +281,15 @@ func (sh *shard) startDownload(req trace.Request) {
 	sh.dls = append(sh.dls, d)
 	// Outcome pre-draws (§5.2), from the shard's own stream.
 	d.abortAtMs = -1
-	if sh.rng.Float64() < sh.cfg.ImmediateAbortProb {
+	if sh.rng.Float64() < immediateAbortProb {
 		d.abortAtMs = d.startMs + int64(sh.rng.Float64()*60_000)
-	} else if sh.cfg.AbortRatePerHour > 0 {
-		d.abortAtMs = d.startMs + expMs(sh.rng, 1/sh.cfg.AbortRatePerHour)
+	} else {
+		d.abortAtMs = d.startMs + expMs(sh.rng, 1/abortRatePerHour)
 	}
-	d.failOther = sh.rng.Float64() < sh.cfg.FailOtherProb
-	sysProb := sh.cfg.FailSystemInfra
+	d.failOther = sh.rng.Float64() < failOtherProb
+	sysProb := failSystemInfra
 	if d.p2p {
-		sysProb = sh.cfg.FailSystemP2P
+		sysProb = failSystemP2P
 	}
 	d.failSystem = sh.rng.Float64() < sysProb
 	// Streaming draw, from its own RNG stream so base scenarios are
@@ -379,10 +379,10 @@ func (sh *shard) connectCandidates(d *dl, cands []protocol.PeerInfo) {
 		if sp.isServing(d) {
 			continue // already serving this download
 		}
-		if sh.cfg.MaxUploadConnsPerPeer > 0 && len(sp.serving) >= sh.cfg.MaxUploadConnsPerPeer {
+		if len(sp.serving) >= maxUploadConnsPerPeer {
 			continue // the peer's global upload-connection limit (§3.4)
 		}
-		if sh.rng.Float64() < sh.cfg.ConnFailureProb {
+		if sh.rng.Float64() < connFailureProb {
 			continue // "if connections to some of these peers cannot be established..."
 		}
 		if sh.cfg.PerObjectUploadCap > 0 && sp.uploadsOf(d.objIx) >= sh.cfg.PerObjectUploadCap {

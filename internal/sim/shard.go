@@ -205,9 +205,7 @@ func (sh *shard) setupPeers() {
 		}
 		p.online = sh.rng.Float64() < cfg.SessionOnHours/(cfg.SessionOnHours+cfg.SessionOffHours)
 		sh.scheduleChurn(p)
-		if cfg.RefreshIntervalHours > 0 {
-			sh.scheduleRefresh(p)
-		}
+		sh.scheduleRefresh(p)
 		// Preference toggles at random points in the trace (Table 3).
 		for k := 0; k < p.spec.SettingChanges; k++ {
 			at := int64(sh.rng.Float64() * float64(cfg.Days) * 86_400_000)
@@ -264,7 +262,7 @@ func (sh *shard) scheduleChurn(p *simPeer) {
 // client re-announces periodically for the same reason (soft state, §3.8).
 func (sh *shard) scheduleRefresh(p *simPeer) {
 	jitter := int64(sh.rng.Float64() * 600_000)
-	sh.eng.After(int64(sh.cfg.RefreshIntervalHours*3_600_000)+jitter, sh.onRefresh, uint64(p.ix))
+	sh.eng.After(int64(refreshIntervalHours*3_600_000)+jitter, sh.onRefresh, uint64(p.ix))
 }
 
 // refreshTick is one firing of the periodic soft-state refresh.
@@ -343,7 +341,7 @@ func (sh *shard) togglePeer(p *simPeer) {
 // completeCache registers a freshly completed object for sharing.
 func (sh *shard) completeCache(p *simPeer, obj uint32) {
 	now := sh.eng.Now()
-	exp := now + int64(sh.cfg.CacheTTLHours*3_600_000)
+	exp := now + int64(cacheTTLHours*3_600_000)
 	oid := sh.objID[obj]
 	had := p.cacheIndex(obj)
 	if had >= 0 {

@@ -241,7 +241,7 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 		s.objIx[f.Object.ID] = uint32(len(s.objID))
 		s.objID = append(s.objID, f.Object.ID)
 	}
-	wl := cfg.Workload
+	wl := trace.DefaultWorkloadConfig()
 	wl.Seed = cfg.Seed + 3
 	wl.TotalDownloads = cfg.TotalDownloads
 	wl.Days = cfg.Days
@@ -299,10 +299,7 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 		s.shards[p.region].reqs = append(s.shards[p.region].reqs, req)
 	}
 
-	snapMs := int64(cfg.SnapshotIntervalHours * 3_600_000)
-	if snapMs <= 0 {
-		snapMs = 24 * 3_600_000
-	}
+	snapMs := int64(snapshotIntervalHours * 3_600_000)
 	for _, sh := range s.active {
 		sh.prepareRun(snapMs)
 	}

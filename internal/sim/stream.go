@@ -35,20 +35,13 @@ type streamState struct {
 }
 
 func newStreamState(cfg *ScenarioConfig) *streamState {
-	piece := float64(cfg.StreamPieceBytes)
-	if piece <= 0 {
-		piece = float64(cfg.Catalog.PieceSize)
-	}
+	piece := float64(cfg.Catalog.PieceSize)
 	if piece <= 0 {
 		piece = float64(content.DefaultPieceSize)
 	}
-	startup := float64(cfg.StreamStartupBytes)
-	if startup <= 0 {
-		startup = 2 * piece
-	}
 	return &streamState{
 		rateBytesMs:  float64(cfg.StreamBitrateBps) / 8000,
-		startupBytes: startup,
+		startupBytes: streamStartupPieces * piece,
 		pieceBytes:   piece,
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +13,6 @@ import (
 
 	"netsession/internal/analysis"
 	"netsession/internal/faults"
-	"netsession/internal/geo"
 	"netsession/internal/logpipe"
 	"netsession/internal/protocol"
 	"netsession/internal/sim"
@@ -552,26 +550,17 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	simDir := t.TempDir()
-	st, err := logpipe.OpenStore(logpipe.StoreConfig{Dir: simDir})
+	w, err := logpipe.NewBulkWriter(simDir, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookup := func(ip netip.Addr) analysis.GeoTag {
-		if rec, ok := simRes.Scape.Lookup(ip); ok {
-			return analysis.GeoTag{
-				Country: string(rec.Country),
-				ASN:     uint32(rec.ASN),
-				Region:  geo.RegionOf(rec).String(),
-			}
-		}
-		return analysis.GeoTag{}
-	}
+	lookup := analysis.ScapeLookup(simRes.Scape)
 	for i := range simRes.Log.Downloads {
-		if err := st.Append(analysis.OfflineFromRecord(&simRes.Log.Downloads[i], lookup)); err != nil {
+		if err := w.Append(analysis.OfflineFromRecord(&simRes.Log.Downloads[i], lookup)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	fromSim, err := logpipe.ReadDownloads(simDir)

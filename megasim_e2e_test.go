@@ -13,14 +13,12 @@ package netsession
 import (
 	"encoding/json"
 	"hash/fnv"
-	"net/netip"
 	"os"
 	"runtime"
 	"syscall"
 	"testing"
 
 	"netsession/internal/analysis"
-	"netsession/internal/geo"
 	"netsession/internal/logpipe"
 )
 
@@ -88,16 +86,7 @@ func TestMegaSimXXLEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookup := func(ip netip.Addr) analysis.GeoTag {
-		if rec, ok := res.Scape.Lookup(ip); ok {
-			return analysis.GeoTag{
-				Country: string(rec.Country),
-				ASN:     uint32(rec.ASN),
-				Region:  geo.RegionOf(rec).String(),
-			}
-		}
-		return analysis.GeoTag{}
-	}
+	lookup := analysis.ScapeLookup(res.Scape)
 	for i := range res.Log.Downloads {
 		if err := w.Append(analysis.OfflineFromRecord(&res.Log.Downloads[i], lookup)); err != nil {
 			t.Fatal(err)
