@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzDecodeDownload -fuzz FuzzDecodeDownload -fuzztime 30s ./internal/analysis
 	$(GO) test -run FuzzReadMessage -fuzz FuzzReadMessage -fuzztime 30s ./internal/protocol
 	$(GO) test -run FuzzUsageEntry -fuzz FuzzUsageEntry -fuzztime 30s ./internal/controlplane
+	$(GO) test -run FuzzHandoffImport -fuzz FuzzHandoffImport -fuzztime 30s ./internal/controlplane
 	$(GO) test -run FuzzAckStoreLoad -fuzz FuzzAckStoreLoad -fuzztime 30s ./internal/logpipe
 
 # Remove state directories left behind by interrupted live runs (the README

@@ -268,7 +268,6 @@ func (cn *CN) handleQuery(s *session, q *protocol.Query) {
 		Requester:     s.rec,
 		RequesterGUID: s.guid,
 		RequesterNAT:  s.info.NAT,
-		NowMs:         cn.cp.now(),
 		Max:           int(q.MaxPeers),
 		Rand:          newSelectionRand(s.guid, q.Object),
 	})
@@ -298,10 +297,9 @@ func (cn *CN) handleRegister(s *session, m *protocol.Register) {
 		cn.cp.metrics.rebuildAnnounces[int(s.region)].Inc()
 	}
 	cn.dn(s).Register(m.Object, selection.Entry{
-		Info:         s.info,
-		Rec:          s.rec,
-		Complete:     m.Complete,
-		RegisteredMs: cn.cp.now(),
+		Info:     s.info,
+		Rec:      s.rec,
+		Complete: m.Complete,
 	}, cn.cp.now())
 }
 

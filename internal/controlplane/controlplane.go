@@ -209,6 +209,9 @@ type ControlPlane struct {
 	// directory snapshot; a takeover arriving inside the validity window
 	// skips the rebuild entirely (the directory is already populated).
 	transferMs [geo.NumRegions]int64
+	// handoffSweep is how long an imported snapshot entry outlives its
+	// peer's absence (transferValidityMs); tests shorten it.
+	handoffSweep time.Duration
 
 	// The node's durable state and cluster membership, set once by StartNode
 	// before the status surface serves: the segment store (nil without a log
@@ -237,6 +240,8 @@ func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore, p
 		sessions: make(map[id.GUID]*session),
 		store:    store,
 		acks:     acks,
+
+		handoffSweep: transferValidityMs * time.Millisecond,
 	}
 	cp.analytics = newCPAnalytics(cp.metrics.reg)
 	cp.geoLookup = analysis.ScapeLookup(cfg.Scape)
@@ -289,35 +294,6 @@ func (cp *ControlPlane) Close() {
 	for _, cn := range cns {
 		cn.Close()
 	}
-}
-
-// startJanitor begins periodic soft-state expiry across all DNs: entries
-// older than ttlMs are purged every interval. Returns a stop function.
-// Expiry is safe because the directory's contents are reconstructible from
-// the peers themselves (§3.8). A ttlMs of zero disables the freshness check
-// (selection.Policy.SoftStateTTLMs), and with it the janitor.
-func (cp *ControlPlane) startJanitor(interval time.Duration, ttlMs int64) (stop func()) {
-	if ttlMs <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				now := cp.now()
-				for _, dn := range cp.dns {
-					dn.dir.Expire(now, ttlMs)
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // FailDN simulates the loss of the DN for one region: its database is

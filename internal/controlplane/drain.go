@@ -51,17 +51,17 @@ type DrainSummary struct {
 
 // handoffEntry is one directory registration on the wire. The object ID
 // travels in its full-length hex form; the peer's IP lets the receiver
-// re-resolve the geo record against its own EdgeScape.
+// re-resolve the geo record against its own EdgeScape. Older senders also
+// send a "registeredMs" key, which decoding ignores.
 type handoffEntry struct {
-	Object       string `json:"object"`
-	GUID         string `json:"guid"`
-	Addr         string `json:"addr"`
-	NAT          uint8  `json:"nat"`
-	ASN          uint32 `json:"asn"`
-	Location     uint32 `json:"location"`
-	IP           string `json:"ip,omitempty"`
-	Complete     bool   `json:"complete"`
-	RegisteredMs int64  `json:"registeredMs"`
+	Object   string `json:"object"`
+	GUID     string `json:"guid"`
+	Addr     string `json:"addr"`
+	NAT      uint8  `json:"nat"`
+	ASN      uint32 `json:"asn"`
+	Location uint32 `json:"location"`
+	IP       string `json:"ip,omitempty"`
+	Complete bool   `json:"complete"`
 }
 
 // handoffRequest is a draining node's directory snapshot for one region.
@@ -181,14 +181,13 @@ func (cp *ControlPlane) pushHandoff(client *http.Client, target cluster.Node,
 	req := handoffRequest{From: cp.cfg.NodeID, Region: region.String()}
 	for _, xe := range export {
 		he := handoffEntry{
-			Object:       xe.Object.Hex(),
-			GUID:         xe.Entry.Info.GUID.String(),
-			Addr:         xe.Entry.Info.Addr,
-			NAT:          uint8(xe.Entry.Info.NAT),
-			ASN:          xe.Entry.Info.ASN,
-			Location:     xe.Entry.Info.Location,
-			Complete:     xe.Entry.Complete,
-			RegisteredMs: xe.Entry.RegisteredMs,
+			Object:   xe.Object.Hex(),
+			GUID:     xe.Entry.Info.GUID.String(),
+			Addr:     xe.Entry.Info.Addr,
+			NAT:      uint8(xe.Entry.Info.NAT),
+			ASN:      xe.Entry.Info.ASN,
+			Location: xe.Entry.Info.Location,
+			Complete: xe.Entry.Complete,
 		}
 		if xe.Entry.Rec.IP.IsValid() {
 			he.IP = xe.Entry.Rec.IP.String()
@@ -239,36 +238,72 @@ func (cp *ControlPlane) drainHandler() http.Handler {
 // serveHandoff receives a draining node's directory snapshot for one
 // region: entries are imported into the region's directory and the transfer
 // marker is set so the takeover (triggered by the leave announcement that
-// follows) skips the rebuild window.
+// follows) skips the rebuild window. The snapshot only bridges the gap until
+// its peers log in here; sweepHandoff drops the ones that never do.
 func (cp *ControlPlane) serveHandoff(w http.ResponseWriter, r *http.Request) {
-	var req handoffRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad handoff body", http.StatusBadRequest)
-		return
-	}
-	region, ok := regionByName(req.Region)
-	if !ok {
-		http.Error(w, "unknown region "+req.Region, http.StatusBadRequest)
+	region, guids, imported, err := cp.importHandoff(io.LimitReader(r.Body, 64<<20))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	now := cp.now()
-	imported := 0
-	for i := range req.Entries {
-		he := &req.Entries[i]
-		entry, err := cp.importEntry(he)
-		if err != nil {
-			continue
-		}
-		cp.dns[int(region)].dir.Register(entry.obj, entry.e)
-		imported++
-	}
 	cp.ownMu.Lock()
 	cp.transferMs[int(region)] = now
 	cp.ownMu.Unlock()
+	cp.sweepHandoff(region, guids)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
 		Imported int `json:"imported"`
 	}{Imported: imported})
+}
+
+// importHandoff decodes a handoff body and registers every well-formed entry
+// in the named region's directory, returning the region, the distinct peers
+// imported and the number of entries imported. Malformed entries are
+// skipped; a malformed body or region imports nothing.
+func (cp *ControlPlane) importHandoff(body io.Reader) (geo.NetworkRegion, map[id.GUID]bool, int, error) {
+	var req handoffRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return 0, nil, 0, fmt.Errorf("bad handoff body: %v", err)
+	}
+	region, ok := regionByName(req.Region)
+	if !ok {
+		return 0, nil, 0, fmt.Errorf("unknown region %s", req.Region)
+	}
+	guids := make(map[id.GUID]bool)
+	imported := 0
+	for i := range req.Entries {
+		entry, err := cp.importEntry(&req.Entries[i])
+		if err != nil {
+			continue
+		}
+		cp.dns[int(region)].dir.Register(entry.obj, entry.e)
+		guids[entry.e.Info.GUID] = true
+		imported++
+	}
+	return region, guids, imported, nil
+}
+
+// sweepHandoff drops, once the handoff window has passed, the imported
+// entries of every peer that holds no session on this node in the region.
+// A peer's directory entries live as long as its session; an imported
+// entry has none until its peer logs in here and re-announces. The session
+// check and the drop share the session lock, so a login racing the sweep
+// registers after the drop, never before it.
+func (cp *ControlPlane) sweepHandoff(region geo.NetworkRegion, guids map[id.GUID]bool) {
+	if len(guids) == 0 {
+		return
+	}
+	time.AfterFunc(cp.handoffSweep, func() {
+		dir := cp.dns[int(region)].dir
+		cp.mu.Lock()
+		defer cp.mu.Unlock()
+		for g := range guids {
+			if s := cp.sessions[g]; s == nil || s.region != region {
+				dir.DropPeer(g)
+			}
+		}
+	})
 }
 
 type importedEntry struct {
@@ -300,9 +335,8 @@ func (cp *ControlPlane) importEntry(he *handoffEntry) (importedEntry, error) {
 			GUID: g, Addr: he.Addr, NAT: protocol.NATClass(he.NAT),
 			ASN: he.ASN, Location: he.Location,
 		},
-		Rec:          rec,
-		Complete:     he.Complete,
-		RegisteredMs: he.RegisteredMs,
+		Rec:      rec,
+		Complete: he.Complete,
 	}
 	return out, nil
 }

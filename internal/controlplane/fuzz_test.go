@@ -1,6 +1,9 @@
 package controlplane
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/netip"
 	"testing"
 
 	"netsession/internal/accounting"
@@ -75,6 +78,50 @@ func FuzzUsageEntry(f *testing.F) {
 			if pc.Bytes < 0 {
 				t.Fatalf("accepted contributor with negative bytes: %+v", pc)
 			}
+		}
+	})
+}
+
+// FuzzHandoffImport feeds arbitrary bytes through the decoder and importer
+// of a POST /v1/handoff body. It must never panic, and it must never import
+// more entries than the body lists, nor leave more directory entries behind
+// than it imported.
+func FuzzHandoffImport(f *testing.F) {
+	acfg := geo.DefaultAtlasConfig()
+	acfg.TailCountries = 2
+	cp := newControlPlane(Config{Scape: geo.NewEdgeScape(geo.GenerateAtlas(acfg))}, nil, nil, nil)
+	oid := content.NewObjectID(7, "file", 1)
+	rec := geo.Record{IP: netip.MustParseAddr("10.0.0.1")}
+	f.Add(handoffBody(f, 3, oid, map[id.GUID]geo.Record{{1}: rec, {2}: {}}))
+	f.Add(handoffBody(f, 0, oid, nil))
+	f.Add([]byte(`{"region":"` + geo.NetworkRegion(1).String() + `","entries":[` +
+		`{"object":"` + oid.Hex() + `","guid":"` + id.GUID{3}.String() + `","registeredMs":5},` +
+		`{"object":"zz","guid":"` + id.GUID{4}.String() + `"},{"object":"` + oid.Hex() + `","guid":"x"}]}`))
+	f.Add([]byte(`{"region":"nowhere","entries":[{}]}`))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, dn := range cp.dns {
+			dn.dir.Clear()
+		}
+		_, guids, imported, err := cp.importHandoff(bytes.NewReader(raw))
+		var listed struct {
+			Entries []json.RawMessage `json:"entries"`
+		}
+		if json.NewDecoder(bytes.NewReader(raw)).Decode(&listed) != nil || err != nil {
+			listed.Entries = nil
+		}
+		if imported > len(listed.Entries) {
+			t.Fatalf("imported %d entries from a body listing %d", imported, len(listed.Entries))
+		}
+		if len(guids) > imported {
+			t.Fatalf("%d peers from %d imported entries", len(guids), imported)
+		}
+		live := 0
+		for _, dn := range cp.dns {
+			live += len(dn.dir.Export())
+		}
+		if live > imported {
+			t.Fatalf("%d directory entries after importing %d", live, imported)
 		}
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"netsession/internal/cluster"
 	"netsession/internal/logpipe"
@@ -16,14 +15,13 @@ import (
 // Node is one assembled control-plane node, built the same way whether
 // netsession-cp runs it or the in-process cluster starts several: the
 // segment and ack stores under the log dir, the anti-entropy syncer, the
-// control plane with its CNs, the operator HTTP surface, soft-state expiry
-// and cluster membership. Every node is a cluster member; one started
+// control plane with its CNs, the operator HTTP surface and cluster
+// membership. Every node is a cluster member; one started
 // without seeds is a ring of one that other nodes can join.
 type Node struct {
 	cp       *ControlPlane
 	cns      []*CN
 	status   *statusServer
-	stopJan  func()
 	closed   sync.Once
 	closeErr error
 }
@@ -96,7 +94,6 @@ func StartNode(cfg Config) (*Node, error) {
 	})
 	n.status = cp.serveStatus(ln)
 	cp.member.Start()
-	n.stopJan = cp.startJanitor(time.Minute, cp.policy.SoftStateTTLMs)
 	return n, nil
 }
 
@@ -139,8 +136,8 @@ func (n *Node) Drain() (DrainSummary, error) {
 	return sum, n.Close()
 }
 
-// Close stops the node without a handoff — probing, expiry, the status
-// surface and the CNs, in that order — then checkpoints the ack store and
+// Close stops the node without a handoff — probing, the status surface and
+// the CNs, in that order — then checkpoints the ack store and
 // seals the open log segment, returning what those two writes failed with.
 // Safe to call again and after Kill or Drain.
 func (n *Node) Close() error {
@@ -159,7 +156,6 @@ func (n *Node) Kill() { n.halt(n.status.Kill) }
 // halt stops everything that talks to other nodes or peers, probing first.
 func (n *Node) halt(closeStatus func()) {
 	n.cp.member.Stop()
-	n.stopJan()
 	closeStatus()
 	n.cp.Close()
 }

@@ -32,7 +32,7 @@ func select40Fixture(tb testing.TB) (*Directory, Policy, Query) {
 				GUID: id.RandGUID(r), Addr: "a:1",
 				NAT: protocol.NATClass(r.Intn(5)), ASN: uint32(rec.ASN),
 			},
-			Rec: rec, Complete: true, RegisteredMs: 0,
+			Rec: rec, Complete: true,
 		})
 	}
 	req, err := scape.AllocateRandom(r)
@@ -40,7 +40,6 @@ func select40Fixture(tb testing.TB) (*Directory, Policy, Query) {
 		tb.Fatal(err)
 	}
 	pol := DefaultPolicy()
-	pol.SoftStateTTLMs = 0
 	q := Query{
 		Object: oid, Requester: req, RequesterGUID: id.RandGUID(r),
 		RequesterNAT: protocol.NATNone, Rand: r,

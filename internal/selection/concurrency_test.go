@@ -14,7 +14,7 @@ import (
 // TestDirectoryConcurrency hammers one directory from many goroutines; run
 // with -race. The live CN serves thousands of concurrent sessions against
 // shared DN state, so the directory must be safe under arbitrary
-// interleavings of register/select/unregister/expire — including geo-moving
+// interleavings of register/select/unregister/clear — including geo-moving
 // re-registrations (which rewrite locality lists under selections in flight)
 // and the tombstone compactions triggered by unregister storms.
 func TestDirectoryConcurrency(t *testing.T) {
@@ -59,7 +59,7 @@ func TestDirectoryConcurrency(t *testing.T) {
 							GUID: id.RandGUID(r), Addr: "a:1",
 							NAT: protocol.NATNone, ASN: uint32(rec.ASN),
 						},
-						Rec: rec, Complete: true, RegisteredMs: int64(i),
+						Rec: rec, Complete: true,
 					}
 					dir.Register(oids[r.Intn(objects)], e)
 					mine = append(mine, e)
@@ -69,7 +69,6 @@ func TestDirectoryConcurrency(t *testing.T) {
 						Requester:     geo.Record{Country: "US", Continent: geo.NorthAmerica},
 						RequesterGUID: id.RandGUID(r),
 						RequesterNAT:  protocol.NATNone,
-						NowMs:         int64(i),
 						Rand:          r,
 					}
 					got := dir.Select(pol, q)
@@ -87,8 +86,8 @@ func TestDirectoryConcurrency(t *testing.T) {
 						dir.DropPeer(mine[ix].Info.GUID)
 						mine = append(mine[:ix], mine[ix+1:]...)
 					}
-				case 4: // expire aggressively
-					dir.Expire(int64(i), 50)
+				case 4: // wipe everything, as a DN failure or region release does
+					dir.Clear()
 				case 5: // geo-move: re-register one of ours from another network
 					if len(mine) > 0 {
 						ix := r.Intn(len(mine))
@@ -102,7 +101,6 @@ func TestDirectoryConcurrency(t *testing.T) {
 						e := mine[ix]
 						e.Rec = rec
 						e.Info.ASN = uint32(rec.ASN)
-						e.RegisteredMs = int64(i)
 						dir.Register(oids[r.Intn(objects)], e)
 						mine[ix] = e
 					}

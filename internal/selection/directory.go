@@ -29,7 +29,8 @@ type Entry struct {
 	// Complete reports whether the peer holds every piece; partial holders
 	// are still useful uploaders mid-swarm.
 	Complete bool
-	// RegisteredMs is the soft-state timestamp; stale entries are purged.
+	// RegisteredMs is read by nothing: an entry lives as long as its peer's
+	// session. It stays only because benchmark/probes.go sets it.
 	RegisteredMs int64
 }
 
@@ -249,24 +250,6 @@ func (d *Directory) Export() []ExportEntry {
 		}
 	}
 	return out
-}
-
-// Expire purges registrations whose soft state is older than ttlMs at time
-// nowMs, returning how many entries were purged. The directory's contents
-// are reconstructible from the peers (§3.8), so aggressive expiry is safe.
-func (d *Directory) Expire(nowMs, ttlMs int64) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	purged := 0
-	for obj, oe := range d.objects {
-		for g, de := range oe.entries {
-			if !de.dead && nowMs-de.e.RegisteredMs > ttlMs {
-				d.unregisterLocked(obj, g)
-				purged++
-			}
-		}
-	}
-	return purged
 }
 
 // Copies returns how many peers currently register the object — the

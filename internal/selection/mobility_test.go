@@ -13,8 +13,8 @@ import (
 // the sets derived from its old record.
 func TestRegisterGeoMove(t *testing.T) {
 	f := newFixture(t)
-	moved := f.addPeer(t, "US", 0, protocol.NATNone, 0)
-	anchor := f.addPeer(t, "US", 0, protocol.NATNone, 0)
+	moved := f.addPeer(t, "US", 0, protocol.NATNone)
+	anchor := f.addPeer(t, "US", 0, protocol.NATNone)
 
 	// Re-register the first peer from Germany: same GUID, new record.
 	de, _ := f.atlas.Country("DE")
@@ -27,7 +27,6 @@ func TestRegisterGeoMove(t *testing.T) {
 	movedEntry.Rec = rec
 	movedEntry.Info.Addr = ip.String() + ":7000"
 	movedEntry.Info.ASN = uint32(rec.ASN)
-	movedEntry.RegisteredMs = 100
 	f.dir.Register(f.obj, movedEntry)
 
 	if got := f.dir.Copies(f.obj); got != 2 {
@@ -85,7 +84,7 @@ func TestTombstoneCompaction(t *testing.T) {
 	f := newFixture(t)
 	var entries []Entry
 	for i := 0; i < 10; i++ {
-		entries = append(entries, f.addPeer(t, "US", 0, protocol.NATNone, 0))
+		entries = append(entries, f.addPeer(t, "US", 0, protocol.NATNone))
 	}
 
 	// Tombstone 3 of 10: below the compaction threshold, so the dead GUIDs
@@ -116,7 +115,6 @@ func TestTombstoneCompaction(t *testing.T) {
 
 	// Resurrect one tombstone by re-registering it.
 	back := entries[0]
-	back.RegisteredMs = 50
 	f.dir.Register(f.obj, back)
 	if oe.dead != 2 || f.dir.Copies(f.obj) != 8 {
 		t.Fatalf("dead=%d Copies=%d after resurrection, want 2 and 8", oe.dead, f.dir.Copies(f.obj))

@@ -35,7 +35,7 @@ func newFixture(t testing.TB) *fixture {
 }
 
 // addPeer registers a peer homed in the given country/AS-index.
-func (f *fixture) addPeer(t testing.TB, country geo.CountryCode, asIx int, natc protocol.NATClass, nowMs int64) Entry {
+func (f *fixture) addPeer(t testing.TB, country geo.CountryCode, asIx int, natc protocol.NATClass) Entry {
 	t.Helper()
 	c, ok := f.atlas.Country(country)
 	if !ok {
@@ -51,7 +51,7 @@ func (f *fixture) addPeer(t testing.TB, country geo.CountryCode, asIx int, natc 
 			GUID: id.RandGUID(f.rng), Addr: ip.String() + ":7000",
 			NAT: natc, ASN: uint32(rec.ASN), Location: uint32(rec.Location),
 		},
-		Rec: rec, Complete: true, RegisteredMs: nowMs,
+		Rec: rec, Complete: true,
 	}
 	f.dir.Register(f.obj, e)
 	return e
@@ -60,7 +60,7 @@ func (f *fixture) addPeer(t testing.TB, country geo.CountryCode, asIx int, natc 
 func (f *fixture) query(rec geo.Record, natc protocol.NATClass, max int) Query {
 	return Query{
 		Object: f.obj, Requester: rec, RequesterGUID: id.RandGUID(f.rng),
-		RequesterNAT: natc, NowMs: 1000, Max: max, Rand: f.rng,
+		RequesterNAT: natc, Max: max, Rand: f.rng,
 	}
 }
 
@@ -79,9 +79,9 @@ func TestSelectPrefersLocality(t *testing.T) {
 	// 5 peers in the requester's AS, 5 elsewhere in the country, 5 abroad.
 	var sameAS, sameCountry, abroad []id.GUID
 	for i := 0; i < 5; i++ {
-		sameAS = append(sameAS, f.addPeer(t, "US", 0, protocol.NATNone, 0).Info.GUID)
-		sameCountry = append(sameCountry, f.addPeer(t, "US", 1, protocol.NATNone, 0).Info.GUID)
-		abroad = append(abroad, f.addPeer(t, "DE", 0, protocol.NATNone, 0).Info.GUID)
+		sameAS = append(sameAS, f.addPeer(t, "US", 0, protocol.NATNone).Info.GUID)
+		sameCountry = append(sameCountry, f.addPeer(t, "US", 1, protocol.NATNone).Info.GUID)
+		abroad = append(abroad, f.addPeer(t, "DE", 0, protocol.NATNone).Info.GUID)
 	}
 	req := f.requesterIn(t, "US", 0)
 	pol := DefaultPolicy()
@@ -127,7 +127,7 @@ func TestSelectPrefersLocality(t *testing.T) {
 func TestSelectRequiresOwnership(t *testing.T) {
 	f := newFixture(t)
 	for i := 0; i < 5; i++ {
-		f.addPeer(t, "US", 0, protocol.NATNone, 0)
+		f.addPeer(t, "US", 0, protocol.NATNone)
 	}
 	req := f.requesterIn(t, "US", 0)
 	if got := f.dir.Select(DefaultPolicy(), f.query(req, protocol.NATNone, 5)); len(got) == 0 {
@@ -146,7 +146,7 @@ func TestSelectRequiresOwnership(t *testing.T) {
 func TestSelectFairnessRotation(t *testing.T) {
 	f := newFixture(t)
 	for i := 0; i < 6; i++ {
-		f.addPeer(t, "US", 0, protocol.NATNone, 0)
+		f.addPeer(t, "US", 0, protocol.NATNone)
 	}
 	req := f.requesterIn(t, "US", 0)
 	pol := DefaultPolicy()
@@ -175,8 +175,8 @@ func TestSelectFairnessRotation(t *testing.T) {
 
 func TestSelectNATFiltering(t *testing.T) {
 	f := newFixture(t)
-	sym := f.addPeer(t, "US", 0, protocol.NATSymmetric, 0)
-	cone := f.addPeer(t, "US", 0, protocol.NATFullCone, 0)
+	sym := f.addPeer(t, "US", 0, protocol.NATSymmetric)
+	cone := f.addPeer(t, "US", 0, protocol.NATFullCone)
 	req := f.requesterIn(t, "US", 0)
 	got := f.dir.Select(DefaultPolicy(), f.query(req, protocol.NATSymmetric, 40))
 	if len(got) != 1 || got[0].GUID != cone.Info.GUID {
@@ -192,30 +192,9 @@ func TestSelectNATFiltering(t *testing.T) {
 	}
 }
 
-func TestSelectSoftStateExpiry(t *testing.T) {
-	f := newFixture(t)
-	f.addPeer(t, "US", 0, protocol.NATNone, 0) // stale: registered at t=0
-	fresh := f.addPeer(t, "US", 0, protocol.NATNone, 999)
-	pol := DefaultPolicy()
-	pol.SoftStateTTLMs = 500
-	q := f.query(f.requesterIn(t, "US", 0), protocol.NATNone, 40)
-	q.NowMs = 1000
-	got := f.dir.Select(pol, q)
-	if len(got) != 1 || got[0].GUID != fresh.Info.GUID {
-		t.Fatalf("stale entry not filtered: got %d peers", len(got))
-	}
-	// Expire() physically purges.
-	if purged := f.dir.Expire(1000, 500); purged != 1 {
-		t.Fatalf("Expire purged %d, want 1", purged)
-	}
-	if f.dir.Copies(f.obj) != 1 {
-		t.Fatalf("Copies=%d after expiry, want 1", f.dir.Copies(f.obj))
-	}
-}
-
 func TestSelectExcludesRequester(t *testing.T) {
 	f := newFixture(t)
-	e := f.addPeer(t, "US", 0, protocol.NATNone, 0)
+	e := f.addPeer(t, "US", 0, protocol.NATNone)
 	q := f.query(e.Rec, protocol.NATNone, 40)
 	q.RequesterGUID = e.Info.GUID
 	if got := f.dir.Select(DefaultPolicy(), q); len(got) != 0 {
@@ -226,8 +205,8 @@ func TestSelectExcludesRequester(t *testing.T) {
 func TestSelectDiversity(t *testing.T) {
 	f := newFixture(t)
 	for i := 0; i < 30; i++ {
-		f.addPeer(t, "US", 0, protocol.NATNone, 0)
-		f.addPeer(t, "DE", 0, protocol.NATNone, 0)
+		f.addPeer(t, "US", 0, protocol.NATNone)
+		f.addPeer(t, "DE", 0, protocol.NATNone)
 	}
 	req := f.requesterIn(t, "US", 0)
 	pol := DefaultPolicy()
@@ -249,8 +228,8 @@ func TestSelectDiversity(t *testing.T) {
 
 func TestUnregisterAndDropPeer(t *testing.T) {
 	f := newFixture(t)
-	a := f.addPeer(t, "US", 0, protocol.NATNone, 0)
-	b := f.addPeer(t, "US", 0, protocol.NATNone, 0)
+	a := f.addPeer(t, "US", 0, protocol.NATNone)
+	b := f.addPeer(t, "US", 0, protocol.NATNone)
 	obj2 := content.NewObjectID(1, "obj2", 1)
 	f.dir.Register(obj2, a)
 
@@ -273,9 +252,8 @@ func TestUnregisterAndDropPeer(t *testing.T) {
 
 func TestRegisterIdempotent(t *testing.T) {
 	f := newFixture(t)
-	e := f.addPeer(t, "US", 0, protocol.NATNone, 0)
+	e := f.addPeer(t, "US", 0, protocol.NATNone)
 	// Re-register same peer: refresh, not duplicate.
-	e.RegisteredMs = 500
 	f.dir.Register(f.obj, e)
 	if f.dir.Copies(f.obj) != 1 {
 		t.Fatalf("Copies=%d after re-register, want 1", f.dir.Copies(f.obj))
@@ -289,7 +267,7 @@ func TestRegisterIdempotent(t *testing.T) {
 func TestClearSimulatesDNFailure(t *testing.T) {
 	f := newFixture(t)
 	for i := 0; i < 5; i++ {
-		f.addPeer(t, "US", 0, protocol.NATNone, 0)
+		f.addPeer(t, "US", 0, protocol.NATNone)
 	}
 	f.dir.Clear()
 	if f.dir.Copies(f.obj) != 0 || f.dir.Objects() != 0 {
@@ -300,10 +278,10 @@ func TestClearSimulatesDNFailure(t *testing.T) {
 func TestRandomBaselineIgnoresLocality(t *testing.T) {
 	f := newFixture(t)
 	for i := 0; i < 40; i++ {
-		f.addPeer(t, "DE", 0, protocol.NATNone, 0)
+		f.addPeer(t, "DE", 0, protocol.NATNone)
 	}
 	for i := 0; i < 2; i++ {
-		f.addPeer(t, "US", 0, protocol.NATNone, 0)
+		f.addPeer(t, "US", 0, protocol.NATNone)
 	}
 	req := f.requesterIn(t, "US", 0)
 	pol := DefaultPolicy()

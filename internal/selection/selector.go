@@ -25,9 +25,6 @@ type Policy struct {
 	// RequireNATCompat filters candidates the requester's NAT cannot punch
 	// with.
 	RequireNATCompat bool
-	// SoftStateTTLMs rejects registrations older than this; 0 disables the
-	// freshness check.
-	SoftStateTTLMs int64
 	// LocalityAware switches between the paper's strategy and the random
 	// baseline used by the ablation benches.
 	LocalityAware bool
@@ -39,7 +36,6 @@ func DefaultPolicy() Policy {
 		MaxPeers:         40,
 		DiversityProb:    0.10,
 		RequireNATCompat: true,
-		SoftStateTTLMs:   6 * 3600 * 1000,
 		LocalityAware:    true,
 	}
 }
@@ -51,21 +47,15 @@ type Query struct {
 	// RequesterGUID is excluded from results.
 	RequesterGUID id.GUID
 	RequesterNAT  protocol.NATClass
-	NowMs         int64
+	// NowMs is read by nothing; it stays only because benchmark/probes.go
+	// sets it.
+	NowMs int64
 	// Max overrides Policy.MaxPeers when positive.
 	Max int
 	// Rand drives the diversity mechanism; required. It is only used
 	// outside the directory's lock, so a per-caller Rand needs no extra
 	// synchronization.
 	Rand *rand.Rand
-}
-
-// candidate is the selector's private copy of one live registration.
-// Directory entries are mutated in place by re-registration, so the walk
-// works on copies, never on shared pointers.
-type candidate struct {
-	info  protocol.PeerInfo
-	regMs int64
 }
 
 // rotation records one fairness move (taken peer → tail of its level's
@@ -81,7 +71,10 @@ type rotation struct {
 // quota from the head of a 10k-peer world set never pays for the tail.
 type levelState struct {
 	guids []id.GUID
-	cands []candidate
+	// cands are copies of live registrations' contact details: directory
+	// entries are mutated in place by re-registration, so the walk works on
+	// copies, never on shared pointers.
+	cands []protocol.PeerInfo
 	// next is the first unresolved index into guids.
 	next  int
 	haveG bool
@@ -157,8 +150,8 @@ func (d *Directory) Select(p Policy, q Query) []protocol.PeerInfo {
 // spilling to wider sets until the quota is met, with the paper's
 // probabilistic diversity picks from less specific sets.
 func (d *Directory) selectLocality(sc *selScratch, p Policy, q Query, max int, sets [4]geo.SetKey) {
-	take := func(c candidate, level int) bool {
-		g := c.info.GUID
+	take := func(c protocol.PeerInfo, level int) bool {
+		g := c.GUID
 		if g == q.RequesterGUID {
 			return false
 		}
@@ -167,14 +160,11 @@ func (d *Directory) selectLocality(sc *selScratch, p Policy, q Query, max int, s
 				return false
 			}
 		}
-		if p.SoftStateTTLMs > 0 && q.NowMs-c.regMs > p.SoftStateTTLMs {
-			return false
-		}
-		if p.RequireNATCompat && !nat.CanConnect(q.RequesterNAT, c.info.NAT) {
+		if p.RequireNATCompat && !nat.CanConnect(q.RequesterNAT, c.NAT) {
 			return false
 		}
 		sc.chosen = append(sc.chosen, g)
-		sc.out = append(sc.out, c.info)
+		sc.out = append(sc.out, c)
 		sc.rots = append(sc.rots, rotation{level: int8(level), g: g})
 		return true
 	}
@@ -220,16 +210,13 @@ func (d *Directory) selectRandom(sc *selScratch, p Policy, q Query, max int, wor
 	list := d.fillLevel(sc, q.Object, world, 3, int(^uint(0)>>1))
 	q.Rand.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
 	for _, c := range list {
-		if c.info.GUID == q.RequesterGUID {
+		if c.GUID == q.RequesterGUID {
 			continue
 		}
-		if p.SoftStateTTLMs > 0 && q.NowMs-c.regMs > p.SoftStateTTLMs {
+		if p.RequireNATCompat && !nat.CanConnect(q.RequesterNAT, c.NAT) {
 			continue
 		}
-		if p.RequireNATCompat && !nat.CanConnect(q.RequesterNAT, c.info.NAT) {
-			continue
-		}
-		sc.out = append(sc.out, c.info)
+		sc.out = append(sc.out, c)
 		if len(sc.out) >= max {
 			break
 		}
@@ -242,7 +229,7 @@ func (d *Directory) selectRandom(sc *selScratch, p Policy, q Query, max int, wor
 // query sees one consistent fairness order); each locked section resolves at
 // most snapshotChunk entries, skipping tombstones and GUIDs unregistered
 // since the copy. An object that vanishes mid-query just exhausts the level.
-func (d *Directory) fillLevel(sc *selScratch, obj content.ObjectID, key geo.SetKey, li, want int) []candidate {
+func (d *Directory) fillLevel(sc *selScratch, obj content.ObjectID, key geo.SetKey, li, want int) []protocol.PeerInfo {
 	lv := &sc.levels[li]
 	for len(lv.cands) < want {
 		if lv.haveG && lv.next >= len(lv.guids) {
@@ -266,7 +253,7 @@ func (d *Directory) fillLevel(sc *selScratch, obj content.ObjectID, key geo.SetK
 		}
 		for ; lv.next < end; lv.next++ {
 			if de := oe.entries[lv.guids[lv.next]]; de != nil && !de.dead {
-				lv.cands = append(lv.cands, candidate{info: de.e.Info, regMs: de.e.RegisteredMs})
+				lv.cands = append(lv.cands, de.e.Info)
 			}
 		}
 		d.mu.Unlock()

@@ -25,9 +25,6 @@ const (
 	// connections and is limited only by the access link.
 	edgeOnlyMbps float64 = 12
 
-	// refreshIntervalHours is how often an online peer re-announces its
-	// cached objects, keeping its directory soft state fresh.
-	refreshIntervalHours float64 = 6
 	// cacheTTLHours is how long completed downloads stay registered.
 	cacheTTLHours float64 = 14 * 24
 	// maxUploadConnsPerPeer is the client's globally configured limit on
@@ -89,8 +86,8 @@ type ScenarioConfig struct {
 	// zero disables the cap.
 	PerObjectUploadCap int
 	// DNFailureAtDay, when positive, wipes every region directory at the
-	// start of that day — the large-scale DN failure of §3.8. Soft state
-	// recovers via the peers' periodic re-announcements.
+	// start of that day — the large-scale DN failure of §3.8. Every online
+	// peer re-announces its cached objects at once, the live RE-ADD.
 	DNFailureAtDay int
 	// SeedCopiesPerObject pre-seeds each p2p-enabled object at this many
 	// upload-enabled peers at time zero. The hybrid system needs no seeds
@@ -118,14 +115,14 @@ type ScenarioConfig struct {
 	// result — byte-identical.
 	Faults faults.SimConfig
 
-	// RegionSample, when non-empty, simulates only the listed network
+	// regionSample, when non-empty, simulates only the listed network
 	// regions: peers homed elsewhere are never instantiated and no events
 	// run for their shards. Region shards are causally independent — no
 	// cross-shard reads, per-shard RNG streams derived from (seed, region)
 	// — so the sampled shards' logs are byte-identical to the same regions
 	// of a full run. This is how tests exercise paper-scale per-shard
 	// populations without paying for all twelve shards.
-	RegionSample []geo.NetworkRegion
+	regionSample []geo.NetworkRegion
 
 	// Telemetry is the metrics registry; nil creates a private one,
 	// returned in Result.Telemetry either way.
@@ -141,10 +138,6 @@ type ScenarioConfig struct {
 func DefaultScenario() ScenarioConfig {
 	atlas := geo.DefaultAtlasConfig()
 	cat := trace.DefaultCatalogConfig()
-	// Directory entries are refreshed while peers stay online, so the
-	// selector's soft-state TTL only filters genuinely stale state.
-	policy := selection.DefaultPolicy()
-	policy.SoftStateTTLMs = 12 * 3600 * 1000
 	return ScenarioConfig{
 		Seed:           1,
 		NumPeers:       20_000,
@@ -154,7 +147,7 @@ func DefaultScenario() ScenarioConfig {
 		Atlas:   atlas,
 		Catalog: cat,
 
-		Policy:                policy,
+		Policy:                selection.DefaultPolicy(),
 		MaxServersPerDownload: 40,
 		BackstopEnabled:       true,
 

@@ -55,7 +55,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRegionSampleMatchesFullRun is the RegionSample contract at small
+// TestRegionSampleMatchesFullRun is the regionSample contract at small
 // scale: because region shards are causally independent, a run that
 // simulates only two regions must reproduce exactly the records a full run
 // attributes to those regions, in the same merge order.
@@ -64,7 +64,7 @@ func TestRegionSampleMatchesFullRun(t *testing.T) {
 	full := runSmall(t, tinyScenario)
 	part := runSmall(t, func(c *ScenarioConfig) {
 		tinyScenario(c)
-		c.RegionSample = sample
+		c.regionSample = sample
 	})
 
 	inSample := func(ip netip.Addr) bool {
@@ -120,7 +120,7 @@ func TestDeterminismSampledM(t *testing.T) {
 	run := func(workers int) (events, downloads int, digest uint64) {
 		cfg := MScenario()
 		cfg.Workers = workers
-		cfg.RegionSample = []geo.NetworkRegion{1, 4}
+		cfg.regionSample = []geo.NetworkRegion{1, 4}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

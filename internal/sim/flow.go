@@ -321,7 +321,6 @@ func (sh *shard) attachInitialServers(d *dl) {
 		Requester:     d.peer.spec.Home,
 		RequesterGUID: d.peer.spec.GUID,
 		RequesterNAT:  d.peer.spec.NAT,
-		NowMs:         sh.eng.Now(),
 		Rand:          sh.rng,
 	})
 	d.peersReturned = len(cands)
@@ -360,7 +359,6 @@ func (sh *shard) attachInitialServersKeepCount(d *dl) {
 		Requester:     d.peer.spec.Home,
 		RequesterGUID: d.peer.spec.GUID,
 		RequesterNAT:  d.peer.spec.NAT,
-		NowMs:         sh.eng.Now(),
 		Rand:          sh.rng,
 	})
 	sh.connectCandidates(d, cands)

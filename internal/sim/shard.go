@@ -61,7 +61,6 @@ type shard struct {
 	// uint64 argument and one of these function values instead of a fresh
 	// closure — see the Engine doc.
 	onChurn    func(uint64) // arg: peer index
-	onRefresh  func(uint64) // arg: peer index
 	onToggle   func(uint64) // arg: peer index
 	onExpire   func(uint64) // arg: peerIx<<32 | objIx
 	onFire     func(uint64) // arg unused
@@ -148,7 +147,6 @@ func newShard(cfg *ScenarioConfig, region geo.NetworkRegion, m *simMetrics, logf
 		guidIx:    make(map[id.GUID]*simPeer),
 	}
 	sh.onChurn = sh.handleChurn
-	sh.onRefresh = sh.handleRefresh
 	sh.onToggle = sh.handleToggle
 	sh.onExpire = sh.handleExpire
 	sh.onFire = sh.handleFire
@@ -165,12 +163,22 @@ func newShard(cfg *ScenarioConfig, region geo.NetworkRegion, m *simMetrics, logf
 // Handler shims: unpack the event argument and dispatch. Peer indexes and
 // download slots are shard-local; slots of finished downloads resolve to
 // nil (the event is stale).
-func (sh *shard) handleChurn(arg uint64)   { sh.churn(sh.peers[arg]) }
-func (sh *shard) handleRefresh(arg uint64) { sh.refreshTick(sh.peers[arg]) }
-func (sh *shard) handleToggle(arg uint64)  { sh.togglePeer(sh.peers[arg]) }
-func (sh *shard) handleExpire(arg uint64)  { sh.expireCache(sh.peers[arg>>32], uint32(arg)) }
-func (sh *shard) handleFire(uint64)        { sh.fireRequest() }
-func (sh *shard) handleDirClear(uint64)    { sh.dir.Clear() }
+func (sh *shard) handleChurn(arg uint64)  { sh.churn(sh.peers[arg]) }
+func (sh *shard) handleToggle(arg uint64) { sh.togglePeer(sh.peers[arg]) }
+func (sh *shard) handleExpire(arg uint64) { sh.expireCache(sh.peers[arg>>32], uint32(arg)) }
+func (sh *shard) handleFire(uint64)       { sh.fireRequest() }
+
+// handleDirClear is a DN failure: the directory is lost, and every online
+// peer answers the RE-ADD with its cached objects (§3.8), as the live
+// FailDN asks its connected peers to.
+func (sh *shard) handleDirClear(uint64) {
+	sh.dir.Clear()
+	for _, p := range sh.peers {
+		if p.online {
+			sh.reregisterCache(p)
+		}
+	}
+}
 
 // addPeer claims a peer spec for this shard; called in global peer order
 // during setup so per-shard peer order is deterministic.
@@ -193,10 +201,9 @@ func (sh *shard) addPeer(spec *trace.PeerSpec) *simPeer {
 	return p
 }
 
-// setupPeers draws each peer's initial presence, churn cycle, soft-state
-// refresh cycle and preference toggles from the shard's RNG stream. Runs
-// single-threaded during setup, in region order, so the stream is
-// reproducible.
+// setupPeers draws each peer's initial presence, churn cycle and preference
+// toggles from the shard's RNG stream. Runs single-threaded during setup, in
+// region order, so the stream is reproducible.
 func (sh *shard) setupPeers() {
 	cfg := sh.cfg
 	for _, p := range sh.peers {
@@ -205,7 +212,6 @@ func (sh *shard) setupPeers() {
 		}
 		p.online = sh.rng.Float64() < cfg.SessionOnHours/(cfg.SessionOnHours+cfg.SessionOffHours)
 		sh.scheduleChurn(p)
-		sh.scheduleRefresh(p)
 		// Preference toggles at random points in the trace (Table 3).
 		for k := 0; k < p.spec.SettingChanges; k++ {
 			at := int64(sh.rng.Float64() * float64(cfg.Days) * 86_400_000)
@@ -222,8 +228,8 @@ func (sh *shard) prepareRun(snapMs int64) {
 	}
 	sh.snapshotLoop(snapMs)
 	if sh.cfg.DNFailureAtDay > 0 {
-		// The DN database is lost; the directory repopulates from the
-		// peers' soft-state refreshes (§3.8).
+		// The DN database is lost; the online peers' RE-ADD repopulates it
+		// (§3.8).
 		sh.eng.At(int64(sh.cfg.DNFailureAtDay)*86_400_000, sh.onDirClear, 0)
 	}
 }
@@ -258,21 +264,6 @@ func (sh *shard) scheduleChurn(p *simPeer) {
 	sh.eng.After(d, sh.onChurn, uint64(p.ix))
 }
 
-// scheduleRefresh keeps an online peer's directory entries fresh; the live
-// client re-announces periodically for the same reason (soft state, §3.8).
-func (sh *shard) scheduleRefresh(p *simPeer) {
-	jitter := int64(sh.rng.Float64() * 600_000)
-	sh.eng.After(int64(refreshIntervalHours*3_600_000)+jitter, sh.onRefresh, uint64(p.ix))
-}
-
-// refreshTick is one firing of the periodic soft-state refresh.
-func (sh *shard) refreshTick(p *simPeer) {
-	if p.online {
-		sh.reregisterCache(p)
-	}
-	sh.scheduleRefresh(p)
-}
-
 func (sh *shard) churn(p *simPeer) {
 	if p.online {
 		// Keep the machine on while the user's own downloads run.
@@ -295,8 +286,8 @@ func (sh *shard) setOnline(p *simPeer) {
 	sh.reregisterCache(p)
 }
 
-// reregisterCache announces unexpired cached objects after a (re)connect;
-// the directory is soft state (§3.8). Expired entries are purged in place
+// reregisterCache announces unexpired cached objects after a (re)connect or
+// a DN failure; the directory is soft state (§3.8). Expired entries are purged in place
 // (the same lazy cleanup the map-based cache did). Per-object registrations
 // are independent, so iteration order does not affect results; the slice
 // makes it deterministic (completion order) anyway.
@@ -312,7 +303,7 @@ func (sh *shard) reregisterCache(p *simPeer) {
 		}
 		kept = append(kept, e)
 		sh.dir.Register(sh.objID[e.obj], selection.Entry{
-			Info: p.info, Rec: p.spec.Home, Complete: true, RegisteredMs: now,
+			Info: p.info, Rec: p.spec.Home, Complete: true,
 		})
 	}
 	p.cache = kept
@@ -338,7 +329,9 @@ func (sh *shard) togglePeer(p *simPeer) {
 	}
 }
 
-// completeCache registers a freshly completed object for sharing.
+// completeCache registers a freshly completed object for sharing. Every
+// completion, a re-completion included, schedules the expire event for its
+// TTL; expireCache ignores the events an extended entry has outlived.
 func (sh *shard) completeCache(p *simPeer, obj uint32) {
 	now := sh.eng.Now()
 	exp := now + int64(cacheTTLHours*3_600_000)
@@ -351,7 +344,7 @@ func (sh *shard) completeCache(p *simPeer, obj uint32) {
 	}
 	if p.uploadsEnabled && p.online {
 		sh.dir.Register(oid, selection.Entry{
-			Info: p.info, Rec: p.spec.Home, Complete: true, RegisteredMs: now,
+			Info: p.info, Rec: p.spec.Home, Complete: true,
 		})
 	}
 	if had < 0 {
@@ -359,8 +352,8 @@ func (sh *shard) completeCache(p *simPeer, obj uint32) {
 		sh.log.regs = append(sh.log.regs, stampedReg{at: now, rec: accounting.RegistrationRecord{
 			TimeMs: now, GUID: p.spec.GUID, Object: oid,
 		}})
-		sh.eng.At(exp, sh.onExpire, uint64(p.ix)<<32|uint64(obj))
 	}
+	sh.eng.At(exp, sh.onExpire, uint64(p.ix)<<32|uint64(obj))
 }
 
 func (sh *shard) expireCache(p *simPeer, obj uint32) {

@@ -37,7 +37,7 @@ type Sim struct {
 
 	shards []*shard
 	// active is the subset of shards actually simulated: all of them
-	// normally, only the sampled regions under cfg.RegionSample.
+	// normally, only the sampled regions under cfg.regionSample.
 	active []*shard
 	// peers holds every simulated peer, indexed like pop.Peers; each peer
 	// is mutated only by its owning region's shard. Entries for peers homed
@@ -253,14 +253,14 @@ func Run(cfg ScenarioConfig) (*Result, error) {
 	// Build shards and partition peers in global order, so each shard's
 	// peer list (and with it every per-peer draw) is deterministic.
 	var sampled [geo.NumRegions]bool
-	if len(cfg.RegionSample) == 0 {
+	if len(cfg.regionSample) == 0 {
 		for r := range sampled {
 			sampled[r] = true
 		}
 	} else {
-		for _, r := range cfg.RegionSample {
+		for _, r := range cfg.regionSample {
 			if int(r) < 0 || int(r) >= geo.NumRegions {
-				return nil, fmt.Errorf("sim: RegionSample region %d out of range", r)
+				return nil, fmt.Errorf("sim: regionSample region %d out of range", r)
 			}
 			sampled[r] = true
 		}
@@ -396,7 +396,7 @@ func (s *Sim) seedObjects() {
 	rng := rand.New(rand.NewSource(s.cfg.Seed + 5))
 	var enabled []*simPeer
 	for _, p := range s.peers {
-		// Under RegionSample unsampled peers are nil; the seed plan then
+		// Under regionSample unsampled peers are nil; the seed plan then
 		// differs from a full run's, so sampled runs are only
 		// full-run-comparable with SeedCopiesPerObject == 0 (the default).
 		if p != nil && p.uploadsEnabled {

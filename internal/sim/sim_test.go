@@ -66,7 +66,7 @@ func TestEnginePastEventsRunNow(t *testing.T) {
 // TestMergeLogsOrder pins the k-way merge on hand-built shard streams: ties
 // on the timestamp go to the lower region, ties within one region keep the
 // shard's order, and empty streams — an idle region, or every region a
-// RegionSample run leaves unsimulated — contribute nothing. The reference
+// regionSample run leaves unsimulated — contribute nothing. The reference
 // is a stable sort of all records by (timestamp, region).
 func TestMergeLogsOrder(t *testing.T) {
 	stamps := map[int][]int64{
