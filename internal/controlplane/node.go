@@ -16,8 +16,8 @@ import (
 // netsession-cp runs it or the in-process cluster starts several: the
 // segment and ack stores under the log dir, the anti-entropy syncer, the
 // control plane with its CNs, the operator HTTP surface and cluster
-// membership. Every node is a cluster member; one started
-// without seeds is a ring of one that other nodes can join.
+// membership. Every node is a cluster member; one started without seeds is
+// a ring of one that other nodes can join.
 type Node struct {
 	cp       *ControlPlane
 	cns      []*CN
@@ -137,9 +137,9 @@ func (n *Node) Drain() (DrainSummary, error) {
 }
 
 // Close stops the node without a handoff — probing, the status surface and
-// the CNs, in that order — then checkpoints the ack store and
-// seals the open log segment, returning what those two writes failed with.
-// Safe to call again and after Kill or Drain.
+// the CNs, in that order — then checkpoints the ack store and seals the
+// open log segment, returning what those two writes failed with. Safe to
+// call again and after Kill or Drain.
 func (n *Node) Close() error {
 	n.closed.Do(func() {
 		n.halt(func() { n.status.Close() })
