@@ -19,7 +19,8 @@ func cacheShard(t *testing.T) (*shard, content.ObjectID) {
 	return sh, oid
 }
 
-func (sh *shard) onlineSeeder(g byte) *simPeer {
+// onlineSeeder adds an online, upload-enabled peer to the shard.
+func onlineSeeder(sh *shard, g byte) *simPeer {
 	p := sh.addPeer(&trace.PeerSpec{GUID: id.GUID{g}})
 	p.online, p.uploadsEnabled = true, true
 	return p
@@ -30,7 +31,7 @@ func (sh *shard) onlineSeeder(g byte) *simPeer {
 // TTL has passed, while the peer stays online throughout.
 func TestRecompletedCacheEntryExpires(t *testing.T) {
 	sh, oid := cacheShard(t)
-	p := sh.onlineSeeder(1)
+	p := onlineSeeder(sh, 1)
 	ttl := int64(cacheTTLHours * 3_600_000)
 	sh.completeCache(p, 0)
 	sh.eng.At(ttl/2, func(uint64) { sh.completeCache(p, 0) }, 0)
@@ -53,7 +54,7 @@ func TestRecompletedCacheEntryExpires(t *testing.T) {
 // offline peer's objects stay out until it reconnects.
 func TestDirClearReAddsOnlineCaches(t *testing.T) {
 	sh, oid := cacheShard(t)
-	online, offline := sh.onlineSeeder(1), sh.onlineSeeder(2)
+	online, offline := onlineSeeder(sh, 1), onlineSeeder(sh, 2)
 	sh.completeCache(online, 0)
 	sh.completeCache(offline, 0)
 	sh.setOffline(offline)
