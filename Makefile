@@ -89,12 +89,12 @@ bench-streaming:
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowScheduler$$' \
 		-benchtime 100x -benchmem ./internal/streaming
 
-# Fuzz smoke: each decoder of untrusted bytes (segments, the tailer, the
-# analytics merge, the download decoder, the wire codec, the usage entry and
-# the ack-store replay) fuzzed for 30s; the first failure stops the run.
+# Fuzz smoke: each decoder of untrusted bytes (segments and the store readers
+# over them, the analytics merge, the download decoder, the wire codec, the
+# usage entry, the handoff import and the ack-store replay) fuzzed for 30s;
+# the first failure stops the run.
 fuzz-smoke:
 	$(GO) test -run FuzzReadSegment -fuzz FuzzReadSegment -fuzztime 30s ./internal/logpipe
-	$(GO) test -run FuzzTailSegments -fuzz FuzzTailSegments -fuzztime 30s ./internal/logpipe
 	$(GO) test -run FuzzStreamingSummaryMerge -fuzz FuzzStreamingSummaryMerge -fuzztime 30s ./internal/analysis
 	$(GO) test -run FuzzDecodeDownload -fuzz FuzzDecodeDownload -fuzztime 30s ./internal/analysis
 	$(GO) test -run FuzzReadMessage -fuzz FuzzReadMessage -fuzztime 30s ./internal/protocol

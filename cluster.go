@@ -334,9 +334,6 @@ func (c *Cluster) ControlAddrs() []string {
 	return out
 }
 
-// MonitorAddr returns the monitoring node's HTTP address.
-func (c *Cluster) MonitorAddr() string { return c.monitor.Addr() }
-
 // ControlPlaneURL returns the first node's operator HTTP surface
 // (GET /v1/status, /metrics, /v1/telemetry).
 func (c *Cluster) ControlPlaneURL() string { return c.nodes[0].StatusURL() }

@@ -13,14 +13,12 @@
 //
 // Segment stores are streamed — decoded segment by segment into a running
 // accumulator — so memory stays bounded no matter how many entries the store
-// holds. With -follow the analyzer tails a live log directory instead,
-// printing a rolling live-analytics dashboard as segments land, and resumes
-// from a checkpointed cursor across restarts.
+// holds. The live view of a running control plane is its GET /v1/analytics
+// document (netsession-report -live), which covers the node's whole store.
 //
 // Usage:
 //
-//	netsession-analyze -logs DIR
-//	netsession-analyze -logs DIR -follow [-refresh 2s]
+//	netsession-analyze -logs DIR [-workers N] [-figures]
 package main
 
 import (
@@ -43,29 +41,20 @@ func main() {
 
 	dir := flag.String("logs", "netsession-logs",
 		"log directory: downloads.jsonl (sim export) or seg-*.ndjson.gz segments (log store)")
-	follow := flag.Bool("follow", false,
-		"tail the segment directory live, printing rolling analytics as records land")
-	refresh := flag.Duration("refresh", 2*time.Second, "poll interval in follow mode")
-	cursorPath := flag.String("cursor", "",
-		"tail-cursor checkpoint file in follow mode (default: tail-cursor.json inside the segment directory)")
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel segment decoders for the one-shot pass")
+	workers := flag.Int("workers", runtime.NumCPU(), "parallel segment decoders")
 	figures := flag.Bool("figures", false,
 		"also print the streaming figure passes (size CDFs, popularity, abort rates, per-region offload)")
 	flag.Parse()
 
-	if *follow {
-		runFollow(*dir, *cursorPath, *refresh)
-		return
-	}
-	runOnce(*dir, *workers, *figures)
+	run(*dir, *workers, *figures)
 }
 
-// runOnce is the one-shot offline pass. Both input layouts stream: a jsonl
-// export scans record by record into a tally, a segment store goes through
-// the parallel decode-and-fold pass — either way memory scales with distinct
+// run is the offline pass. Both input layouts stream: a jsonl export scans
+// record by record into a tally, a segment store goes through the parallel
+// decode-and-fold pass — either way memory scales with distinct
 // GUIDs/URLs/ASes, never with record bytes, so a paper-scale store analyzes
 // on one box.
-func runOnce(dir string, workers int, figures bool) {
+func run(dir string, workers int, figures bool) {
 	start := time.Now()
 	var (
 		sum    logpipe.StoreSummary
@@ -106,47 +95,6 @@ func runOnce(dir string, workers int, figures bool) {
 	fmt.Print(sum.Summary.Render())
 	if figures {
 		fmt.Print(sum.Tally.RenderFigures())
-	}
-}
-
-// runFollow tails a live segment directory: every poll folds the new records
-// into a streaming summarizer and re-renders the dashboard. The cursor is
-// checkpointed after each poll, so a restarted follower picks up where it
-// stopped instead of replaying the store.
-func runFollow(dir, cursorPath string, refresh time.Duration) {
-	segDir, ok := findSegmentDir(dir)
-	if !ok {
-		// The store may not have spilled its first segment yet; follow the
-		// configured directory and wait.
-		segDir = dir
-	}
-	if cursorPath == "" {
-		cursorPath = logpipe.DefaultTailCursorPath(segDir)
-	}
-	tl, err := logpipe.OpenTailer(logpipe.TailerConfig{Dir: segDir, CursorPath: cursorPath})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sum := analysis.NewStreamingSummarizer(4)
-	log.Printf("following %s (cursor %s, refresh %s)", segDir, cursorPath, refresh)
-	start := time.Now()
-	var total int64
-	for {
-		recs, perr := tl.Poll()
-		if perr != nil {
-			log.Printf("poll: %v", perr)
-		}
-		for i := range recs {
-			sum.Observe(&recs[i])
-		}
-		if len(recs) > 0 {
-			total += int64(len(recs))
-			rate := float64(total) / time.Since(start).Seconds()
-			log.Printf("%s +%d records (%d total, %.0f records/sec, %d torn segments skipped)",
-				time.Now().Format("15:04:05"), len(recs), total, rate, tl.TornSkipped())
-			fmt.Println(sum.Snapshot().Render())
-		}
-		time.Sleep(refresh)
 	}
 }
 

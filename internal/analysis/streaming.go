@@ -220,8 +220,8 @@ func humanBytes(b int64) string {
 
 // Render prints the live-analytics dashboard: the paper's Fig-style headline
 // metrics, the per-region offload table (§4), and the AS-locality split
-// (§6.1). Both `netsession-analyze -follow` and `netsession-report -live`
-// print this block.
+// (§6.1). `netsession-report -live` prints this block for a node's or the
+// fleet's /v1/analytics document.
 func (s StreamingSummary) Render() string {
 	var b strings.Builder
 	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }

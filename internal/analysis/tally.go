@@ -591,7 +591,7 @@ type tallyShard struct {
 func NewShardedTally(shards int) *ShardedTally { return newShardedTally(shards, true) }
 
 // NewStreamingSummarizer creates a sketched sharded tally: the bounded
-// live pass of the control plane and of netsession-analyze -follow.
+// live pass of the control plane, seeded from its store at startup.
 func NewStreamingSummarizer(shards int) *ShardedTally { return newShardedTally(shards, false) }
 
 func newShardedTally(shards int, exact bool) *ShardedTally {

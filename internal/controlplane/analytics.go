@@ -2,11 +2,14 @@ package controlplane
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 
 	"netsession/internal/analysis"
 	"netsession/internal/geo"
+	"netsession/internal/logpipe"
 	"netsession/internal/telemetry"
 )
 
@@ -121,6 +124,36 @@ func (a *cpAnalytics) observe(d *analysis.OfflineDownload) {
 	if a.observed.Add(1)%guidEstimateEvery == 0 {
 		a.activeGUIDs.Set(a.summarizer.ActiveGUIDs())
 	}
+}
+
+// seedAnalytics folds the records already in the node's segment store into
+// its live analytics through observe, the ingest path's fold, so a restarted
+// node's /v1/analytics and gauges cover its whole store. StartNode calls it
+// after OpenStore has sealed any leftover open segment and before a CN or
+// the status surface serves, so no record is counted twice. A store the
+// reader refuses (a damaged segment that is not the last) is returned as the
+// error; an empty or new log dir seeds nothing.
+func (cp *ControlPlane) seedAnalytics() error {
+	if cp.store == nil || !logpipe.HasSegments(cp.store.Dir()) {
+		return nil
+	}
+	_, err := logpipe.ForEachDownloadParallel(cp.store.Dir(), runtime.GOMAXPROCS(0), func(d *analysis.OfflineDownload) error {
+		cp.analytics.observe(d)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("controlplane: seed analytics from %s: %w", cp.store.Dir(), err)
+	}
+	// Concurrent observe calls can leave a gauge on a value an earlier
+	// record computed; set them from the final totals.
+	a := cp.analytics
+	for r := range a.offload {
+		if infra, peers := a.regionInfra[r].Load(), a.regionPeers[r].Load(); infra+peers > 0 {
+			a.offload[r].Set(float64(peers) / float64(infra+peers))
+		}
+	}
+	a.activeGUIDs.Set(a.summarizer.ActiveGUIDs())
+	return nil
 }
 
 // Analytics returns the control plane's live streaming summary. The

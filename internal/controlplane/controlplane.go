@@ -40,8 +40,9 @@ type Config struct {
 	// durable month of logs the paper's analyses read (§4.1), with the
 	// in-memory collector keeping only a recent window — and the batch-ack
 	// store lives under LogDir/acks, so a batch acked before a restart is
-	// still deduplicated after it. Without LogDir the ack store is
-	// memory-only.
+	// still deduplicated after it. A node started on a LogDir that holds
+	// segments folds them into its live analytics first. Without LogDir the
+	// ack store is memory-only.
 	LogDir string
 	// Seeds are other cluster members to join: entries with an ID start out
 	// alive, address-only entries are identified by their first probe (seed
@@ -358,13 +359,19 @@ func (cp *ControlPlane) register(s *session) {
 
 func (cp *ControlPlane) unregister(s *session) {
 	cp.mu.Lock()
-	if cp.sessions[s.guid] == s {
+	cur := cp.sessions[s.guid]
+	if cur == s {
 		delete(cp.sessions, s.guid)
 	}
 	cp.metrics.sessions.Set(float64(len(cp.sessions)))
 	cp.mu.Unlock()
 	// Departing peers leave the directory; their registrations are soft
-	// state that they will re-announce on reconnect.
+	// state that they will re-announce on reconnect. A session replaced by
+	// a reconnect of the same GUID in the same region leaves the entries to
+	// its successor, which may already have registered them again.
+	if cur != nil && cur != s && cur.region == s.region {
+		return
+	}
 	cp.dns[int(s.region)].dir.DropPeer(s.guid)
 }
 

@@ -56,6 +56,11 @@ func StartNode(cfg Config) (*Node, error) {
 	})
 	cp := newControlPlane(cfg, store, acks, syncer.SeenAnywhere)
 	n := &Node{cp: cp}
+	if err := cp.seedAnalytics(); err != nil {
+		ln.Close()
+		n.closeStores()
+		return nil, err
+	}
 	self := cluster.Node{ID: cfg.NodeID, StatusURL: "http://" + ln.Addr().String()}
 	for i := 0; i < max(cfg.CNs, 1); i++ {
 		cn, err := cp.startCN("127.0.0.1:0")

@@ -1,16 +1,25 @@
 package controlplane
 
 import (
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"netsession/internal/accounting"
+	"netsession/internal/analysis"
 	"netsession/internal/cluster"
+	"netsession/internal/content"
 	"netsession/internal/geo"
+	"netsession/internal/id"
 	"netsession/internal/logpipe"
 )
 
@@ -138,4 +147,140 @@ func TestDrainStopsProbingBeforeLeave(t *testing.T) {
 		_, late, _ := count()
 		t.Fatalf("%d probes with the drained node's identity reached the survivor after its leave", late)
 	}
+}
+
+// TestRestartedNodeAnalyticsCoverItsStore: a node's /v1/analytics covers its
+// whole log dir across restarts. Each round starts a node on the same dir,
+// requires it to serve the document and analytics series the previous node
+// served when it closed, and books another batch of records. A store with a
+// torn segment that is not the last fails StartNode.
+func TestRestartedNodeAnalyticsCoverItsStore(t *testing.T) {
+	const rounds, perRound = 3, 200
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(7))
+	guids := make([]id.GUID, 50)
+	for i := range guids {
+		guids[i] = id.NewGUID()
+	}
+	var (
+		want       analysis.StreamingSummary
+		wantSeries map[string]float64
+		h          *harness
+	)
+	for round := 0; round <= rounds; round++ {
+		h = newHarness(t, func(c *Config) { c.LogDir = dir })
+		got := nodeAnalytics(t, h.node)
+		if got.Downloads != int64(round*perRound) {
+			t.Fatalf("round %d: restarted node serves %d downloads, its store holds %d", round, got.Downloads, round*perRound)
+		}
+		if round > 0 {
+			requireSameAnalytics(t, got, want)
+			if series := analyticsSeries(h.node); !reflect.DeepEqual(series, wantSeries) {
+				t.Fatalf("round %d: analytics series %v, before the restart %v", round, series, wantSeries)
+			}
+		}
+		if round == rounds {
+			break
+		}
+		for i := 0; i < perRound; i++ {
+			guid := guids[rng.Intn(len(guids))]
+			if err := h.cp.ingestEntry(guid, restartEntry(t, h, rng, guid, guids)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, wantSeries = nodeAnalytics(t, h.node), analyticsSeries(h.node)
+		if err := h.node.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.node.Close()
+
+	segs, err := logpipe.ListSegments(dir)
+	if err != nil || len(segs) != rounds {
+		t.Fatalf("store holds %d segments (%v), want one per round", len(segs), err)
+	}
+	raw, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0].Path, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := StartNode(Config{Scape: h.scape, LogDir: dir}); err == nil {
+		n.Close()
+		t.Fatal("StartNode accepted a store with a torn middle segment")
+	}
+}
+
+// restartEntry is a random usage entry booked to guid: any region, outcome
+// and peer share, sometimes streamed.
+func restartEntry(t *testing.T, h *harness, rng *rand.Rand, guid id.GUID, guids []id.GUID) *logpipe.Entry {
+	t.Helper()
+	home, err := h.scape.AllocateRandom(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := content.NewObjectID(7, fmt.Sprintf("restart/%d", rng.Intn(40)), 1)
+	size := int64(1+rng.Intn(64)) << 20
+	peers := size * int64(rng.Intn(101)) / 100
+	e := &logpipe.Entry{
+		Kind: logpipe.EntryKindDownload, IP: home.IP.String(),
+		Object: oid.Hex(), URLHash: oid.Hex()[:8], CP: 7, Size: size,
+		StartMs: rng.Int63n(1 << 40), EndMs: 1<<40 + rng.Int63n(1<<20),
+		BytesInfra: size - peers, BytesPeers: peers,
+		Outcome: uint8(rng.Intn(4)), PeersReturned: rng.Intn(40),
+		Token: h.token(guid, oid, peers > 0 || rng.Intn(2) == 0),
+	}
+	if peers > 0 {
+		e.FromPeers = []logpipe.EntryContribution{{GUID: guids[rng.Intn(len(guids))].String(), Bytes: peers}}
+	}
+	if rng.Intn(4) == 0 {
+		e.Stream = &accounting.StreamStats{BitrateBps: 3_000_000, StartupDelayMs: rng.Int63n(2000),
+			RebufferCount: rng.Int63n(3), DeadlineMisses: rng.Int63n(3), PiecesPlayed: 40, PiecesTotal: 48,
+			EdgeRescueBytes: rng.Int63n(1 << 16)}
+	}
+	return e
+}
+
+// nodeAnalytics fetches the node's GET /v1/analytics document.
+func nodeAnalytics(t *testing.T, n *Node) analysis.StreamingSummary {
+	t.Helper()
+	sum, err := fetchAnalytics(http.DefaultClient, n.StatusURL()+"/v1/analytics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// requireSameAnalytics compares two analytics documents: every count, byte
+// total and sketch exactly, the efficiency sum (a float sum whose order
+// differs) within 1e-9 relative.
+func requireSameAnalytics(t *testing.T, got, want analysis.StreamingSummary) {
+	t.Helper()
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	if !near(got.EffSum, want.EffSum) || !near(got.MeanPeerEfficiencyPct, want.MeanPeerEfficiencyPct) {
+		t.Fatalf("effSum %v (mean %v%%), before the restart %v (%v%%)",
+			got.EffSum, got.MeanPeerEfficiencyPct, want.EffSum, want.MeanPeerEfficiencyPct)
+	}
+	got.EffSum, got.MeanPeerEfficiencyPct = want.EffSum, want.MeanPeerEfficiencyPct
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("analytics after the restart:\n%+v\nbefore:\n%+v", got, want)
+	}
+}
+
+// analyticsSeries returns the series the analytics fold drives.
+func analyticsSeries(n *Node) map[string]float64 {
+	snap := n.ControlPlane().Metrics().Snapshot()
+	out := map[string]float64{}
+	for k, v := range snap.Gauges {
+		if strings.HasPrefix(k, "cp_offload_fraction") || k == "cp_active_guids_estimate" {
+			out[k] = v
+		}
+	}
+	for k, v := range snap.Counters {
+		if strings.HasPrefix(k, "cp_intra_as_") || strings.HasPrefix(k, "cp_inter_as_") || strings.HasPrefix(k, "cp_stream_") {
+			out[k] = float64(v)
+		}
+	}
+	return out
 }

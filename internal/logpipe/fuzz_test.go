@@ -6,8 +6,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"netsession/internal/analysis"
@@ -79,10 +81,12 @@ func FuzzAckStoreLoad(f *testing.F) {
 // streams: valid, torn at several depths, and outright garbage.
 func fuzzSeedSegments() [][]byte {
 	var seeds [][]byte
-	if valid, err := MarshalSegment(testLines(5)); err == nil {
-		seeds = append(seeds, valid)
-		seeds = append(seeds, valid[:len(valid)/2]) // torn tail
-		seeds = append(seeds, valid[:1])            // torn inside the gzip header
+	for _, lines := range [][][]byte{testLines(5), recordLines(100, 5)} {
+		if valid, err := MarshalSegment(lines); err == nil {
+			seeds = append(seeds, valid)
+			seeds = append(seeds, valid[:len(valid)/2]) // torn tail
+			seeds = append(seeds, valid[:1])            // torn inside the gzip header
+		}
 	}
 	if empty, err := MarshalSegment(nil); err == nil {
 		seeds = append(seeds, empty)
@@ -95,10 +99,24 @@ func fuzzSeedSegments() [][]byte {
 	return seeds
 }
 
+// recordLines encodes n download records starting at storeRec(from).
+func recordLines(from, n int) [][]byte {
+	lines := make([][]byte, n)
+	for i := range lines {
+		rec := storeRec(from + i)
+		lines[i], _ = json.Marshal(&rec)
+	}
+	return lines
+}
+
 // FuzzReadSegment feeds arbitrary bytes — and mutations of valid segments —
-// through the segment reader. The invariants: never panic, never return
-// anything but complete newline-delimited lines, and classify every damaged
-// stream as ErrTorn so callers can apply the torn-final-segment policy.
+// through the segment reader, then through the store readers with the bytes
+// placed inside a store between good segments. The invariants: never panic,
+// never return anything but complete newline-delimited lines, classify every
+// damaged stream as ErrTorn; as the final segment the store reads without
+// error, as a middle segment it either reads whole or is refused; and
+// wherever it reads, every good record arrives exactly once and
+// ReadDownloads and ForEachDownloadParallel (1 and 4 workers) agree.
 func FuzzReadSegment(f *testing.F) {
 	for _, s := range fuzzSeedSegments() {
 		f.Add(s)
@@ -137,89 +155,88 @@ func FuzzReadSegment(f *testing.F) {
 				}
 			}
 		}
+
+		// What the bytes yield on their own, as a store's only (so final)
+		// segment; the readers tolerate any damage there.
+		alone, err := ReadDownloads(writeSegments(t, data))
+		if err != nil {
+			t.Fatalf("single torn-tolerant segment: %v", err)
+		}
+		seg0, recs0 := goodSegment(t, 0)
+		seg2, recs2 := goodSegment(t, 3)
+		final := slices.Concat(recs0, recs2, alone)
+		checkStoreReads(t, "final", writeSegments(t, seg0, seg2, data), final, false)
+		middle := slices.Concat(recs0, alone, recs2)
+		checkStoreReads(t, "middle", writeSegments(t, seg0, data, seg2), middle, true)
 	})
 }
 
-// FuzzTailSegments drops arbitrary bytes into a segment directory as the
-// newest segment — between a known-good predecessor and, later, a known-good
-// successor — and tails the store across it. The invariants: the tailer never
-// panics and never returns a non-torn error, never duplicates a delivered
-// record, always delivers every record of the undamaged segments, and never
-// wedges (damage with sealed successors is skipped, not retried forever).
-func FuzzTailSegments(f *testing.F) {
-	for _, s := range fuzzSeedSegments() {
-		f.Add(s)
+// goodSegment encodes three download records starting at storeRec(from).
+func goodSegment(t *testing.T, from int) ([]byte, []analysis.OfflineDownload) {
+	t.Helper()
+	seg, err := MarshalSegment(recordLines(from, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return seg, []analysis.OfflineDownload{storeRec(from), storeRec(from + 1), storeRec(from + 2)}
+}
 
-	goodSeg := func(t *testing.T, base int) ([]byte, []string) {
-		var lines [][]byte
-		var guids []string
-		for i := 0; i < 3; i++ {
-			d := analysis.OfflineDownload{GUID: string(rune('a'+base)) + "-guid", Size: int64(i)}
-			d.GUID = d.GUID + string(rune('0'+i))
-			raw, err := json.Marshal(&d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines = append(lines, raw)
-			guids = append(guids, d.GUID)
-		}
-		seg, err := MarshalSegment(lines)
-		if err != nil {
+// writeSegments lays segs out as a store directory, in order.
+func writeSegments(t *testing.T, segs ...[]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i, data := range segs {
+		if err := os.WriteFile(filepath.Join(dir, segmentName(uint64(i))), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return seg, guids
 	}
+	return dir
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		seg0, guids0 := goodSeg(t, 0)
-		if err := os.WriteFile(filepath.Join(dir, segmentName(0)), seg0, 0o644); err != nil {
-			t.Fatal(err)
+// checkStoreReads reads dir with every store reader: ReadDownloads and a
+// one-worker ForEachDownloadParallel must deliver want in order, a
+// four-worker one the same records in any order. With mayFail the readers
+// may refuse the store instead, but all of them or none.
+func checkStoreReads(t *testing.T, layout, dir string, want []analysis.OfflineDownload, mayFail bool) {
+	t.Helper()
+	got, err := ReadDownloads(dir)
+	switch {
+	case err != nil && !mayFail:
+		t.Fatalf("%s: ReadDownloads: %v", layout, err)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("%s: ReadDownloads returned %d records, want %d exactly once in order", layout, len(got), len(want))
+	}
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		var streamed []analysis.OfflineDownload
+		n, ferr := ForEachDownloadParallel(dir, workers, func(d *analysis.OfflineDownload) error {
+			mu.Lock()
+			streamed = append(streamed, *d)
+			mu.Unlock()
+			return nil
+		})
+		if (ferr == nil) != (err == nil) {
+			t.Fatalf("%s: workers=%d: error %v, ReadDownloads error %v", layout, workers, ferr, err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
-			t.Fatal(err)
+		if ferr != nil {
+			continue
 		}
-		tl, err := OpenTailer(TailerConfig{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
+		if workers > 1 {
+			sortRecords(streamed)
+			want = sortRecords(slices.Clone(want))
 		}
-		first, err := tl.Poll()
-		if err != nil {
-			t.Fatalf("first poll: %v", err)
+		if n != len(want) || !reflect.DeepEqual(streamed, want) {
+			t.Fatalf("%s: workers=%d: streamed %d records, want %d exactly once", layout, workers, n, len(want))
 		}
-		seen := map[string]int{}
-		for _, d := range first {
-			seen[d.GUID]++
-		}
-		// Re-polling an unchanged store must deliver nothing new.
-		again, err := tl.Poll()
-		if err != nil {
-			t.Fatalf("second poll: %v", err)
-		}
-		if len(again) != 0 {
-			t.Fatalf("unchanged store re-delivered %d records", len(again))
-		}
-		// A good sealed successor lands; the tailer must move past whatever
-		// the fuzzer wrote and deliver the successor in full.
-		seg2, guids2 := goodSeg(t, 2)
-		if err := os.WriteFile(filepath.Join(dir, segmentName(2)), seg2, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rest, err := tl.Poll()
-		if err != nil {
-			t.Fatalf("third poll: %v", err)
-		}
-		for _, d := range rest {
-			seen[d.GUID]++
-		}
-		for _, g := range append(guids0, guids2...) {
-			if seen[g] != 1 {
-				t.Fatalf("good record %q delivered %d times, want exactly once", g, seen[g])
-			}
-		}
-		if tl.TornSkipped() > 1 {
-			t.Fatalf("TornSkipped = %d, want at most 1", tl.TornSkipped())
-		}
-	})
+	}
+}
+
+// sortRecords orders records by their encoding.
+func sortRecords(recs []analysis.OfflineDownload) []analysis.OfflineDownload {
+	key := func(d *analysis.OfflineDownload) string {
+		raw, _ := json.Marshal(d)
+		return string(raw)
+	}
+	slices.SortFunc(recs, func(a, b analysis.OfflineDownload) int { return strings.Compare(key(&a), key(&b)) })
+	return recs
 }

@@ -249,7 +249,7 @@ func TestBulkWriterRoundtrip(t *testing.T) {
 	}
 	const total = 23
 	for i := 0; i < total; i++ {
-		if err := w.Append(tailRec(i)); err != nil {
+		if err := w.Append(storeRec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestBulkWriterRoundtrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err) // idempotent
 	}
-	if err := w.Append(tailRec(0)); err == nil {
+	if err := w.Append(storeRec(0)); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 	segs, err := ListSegments(dir)
@@ -282,7 +282,7 @@ func TestBulkWriterRoundtrip(t *testing.T) {
 		t.Fatalf("read %d records, want %d", len(got), total)
 	}
 	for i := range got {
-		if want := tailRec(i); !reflect.DeepEqual(got[i], want) {
+		if want := storeRec(i); !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("record %d differs after bulk roundtrip", i)
 		}
 	}
@@ -300,7 +300,7 @@ func TestBulkWriterRefusesExistingStore(t *testing.T) {
 			return err
 		}
 		for i := 0; i < n; i++ {
-			if err := w.Append(tailRec(i)); err != nil {
+			if err := w.Append(storeRec(i)); err != nil {
 				return err
 			}
 		}

@@ -208,30 +208,6 @@ func (b *BulkWriter) Close() error {
 	return err
 }
 
-// ReadDownloads loads every download record from a segment directory —
-// sealed segments plus any open tail — into the offline analysis schema. A
-// torn or partially-written final segment contributes its complete records
-// and is otherwise skipped (the crash left it mid-write); damage anywhere
-// else is corruption and returns an error.
-func ReadDownloads(dir string) ([]analysis.OfflineDownload, error) {
-	segs, err := ListSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("logpipe: no segments in %s", dir)
-	}
-	var out []analysis.OfflineDownload
-	for i, sf := range segs {
-		recs, err := decodeSegment(dir, sf, i == len(segs)-1)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, recs...)
-	}
-	return out, nil
-}
-
 // HasSegments reports whether dir contains any log segments; the analyzer
 // uses it to auto-detect the input layout.
 func HasSegments(dir string) bool {

@@ -30,7 +30,6 @@ import (
 	"netsession/internal/id"
 	"netsession/internal/peer"
 	"netsession/internal/protocol"
-	"netsession/internal/selection"
 	"netsession/internal/sim"
 )
 
@@ -55,8 +54,6 @@ type (
 	DownloadResult = peer.Result
 	// NATClass is a peer's NAT/firewall classification.
 	NATClass = protocol.NATClass
-	// SelectionPolicy is the control plane's peer-selection policy.
-	SelectionPolicy = selection.Policy
 	// Scenario parameterizes a simulation run.
 	Scenario = sim.ScenarioConfig
 	// ScenarioResult is a finished simulation.
@@ -86,10 +83,6 @@ const (
 func NewObject(cp CPCode, url string, version uint32, size int64, pieceSize int, p2pEnabled bool) (*Object, error) {
 	return content.NewObject(cp, url, version, size, pieceSize, p2pEnabled)
 }
-
-// DefaultSelectionPolicy returns the production-like locality-aware policy
-// (up to 40 peers, diversity picks, NAT-compatibility filtering).
-func DefaultSelectionPolicy() SelectionPolicy { return selection.DefaultPolicy() }
 
 // DefaultScenario returns the experiment-scale simulation configuration.
 func DefaultScenario() Scenario { return sim.DefaultScenario() }
