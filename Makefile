@@ -91,8 +91,8 @@ bench-streaming:
 
 # Fuzz smoke: each decoder of untrusted bytes (segments and the store readers
 # over them, the analytics merge, the download decoder, the wire codec, the
-# usage entry, the handoff import and the ack-store replay) fuzzed for 30s;
-# the first failure stops the run.
+# usage entry, the handoff import, the ack-store replay and the peer's state
+# and checkpoint files) fuzzed for 30s; the first failure stops the run.
 fuzz-smoke:
 	$(GO) test -run FuzzReadSegment -fuzz FuzzReadSegment -fuzztime 30s ./internal/logpipe
 	$(GO) test -run FuzzStreamingSummaryMerge -fuzz FuzzStreamingSummaryMerge -fuzztime 30s ./internal/analysis
@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzUsageEntry -fuzz FuzzUsageEntry -fuzztime 30s ./internal/controlplane
 	$(GO) test -run FuzzHandoffImport -fuzz FuzzHandoffImport -fuzztime 30s ./internal/controlplane
 	$(GO) test -run FuzzAckStoreLoad -fuzz FuzzAckStoreLoad -fuzztime 30s ./internal/logpipe
+	$(GO) test -run FuzzPeerStateFiles -fuzz FuzzPeerStateFiles -fuzztime 30s ./internal/peer
 
 # Remove state directories left behind by interrupted live runs (the README
 # examples put netsession-peer -state-dir under ./state/).

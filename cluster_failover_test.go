@@ -214,25 +214,28 @@ func runFailoverScenario(t *testing.T, cpNodes int, kill bool) failoverOutcome {
 
 	if kill {
 		// The handoff must be visible in the survivors' telemetry: a region
-		// takeover happened, and the rebuild collected RE-ADDs.
-		var readds, handoffs int64
+		// takeover happened, and the rebuild absorbed peer re-announcements.
+		// A survivor may hold no session in a region it gained, so it may
+		// send no RE-ADD; the announce counter is what measures the rebuild.
+		var announces, handoffs int64
 		for i, n := range c.nodes {
 			if i == victim {
 				continue
 			}
-			snap := n.ControlPlane().Metrics().Snapshot()
-			readds += snap.Counters["cp_readds_total"]
-			for key, v := range snap.Counters {
-				if strings.HasPrefix(key, "cp_region_handoffs_total{") {
+			for key, v := range n.ControlPlane().Metrics().Snapshot().Counters {
+				switch {
+				case strings.HasPrefix(key, "cp_region_handoffs_total{"):
 					handoffs += v
+				case strings.HasPrefix(key, "dn_rebuild_announces_total{"):
+					announces += v
 				}
 			}
 		}
 		if handoffs == 0 {
 			t.Error("no survivor counted a region handoff after the kill")
 		}
-		if readds == 0 {
-			t.Error("cp_readds_total = 0 on the survivors; the takeover never rebuilt from RE-ADDs")
+		if announces == 0 {
+			t.Error("dn_rebuild_announces_total = 0 on the survivors; the takeover never rebuilt from peer re-announcements")
 		}
 		var failovers int64
 		for _, p := range peers {

@@ -183,13 +183,6 @@ func (cn *CN) serveConn(conn net.Conn) {
 		CacheTTLSec:        uint32(cc.CacheTTLSec),
 		TargetVersion:      cc.TargetVersion,
 	})
-	// A region mid-rebuild (DN loss or ring handoff) asks every arriving
-	// peer to RE-ADD right away: peers rebalancing from a dead node
-	// repopulate the new owner's directory without waiting for another
-	// failure event (§3.8).
-	if cn.dn(s).Rebuilding(cn.cp.now()) {
-		s.send(&protocol.ReAdd{})
-	}
 
 	for {
 		// Healthy clients ping every 30s; a five-minute silence means the
@@ -217,14 +210,6 @@ func (cn *CN) handle(s *session, msg protocol.Message) {
 	case *protocol.Unregister:
 		cn.cp.metrics.unregisters.Inc()
 		cn.dn(s).Directory().Unregister(m.Object, s.guid)
-	case *protocol.ReAddReply:
-		cn.cp.metrics.readds.Inc()
-		for _, e := range m.Entries {
-			cn.handleRegister(s, &protocol.Register{
-				Object: e.Object, NumPieces: e.NumPieces,
-				HaveCount: e.HaveCount, Complete: e.Complete,
-			})
-		}
 	case *protocol.UsageLog:
 		// The record is booked to this session's GUID, never to the GUID the
 		// entry names: a peer reports only its own downloads. An undecodable
@@ -254,10 +239,10 @@ func (cn *CN) handleQuery(s *session, q *protocol.Query) {
 	}
 	dn := cn.dn(s)
 	if dn.Rebuilding(cn.cp.now()) {
-		// The region's directory is rebuilding from RE-ADDs; answering from
-		// a partial view would steer whole swarms at the few peers that
-		// re-announced first. Answer edge-only — the client's edge loop
-		// guarantees progress regardless (§3.3).
+		// The region's directory is rebuilding from re-registrations;
+		// answering from a partial view would steer whole swarms at the few
+		// peers that re-announced first. Answer edge-only — the client's
+		// edge loop guarantees progress regardless (§3.3).
 		s.send(&protocol.QueryResult{Object: q.Object})
 		return
 	}

@@ -151,7 +151,7 @@ func newCPMetrics(reg *telemetry.Registry) *cpMetrics {
 		statsReports: reg.Counter("cp_stats_reports_total",
 			"download usage reports received", nil),
 		readds: reg.Counter("cp_readds_total",
-			"RE-ADD soft-state recovery replies processed", nil),
+			"RE-ADD requests sent to connected peers after a DN loss or ring takeover", nil),
 		rebuildMs: reg.Histogram("dn_rebuild_ms",
 			"duration of DN directory rebuild windows in milliseconds",
 			telemetry.DurationBucketsMs, nil),
@@ -300,7 +300,9 @@ func (cp *ControlPlane) Close() {
 // FailDN simulates the loss of the DN for one region: its database is
 // cleared, a rebuild window opens (during which queries answer edge-only,
 // §3.8), and every connected peer in the region is asked to RE-ADD its
-// object list. The window closes on its own even if no traffic arrives.
+// object list. A peer that logs in during the window needs no request: every
+// login re-registers the peer's stored objects. The window closes on its own
+// even if no traffic arrives.
 func (cp *ControlPlane) FailDN(r geo.NetworkRegion) {
 	dn := cp.dns[int(r)]
 	dn.dir.Clear()
@@ -318,6 +320,7 @@ func (cp *ControlPlane) FailDN(r geo.NetworkRegion) {
 	}
 	cp.mu.Unlock()
 	for _, s := range toAsk {
+		cp.metrics.readds.Inc()
 		s.send(&protocol.ReAdd{})
 	}
 }

@@ -264,11 +264,13 @@ func TestReAddAfterDNFailure(t *testing.T) {
 	if h.cp.DN(region).Copies(oid) != 0 {
 		t.Fatal("DN failure did not clear the directory")
 	}
-	// The peer receives RE-ADD and answers with its object list.
+	// The peer receives RE-ADD and answers with one Register per stored
+	// object.
 	expect[*protocol.ReAdd](p)
-	p.send(&protocol.ReAddReply{Entries: []protocol.ReAddEntry{
-		{Object: oid, NumPieces: 4, HaveCount: 4, Complete: true},
-	}})
+	if got := h.cp.Metrics().Snapshot().Counters["cp_readds_total"]; got != 1 {
+		t.Fatalf("cp_readds_total = %d, want 1 request sent", got)
+	}
+	p.send(&protocol.Register{Object: oid, NumPieces: 4, HaveCount: 4, Complete: true})
 	waitFor(t, "directory repopulation", func() bool { return h.cp.DN(region).Copies(oid) == 1 })
 }
 
@@ -296,9 +298,7 @@ func TestDNRebuildWindow(t *testing.T) {
 
 	h.cp.FailDN(region)
 	expect[*protocol.ReAdd](holder)
-	holder.send(&protocol.ReAddReply{Entries: []protocol.ReAddEntry{
-		{Object: oid, NumPieces: 4, HaveCount: 4, Complete: true},
-	}})
+	holder.send(&protocol.Register{Object: oid, NumPieces: 4, HaveCount: 4, Complete: true})
 	waitFor(t, "re-announce absorbed", func() bool { return h.cp.DN(region).Copies(oid) == 1 })
 
 	// Mid-window: the directory already has the entry back, but a query

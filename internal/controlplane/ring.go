@@ -75,8 +75,8 @@ const transferValidityMs = 60_000
 // is seamless: the directory is already populated, so no rebuild window
 // opens and no peer is asked to RE-ADD. Otherwise (a crash, or a stale
 // snapshot) whatever entries survived from a previous ownership are cleared
-// and the PR 4 rebuild window opens so arriving peers RE-ADD their holdings
-// before the directory answers queries — the same recovery path a DN crash
+// and the rebuild window opens so peers re-register their holdings before
+// the directory answers queries — the same recovery path a DN crash
 // takes.
 func (cp *ControlPlane) takeoverRegion(r geo.NetworkRegion) {
 	cp.metrics.regionHandoffs[int(r)].Inc()

@@ -1,8 +1,7 @@
 // Package edge implements the edge-server tier: HTTP content delivery with
 // range requests, per-version secure content IDs and piece-hash manifests,
-// download authorization tokens, per-file p2p policy, client configuration
-// distribution, and the served-bytes ledger the control plane uses to detect
-// accounting attacks (§3.5).
+// download authorization tokens, per-file p2p policy, and the served-bytes
+// ledger the control plane uses to detect accounting attacks (§3.5).
 package edge
 
 import (

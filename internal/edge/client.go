@@ -30,12 +30,11 @@ func (c *Client) http() *http.Client {
 }
 
 // Authorization is the result of Authorize: the search token, the per-file
-// policy, the authoritative object metadata and the client configuration.
+// policy and the authoritative object metadata.
 type Authorization struct {
 	Token  []byte
 	P2P    bool
 	Object *content.Object
-	Config ClientConfig
 }
 
 // Authorize obtains a download authorization for (guid, object).
@@ -61,7 +60,7 @@ func (c *Client) Authorize(g id.GUID, oid content.ObjectID) (*Authorization, err
 	if err != nil {
 		return nil, err
 	}
-	return &Authorization{Token: tok, P2P: ar.P2P, Object: obj, Config: ar.Config}, nil
+	return &Authorization{Token: tok, P2P: ar.P2P, Object: obj}, nil
 }
 
 // FetchManifest downloads and validates the piece-hash manifest.

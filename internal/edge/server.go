@@ -17,23 +17,25 @@ import (
 	"netsession/internal/telemetry"
 )
 
-// ClientConfig is the policy configuration edge servers distribute to peers
-// ("these policies and options are securely communicated to the peers
-// through the trusted edge-server infrastructure", §3.5).
+// ClientConfig is the fleet's client policy. It reaches peers on one channel:
+// the control plane answers every login with a ConfigUpdate built from it.
+// The edge reads only TokenTTLSec, the lifetime of the tokens it mints; the
+// per-file policy (the p2p flag and the search token) travels on authorize
+// (§3.5).
 type ClientConfig struct {
 	// MaxUploadConns is the global cap on simultaneous upload connections.
-	MaxUploadConns int `json:"maxUploadConns"`
+	MaxUploadConns int
 	// PerObjectUploadCap bounds uploads of one object by one peer (§3.9).
-	PerObjectUploadCap int `json:"perObjectUploadCap"`
+	PerObjectUploadCap int
 	// UploadRateBps caps aggregate upload bandwidth in bits per second.
-	UploadRateBps int64 `json:"uploadRateBps"`
+	UploadRateBps int64
 	// CacheTTLSec is how long completed downloads remain shareable.
-	CacheTTLSec int `json:"cacheTTLSec"`
+	CacheTTLSec int
 	// TokenTTLSec is the authorization token lifetime.
-	TokenTTLSec int `json:"tokenTTLSec"`
+	TokenTTLSec int
 	// TargetVersion is the client software version the fleet should run;
 	// clients below it self-upgrade (§3.8).
-	TargetVersion string `json:"targetVersion"`
+	TargetVersion string
 }
 
 // DefaultClientConfig returns production-like client policy.
@@ -48,7 +50,7 @@ func DefaultClientConfig() ClientConfig {
 }
 
 // Server is one edge server: HTTP content delivery plus the authorization,
-// manifest, configuration and verification endpoints.
+// manifest and verification endpoints.
 type Server struct {
 	catalog *Catalog
 	minter  *TokenMinter
@@ -83,7 +85,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		requests: make(map[string]*telemetry.Counter),
 		latency:  make(map[string]*telemetry.Histogram),
 	}
-	for _, ep := range []string{"manifest", "data", "authorize", "config", "verify"} {
+	for _, ep := range []string{"manifest", "data", "authorize", "verify"} {
 		m.requests[ep] = reg.Counter("edge_requests_total",
 			"HTTP requests served, by endpoint", telemetry.Labels{"endpoint": ep})
 		m.latency[ep] = reg.Histogram("edge_request_duration_ms",
@@ -115,7 +117,6 @@ func NewServer(catalog *Catalog, minter *TokenMinter, ledger *Ledger, cfg Client
 	mux.HandleFunc("GET /v1/objects/{oid}/manifest", s.metrics.instrument("manifest", s.handleManifest))
 	mux.HandleFunc("GET /v1/objects/{oid}/data", s.metrics.instrument("data", s.handleData))
 	mux.HandleFunc("POST /v1/authorize", s.metrics.instrument("authorize", s.handleAuthorize))
-	mux.HandleFunc("GET /v1/config", s.metrics.instrument("config", s.handleConfig))
 	mux.HandleFunc("GET /v1/verify", s.metrics.instrument("verify", s.handleVerify))
 	telemetry.Mount(mux, s.metrics.reg)
 	s.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
@@ -329,10 +330,9 @@ type authorizeRequest struct {
 // policy defined by the content provider is used to decide whether a
 // particular file may be downloaded and uploaded", §3.5).
 type authorizeResponse struct {
-	Token  string       `json:"token"`
-	P2P    bool         `json:"p2p"`
-	Object objectJSON   `json:"object"`
-	Config ClientConfig `json:"config"`
+	Token  string     `json:"token"`
+	P2P    bool       `json:"p2p"`
+	Object objectJSON `json:"object"`
 }
 
 func (s *Server) handleAuthorize(w http.ResponseWriter, r *http.Request) {
@@ -366,12 +366,7 @@ func (s *Server) handleAuthorize(w http.ResponseWriter, r *http.Request) {
 		Token:  EncodeToken(s.minter.Mint(claims)),
 		P2P:    obj.P2PEnabled,
 		Object: toObjectJSON(obj),
-		Config: s.cfg,
 	})
-}
-
-func (s *Server) handleConfig(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.cfg)
 }
 
 // verifyResponse is what the control plane fetches to cross-check client

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,6 +73,10 @@ type IngestConfig struct {
 // handler. All methods are safe for concurrent use.
 type Ingest struct {
 	cfg IngestConfig
+
+	// inflight holds the keys of the batches being ingested right now; a
+	// resend arriving while its first copy is still inside Handle gets 429.
+	inflight sync.Map
 	// sem admits ingestMaxInflight batches; maxBatchBytes and maxDecodedBytes
 	// are the size caps. Tests shrink them; nothing else changes them.
 	sem             chan struct{}
@@ -180,6 +185,14 @@ func (in *Ingest) serve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := guid.String() + "/" + strconv.FormatUint(seq, 10)
+	// Claim the key before the dedup check: the first copy marks its ack
+	// before it releases the claim, so a resend either sees the claim or
+	// sees the ack, never neither.
+	if _, busy := in.inflight.LoadOrStore(key, true); busy {
+		in.send429(w)
+		return
+	}
+	defer in.inflight.Delete(key)
 	acks := in.cfg.Acks
 	if acks.Seen(key) {
 		// The uploader crashed between our ack and its cursor write; its
@@ -237,9 +250,12 @@ type tooLargeError struct{ msg string }
 
 func (e *tooLargeError) Error() string { return e.msg }
 
-// ingest decodes a batch and feeds each entry to the handler. The whole
-// batch is rejected only for transport-level damage (bad gzip, oversized);
-// record-level problems reject just that record.
+// ingest decodes a whole batch, then feeds each entry to the handler. A
+// batch with transport-level damage (bad gzip, a truncated stream, over the
+// decoded cap) is refused before any entry reaches the handler, so a refused
+// batch books nothing and its resend cannot book a prefix twice. An entry
+// that does not decode, or that the handler refuses, rejects just that
+// record.
 func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err error) {
 	zr, err := gzip.NewReader(bytes.NewReader(raw))
 	if err != nil {
@@ -250,6 +266,7 @@ func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err 
 	var decoded int64
 	sc := bufio.NewScanner(io.TeeReader(limited, countWriter{&decoded}))
 	sc.Buffer(make([]byte, 64<<10), analysis.MaxLineBytes)
+	var entries []*Entry
 	for sc.Scan() {
 		if decoded > in.maxDecodedBytes {
 			return 0, 0, &tooLargeError{"batch exceeds decoded size cap"}
@@ -258,26 +275,27 @@ func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err 
 		if len(line) == 0 {
 			continue
 		}
-		e, derr := DecodeEntry(line)
-		if derr != nil {
+		if e, derr := DecodeEntry(line); derr == nil {
+			entries = append(entries, e)
+		} else {
 			rejected++
-			in.inc(in.rejBadEntry)
-			continue
 		}
-		if in.cfg.Handle != nil {
-			if herr := in.cfg.Handle(guid, e); herr != nil {
-				rejected++
-				in.inc(in.rejBadEntry)
-				continue
-			}
-		}
-		accepted++
 	}
 	if serr := sc.Err(); serr != nil {
 		return 0, 0, fmt.Errorf("bad batch stream: %w", serr)
 	}
 	if decoded > in.maxDecodedBytes {
 		return 0, 0, &tooLargeError{"batch exceeds decoded size cap"}
+	}
+	for _, e := range entries {
+		if in.cfg.Handle != nil && in.cfg.Handle(guid, e) != nil {
+			rejected++
+			continue
+		}
+		accepted++
+	}
+	if in.rejBadEntry != nil {
+		in.rejBadEntry.Add(int64(rejected))
 	}
 	return accepted, rejected, nil
 }

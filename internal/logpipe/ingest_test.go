@@ -281,6 +281,94 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 }
 
+// TestIngestTruncatedBatchBooksNothing: a batch whose gzip stream is cut off
+// is refused whole, and each resend of it books nothing either; a refused
+// batch that booked its complete prefix would book it again on every retry.
+func TestIngestTruncatedBatchBooksNothing(t *testing.T) {
+	ch := &countingHandler{}
+	in := NewIngest(IngestConfig{Handle: ch.handle})
+	body := gzBatch(t, entryLines(t, testEntry(0), testEntry(1), testEntry(2)))
+	truncated := body[:len(body)-4] // every record intact, the gzip trailer cut
+	guid := id.NewGUID().String()
+	for attempt := 1; attempt <= 3; attempt++ {
+		if w, _ := postBatch(t, in.Handler(), guid, 0, truncated); w.Code != http.StatusBadRequest {
+			t.Fatalf("attempt %d: status %d, want 400", attempt, w.Code)
+		}
+		if ch.count() != 0 {
+			t.Fatalf("attempt %d: handler booked %d entries from a refused batch", attempt, ch.count())
+		}
+	}
+	// The intact batch under the same key is then booked once.
+	if w, resp := postBatch(t, in.Handler(), guid, 0, body); w.Code != http.StatusOK || resp.Accepted != 3 {
+		t.Fatalf("intact batch: status %d, response %+v", w.Code, resp)
+	}
+}
+
+// TestIngestOversizedBatchBooksNothing: a batch refused with 413 for its
+// decoded size books none of the records decoded before the cap tripped.
+func TestIngestOversizedBatchBooksNothing(t *testing.T) {
+	ch := &countingHandler{}
+	in := NewIngest(IngestConfig{Handle: ch.handle})
+	in.maxDecodedBytes = 100_000
+	entries := make([]*Entry, 2000)
+	for i := range entries {
+		entries[i] = testEntry(i)
+	}
+	w, _ := postBatch(t, in.Handler(), id.NewGUID().String(), 0, gzBatch(t, entryLines(t, entries...)))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", w.Code)
+	}
+	if ch.count() != 0 {
+		t.Fatalf("handler booked %d entries from a batch refused with 413", ch.count())
+	}
+}
+
+// TestIngestInflightResendBackpressured: a resend of a batch whose first copy
+// is still inside Handle is answered 429 with Retry-After rather than booked
+// a second time; after the first copy is acked, the resend is a duplicate.
+func TestIngestInflightResendBackpressured(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var mu sync.Mutex
+	booked := 0
+	in := NewIngest(IngestConfig{Handle: func(id.GUID, *Entry) error {
+		mu.Lock()
+		booked++
+		first := booked == 1
+		mu.Unlock()
+		if first {
+			close(started)
+			<-release
+		}
+		return nil
+	}})
+	guid := id.NewGUID().String()
+	body := gzBatch(t, entryLines(t, testEntry(0)))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		postBatch(t, in.Handler(), guid, 5, body)
+	}()
+	<-started
+	w, _ := postBatch(t, in.Handler(), guid, 5, body)
+	close(release)
+	<-done
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("in-flight resend: status %d, want 429", w.Code)
+	}
+	if ra := w.Header().Get("Retry-After"); ra != ingestRetryAfter {
+		t.Fatalf("Retry-After = %q, want %q", ra, ingestRetryAfter)
+	}
+	if w, resp := postBatch(t, in.Handler(), guid, 5, body); w.Code != http.StatusOK || !resp.Duplicate {
+		t.Fatalf("resend after ack: status %d, response %+v, want duplicate", w.Code, resp)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if booked != 1 {
+		t.Fatalf("batch booked %d times, want 1", booked)
+	}
+}
+
 // TestIngestFaultsInjected flips a fault injector on and off on a live
 // endpoint, the mechanism the chaos harness uses to drive 503 storms.
 func TestIngestFaultsInjected(t *testing.T) {

@@ -293,8 +293,10 @@ func (s *Spool) sealedLocked() ([]SegmentFile, error) {
 }
 
 // Batch is one sealed segment ready for upload. Data is the segment's
-// compressed bytes exactly as stored; (spool GUID, Seq) is the idempotent
-// batch identity the control plane deduplicates on.
+// compressed bytes exactly as stored, or, for a torn segment, its complete
+// lines compressed again, so the ingest endpoint never sees a torn stream;
+// (spool GUID, Seq) is the idempotent batch identity the control plane
+// deduplicates on.
 type Batch struct {
 	Seq     uint64
 	Records int
@@ -327,6 +329,13 @@ func (s *Spool) NextBatch() (b Batch, ok bool, err error) {
 			return Batch{}, false, err
 		}
 		return Batch{}, false, fmt.Errorf("logpipe: segment %d unreadable, skipped", sf.Seq)
+	}
+	if rerr != nil {
+		// A torn tail: upload the lines that survived as an intact batch.
+		// The ingest endpoint refuses a torn stream outright.
+		if data, err = MarshalSegment(lines); err != nil {
+			return Batch{}, false, err
+		}
 	}
 	return Batch{Seq: sf.Seq, Records: len(lines), Data: data}, true, nil
 }

@@ -77,6 +77,48 @@ func TestUploaderDrains(t *testing.T) {
 	}
 }
 
+// TestUploaderTornSegmentBookedOnce: a sealed segment with a torn tail is
+// uploaded as an intact batch of its complete records, booked exactly once,
+// and drained; the torn bytes themselves would be refused on every retry.
+func TestUploaderTornSegmentBookedOnce(t *testing.T) {
+	dir := t.TempDir()
+	p := newTestPipe(t, dir)
+	for i := 0; i < 5; i++ {
+		if err := p.spool.Append(testEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.spool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := ListSegments(dir)
+	if err != nil || len(segs) != 1 || segs[0].Open {
+		t.Fatalf("want one sealed segment, got %+v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segs[0].Path, data[:len(data)-4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := ReadSegmentFile(segs[0].Path)
+	if err != ErrTorn || len(lines) == 0 {
+		t.Fatalf("planted segment: %d lines, err %v; want a torn tail after complete lines", len(lines), err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.uploader.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v (booked %d)", err, p.handled.count())
+	}
+	if p.handled.count() != len(lines) {
+		t.Fatalf("ingest booked %d entries, want the %d complete ones once", p.handled.count(), len(lines))
+	}
+	if sealed, open := p.spool.Pending(); sealed != 0 || open != 0 {
+		t.Fatalf("spool not drained: sealed=%d open=%d", sealed, open)
+	}
+}
+
 // TestUploaderCrashResendDeduped replays the ack-before-cursor crash: a
 // snapshot of the spool taken before the drain is re-uploaded by a second
 // uploader with the same GUID, and the ingest dedup window must keep the

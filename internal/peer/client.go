@@ -540,27 +540,6 @@ func (c *Client) registerStoredObjects() {
 	}
 }
 
-// reAddEntries builds the RE-ADD reply listing stored objects.
-func (c *Client) reAddEntries() []protocol.ReAddEntry {
-	if !c.prefs.UploadsEnabled() {
-		return nil
-	}
-	var out []protocol.ReAddEntry
-	for _, oid := range c.store.Objects() {
-		bf := c.store.Have(oid)
-		if bf == nil || bf.Count() == 0 {
-			continue
-		}
-		out = append(out, protocol.ReAddEntry{
-			Object:    oid,
-			NumPieces: uint32(bf.Len()),
-			HaveCount: uint32(bf.Count()),
-			Complete:  bf.Complete(),
-		})
-	}
-	return out
-}
-
 // WaitControlConnected blocks until the control connection is up or the
 // timeout elapses; tests and examples use it to sequence setups.
 func (c *Client) WaitControlConnected(timeout time.Duration) bool {

@@ -312,7 +312,7 @@ func (cc *controlConn) readLoop(conn net.Conn) {
 		case *protocol.ConnectTo:
 			cc.c.handleConnectTo(m)
 		case *protocol.ReAdd:
-			cc.send(&protocol.ReAddReply{Entries: cc.c.reAddEntries()})
+			cc.c.registerStoredObjects()
 		case *protocol.Ping:
 			cc.send(&protocol.Pong{Nonce: m.Nonce})
 		default:

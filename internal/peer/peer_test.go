@@ -31,7 +31,7 @@ type deployment struct {
 
 func newDeployment(t *testing.T, numCNs int, objs ...*content.Object) *deployment {
 	t.Helper()
-	return startDeployment(t, numCNs, 0, objs)
+	return startDeployment(t, numCNs, 0, nil, objs)
 }
 
 // newWANDeployment is a one-CN deployment whose edge answers every request
@@ -41,10 +41,12 @@ func newDeployment(t *testing.T, numCNs int, objs ...*content.Object) *deploymen
 // peer query is answered.
 func newWANDeployment(t *testing.T, objs ...*content.Object) *deployment {
 	t.Helper()
-	return startDeployment(t, 1, 2*time.Millisecond, objs)
+	return startDeployment(t, 1, 2*time.Millisecond, nil, objs)
 }
 
-func startDeployment(t *testing.T, numCNs int, edgeLatency time.Duration, objs []*content.Object) *deployment {
+// startDeployment starts an edge and a one-node control plane; mutate, when
+// set, adjusts the control plane's config before it starts.
+func startDeployment(t *testing.T, numCNs int, edgeLatency time.Duration, mutate func(*controlplane.Config), objs []*content.Object) *deployment {
 	t.Helper()
 	acfg := geo.DefaultAtlasConfig()
 	acfg.TailCountries = 2
@@ -68,12 +70,16 @@ func startDeployment(t *testing.T, numCNs int, edgeLatency time.Duration, objs [
 	}
 	t.Cleanup(func() { es.Close() })
 
-	node, err := controlplane.StartNode(controlplane.Config{
+	cfg := controlplane.Config{
 		CNs:       numCNs,
 		Scape:     scape,
 		Minter:    minter,
 		Collector: accounting.NewCollector(&accounting.LedgerVerifier{Edge: ledger}),
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	node, err := controlplane.StartNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +157,16 @@ func (d *deployment) seed(country geo.CountryCode, obj *content.Object) *Client 
 	return s
 }
 
-func (d *deployment) waitCopies(country geo.CountryCode, oid content.ObjectID, want int) {
-	d.t.Helper()
+// region is the network region of the peers spawnPeer starts in country.
+func (d *deployment) region(country geo.CountryCode) geo.NetworkRegion {
 	c, _ := d.atlas.Country(country)
 	loc := d.atlas.Location(c.Locations[0])
-	region := geo.RegionOf(geo.Record{Country: country, Continent: loc.Continent, Coord: loc.Coord})
+	return geo.RegionOf(geo.Record{Country: country, Continent: loc.Continent, Coord: loc.Coord})
+}
+
+func (d *deployment) waitCopies(country geo.CountryCode, oid content.ObjectID, want int) {
+	d.t.Helper()
+	region := d.region(country)
 	waitUntil(d.t, 5*time.Second, func() bool {
 		return d.cp.DN(region).Copies(oid) >= want
 	}, "directory never reached %d copies", want)
@@ -486,6 +497,51 @@ func TestCNFailover(t *testing.T) {
 	}
 	if res.Outcome != protocol.OutcomeCompleted {
 		t.Fatalf("outcome %v", res.Outcome)
+	}
+}
+
+// TestReloginDuringRebuildAnnouncesOnce: a peer that logs in while its
+// region's DN is rebuilding re-registers each stored object once, from the
+// login itself; a RE-ADD is only sent to peers already connected when the
+// DN was lost (§3.8).
+func TestReloginDuringRebuildAnnouncesOnce(t *testing.T) {
+	objs := []*content.Object{e2eObject(t, 100_000, true), e2eObject(t, 100_000, true)}
+	var err error
+	if objs[1], err = content.NewObject(78, "e2e/second.bin", 1, 100_000, 16<<10, true); err != nil {
+		t.Fatal(err)
+	}
+	d := startDeployment(t, 2, 0, func(c *controlplane.Config) { c.DNRebuildWindowMs = 60_000 }, objs)
+	s := d.seed("US", objs[0])
+	dl, err := s.Download(objs[1].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if res, err := dl.Wait(ctx); err != nil || res.Outcome != protocol.OutcomeCompleted {
+		t.Fatalf("second download: %v, %v", res.Outcome, err)
+	}
+	d.waitCopies("US", objs[1].ID, 1)
+	key := `dn_rebuild_announces_total{region="` + d.region("US").String() + `"}`
+	announces := func() int64 { return d.cp.Metrics().Snapshot().Counters[key] }
+
+	// The DN loss sends RE-ADD to the connected peer: one Register per object.
+	d.cp.FailDN(d.region("US"))
+	waitUntil(t, 5*time.Second, func() bool { return announces() >= 2 }, "RE-ADD never answered")
+	d.waitCopies("US", objs[0].ID, 1)
+	d.waitCopies("US", objs[1].ID, 1)
+
+	// Relogin mid-window: close the peer's CN so it fails over to the other.
+	for _, cn := range d.cns {
+		if cn.SessionCount() > 0 {
+			cn.Close()
+		}
+	}
+	waitUntil(t, 10*time.Second, func() bool { return announces() >= 4 },
+		"relogin never re-registered: %s = %d", key, announces())
+	if eventually(500*time.Millisecond, func() bool { return announces() > 4 }) {
+		t.Fatalf("%s = %d after one RE-ADD and one relogin of a peer storing 2 objects, want 4",
+			key, announces())
 	}
 }
 

@@ -241,8 +241,6 @@ func (sc *swarmConn) loop() {
 			if sc.download != nil {
 				sc.download.onPiece(sc, int(m.Index), m.Data)
 			}
-		case *protocol.Cancel:
-			// Requests are served synchronously; nothing to cancel.
 		case *protocol.Goodbye:
 			return
 		default:

@@ -27,7 +27,7 @@ import (
 const (
 	magic0  = 'N'
 	magic1  = 'S'
-	Version = 1
+	Version = 2
 	// MaxPayload bounds a frame payload; larger frames are rejected before
 	// allocation, protecting servers from hostile peers.
 	MaxPayload = 8 << 20
@@ -48,7 +48,6 @@ const (
 	TRegister
 	TUnregister
 	TReAdd
-	TReAddReply
 	TUsageLog
 	TConfigUpdate
 	TPing
@@ -61,7 +60,6 @@ const (
 	THave
 	TRequest
 	TPiece
-	TCancel
 	TGoodbye
 
 	maxMsgType
@@ -71,10 +69,10 @@ var typeNames = map[MsgType]string{
 	TLogin: "LOGIN", TLoginAck: "LOGIN-ACK", TQuery: "QUERY",
 	TQueryResult: "QUERY-RESULT", TConnectTo: "CONNECT-TO",
 	TRegister: "REGISTER", TUnregister: "UNREGISTER", TReAdd: "RE-ADD",
-	TReAddReply: "RE-ADD-REPLY", TUsageLog: "USAGE-LOG", TConfigUpdate: "CONFIG",
+	TUsageLog: "USAGE-LOG", TConfigUpdate: "CONFIG",
 	TPing: "PING", TPong: "PONG", THandshake: "HANDSHAKE",
 	THandshakeAck: "HANDSHAKE-ACK", TBitfield: "BITFIELD", THave: "HAVE",
-	TRequest: "REQUEST", TPiece: "PIECE", TCancel: "CANCEL", TGoodbye: "GOODBYE",
+	TRequest: "REQUEST", TPiece: "PIECE", TGoodbye: "GOODBYE",
 }
 
 func (t MsgType) String() string {
@@ -177,8 +175,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &Unregister{}, nil
 	case TReAdd:
 		return &ReAdd{}, nil
-	case TReAddReply:
-		return &ReAddReply{}, nil
 	case TUsageLog:
 		return &UsageLog{}, nil
 	case TConfigUpdate:
@@ -199,8 +195,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &Request{}, nil
 	case TPiece:
 		return &Piece{}, nil
-	case TCancel:
-		return &Cancel{}, nil
 	case TGoodbye:
 		return &Goodbye{}, nil
 	}

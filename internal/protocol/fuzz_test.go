@@ -19,7 +19,7 @@ func FuzzReadMessage(f *testing.F) {
 		&QueryResult{Peers: []PeerInfo{{Addr: "x:1"}}},
 		&UsageLog{Entry: []byte(`{"kind":"download","fromPeers":[{"bytes":1}]}`)},
 		&Piece{Index: 3, Data: []byte("data")},
-		&ReAddReply{Entries: []ReAddEntry{{NumPieces: 2}}},
+		&Register{Object: content.NewObjectID(1, "u", 1), NumPieces: 2, HaveCount: 1},
 	}
 	for _, m := range seedMsgs {
 		var buf bytes.Buffer
@@ -29,7 +29,7 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte{})
-	f.Add([]byte{'N', 'S', 1, 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{'N', 'S', Version, 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	// A Piece whose Data spans several 256-byte blocks, written by
 	// reference: the decoder's aliasing path with a non-trivial body.
 	var piece bytes.Buffer

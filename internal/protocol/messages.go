@@ -258,50 +258,14 @@ func (m *Unregister) decodeFrom(d *decoder) { m.Object = d.objectID() }
 
 // ReAdd asks a peer to re-list its stored objects after a DN loss: "If a DN
 // goes down, the CNs connected to that DN send a RE-ADD message to their
-// peers, asking them to list the files that they are storing" (§3.8).
+// peers, asking them to list the files that they are storing" (§3.8). The
+// peer lists them the way it does after every login: one Register per stored
+// object.
 type ReAdd struct{}
 
 func (*ReAdd) Type() MsgType       { return TReAdd }
 func (*ReAdd) encodeTo(*encoder)   {}
 func (*ReAdd) decodeFrom(*decoder) {}
-
-// ReAddEntry is one object listing in a ReAddReply.
-type ReAddEntry struct {
-	Object    content.ObjectID
-	NumPieces uint32
-	HaveCount uint32
-	Complete  bool
-}
-
-// ReAddReply carries the peer's current object list back to the CN, which
-// forwards it to the surviving DNs to repopulate their databases.
-type ReAddReply struct {
-	Entries []ReAddEntry
-}
-
-func (*ReAddReply) Type() MsgType { return TReAddReply }
-
-func (m *ReAddReply) encodeTo(e *encoder) {
-	e.u32(uint32(len(m.Entries)))
-	for _, en := range m.Entries {
-		e.objectID(en.Object)
-		e.u32(en.NumPieces)
-		e.u32(en.HaveCount)
-		e.boolean(en.Complete)
-	}
-}
-
-func (m *ReAddReply) decodeFrom(d *decoder) {
-	n := int(d.u32())
-	for i := 0; i < n && d.err == nil; i++ {
-		var en ReAddEntry
-		en.Object = d.objectID()
-		en.NumPieces = d.u32()
-		en.HaveCount = d.u32()
-		en.Complete = d.boolean()
-		m.Entries = append(m.Entries, en)
-	}
-}
 
 // Outcome is the terminal state of a download as recorded in the logs
 // (§5.2): completed, failed (with a cause class), or aborted/paused by the
@@ -484,13 +448,6 @@ func (m *Piece) decodeFrom(d *decoder) {
 	m.Index = d.u32()
 	m.Data = d.ref()
 }
-
-// Cancel withdraws an outstanding Request.
-type Cancel struct{ Index uint32 }
-
-func (*Cancel) Type() MsgType           { return TCancel }
-func (m *Cancel) encodeTo(e *encoder)   { e.u32(m.Index) }
-func (m *Cancel) decodeFrom(d *decoder) { m.Index = d.u32() }
 
 // Goodbye announces an orderly close of a swarm connection.
 type Goodbye struct{ Reason string }

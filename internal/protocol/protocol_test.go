@@ -53,10 +53,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&Register{Object: oid, NumPieces: 100, HaveCount: 42, Complete: false},
 		&Unregister{Object: oid},
 		&ReAdd{},
-		&ReAddReply{Entries: []ReAddEntry{
-			{Object: oid, NumPieces: 10, HaveCount: 10, Complete: true},
-			{Object: content.NewObjectID(8, "g", 1), NumPieces: 5, HaveCount: 2},
-		}},
 		&UsageLog{Entry: []byte(`{"kind":"download","size":1073741824}`)},
 		&ConfigUpdate{Epoch: 3, MaxUploadConns: 8, PerObjectUploadCap: 20,
 			UploadRateBps: 1 << 20, CacheTTLSec: 86400},
@@ -69,7 +65,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&Have{Index: 12},
 		&Request{Index: 13},
 		&Piece{Index: 13, Data: []byte("piece-bytes")},
-		&Cancel{Index: 13},
 		&Goodbye{Reason: "done"},
 	}
 	for _, m := range msgs {
