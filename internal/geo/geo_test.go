@@ -1,8 +1,10 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -190,7 +192,7 @@ func TestEdgeScapeBlockOverflow(t *testing.T) {
 func TestSetsForOrder(t *testing.T) {
 	rec := Record{Country: "US", Continent: NorthAmerica, ASN: 1000}
 	sets := SetsFor(rec)
-	if sets[0].Level != LevelAS || sets[0].Value != "AS1000" {
+	if sets[0] != (SetKey{LevelAS, 1000}) || sets[0].String() != "as:AS1000" {
 		t.Errorf("first set should be the AS set, got %v", sets[0])
 	}
 	if sets[3].Level != LevelWorld {
@@ -201,6 +203,32 @@ func TestSetsForOrder(t *testing.T) {
 			t.Errorf("specificity must strictly decrease: %v then %v", sets[i-1], sets[i])
 		}
 	}
+}
+
+// TestSetKeyCodesInjective: distinct country or continent codes get
+// distinct set keys, and each key prints the code it came from. A code too
+// long to pack panics instead of sharing a key.
+func TestSetKeyCodesInjective(t *testing.T) {
+	codes := []string{"", "A", "A\x00", "\x00", "\x00\x00", "US", "NA", "XAB", "XA", "\xff\xff\xff"}
+	seen := make(map[SetKey]string)
+	for _, c := range codes {
+		sets := SetsFor(Record{Country: CountryCode(c), Continent: Continent(c)})
+		for _, k := range sets[LevelCountry : LevelContinent+1] {
+			if prev, dup := seen[k]; dup {
+				t.Fatalf("codes %q and %q share the key %v", prev, c, k)
+			}
+			seen[k] = c
+			if want := k.Level.String() + ":" + c; k.String() != want {
+				t.Errorf("key of %q prints %q, want %q", c, k.String(), want)
+			}
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "longer than three bytes") {
+			t.Fatalf("a four-byte code gave %v, want a panic naming the limit", r)
+		}
+	}()
+	SetsFor(Record{Country: "XABC"})
 }
 
 func TestRegionOfPartition(t *testing.T) {

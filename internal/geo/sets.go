@@ -3,7 +3,6 @@ package geo
 import (
 	"fmt"
 	"strconv"
-	"sync"
 )
 
 // SetLevel is the specificity level of a locality set, from most specific
@@ -11,7 +10,7 @@ import (
 // paper's DN selection "begins with peers from the most specific set that
 // the querying peer belongs to, and proceeds to less specific sets until
 // enough suitable peers are found" (§3.7).
-type SetLevel int
+type SetLevel uint32
 
 // Locality set levels, most specific first.
 const (
@@ -56,26 +55,42 @@ func (l SetLevel) Specificity() float64 {
 	return 0
 }
 
-// SetKey names one locality set: a level plus the value at that level.
-// SetKey is comparable and used as a map key by the directory.
+// SetKey names one locality set: a level plus a number for the value at
+// that level — the ASN, a country or continent code (see codeNumber), or 0
+// for World. SetKey is an 8-byte comparable value with no string in it; the
+// directory keys its maps on it, so a lookup hashes one machine word.
 type SetKey struct {
 	Level SetLevel
-	Value string
+	Value uint32
 }
 
-func (k SetKey) String() string { return k.Level.String() + ":" + k.Value }
-
-// asKeys interns the "AS<n>" strings; the AS population is small and
-// static, and SetsFor sits on the directory's register/select hot path, so
-// formatting the number on every call would dominate its cost.
-var asKeys sync.Map // ASN -> string
-
-func asKey(asn ASN) string {
-	if v, ok := asKeys.Load(asn); ok {
-		return v.(string)
+func (k SetKey) String() string {
+	switch k.Level {
+	case LevelAS:
+		return "as:AS" + strconv.FormatUint(uint64(k.Value), 10)
+	case LevelCountry, LevelContinent:
+		b := make([]byte, k.Value>>24)
+		for i := range b {
+			b[i] = byte(k.Value >> (8 * (2 - i)))
+		}
+		return k.Level.String() + ":" + string(b)
 	}
-	v, _ := asKeys.LoadOrStore(asn, "AS"+strconv.FormatUint(uint64(asn), 10))
-	return v.(string)
+	return k.Level.String() + ":world"
+}
+
+// codeNumber maps a country or continent code to its set value: the length
+// in bits 24–25 and the bytes below it, so distinct codes get distinct
+// numbers. Continent codes have two bytes and atlas country codes two or
+// three, so a longer code is a bug that would merge sets; it panics.
+func codeNumber(code string) uint32 {
+	if len(code) > 3 {
+		panic(fmt.Sprintf("geo: locality code %q is longer than three bytes", code))
+	}
+	v := uint32(len(code)) << 24
+	for i := 0; i < len(code); i++ {
+		v |= uint32(code[i]) << (8 * (2 - i))
+	}
+	return v
 }
 
 // SetsFor returns the locality sets a peer with the given record belongs to,
@@ -84,10 +99,10 @@ func asKey(asn ASN) string {
 // a subset for its specific AS" (§3.7).
 func SetsFor(rec Record) [4]SetKey {
 	return [4]SetKey{
-		{LevelAS, asKey(rec.ASN)},
-		{LevelCountry, string(rec.Country)},
-		{LevelContinent, string(rec.Continent)},
-		{LevelWorld, "world"},
+		{LevelAS, uint32(rec.ASN)},
+		{LevelCountry, codeNumber(string(rec.Country))},
+		{LevelContinent, codeNumber(string(rec.Continent))},
+		{LevelWorld, 0},
 	}
 }
 

@@ -131,8 +131,13 @@ func TestEdgePoolConcurrentFailover(t *testing.T) {
 		t.Fatalf("pool must restick to the surviving server, current=%d", cur)
 	}
 
-	// The dead server keeps failing until its breaker quarantines it.
+	// The dead server keeps failing until its breaker quarantines it. After
+	// the restick every call would start at the live server, so point the
+	// pool back at the dead one before each fetch.
 	for i := 0; i < 10 && pool.breakerTrips() == 0; i++ {
+		pool.mu.Lock()
+		pool.current = 0
+		pool.mu.Unlock()
 		pool.FetchManifest(obj.ID)
 	}
 	if pool.breakerTrips() == 0 {

@@ -38,7 +38,7 @@ func TestRegisterGeoMove(t *testing.T) {
 	g := moved.Info.GUID
 	oe := f.dir.objects[f.obj]
 	inList := func(key geo.SetKey) bool {
-		for _, x := range oe.bySet[key] {
+		for _, x := range oe.list(key) {
 			if x == g {
 				return true
 			}
@@ -133,14 +133,14 @@ func TestTombstoneCompaction(t *testing.T) {
 		t.Fatalf("Copies=%d after compaction, want 3", got)
 	}
 	live := 0
-	for key, list := range oe.bySet {
-		for _, g := range list {
+	for _, l := range oe.lists {
+		for _, g := range l.guids {
 			if oe.entries[g] == nil {
-				t.Fatalf("set %v lists a GUID with no entry after compaction", key)
+				t.Fatalf("set %v lists a GUID with no entry after compaction", l.key)
 			}
 		}
-		if key.Level == geo.LevelWorld {
-			for _, g := range list {
+		if l.key.Level == geo.LevelWorld {
+			for _, g := range l.guids {
 				if !oe.entries[g].dead {
 					live++
 				}

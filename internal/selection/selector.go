@@ -244,7 +244,7 @@ func (d *Directory) fillLevel(sc *selScratch, obj content.ObjectID, key geo.SetK
 			break
 		}
 		if !lv.haveG {
-			lv.guids = append(lv.guids[:0], oe.bySet[key]...)
+			lv.guids = append(lv.guids[:0], oe.list(key)...)
 			lv.haveG = true
 		}
 		end := lv.next + snapshotChunk
@@ -272,20 +272,19 @@ func (d *Directory) applyRotations(obj content.ObjectID, sets [4]geo.SetKey, rot
 	d.mu.Lock()
 	if oe := d.objects[obj]; oe != nil {
 		for _, r := range rots {
-			key := sets[r.level]
-			oe.bySet[key] = rotateToTail(oe.bySet[key], r.g)
+			rotateToTail(oe.list(sets[r.level]), r.g)
 		}
 	}
 	d.mu.Unlock()
 }
 
-func rotateToTail(list []id.GUID, g id.GUID) []id.GUID {
+// rotateToTail moves g, if listed, to the tail of list in place.
+func rotateToTail(list []id.GUID, g id.GUID) {
 	for i, x := range list {
 		if x == g {
 			copy(list[i:], list[i+1:])
 			list[len(list)-1] = g
-			return list
+			return
 		}
 	}
-	return list
 }

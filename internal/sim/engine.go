@@ -14,13 +14,23 @@
 // per-region logs are merged deterministically afterwards.
 package sim
 
+import "fmt"
+
 // Engine is a minimal discrete-event executor over a virtual millisecond
 // clock. Each engine instance is single-goroutine by design: determinism
-// beats intra-shard parallelism for reproducing figures. Events are stored
-// by value in a 4-ary implicit heap — no per-event heap allocation, fewer
-// levels and better cache locality than the binary container/heap it
-// replaces (the event queue of a month-scale run holds hundreds of
-// thousands of pending events).
+// beats intra-shard parallelism for reproducing figures.
+//
+// The queue is a 4-ary implicit heap whose array holds no pointers. Each
+// heap item is a packed key — virtual ms in the high 32 bits, a FIFO
+// sequence number in the low 32 — plus the index of a payload slot, so one
+// integer compare orders two events, a sift moves 16-byte values without a
+// GC write barrier, and the GC never scans the heap array (the queue of a
+// month-scale run holds hundreds of thousands of pending events). The
+// (fn, arg) payloads live in a slot array recycled through a LIFO free list:
+// a slot is written once when its event is scheduled and cleared once when
+// it is popped. The packing bounds an engine to event times below 2³² ms
+// (49.7 days) and to 2³² scheduled events; At panics past either limit
+// rather than misorder events.
 //
 // Handlers take a caller-packed uint64 argument instead of closing over
 // their state: a shard binds each handler once (a method value stored in a
@@ -32,23 +42,29 @@ type Engine struct {
 	now      int64
 	seq      uint64
 	executed int
-	pq       []event
+	heap     []heapItem
+	slots    []payload
+	free     []uint32 // unused slots, reused last-freed first
 }
 
-type event struct {
-	t   int64
-	seq uint64 // FIFO tiebreak for equal times
-	arg uint64 // packed handler argument (peer index, slot<<32|epoch, …)
+// heapItem orders one pending event: key is tMs<<32 | seq.
+type heapItem struct {
+	key  uint64
+	slot uint32
+}
+
+// payload is a pending event's handler and its packed argument.
+type payload struct {
 	fn  func(arg uint64)
+	arg uint64
 }
 
-// before reports heap ordering: earlier time first, FIFO within a time.
-func (a *event) before(b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
+// maxEventMs and maxSeq are the packed key's bounds: 32 bits of virtual
+// milliseconds (49.7 days) and 32 bits of sequence number per engine.
+const (
+	maxEventMs = 1<<32 - 1
+	maxSeq     = 1<<32 - 1
+)
 
 // Now returns the current virtual time in milliseconds.
 func (e *Engine) Now() int64 { return e.now }
@@ -58,16 +74,31 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Executed() int { return e.executed }
 
 // Pending returns the number of scheduled events not yet executed.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // At schedules fn(arg) at virtual time tMs; times in the past run "now".
 func (e *Engine) At(tMs int64, fn func(uint64), arg uint64) {
 	if tMs < e.now {
 		tMs = e.now
 	}
+	if tMs > maxEventMs {
+		panic(fmt.Sprintf("sim: event at %d ms is past the engine's 2^32 ms (49.7-day) limit", tMs))
+	}
+	if e.seq >= maxSeq {
+		panic(fmt.Sprintf("sim: engine has scheduled %d events, the 2^32 limit of its sequence numbers", e.seq))
+	}
 	e.seq++
-	e.pq = append(e.pq, event{t: tMs, seq: e.seq, arg: arg, fn: fn})
-	e.siftUp(len(e.pq) - 1)
+	var slot uint32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slots[slot] = payload{fn: fn, arg: arg}
+	} else {
+		slot = uint32(len(e.slots))
+		e.slots = append(e.slots, payload{fn: fn, arg: arg})
+	}
+	e.heap = append(e.heap, heapItem{key: uint64(tMs)<<32 | e.seq, slot: slot})
+	e.siftUp(len(e.heap) - 1)
 }
 
 // After schedules fn(arg) dMs from now.
@@ -77,15 +108,18 @@ func (e *Engine) After(dMs int64, fn func(uint64), arg uint64) { e.At(e.now+dMs,
 // untilMs. It returns the number of events executed.
 func (e *Engine) Run(untilMs int64) int {
 	n := 0
-	for len(e.pq) > 0 {
-		top := &e.pq[0]
-		if top.t > untilMs {
+	for len(e.heap) > 0 {
+		top := e.heap[0]
+		t := int64(top.key >> 32)
+		if t > untilMs {
 			break
 		}
-		e.now = top.t
-		fn, arg := top.fn, top.arg
+		e.now = t
+		p := e.slots[top.slot]
+		e.slots[top.slot] = payload{} // drop the closure reference
+		e.free = append(e.free, top.slot)
 		e.pop()
-		fn(arg)
+		p.fn(p.arg)
 		n++
 		e.executed++
 	}
@@ -95,12 +129,11 @@ func (e *Engine) Run(untilMs int64) int {
 	return n
 }
 
-// pop removes the minimum event, releasing its closure for GC.
+// pop removes the minimum heap item.
 func (e *Engine) pop() {
-	last := len(e.pq) - 1
-	e.pq[0] = e.pq[last]
-	e.pq[last] = event{} // drop the closure reference
-	e.pq = e.pq[:last]
+	last := len(e.heap) - 1
+	e.heap[0] = e.heap[last]
+	e.heap = e.heap[:last]
 	if last > 0 {
 		e.siftDown(0)
 	}
@@ -108,23 +141,25 @@ func (e *Engine) pop() {
 
 // siftUp restores heap order from child i upward (4-ary: parent = (i-1)/4).
 func (e *Engine) siftUp(i int) {
-	ev := e.pq[i]
+	h := e.heap
+	it := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !ev.before(&e.pq[p]) {
+		if it.key >= h[p].key {
 			break
 		}
-		e.pq[i] = e.pq[p]
+		h[i] = h[p]
 		i = p
 	}
-	e.pq[i] = ev
+	h[i] = it
 }
 
 // siftDown restores heap order from parent i downward
 // (4-ary: children = 4i+1 … 4i+4).
 func (e *Engine) siftDown(i int) {
-	n := len(e.pq)
-	ev := e.pq[i]
+	h := e.heap
+	n := len(h)
+	it := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -136,15 +171,15 @@ func (e *Engine) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e.pq[c].before(&e.pq[best]) {
+			if h[c].key < h[best].key {
 				best = c
 			}
 		}
-		if !e.pq[best].before(&ev) {
+		if h[best].key >= it.key {
 			break
 		}
-		e.pq[i] = e.pq[best]
+		h[i] = h[best]
 		i = best
 	}
-	e.pq[i] = ev
+	h[i] = it
 }

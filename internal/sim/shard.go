@@ -314,7 +314,7 @@ func (sh *shard) setOffline(p *simPeer) {
 		return
 	}
 	p.online = false
-	sh.dir.DropPeer(p.spec.GUID)
+	sh.dir.DropPeer(p.info.GUID)
 	sh.detachAll(p)
 }
 
@@ -322,7 +322,7 @@ func (sh *shard) setOffline(p *simPeer) {
 func (sh *shard) togglePeer(p *simPeer) {
 	p.uploadsEnabled = !p.uploadsEnabled
 	if !p.uploadsEnabled {
-		sh.dir.DropPeer(p.spec.GUID)
+		sh.dir.DropPeer(p.info.GUID)
 		sh.detachAll(p)
 	} else if p.online {
 		sh.reregisterCache(p)
@@ -360,7 +360,7 @@ func (sh *shard) expireCache(p *simPeer, obj uint32) {
 	i := p.cacheIndex(obj)
 	if i >= 0 && p.cache[i].exp <= sh.eng.Now() {
 		p.cache = append(p.cache[:i], p.cache[i+1:]...)
-		sh.dir.Unregister(sh.objID[obj], p.spec.GUID)
+		sh.dir.Unregister(sh.objID[obj], p.info.GUID)
 	}
 }
 

@@ -200,6 +200,9 @@ func (r *Result) Input() *analysis.Input {
 // by (timestamp, region), the result is byte-identical for any worker count
 // — workers=1 is a plain sequential loop and the reference ordering.
 func Run(cfg ScenarioConfig) (*Result, error) {
+	if cfg.Days > maxDays {
+		return nil, fmt.Errorf("sim: %d days is past the %d-day limit of the engine's 2^32 ms clock", cfg.Days, maxDays)
+	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	} else {
@@ -501,6 +504,11 @@ func (s *Sim) mergeLogs() *accounting.Log {
 		func(r, i int) { log.Registrations = append(log.Registrations, s.shards[r].log.regs[i].rec) })
 	return log
 }
+
+// maxDays keeps a run inside the engine's 2³² ms (49.7-day) clock: the
+// month, its 2-day drain, and a cache expiry scheduled 14 days after the
+// drain's last event.
+const maxDays = 33
 
 // mbpsToBytesPerMs converts a link rate.
 func mbpsToBytesPerMs(mbps float64) float64 { return mbps * 1e6 / 8 / 1000 }
