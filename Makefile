@@ -34,12 +34,14 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # Hot-path timings: engine event loop, whole-sim small scale, DN selection,
-# DN churn (a peer's departure plus another's re-registration), and the piece
-# data path (codec round trip at 64 and 256 KiB, verified store put,
-# synthetic body).
+# DN churn (a peer's departure plus another's re-registration), the small
+# month's analysis (both record streams folded, then the full report) from a
+# finished simulation, and the piece data path (codec round trip at 64 and
+# 256 KiB, verified store put, synthetic body).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$|BenchmarkDirectoryChurn$$' \
 		-benchtime 2x -benchmem ./internal/sim ./internal/selection
+	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeMonth$$' -benchtime 2x -benchmem ./internal/analysis
 	$(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
 		-benchtime 200ms -benchmem ./internal/protocol ./internal/content
 

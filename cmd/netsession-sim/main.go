@@ -221,7 +221,7 @@ type jsonLogin struct {
 func writeLogins(path string, res *netsession.ScenarioResult) (int, error) {
 	n := 0
 	err := writeJSONL(path, func(emit func(any)) {
-		res.Logins(func(r *accounting.LoginRecord) {
+		res.ReplayLogins(func(r *accounting.LoginRecord) {
 			n++
 			emit(jsonLogin{
 				TimeMs: r.TimeMs, GUID: r.GUID.String(), IP: r.IP.String(),

@@ -133,24 +133,20 @@ type Log struct {
 	Registrations []RegistrationRecord
 }
 
-// Sink takes a month of records one at a time. A sink must not keep a
-// record pointer past the call: a streamed source reuses the record.
-type Sink interface {
-	AddLogin(*LoginRecord)
-	AddDownload(*DownloadRecord)
-	AddRegistration(*RegistrationRecord)
+// ReplayLogins hands the log's logins to add in slice order.
+func (l *Log) ReplayLogins(add func(*LoginRecord)) {
+	for i := range l.Logins {
+		add(&l.Logins[i])
+	}
 }
 
-// Replay hands the log's records to s in slice order: logins, downloads,
-// registrations.
-func (l *Log) Replay(s Sink) {
-	for i := range l.Logins {
-		s.AddLogin(&l.Logins[i])
-	}
+// ReplayDownloads hands the log's downloads to addDownload, then its
+// registrations to addRegistration, each in slice order.
+func (l *Log) ReplayDownloads(addDownload func(*DownloadRecord), addRegistration func(*RegistrationRecord)) {
 	for i := range l.Downloads {
-		s.AddDownload(&l.Downloads[i])
+		addDownload(&l.Downloads[i])
 	}
 	for i := range l.Registrations {
-		s.AddRegistration(&l.Registrations[i])
+		addRegistration(&l.Registrations[i])
 	}
 }

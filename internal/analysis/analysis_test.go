@@ -25,7 +25,7 @@ var (
 
 // simInput runs the small scenario and analyses it once, shared across
 // tests.
-func simInput(t *testing.T) (*analysis.Input, *analysis.Month) {
+func simInput(t testing.TB) (*analysis.Input, *analysis.Month) {
 	t.Helper()
 	simOnce.Do(func() {
 		cfg := sim.SmallScenario()

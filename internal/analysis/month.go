@@ -12,12 +12,19 @@ import (
 	"netsession/internal/trace"
 )
 
-// Source is a month of records that replays itself into a sink (a Month):
-// every login, then every download, then every registration. Each
-// installation's logins arrive in time order; different installations'
-// logins may arrive in any order relative to each other.
+// Source is a month of records as two independent streams, which Analyze
+// folds concurrently:
+//   - ReplayLogins hands every login to add. Each installation's logins
+//     arrive in time order; different installations' logins may arrive in
+//     any order relative to each other.
+//   - ReplayDownloads hands every download to addDownload, then every
+//     registration to addRegistration.
+//
+// A callback must not keep a record pointer past the call: a streamed
+// source reuses the record.
 type Source interface {
-	Replay(accounting.Sink)
+	ReplayLogins(add func(*accounting.LoginRecord))
+	ReplayDownloads(addDownload func(*accounting.DownloadRecord), addRegistration func(*accounting.RegistrationRecord))
 }
 
 // Input bundles everything the analyses read: the month's records plus the
@@ -56,10 +63,10 @@ type Month struct {
 	// installs is the one record per installation, keyed by the GUIDs of the
 	// login and download logs.
 	installs map[id.GUID]*install
-	// places resolves each distinct logged IP once; lookup converts a
-	// download's IPs through it, so places holds every IP the records name.
+	// places resolves each distinct logged IP once, so it holds every IP
+	// the records name.
 	places map[netip.Addr]*place
-	lookup GeoLookup
+	srcs   []*place // a download's contributor places, reused across records
 
 	regionDownloads map[cpRegion]int                  // resolved downloads (Table 2)
 	f3c             Figure3c                          // bytes served per hour
@@ -119,11 +126,47 @@ type objectTally struct {
 // Analyze folds the month in.Records replays and returns the state every
 // view reads. traceDays sets the length of Figure 3c's hourly series and the
 // login-churn headline.
+//
+// The two streams share no fold state but installs and places, so they are
+// folded on two goroutines into two months, and the login month is merged
+// into the download month once before Finish.
 func Analyze(in *Input, traceDays int) *Month {
 	m := NewMonth(in, traceDays)
-	in.Records.Replay(m)
+	logins := NewMonth(in, traceDays)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		in.Records.ReplayLogins(logins.AddLogin)
+	}()
+	in.Records.ReplayDownloads(m.AddDownload, m.AddRegistration)
+	<-done
+	m.merge(logins)
 	m.Finish()
 	return m
+}
+
+// merge takes the login fold l into m, a fold of downloads and
+// registrations only. AddLogin writes nothing but logins, installs and
+// places; AddDownload adds only empty installs and sets places' peer flag.
+// So an installation's state is l's where l has one, and m's empty one for
+// a GUID seen only in downloads; and a place is peer if either side marked
+// it. l is consumed.
+func (m *Month) merge(l *Month) {
+	m.logins += l.logins
+	for g, inst := range m.installs {
+		if _, ok := l.installs[g]; !ok {
+			l.installs[g] = inst
+		}
+	}
+	m.installs = l.installs
+	for ip, p := range m.places {
+		if q := l.places[ip]; q != nil {
+			q.peer = q.peer || p.peer
+		} else {
+			l.places[ip] = p
+		}
+	}
+	m.places = l.places
 }
 
 // NewMonth returns an empty fold over in's world; in.Records is not read.
@@ -149,7 +192,6 @@ func NewMonth(in *Input, traceDays int) *Month {
 			Heavy: make(map[geo.ASN]bool),
 		},
 	}
-	m.lookup = func(ip netip.Addr) GeoTag { return m.place(ip).tag }
 	return m
 }
 
@@ -241,10 +283,19 @@ func (m *Month) AddRegistration(r *accounting.RegistrationRecord) {
 }
 
 // AddDownload folds one download record, converted for the Tally exactly as
-// the log exporters convert it.
+// the log exporters convert it. Each of its IPs is resolved once.
 func (m *Month) AddDownload(d *accounting.DownloadRecord) {
 	m.downloads++
-	off := OfflineFromRecord(d, m.lookup)
+	dst := m.place(d.IP)
+	off := offlineDownload(d, dst.tag)
+	srcs := m.srcs[:0]
+	for i := range d.FromPeers {
+		pc := &d.FromPeers[i]
+		src := m.place(pc.IP)
+		srcs = append(srcs, src)
+		off.FromPeers = append(off.FromPeers, offlineContribution(pc, src.tag))
+	}
+	m.srcs = srcs
 	m.Tally.Add(&off)
 	m.install(d.GUID)
 
@@ -262,7 +313,6 @@ func (m *Month) AddDownload(d *accounting.DownloadRecord) {
 		m.f3c.GMT[h] += float64(total)
 	}
 
-	dst := m.place(d.IP)
 	if !dst.ok {
 		return
 	}
@@ -289,11 +339,10 @@ func (m *Month) AddDownload(d *accounting.DownloadRecord) {
 	if len(d.FromPeers) > 0 {
 		dst.peer = true
 	}
-	for i := range d.FromPeers {
-		pc := &d.FromPeers[i]
-		if src := m.place(pc.IP); src.ok {
+	for i, src := range srcs {
+		if src.ok {
 			src.peer = true
-			m.ast.add(src.rec.ASN, dst.rec.ASN, pc.Bytes)
+			m.ast.add(src.rec.ASN, dst.rec.ASN, d.FromPeers[i].Bytes)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"sort"
 	"strconv"
@@ -13,9 +14,13 @@ import (
 
 	"netsession/internal/accounting"
 	"netsession/internal/analysis"
+	"netsession/internal/content"
+	"netsession/internal/geo"
 	"netsession/internal/golden"
 	"netsession/internal/id"
+	"netsession/internal/protocol"
 	"netsession/internal/sim"
+	"netsession/internal/trace"
 )
 
 // The report golden was generated from the batch Compute* engine; the
@@ -59,13 +64,13 @@ func TestGoldenAnalysisSmall(t *testing.T) {
 func TestFoldOrderInvariance(t *testing.T) {
 	in, _ := simInput(t)
 	var stream []accounting.LoginRecord
-	simRes.Logins(func(l *accounting.LoginRecord) { stream = append(stream, *l) })
+	simRes.ReplayLogins(func(l *accounting.LoginRecord) { stream = append(stream, *l) })
 	fold := func(logins []accounting.LoginRecord) []byte {
 		m := analysis.NewMonth(in, simDays)
 		for i := range logins {
 			m.AddLogin(&logins[i])
 		}
-		simRes.Log.Replay(m) // the downloads and registrations
+		simRes.ReplayDownloads(m.AddDownload, m.AddRegistration)
 		m.Finish()
 		return monthJSON(t, in, m)
 	}
@@ -102,6 +107,102 @@ func TestFoldOrderInvariance(t *testing.T) {
 		}
 		if !bytes.Equal(fold(order), want) {
 			t.Errorf("folding the logins %s changes the month", name)
+		}
+	}
+}
+
+// TestConcurrentFoldMatchesSequential: Analyze folds the login stream and
+// the download stream on two goroutines and merges the two folds once. Every
+// result type must equal one sequential fold of the same records, on the
+// small month and on a hand-built log with GUIDs seen only in logins, only in
+// downloads and in both, and with peer IPs that also log in, whose peer flag
+// only the download side sets.
+func TestConcurrentFoldMatchesSequential(t *testing.T) {
+	sequential := func(in *analysis.Input, days int) *analysis.Month {
+		m := analysis.NewMonth(in, days)
+		in.Records.ReplayLogins(m.AddLogin)
+		in.Records.ReplayDownloads(m.AddDownload, m.AddRegistration)
+		m.Finish()
+		return m
+	}
+	simIn, _ := simInput(t)
+	handIn := handBuiltMonth(t)
+	for _, c := range []struct {
+		name string
+		in   *analysis.Input
+		days int
+	}{{"small sim month", simIn, simDays}, {"hand-built log", handIn, 1}} {
+		got := monthJSON(t, c.in, analysis.Analyze(c.in, c.days))
+		if want := monthJSON(t, c.in, sequential(c.in, c.days)); !bytes.Equal(got, want) {
+			t.Errorf("%s: the concurrent fold differs from the sequential one", c.name)
+		}
+	}
+}
+
+// handBuiltMonth is a one-day log over a two-country atlas. GUID 1 only logs
+// in; GUID 2 only downloads; GUIDs 3 and 4 do both. GUID 3 downloads from
+// GUIDs 1 and 4 at the IP it logs in from, so that IP and both uploaders'
+// login IPs are peer IPs; GUID 2's download has no peers, and one download
+// names an IP EdgeScape does not know.
+func handBuiltMonth(t *testing.T) *analysis.Input {
+	t.Helper()
+	atlas := geo.GenerateAtlas(geo.AtlasConfig{CitiesPerCountry: 2, ASesPerCountry: 2, Seed: 1})
+	scape := geo.NewEdgeScape(atlas)
+	var ips []netip.Addr
+	for _, c := range atlas.Countries[:2] {
+		for _, as := range c.ASNs[:2] {
+			ip, err := scape.AllocateIP(as, c.Locations[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ips = append(ips, ip)
+		}
+	}
+	g := func(n byte) id.GUID { return id.GUID{n} }
+	obj := content.ObjectID{7}
+	login := func(ms int64, guid id.GUID, ip netip.Addr, up bool) accounting.LoginRecord {
+		return accounting.LoginRecord{TimeMs: ms, GUID: guid, IP: ip, UploadsEnabled: up}
+	}
+	log := &accounting.Log{
+		Logins: []accounting.LoginRecord{
+			login(1_000, g(1), ips[0], true), login(5_000, g(1), ips[1], true),
+			login(2_000, g(3), ips[2], false), login(9_000, g(3), ips[2], true),
+			login(3_000, g(4), ips[3], true),
+		},
+		Downloads: []accounting.DownloadRecord{
+			{GUID: g(2), IP: ips[1], Object: obj, URLHash: "u1", CP: 101, Size: 4 << 20,
+				StartMs: 10_000, EndMs: 20_000, BytesInfra: 4 << 20, PeersReturned: 0,
+				Outcome: protocol.OutcomeCompleted},
+			{GUID: g(3), IP: ips[2], Object: obj, URLHash: "u1", CP: 101, Size: 4 << 20, P2PEnabled: true,
+				StartMs: 30_000, EndMs: 34_000, BytesInfra: 1 << 20, BytesPeers: 3 << 20, PeersReturned: 2,
+				Outcome: protocol.OutcomeCompleted, FromPeers: []accounting.PeerContribution{
+					{GUID: g(1), IP: ips[0], Bytes: 2 << 20}, {GUID: g(4), IP: ips[3], Bytes: 1 << 20},
+				}},
+			{GUID: g(4), IP: netip.MustParseAddr("192.0.2.1"), Object: content.ObjectID{8}, URLHash: "u2",
+				CP: 102, Size: 1 << 20, StartMs: 40_000, EndMs: 41_000, BytesInfra: 1 << 19,
+				Outcome: protocol.OutcomeAborted},
+		},
+		Registrations: []accounting.RegistrationRecord{
+			{TimeMs: 35_000, GUID: g(3), Object: obj},
+		},
+	}
+	pop := &trace.Population{}
+	for n := byte(1); n <= 4; n++ {
+		pop.Peers = append(pop.Peers, &trace.PeerSpec{GUID: g(n), InstallCP: 101})
+	}
+	return &analysis.Input{Records: log, Pop: pop, Catalog: &trace.Catalog{},
+		Atlas: atlas, Scape: scape, ControlPlaneServers: 1}
+}
+
+// BenchmarkAnalyzeMonth times the small month's report from its finished
+// simulation: both streams folded and merged, then every view rendered.
+func BenchmarkAnalyzeMonth(b *testing.B) {
+	in, _ := simInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if analysis.Analyze(in, simDays).Report() == "" {
+			b.Fatal("empty report")
 		}
 	}
 }

@@ -94,7 +94,17 @@ func OfflineFromRecord(d *accounting.DownloadRecord, lookup GeoLookup) OfflineDo
 	if lookup == nil {
 		lookup = func(netip.Addr) GeoTag { return GeoTag{} }
 	}
-	tag := lookup(d.IP)
+	out := offlineDownload(d, lookup(d.IP))
+	for i := range d.FromPeers {
+		pc := &d.FromPeers[i]
+		out.FromPeers = append(out.FromPeers, offlineContribution(pc, lookup(pc.IP)))
+	}
+	return out
+}
+
+// offlineDownload converts d, but for its contributors, with tag the
+// downloader IP's geography.
+func offlineDownload(d *accounting.DownloadRecord, tag GeoTag) OfflineDownload {
 	out := OfflineDownload{
 		GUID: d.GUID.String(), IP: d.IP.String(),
 		Country: tag.Country, ASN: tag.ASN, Region: tag.Region,
@@ -104,18 +114,19 @@ func OfflineFromRecord(d *accounting.DownloadRecord, lookup GeoLookup) OfflineDo
 		BytesInfra: d.BytesInfra, BytesPeers: d.BytesPeers,
 		Outcome: d.Outcome.String(), Peers: d.PeersReturned,
 	}
-	for _, pc := range d.FromPeers {
-		pt := lookup(pc.IP)
-		out.FromPeers = append(out.FromPeers, OfflineContribution{
-			GUID: pc.GUID.String(), Country: pt.Country, ASN: pt.ASN,
-			Region: pt.Region, Bytes: pc.Bytes,
-		})
-	}
 	if d.Stream != nil {
 		st := *d.Stream
 		out.Stream = &st
 	}
 	return out
+}
+
+// offlineContribution converts one contributor, with tag its IP's geography.
+func offlineContribution(pc *accounting.PeerContribution, tag GeoTag) OfflineContribution {
+	return OfflineContribution{
+		GUID: pc.GUID.String(), Country: tag.Country, ASN: tag.ASN,
+		Region: tag.Region, Bytes: pc.Bytes,
+	}
 }
 
 // MaxLineBytes bounds one JSON-lines record on every reader of records:

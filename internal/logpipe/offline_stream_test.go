@@ -373,36 +373,61 @@ func TestForEachDownloadParallelMatches(t *testing.T) {
 // pass must hold live heap far below the decoded store size — its state
 // scales with distinct GUIDs/URLs/ASes plus one float per completed
 // download, never with raw record bytes.
+//
+// Each sample is taken with every worker stopped: the sampling worker waits
+// until the other three are parked in the callback before it collects, so
+// none of them allocates during the collection, and each holds exactly its
+// decoded segment. The sampled heap is then the tally after a fixed number
+// of records plus four segments in flight, whatever the scheduling.
 func TestOfflineStreamingBoundedMemory(t *testing.T) {
+	const (
+		workers     = 4
+		perSegment  = 1500
+		sampleEvery = 20_000
+	)
 	dir := t.TempDir()
-	total := writeBenchStore(t, dir, 100, 1500) // 150k records, ~45 MB decoded
+	total := writeBenchStore(t, dir, 100, perSegment) // 150k records, ~45 MB decoded
 
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	base := ms.HeapAlloc
 
-	const sampleEvery = 20_000
 	var (
-		mu   sync.Mutex
-		seen int
-		peak uint64
+		mu       sync.Mutex
+		stopped  = sync.NewCond(&mu)
+		sampling bool
+		parked   int
+		seen     int
+		peak     uint64
 	)
 	acc := analysis.NewShardedTally(8)
-	got, err := ForEachDownloadParallel(dir, 4, func(d *analysis.OfflineDownload) error {
-		acc.Observe(d)
+	got, err := ForEachDownloadParallel(dir, workers, func(d *analysis.OfflineDownload) error {
 		mu.Lock()
+		defer mu.Unlock()
+		if sampling {
+			parked++
+			stopped.Broadcast()
+			for sampling {
+				stopped.Wait()
+			}
+			parked--
+		}
+		acc.Observe(d)
 		seen++
-		sample := seen%sampleEvery == 0
-		mu.Unlock()
-		if sample {
+		// Every other worker still reaches the callback while the records
+		// left outnumber what the four workers can hold in partly delivered
+		// segments; until then the wait below cannot hang.
+		if seen%sampleEvery == 0 && total-seen >= workers*perSegment {
+			sampling = true
+			for parked < workers-1 {
+				stopped.Wait()
+			}
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
-			mu.Lock()
-			if ms.HeapAlloc > peak {
-				peak = ms.HeapAlloc
-			}
-			mu.Unlock()
+			peak = max(peak, ms.HeapAlloc)
+			sampling = false
+			stopped.Broadcast()
 		}
 		return nil
 	})

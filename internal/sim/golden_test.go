@@ -34,7 +34,7 @@ func TestGoldenSmallMergeOrder(t *testing.T) {
 func TestGoldenSmallLogins(t *testing.T) {
 	res := runSmall(t, nil)
 	var logins []accounting.LoginRecord
-	res.Logins(func(l *accounting.LoginRecord) { logins = append(logins, *l) })
+	res.ReplayLogins(func(l *accounting.LoginRecord) { logins = append(logins, *l) })
 	sort.Slice(logins, func(i, j int) bool {
 		a, b := &logins[i], &logins[j]
 		if c := bytes.Compare(a.GUID[:], b.GUID[:]); c != 0 {

@@ -150,7 +150,7 @@ func (p *simPeer) removeDownloading(d *dl) {
 // produces, plus the generation artifacts analyses need.
 type Result struct {
 	// Log holds the merged download and registration logs. It holds no
-	// logins: no simulated state reads them, so Logins streams them from
+	// logins: no simulated state reads them, so ReplayLogins streams them from
 	// the trace generator whenever they are read.
 	Log     *accounting.Log
 	Pop     *trace.Population
@@ -166,20 +166,20 @@ type Result struct {
 	loginSeed int64
 }
 
-// Logins streams the month's login records to emit, one installation at a
-// time, each installation's records in time order (trace.Logins). Every
-// call yields the same records, drawn from the run's own population, so
-// the login-based analyses (Tables 1/3, Figure 12, mobility) see the
+// ReplayLogins streams the month's login records to add, one installation
+// at a time, each installation's records in time order (trace.Logins).
+// Every call yields the same records, drawn from the run's own population,
+// so the login-based analyses (Tables 1/3, Figure 12, mobility) see the
 // population the simulation ran.
-func (r *Result) Logins(emit func(*accounting.LoginRecord)) {
-	trace.Logins(r.Pop, r.days, r.loginSeed, emit)
+func (r *Result) ReplayLogins(add func(*accounting.LoginRecord)) {
+	trace.Logins(r.Pop, r.days, r.loginSeed, add)
 }
 
-// Replay hands the month to s: the streamed logins, then the download and
-// registration logs in merge order. A Result is an analysis.Source.
-func (r *Result) Replay(s accounting.Sink) {
-	r.Logins(s.AddLogin)
-	r.Log.Replay(s)
+// ReplayDownloads hands the download log, then the registration log, to the
+// two callbacks in merge order. With ReplayLogins it makes a Result an
+// analysis.Source.
+func (r *Result) ReplayDownloads(addDownload func(*accounting.DownloadRecord), addRegistration func(*accounting.RegistrationRecord)) {
+	r.Log.ReplayDownloads(addDownload, addRegistration)
 }
 
 // Input is the run as the paper's analyses read it: its records joined with
@@ -340,7 +340,7 @@ func (s *Sim) workerCount() int {
 // sequentially in region order on the calling goroutine (the reference
 // mode); workers>1 runs them on a bounded pool. Shards are causally
 // independent, so both modes produce identical per-shard results; the
-// merge-wait metric records how long the pool idled on its slowest shard
+// merge-wait metric records how long the pool idled on its slowest shards
 // (shard imbalance).
 func (s *Sim) runShards(untilMs int64) int {
 	workers := s.workerCount()
@@ -351,39 +351,44 @@ func (s *Sim) runShards(untilMs int64) int {
 		}
 		return total
 	}
+	total, idle := runPool(workers, len(s.active), func(i int) int { return s.active[i].run(untilMs) }, time.Now)
+	s.metrics.mergeWait.Set(float64(idle.Milliseconds()))
+	return total
+}
 
+// runPool runs jobs 0..n-1, in order, on workers goroutines and returns the
+// sum of their results and the pool's idle tail: from the first worker
+// finding the queue empty to the last worker finishing, read from now.
+func runPool(workers, n int, job func(i int) int, now func() time.Time) (total int, idle time.Duration) {
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
-		total     int
-		firstDone time.Time
-		lastDone  time.Time
-		next      = make(chan *shard, len(s.active))
+		firstIdle time.Time
+		next      = make(chan int, n)
 	)
-	for _, sh := range s.active {
-		next <- sh
+	for i := 0; i < n; i++ {
+		next <- i
 	}
 	close(next)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for sh := range next {
-				n := sh.run(untilMs)
-				done := time.Now()
-				mu.Lock()
-				total += n
-				if firstDone.IsZero() {
-					firstDone = done
-				}
-				lastDone = done
-				mu.Unlock()
+			sum := 0
+			for i := range next {
+				sum += job(i)
 			}
+			t := now()
+			mu.Lock()
+			total += sum
+			if firstIdle.IsZero() || t.Before(firstIdle) {
+				firstIdle = t
+			}
+			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	s.metrics.mergeWait.Set(float64(lastDone.Sub(firstDone).Milliseconds()))
-	return total
+	return total, now().Sub(firstIdle)
 }
 
 // seedObjects plants initial copies of p2p-enabled objects on random

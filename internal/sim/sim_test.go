@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"netsession/internal/accounting"
 	"netsession/internal/geo"
@@ -136,6 +137,65 @@ func runSmall(t testing.TB, mutate func(*ScenarioConfig)) *Result {
 	return res
 }
 
+// TestRunPoolIdleTail pins what sim_merge_wait_ms measures: the pool's idle
+// tail, from the first worker finding the queue empty to the last worker
+// finishing. Two workers run three jobs that the test releases one at a
+// time, and the test answers every clock read, so the interval is exact.
+// Job 0 ends at 10 ms and its worker takes job 2, which ends at 70 ms; job 1
+// ends at 100 ms. The pool idled 30 ms, not the 90 ms between the first and
+// the last job ending.
+func TestRunPoolIdleTail(t *testing.T) {
+	started := make(chan int, 3)
+	var release [3]chan struct{}
+	for i := range release {
+		release[i] = make(chan struct{})
+	}
+	job := func(i int) int {
+		started <- i
+		<-release[i]
+		return i + 1
+	}
+	reads := make(chan struct{})
+	answers := make(chan time.Time)
+	now := func() time.Time {
+		reads <- struct{}{}
+		return <-answers
+	}
+	at := func(ms int) {
+		<-reads
+		answers <- time.UnixMilli(int64(ms))
+	}
+	type result struct {
+		total int
+		idle  time.Duration
+	}
+	done := make(chan result, 1)
+	go func() {
+		total, idle := runPool(2, 3, job, now)
+		done <- result{total, idle}
+	}()
+
+	if a, b := <-started, <-started; a+b != 1 {
+		t.Fatalf("the two workers started jobs %d and %d, want 0 and 1", a, b)
+	}
+	close(release[0])
+	if i := <-started; i != 2 {
+		t.Fatalf("after job 0 the free worker started job %d, want 2", i)
+	}
+	close(release[2])
+	at(70) // job 2's worker finds the queue empty
+	close(release[1])
+	at(100) // job 1's worker finds the queue empty
+	at(100) // the pool returns
+	r := <-done
+	if r.total != 6 {
+		t.Errorf("total %d, want 6 (1+2+3)", r.total)
+	}
+	if r.idle != 30*time.Millisecond {
+		t.Errorf("idle tail %v, want 30ms", r.idle)
+	}
+}
+
 func TestRunProducesConsistentLog(t *testing.T) {
 	res := runSmall(t, nil)
 	dls := res.Log.Downloads
@@ -185,7 +245,7 @@ func TestRunProducesConsistentLog(t *testing.T) {
 		t.Errorf("system failure rate %.4f, want ≈0.001-0.002", f)
 	}
 	logins := 0
-	res.Logins(func(*accounting.LoginRecord) { logins++ })
+	res.ReplayLogins(func(*accounting.LoginRecord) { logins++ })
 	if logins == 0 || len(res.Log.Registrations) == 0 {
 		t.Error("run has no logins or no registrations")
 	}

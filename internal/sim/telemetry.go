@@ -28,8 +28,9 @@ type simMetrics struct {
 	// shardEvents counts events executed per region shard; comparing the
 	// per-region series on /metrics makes shard imbalance visible.
 	shardEvents [geo.NumRegions]*telemetry.Counter
-	// mergeWait is how long (wall ms) the worker pool idled between the
-	// first shard finishing and the slowest one — the cost of imbalance.
+	// mergeWait is how long (wall ms) the worker pool idled on its slowest
+	// shards: from the first worker finding the shard queue empty to the
+	// last worker finishing — the cost of imbalance.
 	mergeWait *telemetry.Gauge
 }
 
@@ -54,7 +55,7 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 		virtWallX: reg.Gauge("sim_virtual_wall_ratio",
 			"virtual seconds simulated per wall-clock second", nil),
 		mergeWait: reg.Gauge("sim_merge_wait_ms",
-			"wall-clock ms between the first and last shard finishing (shard imbalance)", nil),
+			"wall-clock ms from the first shard worker going idle to the last finishing (shard imbalance)", nil),
 	}
 	for o := protocol.OutcomeCompleted; o <= protocol.OutcomeAborted; o++ {
 		m.byOutcome[o] = reg.Counter("sim_downloads_finished_total",
