@@ -36,12 +36,15 @@ bench:
 # Hot-path timings: engine event loop, whole-sim small scale, DN selection,
 # DN churn (a peer's departure plus another's re-registration), the small
 # month's analysis (both record streams folded, then the full report) from a
-# finished simulation, and the piece data path (codec round trip at 64 and
-# 256 KiB, verified store put, synthetic body).
+# finished simulation, one offline analysis pass over a sealed 128k-record
+# segment store (the read side netsession-analyze takes), and the piece data
+# path (codec round trip at 64 and 256 KiB, verified store put, synthetic
+# body).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$|BenchmarkDirectoryChurn$$' \
 		-benchtime 2x -benchmem ./internal/sim ./internal/selection
 	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeMonth$$' -benchtime 2x -benchmem ./internal/analysis
+	$(GO) test -run '^$$' -bench 'BenchmarkSummarizeStore$$' -benchtime 2x -benchmem ./internal/logpipe
 	$(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
 		-benchtime 200ms -benchmem ./internal/protocol ./internal/content
 

@@ -11,7 +11,7 @@
 //     or under -logs/segments (the control plane's durable log store, or
 //     netsession-sim -format segments)
 //
-// Segment stores are streamed — decoded segment by segment into a running
+// Segment stores are streamed — decoded record by record into a running
 // accumulator — so memory stays bounded no matter how many entries the store
 // holds. The live view of a running control plane is its GET /v1/analytics
 // document (netsession-report -live), which covers the node's whole store.

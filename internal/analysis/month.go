@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"slices"
+	"sync"
 
 	"netsession/internal/accounting"
 	"netsession/internal/content"
@@ -60,12 +62,14 @@ type Month struct {
 	// the log exporters convert it.
 	Tally *Tally
 
-	// installs is the one record per installation, keyed by the GUIDs of the
-	// login and download logs.
-	installs map[id.GUID]*install
+	// installs is the one record per installation, keyed by GUID. The
+	// download fold only collects its GUIDs in downloaders, and Finish gives
+	// each one the login log does not name an empty record.
+	installs    map[id.GUID]*install
+	downloaders map[id.GUID]struct{}
 	// places resolves each distinct logged IP once, so it holds every IP
 	// the records name.
-	places map[netip.Addr]*place
+	places *placeSet
 	srcs   []*place // a download's contributor places, reused across records
 
 	regionDownloads map[cpRegion]int                  // resolved downloads (Table 2)
@@ -128,11 +132,13 @@ type objectTally struct {
 // login-churn headline.
 //
 // The two streams share no fold state but installs and places, so they are
-// folded on two goroutines into two months, and the login month is merged
-// into the download month once before Finish.
+// folded on two goroutines into two months that share one placeSet, and the
+// login month's installs are merged into the download month once before
+// Finish.
 func Analyze(in *Input, traceDays int) *Month {
 	m := NewMonth(in, traceDays)
 	logins := NewMonth(in, traceDays)
+	logins.places = m.places
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -146,27 +152,13 @@ func Analyze(in *Input, traceDays int) *Month {
 }
 
 // merge takes the login fold l into m, a fold of downloads and
-// registrations only. AddLogin writes nothing but logins, installs and
-// places; AddDownload adds only empty installs and sets places' peer flag.
-// So an installation's state is l's where l has one, and m's empty one for
-// a GUID seen only in downloads; and a place is peer if either side marked
-// it. l is consumed.
+// registrations only that shares l's places. AddLogin writes nothing but
+// logins, installs and places, and AddDownload writes no installs, so m
+// takes l's installs whole; Finish then adds the download-only GUIDs. l is
+// consumed.
 func (m *Month) merge(l *Month) {
 	m.logins += l.logins
-	for g, inst := range m.installs {
-		if _, ok := l.installs[g]; !ok {
-			l.installs[g] = inst
-		}
-	}
 	m.installs = l.installs
-	for ip, p := range m.places {
-		if q := l.places[ip]; q != nil {
-			q.peer = q.peer || p.peer
-		} else {
-			l.places[ip] = p
-		}
-	}
-	m.places = l.places
 }
 
 // NewMonth returns an empty fold over in's world; in.Records is not read.
@@ -177,7 +169,8 @@ func NewMonth(in *Input, traceDays int) *Month {
 		in: in, traceDays: traceDays,
 		Tally:           NewTally(),
 		installs:        make(map[id.GUID]*install),
-		places:          make(map[netip.Addr]*place),
+		downloaders:     make(map[id.GUID]struct{}),
+		places:          newPlaceSet(in.Scape),
 		regionDownloads: make(map[cpRegion]int),
 		f3c:             Figure3c{GMT: make([]float64, traceDays*24)},
 		perAS:           make(map[geo.ASN]*asDownloads),
@@ -195,14 +188,19 @@ func NewMonth(in *Input, traceDays int) *Month {
 	return m
 }
 
-// Finish completes the fold after its last record: the per-AS peer IP
-// counts and the heavy-uploader cut.
+// Finish completes the fold after its last record: an empty install for
+// each downloader that never logged in, the per-AS peer IP counts and the
+// heavy-uploader cut.
 func (m *Month) Finish() {
-	for _, p := range m.places {
+	for g := range m.downloaders {
+		m.install(g)
+	}
+	m.downloaders = nil
+	m.places.each(func(p *place) {
 		if p.peer {
 			m.ast.IPs[p.rec.ASN]++
 		}
-	}
+	})
 	m.ast.ASesWithPeers = len(m.ast.IPs)
 	heavy, _, _ := heavyCut(m.ast.Up)
 	for _, as := range heavy {
@@ -210,22 +208,72 @@ func (m *Month) Finish() {
 	}
 }
 
-// place resolves ip, once per distinct valid address.
-func (m *Month) place(ip netip.Addr) *place {
-	if p := m.places[ip]; p != nil {
+// A placeSet stripes its addresses over 1<<placeShardBits locks.
+const placeShardBits = 6
+
+// placeSet resolves each distinct valid logged IP through EdgeScape once
+// and keeps it. Analyze's two folds share one, so it is locked, and the
+// lock is striped by address: behind one mutex, Analyze on the default
+// month took 0.71–0.77 s where two unshared folds took 0.50–0.58 s (2 CPUs).
+// A place's resolution never changes after get returns it; only the
+// download fold writes its peer flag.
+type placeSet struct {
+	scape  *geo.EdgeScape
+	shards [1 << placeShardBits]struct {
+		mu sync.Mutex
+		m  map[netip.Addr]*place
+		_  [48]byte // one shard per cache line
+	}
+}
+
+func newPlaceSet(scape *geo.EdgeScape) *placeSet {
+	s := &placeSet{scape: scape}
+	for i := range s.shards {
+		s.shards[i].m = make(map[netip.Addr]*place)
+	}
+	return s
+}
+
+// get resolves ip, once per distinct valid address.
+func (s *placeSet) get(ip netip.Addr) *place {
+	// A multiplicative hash mixes upward, so the shard is its top bits.
+	a := ip.As16()
+	h := (binary.LittleEndian.Uint64(a[:8]) ^ binary.LittleEndian.Uint64(a[8:])) * 0x9e3779b97f4a7c15
+	sh := &s.shards[h>>(64-placeShardBits)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if p := sh.m[ip]; p != nil {
 		return p
 	}
 	p := &place{}
-	if m.in.Scape != nil {
-		p.rec, p.ok = m.in.Scape.Lookup(ip)
+	if s.scape != nil {
+		p.rec, p.ok = s.scape.Lookup(ip)
 	}
 	if p.ok {
 		p.tag = tagOf(p.rec)
 	}
 	if ip.IsValid() {
-		m.places[ip] = p
+		sh.m[ip] = p
 	}
 	return p
+}
+
+// each calls fn on every place; no fold may run concurrently.
+func (s *placeSet) each(fn func(*place)) {
+	for i := range s.shards {
+		for _, p := range s.shards[i].m {
+			fn(p)
+		}
+	}
+}
+
+// len returns the number of distinct valid addresses resolved.
+func (s *placeSet) len() int {
+	n := 0
+	for i := range s.shards {
+		n += len(s.shards[i].m)
+	}
+	return n
 }
 
 func (m *Month) install(g id.GUID) *install {
@@ -259,7 +307,7 @@ func (m *Month) AddLogin(l *accounting.LoginRecord) {
 	}
 	inst.lastUp = l.UploadsEnabled
 	inst.logins++
-	if p := m.place(l.IP); p.ok {
+	if p := m.places.get(l.IP); p.ok {
 		if !inst.located {
 			inst.located, inst.firstLoc = true, p.rec.Location
 		}
@@ -286,18 +334,18 @@ func (m *Month) AddRegistration(r *accounting.RegistrationRecord) {
 // the log exporters convert it. Each of its IPs is resolved once.
 func (m *Month) AddDownload(d *accounting.DownloadRecord) {
 	m.downloads++
-	dst := m.place(d.IP)
+	dst := m.places.get(d.IP)
 	off := offlineDownload(d, dst.tag)
 	srcs := m.srcs[:0]
 	for i := range d.FromPeers {
 		pc := &d.FromPeers[i]
-		src := m.place(pc.IP)
+		src := m.places.get(pc.IP)
 		srcs = append(srcs, src)
 		off.FromPeers = append(off.FromPeers, offlineContribution(pc, src.tag))
 	}
 	m.srcs = srcs
 	m.Tally.Add(&off)
-	m.install(d.GUID)
+	m.downloaders[d.GUID] = struct{}{}
 
 	total := d.TotalBytes()
 	if d.P2PEnabled && total > 0 {
@@ -336,12 +384,16 @@ func (m *Month) AddDownload(d *accounting.DownloadRecord) {
 		m.countryBytes[k] = [2]int64{b[0] + d.BytesInfra, b[1] + d.BytesPeers}
 	}
 
-	if len(d.FromPeers) > 0 {
+	// A place is shared with the login fold, which reads it from the other
+	// core: set the flag once rather than store to its line on every record.
+	if len(d.FromPeers) > 0 && !dst.peer {
 		dst.peer = true
 	}
 	for i, src := range srcs {
 		if src.ok {
-			src.peer = true
+			if !src.peer {
+				src.peer = true
+			}
 			m.ast.add(src.rec.ASN, dst.rec.ASN, d.FromPeers[i].Bytes)
 		}
 	}

@@ -27,19 +27,19 @@ func (m *Month) Table1() Table1 {
 	locs := make(map[geo.LocationID]bool)
 	ases := make(map[geo.ASN]bool)
 	countries := make(map[geo.CountryCode]bool)
-	for _, p := range m.places {
+	m.places.each(func(p *place) {
 		if p.ok {
 			locs[p.rec.Location] = true
 			ases[p.rec.ASN] = true
 			countries[p.rec.Country] = true
 		}
-	}
+	})
 	return Table1{
 		LogEntries:          m.logins + m.downloads + m.registrations,
 		GUIDs:               len(m.installs),
 		ControlPlaneServers: m.in.ControlPlaneServers,
 		DistinctURLs:        int(m.Tally.urls.Estimate()),
-		DistinctIPs:         len(m.places),
+		DistinctIPs:         m.places.len(),
 		DownloadsInitiated:  m.downloads,
 		DistinctLocations:   len(locs),
 		DistinctASes:        len(ases),

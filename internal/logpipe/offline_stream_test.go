@@ -374,11 +374,9 @@ func TestForEachDownloadParallelMatches(t *testing.T) {
 // scales with distinct GUIDs/URLs/ASes plus one float per completed
 // download, never with raw record bytes.
 //
-// Each sample is taken with every worker stopped: the sampling worker waits
-// until the other three are parked in the callback before it collects, so
-// none of them allocates during the collection, and each holds exactly its
-// decoded segment. The sampled heap is then the tally after a fixed number
-// of records plus four segments in flight, whatever the scheduling.
+// Each sample is taken with every worker stopped (see parkedHeapPeak), so
+// the sampled heap is the tally after a fixed number of records plus one
+// reader and one record per worker, whatever the scheduling.
 func TestOfflineStreamingBoundedMemory(t *testing.T) {
 	const (
 		workers     = 4
@@ -393,6 +391,67 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	base := ms.HeapAlloc
 
+	acc := analysis.NewShardedTally(8)
+	got, peak := parkedHeapPeak(t, dir, workers, perSegment, total, sampleEvery, acc.Observe)
+	if got != total {
+		t.Fatalf("streamed %d records, want %d", got, total)
+	}
+	sum := acc.Merged().Summary()
+	if sum.Downloads != total || sum.DistinctGUIDs != total {
+		t.Fatalf("summary covers %d downloads / %d GUIDs, want %d of each", sum.Downloads, sum.DistinctGUIDs, total)
+	}
+
+	growth := int64(peak) - int64(base)
+	t.Logf("live heap: base %.1f MB, peak %.1f MB, growth %.1f MB over %d records",
+		float64(base)/1e6, float64(peak)/1e6, float64(growth)/1e6, total)
+	const boundMB = 32
+	if growth > boundMB<<20 {
+		t.Errorf("offline streaming pass grew live heap by %.1f MB (> %d MB bound): records are being retained",
+			float64(growth)/1e6, boundMB)
+	}
+}
+
+// TestStreamingMemoryIndependentOfSegmentSize: a worker holds one line and
+// one record, not a segment, so the same records read with the same live
+// heap whether the store cuts them into 500-record or 20,000-record
+// segments. A reader that buffers each segment's lines or records holds
+// ≈10 MB more per worker for the large segments.
+func TestStreamingMemoryIndependentOfSegmentSize(t *testing.T) {
+	const (
+		workers     = 2
+		total       = 60_000
+		sampleEvery = 5_000
+	)
+	growth := map[int]int64{}
+	for _, perSegment := range []int{500, 20_000} {
+		dir := t.TempDir()
+		writeBenchStore(t, dir, total/perSegment, perSegment)
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		base := ms.HeapAlloc
+		got, peak := parkedHeapPeak(t, dir, workers, perSegment, total, sampleEvery, func(*analysis.OfflineDownload) {})
+		if got != total {
+			t.Fatalf("%d-record segments: streamed %d records, want %d", perSegment, got, total)
+		}
+		growth[perSegment] = int64(peak) - int64(base)
+		t.Logf("%d-record segments: live heap grew %.2f MB", perSegment, float64(growth[perSegment])/1e6)
+	}
+	const boundMB = 2
+	if d := growth[20_000] - growth[500]; d > boundMB<<20 {
+		t.Errorf("20,000-record segments grew live heap by %.1f MB more than 500-record ones (> %d MB): the reader holds whole segments",
+			float64(d)/1e6, boundMB)
+	}
+}
+
+// parkedHeapPeak streams dir through observe on workers goroutines and
+// returns the records streamed and the peak live heap, sampled every
+// sampleEvery records with every worker stopped: the sampling worker waits
+// until the others are parked in the callback before it collects, so none
+// of them allocates during the collection. perSegment and total bound when a
+// sample is safe to take.
+func parkedHeapPeak(t *testing.T, dir string, workers, perSegment, total, sampleEvery int, observe func(*analysis.OfflineDownload)) (int, uint64) {
+	t.Helper()
 	var (
 		mu       sync.Mutex
 		stopped  = sync.NewCond(&mu)
@@ -400,8 +459,8 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 		parked   int
 		seen     int
 		peak     uint64
+		ms       runtime.MemStats
 	)
-	acc := analysis.NewShardedTally(8)
 	got, err := ForEachDownloadParallel(dir, workers, func(d *analysis.OfflineDownload) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -413,10 +472,10 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 			}
 			parked--
 		}
-		acc.Observe(d)
+		observe(d)
 		seen++
 		// Every other worker still reaches the callback while the records
-		// left outnumber what the four workers can hold in partly delivered
+		// left outnumber what the workers can hold in partly delivered
 		// segments; until then the wait below cannot hang.
 		if seen%sampleEvery == 0 && total-seen >= workers*perSegment {
 			sampling = true
@@ -434,20 +493,5 @@ func TestOfflineStreamingBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != total {
-		t.Fatalf("streamed %d records, want %d", got, total)
-	}
-	sum := acc.Merged().Summary()
-	if sum.Downloads != total || sum.DistinctGUIDs != total {
-		t.Fatalf("summary covers %d downloads / %d GUIDs, want %d of each", sum.Downloads, sum.DistinctGUIDs, total)
-	}
-
-	growth := int64(peak) - int64(base)
-	t.Logf("live heap: base %.1f MB, peak %.1f MB, growth %.1f MB over %d records",
-		float64(base)/1e6, float64(peak)/1e6, float64(growth)/1e6, total)
-	const boundMB = 32
-	if growth > boundMB<<20 {
-		t.Errorf("offline streaming pass grew live heap by %.1f MB (> %d MB bound): records are being retained",
-			float64(growth)/1e6, boundMB)
-	}
+	return got, peak
 }

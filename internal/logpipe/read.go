@@ -3,6 +3,8 @@ package logpipe
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -13,18 +15,26 @@ import (
 // a segment directory — sealed segments plus any open tail. It streams every
 // record through fn, calling it concurrently from workers goroutines — fn
 // must be safe for concurrent use (e.g. an analysis.ShardedTally) unless
-// workers is 1. Decode and aggregation both parallelize and at most workers
-// segments of records are in memory at once, so an arbitrarily large store
-// is read in bounded memory; within one segment records are delivered in
-// order, and with one worker the whole store is.
+// workers is 1. Each worker streams one segment at a time through one reused
+// reader, decoding each line as it is framed, so memory holds at most one
+// line and one record per worker and an arbitrarily large store is read in
+// bounded memory; within one segment records are delivered in order, and
+// with one worker the whole store is.
+//
+// fn receives a record that the worker reuses: it is valid only until fn
+// returns, so fn must copy what it keeps. Copying the struct is enough, since
+// the decoder allocates fresh strings, FromPeers and Stream for every record
+// and never writes into the old ones.
 //
 // Damage policy: a torn or partially-written final segment contributes its
-// complete records and is otherwise skipped (a crash left it mid-write);
-// damage anywhere else is corruption and an error. On error the pipeline
-// cancels and the lowest-segment-indexed error is returned (segments are
-// handed out in order, so every segment before a failing one has been
-// decoded); the returned count is the number of records delivered before
-// cancellation.
+// complete records and is otherwise skipped (a crash left it mid-write), and
+// a record that does not decode ends the final segment; damage anywhere else
+// is corruption and an error. On error the pipeline cancels and the
+// lowest-segment-indexed error is returned (segments are handed out in order,
+// so every segment before a failing one has been read); the returned count
+// is the number of records delivered before cancellation. Those include the
+// records before the damage in the failing segment, which reached fn before
+// the damage was read.
 func ForEachDownloadParallel(dir string, workers int, fn func(*analysis.OfflineDownload) error) (int, error) {
 	segs, err := ListSegments(dir)
 	if err != nil {
@@ -62,18 +72,10 @@ func ForEachDownloadParallel(dir string, workers int, fn func(*analysis.OfflineD
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var r recordReader
 			for i := range next {
-				recs, derr := decodeSegment(segs[i], i == len(segs)-1)
-				if derr != nil {
-					fail(i, derr)
-					continue
-				}
-				for j := range recs {
-					if err := fn(&recs[j]); err != nil {
-						fail(i, err)
-						break
-					}
-					n.Add(1)
+				if err := r.each(segs[i], i == len(segs)-1, fn, &n); err != nil {
+					fail(i, err)
 				}
 			}
 		}()
@@ -136,24 +138,48 @@ func ReadDownloads(dir string) ([]analysis.OfflineDownload, error) {
 	return out, nil
 }
 
-// decodeSegment reads and unmarshals one segment under the damage policy of
-// ForEachDownloadParallel.
-func decodeSegment(sf SegmentFile, last bool) ([]analysis.OfflineDownload, error) {
-	lines, rerr := ReadSegmentFile(sf.Path)
-	if rerr != nil && !(last && errors.Is(rerr, ErrTorn)) {
-		return nil, fmt.Errorf("logpipe: segment %s: %w", sf.Path, rerr)
+// recordReader is one worker's reader: a segment reader and the record each
+// line decodes into, both reused across the segments the worker streams.
+type recordReader struct {
+	seg segmentReader
+	d   analysis.OfflineDownload
+}
+
+// each streams one segment's records through fn under the damage policy of
+// ForEachDownloadParallel, counting each one fn accepts in n. It returns the
+// segment's damage or fn's error.
+func (r *recordReader) each(sf SegmentFile, last bool, fn func(*analysis.OfflineDownload) error, n *atomic.Int64) error {
+	f, err := os.Open(sf.Path)
+	if err != nil {
+		return fmt.Errorf("logpipe: segment %s: %w", sf.Path, err)
 	}
-	recs := make([]analysis.OfflineDownload, 0, len(lines))
-	for j, line := range lines {
-		var d analysis.OfflineDownload
-		if err := analysis.DecodeDownload(line, &d); err != nil {
+	defer f.Close()
+	// end classifies how the stream stopped: cleanly, torn where a tear is
+	// tolerated, or damaged.
+	end := func(err error) error {
+		if err == io.EOF || (last && errors.Is(err, ErrTorn)) {
+			return nil
+		}
+		return fmt.Errorf("logpipe: segment %s: %w", sf.Path, err)
+	}
+	if err := r.seg.reset(f); err != nil {
+		return end(err)
+	}
+	for j := 0; ; j++ {
+		line, err := r.seg.next()
+		if err != nil {
+			return end(err)
+		}
+		if err := analysis.DecodeDownload(line, &r.d); err != nil {
 			if last {
 				// A torn final record reads as damage only to the tail.
-				break
+				return nil
 			}
-			return nil, fmt.Errorf("logpipe: segment %s record %d: %w", sf.Path, j, err)
+			return fmt.Errorf("logpipe: segment %s record %d: %w", sf.Path, j, err)
 		}
-		recs = append(recs, d)
+		if err := fn(&r.d); err != nil {
+			return err
+		}
+		n.Add(1)
 	}
-	return recs, nil
 }

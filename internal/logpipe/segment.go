@@ -133,49 +133,96 @@ func MarshalSegment(lines [][]byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// segmentReader frames the complete lines of one segment stream at a time.
+// It holds the torn-tail policy every segment reader shares: lines are
+// framed on an explicit trailing newline (bufio.Scanner would emit a final
+// unterminated token on any read error, surfacing a half-written record from
+// a torn stream as if complete), a line beyond analysis.MaxLineBytes, an
+// unterminated final line and any gzip error all read as ErrTorn, and blank
+// lines are skipped. One reader serves any number of segments in turn: reset
+// reuses its gzip and bufio state, so a worker streaming a store allocates
+// them once.
+type segmentReader struct {
+	zr   *gzip.Reader
+	br   *bufio.Reader
+	line []byte // a line longer than br's buffer, accumulated
+}
+
+// reset points the reader at the start of a new segment stream.
+func (r *segmentReader) reset(src io.Reader) error {
+	if r.zr == nil {
+		zr, err := gzip.NewReader(src)
+		if err != nil {
+			return ErrTorn
+		}
+		r.zr, r.br = zr, bufio.NewReaderSize(zr, 64<<10)
+		return nil
+	}
+	if err := r.zr.Reset(src); err != nil {
+		return ErrTorn
+	}
+	r.br.Reset(r.zr)
+	return nil
+}
+
+// next returns the segment's next complete, non-empty line without its
+// newline. The line is valid only until the following call. It returns
+// io.EOF at a clean end of stream and ErrTorn once the stream is damaged.
+func (r *segmentReader) next() ([]byte, error) {
+	r.line = r.line[:0]
+	for {
+		chunk, err := r.br.ReadSlice('\n')
+		line := chunk
+		if len(r.line) > 0 || err == bufio.ErrBufferFull {
+			r.line = append(r.line, chunk...)
+			line = r.line
+		}
+		if len(line) > analysis.MaxLineBytes {
+			return nil, ErrTorn
+		}
+		switch err {
+		case nil:
+			if len(line) > 1 {
+				return line[:len(line)-1], nil
+			}
+			r.line = r.line[:0]
+		case bufio.ErrBufferFull:
+			// Line longer than the read buffer; keep accumulating.
+		case io.EOF:
+			// The writer terminates every line, so leftover bytes at a clean
+			// stream end are a record cut mid-write.
+			if len(line) == 0 {
+				return nil, io.EOF
+			}
+			return nil, ErrTorn
+		default:
+			// Includes gzip checksum errors and unexpected EOF from a torn tail.
+			return nil, ErrTorn
+		}
+	}
+}
+
 // ReadSegment decompresses a segment and returns its complete lines. A
 // stream that ends mid-record or mid-gzip-frame returns the lines recovered
 // so far together with ErrTorn; any other corruption is also reported as
 // ErrTorn since gzip cannot distinguish truncation from trailing damage
 // without the stream's end. Callers decide whether a torn tail is tolerable
 // (final segment after a crash) or fatal (middle of a directory).
-func ReadSegment(r io.Reader) ([][]byte, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, ErrTorn
+func ReadSegment(src io.Reader) ([][]byte, error) {
+	var r segmentReader
+	if err := r.reset(src); err != nil {
+		return nil, err
 	}
-	defer zr.Close()
-	// Frame on the trailing newline explicitly rather than with bufio.Scanner:
-	// the Scanner emits a final unterminated token on *any* read error, which
-	// would surface a half-written record from a torn stream as if complete.
-	br := bufio.NewReaderSize(zr, 64<<10)
 	var out [][]byte
-	var partial []byte
 	for {
-		chunk, err := br.ReadSlice('\n')
-		partial = append(partial, chunk...)
-		if len(partial) > analysis.MaxLineBytes {
-			return out, ErrTorn
+		line, err := r.next()
+		if err == io.EOF {
+			return out, nil
 		}
-		switch err {
-		case nil:
-			if line := partial[:len(partial)-1]; len(line) > 0 {
-				out = append(out, append([]byte(nil), line...))
-			}
-			partial = partial[:0]
-		case bufio.ErrBufferFull:
-			// Line longer than the read buffer; keep accumulating.
-		case io.EOF:
-			// The writer terminates every line, so leftover bytes at a clean
-			// stream end are a record cut mid-write.
-			if len(partial) == 0 {
-				return out, nil
-			}
-			return out, ErrTorn
-		default:
-			// Includes gzip checksum errors and unexpected EOF from a torn tail.
-			return out, ErrTorn
+		if err != nil {
+			return out, err
 		}
+		out = append(out, append([]byte(nil), line...))
 	}
 }
 
@@ -192,6 +239,20 @@ func ReadSegmentFile(path string) ([][]byte, error) {
 // countRecords returns how many complete records a segment file holds; used
 // when accounting for records dropped by retention.
 func countRecords(path string) int {
-	lines, _ := ReadSegmentFile(path)
-	return len(lines)
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	var r segmentReader
+	if r.reset(f) != nil {
+		return 0
+	}
+	n := 0
+	for {
+		if _, err := r.next(); err != nil {
+			return n
+		}
+		n++
+	}
 }

@@ -82,6 +82,10 @@ type Config struct {
 	LogUploadInterval time.Duration
 	// Logf receives debug logging; nil discards.
 	Logf func(format string, args ...any)
+
+	// holdQueryResult, when set, runs on the control reader before it
+	// dispatches a QueryResult; tests use it to deliver an answer late.
+	holdQueryResult func(*Client, *protocol.QueryResult)
 }
 
 // softwareVersion is the client version a fresh process reports on login.

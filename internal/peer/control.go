@@ -306,6 +306,9 @@ func (cc *controlConn) readLoop(conn net.Conn) {
 		case *protocol.ConfigUpdate:
 			cc.c.applyConfig(m)
 		case *protocol.QueryResult:
+			if hold := cc.c.cfg.holdQueryResult; hold != nil {
+				hold(cc.c, m)
+			}
 			if d := cc.c.activeDownload(m.Object); d != nil {
 				d.onQueryResult(m)
 			}

@@ -104,9 +104,12 @@ type Download struct {
 	fromPeers     map[id.GUID]int64
 	peersReturned int
 	// lastQuery is when the control plane was last asked for peers; querying
-	// is set until that query is answered, fails or times out.
+	// is set until that query is answered, fails or times out, and answered
+	// is closed then. queried is set by the first answer, which
+	// peersReturned records.
 	lastQuery time.Time
 	querying  bool
+	answered  chan struct{}
 	queried   bool
 	corrupt   int
 	// edgeUrgent marks pieces the edge fetched while they sat in the
@@ -426,13 +429,14 @@ func (d *Download) step(now time.Time) actions {
 			a.wakeAt(due)
 			return a
 		}
-		d.querying = false
+		d.settleQueryLocked()
 	}
 	if free > 0 && len(d.candidates) == 0 && len(a.dial) == 0 {
 		due := d.lastQuery.Add(d.c.requery)
 		if d.lastQuery.IsZero() || now.After(due) {
 			a.query = true
 			d.querying = true
+			d.answered = make(chan struct{})
 			d.lastQuery = now
 			due = now.Add(queryTimeout)
 		}
@@ -484,7 +488,7 @@ func (d *Download) drive() {
 func (d *Download) onQueryResult(qr *protocol.QueryResult) {
 	d.mu.Lock()
 	answered := d.querying
-	d.querying = false
+	d.settleQueryLocked()
 	if qr != nil && qr.Err == "" {
 		if answered {
 			el := d.now().Sub(d.lastQuery)
@@ -504,6 +508,38 @@ func (d *Download) onQueryResult(qr *protocol.QueryResult) {
 		d.c.logf("peer query rejected: %s", qr.Err)
 	}
 	poke(d.wake)
+}
+
+// settleQueryLocked ends the pending peer query, if any, and releases
+// awaitFirstAnswer.
+func (d *Download) settleQueryLocked() {
+	if d.querying {
+		d.querying = false
+		close(d.answered)
+	}
+}
+
+// awaitFirstAnswer holds a download that peers delivered bytes to while its
+// first peer query is still unanswered until that answer arrives, at most
+// queryTimeout after the query went out. The control plane sends the answer
+// before it tells the chosen holders to dial back, so the answer is already
+// on its way when their pieces arrive. Without the wait, a download that
+// finished from dial-back peers first would record that the control plane
+// returned no peers, and its trace would lack the peer-lookup stage.
+func (d *Download) awaitFirstAnswer() {
+	d.mu.Lock()
+	wait := d.querying && !d.queried && d.bytesPeers > 0
+	answered, due := d.answered, d.lastQuery.Add(queryTimeout)
+	d.mu.Unlock()
+	if !wait {
+		return
+	}
+	timer := time.NewTimer(due.Sub(d.now()))
+	defer timer.Stop()
+	select {
+	case <-answered:
+	case <-timer.C:
+	}
 }
 
 // addCandidate feeds a control-plane-suggested peer into the dial queue.
@@ -954,7 +990,10 @@ func (d *Download) terminate(outcome protocol.Outcome, crashed bool) bool {
 
 // finish moves the download to a terminal state exactly once, reports the
 // usage record, registers the completed object for upload, and cleans up.
+// It first waits for a first peer-query answer that peers' pieces overtook
+// (awaitFirstAnswer), so the record states what the control plane answered.
 func (d *Download) finish(outcome protocol.Outcome) {
+	d.awaitFirstAnswer()
 	if !d.terminate(outcome, false) {
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"netsession/internal/faults"
 	"netsession/internal/geo"
 	"netsession/internal/protocol"
+	"netsession/internal/telemetry"
 )
 
 // deployment is a full live system on localhost: edge tier, control plane
@@ -100,6 +101,13 @@ func (d *deployment) cnAddrs() []string {
 // given country.
 func (d *deployment) spawnPeer(country geo.CountryCode, uploadsEnabled bool, natc protocol.NATClass) *Client {
 	d.t.Helper()
+	return d.spawnPeerWith(country, uploadsEnabled, natc, nil)
+}
+
+// spawnPeerWith is spawnPeer with mutate, when set, adjusting the client's
+// config before it starts.
+func (d *deployment) spawnPeerWith(country geo.CountryCode, uploadsEnabled bool, natc protocol.NATClass, mutate func(*Config)) *Client {
+	d.t.Helper()
 	c, ok := d.atlas.Country(country)
 	if !ok {
 		d.t.Fatalf("unknown country %s", country)
@@ -108,14 +116,18 @@ func (d *deployment) spawnPeer(country geo.CountryCode, uploadsEnabled bool, nat
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	cl, err := New(Config{
+	cfg := Config{
 		DeclaredIP:     ip.String(),
 		NAT:            natc,
 		ControlAddrs:   d.cnAddrs(),
 		EdgeURL:        "http://" + d.edgeSrv.Addr(),
 		UploadsEnabled: uploadsEnabled,
 		Logf:           d.t.Logf,
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	cl, err := New(cfg)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -301,6 +313,70 @@ func TestSwarmScalesToManySeeds(t *testing.T) {
 		t.Errorf("PeersReturned=%d, want 2", res.PeersReturned)
 	}
 	verifyStored(t, c, obj)
+}
+
+// TestPeersReturnedSurvivesLateQueryResult: the control plane answers a
+// peer query before it tells the chosen holders to dial back, yet the
+// holders' pieces can reach the download before the answer is dispatched.
+// Here the control reader holds every answer until the download has
+// finished, or has held all its pieces for 300 ms. The record must still say that the
+// control plane returned both seeds, and the trace must carry the
+// peer-lookup stage.
+func TestPeersReturnedSurvivesLateQueryResult(t *testing.T) {
+	obj := e2eObject(t, 400_000, true)
+	d := newWANDeployment(t, obj)
+	d.seed("US", obj)
+	d.seed("US", obj)
+	d.waitCopies("US", obj.ID, 2)
+
+	c := d.spawnPeerWith("US", true, protocol.NATNone, func(cfg *Config) {
+		cfg.holdQueryResult = func(c *Client, qr *protocol.QueryResult) {
+			dl := c.activeDownload(qr.Object)
+			if dl == nil {
+				return
+			}
+			var complete time.Time
+			for complete.IsZero() || time.Since(complete) < 300*time.Millisecond {
+				select {
+				case <-dl.doneCh:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				if have, total := dl.Progress(); complete.IsZero() && have == total {
+					complete = time.Now()
+				}
+			}
+		}
+	})
+	dl, err := c.Download(obj.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := dl.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != protocol.OutcomeCompleted || res.BytesPeers == 0 {
+		t.Fatalf("outcome %v with %d peer bytes, want completed from the dial-back seeds", res.Outcome, res.BytesPeers)
+	}
+	var rec *accounting.DownloadRecord
+	waitUntil(t, 5*time.Second, func() bool {
+		for _, r := range d.cp.Collector().Snapshot().Downloads {
+			if r.GUID == c.GUID() {
+				rec = &r
+				return true
+			}
+		}
+		return false
+	}, "the download's record never reached the collector")
+	if res.PeersReturned != 2 || rec.PeersReturned != 2 {
+		t.Errorf("PeersReturned: result %d, record %d; want 2", res.PeersReturned, rec.PeersReturned)
+	}
+	if _, ok := dl.trace.Stage(telemetry.StagePeerLookup); !ok {
+		t.Errorf("trace has no %s stage", telemetry.StagePeerLookup)
+	}
 }
 
 func TestNATIncompatibleFallsBackToEdge(t *testing.T) {
