@@ -37,9 +37,10 @@ bench:
 # DN churn (a peer's departure plus another's re-registration), the small
 # month's analysis (both record streams folded, then the full report) from a
 # finished simulation, one offline analysis pass over a sealed 128k-record
-# segment store (the read side netsession-analyze takes), and the piece data
+# segment store (the read side netsession-analyze takes), the piece data
 # path (codec round trip at 64 and 256 KiB, verified store put, synthetic
-# body).
+# body), and the swarm path (one leecher pulling an 8 MiB object from four
+# in-memory seeders over loopback, MB/s and allocs per download).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$|BenchmarkDirectoryChurn$$' \
 		-benchtime 2x -benchmem ./internal/sim ./internal/selection
@@ -47,6 +48,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSummarizeStore$$' -benchtime 2x -benchmem ./internal/logpipe
 	$(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
 		-benchtime 200ms -benchmem ./internal/protocol ./internal/content
+	$(GO) test -run '^$$' -bench 'BenchmarkSwarmDownload$$' -benchtime 2x -benchmem ./internal/peer
 
 # Streaming-analytics timing: a full streaming pass over a sealed 128k-record
 # segment store, with the bounded-heap test alongside (BENCH_analytics.json

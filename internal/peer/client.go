@@ -86,6 +86,9 @@ type Config struct {
 	// holdQueryResult, when set, runs on the control reader before it
 	// dispatches a QueryResult; tests use it to deliver an answer late.
 	holdQueryResult func(*Client, *protocol.QueryResult)
+	// holdDialBack, when set, runs in a dial-back after it took its upload
+	// slot and before it dials; tests use it to close the client mid-dial.
+	holdDialBack func()
 }
 
 // softwareVersion is the client version a fresh process reports on login.

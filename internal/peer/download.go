@@ -936,8 +936,12 @@ func (d *Download) accept(idx int, from id.GUID, infra bool) {
 			d.c.metrics.streamEdgeRescueBytes.Add(n)
 		}
 	}
+	// A remote that announced the piece would parse the HAVE and drop it;
+	// one whose bitfield has not arrived yet still gets it.
 	for _, sc := range conns {
-		sc.send(&protocol.Have{Index: uint32(idx)})
+		if !sc.remoteHasPiece(idx) {
+			sc.send(&protocol.Have{Index: uint32(idx)})
+		}
 	}
 	// Partially downloaded objects are already shareable: the DN tracks
 	// partial holders (Register carries HaveCount, §3.6). Announce at each

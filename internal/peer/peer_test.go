@@ -19,7 +19,7 @@ import (
 // with one or more CNs, and helpers to spawn peers with synthetic
 // identities.
 type deployment struct {
-	t       *testing.T
+	t       testing.TB
 	atlas   *geo.Atlas
 	scape   *geo.EdgeScape
 	edgeSrv *edge.Server
@@ -30,7 +30,7 @@ type deployment struct {
 	cns     []*controlplane.CN
 }
 
-func newDeployment(t *testing.T, numCNs int, objs ...*content.Object) *deployment {
+func newDeployment(t testing.TB, numCNs int, objs ...*content.Object) *deployment {
 	t.Helper()
 	return startDeployment(t, numCNs, 0, nil, objs)
 }
@@ -47,7 +47,7 @@ func newWANDeployment(t *testing.T, objs ...*content.Object) *deployment {
 
 // startDeployment starts an edge and a one-node control plane; mutate, when
 // set, adjusts the control plane's config before it starts.
-func startDeployment(t *testing.T, numCNs int, edgeLatency time.Duration, mutate func(*controlplane.Config), objs []*content.Object) *deployment {
+func startDeployment(t testing.TB, numCNs int, edgeLatency time.Duration, mutate func(*controlplane.Config), objs []*content.Object) *deployment {
 	t.Helper()
 	acfg := geo.DefaultAtlasConfig()
 	acfg.TailCountries = 2
@@ -138,7 +138,7 @@ func (d *deployment) spawnPeerWith(country geo.CountryCode, uploadsEnabled bool,
 	return cl
 }
 
-func e2eObject(t *testing.T, size int64, p2p bool) *content.Object {
+func e2eObject(t testing.TB, size int64, p2p bool) *content.Object {
 	t.Helper()
 	obj, err := content.NewObject(77, "e2e/blob.bin", 1, size, 16<<10, p2p)
 	if err != nil {
@@ -184,7 +184,7 @@ func (d *deployment) waitCopies(country geo.CountryCode, oid content.ObjectID, w
 	}, "directory never reached %d copies", want)
 }
 
-func verifyStored(t *testing.T, c *Client, obj *content.Object) {
+func verifyStored(t testing.TB, c *Client, obj *content.Object) {
 	t.Helper()
 	if !c.Store().Complete(obj.ID) {
 		t.Fatal("store incomplete after download")

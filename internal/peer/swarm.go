@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"sync"
@@ -18,8 +19,13 @@ import (
 // may request pieces the other has; NetSession has no choking and no
 // tit-for-tat (§3.4).
 type swarmConn struct {
-	c        *Client
+	c *Client
+	// conn and br are set together, once: at construction, or by attach for
+	// a dial-back. br is the connection's only reader; every frame,
+	// handshake included, is read through it, so a small frame costs one
+	// read syscall instead of one for its header and one for its payload.
 	conn     net.Conn
+	br       *bufio.Reader
 	remote   id.GUID
 	oid      content.ObjectID
 	manifest *content.Manifest
@@ -49,6 +55,19 @@ func (sc *swarmConn) send(m protocol.Message) error {
 	return protocol.WriteMessage(sc.conn, m)
 }
 
+// attach sets the connection of a swarmConn made before its dial. It reports
+// false, and leaves conn to the caller to close, when sc was closed first: a
+// Client.Close that overtook the dial.
+func (sc *swarmConn) attach(conn net.Conn) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.closed {
+		return false
+	}
+	sc.conn, sc.br = conn, bufio.NewReader(conn)
+	return true
+}
+
 func (sc *swarmConn) close() {
 	sc.mu.Lock()
 	if sc.closed {
@@ -56,8 +75,11 @@ func (sc *swarmConn) close() {
 		return
 	}
 	sc.closed = true
+	conn := sc.conn
 	sc.mu.Unlock()
-	sc.conn.Close()
+	if conn != nil { // nil: a dial-back closed before its dial returned
+		conn.Close()
+	}
 	if sc.uploadSlot {
 		sc.c.uploads.release(sc)
 	}
@@ -90,8 +112,9 @@ func (c *Client) acceptSwarmLoop() {
 // close.
 func (c *Client) handleInbound(conn net.Conn) {
 	accepted := time.Now()
+	sc := &swarmConn{c: c, conn: conn, br: bufio.NewReader(conn)}
 	conn.SetReadDeadline(time.Now().Add(20 * time.Second))
-	msg, err := protocol.ReadMessage(conn)
+	msg, err := protocol.ReadMessage(sc.br)
 	if err != nil {
 		conn.Close()
 		return
@@ -102,7 +125,7 @@ func (c *Client) handleInbound(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	sc := &swarmConn{c: c, conn: conn, remote: hs.GUID, oid: hs.Object}
+	sc.remote, sc.oid = hs.GUID, hs.Object
 
 	// Case 1: we are downloading this object and the remote is an uploader
 	// dialing back on the control plane's instruction.
@@ -168,15 +191,15 @@ func (c *Client) dialSwarm(ctx context.Context, d *Download, remote protocol.Pee
 		return nil, err
 	}
 	sc := &swarmConn{
-		c: c, conn: conn, remote: remote.GUID, oid: d.oid,
-		manifest: d.manifest, download: d,
+		c: c, conn: conn, br: bufio.NewReader(conn), remote: remote.GUID,
+		oid: d.oid, manifest: d.manifest, download: d,
 	}
 	if err := sc.send(&protocol.Handshake{GUID: c.cfg.GUID, Object: d.oid, Token: d.token}); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	msg, err := protocol.ReadMessage(conn)
+	msg, err := protocol.ReadMessage(sc.br)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -208,7 +231,7 @@ func (sc *swarmConn) loop() {
 	for {
 		// Idle swarm connections are garbage; cap the read wait.
 		sc.conn.SetReadDeadline(time.Now().Add(2 * time.Minute))
-		msg, err := protocol.ReadMessage(sc.conn)
+		msg, err := protocol.ReadMessage(sc.br)
 		if err != nil {
 			return
 		}

@@ -23,6 +23,9 @@ type uploadManager struct {
 	active    map[*swarmConn]bool
 	perObject map[content.ObjectID]int // serving sessions granted, ever
 	bytesOut  int64
+	// closed is set by closeAll: the client is shutting down and grants no
+	// more slots.
+	closed bool
 
 	// nextFree implements a leaky-bucket rate limit over upload bytes.
 	nextFree time.Time
@@ -49,6 +52,9 @@ func (u *uploadManager) applyConfig(cfg edge.ClientConfig) {
 func (u *uploadManager) tryAcquire(sc *swarmConn) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
+	if u.closed {
+		return false
+	}
 	if u.cfg.MaxUploadConns > 0 && len(u.active) >= u.cfg.MaxUploadConns {
 		return false
 	}
@@ -112,7 +118,9 @@ func (u *uploadManager) throttle(n int) {
 
 // dialBack connects to a downloader on the control plane's instruction so
 // that both endpoints initiate (§3.7). The connection consumes an upload
-// slot like any inbound upload.
+// slot like any inbound upload, taken before the dial. A Client.Close during
+// the dial closes the slot's swarmConn; the dialed connection is then closed
+// here instead of served.
 func (u *uploadManager) dialBack(oid content.ObjectID, remote protocol.PeerInfo) {
 	m := u.c.cachedManifest(oid)
 	if m == nil {
@@ -122,13 +130,19 @@ func (u *uploadManager) dialBack(oid content.ObjectID, remote protocol.PeerInfo)
 	if !u.tryAcquire(sc) {
 		return
 	}
+	if hold := u.c.cfg.holdDialBack; hold != nil {
+		hold()
+	}
 	dialer := &nat.Dialer{Local: u.c.cfg.NAT, Timeout: 5 * time.Second}
 	conn, err := dialer.Dial(context.Background(), remote)
 	if err != nil {
-		u.release(sc)
+		sc.close()
 		return
 	}
-	sc.conn = conn
+	if !sc.attach(conn) {
+		conn.Close()
+		return
+	}
 	// Dial-back handshakes carry no token: the uploader is not requesting
 	// anything; the downloader accepts because it has an active download.
 	if err := sc.send(&protocol.Handshake{GUID: u.c.cfg.GUID, Object: oid}); err != nil {
@@ -136,7 +150,7 @@ func (u *uploadManager) dialBack(oid content.ObjectID, remote protocol.PeerInfo)
 		return
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	msg, err := protocol.ReadMessage(conn)
+	msg, err := protocol.ReadMessage(sc.br)
 	if err != nil {
 		sc.close()
 		return
@@ -150,9 +164,10 @@ func (u *uploadManager) dialBack(oid content.ObjectID, remote protocol.PeerInfo)
 	sc.loop()
 }
 
-// closeAll closes every active upload connection.
+// closeAll closes every active upload connection and refuses new ones.
 func (u *uploadManager) closeAll() {
 	u.mu.Lock()
+	u.closed = true
 	conns := make([]*swarmConn, 0, len(u.active))
 	for sc := range u.active {
 		conns = append(conns, sc)

@@ -21,7 +21,7 @@ func eventually(timeout time.Duration, cond func() bool) bool {
 
 // waitUntil is eventually with a fatal failure: the test dies with msg when
 // cond never holds within the timeout.
-func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, msg string, args ...any) {
+func waitUntil(t testing.TB, timeout time.Duration, cond func() bool, msg string, args ...any) {
 	t.Helper()
 	if !eventually(timeout, cond) {
 		t.Fatalf(msg, args...)

@@ -415,7 +415,10 @@ func (*BitfieldMsg) Type() MsgType           { return TBitfield }
 func (m *BitfieldMsg) encodeTo(e *encoder)   { e.bytes(m.Bits) }
 func (m *BitfieldMsg) decodeFrom(d *decoder) { m.Bits = d.bytes() }
 
-// Have announces a newly verified piece.
+// Have announces a newly verified piece. A downloader sends it on each of
+// its swarm connections whose remote has not announced the piece (in its
+// bitfield or a HAVE of its own), and to a remote whose bitfield has not
+// arrived yet; a remote already holding the piece gets none.
 type Have struct{ Index uint32 }
 
 func (*Have) Type() MsgType           { return THave }
