@@ -2,8 +2,10 @@ package logpipe
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"testing"
 
 	"netsession/internal/analysis"
+	"netsession/internal/id"
 )
 
 // FuzzAckStoreLoad writes arbitrary bytes as a node's acks.json checkpoint
@@ -239,4 +242,80 @@ func sortRecords(recs []analysis.OfflineDownload) []analysis.OfflineDownload {
 	}
 	slices.SortFunc(recs, func(a, b analysis.OfflineDownload) int { return strings.Compare(key(&a), key(&b)) })
 	return recs
+}
+
+// FuzzIngestBatch feeds arbitrary bytes to the ingest endpoint's batch
+// decoder as a POSTed body, with a handler that refuses every entry of odd
+// Size. The invariants: never panic; a refused batch books nothing — the
+// handler is never called and nothing is counted; and an accepted batch
+// counts every non-blank line of its decompressed body exactly once,
+// accepted plus rejected, with the handler called for exactly the lines that
+// decode. The batch is accepted exactly when the body gunzips whole within
+// the decoded-size cap.
+func FuzzIngestBatch(f *testing.F) {
+	gz := func(body string) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write([]byte(body))
+		zw.Close()
+		return buf.Bytes()
+	}
+	good := `{"kind":"download","size":2}` + "\n" + `{"kind":"download","size":3}` + "\n"
+	f.Add(gz(good))
+	f.Add(gz(good + "\n\r\nnot json\n" + `{"kind":"login"}`))
+	f.Add(gz(good)[:len(gz(good))-4]) // the gzip trailer cut
+	f.Add(append(gz(good), gz("\n")...))
+	f.Add(gz(strings.Repeat("x", 5000)))
+	for _, s := range fuzzSeedSegments() {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var calls int
+		in := NewIngest(IngestConfig{Handle: func(_ id.GUID, e *Entry) error {
+			calls++
+			if e.Size%2 != 0 {
+				return errors.New("odd size")
+			}
+			return nil
+		}})
+		in.maxDecodedBytes = 4 << 10 // small inputs reach the cap
+		accepted, rejected, err := in.ingest(id.GUID{1}, raw)
+
+		var body []byte
+		zr, zerr := gzip.NewReader(bytes.NewReader(raw))
+		if zerr == nil {
+			body, zerr = io.ReadAll(io.LimitReader(zr, in.maxDecodedBytes+1))
+		}
+		whole := zerr == nil && int64(len(body)) <= in.maxDecodedBytes
+		if err != nil {
+			if accepted != 0 || rejected != 0 || calls != 0 {
+				t.Fatalf("refused batch (%v) booked %d accepted, %d rejected, %d handler calls", err, accepted, rejected, calls)
+			}
+			if whole {
+				t.Fatalf("a batch that gunzips whole within the cap was refused: %v", err)
+			}
+			return
+		}
+		if !whole {
+			t.Fatalf("batch accepted, but it does not gunzip whole within the cap (%v, %d bytes)", zerr, len(body))
+		}
+		lines, decodable := 0, 0
+		for _, l := range bytes.Split(body, []byte("\n")) {
+			l = bytes.TrimSuffix(l, []byte("\r"))
+			if len(l) == 0 {
+				continue
+			}
+			lines++
+			if _, derr := DecodeEntry(l); derr == nil {
+				decodable++
+			}
+		}
+		if accepted+rejected != lines {
+			t.Fatalf("accepted %d + rejected %d != %d non-blank lines", accepted, rejected, lines)
+		}
+		if calls != decodable || accepted > calls {
+			t.Fatalf("handler called %d times for %d decodable lines, %d accepted", calls, decodable, accepted)
+		}
+	})
 }

@@ -54,6 +54,9 @@ const (
 	requeryInterval = 2 * time.Second
 	// maxPeerConns bounds the swarm fan-out of one download.
 	maxPeerConns = 8
+	// endGamePieces is how many of the lowest missing pieces an idle
+	// connection considers for an end-game duplicate.
+	endGamePieces = 8
 )
 
 // Download is one Download-Manager transfer (§3.3): it downloads from the
@@ -118,8 +121,17 @@ type Download struct {
 	// edgeIdleSince is when the edge fetcher found every missing piece
 	// already requested from the swarm and parked; zero while it has work.
 	edgeIdleSince time.Time
-	state         downloadState
-	outcome       protocol.Outcome
+	// edgePiece is the piece the edge fetcher is fetching and edgeReqAt
+	// when it took it; a zero edgeReqAt means no edge fetch is under way.
+	edgePiece int
+	edgeReqAt time.Time
+	// slowest is the longest a piece this download stored took from its
+	// request to its arrival; end-game duplicates are measured against it.
+	// rescuedAt is when step last handed idle connections a rescue.
+	slowest   time.Duration
+	rescuedAt time.Time
+	state     downloadState
+	outcome   protocol.Outcome
 	// p2pOff is set when the download degrades to edge-only: the swarm
 	// stalled for a whole StallWindow, or corruption crossed the limit.
 	p2pOff bool
@@ -131,6 +143,10 @@ type Download struct {
 	edgeWake chan struct{} // unparks the edge fetcher; capacity 1
 	doneCh   chan struct{}
 	reported bool
+	// puts counts the store Puts under way. put adds to it under mu while
+	// the download runs, and terminate waits for it after ending the
+	// download, so no piece lands in the store once Wait has returned.
+	puts sync.WaitGroup
 }
 
 // poke leaves a wake-up in a capacity-1 channel unless one is already there.
@@ -373,6 +389,7 @@ type actions struct {
 	query   bool                // ask the control plane for more peers
 	degrade bool                // the swarm stalled: fall back to edge-only
 	edgeDup bool                // the edge may now duplicate an in-flight piece
+	rescue  []*swarmConn        // idle connections that may now duplicate a slow request
 	next    time.Time           // zero: nothing is timed, wait for a poke
 }
 
@@ -387,10 +404,12 @@ func (a *actions) wakeAt(t time.Time) {
 // until a sufficient number of peer connections succeed", hands every free
 // connection slot a candidate, declares a swarm dead that delivered no
 // verified piece for a whole StallWindow (it is being strung along by
-// stalled, slow or lying peers; the edge finishes the job, §3.3), and lets
+// stalled, slow or lying peers; the edge finishes the job, §3.3), lets
 // an edge fetcher that has idled behind in-flight swarm requests for
-// edgeDupAfter duplicate one. It claims what it hands out (slots, the query)
-// so that a second call at the same instant returns nothing.
+// edgeDupAfter duplicate one, and wakes the idle connections when an
+// end-game request turns slow (rescueAtLocked). It claims what it hands out
+// (slots, the query, a rescue) so that a second call at the same instant
+// returns nothing.
 func (d *Download) step(now time.Time) actions {
 	var a actions
 	if d.state != stateRunning {
@@ -412,6 +431,7 @@ func (d *Download) step(now time.Time) actions {
 		return a
 	}
 	a.wakeAt(due)
+	d.rescueLocked(now, &a)
 	free := maxPeerConns - len(d.conns) - d.dialing
 	for free > 0 && len(d.candidates) > 0 {
 		p := d.candidates[0]
@@ -445,6 +465,57 @@ func (d *Download) step(now time.Time) actions {
 	return a
 }
 
+// rescueLocked is step's end-game part: it hands the idle connections a
+// rescue when an end-game request turned slow since the last rescue, and
+// wakes the driver when the next one will.
+func (d *Download) rescueLocked(now time.Time, a *actions) {
+	due := false
+	for _, i := range d.have.Missing(endGamePieces) {
+		at := d.rescueAtLocked(i)
+		switch {
+		case at.IsZero() || !at.After(d.rescuedAt):
+		case now.Before(at):
+			a.wakeAt(at)
+		default:
+			due = true
+		}
+	}
+	if !due {
+		return
+	}
+	d.rescuedAt = now
+	for sc := range d.conns {
+		if sc.reqAt.IsZero() {
+			a.rescue = append(a.rescue, sc)
+		}
+	}
+}
+
+// rescueAtLocked is when piece i may get an end-game duplicate: once its
+// most recent outstanding request, to a peer or to the edge, is twice as
+// old as the slowest piece this download has received. A request younger
+// than that is on time, and a duplicate of it costs a transfer and a
+// SHA-256 that the original makes useless. Zero when no request for i is
+// outstanding or no piece has been timed yet.
+func (d *Download) rescueAtLocked(i int) time.Time {
+	if d.slowest == 0 || d.inflight[i] == 0 {
+		return time.Time{}
+	}
+	var last time.Time
+	if d.edgePiece == i {
+		last = d.edgeReqAt
+	}
+	for sc := range d.conns {
+		if sc.req == i && sc.reqAt.After(last) {
+			last = sc.reqAt
+		}
+	}
+	if last.IsZero() {
+		return time.Time{}
+	}
+	return last.Add(2 * d.slowest)
+}
+
 // drive is the download's one timed goroutine: it sleeps until an event
 // pokes it or the instant step named arrives, asks step what to do, and does
 // it outside mu.
@@ -473,6 +544,9 @@ func (d *Download) drive() {
 		}
 		if a.edgeDup {
 			poke(d.edgeWake)
+		}
+		for _, sc := range a.rescue {
+			d.kickScheduler(sc)
 		}
 		// A fire that races this Stop only causes one more step, and step is
 		// a function of the state and the time, not of why it was called.
@@ -635,6 +709,7 @@ func (d *Download) takeEdgePiece() int {
 	}
 	take := func(i int) int {
 		d.inflight[i]++
+		d.edgePiece, d.edgeReqAt = i, now
 		d.edgeIdleSince = time.Time{}
 		if i >= winLo && i < winHi {
 			d.edgeUrgent[i] = true
@@ -693,9 +768,19 @@ func (d *Download) edgeFetcher() {
 			stored, err = d.put(idx, data)
 			return err
 		})
-		d.mu.Lock()
-		d.releaseLocked(idx)
-		d.mu.Unlock()
+		el := time.Since(fetchStart)
+		if err == nil {
+			d.c.metrics.edgeFetchMs.Observe(float64(el) / float64(time.Millisecond))
+			d.trace.Observe(telemetry.StageEdgeFetch, el)
+			bo.Reset()
+		}
+		if stored {
+			d.accept(idx, nil, el)
+		} else {
+			d.mu.Lock()
+			d.answeredLocked(nil, idx)
+			d.mu.Unlock()
+		}
 		if err != nil {
 			if d.ended() {
 				return // the download ended under the fetch: the failure is moot
@@ -707,14 +792,6 @@ func (d *Download) edgeFetcher() {
 				return
 			case <-time.After(bo.Next()):
 			}
-			continue
-		}
-		el := time.Since(fetchStart)
-		d.c.metrics.edgeFetchMs.Observe(float64(el) / float64(time.Millisecond))
-		d.trace.Observe(telemetry.StageEdgeFetch, el)
-		bo.Reset()
-		if stored {
-			d.accept(idx, id.GUID{}, true)
 		}
 	}
 }
@@ -748,15 +825,20 @@ func (d *Download) nextRequest(sc *swarmConn) int {
 		Session:  d.play,
 	})
 	if pick < 0 {
-		// End-game: few pieces left, all in flight; duplicate one that the
-		// remote has so a slow source cannot stall completion.
-		for _, i := range d.have.Missing(8) {
-			if remote.Has(i) {
+		// End-game: every missing piece the remote has is in flight.
+		// Duplicate one whose requests turned slow, so a slow source cannot
+		// stall completion; until one does, the driver times the wait.
+		for _, i := range d.have.Missing(endGamePieces) {
+			if !remote.Has(i) {
+				continue
+			}
+			if at := d.rescueAtLocked(i); !at.IsZero() && !now.Before(at) {
 				pick = i
 				break
 			}
 		}
 		if pick < 0 {
+			poke(d.wake)
 			return -1
 		}
 	}
@@ -793,15 +875,25 @@ func (d *Download) kickScheduler(sc *swarmConn) {
 
 // onPiece handles a piece arriving from a swarm connection.
 func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
+	var el time.Duration // zero for a piece nobody requested on sc
 	d.mu.Lock()
 	if !sc.reqAt.IsZero() && sc.req == idx {
-		el := d.now().Sub(sc.reqAt)
+		el = d.now().Sub(sc.reqAt)
 		d.c.metrics.peerPieceMs.Observe(float64(el) / float64(time.Millisecond))
 		d.trace.Observe(telemetry.StagePieceTransfer, el)
-		d.dropRequestLocked(sc)
 	}
 	d.mu.Unlock()
+	// The request stays outstanding while put verifies the piece: a piece
+	// that is neither held nor in flight would be requested again.
 	stored, err := d.put(idx, data)
+	if stored {
+		d.accept(idx, sc, el)
+		d.kickScheduler(sc)
+		return
+	}
+	d.mu.Lock()
+	d.answeredLocked(sc, idx)
+	d.mu.Unlock()
 	if err != nil {
 		// "If a peer cannot validate a file piece, it discards the piece
 		// and does not upload it to other peers" (§3.5).
@@ -833,13 +925,19 @@ func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 			d.disableP2P("corruption")
 			return
 		}
-		d.kickScheduler(sc)
-		return
-	}
-	if stored {
-		d.accept(idx, sc.remote, false)
 	}
 	d.kickScheduler(sc)
+}
+
+// answeredLocked drops the request for piece idx, if it is the one pending
+// on sc (nil: the edge fetcher's).
+func (d *Download) answeredLocked(sc *swarmConn, idx int) {
+	if sc == nil {
+		d.edgeReqAt = time.Time{}
+		d.releaseLocked(idx)
+	} else if sc.req == idx {
+		d.dropRequestLocked(sc)
+	}
 }
 
 // disableP2P degrades the download to edge-only: no new peers are dialed or
@@ -879,12 +977,19 @@ func (d *Download) disableP2P(reason string) {
 // ownership of data. It reports whether the piece was stored; an error wraps
 // content.ErrCorrupt and blames the source. A storage failure is not the
 // source's fault: it is a user-side problem (e.g. the disk is full), a
-// "failed (other)" outcome in §5.2.
+// "failed (other)" outcome in §5.2. A piece that arrives after the download
+// ended is dropped unverified.
 func (d *Download) put(idx int, data []byte) (bool, error) {
-	if d.ended() {
+	d.mu.Lock()
+	if d.state == stateDone {
+		d.mu.Unlock()
+		d.c.metrics.dupPieces.Inc()
 		return false, nil
 	}
+	d.puts.Add(1)
+	d.mu.Unlock()
 	err := d.c.store.Put(d.manifest, idx, data)
+	d.puts.Done()
 	if err == nil || errors.Is(err, content.ErrCorrupt) {
 		return err == nil, err
 	}
@@ -893,18 +998,26 @@ func (d *Download) put(idx int, data []byte) (bool, error) {
 	return false, nil
 }
 
-// accept books a piece put just stored: accounting, the announcement to the
-// swarm, and completion when it was the last piece. An end-game duplicate
-// is already booked and changes nothing.
-func (d *Download) accept(idx int, from id.GUID, infra bool) {
+// accept books a piece put just stored, from sc or, when sc is nil, from the
+// edge: accounting, the announcement to the swarm, and completion when it
+// was the last piece. It drops the request the piece answered in the same
+// critical section that marks it held, so the piece is never seen missing
+// and un-requested in between. took is how long the piece took from its
+// request, zero when untimed. An end-game duplicate is already booked and
+// changes nothing.
+func (d *Download) accept(idx int, sc *swarmConn, took time.Duration) {
 	n := int64(d.manifest.Object.PieceLength(idx))
+	infra := sc == nil
 	d.mu.Lock()
+	d.answeredLocked(sc, idx)
 	if d.have.Has(idx) {
 		d.mu.Unlock()
+		d.c.metrics.dupPieces.Inc()
 		return
 	}
 	now := d.now()
 	d.have.Set(idx)
+	d.slowest = max(d.slowest, took)
 	rescue := false
 	if infra {
 		d.bytesInfra += n
@@ -914,7 +1027,7 @@ func (d *Download) accept(idx int, from id.GUID, infra bool) {
 		}
 	} else {
 		d.bytesPeers += n
-		d.fromPeers[from] += n
+		d.fromPeers[sc.remote] += n
 		d.lastPeerPiece = now
 	}
 	haveCount := d.have.Count()
@@ -969,15 +1082,22 @@ func (d *Download) accept(idx int, from id.GUID, infra bool) {
 // record will be sent.
 func (d *Download) terminate(outcome protocol.Outcome, crashed bool) bool {
 	d.mu.Lock()
-	if d.state == stateDone {
-		d.mu.Unlock()
+	first := d.state != stateDone
+	var conns []*swarmConn
+	if first {
+		d.state = stateDone
+		d.outcome = outcome
+		d.reported = crashed
+		conns = d.connsLocked()
+	}
+	d.mu.Unlock()
+	// No put starts any more; wait out those under way, so that a piece
+	// verified concurrently cannot land in the store once the download is
+	// over (a cache eviction right after Wait would leave it behind).
+	d.puts.Wait()
+	if !first {
 		return false
 	}
-	d.state = stateDone
-	d.outcome = outcome
-	d.reported = crashed
-	conns := d.connsLocked()
-	d.mu.Unlock()
 	for _, sc := range conns {
 		if !crashed {
 			sc.send(&protocol.Goodbye{Reason: "download finished"})

@@ -13,6 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"netsession/internal/content"
+	"netsession/internal/controlplane"
+	"netsession/internal/edge"
 	"netsession/internal/protocol"
 )
 
@@ -151,5 +154,65 @@ func TestEdgePoolCorruptServerFeedsBreaker(t *testing.T) {
 	cl.edge.mu.Unlock()
 	if cur != 1 {
 		t.Errorf("pool stuck to the flipping server (current=%d)", cur)
+	}
+}
+
+// TestNoPieceStoredAfterWait: once Wait returns, no piece of the download
+// can still land in the store, so a cache eviction (Drop) right after Wait
+// leaves nothing behind. A piece still being verified when the last piece
+// completed the download — a duplicate from the swarm, or the edge's — used
+// to be stored after Wait had returned. Four leechers download side by side,
+// 25 times each, and look for a stray piece 100ms after each Drop.
+func TestNoPieceStoredAfterWait(t *testing.T) {
+	obj, err := content.NewObject(79, "e2e/evict.bin", 1, 4<<20, 256<<10, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := startDeployment(t, 1, 5*time.Millisecond, func(cfg *controlplane.Config) {
+		cfg.ClientConfig = edge.DefaultClientConfig()
+		cfg.ClientConfig.PerObjectUploadCap = 0 // every download is served
+	}, []*content.Object{obj})
+	for i := 0; i < 4; i++ {
+		d.seed("US", obj)
+	}
+	d.waitCopies("US", obj.ID, 4)
+
+	const leechers, rounds = 4, 25
+	var stray, failed atomic.Int64
+	var wg sync.WaitGroup
+	for l := 0; l < leechers; l++ {
+		leecher := d.spawnPeer("US", false, protocol.NATNone)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				dl, err := leecher.Download(obj.ID)
+				if err != nil {
+					failed.Add(1)
+					return
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				res, err := dl.Wait(ctx)
+				cancel()
+				if err != nil || res.Outcome != protocol.OutcomeCompleted {
+					failed.Add(1)
+					return
+				}
+				leecher.Store().Drop(obj.ID)
+				time.Sleep(100 * time.Millisecond)
+				if bf := leecher.Store().Have(obj.ID); bf != nil && bf.Count() > 0 {
+					stray.Add(1)
+					leecher.Store().Drop(obj.ID)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d leechers saw a download fail", n)
+	}
+	if n := stray.Load(); n > 0 {
+		t.Errorf("%d of %d downloads stored a piece after Wait returned and the object was dropped",
+			n, leechers*rounds)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,12 +129,12 @@ func (r *stepRig) piece(i int) []byte {
 
 // edgeDeliver completes an edge fetch the way edgeFetcher does.
 func (r *stepRig) edgeDeliver(i int) {
-	stored, _ := r.d.put(i, r.piece(i))
-	r.d.mu.Lock()
-	r.d.releaseLocked(i)
-	r.d.mu.Unlock()
-	if stored {
-		r.d.accept(i, id.GUID{}, true)
+	if stored, _ := r.d.put(i, r.piece(i)); stored {
+		r.d.accept(i, nil, 0)
+	} else {
+		r.d.mu.Lock()
+		r.d.answeredLocked(nil, i)
+		r.d.mu.Unlock()
 	}
 }
 
@@ -278,6 +279,123 @@ func TestEdgeDuplicatesInflightPieceAfterIdle(t *testing.T) {
 	if res.BytesInfra+res.BytesPeers != r.d.manifest.Object.Size || len(r.d.inflight) != 0 {
 		t.Fatalf("infra %d + peers %d != size %d, or inflight left: %v",
 			res.BytesInfra, res.BytesPeers, r.d.manifest.Object.Size, r.d.inflight)
+	}
+}
+
+// TestEndGameRescueWaitsForSlowRequest: an idle connection duplicates an
+// in-flight piece only once the piece's most recent request, to a peer or
+// to the edge, is twice as old as the slowest piece the download received;
+// step times that instant and hands the idle connections the rescue once.
+func TestEndGameRescueWaitsForSlowRequest(t *testing.T) {
+	r := newStepRig(t, 3, DownloadOpts{sequential: true})
+	d := r.d
+	d.lastQuery = r.clock.now()
+	t0 := r.clock.now()
+	if got := d.takeEdgePiece(); got != 0 {
+		t.Fatalf("edge took piece %d first", got)
+	}
+	a, b := r.connUp(id.RandGUID(r.rng)), r.connUp(id.RandGUID(r.rng))
+	d.kickScheduler(a)
+	d.kickScheduler(b)
+	if a.req != 1 || b.req != 2 {
+		t.Fatalf("requests: a=%d b=%d, want 1 and 2", a.req, b.req)
+	}
+
+	// a's piece takes 10ms: pieces 0 (edge) and 2 (b), requested at t0,
+	// turn slow at t0+20ms.
+	r.clock.advance(10 * time.Millisecond)
+	d.onPiece(a, 1, r.piece(1))
+	if !a.reqAt.IsZero() {
+		t.Fatalf("a duplicated piece %d before any request was slow", a.req)
+	}
+	slow := t0.Add(20 * time.Millisecond)
+	if act := r.step(); len(act.rescue) != 0 || !act.next.Equal(slow) {
+		t.Fatalf("before the threshold: %d rescuers, next at %v, want none and t0+20ms",
+			len(act.rescue), act.next.Sub(t0))
+	}
+	r.clock.advance(9 * time.Millisecond)
+	if d.kickScheduler(a); !a.reqAt.IsZero() {
+		t.Fatalf("a duplicated piece %d at t0+19ms", a.req)
+	}
+	r.clock.advance(time.Millisecond)
+	act := r.step()
+	if len(act.rescue) != 1 || act.rescue[0] != a {
+		t.Fatalf("at the threshold: rescuers %v, want the idle connection a", act.rescue)
+	}
+	if again := r.step(); len(again.rescue) != 0 {
+		t.Fatal("step handed the same rescue out twice")
+	}
+	d.kickScheduler(a)
+	if a.req != 0 || d.inflight[0] != 2 {
+		t.Fatalf("a rescued piece %d (inflight %v), want the edge's slow piece 0", a.req, d.inflight)
+	}
+	// Piece 0's newest request is a's: it is not slow again before
+	// t0+40ms, while b's piece 2 already is.
+	if act := r.step(); !act.next.Equal(slow.Add(20 * time.Millisecond)) {
+		t.Fatalf("after the rescue, next at %v, want t0+40ms", act.next.Sub(t0))
+	}
+
+	r.edgeDeliver(0)
+	d.onPiece(a, 0, r.piece(0)) // the duplicate lands second
+	if got := r.c.metrics.dupPieces.Value(); got != 1 {
+		t.Fatalf("%d duplicate pieces counted, want 1", got)
+	}
+	if a.req != 2 || d.inflight[2] != 2 {
+		t.Fatalf("a went on to piece %d (inflight %v), want b's slow piece 2", a.req, d.inflight)
+	}
+	d.onPiece(b, 2, r.piece(2))
+	if !r.done() {
+		t.Fatal("download not finished after the last piece")
+	}
+	if res := d.result(); res.BytesInfra+res.BytesPeers != d.manifest.Object.Size {
+		t.Fatalf("infra %d + peers %d != size %d", res.BytesInfra, res.BytesPeers, d.manifest.Object.Size)
+	}
+}
+
+// gatedStore is a MemStore whose first Put parks until release is closed,
+// after closing entered.
+type gatedStore struct {
+	*content.MemStore
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *gatedStore) Put(m *content.Manifest, index int, data []byte) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.MemStore.Put(m, index, data)
+}
+
+// TestEndWaitsForPutUnderWay: a download that ends while a received piece
+// is being verified returns from Abort, and so from Wait, only once that
+// piece is stored; an eviction right after Wait then leaves nothing behind.
+func TestEndWaitsForPutUnderWay(t *testing.T) {
+	r := newStepRig(t, 2, DownloadOpts{})
+	gs := &gatedStore{MemStore: content.NewMemStore(), entered: make(chan struct{}), release: make(chan struct{})}
+	r.c.store = gs
+	d := r.d
+	go d.put(1, r.piece(1))
+	<-gs.entered
+	aborted := make(chan struct{})
+	go func() {
+		d.Abort()
+		close(aborted)
+	}()
+	select {
+	case <-aborted:
+		t.Fatal("Abort returned while a piece was still being stored")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gs.release)
+	<-aborted
+	gs.Drop(d.oid)
+	if stored, _ := d.put(0, r.piece(0)); stored {
+		t.Fatal("a piece arriving after the end was stored")
+	}
+	if bf := gs.Have(d.oid); bf != nil && bf.Count() > 0 {
+		t.Fatalf("%d pieces in the store after the end and a Drop", bf.Count())
 	}
 }
 
@@ -469,7 +587,7 @@ func runSeededSchedule(t *testing.T, seed int64) {
 				edge = -1
 				if rng.Intn(5) == 0 { // the fetch failed
 					d.mu.Lock()
-					d.releaseLocked(i)
+					d.answeredLocked(nil, i)
 					d.mu.Unlock()
 				} else {
 					r.edgeDeliver(i)

@@ -17,7 +17,9 @@ import (
 // answers 5 ms late, as in the benchmark's swarm_bulk workload, so the
 // seeders carry most bytes. MB/s is object bytes per second of download
 // time; allocs/op counts the whole process, seeders included; peer_share is
-// the share of the bytes the seeders carried.
+// the share of the bytes the seeders carried; dup_pieces/op counts the
+// pieces a leecher received that it already held or that arrived after its
+// download ended (end-game waste), as its teardown finds them.
 func BenchmarkSwarmDownload(b *testing.B) {
 	obj, err := content.NewObject(78, "bench/swarm.bin", 1, 8<<20, 256<<10, true)
 	if err != nil {
@@ -32,7 +34,7 @@ func BenchmarkSwarmDownload(b *testing.B) {
 	}
 	d.waitCopies("US", obj.ID, 4)
 
-	var peerBytes int64
+	var peerBytes, dupPieces int64
 	b.SetBytes(obj.Size)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -54,9 +56,11 @@ func BenchmarkSwarmDownload(b *testing.B) {
 		b.StopTimer()
 		verifyStored(b, leecher, obj)
 		leecher.Close()
+		dupPieces += leecher.metrics.dupPieces.Value()
 		leecher.Store().Drop(obj.ID) // the test's cleanup keeps the client
 		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(peerBytes)/float64(int64(b.N)*obj.Size), "peer_share")
+	b.ReportMetric(float64(dupPieces)/float64(b.N), "dup_pieces/op")
 }

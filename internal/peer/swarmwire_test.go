@@ -26,23 +26,35 @@ const slowEdge = 200 * time.Millisecond
 // rawPeer is a raw-protocol swarm server holding some pieces of an object.
 // It answers a handshake with its HandshakeAck, its bitfield and any extra
 // frames in one Write, serves the pieces it holds with their true bytes,
-// and counts every frame it receives by type and every HAVE by index.
+// and counts every frame it receives by type and every HAVE and REQUEST by
+// index.
 type rawPeer struct {
 	ln    net.Listener
 	guid  id.GUID
 	obj   *content.Object
 	has   *content.Bitfield
 	extra []protocol.Message
+	// pace, when set, decides the answer to a session's n-th piece request
+	// (from 1): sent after delay, or never when answer is false.
+	pace func(n int) (delay time.Duration, answer bool)
 	// ended gets one value per finished session; its buffer exceeds the
 	// sessions any test opens, so a session never waits for the test.
 	ended chan struct{}
 
-	mu     sync.Mutex
-	counts map[protocol.MsgType]int
-	haves  []int
+	mu       sync.Mutex
+	counts   map[protocol.MsgType]int
+	haves    []int
+	requests []int
 }
 
 func startRawPeer(t *testing.T, obj *content.Object, holds func(i int) bool, extra ...protocol.Message) *rawPeer {
+	t.Helper()
+	return startPacedRawPeer(t, obj, holds, nil, extra...)
+}
+
+// startPacedRawPeer is startRawPeer with a pace for its answers.
+func startPacedRawPeer(t *testing.T, obj *content.Object, holds func(i int) bool,
+	pace func(n int) (time.Duration, bool), extra ...protocol.Message) *rawPeer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -50,7 +62,7 @@ func startRawPeer(t *testing.T, obj *content.Object, holds func(i int) bool, ext
 	}
 	p := &rawPeer{
 		ln: ln, guid: id.NewGUID(), obj: obj, has: content.NewBitfield(obj.NumPieces()),
-		extra: extra, ended: make(chan struct{}, 16), counts: make(map[protocol.MsgType]int),
+		extra: extra, pace: pace, ended: make(chan struct{}, 16), counts: make(map[protocol.MsgType]int),
 	}
 	for i := 0; i < obj.NumPieces(); i++ {
 		if holds(i) {
@@ -89,19 +101,30 @@ func (p *rawPeer) handle(conn net.Conn) {
 	if _, err := conn.Write(encodeFrames(hello...)); err != nil {
 		return
 	}
-	for {
+	for n := 0; ; {
 		msg, err := protocol.ReadMessage(conn)
 		if err != nil {
 			return
 		}
 		p.mu.Lock()
 		p.counts[msg.Type()]++
-		if h, ok := msg.(*protocol.Have); ok {
-			p.haves = append(p.haves, int(h.Index))
+		switch m := msg.(type) {
+		case *protocol.Have:
+			p.haves = append(p.haves, int(m.Index))
+		case *protocol.Request:
+			p.requests = append(p.requests, int(m.Index))
 		}
 		p.mu.Unlock()
 		switch m := msg.(type) {
 		case *protocol.Request:
+			n++
+			if p.pace != nil {
+				delay, answer := p.pace(n)
+				if !answer {
+					continue
+				}
+				time.Sleep(delay)
+			}
 			if p.has.Has(int(m.Index)) {
 				piece := &protocol.Piece{Index: m.Index, Data: pieceBytes(p.obj, int(m.Index))}
 				if protocol.WriteMessage(conn, piece) != nil {
@@ -133,6 +156,13 @@ func (p *rawPeer) received() (map[protocol.MsgType]int, []int) {
 	return maps.Clone(p.counts), haves
 }
 
+// requested returns the indices of the REQUESTs received, in arrival order.
+func (p *rawPeer) requested() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.requests)
+}
+
 // encodeFrames frames msgs back to back, to be sent in one Write.
 func encodeFrames(msgs ...protocol.Message) []byte {
 	var buf bytes.Buffer
@@ -155,6 +185,13 @@ func pieceBytes(obj *content.Object, i int) []byte {
 // it completed verified.
 func leech(t *testing.T, d *deployment, obj *content.Object) *Result {
 	t.Helper()
+	_, res := leechOn(t, d, obj)
+	return res
+}
+
+// leechOn is leech that also returns the leecher.
+func leechOn(t *testing.T, d *deployment, obj *content.Object) (*Client, *Result) {
+	t.Helper()
 	cl := d.spawnPeer("US", false, protocol.NATNone)
 	dl, err := cl.Download(obj.ID)
 	if err != nil {
@@ -167,7 +204,97 @@ func leech(t *testing.T, d *deployment, obj *content.Object) *Result {
 		t.Fatalf("leecher: res=%+v err=%v", res, err)
 	}
 	verifyStored(t, cl, obj)
-	return res
+	return cl, res
+}
+
+// answerLate is a raw seeder's pace that answers its first request after
+// first, every later one at once, and request number swallow (from 1; 0
+// for none) never. The download then times a slow piece before its end
+// game, and a healthy request, answered at once, stays far younger than
+// any rescue threshold.
+func answerLate(first time.Duration, swallow int) func(n int) (time.Duration, bool) {
+	return func(n int) (time.Duration, bool) {
+		if n == 1 {
+			return first, n != swallow
+		}
+		return 0, n != swallow
+	}
+}
+
+// TestEndGameNoDuplicatesWithHealthySeeders: with two healthy seeders and
+// an edge whose pieces take less than the slowest swarm piece, the end game
+// issues no duplicate — no piece index is requested twice and no piece is
+// received twice or after the download ended.
+func TestEndGameNoDuplicatesWithHealthySeeders(t *testing.T) {
+	obj := e2eObject(t, 16*16<<10, true)
+	d := startDeployment(t, 1, slowEdge, nil, []*content.Object{obj})
+	all := func(int) bool { return true }
+	seeders := []*rawPeer{
+		startPacedRawPeer(t, obj, all, answerLate(250*time.Millisecond, 0)),
+		startPacedRawPeer(t, obj, all, answerLate(250*time.Millisecond, 0)),
+	}
+	for _, s := range seeders {
+		registerRaw(t, d, s.guid, "US", s.ln.Addr().String(), obj.ID)
+	}
+
+	cl, res := leechOn(t, d, obj)
+	seen := map[int]bool{}
+	for _, s := range seeders {
+		s.waitEnded(t)
+		reqs := s.requested()
+		if len(reqs) == 0 || res.FromPeers[s.guid] == 0 {
+			t.Errorf("a seeder served nothing (%d requests): the swarm path was not exercised", len(reqs))
+		}
+		for _, i := range reqs {
+			if seen[i] {
+				t.Errorf("piece %d requested twice", i)
+			}
+			seen[i] = true
+		}
+	}
+	if n := cl.metrics.dupPieces.Value(); n != 0 {
+		t.Errorf("%d duplicate pieces received", n)
+	}
+}
+
+// TestEndGameRescuesSwallowedRequest: a seeder that never answers its last
+// request does not hold the download up for the stall window. Once that
+// request is twice as old as the slowest piece received, the other seeder
+// is asked for the piece and the download completes; the silent seeder is
+// not blamed. The edge answers a second late, so its first piece turns slow
+// too and the seeders rescue it the same way: the edge delivers nothing.
+func TestEndGameRescuesSwallowedRequest(t *testing.T) {
+	obj := e2eObject(t, 16*16<<10, true)
+	d := startDeployment(t, 1, time.Second, nil, []*content.Object{obj})
+	all := func(int) bool { return true }
+	swallower := startPacedRawPeer(t, obj, all, answerLate(150*time.Millisecond, 3))
+	healthy := startPacedRawPeer(t, obj, all, answerLate(150*time.Millisecond, 0))
+	registerRaw(t, d, swallower.guid, "US", swallower.ln.Addr().String(), obj.ID)
+	registerRaw(t, d, healthy.guid, "US", healthy.ln.Addr().String(), obj.ID)
+
+	cl, res := leechOn(t, d, obj)
+	swallower.waitEnded(t)
+	healthy.waitEnded(t)
+	reqs := swallower.requested()
+	if len(reqs) != 3 {
+		t.Fatalf("the swallowing seeder got %d requests, want 3: its last one stays pending", len(reqs))
+	}
+	if !slices.Contains(healthy.requested(), reqs[2]) {
+		t.Errorf("swallowed piece %d was not requested from the healthy seeder (it asked for %v)",
+			reqs[2], healthy.requested())
+	}
+	if limit := cl.cfg.StallWindow / 5; res.Duration > limit {
+		t.Errorf("download took %v, want well inside the %v stall window", res.Duration, cl.cfg.StallWindow)
+	}
+	if res.BytesInfra != 0 {
+		t.Errorf("the edge delivered %d bytes; its slow piece was not rescued", res.BytesInfra)
+	}
+	if res.FromPeers[swallower.guid] != int64(2*obj.PieceSize) {
+		t.Errorf("swallowing seeder credited %d bytes, want its two answered pieces", res.FromPeers[swallower.guid])
+	}
+	if cl.peerBlacklisted(swallower.guid) || cl.metrics.corruptPieces.Value() != 0 || cl.metrics.degradeStall.Value() != 0 {
+		t.Error("the swallowing seeder was blamed: blacklisted, a corrupt piece, or a stall degradation")
+	}
 }
 
 // TestNoHaveToCompleteSeeder: a seeder that announced every piece is never

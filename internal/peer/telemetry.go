@@ -32,6 +32,7 @@ type clientMetrics struct {
 	swarmDials      *telemetry.Counter
 	swarmDialErrors *telemetry.Counter
 	corruptPieces   *telemetry.Counter
+	dupPieces       *telemetry.Counter
 
 	edgeFetchMs  *telemetry.Histogram
 	peerPieceMs  *telemetry.Histogram
@@ -96,6 +97,8 @@ func newClientMetrics() *clientMetrics {
 			"failed outbound swarm connection attempts", nil),
 		corruptPieces: reg.Counter("peer_corrupt_pieces_total",
 			"pieces that failed hash verification", nil),
+		dupPieces: reg.Counter("peer_duplicate_pieces_total",
+			"received pieces already stored, or arriving after their download ended", nil),
 		edgeFetchMs: reg.Histogram("peer_edge_fetch_ms",
 			"edge HTTP piece fetch latency in milliseconds",
 			telemetry.DurationBucketsMs, nil),

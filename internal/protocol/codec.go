@@ -14,7 +14,8 @@ import (
 type encoder struct {
 	buf []byte
 	// tail is the message's last field, a byte string WriteMessage sends
-	// from the caller's slice instead of copying it into buf.
+	// from the caller's slice instead of copying it into buf, and outside
+	// the frame CRC.
 	tail []byte
 }
 
@@ -37,7 +38,7 @@ func (e *encoder) bytes(v []byte) {
 }
 
 // ref encodes a length-prefixed byte string by reference. It must be the
-// message's last field: only its length goes into buf.
+// message's last field: only its length goes into buf, and so under the CRC.
 func (e *encoder) ref(v []byte) {
 	e.u32(uint32(len(v)))
 	e.tail = v
@@ -56,6 +57,9 @@ type decoder struct {
 	buf []byte
 	off int
 	err error
+	// tailAt is where a ref field's bytes start, the end of what the frame
+	// CRC covers; zero when the message has no ref field.
+	tailAt int
 }
 
 var errShort = errors.New("payload truncated")
@@ -108,7 +112,7 @@ func (d *decoder) u64() uint64 {
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 
 func (d *decoder) bytes() []byte {
-	b := d.ref()
+	b := d.span(d.u32())
 	if d.err != nil {
 		return nil
 	}
@@ -119,9 +123,19 @@ func (d *decoder) bytes() []byte {
 
 // ref decodes a length-prefixed byte string without copying it: the result
 // aliases the payload, which ReadMessage allocates for one message alone.
-// Its capacity is capped, so an append cannot spill into the payload.
+// Its capacity is capped, so an append cannot spill into the payload. It is
+// the counterpart of encoder.ref: the frame CRC stops where its bytes start.
 func (d *decoder) ref() []byte {
 	n := d.u32()
+	if d.err == nil {
+		d.tailAt = d.off
+	}
+	return d.span(n)
+}
+
+// span takes the n bytes of a length-prefixed byte string whose length was
+// just read.
+func (d *decoder) span(n uint32) []byte {
 	if d.err != nil {
 		return nil
 	}

@@ -11,8 +11,12 @@
 //	|  2 B  |   1 B   | 1 B  |   u32 BE  |  u32 BE  |   ...   |
 //	+-------+---------+------+-----------+----------+---------+
 //
-// The CRC covers the payload only; it rejects corrupt frames cheaply before
-// any piece-level SHA-256 verification happens.
+// The CRC covers the payload up to a by-reference tail: the whole payload of
+// every message except PIECE, and a PIECE's index and data length but not
+// its data. Piece data has one integrity check, the SHA-256 against the
+// manifest in content.Store.Put; a CRC over the same bytes would catch
+// nothing Put does not, and a flipped data bit blames the sending peer
+// there.
 package protocol
 
 import (
@@ -27,7 +31,7 @@ import (
 const (
 	magic0  = 'N'
 	magic1  = 'S'
-	Version = 2
+	Version = 3
 	// MaxPayload bounds a frame payload; larger frames are rejected before
 	// allocation, protecting servers from hostile peers.
 	MaxPayload = 8 << 20
@@ -92,8 +96,9 @@ type Message interface {
 }
 
 // WriteMessage frames and writes one message. A by-reference tail (a
-// Piece's Data) is never copied: header and body go out as net.Buffers, one
-// writev on a TCP connection, and the CRC runs over both parts in turn.
+// Piece's Data) is never copied nor checksummed: header and body go out as
+// net.Buffers, one writev on a TCP connection, and the CRC covers the
+// encoded fields, the tail's length included, but not the tail.
 func WriteMessage(w io.Writer, m Message) error {
 	e := encoder{buf: make([]byte, headerLen, headerLen+64)}
 	m.encodeTo(&e)
@@ -104,8 +109,7 @@ func WriteMessage(w io.Writer, m Message) error {
 	hdr := e.buf[:headerLen]
 	hdr[0], hdr[1], hdr[2], hdr[3] = magic0, magic1, Version, byte(m.Type())
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(n))
-	crc := crc32.Update(crc32.ChecksumIEEE(e.buf[headerLen:]), crc32.IEEETable, e.tail)
-	binary.BigEndian.PutUint32(hdr[8:12], crc)
+	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(e.buf[headerLen:]))
 	if len(e.tail) == 0 {
 		_, err := w.Write(e.buf)
 		return err
@@ -118,7 +122,11 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadMessage reads and decodes one framed message.
+// ReadMessage reads and decodes one framed message. The CRC covers the
+// payload up to where a by-reference tail starts, which only the decoder
+// knows, so it is checked after decoding but before the decoder's verdict: a
+// frame whose covered bytes are corrupt is refused as a CRC mismatch,
+// whatever the decoder made of them.
 func ReadMessage(r io.Reader) (Message, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -139,15 +147,19 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("protocol: short payload: %w", err)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.BigEndian.Uint32(hdr[8:12]); got != want {
-		return nil, fmt.Errorf("protocol: CRC mismatch on %v frame", t)
-	}
 	m, err := newMessage(t)
 	if err != nil {
 		return nil, err
 	}
 	d := decoder{buf: payload}
 	m.decodeFrom(&d)
+	covered := payload
+	if d.tailAt > 0 {
+		covered = payload[:d.tailAt]
+	}
+	if got, want := crc32.ChecksumIEEE(covered), binary.BigEndian.Uint32(hdr[8:12]); got != want {
+		return nil, fmt.Errorf("protocol: CRC mismatch on %v frame", t)
+	}
 	if d.err != nil {
 		return nil, fmt.Errorf("protocol: decode %v: %w", t, d.err)
 	}

@@ -39,6 +39,11 @@ func FuzzReadMessage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(piece.Bytes())
+	// The same PIECE with a flipped data bit: the CRC stops at the data, so
+	// it decodes, and the store's SHA-256 is what refuses it.
+	corrupt := bytes.Clone(piece.Bytes())
+	corrupt[len(corrupt)-1] ^= 0x01
+	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMessage(bytes.NewReader(data))

@@ -3,12 +3,16 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
+
+	"netsession/internal/content"
 )
 
 // oneByteWriter hands the frame to w one byte per Write call, so the reader
@@ -103,14 +107,24 @@ func TestPieceByReferenceWriters(t *testing.T) {
 	}
 }
 
-// TestPieceFrameCorruption: the CRC covers the index as well as the data
-// sent by reference, and a declared data length beyond the payload is
-// refused even when the frame's CRC is right.
+// TestPieceFrameCorruption: the CRC covers a PIECE's index and data length
+// but not the data sent by reference. A flipped data bit decodes and is then
+// refused by the manifest's SHA-256, the check content.Store.Put makes; a
+// flipped index or length is refused by the CRC; and a declared data length
+// beyond the payload is refused even when the frame's CRC is right.
 func TestPieceFrameCorruption(t *testing.T) {
-	data := make([]byte, 4096)
-	rand.New(rand.NewSource(3)).Read(data)
+	obj, err := content.NewObject(5, "corrupt.bin", 1, 3*4096, 4096, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := content.SyntheticManifest(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, obj.PieceLength(2))
+	content.SyntheticBody(obj.ID, obj.PieceOffset(2), data)
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, &Piece{Index: 9, Data: data}); err != nil {
+	if err := WriteMessage(&buf, &Piece{Index: 2, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -119,19 +133,43 @@ func TestPieceFrameCorruption(t *testing.T) {
 		at   int
 	}{
 		{"index", headerLen + 2},
+		{"data length", headerLen + 6},
+	} {
+		b := bytes.Clone(frame)
+		b[c.at] ^= 0x10
+		if _, err := ReadMessage(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+			t.Errorf("flipped bit in %s: err = %v, want a CRC mismatch", c.name, err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		at   int
+	}{
 		{"data head", headerLen + 8},
 		{"data tail", len(frame) - 1},
 	} {
 		b := bytes.Clone(frame)
 		b[c.at] ^= 0x10
-		if _, err := ReadMessage(bytes.NewReader(b)); err == nil {
-			t.Errorf("flipped bit in %s accepted", c.name)
+		msg, err := ReadMessage(bytes.NewReader(b))
+		if err != nil {
+			t.Errorf("flipped bit in %s: %v, want the frame to decode", c.name, err)
+			continue
 		}
+		p := msg.(*Piece)
+		if p.Index != 2 || len(p.Data) != len(data) {
+			t.Errorf("flipped bit in %s: decoded piece %d of %d bytes", c.name, p.Index, len(p.Data))
+		}
+		if err := m.Verify(int(p.Index), p.Data); !errors.Is(err, content.ErrCorrupt) {
+			t.Errorf("flipped bit in %s: Verify = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	if err := m.Verify(2, data); err != nil {
+		t.Fatalf("the intact piece fails verification: %v", err)
 	}
 	for _, declared := range []uint32{4097, 1 << 20, 0xffffffff} {
 		b := bytes.Clone(frame)
 		binary.BigEndian.PutUint32(b[headerLen+4:], declared)
-		binary.BigEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(b[headerLen:]))
+		binary.BigEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(b[headerLen:headerLen+8]))
 		if _, err := ReadMessage(bytes.NewReader(b)); err == nil {
 			t.Errorf("declared data length %d over 4096 remaining bytes accepted", declared)
 		}

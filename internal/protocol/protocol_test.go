@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,13 @@ func TestReadMessageRejectsCorruption(t *testing.T) {
 			t.Error("accepted bad version")
 		}
 	})
+	t.Run("previous version", func(t *testing.T) {
+		b := append([]byte(nil), base...)
+		b[2] = Version - 1
+		if _, err := ReadMessage(bytes.NewReader(b)); err == nil {
+			t.Errorf("accepted a version %d frame", Version-1)
+		}
+	})
 	t.Run("unknown type", func(t *testing.T) {
 		b := append([]byte(nil), base...)
 		b[3] = byte(maxMsgType) + 10
@@ -129,10 +137,12 @@ func TestReadMessageRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("flipped payload byte", func(t *testing.T) {
-		b := append([]byte(nil), base...)
+		// A PIECE's data is outside the CRC (TestPieceFrameCorruption); a
+		// message without a by-reference tail is covered whole.
+		b := encode(&UsageLog{Entry: []byte(`{"kind":"download"}`)})
 		b[len(b)-1] ^= 0xff
-		if _, err := ReadMessage(bytes.NewReader(b)); err == nil {
-			t.Error("accepted corrupted payload (CRC should catch)")
+		if _, err := ReadMessage(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+			t.Errorf("corrupted payload: err = %v, want a CRC mismatch", err)
 		}
 	})
 	t.Run("oversized declared length", func(t *testing.T) {
