@@ -100,8 +100,8 @@ bench-streaming:
 # Fuzz smoke: each decoder of untrusted bytes (segments and the store readers
 # over them, the analytics merge, the download decoder, the wire codec, the
 # usage entry, the handoff import, the ack-store replay, the ingest batch
-# framing and the peer's state and checkpoint files) fuzzed for 30s; the
-# first failure stops the run.
+# framing, the cluster status document and the peer's state and checkpoint
+# files) fuzzed for 30s; the first failure stops the run.
 fuzz-smoke:
 	$(GO) test -run FuzzReadSegment -fuzz FuzzReadSegment -fuzztime 30s ./internal/logpipe
 	$(GO) test -run FuzzStreamingSummaryMerge -fuzz FuzzStreamingSummaryMerge -fuzztime 30s ./internal/analysis
@@ -111,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzHandoffImport -fuzz FuzzHandoffImport -fuzztime 30s ./internal/controlplane
 	$(GO) test -run FuzzAckStoreLoad -fuzz FuzzAckStoreLoad -fuzztime 30s ./internal/logpipe
 	$(GO) test -run FuzzIngestBatch -fuzz FuzzIngestBatch -fuzztime 30s ./internal/logpipe
+	$(GO) test -run FuzzStatusDocument -fuzz FuzzStatusDocument -fuzztime 30s ./internal/cluster
 	$(GO) test -run FuzzPeerStateFiles -fuzz FuzzPeerStateFiles -fuzztime 30s ./internal/peer
 
 # Remove state directories left behind by interrupted live runs (the README

@@ -31,8 +31,8 @@ type ClusterConfig struct {
 	// before it the way an operator boots netsession-cp nodes. The membership
 	// consistent-hashes each geographic region to one node: logins for a
 	// region another node owns are redirected, DNs are region-partitioned,
-	// and log ingest dedups batches across nodes so uploader failover stays
-	// exactly-once (§3.8).
+	// and each log batch is booked by the ring owner of its uploader's GUID,
+	// so uploader failover stays exactly-once (§3.8).
 	CPNodes int
 	// CPProbeInterval is how often control-plane nodes probe each other's
 	// status endpoints for liveness; zero selects 1s.
@@ -89,8 +89,9 @@ func DefaultClusterConfig() ClusterConfig {
 
 // cpNode is one control-plane node of the deployment, assembled exactly as
 // netsession-cp assembles it. Nodes share the edge tier, the token key, and
-// the world atlas — nothing else; cross-node exactly-once rides the
-// anti-entropy ack sync. gone marks a node killed or drained.
+// the world atlas — nothing else; cross-node exactly-once rides the ring
+// owner of each GUID and the anti-entropy ack sync. gone marks a node killed
+// or drained.
 type cpNode struct {
 	*controlplane.Node
 	gone bool

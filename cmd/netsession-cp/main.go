@@ -22,9 +22,9 @@
 // without -join is a ring of one that later nodes join with -join pointing
 // at its status URL; the nodes probe each other's status endpoints for
 // liveness and consistent-hash the network regions across whoever is alive.
-// Logins for a region another node owns are redirected there; when a node
-// dies, its regions are taken over through the DN soft-state rebuild
-// window. -node-id defaults to the bound status address. With -log-dir the
+// Logins for a region another node owns are redirected there, and so are
+// log batches from a GUID another node owns; when a node dies, its regions
+// are taken over through the DN soft-state rebuild window. -node-id defaults to the bound status address. With -log-dir the
 // node's log segments and batch-ack store survive restarts. SIGTERM (or
 // POST /v1/drain) hands the node's regions and acks to the survivors before
 // it exits; SIGINT just stops.

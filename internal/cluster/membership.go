@@ -413,23 +413,32 @@ func (m *Membership) probeAll() (changed bool, acks []ackObservation) {
 	targets = append(targets, m.pending...)
 	m.mu.Unlock()
 
-	type result struct {
-		target Node
-		doc    statusDoc
-		err    error
-	}
-	results := make([]result, len(targets))
+	results := make([]probeResult, len(targets))
 	var wg sync.WaitGroup
 	for i, n := range targets {
 		wg.Add(1)
 		go func(i int, n Node) {
 			defer wg.Done()
 			doc, err := m.probe(n)
-			results[i] = result{target: n, doc: doc, err: err}
+			results[i] = probeResult{target: n, doc: doc, err: err}
 		}(i, n)
 	}
 	wg.Wait()
+	return m.foldProbes(results)
+}
 
+// probeResult is one probe's outcome: the node probed (ID empty for an
+// address-only seed) and its status document, or the error.
+type probeResult struct {
+	target Node
+	doc    statusDoc
+	err    error
+}
+
+// foldProbes applies one round of probe results to the member set and
+// reports whether the view changed, plus every ack sequence a live member
+// advertised.
+func (m *Membership) foldProbes(results []probeResult) (changed bool, acks []ackObservation) {
 	m.mu.Lock()
 	for _, r := range results {
 		if r.target.ID == "" {
@@ -525,10 +534,9 @@ func removePending(pending []Node, statusURL string) []Node {
 const maxStatusDocBytes = 1 << 20
 
 func (m *Membership) probe(n Node) (statusDoc, error) {
-	var doc statusDoc
 	req, err := http.NewRequest(http.MethodGet, n.StatusURL+"/v1/status", nil)
 	if err != nil {
-		return doc, err
+		return statusDoc{}, err
 	}
 	// Announce ourselves: the probed node learns us from these headers, the
 	// push half of seed exchange.
@@ -537,18 +545,24 @@ func (m *Membership) probe(n Node) (statusDoc, error) {
 	req.Header.Set(HeaderProbeCNs, strings.Join(m.cfg.Self.CNAddrs, ","))
 	resp, err := m.client.Do(req)
 	if err != nil {
-		return doc, err
+		return statusDoc{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return doc, &probeError{status: resp.Status}
+		return statusDoc{}, &probeError{status: resp.Status}
 	}
-	// A decode failure still proves liveness — the node answered 200; the
-	// enrichment just doesn't happen this round.
-	if jerr := json.NewDecoder(io.LimitReader(resp.Body, maxStatusDocBytes)).Decode(&doc); jerr != nil {
-		return statusDoc{}, nil
+	return decodeStatusDoc(resp.Body), nil
+}
+
+// decodeStatusDoc reads the probe's slice of a status document. A decode
+// failure still proves liveness — the node answered 200 — so it yields the
+// empty document: the enrichment just doesn't happen this round.
+func decodeStatusDoc(body io.Reader) statusDoc {
+	var doc statusDoc
+	if err := json.NewDecoder(io.LimitReader(body, maxStatusDocBytes)).Decode(&doc); err != nil {
+		return statusDoc{}
 	}
-	return doc, nil
+	return doc
 }
 
 type probeError struct{ status string }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netsession/internal/accounting"
@@ -118,10 +119,12 @@ type cpMetrics struct {
 	rebuildMs        *telemetry.Histogram
 
 	// Cluster series, eager for the same reason: ring size, per-region
-	// ownership handoffs, and logins redirected to another node's CN.
-	ringNodes        *telemetry.Gauge
-	regionHandoffs   [geo.NumRegions]*telemetry.Counter
-	loginsRedirected *telemetry.Counter
+	// ownership handoffs, and logins and log batches redirected to another
+	// node.
+	ringNodes         *telemetry.Gauge
+	regionHandoffs    [geo.NumRegions]*telemetry.Counter
+	loginsRedirected  *telemetry.Counter
+	batchesRedirected *telemetry.Counter
 
 	// Planned-drain series, eager so a cluster that has never drained shows
 	// zeroes: regions handed off with their directory snapshot, and entries
@@ -159,6 +162,8 @@ func newCPMetrics(reg *telemetry.Registry) *cpMetrics {
 			"control-plane nodes alive on the cluster ring", nil),
 		loginsRedirected: reg.Counter("cp_logins_redirected_total",
 			"logins redirected to the ring owner of the peer's region", nil),
+		batchesRedirected: reg.Counter("cp_log_batches_redirected_total",
+			"log batches redirected to the ring owner of the uploader's GUID", nil),
 		drainRegions: reg.Counter("cp_drain_regions_total",
 			"regions handed off with a directory snapshot during planned drains", nil),
 		drainEntries: reg.Counter("cp_drain_entries_transferred_total",
@@ -200,6 +205,9 @@ type ControlPlane struct {
 	sessions map[id.GUID]*session
 	epoch    uint32
 
+	// ringView is the last view ApplyRingView received; serveBatch routes by
+	// it.
+	ringView atomic.Pointer[cluster.View]
 	// Ring-ownership state. Everything starts owned (the single-node case);
 	// ApplyRingView flips regions as the cluster view changes.
 	ownMu       sync.Mutex
@@ -223,14 +231,18 @@ type ControlPlane struct {
 	acks   *logpipe.AckStore
 	member *cluster.Membership
 
-	drainMu   sync.Mutex
-	drained   bool
-	drainHook func(DrainSummary)
+	// drainMu also guards batch admission: serveBatch admits batches while
+	// batchesOpen && !drained, counting those in ingest in batchesIn.
+	drainMu     sync.Mutex
+	drained     bool
+	drainHook   func(DrainSummary)
+	batchesOpen bool
+	batchesIn   sync.WaitGroup
 }
 
 // newControlPlane creates a control plane with one DN per region and no CNs
-// yet; peerSeen is the ingest endpoint's cross-node dedup check.
-func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore, peerSeen func(key string) bool) *ControlPlane {
+// yet.
+func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore) *ControlPlane {
 	if cfg.Collector == nil {
 		cfg.Collector = accounting.NewCollector(nil)
 	}
@@ -250,7 +262,6 @@ func newControlPlane(cfg Config, store *logpipe.Store, acks *logpipe.AckStore, p
 	cp.ingest = logpipe.NewIngest(logpipe.IngestConfig{
 		Handle:    cp.ingestEntry,
 		Acks:      acks,
-		PeerSeen:  peerSeen,
 		Telemetry: cp.metrics.reg,
 	})
 	for r := 0; r < geo.NumRegions; r++ {

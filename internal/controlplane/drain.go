@@ -77,15 +77,17 @@ type leaveRequest struct {
 }
 
 // drain removes this node from the cluster gracefully, in a fixed order:
-// probing stops, every owned region's directory snapshot is pushed to its
-// new owner (so the takeover skips the RE-ADD rebuild window entirely), the
-// ack window is flushed to survivors, the departure is announced (survivors
-// drop us from the ring immediately instead of waiting out FailAfter
-// probes), and finally the node's own CNs close, sending its peers through
-// their reconnect path onto the new owners. Push failures degrade
-// gracefully: a region whose handoff could not be delivered just takes the
-// crash path (rebuild window) on its new owner. Safe to call once; later
-// calls return the zero summary. Node.Close releases the rest.
+// log batches are refused (503) and probing stops, every owned region's
+// directory snapshot is pushed to its new owner (so the takeover skips the
+// RE-ADD rebuild window entirely), the batches already inside ingest finish,
+// the ack window — now holding every batch this node booked — is flushed to
+// survivors, the departure is announced (survivors drop us from the ring
+// immediately instead of waiting out FailAfter probes), and finally the
+// node's own CNs close, sending its peers through their reconnect path onto
+// the new owners. Push failures degrade gracefully: a region whose handoff
+// could not be delivered just takes the crash path (rebuild window) on its
+// new owner. Safe to call once; later calls return the zero summary.
+// Node.Close releases the rest.
 func (cp *ControlPlane) drain() DrainSummary {
 	cp.drainMu.Lock()
 	if cp.drained {
@@ -142,7 +144,10 @@ func (cp *ControlPlane) drain() DrainSummary {
 		}
 
 		// Flush the ack window so batches we acked stay deduplicated after we
-		// are gone, even on nodes anti-entropy had not reached yet.
+		// are gone, even on nodes anti-entropy had not reached yet. A batch
+		// still inside ingest marks its ack before it leaves, so wait for
+		// those first.
+		cp.batchesIn.Wait()
 		keys := cp.acks.Window()
 		sum.AcksFlushed = len(keys)
 		if len(keys) > 0 {

@@ -32,7 +32,7 @@ func FuzzUsageEntry(f *testing.F) {
 		Collector: collector,
 		// The newest accepted record is the only one each iteration reads.
 		MaxLogRecords: 1,
-	}, nil, nil, nil)
+	}, nil, nil)
 	reporter, other := id.GUID{1}, id.GUID{2}
 	oid := content.NewObjectID(7, "file", 1)
 	ledger.RecordAuthorization(reporter, oid)
@@ -89,7 +89,7 @@ func FuzzUsageEntry(f *testing.F) {
 func FuzzHandoffImport(f *testing.F) {
 	acfg := geo.DefaultAtlasConfig()
 	acfg.TailCountries = 2
-	cp := newControlPlane(Config{Scape: geo.NewEdgeScape(geo.GenerateAtlas(acfg))}, nil, nil, nil)
+	cp := newControlPlane(Config{Scape: geo.NewEdgeScape(geo.GenerateAtlas(acfg))}, nil, nil)
 	oid := content.NewObjectID(7, "file", 1)
 	rec := geo.Record{IP: netip.MustParseAddr("10.0.0.1")}
 	f.Add(handoffBody(f, 3, oid, map[id.GUID]geo.Record{{1}: rec, {2}: {}}))

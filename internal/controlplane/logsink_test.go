@@ -37,7 +37,7 @@ func TestSpilledRecordsDecodeFast(t *testing.T) {
 	cp := newControlPlane(Config{
 		Scape: scape, Minter: minter,
 		Collector: accounting.NewCollector(&accounting.LedgerVerifier{Edge: ledger}),
-	}, store, nil, nil)
+	}, store, nil)
 	reporter, other := id.GUID{1}, id.GUID{2}
 	oid := content.NewObjectID(7, "file", 1)
 	ledger.RecordAuthorization(reporter, oid)

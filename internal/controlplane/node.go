@@ -28,7 +28,9 @@ type Node struct {
 
 // StartNode assembles and starts a node. The first ring view is applied and
 // one probe round has run before it returns, so every seed that is up
-// already counts this node as a member.
+// already counts this node as a member. Log batches are answered 503 until
+// then: the round's anti-entropy pulls bring in the acks of the GUIDs this
+// node owns.
 func StartNode(cfg Config) (*Node, error) {
 	if cfg.Scape == nil {
 		return nil, fmt.Errorf("controlplane: Config.Scape is required")
@@ -54,7 +56,7 @@ func StartNode(cfg Config) (*Node, error) {
 	syncer := logpipe.NewAckSyncer(logpipe.AckSyncerConfig{
 		Store: acks, Telemetry: cfg.Telemetry, Logf: cfg.Logf,
 	})
-	cp := newControlPlane(cfg, store, acks, syncer.SeenAnywhere)
+	cp := newControlPlane(cfg, store, acks)
 	n := &Node{cp: cp}
 	if err := cp.seedAnalytics(); err != nil {
 		ln.Close()
@@ -73,8 +75,8 @@ func StartNode(cfg Config) (*Node, error) {
 		n.cns = append(n.cns, cn)
 		self.CNAddrs = append(self.CNAddrs, cn.Addr())
 	}
-	// Ring views feed the control plane and the syncer's peer set; advertised
-	// ack sequences trigger anti-entropy pulls.
+	// Ring views feed the control plane; advertised ack sequences trigger
+	// anti-entropy pulls.
 	cp.member = cluster.New(cluster.Config{
 		Self:          self,
 		Seeds:         cfg.Seeds,
@@ -83,22 +85,16 @@ func StartNode(cfg Config) (*Node, error) {
 		JoinMode:      cfg.JoinExisting,
 		Telemetry:     cfg.Telemetry,
 		Logf:          cfg.Logf,
-		OnChange: func(v cluster.View) {
-			peers := make(map[string]string, len(v.Nodes))
-			for _, m := range v.Nodes {
-				if m.ID != self.ID {
-					peers[m.ID] = m.StatusURL
-				}
-			}
-			syncer.SetPeers(peers)
-			cp.ApplyRingView(v)
-		},
+		OnChange:      cp.ApplyRingView,
 		OnAckSeq: func(m cluster.Node, seq uint64) {
 			syncer.ObserveAckSeq(m.ID, m.StatusURL, seq)
 		},
 	})
 	n.status = cp.serveStatus(ln)
 	cp.member.Start()
+	cp.drainMu.Lock()
+	cp.batchesOpen = true
+	cp.drainMu.Unlock()
 	return n, nil
 }
 

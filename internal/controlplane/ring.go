@@ -1,8 +1,12 @@
 package controlplane
 
 import (
+	"net/http"
+
 	"netsession/internal/cluster"
 	"netsession/internal/geo"
+	"netsession/internal/id"
+	"netsession/internal/logpipe"
 )
 
 // ApplyRingView reacts to a cluster membership change: regions the ring now
@@ -17,6 +21,7 @@ import (
 // state: a transiently split view costs at most a rebuild window, never
 // correctness (§3.8).
 func (cp *ControlPlane) ApplyRingView(v cluster.View) {
+	cp.ringView.Store(&v)
 	cp.metrics.ringNodes.Set(float64(len(v.Nodes)))
 	var gained, lost []geo.NetworkRegion
 	cp.ownMu.Lock()
@@ -128,4 +133,36 @@ func (cp *ControlPlane) loginRoute(r geo.NetworkRegion) (redirect string, owned 
 		return "", true
 	}
 	return cp.ownerCN[int(r)], false
+}
+
+// serveBatch is POST BatchPath. A log batch is booked only by the ring owner
+// of its uploader's GUID, so every copy of a batch meets the same in-flight
+// claim and ack window: another node answers 307 to the owner. A GUID that
+// does not parse falls through to ingest, which refuses it, and a node with
+// no ring view yet serves every batch. Batches are refused with 503 until
+// StartNode's first probe round, whose anti-entropy pulls bring in the acks
+// of the GUIDs this node owns, and from the start of a drain, which waits
+// out batchesIn before it flushes the ack window.
+func (cp *ControlPlane) serveBatch(w http.ResponseWriter, r *http.Request) {
+	cp.drainMu.Lock()
+	open := cp.batchesOpen && !cp.drained
+	if open {
+		cp.batchesIn.Add(1)
+	}
+	cp.drainMu.Unlock()
+	if !open {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "node is not serving log batches; retry later", http.StatusServiceUnavailable)
+		return
+	}
+	defer cp.batchesIn.Done()
+	guid, err := id.ParseGUID(r.Header.Get(logpipe.HeaderGUID))
+	if v := cp.ringView.Load(); v != nil && err == nil {
+		if owner, ok := v.Owner(guid.String()); ok && owner.ID != cp.cfg.NodeID && owner.StatusURL != "" {
+			cp.metrics.batchesRedirected.Inc()
+			http.Redirect(w, r, owner.StatusURL+logpipe.BatchPath, http.StatusTemporaryRedirect)
+			return
+		}
+	}
+	cp.ingest.Handler().ServeHTTP(w, r)
 }

@@ -101,12 +101,11 @@ func (cp *ControlPlane) serveStatus(ln net.Listener) *statusServer {
 	mux := http.NewServeMux()
 	mux.Handle("GET /v1/status", cp.StatusHandler())
 	mux.Handle("GET /v1/analytics", cp.AnalyticsHandler())
-	mux.Handle("POST "+logpipe.BatchPath, cp.ingest.Handler())
+	mux.Handle("POST "+logpipe.BatchPath, http.HandlerFunc(cp.serveBatch))
 	mux.Handle("POST "+DrainPath, cp.drainHandler())
 	mux.Handle("POST "+HandoffPath, http.HandlerFunc(cp.serveHandoff))
 	mux.Handle("POST "+LeavePath, http.HandlerFunc(cp.serveLeave))
 	mux.Handle("GET "+logpipe.AcksPath, http.HandlerFunc(cp.acks.ServeSince))
-	mux.Handle("GET "+logpipe.AcksSeenPath, http.HandlerFunc(cp.acks.ServeSeen))
 	mux.Handle("POST "+logpipe.AcksPath, http.HandlerFunc(cp.acks.ServeMerge))
 	telemetry.Mount(mux, cp.metrics.reg)
 	s := &statusServer{

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
 	"unicode/utf8"
 
 	"netsession/internal/fsutil"
@@ -120,7 +121,7 @@ func (a *AckStore) load() error {
 			a.seq = max(ckpt.Seq, uint64(len(ckpt.Keys)))
 			base := a.seq - uint64(len(ckpt.Keys))
 			for i, key := range ckpt.Keys {
-				if _, dup := a.seen[key]; !dup {
+				if _, dup := a.seen[key]; !dup && validAckKey(key) {
 					a.insert(key, base+uint64(i)+1)
 				}
 			}
@@ -139,13 +140,8 @@ func (a *AckStore) load() error {
 	sc := bufio.NewScanner(jf)
 	sc.Buffer(make([]byte, 4096), 1<<20)
 	for sc.Scan() {
-		key := strings.TrimSpace(sc.Text())
-		// Keys are ASCII batch IDs or came from JSON; invalid UTF-8 is disk
-		// damage the JSON checkpoint could not hold byte-for-byte.
-		if key == "" || !utf8.ValidString(key) {
-			continue
-		}
-		if _, dup := a.seen[key]; dup {
+		key := sc.Text()
+		if _, dup := a.seen[key]; dup || !validAckKey(key) {
 			continue
 		}
 		a.seq++
@@ -156,12 +152,25 @@ func (a *AckStore) load() error {
 	return nil
 }
 
-// insert places a key into the window at the given sequence, evicting the
-// oldest retained key if full. Caller holds a.mu (or is pre-concurrency).
-func (a *AckStore) insert(key string, seq uint64) {
-	if key == "" {
-		return
+// validAckKey reports whether a key survives the journal's one key per line
+// and the JSON checkpoint byte for byte: non-empty, valid UTF-8, and free of
+// whitespace and control characters. Batch IDs ("<guid>/<seq>") always are.
+func validAckKey(key string) bool {
+	if key == "" || !utf8.ValidString(key) {
+		return false
 	}
+	for _, r := range key {
+		if unicode.IsSpace(r) || unicode.IsControl(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// insert places a key into the window at the given sequence, evicting the
+// oldest retained key if full. Caller holds a.mu (or is pre-concurrency) and
+// has checked the key with validAckKey: an empty one would read as a free slot.
+func (a *AckStore) insert(key string, seq uint64) {
 	if old := a.order[a.next]; old.key != "" {
 		delete(a.seen, old.key)
 	}
@@ -187,16 +196,14 @@ func (a *AckStore) Mark(key string) {
 }
 
 // MarkAll adds a set of batch keys in one journal write — the merge path
-// for anti-entropy pulls and drain pushes.
+// for anti-entropy pulls and drain pushes. Keys the journal cannot replay
+// (validAckKey) are dropped.
 func (a *AckStore) MarkAll(keys []string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var fresh []string
 	for _, key := range keys {
-		if key == "" {
-			continue
-		}
-		if _, dup := a.seen[key]; dup {
+		if _, dup := a.seen[key]; dup || !validAckKey(key) {
 			continue
 		}
 		a.seq++
@@ -346,11 +353,6 @@ type ackSinceResponse struct {
 	Keys []string `json:"keys"`
 }
 
-// ackSeenResponse is the JSON reply of the synchronous seen-check endpoint.
-type ackSeenResponse struct {
-	Seen bool `json:"seen"`
-}
-
 // ackMergeRequest is the JSON body of the merge endpoint — a drain pushing
 // its window to a survivor.
 type ackMergeRequest struct {
@@ -362,12 +364,6 @@ func (a *AckStore) ServeSince(w http.ResponseWriter, r *http.Request) {
 	after, _ := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
 	keys, seq := a.Since(after)
 	writeJSON(w, ackSinceResponse{Seq: seq, Keys: keys})
-}
-
-// ServeSeen handles GET AcksSeenPath?key=K: the synchronous remote dedup
-// check a node runs before accepting a batch it has never seen locally.
-func (a *AckStore) ServeSeen(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, ackSeenResponse{Seen: a.Seen(r.URL.Query().Get("key"))})
 }
 
 // ServeMerge handles POST AcksPath: bulk-merge pushed keys (planned drain

@@ -45,6 +45,43 @@ func TestAckStoreDurableAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestAckStoreReopenKeepsSeen: the journal holds one key per line, so a key
+// with a line break, padding or a control byte would come back from a
+// reopen as some other key, or not at all. Such keys are refused where they
+// enter; whatever Seen answered before a crash it answers after.
+func TestAckStoreReopenKeepsSeen(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenAckStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.MarkAll([]string{"g/1", "x\ny", " pad ", "tab\tkey", "nul\x00", "bad\xffutf8"})
+	a.Mark("g/2")
+	probes := []string{"g/1", "g/2", "x\ny", "x", "y", " pad ", "pad", "tab\tkey", "nul\x00", "bad\xffutf8"}
+	before := make([]bool, len(probes))
+	for i, k := range probes {
+		before[i] = a.Seen(k)
+	}
+	seq := a.Seq()
+	// No Close: the reopen replays the journal, as after a crash.
+	b, err := OpenAckStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i, k := range probes {
+		if got := b.Seen(k); got != before[i] {
+			t.Errorf("Seen(%q) = %v after reopen, %v before", k, got, before[i])
+		}
+	}
+	if b.Seq() != seq {
+		t.Errorf("Seq() = %d after reopen, %d before", b.Seq(), seq)
+	}
+	if !b.Seen("g/1") || !b.Seen("g/2") || seq != 2 {
+		t.Errorf("valid keys: Seen(g/1)=%v Seen(g/2)=%v seq=%d, want both kept and seq 2", b.Seen("g/1"), b.Seen("g/2"), seq)
+	}
+}
+
 func TestAckStoreWindowEvicts(t *testing.T) {
 	a, err := openAckStore("", 3, ackCheckpointEvery)
 	if err != nil {
@@ -136,28 +173,15 @@ func TestAckSyncerPullsMissing(t *testing.T) {
 	if !local.Seen("g/4") {
 		t.Fatal("incremental key not pulled")
 	}
-}
-
-// TestAckSyncerSeenAnywhere: the synchronous remote check reads peers'
-// seen endpoints; dead peers read as "not seen".
-func TestAckSyncerSeenAnywhere(t *testing.T) {
-	remote, _ := OpenAckStore("")
-	remote.Mark("g/7")
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+AcksSeenPath, remote.ServeSeen)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	s := NewAckSyncer(AckSyncerConfig{})
-	s.SetPeers(map[string]string{
-		"cp-dead": "http://127.0.0.1:1", // nothing listens here
-		"cp-1":    srv.URL,
-	})
-	if !s.SeenAnywhere("g/7") {
-		t.Fatal("remote ack not found")
-	}
-	if s.SeenAnywhere("g/8") {
-		t.Fatal("phantom remote ack")
+	// A sequence below the one pulled through is a restarted remote that
+	// lost its window: it is pulled from the start, not skipped.
+	fresh, _ := OpenAckStore("")
+	fresh.Mark("g/9")
+	restarted := httptest.NewServer(http.HandlerFunc(fresh.ServeSince))
+	defer restarted.Close()
+	s.ObserveAckSeq("cp-1", restarted.URL, fresh.Seq())
+	if !local.Seen("g/9") {
+		t.Fatal("restarted remote's key not pulled")
 	}
 }
 
@@ -175,37 +199,6 @@ func TestIngestRejectsZeroBatchGUID(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters[`logpipe_ingest_rejected_total{reason="bad_batch"}`]; got != 1 {
 		t.Fatalf("bad_batch counter = %d, want 1", got)
-	}
-}
-
-// TestIngestPeerSeenClosesReplayGap: a batch acked elsewhere but not yet
-// anti-entropied here must still dedupe via the synchronous remote check.
-func TestIngestPeerSeenClosesReplayGap(t *testing.T) {
-	ch := &countingHandler{}
-	asked := 0
-	in := NewIngest(IngestConfig{
-		Handle: ch.handle,
-		PeerSeen: func(key string) bool {
-			asked++
-			return true // some peer acked it
-		},
-	})
-	guid := id.NewGUID().String()
-	body := gzBatch(t, entryLines(t, testEntry(0)))
-	w, resp := postBatch(t, in.Handler(), guid, 1, body)
-	if w.Code != http.StatusOK || !resp.Duplicate {
-		t.Fatalf("replayed batch: code=%d resp=%+v, want duplicate ack", w.Code, resp)
-	}
-	if ch.count() != 0 {
-		t.Fatalf("handler saw %d entries, want 0 (remote ack must suppress ingest)", ch.count())
-	}
-	if asked != 1 {
-		t.Fatalf("peer check ran %d times, want 1", asked)
-	}
-	// The hit was cached locally: the next resend never leaves the node.
-	postBatch(t, in.Handler(), guid, 1, body)
-	if asked != 1 {
-		t.Fatalf("peer check ran %d times after cached resend, want 1", asked)
 	}
 }
 

@@ -53,16 +53,10 @@ type IngestConfig struct {
 	// Acks is the batch-acknowledgement window this endpoint consults and
 	// feeds for exactly-once ingestion across uploader crashes — a control
 	// plane node's durable ack store, replicated by anti-entropy, so a batch
-	// acked by one node and retried against another after failover still
-	// ingests exactly once. Nil gives the endpoint a private in-memory store
-	// with the default window.
+	// acked by one node and retried against the node that owns its GUID
+	// after a failover still ingests exactly once. Nil gives the endpoint a
+	// private in-memory store with the default window.
 	Acks *AckStore
-	// PeerSeen, when set, is consulted on a local dedup miss before the
-	// batch body is read: it asks the rest of the cluster whether any node
-	// already acked this key. It closes the replay-before-anti-entropy gap —
-	// the uploader retried against a different node faster than the ack
-	// could replicate. A hit marks the key locally and answers Duplicate.
-	PeerSeen func(key string) bool
 	// Telemetry registers the ingest metrics eagerly; nil skips telemetry.
 	Telemetry *telemetry.Registry
 }
@@ -198,16 +192,6 @@ func (in *Ingest) serve(w http.ResponseWriter, r *http.Request) {
 		// The uploader crashed between our ack and its cursor write; its
 		// resend is byte-identical, so acknowledging without re-ingesting
 		// preserves exactly-once accounting.
-		in.inc(in.deduped)
-		writeJSON(w, BatchResponse{Duplicate: true})
-		return
-	}
-	if seen := in.cfg.PeerSeen; seen != nil && seen(key) {
-		// Another node acked this batch and anti-entropy hasn't copied the
-		// ack here yet — the uploader failed over faster than replication.
-		// Mark locally so the next resend short-circuits without the
-		// round-trip.
-		acks.Mark(key)
 		in.inc(in.deduped)
 		writeJSON(w, BatchResponse{Duplicate: true})
 		return

@@ -3,6 +3,7 @@ package logpipe
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -26,11 +27,12 @@ type UploaderConfig struct {
 	// Spool is the durable segment source.
 	Spool *Spool
 	// URLs lists every control-plane node's operator HTTP base URL (the
-	// surface that serves /metrics); batches POST to URL+BatchPath. The
-	// uploader sticks to one until it fails (transport error or 5xx), then
+	// surface that serves /metrics); batches POST to URL+BatchPath. Any node
+	// will do: one that does not own this GUID on the cluster ring redirects
+	// the batch to the owner, which books it. The uploader sticks to one URL
+	// until it fails (transport error, 5xx or a second redirect), then
 	// rotates to the next — a dead CP node never wedges the pipeline, and the
-	// cluster's shared dedup window turns the cross-node retry into
-	// exactly-once ingestion.
+	// owner's ack window turns the retry into exactly-once ingestion.
 	URLs []string
 	// GUID identifies the uploading installation; together with each
 	// segment's sequence number it forms the idempotent batch ID.
@@ -93,7 +95,7 @@ func StartUploader(cfg UploaderConfig) (*Uploader, error) {
 	}
 	u := &Uploader{
 		cfg:    cfg,
-		client: &http.Client{Timeout: uploadTimeout},
+		client: &http.Client{Timeout: uploadTimeout, CheckRedirect: oneRedirect},
 		stopCh: make(chan struct{}),
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -291,6 +293,16 @@ func (u *Uploader) rotate() {
 	if len(u.cfg.URLs) > 1 {
 		u.urlIdx.Add(1)
 	}
+}
+
+// oneRedirect lets an upload follow one redirect, to the node owning the
+// GUID. A second means two nodes whose ring views disagree are bouncing the
+// batch: the attempt fails, and the uploader rotates as past a dead node.
+func oneRedirect(_ *http.Request, via []*http.Request) error {
+	if len(via) > 1 {
+		return errors.New("ingest redirected more than once")
+	}
+	return nil
 }
 
 func retryAfterOf(resp *http.Response) time.Duration {

@@ -241,6 +241,68 @@ func TestUploaderFailsOverAcrossURLs(t *testing.T) {
 	}
 }
 
+// TestUploaderRedirectLoopRotates: a node that does not own the uploader's
+// GUID redirects the batch to the owner, and the uploader follows one such
+// hop with the body and batch headers intact. Two nodes whose ring views
+// disagree would redirect to each other forever; the second hop fails the
+// attempt instead, and the uploader rotates to its next URL as it does past
+// a dead node.
+func TestUploaderRedirectLoopRotates(t *testing.T) {
+	handled := &countingHandler{}
+	reg := telemetry.NewRegistry()
+	owner := httptest.NewServer(NewIngest(IngestConfig{Handle: handled.handle}).Handler())
+	defer owner.Close()
+	var hitsA, hitsB, hitsR atomic.Int32
+	var loopA, loopB *httptest.Server
+	redirect := func(hits *atomic.Int32, to func() string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			http.Redirect(w, r, to()+BatchPath, http.StatusTemporaryRedirect)
+		}
+	}
+	loopA = httptest.NewServer(redirect(&hitsA, func() string { return loopB.URL }))
+	defer loopA.Close()
+	loopB = httptest.NewServer(redirect(&hitsB, func() string { return loopA.URL }))
+	defer loopB.Close()
+	toOwner := httptest.NewServer(redirect(&hitsR, func() string { return owner.URL }))
+	defer toOwner.Close()
+
+	spool, err := OpenSpool(SpoolConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := StartUploader(UploaderConfig{
+		Spool: spool, URLs: []string{loopA.URL, toOwner.URL},
+		GUID: id.NewGUID().String(), Interval: -1, Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Stop()
+	for i := 0; i < 3; i++ {
+		if err := spool.Append(testEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := up.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := hitsA.Load(), hitsB.Load(); a != 1 || b != 1 {
+		t.Errorf("redirect loop saw %d+%d requests, want 1+1 (one hop, then rotate)", a, b)
+	}
+	if got := reg.Snapshot().Counters["logpipe_upload_errors_total"]; got != 1 {
+		t.Errorf("upload errors = %d, want 1 (the looping attempt)", got)
+	}
+	if hitsR.Load() != 1 || handled.count() != 3 {
+		t.Errorf("redirect to the owner: %d requests, owner booked %d entries; want 1 and 3", hitsR.Load(), handled.count())
+	}
+	if sealed, open := spool.Pending(); sealed != 0 || open != 0 {
+		t.Fatalf("spool not drained: sealed=%d open=%d", sealed, open)
+	}
+}
+
 func TestUploaderHonorsBackpressure(t *testing.T) {
 	var rejected atomic.Int32
 	reg := telemetry.NewRegistry()

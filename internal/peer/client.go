@@ -75,7 +75,8 @@ type Config struct {
 	// under StateDir/logspool and an uploader ships sealed batches to this
 	// control plane operator URL (POST /v1/logs/batch). Comma-separate
 	// several URLs to let the uploader fail over across control-plane nodes;
-	// batch IDs keep cross-node retries exactly-once. Requires StateDir.
+	// any node forwards a batch to the ring owner of this GUID, and batch
+	// IDs keep retries exactly-once. Requires StateDir.
 	LogUploadURL string
 	// LogUploadInterval paces the background uploader; zero selects 2s,
 	// negative disables the loop (drain explicitly with FlushLogs).

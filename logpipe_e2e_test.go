@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"netsession/internal/analysis"
+	"netsession/internal/cluster"
 	"netsession/internal/faults"
+	"netsession/internal/id"
 	"netsession/internal/logpipe"
 	"netsession/internal/protocol"
 	"netsession/internal/sim"
@@ -200,13 +202,32 @@ func TestCrashLogpipeExactlyOnce(t *testing.T) {
 	}
 }
 
+// batchOwner returns the index of the node that owns a GUID's log batches:
+// its owner on the ring over every node started.
+func batchOwner(t *testing.T, c *Cluster, guid id.GUID) int {
+	t.Helper()
+	ids := make([]string, c.NumCPNodes())
+	for i := range ids {
+		ids[i] = c.nodes[i].ID()
+	}
+	owner, _ := cluster.NewRing(ids).Owner(guid.String())
+	for i, nodeID := range ids {
+		if nodeID == owner {
+			return i
+		}
+	}
+	t.Fatalf("no node owns %s", guid)
+	return -1
+}
+
 // TestCrashLogpipeCrossCPDedup replays the ack-before-cursor crash across
-// control-plane nodes: a batch acked by node A is resent — after a peer
-// crash restores the pre-upload spool — to node B. Each node keeps its own
-// durable ack store in its own state directory; the probe interval is set to
-// an hour so anti-entropy can never replicate the ack before the resend
-// lands. The record must still be accounted exactly once cluster-wide: node
-// B's only way to know is the synchronous cross-node seen check.
+// control-plane nodes: a batch acked after an upload to node A is resent —
+// after a peer crash restores the pre-upload spool — to node B. Each node
+// keeps its own durable ack store in its own state directory; the probe
+// interval is set to an hour so anti-entropy can never replicate the ack
+// before the resend lands. The record must still be accounted exactly once
+// cluster-wide: both copies reach the ring owner of the peer's GUID, which
+// dedups the resend from its own ack store.
 func TestCrashLogpipeCrossCPDedup(t *testing.T) {
 	cfg := DefaultClusterConfig()
 	cfg.CPNodes = 2
@@ -277,25 +298,30 @@ func TestCrashLogpipeCrossCPDedup(t *testing.T) {
 	if got := len(c.AccountingLog().Downloads); got != 1 {
 		t.Fatalf("cluster holds %d downloads after the cross-node resend, want still 1", got)
 	}
-	bSnap := c.ControlPlaneNode(1).Metrics().Snapshot()
-	if got := bSnap.Counters["logpipe_ingest_deduped_total"]; got < 1 {
-		t.Errorf("node B logpipe_ingest_deduped_total = %d, want >= 1", got)
+	owner := batchOwner(t, c, reborn.GUID())
+	ownSnap := c.ControlPlaneNode(owner).Metrics().Snapshot()
+	if got := ownSnap.Counters["logpipe_ingest_deduped_total"]; got < 1 {
+		t.Errorf("owner logpipe_ingest_deduped_total = %d, want >= 1", got)
 	}
-	if got := bSnap.Counters["logpipe_ingest_records_total"]; got != 0 {
-		t.Errorf("node B accepted %d records from a batch node A already acked", got)
+	if got := ownSnap.Counters["logpipe_ingest_records_total"]; got != 1 {
+		t.Errorf("owner accepted %d records, want the first copy's 1", got)
 	}
 	// Anti-entropy never ran (hour-long probe interval): the dedup can only
-	// have come through the synchronous peer-seen check against node A.
-	if got := bSnap.Counters["logpipe_ack_sync_pulls_total"]; got != 0 {
-		t.Errorf("node B pulled %d times; the replay was supposed to beat anti-entropy", got)
+	// have come from the owner's own ack of the first copy.
+	if got := ownSnap.Counters["logpipe_ack_sync_pulls_total"]; got != 0 {
+		t.Errorf("owner pulled %d times; the replay was supposed to beat anti-entropy", got)
+	}
+	if got := c.ControlPlaneNode(1 - owner).Metrics().Snapshot().Counters["logpipe_ingest_records_total"]; got != 0 {
+		t.Errorf("the node that does not own the GUID accepted %d records", got)
 	}
 }
 
 // TestCrashLogpipeAckAntiEntropyFailover is the same resend-after-crash but
-// with anti-entropy given time to run and the original ingest node killed
-// before the resend: node B must have pulled node A's ack into its own store
-// while A was alive, so it dedups the replayed batch locally — no remote
-// check possible, A is gone.
+// with anti-entropy given time to run and the node that booked the batch —
+// the ring owner of the peer's GUID, node A here — killed before the resend:
+// node B must have pulled A's ack into its own store while A was alive, so
+// it dedups the replayed batch locally — no remote check possible, A is
+// gone.
 func TestCrashLogpipeAckAntiEntropyFailover(t *testing.T) {
 	cfg := DefaultClusterConfig()
 	cfg.CPNodes = 2
@@ -337,7 +363,8 @@ func TestCrashLogpipeAckAntiEntropyFailover(t *testing.T) {
 	if err := victim.FlushLogs(ctx); err != nil {
 		t.Fatal(err)
 	}
-	nodeB := c.nodes[1]
+	a := batchOwner(t, c, victim.GUID())
+	nodeB := c.nodes[1-a]
 	if !chaosEventually(10*time.Second, func() bool { return nodeB.ControlPlane().Status().AckSeq >= 1 }) {
 		t.Fatal("node B never pulled node A's ack by anti-entropy")
 	}
@@ -348,12 +375,12 @@ func TestCrashLogpipeAckAntiEntropyFailover(t *testing.T) {
 	// Kill node A — the replicated ack is now the only copy that matters.
 	// Wait for node B to demote it so logins stop redirecting at a corpse.
 	victim.Kill()
-	c.KillCPNode(0)
+	c.KillCPNode(a)
 	if !chaosEventually(10*time.Second, func() bool { return len(nodeB.ControlPlane().Status().Members) == 1 }) {
 		t.Fatal("node B never noticed node A's death")
 	}
 	replaceDir(t, snapDir, spoolDir)
-	reborn := spawnLogpipePeerURL(t, c, stateDir, urls[1])
+	reborn := spawnLogpipePeerURL(t, c, stateDir, urls[1-a])
 	if reborn.LogsPending() == 0 {
 		t.Fatal("restored spool shows nothing pending; the resend scenario never ran")
 	}
