@@ -24,7 +24,6 @@ func (f *fakeEdge) Served(g id.GUID, o content.ObjectID) int64    { return f.ser
 func TestRecordDerivedQuantities(t *testing.T) {
 	r := DownloadRecord{
 		BytesInfra: 300, BytesPeers: 700,
-		StartMs: 1000, EndMs: 2000,
 	}
 	if got := r.TotalBytes(); got != 1000 {
 		t.Errorf("TotalBytes=%d", got)
@@ -32,12 +31,9 @@ func TestRecordDerivedQuantities(t *testing.T) {
 	if got := r.PeerEfficiency(); got != 0.7 {
 		t.Errorf("PeerEfficiency=%v", got)
 	}
-	if got := r.SpeedBps(); got != 8000 {
-		t.Errorf("SpeedBps=%v", got)
-	}
-	empty := DownloadRecord{StartMs: 5, EndMs: 5}
-	if empty.PeerEfficiency() != 0 || empty.SpeedBps() != 0 {
-		t.Error("zero-byte/zero-duration records must not divide by zero")
+	var empty DownloadRecord
+	if empty.PeerEfficiency() != 0 {
+		t.Error("zero-byte records must not divide by zero")
 	}
 }
 

@@ -91,19 +91,6 @@ func (r *DownloadRecord) PeerEfficiency() float64 {
 	return float64(r.BytesPeers) / float64(t)
 }
 
-// DurationMs returns the download's wall time.
-func (r *DownloadRecord) DurationMs() int64 { return r.EndMs - r.StartMs }
-
-// SpeedBps returns the average download speed in bits per second across the
-// download's entire length, the quantity plotted in Figure 4.
-func (r *DownloadRecord) SpeedBps() float64 {
-	d := r.DurationMs()
-	if d <= 0 {
-		return 0
-	}
-	return float64(r.TotalBytes()) * 8 * 1000 / float64(d)
-}
-
 // LoginRecord is the per-connection log entry: "when a peer opens a
 // connection to the control plane, the CN records the peer's current IP
 // address, its software version, and whether or not uploads are enabled"

@@ -73,25 +73,6 @@ func (b *Bitfield) Missing(max int) []int {
 	return out
 }
 
-// FirstMissingIn returns the lowest-indexed piece that other has and b does
-// not, or -1 when none exists. Used by piece schedulers.
-func (b *Bitfield) FirstMissingIn(other *Bitfield) int {
-	n := b.n
-	if other.n < n {
-		n = other.n
-	}
-	for w := 0; w*64 < n; w++ {
-		cand := other.words[w] &^ b.words[w]
-		if cand != 0 {
-			i := w*64 + bits.TrailingZeros64(cand)
-			if i < n {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // Clone returns a deep copy.
 func (b *Bitfield) Clone() *Bitfield {
 	c := &Bitfield{n: b.n, words: make([]uint64, len(b.words))}

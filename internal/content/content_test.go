@@ -185,22 +185,6 @@ func TestBitfieldUnmarshalRejectsPadding(t *testing.T) {
 	}
 }
 
-func TestBitfieldFirstMissingIn(t *testing.T) {
-	mine := NewBitfield(100)
-	theirs := NewBitfield(100)
-	if got := mine.FirstMissingIn(theirs); got != -1 {
-		t.Fatalf("empty peer: got %d want -1", got)
-	}
-	theirs.Set(70)
-	if got := mine.FirstMissingIn(theirs); got != 70 {
-		t.Fatalf("got %d want 70", got)
-	}
-	mine.Set(70)
-	if got := mine.FirstMissingIn(theirs); got != -1 {
-		t.Fatalf("already have it: got %d want -1", got)
-	}
-}
-
 func testStore(t *testing.T, s Store) {
 	obj, m := testObject(t, 12_345)
 	n := obj.NumPieces()

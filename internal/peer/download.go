@@ -43,9 +43,6 @@ type DownloadOpts struct {
 }
 
 const (
-	// edgeDupAfter is how long the edge fetcher sits idle behind in-flight
-	// swarm requests before it may duplicate one of them.
-	edgeDupAfter = 600 * time.Millisecond
 	// queryTimeout is how long a peer query may stay unanswered before the
 	// download stops waiting for it.
 	queryTimeout = 5 * time.Second
@@ -54,8 +51,8 @@ const (
 	requeryInterval = 2 * time.Second
 	// maxPeerConns bounds the swarm fan-out of one download.
 	maxPeerConns = 8
-	// endGamePieces is how many of the lowest missing pieces an idle
-	// connection considers for an end-game duplicate.
+	// endGamePieces is how many of the lowest missing pieces an idle piece
+	// source considers for an end-game duplicate.
 	endGamePieces = 8
 )
 
@@ -91,8 +88,8 @@ type Download struct {
 
 	mu sync.Mutex
 	// have is the verified bitfield; inflight counts, per piece, the
-	// requests outstanding for it: one per connection whose request is
-	// pending (swarmConn.req) plus one while the edge fetches it.
+	// requests outstanding for it, one per piece source whose request is for
+	// that piece: a swarm connection's (swarmConn.req) or the edge's.
 	have     *content.Bitfield
 	inflight map[int]int
 	conns    map[*swarmConn]bool
@@ -118,16 +115,13 @@ type Download struct {
 	// edgeUrgent marks pieces the edge fetched while they sat in the
 	// urgent playback window: edge-rescue bytes in the stream metrics.
 	edgeUrgent map[int]bool
-	// edgeIdleSince is when the edge fetcher found every missing piece
-	// already requested from the swarm and parked; zero while it has work.
-	edgeIdleSince time.Time
-	// edgePiece is the piece the edge fetcher is fetching and edgeReqAt
-	// when it took it; a zero edgeReqAt means no edge fetch is under way.
-	edgePiece int
-	edgeReqAt time.Time
+	// edge is the edge fetcher's outstanding request. edgeParked is set
+	// while the fetcher waits on edgeWake because it found nothing to fetch.
+	edge       request
+	edgeParked bool
 	// slowest is the longest a piece this download stored took from its
 	// request to its arrival; end-game duplicates are measured against it.
-	// rescuedAt is when step last handed idle connections a rescue.
+	// rescuedAt is when step last handed the idle piece sources a rescue.
 	slowest   time.Duration
 	rescuedAt time.Time
 	state     downloadState
@@ -360,26 +354,37 @@ func (d *Download) connsLocked() []*swarmConn {
 	return conns
 }
 
-// releaseLocked drops one outstanding request for piece i. A piece nobody
-// is fetching any more is work for an edge fetcher parked behind the swarm.
-func (d *Download) releaseLocked(i int) {
+// request is a piece source's one outstanding request — a swarm
+// connection's or the edge fetcher's: the piece and when it was requested.
+// A zero at means none is outstanding. It is guarded by Download.mu and
+// changes only through claimLocked and releaseLocked, which keep inflight.
+type request struct {
+	piece int
+	at    time.Time
+}
+
+// claimLocked records r as a request for piece i made now.
+func (d *Download) claimLocked(r *request, i int, now time.Time) {
+	d.inflight[i]++
+	*r = request{piece: i, at: now}
+}
+
+// releaseLocked drops r if it is an outstanding request for piece i. A piece
+// nobody is fetching any more is work for an edge fetcher parked behind the
+// swarm.
+func (d *Download) releaseLocked(r *request, i int) {
+	if r.at.IsZero() || r.piece != i {
+		return
+	}
+	r.at = time.Time{}
 	if d.inflight[i] > 1 {
 		d.inflight[i]--
 		return
 	}
 	delete(d.inflight, i)
-	if !d.edgeIdleSince.IsZero() {
+	if d.edgeParked {
 		poke(d.edgeWake)
 	}
-}
-
-// dropRequestLocked forgets the connection's outstanding request, if any.
-func (d *Download) dropRequestLocked(sc *swarmConn) {
-	if sc.reqAt.IsZero() {
-		return
-	}
-	sc.reqAt = time.Time{}
-	d.releaseLocked(sc.req)
 }
 
 // actions is step's verdict: the effects the driver performs outside mu,
@@ -388,7 +393,7 @@ type actions struct {
 	dial    []protocol.PeerInfo // connect to these, one free slot each
 	query   bool                // ask the control plane for more peers
 	degrade bool                // the swarm stalled: fall back to edge-only
-	edgeDup bool                // the edge may now duplicate an in-flight piece
+	edgeDup bool                // unpark the edge: it may now duplicate a slow request
 	rescue  []*swarmConn        // idle connections that may now duplicate a slow request
 	next    time.Time           // zero: nothing is timed, wait for a poke
 }
@@ -404,25 +409,14 @@ func (a *actions) wakeAt(t time.Time) {
 // until a sufficient number of peer connections succeed", hands every free
 // connection slot a candidate, declares a swarm dead that delivered no
 // verified piece for a whole StallWindow (it is being strung along by
-// stalled, slow or lying peers; the edge finishes the job, §3.3), lets
-// an edge fetcher that has idled behind in-flight swarm requests for
-// edgeDupAfter duplicate one, and wakes the idle connections when an
-// end-game request turns slow (rescueAtLocked). It claims what it hands out
-// (slots, the query, a rescue) so that a second call at the same instant
-// returns nothing.
+// stalled, slow or lying peers; the edge finishes the job, §3.3), and
+// wakes the idle piece sources, the parked edge fetcher and the idle
+// connections, when an end-game request turns slow (rescueAtLocked). It
+// claims what it hands out (slots, the query, a rescue) so that a second
+// call at the same instant returns nothing.
 func (d *Download) step(now time.Time) actions {
 	var a actions
-	if d.state != stateRunning {
-		return a
-	}
-	if !d.edgeIdleSince.IsZero() {
-		if due := d.edgeIdleSince.Add(edgeDupAfter); now.Before(due) {
-			a.wakeAt(due)
-		} else {
-			a.edgeDup = true
-		}
-	}
-	if !d.p2p || d.p2pOff || d.have.Complete() {
+	if d.state != stateRunning || !d.p2p || d.p2pOff || d.have.Complete() {
 		return a
 	}
 	due := d.lastPeerPiece.Add(d.c.cfg.StallWindow)
@@ -465,7 +459,7 @@ func (d *Download) step(now time.Time) actions {
 	return a
 }
 
-// rescueLocked is step's end-game part: it hands the idle connections a
+// rescueLocked is step's end-game part: it hands the idle piece sources a
 // rescue when an end-game request turned slow since the last rescue, and
 // wakes the driver when the next one will.
 func (d *Download) rescueLocked(now time.Time, a *actions) {
@@ -484,8 +478,9 @@ func (d *Download) rescueLocked(now time.Time, a *actions) {
 		return
 	}
 	d.rescuedAt = now
+	a.edgeDup = d.edgeParked
 	for sc := range d.conns {
-		if sc.reqAt.IsZero() {
+		if sc.req.at.IsZero() {
 			a.rescue = append(a.rescue, sc)
 		}
 	}
@@ -502,18 +497,33 @@ func (d *Download) rescueAtLocked(i int) time.Time {
 		return time.Time{}
 	}
 	var last time.Time
-	if d.edgePiece == i {
-		last = d.edgeReqAt
+	if d.edge.piece == i {
+		last = d.edge.at
 	}
 	for sc := range d.conns {
-		if sc.req == i && sc.reqAt.After(last) {
-			last = sc.reqAt
+		if sc.req.piece == i && sc.req.at.After(last) {
+			last = sc.req.at
 		}
 	}
 	if last.IsZero() {
 		return time.Time{}
 	}
 	return last.Add(2 * d.slowest)
+}
+
+// endGameLocked is the piece an idle source may duplicate now: the lowest of
+// the endGamePieces lowest missing pieces that remote holds (nil: all) and
+// whose requests turned slow (rescueAtLocked); -1 when there is none.
+func (d *Download) endGameLocked(now time.Time, remote *content.Bitfield) int {
+	for _, i := range d.have.Missing(endGamePieces) {
+		if remote != nil && !remote.Has(i) {
+			continue
+		}
+		if at := d.rescueAtLocked(i); !at.IsZero() && !now.Before(at) {
+			return i
+		}
+	}
+	return -1
 }
 
 // drive is the download's one timed goroutine: it sleeps until an event
@@ -679,26 +689,36 @@ func (d *Download) attachConn(sc *swarmConn) bool {
 
 func (d *Download) removeConn(sc *swarmConn) {
 	d.mu.Lock()
-	d.dropRequestLocked(sc)
+	d.releaseLocked(&sc.req, sc.req.piece)
 	delete(d.conns, sc)
 	d.mu.Unlock()
 	poke(d.wake) // a connection slot is free
 }
 
-// takeEdgePiece picks the next piece for the edge connection: the first
-// missing piece nobody is fetching, -1 when there is none right now. When
-// only in-flight pieces remain and the edge has idled behind them for
-// edgeDupAfter, it duplicates an in-flight piece — the backstop that makes
-// progress independent of peers ("if a peer is 'unlucky' and picks peers
-// that are slow or unreliable, the infrastructure can cover the
-// difference", §3.3).
+// takeEdgePiece claims the next piece for the edge connection, -1 when
+// there is none right now. The edge picks in the order an edge-only stream
+// plays: the urgent playback window first, then the lowest missing piece
+// nobody is fetching. When only in-flight pieces remain it is one more idle
+// piece source: it duplicates a piece whose requests turned slow
+// (endGameLocked), the backstop that makes progress independent of peers
+// ("if a peer is 'unlucky' and picks peers that are slow or unreliable, the
+// infrastructure can cover the difference", §3.3), and otherwise parks.
 func (d *Download) takeEdgePiece() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.state != stateRunning {
+		d.edgeParked = true
 		return -1
 	}
 	now := d.now()
+	free := func(lo, hi int) int {
+		for i := max(lo, 0); i < hi; i++ {
+			if !d.have.Has(i) && d.inflight[i] == 0 {
+				return i
+			}
+		}
+		return -1
+	}
 	// For streaming downloads the edge serves the urgent playback window
 	// first: it is the rescue path for pieces no peer can deliver by
 	// their deadline.
@@ -707,44 +727,23 @@ func (d *Download) takeEdgePiece() int {
 		d.play.Advance(now.UnixMilli())
 		winLo, winHi = d.play.Window()
 	}
-	take := func(i int) int {
-		d.inflight[i]++
-		d.edgePiece, d.edgeReqAt = i, now
-		d.edgeIdleSince = time.Time{}
-		if i >= winLo && i < winHi {
-			d.edgeUrgent[i] = true
-		}
-		return i
+	pick := free(winLo, winHi)
+	if pick < 0 {
+		pick = free(0, d.have.Len())
 	}
-	for i := winLo; i >= 0 && i < winHi; i++ {
-		if !d.have.Has(i) && d.inflight[i] == 0 {
-			return take(i)
-		}
+	if pick < 0 {
+		pick = d.endGameLocked(now, nil)
 	}
-	fallback := -1
-	n := d.have.Len()
-	for i := 0; i < n; i++ {
-		if d.have.Has(i) {
-			continue
-		}
-		if d.inflight[i] == 0 {
-			return take(i)
-		}
-		if fallback < 0 {
-			fallback = i
-		}
-	}
-	if fallback < 0 {
+	d.edgeParked = pick < 0
+	if d.edgeParked {
+		poke(d.wake) // the driver times the end game
 		return -1
 	}
-	if d.edgeIdleSince.IsZero() {
-		d.edgeIdleSince = now
-		poke(d.wake) // the driver times the wait
+	d.claimLocked(&d.edge, pick, now)
+	if pick >= winLo && pick < winHi {
+		d.edgeUrgent[pick] = true
 	}
-	if now.Sub(d.edgeIdleSince) < edgeDupAfter {
-		return -1
-	}
-	return take(fallback)
+	return pick
 }
 
 // edgeFetcher downloads pieces over HTTP until the download ends. With
@@ -778,7 +777,7 @@ func (d *Download) edgeFetcher() {
 			d.accept(idx, nil, el)
 		} else {
 			d.mu.Lock()
-			d.answeredLocked(nil, idx)
+			d.releaseLocked(&d.edge, idx)
 			d.mu.Unlock()
 		}
 		if err != nil {
@@ -807,7 +806,7 @@ func (d *Download) nextRequest(sc *swarmConn) int {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.state != stateRunning || d.p2pOff || !d.conns[sc] || !sc.reqAt.IsZero() {
+	if d.state != stateRunning || d.p2pOff || !d.conns[sc] || !sc.req.at.IsZero() {
 		return -1
 	}
 	now := d.now()
@@ -828,22 +827,12 @@ func (d *Download) nextRequest(sc *swarmConn) int {
 		// End-game: every missing piece the remote has is in flight.
 		// Duplicate one whose requests turned slow, so a slow source cannot
 		// stall completion; until one does, the driver times the wait.
-		for _, i := range d.have.Missing(endGamePieces) {
-			if !remote.Has(i) {
-				continue
-			}
-			if at := d.rescueAtLocked(i); !at.IsZero() && !now.Before(at) {
-				pick = i
-				break
-			}
-		}
-		if pick < 0 {
+		if pick = d.endGameLocked(now, remote); pick < 0 {
 			poke(d.wake)
 			return -1
 		}
 	}
-	d.inflight[pick]++
-	sc.req, sc.reqAt = pick, now
+	d.claimLocked(&sc.req, pick, now)
 	return pick
 }
 
@@ -868,7 +857,7 @@ func (d *Download) kickScheduler(sc *swarmConn) {
 	}
 	if err := sc.send(&protocol.Request{Index: uint32(pick)}); err != nil {
 		d.mu.Lock()
-		d.dropRequestLocked(sc)
+		d.releaseLocked(&sc.req, pick)
 		d.mu.Unlock()
 	}
 }
@@ -877,8 +866,8 @@ func (d *Download) kickScheduler(sc *swarmConn) {
 func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 	var el time.Duration // zero for a piece nobody requested on sc
 	d.mu.Lock()
-	if !sc.reqAt.IsZero() && sc.req == idx {
-		el = d.now().Sub(sc.reqAt)
+	if !sc.req.at.IsZero() && sc.req.piece == idx {
+		el = d.now().Sub(sc.req.at)
 		d.c.metrics.peerPieceMs.Observe(float64(el) / float64(time.Millisecond))
 		d.trace.Observe(telemetry.StagePieceTransfer, el)
 	}
@@ -892,7 +881,7 @@ func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 		return
 	}
 	d.mu.Lock()
-	d.answeredLocked(sc, idx)
+	d.releaseLocked(&sc.req, idx)
 	d.mu.Unlock()
 	if err != nil {
 		// "If a peer cannot validate a file piece, it discards the piece
@@ -927,17 +916,6 @@ func (d *Download) onPiece(sc *swarmConn, idx int, data []byte) {
 		}
 	}
 	d.kickScheduler(sc)
-}
-
-// answeredLocked drops the request for piece idx, if it is the one pending
-// on sc (nil: the edge fetcher's).
-func (d *Download) answeredLocked(sc *swarmConn, idx int) {
-	if sc == nil {
-		d.edgeReqAt = time.Time{}
-		d.releaseLocked(idx)
-	} else if sc.req == idx {
-		d.dropRequestLocked(sc)
-	}
 }
 
 // disableP2P degrades the download to edge-only: no new peers are dialed or
@@ -1007,9 +985,12 @@ func (d *Download) put(idx int, data []byte) (bool, error) {
 // changes nothing.
 func (d *Download) accept(idx int, sc *swarmConn, took time.Duration) {
 	n := int64(d.manifest.Object.PieceLength(idx))
-	infra := sc == nil
+	infra, req := sc == nil, &d.edge
+	if !infra {
+		req = &sc.req
+	}
 	d.mu.Lock()
-	d.answeredLocked(sc, idx)
+	d.releaseLocked(req, idx)
 	if d.have.Has(idx) {
 		d.mu.Unlock()
 		d.c.metrics.dupPieces.Inc()

@@ -132,10 +132,23 @@ func (r *stepRig) edgeDeliver(i int) {
 	if stored, _ := r.d.put(i, r.piece(i)); stored {
 		r.d.accept(i, nil, 0)
 	} else {
-		r.d.mu.Lock()
-		r.d.answeredLocked(nil, i)
-		r.d.mu.Unlock()
+		r.edgeFail(i)
 	}
+}
+
+// edgeFail ends an edge fetch that stored nothing, the way edgeFetcher does.
+func (r *stepRig) edgeFail(i int) {
+	r.d.mu.Lock()
+	r.d.releaseLocked(&r.d.edge, i)
+	r.d.mu.Unlock()
+}
+
+// edgeRequest is the edge fetcher's outstanding request; ok is false when
+// it has none.
+func (r *stepRig) edgeRequest() (piece int, ok bool) {
+	r.d.mu.Lock()
+	defer r.d.mu.Unlock()
+	return r.d.edge.piece, !r.d.edge.at.IsZero()
 }
 
 func (r *stepRig) done() bool {
@@ -237,55 +250,11 @@ func TestStepDegradesOnceAfterStallWindow(t *testing.T) {
 	}
 }
 
-func TestEdgeDuplicatesInflightPieceAfterIdle(t *testing.T) {
-	r := newStepRig(t, 2, DownloadOpts{sequential: true})
-	r.d.lastQuery = r.clock.now()
-	if got := r.d.takeEdgePiece(); got != 0 {
-		t.Fatalf("edge took piece %d first", got)
-	}
-	sc := r.connUp(id.RandGUID(r.rng))
-	r.d.kickScheduler(sc)
-	if sc.reqAt.IsZero() || sc.req != 1 {
-		t.Fatalf("swarm request: req=%d at=%v", sc.req, sc.reqAt)
-	}
-	r.edgeDeliver(0)
-
-	idle := r.clock.now()
-	if got := r.d.takeEdgePiece(); got != -1 {
-		t.Fatalf("edge took %d while the only missing piece is in flight", got)
-	}
-	if a := r.step(); a.edgeDup || !a.next.Equal(idle.Add(edgeDupAfter)) {
-		t.Fatalf("edge just went idle: edgeDup=%v next=%v", a.edgeDup, a.next.Sub(idle))
-	}
-	r.clock.advance(edgeDupAfter - time.Millisecond)
-	if got := r.d.takeEdgePiece(); got != -1 {
-		t.Fatalf("edge duplicated piece %d after %v", got, r.clock.now().Sub(idle))
-	}
-	r.clock.advance(time.Millisecond)
-	if a := r.step(); !a.edgeDup {
-		t.Fatal("edge idle for edgeDupAfter, step does not unpark it")
-	}
-	if got := r.d.takeEdgePiece(); got != 1 {
-		t.Fatalf("edge took %d, want the in-flight piece 1", got)
-	}
-	if r.d.inflight[1] != 2 {
-		t.Fatalf("piece 1 in flight %d times, want swarm + edge", r.d.inflight[1])
-	}
-	r.edgeDeliver(1)
-	if !r.done() {
-		t.Fatal("download not finished after the last piece")
-	}
-	res := r.d.result()
-	if res.BytesInfra+res.BytesPeers != r.d.manifest.Object.Size || len(r.d.inflight) != 0 {
-		t.Fatalf("infra %d + peers %d != size %d, or inflight left: %v",
-			res.BytesInfra, res.BytesPeers, r.d.manifest.Object.Size, r.d.inflight)
-	}
-}
-
-// TestEndGameRescueWaitsForSlowRequest: an idle connection duplicates an
-// in-flight piece only once the piece's most recent request, to a peer or
-// to the edge, is twice as old as the slowest piece the download received;
-// step times that instant and hands the idle connections the rescue once.
+// TestEndGameRescueWaitsForSlowRequest: an idle piece source, a connection
+// or the parked edge fetcher, duplicates an in-flight piece only once the
+// piece's most recent request, to a peer or to the edge, is twice as old as
+// the slowest piece the download received; step times that instant and
+// hands the idle sources the rescue once.
 func TestEndGameRescueWaitsForSlowRequest(t *testing.T) {
 	r := newStepRig(t, 3, DownloadOpts{sequential: true})
 	d := r.d
@@ -297,16 +266,16 @@ func TestEndGameRescueWaitsForSlowRequest(t *testing.T) {
 	a, b := r.connUp(id.RandGUID(r.rng)), r.connUp(id.RandGUID(r.rng))
 	d.kickScheduler(a)
 	d.kickScheduler(b)
-	if a.req != 1 || b.req != 2 {
-		t.Fatalf("requests: a=%d b=%d, want 1 and 2", a.req, b.req)
+	if a.req.piece != 1 || b.req.piece != 2 {
+		t.Fatalf("requests: a=%d b=%d, want 1 and 2", a.req.piece, b.req.piece)
 	}
 
 	// a's piece takes 10ms: pieces 0 (edge) and 2 (b), requested at t0,
 	// turn slow at t0+20ms.
 	r.clock.advance(10 * time.Millisecond)
 	d.onPiece(a, 1, r.piece(1))
-	if !a.reqAt.IsZero() {
-		t.Fatalf("a duplicated piece %d before any request was slow", a.req)
+	if !a.req.at.IsZero() {
+		t.Fatalf("a duplicated piece %d before any request was slow", a.req.piece)
 	}
 	slow := t0.Add(20 * time.Millisecond)
 	if act := r.step(); len(act.rescue) != 0 || !act.next.Equal(slow) {
@@ -314,20 +283,21 @@ func TestEndGameRescueWaitsForSlowRequest(t *testing.T) {
 			len(act.rescue), act.next.Sub(t0))
 	}
 	r.clock.advance(9 * time.Millisecond)
-	if d.kickScheduler(a); !a.reqAt.IsZero() {
-		t.Fatalf("a duplicated piece %d at t0+19ms", a.req)
+	if d.kickScheduler(a); !a.req.at.IsZero() {
+		t.Fatalf("a duplicated piece %d at t0+19ms", a.req.piece)
 	}
 	r.clock.advance(time.Millisecond)
 	act := r.step()
-	if len(act.rescue) != 1 || act.rescue[0] != a {
-		t.Fatalf("at the threshold: rescuers %v, want the idle connection a", act.rescue)
+	if len(act.rescue) != 1 || act.rescue[0] != a || act.edgeDup {
+		t.Fatalf("at the threshold: rescuers %v, edge unparked %v; want the idle connection a, not the busy edge",
+			act.rescue, act.edgeDup)
 	}
 	if again := r.step(); len(again.rescue) != 0 {
 		t.Fatal("step handed the same rescue out twice")
 	}
 	d.kickScheduler(a)
-	if a.req != 0 || d.inflight[0] != 2 {
-		t.Fatalf("a rescued piece %d (inflight %v), want the edge's slow piece 0", a.req, d.inflight)
+	if a.req.piece != 0 || d.inflight[0] != 2 {
+		t.Fatalf("a rescued piece %d (inflight %v), want the edge's slow piece 0", a.req.piece, d.inflight)
 	}
 	// Piece 0's newest request is a's: it is not slow again before
 	// t0+40ms, while b's piece 2 already is.
@@ -340,15 +310,94 @@ func TestEndGameRescueWaitsForSlowRequest(t *testing.T) {
 	if got := r.c.metrics.dupPieces.Value(); got != 1 {
 		t.Fatalf("%d duplicate pieces counted, want 1", got)
 	}
-	if a.req != 2 || d.inflight[2] != 2 {
-		t.Fatalf("a went on to piece %d (inflight %v), want b's slow piece 2", a.req, d.inflight)
+	if a.req.piece != 2 || d.inflight[2] != 2 {
+		t.Fatalf("a went on to piece %d (inflight %v), want b's slow piece 2", a.req.piece, d.inflight)
+	}
+
+	// The edge is one more rescuer. Piece 2, the only one missing, is
+	// requested from the swarm; its newest request (a's, at t0+20ms) turns
+	// slow at t0+40ms, so the edge parks until then.
+	edgeSlow := slow.Add(20 * time.Millisecond)
+	if got := d.takeEdgePiece(); got != -1 || !d.edgeParked {
+		t.Fatalf("edge took %d (parked %v) while piece 2's requests are on time", got, d.edgeParked)
+	}
+	if act := r.step(); act.edgeDup || !act.next.Equal(edgeSlow) {
+		t.Fatalf("edge parked: unparked %v, next at %v, want t0+40ms", act.edgeDup, act.next.Sub(t0))
+	}
+	r.clock.advance(19 * time.Millisecond)
+	if got := d.takeEdgePiece(); got != -1 {
+		t.Fatalf("edge duplicated piece %d at t0+39ms", got)
+	}
+	r.clock.advance(time.Millisecond)
+	if act := r.step(); !act.edgeDup || len(act.rescue) != 0 {
+		t.Fatalf("at the threshold: edge unparked %v, rescuers %v; want the parked edge only", act.edgeDup, act.rescue)
+	}
+	if got := d.takeEdgePiece(); got != 2 || d.inflight[2] != 3 {
+		t.Fatalf("edge took %d (inflight %v), want the slow piece 2 once more", got, d.inflight)
 	}
 	d.onPiece(b, 2, r.piece(2))
 	if !r.done() {
 		t.Fatal("download not finished after the last piece")
 	}
+	r.edgeDeliver(2) // lands after the end
 	if res := d.result(); res.BytesInfra+res.BytesPeers != d.manifest.Object.Size {
 		t.Fatalf("infra %d + peers %d != size %d", res.BytesInfra, res.BytesPeers, d.manifest.Object.Size)
+	}
+}
+
+// TestNoRescueBeforeAnyPieceIsTimed: until a piece has been timed nothing
+// is slow, so nothing is duplicated; the stall window is the backstop. The
+// edge's first fetch failed and both pieces went to peers that never
+// answer: the edge parks, no rescue is handed out, and the stall window
+// degrades the download, which hands both pieces back to the edge.
+func TestNoRescueBeforeAnyPieceIsTimed(t *testing.T) {
+	r := newStepRig(t, 2, DownloadOpts{sequential: true})
+	r.c.requery = time.Minute // no requery inside the stall window
+	d := r.d
+	d.lastQuery = r.clock.now()
+	t0 := r.clock.now()
+	if got := d.takeEdgePiece(); got != 0 {
+		t.Fatalf("edge took piece %d first", got)
+	}
+	r.edgeFail(0)
+	a, b := r.connUp(id.RandGUID(r.rng)), r.connUp(id.RandGUID(r.rng))
+	d.kickScheduler(a)
+	d.kickScheduler(b)
+	if a.req.piece != 0 || b.req.piece != 1 {
+		t.Fatalf("requests: a=%d b=%d, want 0 and 1", a.req.piece, b.req.piece)
+	}
+	stall := t0.Add(r.c.cfg.StallWindow)
+	for _, at := range []time.Duration{0, time.Second, r.c.cfg.StallWindow} {
+		r.clock.t = t0.Add(at)
+		if got := d.takeEdgePiece(); got != -1 {
+			t.Fatalf("edge duplicated piece %d at t0+%v with no piece timed", got, at)
+		}
+		act := r.step()
+		if act.edgeDup || len(act.rescue) != 0 || act.degrade || !act.next.Equal(stall) {
+			t.Fatalf("at t0+%v: %+v, want nothing but a wake at the stall deadline", at, act)
+		}
+	}
+	r.clock.advance(time.Millisecond)
+	if act := r.step(); !act.degrade {
+		t.Fatal("no peer piece for a whole stall window, not degraded")
+	}
+	d.disableP2P("stall")
+	select {
+	case <-d.edgeWake:
+	default:
+		t.Fatal("the requests the degradation released did not unpark the edge")
+	}
+	for i := 0; i < 2; i++ {
+		if got := d.takeEdgePiece(); got != i {
+			t.Fatalf("edge took %d, want %d", got, i)
+		}
+		r.edgeDeliver(i)
+	}
+	if !r.done() {
+		t.Fatal("download not finished after the last piece")
+	}
+	if res := d.result(); res.BytesInfra != d.manifest.Object.Size || res.BytesPeers != 0 {
+		t.Fatalf("infra %d, peers %d; want the whole object from the edge", res.BytesInfra, res.BytesPeers)
 	}
 }
 
@@ -456,8 +505,8 @@ func TestStreamingWindowFollowsClockWithoutTicker(t *testing.T) {
 	sc := r.connUp(id.RandGUID(r.rng))
 	r.clock.advance(200 * time.Millisecond)
 	r.d.kickScheduler(sc)
-	if lo, _ := r.d.play.Window(); lo != 3 || sc.req != 4 {
-		t.Fatalf("swarm request %d with the window at %d, want 4 and 3 (stalled on piece 3)", sc.req, lo)
+	if lo, _ := r.d.play.Window(); lo != 3 || sc.req.piece != 4 {
+		t.Fatalf("swarm request %d with the window at %d, want 4 and 3 (stalled on piece 3)", sc.req.piece, lo)
 	}
 	if m := r.d.StreamMetrics(); m.RebufferCount != 1 {
 		t.Fatalf("rebuffers = %d, want the stall on piece 3 observed", m.RebufferCount)
@@ -474,16 +523,17 @@ func TestFailedRequestSendLeavesNoBookkeeping(t *testing.T) {
 		return errors.New("broken pipe")
 	}
 	r.d.kickScheduler(sc)
-	if len(r.d.inflight) != 0 || len(r.d.conns) != 0 || !sc.reqAt.IsZero() {
-		t.Fatalf("after a failed send on a closed connection: inflight=%v conns=%d reqAt=%v",
-			r.d.inflight, len(r.d.conns), sc.reqAt)
+	if len(r.d.inflight) != 0 || len(r.d.conns) != 0 || !sc.req.at.IsZero() {
+		t.Fatalf("after a failed send on a closed connection: inflight=%v conns=%d request at %v",
+			r.d.inflight, len(r.d.conns), sc.req.at)
 	}
 }
 
 // TestStepSeededSchedules feeds random event sequences to a download and
 // checks after every event that no verified piece is requested, that every
-// in-flight count is owned by a live connection's pending request or by the
-// edge fetch, and on completion that the bytes add up to the object.
+// in-flight count is owned by a piece source's pending request — a live
+// connection's or the edge fetcher's — and on completion that the bytes add
+// up to the object.
 func TestStepSeededSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
 		runSeededSchedule(t, seed)
@@ -495,30 +545,32 @@ func runSeededSchedule(t *testing.T, seed int64) {
 	r.rng = rand.New(rand.NewSource(seed))
 	r.c.cfg.StallWindow = time.Duration(2+seed%4*6) * time.Second // the short ones degrade
 	rng, d := r.rng, r.d
-	edge := -1 // the piece the edge fetcher is fetching
 	var conns []*swarmConn
-	lastPending := map[*swarmConn]time.Time{}
+	lastPending := map[*request]time.Time{}
 
 	check := func(event string) {
 		t.Helper()
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		owned := map[int]int{}
-		if edge >= 0 {
-			owned[edge]++
+		own := func(req *request) {
+			owned[req.piece]++
+			if !req.at.Equal(lastPending[req]) && d.have.Has(req.piece) {
+				t.Fatalf("seed %d after %s: requested verified piece %d", seed, event, req.piece)
+			}
+			lastPending[req] = req.at
+		}
+		if !d.edge.at.IsZero() {
+			own(&d.edge)
 		}
 		for _, sc := range conns {
-			if sc.reqAt.IsZero() {
+			if sc.req.at.IsZero() {
 				continue
 			}
 			if !d.conns[sc] {
-				t.Fatalf("seed %d after %s: detached connection still has piece %d pending", seed, event, sc.req)
+				t.Fatalf("seed %d after %s: detached connection still has piece %d pending", seed, event, sc.req.piece)
 			}
-			owned[sc.req]++
-			if !sc.reqAt.Equal(lastPending[sc]) && d.have.Has(sc.req) {
-				t.Fatalf("seed %d after %s: requested verified piece %d", seed, event, sc.req)
-			}
-			lastPending[sc] = sc.reqAt
+			own(&sc.req)
 		}
 		if len(owned) != len(d.inflight) {
 			t.Fatalf("seed %d after %s: inflight %v, owners %v", seed, event, d.inflight, owned)
@@ -531,6 +583,13 @@ func runSeededSchedule(t *testing.T, seed int64) {
 		if d.dialing < 0 {
 			t.Fatalf("seed %d after %s: dialing = %d", seed, event, d.dialing)
 		}
+		if d.state == stateRunning && d.edgeParked && len(d.edgeWake) == 0 {
+			for _, i := range d.have.Missing(0) {
+				if d.inflight[i] == 0 {
+					t.Fatalf("seed %d after %s: edge parked with piece %d free and no wake pending", seed, event, i)
+				}
+			}
+		}
 	}
 	live := func() []*swarmConn {
 		var out []*swarmConn
@@ -541,9 +600,27 @@ func runSeededSchedule(t *testing.T, seed int64) {
 		}
 		return out
 	}
-	tick := func() {
-		r.clock.advance(time.Duration(rng.Intn(1500)) * time.Millisecond)
-		a := r.step()
+	// edgeTake is one turn of edgeFetcher's loop without its fetch: a
+	// fetcher with no request takes a piece unless it is parked and nothing
+	// unparked it.
+	edgeTake := func() {
+		if _, busy := r.edgeRequest(); busy {
+			return
+		}
+		select {
+		case <-d.edgeWake:
+		default:
+			d.mu.Lock()
+			parked := d.edgeParked
+			d.mu.Unlock()
+			if parked {
+				return
+			}
+		}
+		d.takeEdgePiece()
+	}
+	// act performs what drive does with step's verdict.
+	act := func(a actions) {
 		for _, p := range a.dial {
 			// What connect does: the dial resolves, then the slot is settled.
 			ok := rng.Intn(4) > 0
@@ -569,26 +646,27 @@ func runSeededSchedule(t *testing.T, seed int64) {
 		if a.degrade {
 			d.disableP2P("stall")
 		}
+		if a.edgeDup {
+			poke(d.edgeWake)
+		}
+		for _, sc := range a.rescue {
+			d.kickScheduler(sc)
+		}
 	}
 	for n := 0; n < 400 && !r.done(); n++ {
 		event := "tick"
 		switch k := rng.Intn(20); {
 		case k < 4:
-			tick()
+			r.clock.advance(time.Duration(rng.Intn(1500)) * time.Millisecond)
+			act(r.step())
 		case k < 7:
 			event = "edge take"
-			if edge < 0 {
-				edge = d.takeEdgePiece()
-			}
+			edgeTake()
 		case k < 9:
 			event = "edge deliver"
-			if edge >= 0 {
-				i := edge
-				edge = -1
+			if i, ok := r.edgeRequest(); ok {
 				if rng.Intn(5) == 0 { // the fetch failed
-					d.mu.Lock()
-					d.answeredLocked(nil, i)
-					d.mu.Unlock()
+					r.edgeFail(i)
 				} else {
 					r.edgeDeliver(i)
 				}
@@ -602,17 +680,17 @@ func runSeededSchedule(t *testing.T, seed int64) {
 			event = "peer piece"
 			var waiting []*swarmConn
 			for _, sc := range live() {
-				if !sc.reqAt.IsZero() {
+				if !sc.req.at.IsZero() {
 					waiting = append(waiting, sc)
 				}
 			}
 			if len(waiting) > 0 {
 				sc := waiting[rng.Intn(len(waiting))]
-				data := r.piece(sc.req)
+				data := r.piece(sc.req.piece)
 				if rng.Intn(10) == 0 {
 					data[0] ^= 0xff
 				}
-				d.onPiece(sc, sc.req, data)
+				d.onPiece(sc, sc.req.piece, data)
 			}
 		case k < 17:
 			event = "conn lost"
@@ -631,25 +709,29 @@ func runSeededSchedule(t *testing.T, seed int64) {
 		}
 		check(event)
 	}
-	// Whatever the swarm did, the edge finishes the object.
+	// The swarm delivers nothing more. The edge fetches what it is given,
+	// and the driver sleeps until step's next instant and acts on it: a
+	// rescue or a degradation gives the edge the pieces the swarm holds.
 	d.Resume()
 	for n := 0; !r.done(); n++ {
 		if n > 1000 {
-			t.Fatalf("seed %d: edge alone did not finish the download", seed)
+			t.Fatalf("seed %d: the edge and the driver did not finish the download", seed)
 		}
-		if edge < 0 {
-			r.clock.advance(edgeDupAfter)
-			edge = d.takeEdgePiece()
-		}
-		if edge >= 0 {
-			i := edge
-			edge = -1
+		edgeTake()
+		if i, ok := r.edgeRequest(); ok {
 			r.edgeDeliver(i)
+		} else {
+			next := r.step().next
+			if next.IsZero() {
+				t.Fatalf("seed %d: edge parked and the driver has nothing timed", seed)
+			}
+			r.clock.t = next.Add(time.Millisecond)
+			act(r.step())
 		}
 		check("edge drain")
 	}
-	if edge >= 0 {
-		r.edgeDeliver(edge) // a fetch the swarm overtook lands after the end
+	if i, ok := r.edgeRequest(); ok {
+		r.edgeDeliver(i) // a fetch the swarm overtook lands after the end
 	}
 	res := d.result()
 	if res.Outcome != protocol.OutcomeCompleted || res.BytesInfra+res.BytesPeers != d.manifest.Object.Size {

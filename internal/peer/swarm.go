@@ -32,11 +32,10 @@ type swarmConn struct {
 
 	// download is non-nil when the local side is downloading this object.
 	download *Download
-	// req is the piece requested on this connection and reqAt when; a zero
-	// reqAt means no request is outstanding. Both are guarded by
-	// download.mu: they are part of the download's in-flight bookkeeping.
-	req   int
-	reqAt time.Time
+	// req is the connection's outstanding request, the same record the
+	// edge fetcher keeps (Download.edge), claimed and released under
+	// download.mu by the download's in-flight bookkeeping.
+	req request
 	// uploadSlot is true when this connection holds an upload-manager slot.
 	uploadSlot bool
 

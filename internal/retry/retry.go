@@ -1,5 +1,5 @@
 // Package retry is the shared resilience layer: jittered exponential
-// backoff, bounded retry loops, and per-target circuit breakers. Every
+// backoff and per-target circuit breakers. Every
 // unreliable path in the system — edge HTTP fetches, the persistent control
 // connection, swarm dialing — goes through it, which is what lets the client
 // keep "all of the benefits of a conventional CDN" (§3.3) when peers,
@@ -9,7 +9,6 @@
 package retry
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -78,35 +77,6 @@ func (b *Backoff) Next() time.Duration {
 
 // Reset restarts the schedule after a success.
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Do runs fn until it succeeds, the attempt budget is spent, or the context
-// ends, sleeping a jittered backoff between attempts. maxAttempts <= 0 means
-// retry until the context ends.
-func Do(ctx context.Context, b *Backoff, maxAttempts int, fn func() error) error {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("retry: %w (after %d attempts: %v)", err, attempt-1, lastErr)
-			}
-			return err
-		}
-		lastErr = fn()
-		if lastErr == nil {
-			return nil
-		}
-		if maxAttempts > 0 && attempt >= maxAttempts {
-			return fmt.Errorf("retry: budget exhausted after %d attempts: %w", attempt, lastErr)
-		}
-		t := time.NewTimer(b.Next())
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return fmt.Errorf("retry: %w (after %d attempts: %v)", ctx.Err(), attempt, lastErr)
-		case <-t.C:
-		}
-	}
-}
 
 // State is a circuit breaker's position.
 type State int32

@@ -1,8 +1,6 @@
 package retry
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -49,36 +47,6 @@ func TestBackoffDeterministicWithSeed(t *testing.T) {
 		if a[i] != c[i] {
 			t.Fatalf("same seed diverged at %d: %v vs %v", i, a[i], c[i])
 		}
-	}
-}
-
-func TestDoBudget(t *testing.T) {
-	calls := 0
-	err := Do(context.Background(), &Backoff{Base: time.Microsecond, exact: true}, 3, func() error {
-		calls++
-		return errors.New("boom")
-	})
-	if err == nil || calls != 3 {
-		t.Fatalf("want 3 failed attempts and error, got calls=%d err=%v", calls, err)
-	}
-	calls = 0
-	if err := Do(context.Background(), &Backoff{Base: time.Microsecond, exact: true}, 3, func() error {
-		calls++
-		if calls < 2 {
-			return errors.New("boom")
-		}
-		return nil
-	}); err != nil || calls != 2 {
-		t.Fatalf("want success on attempt 2, got calls=%d err=%v", calls, err)
-	}
-}
-
-func TestDoContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := Do(ctx, &Backoff{Base: time.Hour, exact: true}, 0, func() error { return errors.New("boom") })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 

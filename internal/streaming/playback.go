@@ -233,15 +233,6 @@ func (s *Session) AddEdgeRescue(n int64) {
 	s.mu.Unlock()
 }
 
-// InWindow reports whether piece idx is inside the urgent playback window
-// [playPos, playPos+WindowPieces). Before startup the window anchors at
-// piece 0 so the startup buffer itself is urgent.
-func (s *Session) InWindow(idx int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return idx >= s.playPos && idx < s.playPos+s.cfg.windowPieces()
-}
-
 // Window returns the urgent window bounds [lo, hi).
 func (s *Session) Window() (lo, hi int) {
 	s.mu.Lock()
