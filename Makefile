@@ -37,7 +37,9 @@ bench:
 # DN churn (a peer's departure plus another's re-registration), the small
 # month's analysis (both record streams folded, then the full report) from a
 # finished simulation, one offline analysis pass over a sealed 128k-record
-# segment store (the read side netsession-analyze takes), the piece data
+# segment store (the read side netsession-analyze takes), one 4,000-record
+# segment decoded by the log pipeline's gzip reader and by compress/gzip
+# (MB/s of decoded text), the piece data
 # path (codec round trip at 64 and 256 KiB, verified store put, synthetic
 # body), and the swarm path (one leecher pulling an 8 MiB object from four
 # in-memory seeders over loopback, MB/s and allocs per download).
@@ -46,6 +48,7 @@ bench-smoke:
 		-benchtime 2x -benchmem ./internal/sim ./internal/selection
 	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeMonth$$' -benchtime 2x -benchmem ./internal/analysis
 	$(GO) test -run '^$$' -bench 'BenchmarkSummarizeStore$$' -benchtime 2x -benchmem ./internal/logpipe
+	$(GO) test -run '^$$' -bench 'BenchmarkGunzip$$' -benchtime 20x -benchmem ./internal/logpipe
 	$(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
 		-benchtime 200ms -benchmem ./internal/protocol ./internal/content
 	$(GO) test -run '^$$' -bench 'BenchmarkSwarmDownload$$' -benchtime 2x -benchmem ./internal/peer
@@ -101,9 +104,11 @@ bench-streaming:
 # over them, the analytics merge, the download decoder, the wire codec, the
 # usage entry, the handoff import, the ack-store replay, the ingest batch
 # framing, the cluster status document and the peer's state and checkpoint
-# files) fuzzed for 30s; the first failure stops the run.
+# files, and the log pipeline's gzip reader against compress/gzip) fuzzed
+# for 30s; the first failure stops the run.
 fuzz-smoke:
 	$(GO) test -run FuzzReadSegment -fuzz FuzzReadSegment -fuzztime 30s ./internal/logpipe
+	$(GO) test -run FuzzGunzip -fuzz FuzzGunzip -fuzztime 30s ./internal/logpipe
 	$(GO) test -run FuzzStreamingSummaryMerge -fuzz FuzzStreamingSummaryMerge -fuzztime 30s ./internal/analysis
 	$(GO) test -run FuzzDecodeDownload -fuzz FuzzDecodeDownload -fuzztime 30s ./internal/analysis
 	$(GO) test -run FuzzReadMessage -fuzz FuzzReadMessage -fuzztime 30s ./internal/protocol

@@ -3,7 +3,6 @@ package logpipe
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -76,6 +75,10 @@ type Ingest struct {
 	sem             chan struct{}
 	maxBatchBytes   int64
 	maxDecodedBytes int64
+	// decoders keeps the gzip readers of finished batches for the next
+	// ones; sem admits at most ingestMaxInflight batches, so after warm-up
+	// no batch allocates a reader.
+	decoders chan *gunzipReader
 
 	// inj is the runtime-settable fault injector (chaos tests flip it on and
 	// off mid-run to drive 503 storms and stalls through a live endpoint).
@@ -99,6 +102,7 @@ func NewIngest(cfg IngestConfig) *Ingest {
 	in := &Ingest{
 		cfg:             cfg,
 		sem:             make(chan struct{}, ingestMaxInflight),
+		decoders:        make(chan *gunzipReader, ingestMaxInflight),
 		maxBatchBytes:   ingestMaxBatchBytes,
 		maxDecodedBytes: ingestMaxDecodedBytes,
 	}
@@ -241,18 +245,28 @@ func (e *tooLargeError) Error() string { return e.msg }
 // that does not decode, or that the handler refuses, rejects just that
 // record.
 func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err error) {
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad gzip batch: %w", err)
+	var zr *gunzipReader
+	select {
+	case zr = <-in.decoders:
+	default:
+		zr = new(gunzipReader)
 	}
-	defer zr.Close()
-	limited := io.LimitReader(zr, in.maxDecodedBytes+1)
-	var decoded int64
-	sc := bufio.NewScanner(io.TeeReader(limited, countWriter{&decoded}))
+	defer func() {
+		zr.reset(nil) // keep no reference to the batch
+		select {
+		case in.decoders <- zr:
+		default:
+		}
+	}()
+	zr.reset(bytes.NewReader(raw))
+	// Decoding stops one byte past the cap: limited.N reads 0 once the
+	// batch has more than maxDecodedBytes.
+	limited := &io.LimitedReader{R: zr, N: in.maxDecodedBytes + 1}
+	sc := bufio.NewScanner(limited)
 	sc.Buffer(make([]byte, 64<<10), analysis.MaxLineBytes)
 	var entries []*Entry
 	for sc.Scan() {
-		if decoded > in.maxDecodedBytes {
+		if limited.N == 0 {
 			return 0, 0, &tooLargeError{"batch exceeds decoded size cap"}
 		}
 		line := sc.Bytes()
@@ -268,7 +282,7 @@ func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err 
 	if serr := sc.Err(); serr != nil {
 		return 0, 0, fmt.Errorf("bad batch stream: %w", serr)
 	}
-	if decoded > in.maxDecodedBytes {
+	if limited.N == 0 {
 		return 0, 0, &tooLargeError{"batch exceeds decoded size cap"}
 	}
 	for _, e := range entries {
@@ -293,12 +307,4 @@ func (in *Ingest) inc(c *telemetry.Counter) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
-}
-
-// countWriter tallies bytes flowing through a TeeReader.
-type countWriter struct{ n *int64 }
-
-func (c countWriter) Write(p []byte) (int, error) {
-	*c.n += int64(len(p))
-	return len(p), nil
 }

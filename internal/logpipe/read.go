@@ -162,9 +162,7 @@ func (r *recordReader) each(sf SegmentFile, last bool, fn func(*analysis.Offline
 		}
 		return fmt.Errorf("logpipe: segment %s: %w", sf.Path, err)
 	}
-	if err := r.seg.reset(f); err != nil {
-		return end(err)
-	}
+	r.seg.reset(f)
 	for j := 0; ; j++ {
 		line, err := r.seg.next()
 		if err != nil {

@@ -143,26 +143,20 @@ func MarshalSegment(lines [][]byte) ([]byte, error) {
 // reuses its gzip and bufio state, so a worker streaming a store allocates
 // them once.
 type segmentReader struct {
-	zr   *gzip.Reader
+	zr   gunzipReader
 	br   *bufio.Reader
 	line []byte // a line longer than br's buffer, accumulated
 }
 
-// reset points the reader at the start of a new segment stream.
-func (r *segmentReader) reset(src io.Reader) error {
-	if r.zr == nil {
-		zr, err := gzip.NewReader(src)
-		if err != nil {
-			return ErrTorn
-		}
-		r.zr, r.br = zr, bufio.NewReaderSize(zr, 64<<10)
-		return nil
+// reset points the reader at the start of a new segment stream. A stream
+// that is not gzip reads as ErrTorn from next.
+func (r *segmentReader) reset(src io.Reader) {
+	r.zr.reset(src)
+	if r.br == nil {
+		r.br = bufio.NewReaderSize(&r.zr, 64<<10)
+		return
 	}
-	if err := r.zr.Reset(src); err != nil {
-		return ErrTorn
-	}
-	r.br.Reset(r.zr)
-	return nil
+	r.br.Reset(&r.zr)
 }
 
 // next returns the segment's next complete, non-empty line without its
@@ -210,9 +204,7 @@ func (r *segmentReader) next() ([]byte, error) {
 // (final segment after a crash) or fatal (middle of a directory).
 func ReadSegment(src io.Reader) ([][]byte, error) {
 	var r segmentReader
-	if err := r.reset(src); err != nil {
-		return nil, err
-	}
+	r.reset(src)
 	var out [][]byte
 	for {
 		line, err := r.next()
@@ -245,9 +237,7 @@ func countRecords(path string) int {
 	}
 	defer f.Close()
 	var r segmentReader
-	if r.reset(f) != nil {
-		return 0
-	}
+	r.reset(f)
 	n := 0
 	for {
 		if _, err := r.next(); err != nil {
