@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet fmt race bench bench-smoke bench-analytics bench-streaming chaos crash failover drain streaming fuzz-smoke clean-state
+.PHONY: check build test vet fmt race bench bench-smoke bench-analytics bench-streaming chaos crash failover drain streaming fuzz-smoke cli-smoke clean-state
 
 check: fmt vet build race
 
@@ -118,6 +118,24 @@ fuzz-smoke:
 	$(GO) test -run FuzzIngestBatch -fuzz FuzzIngestBatch -fuzztime 30s ./internal/logpipe
 	$(GO) test -run FuzzStatusDocument -fuzz FuzzStatusDocument -fuzztime 30s ./internal/cluster
 	$(GO) test -run FuzzPeerStateFiles -fuzz FuzzPeerStateFiles -fuzztime 30s ./internal/peer
+
+# CLI smoke: build netsession-sim and netsession-analyze, export the small
+# month into a temporary directory and analyze it there; the analyzer must
+# stream exactly as many download records as the simulator reports.
+cli-smoke:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/netsession-sim ./cmd/netsession-analyze; \
+	"$$tmp/netsession-sim" -scenario small -telemetry=false -out "$$tmp/logs" >"$$tmp/sim.txt" 2>&1 || \
+		{ cat "$$tmp/sim.txt"; exit 1; }; \
+	"$$tmp/netsession-analyze" -logs "$$tmp/logs" >"$$tmp/analyze.txt" 2>&1 || \
+		{ cat "$$tmp/analyze.txt"; exit 1; }; \
+	want="$$(sed -n 's/.*simulated \([0-9][0-9]*\) downloads.*/\1/p' "$$tmp/sim.txt")"; \
+	got="$$(sed -n 's/.*streamed \([0-9][0-9]*\) download records.*/\1/p' "$$tmp/analyze.txt")"; \
+	if [ -z "$$want" ] || [ "$$want" != "$$got" ]; then \
+		cat "$$tmp/sim.txt" "$$tmp/analyze.txt"; \
+		echo "cli-smoke: simulated '$$want' downloads, analyzer streamed '$$got'"; exit 1; \
+	fi; \
+	echo "cli-smoke: simulated and analyzed $$want downloads"
 
 # Remove state directories left behind by interrupted live runs (the README
 # examples put netsession-peer -state-dir under ./state/).

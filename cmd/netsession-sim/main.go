@@ -1,8 +1,11 @@
 // Command netsession-sim runs one simulation scenario and writes the raw
-// log set (download, login and registration records) as JSON-lines files —
-// the synthetic equivalent of the month of production logs the paper
-// analyses. Downloads and registrations are in merge order (time, then
-// region); logins.jsonl is streamed from the trace generator one
+// log set — the synthetic equivalent of the month of production logs the
+// paper analyses. The download log goes to DIR/segments as a sealed segment
+// store, the layout the control plane's log store has, so netsession-analyze
+// reads an exported month and a live cluster's logs alike; an earlier export
+// there is replaced. Logins, registrations and the billing summary go to
+// JSON-lines and CSV files beside it. Registrations are in merge order (time,
+// then region); logins.jsonl is streamed from the trace generator one
 // installation at a time, each installation's logins in time order. Use
 // netsession-report for the analyses themselves.
 //
@@ -27,7 +30,6 @@ import (
 
 	"netsession"
 	"netsession/internal/accounting"
-	"netsession/internal/analysis"
 	"netsession/internal/logpipe"
 	"netsession/internal/telemetry"
 )
@@ -44,8 +46,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "random seed")
 	workers := flag.Int("workers", 0, "region-shard workers (0: one per CPU, 1: sequential reference mode; output is identical either way)")
 	outDir := flag.String("out", "netsession-logs", "output directory")
-	format := flag.String("format", "jsonl",
-		"download log format: jsonl (downloads.jsonl), segments (gzip NDJSON segments under out/segments, identical to the control plane's log store), or both")
 	telem := flag.Bool("telemetry", true, "log periodic telemetry snapshots (virtual time, events/sec, flows)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and live /metrics on this address during the run")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for the fault-injection RNG (0: fixed default)")
@@ -139,26 +139,14 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	wantJSONL, wantSegments := false, false
-	switch *format {
-	case "jsonl":
-		wantJSONL = true
-	case "segments":
-		wantSegments = true
-	case "both":
-		wantJSONL, wantSegments = true, true
-	default:
-		log.Fatalf("unknown -format %q (want jsonl, segments, or both)", *format)
+	// The bulk writer refuses a directory that already holds segments, so
+	// an earlier export is removed first: one store never holds two months.
+	segDir := filepath.Join(*outDir, "segments")
+	if err := os.RemoveAll(segDir); err != nil {
+		log.Fatal(err)
 	}
-	if wantJSONL {
-		if err := writeDownloads(filepath.Join(*outDir, "downloads.jsonl"), res); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if wantSegments {
-		if err := writeSegments(filepath.Join(*outDir, "segments"), res); err != nil {
-			log.Fatal(err)
-		}
+	if err := logpipe.ExportDownloads(segDir, res.Log.Downloads, res.Scape); err != nil {
+		log.Fatal(err)
 	}
 	logins, err := writeLogins(filepath.Join(*outDir, "logins.jsonl"), res)
 	if err != nil {
@@ -171,43 +159,6 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("wrote logs (%d logins) to %s", logins, *outDir)
-}
-
-// writeDownloads exports analysis.OfflineDownload records: each carries its
-// own geolocation so the log set is self-contained (netsession-analyze
-// reads it without the generating atlas).
-func writeDownloads(path string, res *netsession.ScenarioResult) error {
-	l := res.Log
-	lookup := analysis.ScapeLookup(res.Scape)
-	return writeJSONL(path, func(emit func(any)) {
-		for i := range l.Downloads {
-			emit(analysis.OfflineFromRecord(&l.Downloads[i], lookup))
-		}
-	})
-}
-
-// writeSegments exports the download log in the control plane's durable
-// segment format (gzip-compressed NDJSON), so simulated and live-cluster
-// log sets are byte-compatible inputs to netsession-analyze. The bulk
-// writer compresses each segment once, so the XXL tier's millions of
-// records export in linear time. An earlier export in dir is replaced, as
-// os.Create replaces the JSONL files: the writer refuses to mix two stores.
-func writeSegments(dir string, res *netsession.ScenarioResult) error {
-	if err := os.RemoveAll(dir); err != nil {
-		return err
-	}
-	w, err := logpipe.NewBulkWriter(dir, 20_000)
-	if err != nil {
-		return err
-	}
-	l := res.Log
-	lookup := analysis.ScapeLookup(res.Scape)
-	for i := range l.Downloads {
-		if err := w.Append(analysis.OfflineFromRecord(&l.Downloads[i], lookup)); err != nil {
-			return err
-		}
-	}
-	return w.Close()
 }
 
 type jsonLogin struct {

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"net/netip"
 	"strings"
 
@@ -130,38 +128,10 @@ func offlineContribution(pc *accounting.PeerContribution, tag GeoTag) OfflineCon
 }
 
 // MaxLineBytes bounds one JSON-lines record on every reader of records:
-// ScanDownloadsJSONL here, and the segment reader, batch ingest and
-// usage-entry decoder of the log pipeline. Hostile or corrupt input must
-// not make a reader allocate absurd buffers, and a record one reader
-// accepts must not be refused by another.
+// the log pipeline's segment reader, batch ingest and usage-entry decoder.
+// Hostile or corrupt input must not make a reader allocate absurd buffers,
+// and a record one reader accepts must not be refused by another.
 const MaxLineBytes = 4 << 20
-
-// ScanDownloadsJSONL streams an exported downloads file through fn one
-// record at a time — the jsonl equivalent of the segment store's streaming
-// readers, so a multi-gigabyte export analyzes without materializing.
-// Returning an error from fn stops the scan.
-func ScanDownloadsJSONL(r io.Reader, fn func(*OfflineDownload) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var d OfflineDownload
-		if err := DecodeDownload(sc.Bytes(), &d); err != nil {
-			return fmt.Errorf("analysis: downloads line %d: %w", line, err)
-		}
-		if err := fn(&d); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("analysis: downloads line %d: %w", line+1, err)
-	}
-	return nil
-}
 
 // OfflineSummary is the standalone trace analysis: the subset of the
 // paper's quantities computable from the download log alone.

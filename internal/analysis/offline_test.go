@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -26,58 +23,6 @@ func offlineFixture() []OfflineDownload {
 		{GUID: "g4", Country: "US", ASN: 3, URLHash: "a", P2PEnabled: false,
 			StartMs: 0, EndMs: 100, BytesInfra: 1,
 			Outcome: "failed-other"},
-	}
-}
-
-func TestScanDownloadsJSONL(t *testing.T) {
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	for _, d := range offlineFixture() {
-		if err := enc.Encode(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []OfflineDownload
-	collect := func(d *OfflineDownload) error {
-		got = append(got, *d)
-		return nil
-	}
-	if err := ScanDownloadsJSONL(strings.NewReader(sb.String()), collect); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("parsed %d records", len(got))
-	}
-	if got[0].FromPeers[1].Country != "DE" {
-		t.Error("nested contribution lost")
-	}
-	if err := ScanDownloadsJSONL(strings.NewReader("{bad json\n"), collect); err == nil {
-		t.Error("malformed line accepted")
-	}
-}
-
-// TestScanDownloadsJSONLLineLimit: the jsonl reader takes records up to the
-// same MaxLineBytes the segment reader does, and an oversized record's error
-// names its line.
-func TestScanDownloadsJSONLLineLimit(t *testing.T) {
-	record := func(guidBytes int) string {
-		return `{"guid":"` + strings.Repeat("g", guidBytes) + `","outcome":"completed"}` + "\n"
-	}
-	small := record(8)
-	var got []int
-	collect := func(d *OfflineDownload) error {
-		got = append(got, len(d.GUID))
-		return nil
-	}
-	if err := ScanDownloadsJSONL(strings.NewReader(small+record(2<<20)+small), collect); err != nil {
-		t.Fatalf("2 MiB record refused: %v", err)
-	}
-	if len(got) != 3 || got[1] != 2<<20 {
-		t.Fatalf("read GUID lengths %v, want [8 %d 8]", got, 2<<20)
-	}
-	err := ScanDownloadsJSONL(strings.NewReader(small+small+record(MaxLineBytes)), collect)
-	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "line 3") {
-		t.Fatalf("oversized record: err %v, want bufio.ErrTooLong naming line 3", err)
 	}
 }
 

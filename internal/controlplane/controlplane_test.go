@@ -622,19 +622,3 @@ func TestStatusCostIndependentOfLog(t *testing.T) {
 		t.Errorf("Status allocates %d bytes at 10 records, %d at 10,000", smallBytes, bigBytes)
 	}
 }
-
-func TestMonitorAlerts(t *testing.T) {
-	m := NewMonitor()
-	m.SetAlertThreshold("crash", 3)
-	for i := 0; i < 5; i++ {
-		m.Ingest(Report{Kind: "crash"})
-	}
-	m.Ingest(Report{Kind: "other"})
-	alerts := m.Alerts()
-	if len(alerts) != 1 {
-		t.Fatalf("got %d alerts, want exactly 1 (raised once at threshold)", len(alerts))
-	}
-	if alerts[0].Kind != "crash" || alerts[0].Count != 3 {
-		t.Errorf("alert %+v", alerts[0])
-	}
-}

@@ -23,17 +23,14 @@ import (
 // ring of recent reports, scrapes the telemetry endpoints of the other
 // components into a fleet-wide aggregate, and exposes a health summary.
 type Monitor struct {
-	mu         sync.Mutex
-	counts     map[string]int
-	recent     []Report
-	maxRing    int // monitorRing; tests shrink it
-	thresholds map[string]int
-	alerts     []Alert
+	mu      sync.Mutex
+	counts  map[string]int
+	recent  []Report
+	maxRing int // monitorRing; tests shrink it
 
 	reg             *telemetry.Registry
 	reportsByKind   map[string]*telemetry.Counter
 	reportsRejected *telemetry.Counter
-	alertsRaised    *telemetry.Counter
 	scrapes         *telemetry.Counter
 	scrapeErrors    *telemetry.Counter
 
@@ -55,14 +52,6 @@ type Monitor struct {
 
 	httpSrv *http.Server
 	ln      net.Listener
-}
-
-// Alert is raised when a report kind crosses its configured threshold:
-// "automated alerts are in place to notify network engineers in case of
-// large-scale problems" (§3.8).
-type Alert struct {
-	Kind  string `json:"kind"`
-	Count int    `json:"count"`
 }
 
 // Report is one operational report from a peer.
@@ -91,12 +80,10 @@ func NewMonitor() *Monitor {
 	m := &Monitor{
 		counts:        make(map[string]int),
 		maxRing:       monitorRing,
-		thresholds:    make(map[string]int),
 		reg:           reg,
 		reportsByKind: make(map[string]*telemetry.Counter),
 		reportsRejected: reg.Counter("monitor_reports_rejected_total",
 			"malformed or oversized report uploads rejected", nil),
-		alertsRaised: reg.Counter("monitor_alerts_total", "alerts raised", nil),
 		scrapes: reg.Counter("monitor_scrapes_total",
 			"successful component telemetry scrapes", nil),
 		scrapeErrors: reg.Counter("monitor_scrape_errors_total",
@@ -156,20 +143,6 @@ func (m *Monitor) Close() error {
 	return m.httpSrv.Shutdown(ctx)
 }
 
-// SetAlertThreshold raises an Alert once `kind` accumulates n reports.
-func (m *Monitor) SetAlertThreshold(kind string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.thresholds[kind] = n
-}
-
-// Alerts returns the raised alerts, oldest first.
-func (m *Monitor) Alerts() []Alert {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Alert(nil), m.alerts...)
-}
-
 // Ingest records a report directly (in-process peers and the simulator).
 func (m *Monitor) Ingest(r Report) {
 	m.kindCounter(r.Kind).Inc()
@@ -179,10 +152,6 @@ func (m *Monitor) Ingest(r Report) {
 	m.recent = append(m.recent, r)
 	if len(m.recent) > m.maxRing {
 		m.recent = m.recent[len(m.recent)-m.maxRing:]
-	}
-	if th, ok := m.thresholds[r.Kind]; ok && m.counts[r.Kind] == th {
-		m.alerts = append(m.alerts, Alert{Kind: r.Kind, Count: m.counts[r.Kind]})
-		m.alertsRaised.Inc()
 	}
 }
 
@@ -452,7 +421,6 @@ type componentHealth struct {
 // monitor ingested itself, plus the scraped fleet aggregate.
 type healthSummary struct {
 	Reports    map[string]int             `json:"reports"`
-	Alerts     []Alert                    `json:"alerts,omitempty"`
 	Components map[string]componentHealth `json:"components,omitempty"`
 	Fleet      telemetry.Snapshot         `json:"fleet,omitempty"`
 	Analytics  *analysis.StreamingSummary `json:"analytics,omitempty"`
@@ -464,7 +432,6 @@ func (m *Monitor) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	for k, v := range m.counts {
 		sum.Reports[k] = v
 	}
-	sum.Alerts = append(sum.Alerts, m.alerts...)
 	m.mu.Unlock()
 	m.scrapeMu.Lock()
 	if len(m.scraped) > 0 || len(m.scrapeErrs) > 0 {

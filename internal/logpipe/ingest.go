@@ -75,10 +75,10 @@ type Ingest struct {
 	sem             chan struct{}
 	maxBatchBytes   int64
 	maxDecodedBytes int64
-	// decoders keeps the gzip readers of finished batches for the next
-	// ones; sem admits at most ingestMaxInflight batches, so after warm-up
-	// no batch allocates a reader.
-	decoders chan *gunzipReader
+	// decoders keeps the decoders of finished batches for the next ones;
+	// sem admits at most ingestMaxInflight batches, so after warm-up no
+	// batch allocates a gzip reader or a line buffer.
+	decoders chan *batchDecoder
 
 	// inj is the runtime-settable fault injector (chaos tests flip it on and
 	// off mid-run to drive 503 storms and stalls through a live endpoint).
@@ -102,7 +102,7 @@ func NewIngest(cfg IngestConfig) *Ingest {
 	in := &Ingest{
 		cfg:             cfg,
 		sem:             make(chan struct{}, ingestMaxInflight),
-		decoders:        make(chan *gunzipReader, ingestMaxInflight),
+		decoders:        make(chan *batchDecoder, ingestMaxInflight),
 		maxBatchBytes:   ingestMaxBatchBytes,
 		maxDecodedBytes: ingestMaxDecodedBytes,
 	}
@@ -238,6 +238,13 @@ type tooLargeError struct{ msg string }
 
 func (e *tooLargeError) Error() string { return e.msg }
 
+// batchDecoder is one batch's gzip reader and the initial buffer of its line
+// scanner, kept together for reuse by later batches.
+type batchDecoder struct {
+	zr  gunzipReader
+	buf []byte
+}
+
 // ingest decodes a whole batch, then feeds each entry to the handler. A
 // batch with transport-level damage (bad gzip, a truncated stream, over the
 // decoded cap) is refused before any entry reaches the handler, so a refused
@@ -245,25 +252,27 @@ func (e *tooLargeError) Error() string { return e.msg }
 // that does not decode, or that the handler refuses, rejects just that
 // record.
 func (in *Ingest) ingest(guid id.GUID, raw []byte) (accepted, rejected int, err error) {
-	var zr *gunzipReader
+	var dec *batchDecoder
 	select {
-	case zr = <-in.decoders:
+	case dec = <-in.decoders:
 	default:
-		zr = new(gunzipReader)
+		dec = &batchDecoder{buf: make([]byte, 64<<10)}
 	}
 	defer func() {
-		zr.reset(nil) // keep no reference to the batch
+		dec.zr.reset(nil) // keep no reference to the batch
 		select {
-		case in.decoders <- zr:
+		case in.decoders <- dec:
 		default:
 		}
 	}()
-	zr.reset(bytes.NewReader(raw))
+	dec.zr.reset(bytes.NewReader(raw))
 	// Decoding stops one byte past the cap: limited.N reads 0 once the
 	// batch has more than maxDecodedBytes.
-	limited := &io.LimitedReader{R: zr, N: in.maxDecodedBytes + 1}
+	limited := &io.LimitedReader{R: &dec.zr, N: in.maxDecodedBytes + 1}
 	sc := bufio.NewScanner(limited)
-	sc.Buffer(make([]byte, 64<<10), analysis.MaxLineBytes)
+	// A line longer than buf makes the scanner allocate a larger buffer for
+	// this batch only; the next batch starts from buf again.
+	sc.Buffer(dec.buf, analysis.MaxLineBytes)
 	var entries []*Entry
 	for sc.Scan() {
 		if limited.N == 0 {

@@ -266,7 +266,11 @@ func TestIngestBackpressure(t *testing.T) {
 		defer close(done)
 		postBatch(t, in.Handler(), id.NewGUID().String(), 0, body)
 	}()
-	<-started
+	select {
+	case <-started:
+	case <-done:
+		t.Fatal("first batch finished without reaching the handler")
+	}
 	w, _ := postBatch(t, in.Handler(), id.NewGUID().String(), 1, body)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("second inflight batch: status %d, want 429", w.Code)

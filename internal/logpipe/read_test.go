@@ -1,6 +1,9 @@
 package logpipe
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"sort"
@@ -117,5 +120,67 @@ func TestFirstErrorDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d run=%d: err=%v, want the segment-7 tear (first in order)", workers, run, err)
 			}
 		}
+	}
+}
+
+// TestRecordLineLimit: every record reader takes records up to
+// analysis.MaxLineBytes. A 2 MiB record round-trips through ReadSegment and
+// ForEachDownloadParallel, and a record past the limit reads as ErrTorn —
+// in a middle segment, an error of the whole walk.
+func TestRecordLineLimit(t *testing.T) {
+	rec := func(guidBytes int) analysis.OfflineDownload {
+		return analysis.OfflineDownload{GUID: strings.Repeat("g", guidBytes), Outcome: "completed"}
+	}
+	line := func(guidBytes int) []byte {
+		b, err := json.Marshal(rec(guidBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	big := 2 << 20
+	data, err := MarshalSegment([][]byte{line(8), line(big), line(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := ReadSegment(bytes.NewReader(data))
+	if err != nil || len(lines) != 3 || !bytes.Equal(lines[1], line(big)) {
+		t.Fatalf("2 MiB record: %d lines, err %v; want 3 with the record intact", len(lines), err)
+	}
+	data, err = MarshalSegment([][]byte{line(8), line(8), line(analysis.MaxLineBytes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines, err = ReadSegment(bytes.NewReader(data)); !errors.Is(err, ErrTorn) || len(lines) != 2 {
+		t.Fatalf("oversized record: %d lines, err %v; want the 2 before it and ErrTorn", len(lines), err)
+	}
+
+	walk := func(recs ...analysis.OfflineDownload) ([]int, error) {
+		dir := t.TempDir()
+		w, err := NewBulkWriter(dir, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		_, err = ForEachDownloadParallel(dir, 1, func(d *analysis.OfflineDownload) error {
+			got = append(got, len(d.GUID))
+			return nil
+		})
+		return got, err
+	}
+	got, err := walk(rec(8), rec(big), rec(8))
+	if err != nil || !reflect.DeepEqual(got, []int{8, big, 8}) {
+		t.Fatalf("walk read GUID lengths %v, err %v; want [8 %d 8]", got, err, big)
+	}
+	if _, err := walk(rec(8), rec(8), rec(analysis.MaxLineBytes), rec(8)); !errors.Is(err, ErrTorn) {
+		t.Fatalf("walk over an oversized record in a middle segment: err %v, want ErrTorn", err)
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"sync"
 
+	"netsession/internal/accounting"
 	"netsession/internal/analysis"
+	"netsession/internal/geo"
 	"netsession/internal/telemetry"
 )
 
@@ -208,8 +210,30 @@ func (b *BulkWriter) Close() error {
 	return err
 }
 
+// exportSegmentRecords is the segment size of an exported download log.
+const exportSegmentRecords = 20_000
+
+// ExportDownloads writes a finished simulation's download log as a sealed
+// segment store in dir: each record annotated from the generating scape the
+// way the control plane annotates live reports, so an exported month and a
+// live cluster's store are the same input to every reader. Like NewBulkWriter
+// it refuses a directory that already holds segments.
+func ExportDownloads(dir string, downloads []accounting.DownloadRecord, scape *geo.EdgeScape) error {
+	w, err := NewBulkWriter(dir, exportSegmentRecords)
+	if err != nil {
+		return err
+	}
+	lookup := analysis.ScapeLookup(scape)
+	for i := range downloads {
+		if err := w.Append(analysis.OfflineFromRecord(&downloads[i], lookup)); err != nil {
+			return err
+		}
+	}
+	return w.Close()
+}
+
 // HasSegments reports whether dir contains any log segments; the analyzer
-// uses it to auto-detect the input layout.
+// uses it to find the store under its -logs directory.
 func HasSegments(dir string) bool {
 	segs, err := ListSegments(dir)
 	return err == nil && len(segs) > 0

@@ -167,7 +167,7 @@ func TestHasSegments(t *testing.T) {
 	if HasSegments(dir) {
 		t.Fatal("empty dir reported segments")
 	}
-	if err := os.WriteFile(filepath.Join(dir, "downloads.jsonl"), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "logins.jsonl"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if HasSegments(dir) {

@@ -248,7 +248,7 @@ func (sh *shard) handleRequery(slot uint64) {
 		return
 	}
 	if len(d.servers) < sh.cfg.MaxServersPerDownload/4 {
-		sh.attachInitialServersKeepCount(d)
+		sh.queryServers(d)
 	}
 	sh.scheduleRequery(d)
 }
@@ -304,7 +304,9 @@ func (sh *shard) startDownload(req trace.Request) {
 	sh.activeFlows++
 	if d.p2p {
 		sh.p2pAttempted++
-		sh.attachInitialServers(d)
+		// Figure 6 counts the peers the first query returned; requeries
+		// connect more but leave the count alone.
+		d.peersReturned = sh.queryServers(d)
 		sh.scheduleRequery(d)
 	}
 	if d.abortAtMs >= 0 {
@@ -313,9 +315,10 @@ func (sh *shard) startDownload(req trace.Request) {
 	sh.scheduleCompletion(d)
 }
 
-// attachInitialServers queries the (region-local) directory and connects up
-// to MaxServersPerDownload compatible peers.
-func (sh *shard) attachInitialServers(d *dl) {
+// queryServers queries the (region-local) directory, connects up to
+// MaxServersPerDownload compatible peers, and returns how many candidates
+// the directory returned.
+func (sh *shard) queryServers(d *dl) int {
 	cands := sh.dir.Select(sh.cfg.Policy, selection.Query{
 		Object:        d.obj.ID,
 		Requester:     d.peer.spec.Home,
@@ -323,8 +326,8 @@ func (sh *shard) attachInitialServers(d *dl) {
 		RequesterNAT:  d.peer.spec.NAT,
 		Rand:          sh.rng,
 	})
-	d.peersReturned = len(cands)
 	sh.connectCandidates(d, cands)
+	return len(cands)
 }
 
 // scheduleRequery keeps long-running swarms fed: "if connections to some of
@@ -347,21 +350,8 @@ func (sh *shard) refreshServers(d *dl) {
 	if d.finished || len(d.servers) > 0 {
 		return
 	}
-	sh.attachInitialServersKeepCount(d)
+	sh.queryServers(d)
 	sh.scheduleCompletion(d)
-}
-
-func (sh *shard) attachInitialServersKeepCount(d *dl) {
-	// Like attachInitialServers but preserves the Figure 6 "initially
-	// returned" count from the first query.
-	cands := sh.dir.Select(sh.cfg.Policy, selection.Query{
-		Object:        d.obj.ID,
-		Requester:     d.peer.spec.Home,
-		RequesterGUID: d.peer.spec.GUID,
-		RequesterNAT:  d.peer.spec.NAT,
-		Rand:          sh.rng,
-	})
-	sh.connectCandidates(d, cands)
 }
 
 func (sh *shard) connectCandidates(d *dl, cands []protocol.PeerInfo) {

@@ -566,8 +566,8 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 	}
 
 	// Simulated segments: export a small scenario through the same store
-	// format (what `netsession-sim -format segments` does) and read it back
-	// through the same code path.
+	// format (what `netsession-sim` does) and read it back through the same
+	// code path.
 	simCfg := sim.SmallScenario()
 	simCfg.NumPeers = 1200
 	simCfg.TotalDownloads = 2500
@@ -577,17 +577,7 @@ func TestLogpipeLiveSimParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	simDir := t.TempDir()
-	w, err := logpipe.NewBulkWriter(simDir, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookup := analysis.ScapeLookup(simRes.Scape)
-	for i := range simRes.Log.Downloads {
-		if err := w.Append(analysis.OfflineFromRecord(&simRes.Log.Downloads[i], lookup)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	if err := logpipe.ExportDownloads(simDir, simRes.Log.Downloads, simRes.Scape); err != nil {
 		t.Fatal(err)
 	}
 	fromSim, err := logpipe.ReadDownloads(simDir)

@@ -18,7 +18,6 @@ import (
 	"syscall"
 	"testing"
 
-	"netsession/internal/analysis"
 	"netsession/internal/logpipe"
 )
 
@@ -82,17 +81,7 @@ func TestMegaSimXXLEndToEnd(t *testing.T) {
 	// each record annotated from the generating scape the way the control
 	// plane annotates live reports.
 	segDir := t.TempDir()
-	w, err := logpipe.NewBulkWriter(segDir, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookup := analysis.ScapeLookup(res.Scape)
-	for i := range res.Log.Downloads {
-		if err := w.Append(analysis.OfflineFromRecord(&res.Log.Downloads[i], lookup)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
+	if err := logpipe.ExportDownloads(segDir, res.Log.Downloads, res.Scape); err != nil {
 		t.Fatal(err)
 	}
 
