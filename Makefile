@@ -41,8 +41,10 @@ bench:
 # segment decoded by the log pipeline's gzip reader and by compress/gzip
 # (MB/s of decoded text), the piece data
 # path (codec round trip at 64 and 256 KiB, verified store put, synthetic
-# body), and the swarm path (one leecher pulling an 8 MiB object from four
-# in-memory seeders over loopback, MB/s and allocs per download).
+# body), the swarm path (one leecher pulling an 8 MiB object from four
+# in-memory seeders over loopback, MB/s and allocs per download), and the
+# CN query path (queries/s, ConnectTo frames delivered and dropped per query
+# and B/op against 1,000 holders behind a paper-like NAT mix).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineEvents$$|BenchmarkSimSmall$$|BenchmarkSelect40$$|BenchmarkDirectoryChurn$$' \
 		-benchtime 2x -benchmem ./internal/sim ./internal/selection
@@ -52,6 +54,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPieceRoundTrip$$|BenchmarkMemStorePut$$|BenchmarkSyntheticBody$$' \
 		-benchtime 200ms -benchmem ./internal/protocol ./internal/content
 	$(GO) test -run '^$$' -bench 'BenchmarkSwarmDownload$$' -benchtime 2x -benchmem ./internal/peer
+	$(GO) test -run '^$$' -bench 'BenchmarkCNQuery$$' -benchtime 2000x -benchmem ./internal/controlplane
 
 # Streaming-analytics timing: a full streaming pass over a sealed 128k-record
 # segment store, with the bounded-heap test alongside (BENCH_analytics.json

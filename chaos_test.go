@@ -225,8 +225,9 @@ func TestChaosDownloadsSurvive(t *testing.T) {
 
 	// Phase 2: poison the swarm — the poisoned object's only registered
 	// holders are a lying uploader and a stalled uploader. (The honest seed
-	// must not hold it: its ConnectTo dial-back would otherwise serve the
-	// whole object before the leech ever dials the liars.)
+	// must not hold it: selected beside the liars, it would serve the whole
+	// object and the download would never need to degrade. Being public, it
+	// would not even be told to dial back.)
 	evil := startChaosUploader(t, poisoned.NumPieces(), true)
 	registerChaosPeer(t, c, evil.guid, evil.ln.Addr().String(), poisoned.ID, 1)
 	stalled := startChaosUploader(t, poisoned.NumPieces(), false)

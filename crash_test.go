@@ -261,9 +261,9 @@ func TestCrashDNRebuildConverges(t *testing.T) {
 
 	// Select serves the rebuilt directory without any control-plane restart:
 	// a fresh leech's query finds the holders and the download completes.
-	// The holders may dial back (ConnectTo) and deliver the whole object
-	// before the leech reads its QueryResult, so peer bytes count as proof
-	// too.
+	// The holders are public, so they are not told to dial back and peer
+	// bytes can only come from the candidates the QueryResult named; either
+	// counts as proof.
 	leech := spawn()
 	res, err := chaosStart(t, leech, obj.ID).Wait(ctx)
 	if err != nil || res.Outcome != protocol.OutcomeCompleted {

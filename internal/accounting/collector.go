@@ -70,34 +70,53 @@ func (v *LedgerVerifier) CheckDownload(rec *DownloadRecord) error {
 // window for tests and the in-process cluster's accounting snapshot.
 const defaultMaxRecords = 65536
 
+// ringBlock is how many records one block of a ring holds.
+const ringBlock = 1024
+
 // ring is a bounded FIFO over records: past its cap, each push evicts the
 // oldest entry so CN memory stays constant no matter how long the process
-// accepts reports. cap <= 0 means unbounded.
+// accepts reports. cap <= 0 means unbounded. Records live in fixed-size
+// blocks, so growing by one block never copies what is held nor allocates
+// more than one block ahead: a doubling slice would hold the old and the new
+// array at once and leave up to half of the new one unused.
 type ring[T any] struct {
 	cap     int
-	buf     []T
-	start   int
+	blocks  [][]T
+	n       int // records held
+	start   int // index of the oldest record
 	evicted int64
 }
 
+func (r *ring[T]) at(i int) *T { return &r.blocks[i/ringBlock][i%ringBlock] }
+
 func (r *ring[T]) push(v T) (evicted bool) {
-	if r.cap <= 0 || len(r.buf) < r.cap {
-		r.buf = append(r.buf, v)
+	if r.cap <= 0 || r.n < r.cap {
+		if r.n%ringBlock == 0 {
+			size := ringBlock
+			if r.cap > 0 {
+				size = min(size, r.cap-r.n)
+			}
+			r.blocks = append(r.blocks, make([]T, 0, size))
+		}
+		last := &r.blocks[len(r.blocks)-1]
+		*last = append(*last, v)
+		r.n++
 		return false
 	}
-	r.buf[r.start] = v
-	r.start = (r.start + 1) % len(r.buf)
+	*r.at(r.start) = v
+	r.start = (r.start + 1) % r.n
 	r.evicted++
 	return true
 }
 
-func (r *ring[T]) len() int { return len(r.buf) }
+func (r *ring[T]) len() int { return r.n }
 
 // snapshot copies the ring oldest-first.
 func (r *ring[T]) snapshot() []T {
-	out := make([]T, 0, len(r.buf))
-	out = append(out, r.buf[r.start:]...)
-	out = append(out, r.buf[:r.start]...)
+	out := make([]T, 0, r.n)
+	for i := 0; i < r.n; i++ {
+		out = append(out, *r.at((r.start + i) % r.n))
+	}
 	return out
 }
 

@@ -67,6 +67,37 @@ func TestCollectorBoundedLoginsAndRegistrations(t *testing.T) {
 	}
 }
 
+// TestRingAcrossBlocks: a ring whose cap spans several blocks, and one with
+// no cap, keep the newest records oldest-first across block boundaries and
+// through wrap-around, and never hold a block beyond the cap.
+func TestRingAcrossBlocks(t *testing.T) {
+	for _, c := range []struct{ cap, pushes, want int }{
+		{cap: 2*ringBlock + 100, pushes: 5*ringBlock + 7, want: 2*ringBlock + 100},
+		{cap: 2 * ringBlock, pushes: 2*ringBlock + 1, want: 2 * ringBlock},
+		{cap: -1, pushes: 3*ringBlock + 1, want: 3*ringBlock + 1},
+	} {
+		r := ring[int]{cap: c.cap}
+		for i := 0; i < c.pushes; i++ {
+			r.push(i)
+		}
+		got := r.snapshot()
+		if len(got) != c.want || r.len() != c.want {
+			t.Fatalf("cap %d: holds %d (snapshot %d), want %d", c.cap, r.len(), len(got), c.want)
+		}
+		for i, v := range got {
+			if want := c.pushes - c.want + i; v != want {
+				t.Fatalf("cap %d: snapshot[%d] = %d, want %d", c.cap, i, v, want)
+			}
+		}
+		if held := (c.want + ringBlock - 1) / ringBlock; len(r.blocks) != held {
+			t.Fatalf("cap %d: %d blocks, want %d", c.cap, len(r.blocks), held)
+		}
+		if c.cap > 0 && cap(r.blocks[len(r.blocks)-1]) > c.cap%ringBlock && c.cap%ringBlock != 0 {
+			t.Fatalf("cap %d: last block has room for %d", c.cap, cap(r.blocks[len(r.blocks)-1]))
+		}
+	}
+}
+
 func TestCollectorUnboundedOptOut(t *testing.T) {
 	c := NewCollector(nil)
 	c.Configure(-1, nil)

@@ -9,10 +9,11 @@ import (
 	"netsession/internal/geo"
 )
 
-// The offline path analyzes exported JSON-lines logs without the generating
-// atlas: every record carries its own geolocation fields, the way the
-// paper's anonymized data set bundled EdgeScape annotations (§4.1). This is
-// what `netsession-sim -out` writes and `netsession-analyze` reads.
+// The offline path analyzes a sealed segment store of download records
+// without the generating atlas: every record carries its own geolocation
+// fields, the way the paper's anonymized data set bundled EdgeScape
+// annotations (§4.1). The control plane's log sink and `netsession-sim -out`
+// write that store, and `netsession-analyze` reads it.
 
 // OfflineDownload is one exported download record.
 type OfflineDownload struct {

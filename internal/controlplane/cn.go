@@ -15,6 +15,7 @@ import (
 	"netsession/internal/geo"
 	"netsession/internal/id"
 	"netsession/internal/logpipe"
+	"netsession/internal/nat"
 	"netsession/internal/protocol"
 	"netsession/internal/selection"
 )
@@ -258,11 +259,20 @@ func (cn *CN) handleQuery(s *session, q *protocol.Query) {
 	})
 	cn.cp.metrics.queryDurMs.Observe(float64(time.Since(selectStart)) / float64(time.Millisecond))
 	s.send(&protocol.QueryResult{Object: q.Object, Peers: peers})
-	// Instruct the chosen peers to initiate connections to the querier as
-	// well, which is what lets NAT hole punching succeed (§3.7).
+	// A chosen holder whose NAT filters unsolicited inbound is told to
+	// initiate a connection to the querier as well, which is what lets NAT
+	// hole punching succeed (§3.7). A public or full-cone holder accepts the
+	// querier's own dial and is told nothing.
+	var ct *protocol.ConnectTo
 	for _, p := range peers {
+		if !nat.HolderMustInitiate(p.NAT) {
+			continue
+		}
 		if up := cn.cp.lookupSession(p.GUID); up != nil {
-			up.send(&protocol.ConnectTo{Object: q.Object, Peer: s.info})
+			if ct == nil {
+				ct = &protocol.ConnectTo{Object: q.Object, Peer: s.info}
+			}
+			up.sendAdvisory(ct)
 		}
 	}
 }
@@ -288,13 +298,45 @@ func (cn *CN) handleRegister(s *session, m *protocol.Register) {
 	}, cn.cp.now())
 }
 
+// advisoryWriteTimeout bounds the write of a frame the peer can do without.
+// A ConnectTo is about a hundred bytes; a socket that cannot take it within
+// this time belongs to a peer that has stopped reading.
+const advisoryWriteTimeout = 100 * time.Millisecond
+
+// send writes a frame the session needs (its query answers, login replies,
+// configuration, pongs), waiting for the session's writer if another write
+// is under way.
 func (s *session) send(m protocol.Message) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+	s.write(m, 30*time.Second)
+}
+
+// sendAdvisory writes a frame the session can do without, a ConnectTo, on
+// behalf of another session's reader. It never waits for the writer: when
+// another write holds it, the frame is dropped, so a holder that has stopped
+// reading stalls no querier. A write that times out closes the session, as
+// in send; either way the frame is counted as dropped.
+func (s *session) sendAdvisory(m protocol.Message) {
+	if !s.wmu.TryLock() {
+		s.cn.cp.metrics.connectToDropped.Inc()
+		return
+	}
+	defer s.wmu.Unlock()
+	if !s.write(m, advisoryWriteTimeout) {
+		s.cn.cp.metrics.connectToDropped.Inc()
+	}
+}
+
+// write writes m under wmu, closing the connection if the write fails or
+// takes longer than timeout.
+func (s *session) write(m protocol.Message, timeout time.Duration) bool {
+	s.conn.SetWriteDeadline(time.Now().Add(timeout))
 	if err := protocol.WriteMessage(s.conn, m); err != nil {
 		s.conn.Close()
+		return false
 	}
+	return true
 }
 
 func (s *session) closeConn() { s.conn.Close() }
@@ -303,6 +345,22 @@ func (s *session) closeConn() { s.conn.Close() }
 // so diversity picks are reproducible given (peer, object) — useful both for
 // debugging and for the deterministic simulator.
 func newSelectionRand(g id.GUID, obj content.ObjectID) *rand.Rand {
-	seed := int64(binary.BigEndian.Uint64(g[:8]) ^ binary.BigEndian.Uint64(obj[:8]))
-	return rand.New(rand.NewSource(seed))
+	src := splitmix64(binary.BigEndian.Uint64(g[:8]) ^ binary.BigEndian.Uint64(obj[:8]))
+	return rand.New(&src)
 }
+
+// splitmix64 is Steele, Lea and Flood's SplitMix64 generator as a
+// rand.Source64. Its state is one word, so seeding it per query costs
+// nothing; math/rand's own source fills a 607-word table on every seed.
+type splitmix64 uint64
+
+func (s *splitmix64) Uint64() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+func (s *splitmix64) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *splitmix64) Seed(seed int64) { *s = splitmix64(seed) }

@@ -110,6 +110,9 @@ type cpMetrics struct {
 	unregisters     *telemetry.Counter
 	statsReports    *telemetry.Counter
 	readds          *telemetry.Counter
+	// connectToDropped counts ConnectTo frames not delivered because the
+	// holder's connection was busy writing or its write timed out.
+	connectToDropped *telemetry.Counter
 
 	// DN-loss recovery series, registered eagerly per region so operators
 	// see zeroes (not gaps) before the first failure: announcements absorbed
@@ -155,6 +158,8 @@ func newCPMetrics(reg *telemetry.Registry) *cpMetrics {
 			"download usage reports received", nil),
 		readds: reg.Counter("cp_readds_total",
 			"RE-ADD requests sent to connected peers after a DN loss or ring takeover", nil),
+		connectToDropped: reg.Counter("cp_connect_to_dropped_total",
+			"ConnectTo frames dropped because the holder's connection was busy writing or its write timed out", nil),
 		rebuildMs: reg.Histogram("dn_rebuild_ms",
 			"duration of DN directory rebuild windows in milliseconds",
 			telemetry.DurationBucketsMs, nil),

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net"
@@ -22,7 +23,7 @@ import (
 
 // harness starts a control-plane node with one CN over a small atlas.
 type harness struct {
-	t      *testing.T
+	t      testing.TB
 	atlas  *geo.Atlas
 	scape  *geo.EdgeScape
 	minter *edge.TokenMinter
@@ -31,7 +32,7 @@ type harness struct {
 	cn     *CN
 }
 
-func newHarness(t *testing.T, mutate func(*Config)) *harness {
+func newHarness(t testing.TB, mutate func(*Config)) *harness {
 	t.Helper()
 	acfg := geo.DefaultAtlasConfig()
 	acfg.TailCountries = 2
@@ -58,7 +59,7 @@ func newHarness(t *testing.T, mutate func(*Config)) *harness {
 
 // rawPeer is a minimal protocol-level client for driving the CN directly.
 type rawPeer struct {
-	t    *testing.T
+	t    testing.TB
 	conn net.Conn
 	guid id.GUID
 	rec  geo.Record
@@ -81,6 +82,12 @@ func (h *harness) allocRecord(country geo.CountryCode) geo.Record {
 
 func (h *harness) dialPeer(country geo.CountryCode, uploadsEnabled bool) *rawPeer {
 	h.t.Helper()
+	return h.dialPeerNAT(country, uploadsEnabled, protocol.NATNone)
+}
+
+// dialPeerNAT is dialPeer for a peer that declares NAT class natc.
+func (h *harness) dialPeerNAT(country geo.CountryCode, uploadsEnabled bool, natc protocol.NATClass) *rawPeer {
+	h.t.Helper()
 	rec := h.allocRecord(country)
 	conn, err := net.Dial("tcp", h.cn.Addr())
 	if err != nil {
@@ -96,7 +103,7 @@ func (h *harness) dialPeer(country geo.CountryCode, uploadsEnabled bool) *rawPee
 		SoftwareVersion: "test-1",
 		UploadsEnabled:  uploadsEnabled,
 		SwarmAddr:       "127.0.0.1:9",
-		NAT:             protocol.NATNone,
+		NAT:             natc,
 		DeclaredIP:      rec.IP.String(),
 	})
 	if err != nil {
@@ -179,31 +186,135 @@ func TestLoginRecordsAndSession(t *testing.T) {
 	}
 }
 
-func TestRegisterQueryConnectTo(t *testing.T) {
-	h := newHarness(t, nil)
-	oid := content.NewObjectID(7, "file", 1)
-
-	up := h.dialPeer("US", true)
+// registerAndQuery registers a complete holder with NAT class natc, lets a
+// public downloader query for the object, and checks that the answer names
+// the holder.
+func registerAndQuery(h *harness, natc protocol.NATClass) (up, down *rawPeer, oid content.ObjectID) {
+	h.t.Helper()
+	oid = content.NewObjectID(7, "file", 1)
+	up = h.dialPeerNAT("US", true, natc)
 	expect[*protocol.LoginAck](up)
 	up.send(&protocol.Register{Object: oid, NumPieces: 10, HaveCount: 10, Complete: true})
 
 	region := geo.RegionOf(up.rec)
-	waitFor(t, "registration", func() bool { return h.cp.DN(region).Copies(oid) == 1 })
+	waitUntil(h.t, 5*time.Second, func() bool { return h.cp.DN(region).Copies(oid) == 1 }, "timeout waiting for registration")
 
-	down := h.dialPeer("US", false)
+	down = h.dialPeer("US", false)
 	expect[*protocol.LoginAck](down)
 	down.send(&protocol.Query{Object: oid, Token: h.token(down.guid, oid, true), MaxPeers: 40})
 	qr := expect[*protocol.QueryResult](down)
 	if qr.Err != "" {
-		t.Fatalf("query error: %s", qr.Err)
+		h.t.Fatalf("query error: %s", qr.Err)
 	}
 	if len(qr.Peers) != 1 || qr.Peers[0].GUID != up.guid {
-		t.Fatalf("query returned %d peers, want the uploader", len(qr.Peers))
+		h.t.Fatalf("query returned %d peers, want the uploader", len(qr.Peers))
 	}
-	// The uploader is instructed to connect back to the downloader.
+	// The querier's session handles frames in order, so its pong proves
+	// that whatever the query sent the holder is already written.
+	down.send(&protocol.Ping{Nonce: 1})
+	expect[*protocol.Pong](down)
+	return up, down, oid
+}
+
+// TestRegisterQueryConnectTo: a holder behind a port-restricted NAT filters
+// the downloader's unsolicited dial, so it is told to connect back (§3.7).
+func TestRegisterQueryConnectTo(t *testing.T) {
+	h := newHarness(t, nil)
+	up, down, oid := registerAndQuery(h, protocol.NATPortRestricted)
 	ct := expect[*protocol.ConnectTo](up)
 	if ct.Object != oid || ct.Peer.GUID != down.guid {
 		t.Error("connect-to does not target the downloader")
+	}
+}
+
+// TestNoConnectToForReachableHolder: a public or full-cone holder accepts the
+// downloader's own dial, so the control plane sends it no ConnectTo.
+func TestNoConnectToForReachableHolder(t *testing.T) {
+	for _, natc := range []protocol.NATClass{protocol.NATNone, protocol.NATFullCone} {
+		t.Run(natc.String(), func(t *testing.T) {
+			h := newHarness(t, nil)
+			up, _, _ := registerAndQuery(h, natc)
+			// The holder's own pong comes after anything already written
+			// to it, so a pong arriving first proves no ConnectTo was sent.
+			up.send(&protocol.Ping{Nonce: 7})
+			for {
+				switch expect[protocol.Message](up).(type) {
+				case *protocol.ConnectTo:
+					t.Fatalf("%v holder was sent a ConnectTo", natc)
+				case *protocol.Pong:
+					return
+				}
+			}
+		})
+	}
+}
+
+// TestStuckHolderStallsNoQuerier: a holder behind a port-restricted NAT that
+// has stopped reading is selected by every query. Its connection's writer
+// is held by a pong the CN cannot deliver, so each ConnectTo meant for it is
+// dropped and counted, and every querier still gets its answer and its next
+// reply at once. The socket buffers are shrunk only so that a flood of a few
+// thousand pings fills them.
+func TestStuckHolderStallsNoQuerier(t *testing.T) {
+	h := newHarness(t, func(c *Config) {
+		c.ConnWrap = func(conn net.Conn) net.Conn {
+			conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+			return conn
+		}
+	})
+	oid := content.NewObjectID(7, "file", 1)
+	holder := h.dialPeerNAT("US", true, protocol.NATPortRestricted)
+	expect[*protocol.LoginAck](holder)
+	holder.send(&protocol.Register{Object: oid, NumPieces: 10, HaveCount: 10, Complete: true})
+	waitFor(t, "registration", func() bool { return h.cp.DN(geo.RegionOf(holder.rec)).Copies(oid) == 1 })
+	// From here on nothing reads the holder's connection: its reader
+	// goroutine stops once incoming is full.
+	holder.conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		bw := bufio.NewWriter(holder.conn)
+		for i := 0; i < 20000; i++ {
+			if protocol.WriteMessage(bw, &protocol.Ping{Nonce: uint64(i)}) != nil {
+				return
+			}
+		}
+		bw.Flush()
+	}()
+	t.Cleanup(func() { holder.conn.Close(); <-flooded })
+
+	queriers := make([]*rawPeer, 4)
+	for i := range queriers {
+		queriers[i] = h.dialPeer("US", false)
+		expect[*protocol.LoginAck](queriers[i])
+	}
+	dropped := func() int64 {
+		return h.cp.Metrics().Snapshot().Counters["cp_connect_to_dropped_total"]
+	}
+	// Once the holder's writer is held for good, every query drops its
+	// ConnectTo; until then a drop is a race with a pong.
+	const bound, stuckQueries = time.Second, 20
+	for round, streak := 0, 0; streak < stuckQueries; round++ {
+		if round == 500 {
+			t.Fatalf("no run of %d queries that each dropped a ConnectTo in %d rounds", stuckQueries, round)
+		}
+		for i, q := range queriers {
+			before, start := dropped(), time.Now()
+			q.send(&protocol.Query{Object: oid, Token: h.token(q.guid, oid, true), MaxPeers: 40})
+			q.send(&protocol.Ping{Nonce: uint64(round)})
+			if qr := expect[*protocol.QueryResult](q); qr.Err != "" || len(qr.Peers) != 1 {
+				t.Fatalf("querier %d: answer %+v, want the holder", i, qr)
+			}
+			expect[*protocol.Pong](q)
+			if took := time.Since(start); took > bound {
+				t.Fatalf("round %d: querier %d waited %v for its answer and pong, want under %v", round, i, took, bound)
+			}
+			if dropped() > before {
+				streak++
+			} else {
+				streak = 0
+			}
+		}
 	}
 }
 

@@ -49,6 +49,18 @@ func CanConnect(a, b protocol.NATClass) bool {
 	}
 }
 
+// HolderMustInitiate reports whether a holder behind NAT class c, chosen to
+// serve a querying peer, must itself open the connection for the pair to
+// meet. That is the case exactly when its NAT filters unsolicited inbound
+// (restricted, port-restricted and symmetric cones, and blocked endpoints):
+// the querier's dial gets through only once the holder's own outbound
+// packets have opened the mapping. A public or full-cone holder accepts the
+// querier's dial as it is. The querier's class plays no part: the querier
+// always dials, having asked.
+func HolderMustInitiate(c protocol.NATClass) bool {
+	return c != protocol.NATNone && c != protocol.NATFullCone
+}
+
 // Distribution is a sampling distribution over NAT classes for synthetic
 // peer populations.
 type Distribution struct {

@@ -35,6 +35,33 @@ func TestCanConnectMatrix(t *testing.T) {
 	}
 }
 
+// TestHolderMustInitiateMatrix spells the dial-back rule out for every
+// (querier, holder) pair: the holder initiates exactly when its NAT filters
+// unsolicited inbound, whatever the querier's class.
+func TestHolderMustInitiateMatrix(t *testing.T) {
+	classes := []protocol.NATClass{protocol.NATNone, protocol.NATFullCone,
+		protocol.NATRestricted, protocol.NATPortRestricted,
+		protocol.NATSymmetric, protocol.NATBlocked}
+	const o, X = false, true
+	// want[querier][holder], classes in the order above.
+	want := [6][6]bool{
+		//  N  F  R  P  S  B    holder
+		{o, o, X, X, X, X}, // querier None
+		{o, o, X, X, X, X}, // FullCone
+		{o, o, X, X, X, X}, // Restricted
+		{o, o, X, X, X, X}, // PortRestricted
+		{o, o, X, X, X, X}, // Symmetric
+		{o, o, X, X, X, X}, // Blocked
+	}
+	for qi, q := range classes {
+		for hi, h := range classes {
+			if got := HolderMustInitiate(h); got != want[qi][hi] {
+				t.Errorf("querier %v, holder %v: HolderMustInitiate = %v, want %v", q, h, got, want[qi][hi])
+			}
+		}
+	}
+}
+
 func TestDistributionSample(t *testing.T) {
 	d := DefaultDistribution()
 	r := rand.New(rand.NewSource(1))

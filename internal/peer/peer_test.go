@@ -151,7 +151,13 @@ func e2eObject(t testing.TB, size int64, p2p bool) *content.Object {
 // registered copy, and waits for the registration to land in the directory.
 func (d *deployment) seed(country geo.CountryCode, obj *content.Object) *Client {
 	d.t.Helper()
-	s := d.spawnPeer(country, true, protocol.NATNone)
+	return d.seedNAT(country, obj, protocol.NATNone)
+}
+
+// seedNAT is seed for a peer behind NAT class natc.
+func (d *deployment) seedNAT(country geo.CountryCode, obj *content.Object, natc protocol.NATClass) *Client {
+	d.t.Helper()
+	s := d.spawnPeer(country, true, natc)
 	dl, err := s.Download(obj.ID)
 	if err != nil {
 		d.t.Fatal(err)
@@ -318,6 +324,7 @@ func TestSwarmScalesToManySeeds(t *testing.T) {
 // TestPeersReturnedSurvivesLateQueryResult: the control plane answers a
 // peer query before it tells the chosen holders to dial back, yet the
 // holders' pieces can reach the download before the answer is dispatched.
+// The seeds sit behind restricted NATs, the class that is told to dial back.
 // Here the control reader holds every answer until the download has
 // finished, or has held all its pieces for 300 ms. The record must still say that the
 // control plane returned both seeds, and the trace must carry the
@@ -325,8 +332,8 @@ func TestSwarmScalesToManySeeds(t *testing.T) {
 func TestPeersReturnedSurvivesLateQueryResult(t *testing.T) {
 	obj := e2eObject(t, 400_000, true)
 	d := newWANDeployment(t, obj)
-	d.seed("US", obj)
-	d.seed("US", obj)
+	d.seedNAT("US", obj, protocol.NATRestricted)
+	d.seedNAT("US", obj, protocol.NATRestricted)
 	d.waitCopies("US", obj.ID, 2)
 
 	c := d.spawnPeerWith("US", true, protocol.NATNone, func(cfg *Config) {

@@ -147,7 +147,7 @@ func (d *decoder) span(n uint32) []byte {
 	return b[:n:n]
 }
 
-func (d *decoder) str() string { return string(d.bytes()) }
+func (d *decoder) str() string { return string(d.span(d.u32())) }
 
 func (d *decoder) guid() (g id.GUID) {
 	copy(g[:], d.take(len(g)))

@@ -25,6 +25,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"sync"
 )
 
 // Framing constants.
@@ -95,13 +96,34 @@ type Message interface {
 	decodeFrom(d *decoder)
 }
 
+// maxPooledFrame is the largest encode buffer encoderPool keeps. It holds a
+// 40-peer QueryResult (about 2 KB); a larger frame, such as a big bitfield
+// or usage log, leaves its buffer to the collector, so an idle pooled
+// encoder never pins more than this.
+const maxPooledFrame = 4 << 10
+
+// encoderPool recycles WriteMessage's encoders and their buffers. An
+// io.Writer does not keep the slice it is given, so a buffer is free once
+// WriteMessage returns; the tail is dropped so a pooled encoder never holds
+// a caller's piece data.
+var encoderPool = sync.Pool{New: func() any {
+	return &encoder{buf: make([]byte, 0, 256)}
+}}
+
 // WriteMessage frames and writes one message. A by-reference tail (a
 // Piece's Data) is never copied nor checksummed: header and body go out as
 // net.Buffers, one writev on a TCP connection, and the CRC covers the
 // encoded fields, the tail's length included, but not the tail.
 func WriteMessage(w io.Writer, m Message) error {
-	e := encoder{buf: make([]byte, headerLen, headerLen+64)}
-	m.encodeTo(&e)
+	e := encoderPool.Get().(*encoder)
+	e.buf = e.buf[:headerLen]
+	defer func() {
+		e.tail = nil
+		if cap(e.buf) <= maxPooledFrame {
+			encoderPool.Put(e)
+		}
+	}()
+	m.encodeTo(e)
 	n := len(e.buf) - headerLen + len(e.tail)
 	if n > MaxPayload {
 		return fmt.Errorf("protocol: %v payload %d exceeds max %d", m.Type(), n, MaxPayload)

@@ -52,6 +52,10 @@ type PeerInfo struct {
 	Location uint32
 }
 
+// minPeerInfoLen is the encoded size of a PeerInfo with an empty address:
+// GUID, address length, NAT class, ASN and location.
+const minPeerInfoLen = len(id.GUID{}) + 4 + 1 + 4 + 4
+
 func (p *PeerInfo) encodeTo(e *encoder) {
 	e.guid(p.GUID)
 	e.str(p.Addr)
@@ -189,6 +193,11 @@ func (m *QueryResult) encodeTo(e *encoder) {
 func (m *QueryResult) decodeFrom(d *decoder) {
 	m.Object = d.objectID()
 	n := int(d.u16())
+	if n > 0 {
+		// Presize only as far as the payload can back: a hostile count
+		// cannot allocate more than the bytes that follow.
+		m.Peers = make([]PeerInfo, 0, min(n, (len(d.buf)-d.off)/minPeerInfoLen))
+	}
 	for i := 0; i < n && d.err == nil; i++ {
 		var p PeerInfo
 		p.decodeFrom(d)
